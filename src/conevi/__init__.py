@@ -24,6 +24,7 @@ from .operators import (
 from .projective import (
     IpmBreakdown,
     IpmConfig,
+    IpmReport,
     ProjectiveLcp,
     build_projective,
     solve_diag_plus_lowrank,
@@ -43,14 +44,7 @@ from .solvers import (
     solve_exact,
     solve_galerkin,
 )
-from .transforms import (
-    ComplementarityProblem,
-    ConicProgramLayout,
-    PolyhedralVI,
-    eliminate_equalities,
-    polyhedron_to_cone,
-    vi_to_cp,
-)
+from .transforms import ConicProgramLayout, PolyhedralVI, eliminate_equalities, polyhedron_to_cone
 
 __version__ = "0.1.0"
 
@@ -59,7 +53,6 @@ __all__ = [
     "Basis",
     "BoundComparison",
     "CallableOperator",
-    "ComplementarityProblem",
     "ConicProgramLayout",
     "ContractionParams",
     "EmptyBasis",
@@ -67,6 +60,7 @@ __all__ = [
     "IntersectionProjectionFailed",
     "IpmBreakdown",
     "IpmConfig",
+    "IpmReport",
     "NotStronglyMonotone",
     "Operator",
     "OptimalityCertificate",
@@ -98,6 +92,5 @@ __all__ = [
     "solve_galerkin",
     "solve_ipm",
     "verify_pd",
-    "vi_to_cp",
     "zero",
 ]

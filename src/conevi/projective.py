@@ -5,7 +5,9 @@ For a linear operator F(x) = Mx + q the two-projection Galerkin fixed point
 solves CP(Nx + r, K) with N = I - P_span + alpha*P_span*M and
 r = alpha*P_span*q. Storing N as I + Q W (Q the orthonormal basis factor,
 W = alpha*Q^T M - Q^T) lets each interior-point Newton step run through a
-Woodbury solve in O(n k'^2) instead of a dense O(n^3) factorization.
+Woodbury solve in O(n k'^2) instead of a dense O(n^3) factorization, and
+the positive-definiteness check work on the rank <= 2k' symmetric part of
+Q W in O(n k'^2) as well.
 """
 from __future__ import annotations
 
@@ -13,23 +15,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .basis import Basis
 from .cones import SeparableCone
 from .operators import AffineOperator
-from .solvers import SolveReport
 
 __all__ = [
     "IpmBreakdown",
     "ProjectiveLcp",
     "IpmConfig",
+    "IpmReport",
     "build_projective",
     "verify_pd",
     "solve_diag_plus_lowrank",
     "solve_ipm",
 ]
-
-MATERIALIZE_LIMIT = 2000
 
 
 class IpmBreakdown(Exception):
@@ -40,8 +41,7 @@ class IpmBreakdown(Exception):
 class ProjectiveLcp:
     """The reduced problem CP(Nx + r, K) in identity-plus-low-rank form.
 
-    N = I + ortho @ W is never materialized outside of small-instance
-    cross-checks; apply() costs O(n k').
+    N = I + ortho @ W is never materialized; apply() costs O(n k').
     """
 
     n: int
@@ -57,12 +57,6 @@ class ProjectiveLcp:
         if x.shape != (self.n,):
             raise ValueError(f"x has shape {x.shape}, problem dimension is {self.n}")
         return x + self.ortho @ (self.W @ x)
-
-    def materialize(self) -> np.ndarray:
-        """Dense N, for small-instance verification only."""
-        if self.n > MATERIALIZE_LIMIT:
-            raise ValueError(f"refusing to materialize N for n={self.n} > {MATERIALIZE_LIMIT}")
-        return np.eye(self.n) + self.ortho @ self.W
 
 
 @dataclass
@@ -90,6 +84,24 @@ class IpmConfig:
             raise ValueError("sigma must be in (0, 1)")
 
 
+@dataclass
+class IpmReport:
+    """Outcome of one interior-point solve.
+
+    mu is the mean complementarity product x_i s_i over the orthant
+    components and feasibility the largest residual of Nx + r = s (and of
+    s = 0 on free components), both at the last iterate.
+    """
+
+    x: np.ndarray
+    iterations: int
+    converged: bool
+    mu: float
+    feasibility: float
+    final_step_norm: float
+    alpha: float
+
+
 def build_projective(op: AffineOperator, basis: Basis, alpha: float) -> ProjectiveLcp:
     """Assemble the reduced problem for F(x) = Mx + q and the given basis.
 
@@ -107,12 +119,17 @@ def build_projective(op: AffineOperator, basis: Basis, alpha: float) -> Projecti
 
 def verify_pd(plcp: ProjectiveLcp) -> float:
     """Smallest eigenvalue of (N + N^T)/2; positive when M is PD and
-    alpha comes from the contraction parameters."""
-    import scipy.linalg
+    alpha comes from the contraction parameters.
 
-    N = plcp.materialize()
-    S = 0.5 * (N + N.T)
-    return float(scipy.linalg.eigvalsh(S, subset_by_index=[0, 0])[0])
+    N - I = Q W has its range and row space in range(U), U = qr([Q, W^T]),
+    so the symmetric part is I + U sym(C) U^T with C = U^T Q W U. Its
+    eigenvalues are 1 + eig(sym C), plus 1 on the complement of range(U)
+    when U has fewer than n columns. Cost O(n k'^2).
+    """
+    U, _ = np.linalg.qr(np.hstack([plcp.ortho, plcp.W.T]))
+    C = (U.T @ plcp.ortho) @ (plcp.W @ U)
+    smallest = 1.0 + float(scipy.linalg.eigvalsh(0.5 * (C + C.T), subset_by_index=[0, 0])[0])
+    return smallest if U.shape[1] == plcp.n else min(1.0, smallest)
 
 
 def solve_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
@@ -140,7 +157,7 @@ def solve_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
 
 
 def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
-              cfg: IpmConfig | None = None) -> SolveReport:
+              cfg: IpmConfig | None = None) -> IpmReport:
     """Primal-dual path following on CP(Nx + r, K) for a separable K.
 
     Orthant components carry complementarity pairs (x_i, s_i); free
@@ -217,14 +234,12 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         s = s + step * ds
         step_norm = step * float(np.linalg.norm(dx))
 
-    return SolveReport(
+    return IpmReport(
         x=x,
         iterations=iters,
-        final_step_norm=step_norm,
-        gamma=float("nan"),
-        alpha=plcp.alpha,
         converged=converged,
-        guaranteed=False,
         mu=mu,
         feasibility=feas,
+        final_step_norm=step_norm,
+        alpha=plcp.alpha,
     )

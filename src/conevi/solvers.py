@@ -2,7 +2,7 @@
 two-projection Galerkin, plus error bounds and optimality certificates.
 
 All three iterations share the update direction x - alpha*F(x) and differ
-only in where a projection is inserted:
+only in where a projection is inserted, so one driver runs them all:
 
   exact:      x <- P_C(x - alpha F(x))
   Bertsekas:  x <- P_{C & span}(x - alpha F(x))
@@ -10,7 +10,9 @@ only in where a projection is inserted:
 
 For strongly monotone F with alpha = beta/L**2 every update contracts with
 factor gamma = sqrt(1 - beta**2/L**2), which yields the a-priori error
-bounds reported by bound_report.
+bounds reported by bound_report. The projection onto C & span(Phi) is
+exact: a k'-variable quadratic program whose dual is a nonnegative least
+squares problem (Lawson & Hanson).
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.optimize
 
 from .basis import Basis
 from .cones import SeparableCone
@@ -39,7 +42,8 @@ __all__ = [
 
 
 class IntersectionProjectionFailed(Exception):
-    """Dykstra's iteration did not settle; C and span(Phi) may meet badly."""
+    """The projection onto C & span(Phi) failed: NNLS hit its iteration cap,
+    or the result missed C by more than the basis drop tolerance."""
 
 
 @dataclass
@@ -55,8 +59,6 @@ class SolveConfig:
     alpha_override: float | None = None
     tol: float = 1e-10
     max_iter: int | None = None
-    dykstra_tol: float = 1e-12
-    dykstra_max_iter: int = 10000
     cert_tol: float = 1e-8
     x0: np.ndarray | None = None
     z0: np.ndarray | None = None
@@ -65,12 +67,10 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if self.alpha_override is not None and self.alpha_override <= 0:
             raise ValueError("alpha_override must be positive")
-        if self.tol <= 0 or self.dykstra_tol <= 0 or self.cert_tol <= 0:
+        if self.tol <= 0 or self.cert_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.dykstra_max_iter < 1:
-            raise ValueError("dykstra_max_iter must be >= 1")
 
 
 @dataclass
@@ -108,8 +108,6 @@ class SolveReport:
     z: np.ndarray | None = None
     apriori_bound: float | None = None
     certificate: OptimalityCertificate | None = None
-    mu: float | None = None
-    feasibility: float | None = None
     step_norms: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] | None = None
 
@@ -155,15 +153,52 @@ def _max_iter(cfg: SolveConfig, gamma: float) -> int:
     return 10000
 
 
-def _check_dims(op: Operator, cone: SeparableCone) -> None:
+def _check_dims(op: Operator, cone: SeparableCone, basis: Basis | None = None) -> None:
     if op.dim != cone.dim:
         raise ValueError(f"operator dimension {op.dim} != cone dimension {cone.dim}")
+    if basis is not None and basis.n != cone.dim:
+        raise ValueError(f"basis dimension {basis.n} != cone dimension {cone.dim}")
 
 
 def _start_x(cone: SeparableCone, cfg: SolveConfig) -> np.ndarray:
     if cfg.x0 is not None:
         return cone.project(cfg.x0)
     return cone.project(np.zeros(cone.dim))
+
+
+def _fixed_point(update, v0: np.ndarray, cfg: SolveConfig, gamma: float, alpha: float,
+                 guaranteed: bool, observe=None) -> SolveReport:
+    """Iterate v <- update(v) from v0 until the step norm drops to cfg.tol.
+
+    The report's x is the last v. With cfg.trace, observe(v) is logged for
+    every iterate (v itself by default). Non-convergence is reported
+    (converged=False), not raised.
+    """
+    observe = observe or (lambda v: v)
+    v = v0
+    step_norms: list[float] = []
+    iterates = [observe(v)] if cfg.trace else None
+    step = math.inf
+    for iters in range(1, _max_iter(cfg, gamma) + 1):
+        v_new = update(v)
+        step = float(np.linalg.norm(v_new - v))
+        step_norms.append(step)
+        v = v_new
+        if iterates is not None:
+            iterates.append(observe(v))
+        if step <= cfg.tol:
+            break
+    return SolveReport(
+        x=v,
+        iterations=iters,
+        final_step_norm=step,
+        gamma=gamma,
+        alpha=alpha,
+        converged=step <= cfg.tol,
+        guaranteed=guaranteed,
+        step_norms=step_norms,
+        iterates=iterates,
+    )
 
 
 def solve_exact(op: Operator, cone: SeparableCone, cfg: SolveConfig | None = None) -> SolveReport:
@@ -175,71 +210,63 @@ def solve_exact(op: Operator, cone: SeparableCone, cfg: SolveConfig | None = Non
     cfg = cfg or SolveConfig()
     _check_dims(op, cone)
     alpha, gamma, guaranteed = _step_params(op, cfg)
-    x = _start_x(cone, cfg)
-
-    step_norms: list[float] = []
-    iterates = [x.copy()] if cfg.trace else None
-    step = math.inf
-    iters = 0
-    for t in range(1, _max_iter(cfg, gamma) + 1):
-        x_new = cone.project(x - alpha * op(x))
-        step = float(np.linalg.norm(x_new - x))
-        step_norms.append(step)
-        if iterates is not None:
-            iterates.append(x_new.copy())
-        x = x_new
-        iters = t
-        if step <= cfg.tol:
-            break
-
-    return SolveReport(
-        x=x,
-        iterations=iters,
-        final_step_norm=step,
-        gamma=gamma,
-        alpha=alpha,
-        converged=step <= cfg.tol,
-        guaranteed=guaranteed,
-        step_norms=step_norms,
-        iterates=iterates,
-    )
+    return _fixed_point(lambda x: cone.project(x - alpha * op(x)), _start_x(cone, cfg),
+                        cfg, gamma, alpha, guaranteed)
 
 
-def project_intersection(cone: SeparableCone, basis: Basis, z,
-                         dykstra_tol: float = 1e-12,
-                         dykstra_max_iter: int = 10000) -> np.ndarray:
-    """Euclidean projection onto C & span(Phi) by Dykstra's alternating scheme.
+def project_intersection(cone: SeparableCone, basis: Basis, z) -> np.ndarray:
+    """Exact Euclidean projection onto C & span(Phi).
 
-    Alternates cone and subspace projections with correction terms; both
-    iterate tracks converge to the exact projection. Returns the cone-side
-    iterate, so the result is feasible in C exactly and in span(Phi) within
-    dykstra_tol. Raises IntersectionProjectionFailed when the cycle
-    displacement has not dropped below dykstra_tol after dykstra_max_iter
-    cycles.
+    With x = Q w (Q = basis.ortho) this is the k'-variable problem
+    min ||w - Q^T z||^2 subject to Q_B w >= 0 on the nonnegative rows and
+    Q_H w = 0 on the held rows, at first the zero segments. w is restricted
+    to null(Q_H) = range(V), and A u >= 0 with A = Q_B V is solved through
+    its dual, the NNLS problem min_{lam >= 0} ||A^T lam + d|| with
+    d = V^T Q^T z, as u = d + A^T lam. The rank of Q_H and the vanishing
+    rows of A are judged against basis.drop_tol, the tolerance that defines
+    span(Phi); the kept rows are normalised.
+
+    u = d + A^T lam loses about eps * lam to cancellation. Rows whose
+    multipliers would push that past drop_tol * (1 + ||d||) are active at
+    the optimum (typically rows that force each other to zero, which NNLS
+    meets with multipliers near 1/eps), so they join the held rows and the
+    problem is solved again in fewer variables. Returns P_C(Q V u): in C
+    exactly and in span(Phi) within drop_tol * (1 + ||z||). Raises
+    IntersectionProjectionFailed when NNLS reaches its iteration cap or
+    Q V u misses C by more than that.
     """
     z = cone._check_vec(z)
     if basis.n != cone.dim:
         raise ValueError(f"basis dimension {basis.n} != cone dimension {cone.dim}")
-
-    x = z.copy()
-    p = np.zeros_like(z)
-    q = np.zeros_like(z)
-    y_prev = None
-    for _ in range(dykstra_max_iter):
-        y = cone.project(x + p)
-        p = x + p - y
-        x_new = basis.project_span(y + q)
-        q = y + q - x_new
-        if y_prev is not None:
-            delta = max(float(np.linalg.norm(y - y_prev)), float(np.linalg.norm(x_new - x)))
-            if delta <= dykstra_tol:
-                return y
-        y_prev = y
-        x = x_new
-    raise IntersectionProjectionFailed(
-        f"Dykstra did not converge in {dykstra_max_iter} iterations "
-        "(the intersection may be badly conditioned)"
-    )
+    Q, tol = basis.ortho, basis.drop_tol
+    held = cone.zero_mask.copy()
+    while True:
+        Q_H = Q[held]
+        _, sv, vt = np.linalg.svd(Q_H, full_matrices=Q_H.shape[0] < Q_H.shape[1])
+        V = vt[int(np.sum(sv > tol)):].T
+        u = V.T @ (Q.T @ z)
+        rows = np.flatnonzero(cone.nonneg_mask & ~held)
+        A = Q[rows] @ V
+        norms = np.linalg.norm(A, axis=1)
+        keep = norms > tol
+        A, rows = A[keep] / norms[keep, None], rows[keep]
+        if not A.size:
+            break
+        try:
+            lam, _ = scipy.optimize.nnls(A.T, -u)
+        except RuntimeError as exc:
+            raise IntersectionProjectionFailed(f"NNLS dual of the projection: {exc}") from exc
+        huge = lam * np.finfo(float).eps > tol * (1.0 + np.linalg.norm(u))
+        if not huge.any():
+            u = u + A.T @ lam
+            break
+        held[rows[huge]] = True
+    x = Q @ (V @ u)
+    y = cone.project(x)
+    miss = float(np.linalg.norm(x - y))
+    if miss > tol * (1.0 + float(np.linalg.norm(z))):
+        raise IntersectionProjectionFailed(f"projection misses the cone by {miss:.3g}")
+    return y
 
 
 def solve_bertsekas(op: Operator, cone: SeparableCone, basis: Basis,
@@ -251,47 +278,15 @@ def solve_bertsekas(op: Operator, cone: SeparableCone, basis: Basis,
     a-priori bound ||P_{C&span}(x_ref) - x_ref|| / (1 - gamma).
     """
     cfg = cfg or SolveConfig()
-    _check_dims(op, cone)
-    if basis.n != cone.dim:
-        raise ValueError(f"basis dimension {basis.n} != cone dimension {cone.dim}")
+    _check_dims(op, cone, basis)
     alpha, gamma, guaranteed = _step_params(op, cfg)
-
-    def proj(w: np.ndarray) -> np.ndarray:
-        return project_intersection(cone, basis, w, cfg.dykstra_tol, cfg.dykstra_max_iter)
-
-    x = _start_x(cone, cfg)
-    step_norms: list[float] = []
-    iterates = [x.copy()] if cfg.trace else None
-    step = math.inf
-    iters = 0
-    for t in range(1, _max_iter(cfg, gamma) + 1):
-        x_new = proj(x - alpha * op(x))
-        step = float(np.linalg.norm(x_new - x))
-        step_norms.append(step)
-        if iterates is not None:
-            iterates.append(x_new.copy())
-        x = x_new
-        iters = t
-        if step <= cfg.tol:
-            break
-
-    bound = None
+    rep = _fixed_point(lambda x: project_intersection(cone, basis, x - alpha * op(x)),
+                       _start_x(cone, cfg), cfg, gamma, alpha, guaranteed)
     if x_ref is not None and gamma < 1.0:
         x_ref = cone._check_vec(np.asarray(x_ref, dtype=float), "x_ref")
-        bound = float(np.linalg.norm(proj(x_ref) - x_ref)) / (1.0 - gamma)
-
-    return SolveReport(
-        x=x,
-        iterations=iters,
-        final_step_norm=step,
-        gamma=gamma,
-        alpha=alpha,
-        converged=step <= cfg.tol,
-        guaranteed=guaranteed,
-        apriori_bound=bound,
-        step_norms=step_norms,
-        iterates=iterates,
-    )
+        dist = float(np.linalg.norm(project_intersection(cone, basis, x_ref) - x_ref))
+        rep.apriori_bound = dist / (1.0 - gamma)
+    return rep
 
 
 def solve_galerkin(op: Operator, cone: SeparableCone, basis: Basis,
@@ -303,43 +298,19 @@ def solve_galerkin(op: Operator, cone: SeparableCone, basis: Basis,
     and z_bar, with an optimality certificate attached.
     """
     cfg = cfg or SolveConfig()
-    _check_dims(op, cone)
-    if basis.n != cone.dim:
-        raise ValueError(f"basis dimension {basis.n} != cone dimension {cone.dim}")
+    _check_dims(op, cone, basis)
     alpha, gamma, guaranteed = _step_params(op, cfg)
 
-    z = np.zeros(cone.dim) if cfg.z0 is None else cone._check_vec(cfg.z0, "z0").copy()
-    step_norms: list[float] = []
-    iterates: list[np.ndarray] | None = [cone.project(z)] if cfg.trace else None
-    step = math.inf
-    iters = 0
-    for t in range(1, _max_iter(cfg, gamma) + 1):
+    def update(z: np.ndarray) -> np.ndarray:
         x = cone.project(z)
-        z_new = basis.project_span(x - alpha * op(x))
-        step = float(np.linalg.norm(z_new - z))
-        step_norms.append(step)
-        z = z_new
-        if iterates is not None:
-            iterates.append(cone.project(z))
-        iters = t
-        if step <= cfg.tol:
-            break
+        return basis.project_span(x - alpha * op(x))
 
-    x_bar = cone.project(z)
-    cert = certify(op, cone, basis, x_bar, z, alpha, cfg.cert_tol)
-    return SolveReport(
-        x=x_bar,
-        z=z,
-        iterations=iters,
-        final_step_norm=step,
-        gamma=gamma,
-        alpha=alpha,
-        converged=step <= cfg.tol,
-        guaranteed=guaranteed,
-        certificate=cert,
-        step_norms=step_norms,
-        iterates=iterates,
-    )
+    z0 = np.zeros(cone.dim) if cfg.z0 is None else cone._check_vec(cfg.z0, "z0")
+    rep = _fixed_point(update, z0, cfg, gamma, alpha, guaranteed, observe=cone.project)
+    rep.z = rep.x
+    rep.x = cone.project(rep.z)
+    rep.certificate = certify(op, cone, basis, rep.x, rep.z, alpha, cfg.cert_tol)
+    return rep
 
 
 def certify(op: Operator, cone: SeparableCone, basis: Basis,
@@ -433,7 +404,7 @@ def bound_report(op: Operator, cone: SeparableCone, basis: Basis,
     )
 
     try:
-        proj_star = project_intersection(cone, basis, x_star, cfg.dykstra_tol, cfg.dykstra_max_iter)
+        proj_star = project_intersection(cone, basis, x_star)
         rep_b = solve_bertsekas(op, cone, basis, cfg)
     except IntersectionProjectionFailed:
         result.bertsekas_skipped = True

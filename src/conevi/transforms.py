@@ -1,6 +1,6 @@
-"""Problem conversions: VI over a cone <-> CP, Lagrange elimination of
-equality constraints, and reduction of polyhedral feasible sets to
-separable cones via slack variables.
+"""Problem conversions: Lagrange elimination of equality constraints and
+reduction of polyhedral feasible sets to separable cones via slack
+variables.
 
 The polyhedral reduction composes two steps: introduce slacks s >= 0 with
 Ax - s + b = 0 (x free), then eliminate that equality with multipliers
@@ -26,21 +26,11 @@ from .cones import SegmentKind, Segment, SeparableCone
 from .operators import AffineOperator, monotone_modulus
 
 __all__ = [
-    "ComplementarityProblem",
     "PolyhedralVI",
     "ConicProgramLayout",
-    "vi_to_cp",
     "eliminate_equalities",
     "polyhedron_to_cone",
 ]
-
-
-@dataclass(frozen=True)
-class ComplementarityProblem:
-    """A VI over a cone read as the equivalent complementarity problem."""
-
-    op: AffineOperator
-    cone: SeparableCone
 
 
 @dataclass(frozen=True)
@@ -82,16 +72,6 @@ class ConicProgramLayout:
     def extract(self, name: str, vector: np.ndarray) -> np.ndarray:
         lo, hi = self.variable_map[name]
         return np.asarray(vector)[lo:hi]
-
-
-def vi_to_cp(op: AffineOperator, cone: SeparableCone) -> ComplementarityProblem:
-    """Relabel a VI over a cone as the equivalent complementarity problem.
-
-    Same operator, same cone; only the complementarity reading is attached.
-    """
-    if op.dim != cone.dim:
-        raise ValueError(f"operator dimension {op.dim} != cone dimension {cone.dim}")
-    return ComplementarityProblem(op=op, cone=cone)
 
 
 def eliminate_equalities(op: AffineOperator, A, b, cone: SeparableCone) -> ConicProgramLayout:

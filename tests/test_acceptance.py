@@ -26,25 +26,15 @@ def check(name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def galerkin_sweep():
-    """50 seeded instances (n=40, k in {4,8,16}) solved by all three methods.
-
-    Seeds where Dykstra cannot deliver the intersection projection within
-    its budget (shallow subspace/orthant angle, reported by bound_report as
-    bertsekas_skipped) are replaced by the next seed, so every kept
-    instance evaluates both bounds.
-    """
+    """Seeds 0-49 (n=40, k in {4,8,16}) solved by all three methods."""
     start = time.perf_counter()
     out = []
     cfg = SolveConfig(tol=1e-12)
-    seed = 0
-    while len(out) < 50 and seed < 80:
+    for seed in range(50):
         k = (4, 8, 16)[seed % 3]
         op, basis = generate_instance(40, k, 1.0, 2.0, seed=seed)
-        seed += 1
         cone = orthant(40)
         comp = bound_report(op, cone, basis, cfg)
-        if comp.bertsekas_skipped:
-            continue
         rep_gal = solve_galerkin(op, cone, basis, cfg)
         out.append((op, basis, comp, rep_gal))
     return out, time.perf_counter() - start

@@ -30,13 +30,13 @@ class TestBuildProjective:
         q = rng.standard_normal(5)
         op = AffineOperator(M, q)
         plcp = build_projective(op, orthonormalize(np.eye(5)), 0.3)
-        np.testing.assert_allclose(plcp.materialize(), 0.3 * M, atol=1e-12)
+        np.testing.assert_allclose(np.eye(5) + plcp.ortho @ plcp.W, 0.3 * M, atol=1e-12)
         np.testing.assert_allclose(plcp.r, 0.3 * q, atol=1e-14)
 
     def test_single_axis_identity_m(self):
         op = AffineOperator(np.eye(2), [4.0, -7.0])
         plcp = build_projective(op, orthonormalize(np.array([[1.0], [0.0]])), 1.0)
-        np.testing.assert_allclose(plcp.materialize(), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(np.eye(2) + plcp.ortho @ plcp.W, np.eye(2), atol=1e-14)
         np.testing.assert_allclose(plcp.r, [4.0, 0.0], atol=1e-14)
 
     def test_alpha_m_equals_identity_collapses_n(self):
@@ -44,14 +44,15 @@ class TestBuildProjective:
         op = AffineOperator(2.0 * np.eye(6), rng.standard_normal(6))
         basis = orthonormalize(rng.standard_normal((6, 2)))
         plcp = build_projective(op, basis, 0.5)
-        np.testing.assert_allclose(plcp.materialize(), np.eye(6), atol=1e-13)
+        np.testing.assert_allclose(np.eye(6) + plcp.ortho @ plcp.W, np.eye(6), atol=1e-13)
         np.testing.assert_allclose(plcp.r, 0.5 * basis.project_span(op.q), atol=1e-13)
 
     def test_matches_projector_oracle_and_r_in_span(self):
         op, basis = generate_instance(50, 5, 1.0, 3.0, seed=43)
         alpha = op.contraction().alpha
         plcp = build_projective(op, basis, alpha)
-        np.testing.assert_allclose(plcp.materialize(), dense_N(op, basis, alpha), atol=1e-12)
+        np.testing.assert_allclose(np.eye(50) + plcp.ortho @ plcp.W, dense_N(op, basis, alpha),
+                                   atol=1e-12)
         r = plcp.r
         near = basis.project_span(r)
         assert np.linalg.norm(r - near) <= 1e-12 * (1 + np.linalg.norm(r))
@@ -79,7 +80,7 @@ class TestApplyN:
     def test_matches_dense_oracle(self):
         op, basis = generate_instance(50, 5, 1.0, 3.0, seed=46)
         plcp = build_projective(op, basis, 0.2)
-        N = plcp.materialize()
+        N = np.eye(50) + plcp.ortho @ plcp.W
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.standard_normal(50)
@@ -104,6 +105,26 @@ class TestVerifyPd:
         op = AffineOperator(S, np.zeros(2))
         plcp = build_projective(op, orthonormalize(np.array([[1.0], [0.0]])), 0.1)
         assert np.isfinite(verify_pd(plcp))
+
+    def test_matches_dense_eigvalsh(self):
+        rng = np.random.default_rng(52)
+        for n, k in ((3, 1), (7, 4), (40, 8), (60, 60), (200, 10)):
+            M = rng.standard_normal((n, n)) + 0.5 * np.eye(n)
+            basis = orthonormalize(rng.standard_normal((n, k)))
+            plcp = build_projective(AffineOperator(M, np.zeros(n)), basis, 0.3)
+            N = np.eye(n) + plcp.ortho @ plcp.W
+            ref = np.linalg.eigvalsh(0.5 * (N + N.T))[0]
+            assert verify_pd(plcp) == pytest.approx(ref, abs=1e-12 * (1 + abs(ref)))
+
+    def test_large_n_without_dense_matrix(self):
+        # only O(n k) data is formed; a dense N would take 50 MB here
+        n = 2500
+        rng = np.random.default_rng(53)
+        op = AffineOperator(1.5 * np.eye(n), rng.standard_normal(n))
+        basis = orthonormalize(rng.standard_normal((n, 6)))
+        plcp = build_projective(op, basis, 0.4)
+        # N = I - P + 0.6 P: eigenvalue 0.6 on the span, 1 on its complement
+        assert verify_pd(plcp) == pytest.approx(0.6, abs=1e-12)
 
 
 class TestWoodbury:

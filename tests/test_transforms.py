@@ -7,27 +7,7 @@ from conevi.generate import generate_instance
 from conevi.operators import AffineOperator
 from conevi.projective import IpmConfig, build_projective, solve_ipm
 from conevi.solvers import solve_exact
-from conevi.transforms import (
-    PolyhedralVI,
-    eliminate_equalities,
-    polyhedron_to_cone,
-    vi_to_cp,
-)
-
-
-class TestViToCp:
-    def test_relabel_keeps_problem(self):
-        op = AffineOperator(np.diag([1.0, 2.0]), [-1.0, -1.0])
-        cone = orthant(2)
-        cp = vi_to_cp(op, cone)
-        assert cp.op is op and cp.cone is cone
-
-    def test_vi_solution_is_complementary(self):
-        op, _ = generate_instance(15, 3, 1.0, 2.0, seed=61)
-        cone = orthant(15)
-        cp = vi_to_cp(op, cone)
-        x = solve_exact(cp.op, cp.cone).x
-        assert cone.is_complementary(x, op(x), 1e-8)
+from conevi.transforms import PolyhedralVI, eliminate_equalities, polyhedron_to_cone
 
 
 class TestEliminateEqualities:
