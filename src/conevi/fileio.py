@@ -5,8 +5,17 @@ one row of q, whitespace separated. Basis files: `BASIS1 <n> <k>` followed by
 n rows of k entries. `#` starts a comment; blank lines are ignored. Numbers
 are written with 17 significant digits, so write/parse round-trips are exact
 on IEEE doubles.
+
+The number block after the header is read in one pass by NumPy's C reader
+(`np.loadtxt`). When that fails or yields the wrong shape, the rows are read
+again one by one with `float()`, which names the offending line and also
+accepts the spellings `float()` takes and the C reader does not (`1_0`,
+non-ASCII digits), so accepted files and parsed values do not depend on
+which reader ran.
 """
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -51,6 +60,18 @@ def _parse_row(lineno: int, line: str, expected: int, what: str) -> np.ndarray:
         raise ProblemFormatError(f"non-numeric token {bad!r} in {what}", lineno) from None
 
 
+def _parse_block(rows: list[tuple[int, str]], width: int,
+                 what: Callable[[int], str]) -> np.ndarray:
+    """Parse content rows into a len(rows) x width array; what(i) names row i."""
+    try:
+        block = np.loadtxt([line for _, line in rows], dtype=float, ndmin=2)
+        if block.shape == (len(rows), width):
+            return block
+    except ValueError:
+        pass
+    return np.vstack([_parse_row(ln, line, width, what(i)) for i, (ln, line) in enumerate(rows)])
+
+
 def _is_number(token: str) -> bool:
     try:
         float(token)
@@ -90,12 +111,8 @@ def parse_problem(text: str) -> tuple[AffineOperator, SeparableCone]:
     if len(body) > n + 1:
         raise ProblemFormatError("unexpected extra row", body[n + 1][0])
 
-    M = np.vstack([
-        _parse_row(ln, line, n, f"matrix row {i + 1}")
-        for i, (ln, line) in enumerate(body[:n])
-    ])
-    q = _parse_row(body[n][0], body[n][1], n, "q")
-    return AffineOperator(M, q), cone
+    block = _parse_block(body, n, lambda i: "q" if i == n else f"matrix row {i + 1}")
+    return AffineOperator(block[:n], block[n]), cone
 
 
 def _fmt(v: float) -> str:
@@ -131,10 +148,7 @@ def parse_basis(text: str) -> np.ndarray:
     if len(body) != n:
         where = body[min(n, len(body) - 1)][0] if body else lineno
         raise ProblemFormatError(f"expected {n} basis rows, found {len(body)}", where)
-    return np.vstack([
-        _parse_row(ln, line, k, f"basis row {i + 1}")
-        for i, (ln, line) in enumerate(body)
-    ])
+    return _parse_block(body, k, lambda i: f"basis row {i + 1}")
 
 
 def write_basis(raw: np.ndarray) -> str:

@@ -7,7 +7,8 @@ r = alpha*P_span*q. Storing N as I + Q W (Q the orthonormal basis factor,
 W = alpha*Q^T M - Q^T) lets each interior-point Newton step run through a
 Woodbury solve in O(n k'^2) instead of a dense O(n^3) factorization, and
 the positive-definiteness check work on the rank <= 2k' symmetric part of
-Q W in O(n k'^2) as well.
+Q W in O(n k'^2) as well. Each Newton step forms and factors its k'xk'
+Woodbury system once; the refinement pass reuses those factors.
 """
 from __future__ import annotations
 
@@ -137,23 +138,31 @@ def solve_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
     """Solve (diag(D) + Q W) y = rhs by the Woodbury identity.
 
     u = D^-1 rhs; solve the k'xk' system (I + W D^-1 Q) t = W u; return
-    u - D^-1 Q t. Cost O(n k'^2 + k'^3). Raises IpmBreakdown on a singular
-    small system.
+    u - D^-1 Q t. The small system is formed and LU-factored once; one
+    refinement pass then solves for the residual rhs - (D y + Q W y) with
+    the same factors. Cost O(n k'^2 + k'^3) for the factorization plus
+    O(n k' + k'^2) per solve. Raises IpmBreakdown on a nonpositive D or an
+    exactly singular small system.
     """
     D = np.asarray(D, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if np.any(D <= 0):
         raise IpmBreakdown("diagonal lost positivity")
-    u = rhs / D
     k = Q.shape[1] if Q.ndim == 2 else 0
     if k == 0:
-        return u
-    small = np.eye(k) + W @ (Q / D[:, None])
-    try:
-        t = np.linalg.solve(small, W @ u)
-    except np.linalg.LinAlgError as exc:
-        raise IpmBreakdown(f"singular {k}x{k} Woodbury system") from exc
-    return u - (Q @ t) / D
+        return rhs / D
+    lu, piv, info = scipy.linalg.lapack.dgetrf(np.eye(k) + W @ (Q / D[:, None]))
+    if info > 0:
+        raise IpmBreakdown(f"singular {k}x{k} Woodbury system")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        u = b / D
+        t, _ = scipy.linalg.lapack.dgetrs(lu, piv, W @ u)
+        return u - (Q @ t) / D
+
+    y = solve(rhs)
+    # one refinement pass; in the IPM the diagonal spread grows like 1/mu near the end
+    return y + solve(rhs - (D * y + Q @ (W @ y)))
 
 
 def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
@@ -162,10 +171,12 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
 
     Orthant components carry complementarity pairs (x_i, s_i); free
     components are handled as pure equations (Nx + r)_i = 0. Each Newton
-    step eliminates ds and solves ((I + D) + Q W) dx through the Woodbury
-    identity, so an iteration costs O(n k'^2). A common primal-dual step
-    length with the fraction-to-boundary rule keeps the linear residual
-    shrinking by (1 - step) each iteration.
+    step eliminates ds and solves ((I + D) + Q W) dx with one call to
+    solve_diag_plus_lowrank, which factors the k'xk' Woodbury system once
+    and reuses it for its refinement pass, so an iteration costs
+    O(n k'^2). A common primal-dual step length with the
+    fraction-to-boundary rule keeps the linear residual shrinking by
+    (1 - step) each iteration.
     """
     cfg = cfg or IpmConfig()
     if cone.dim != plcp.n:
@@ -216,12 +227,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
             h[B] = cfg.sigma * mu / x[B] - s[B]
         h[F] = -s[F]
 
-        diag = 1.0 + d
-        rhs = h - g
-        dx = solve_diag_plus_lowrank(diag, Q, W, rhs)
-        # one refinement pass; the diagonal spread grows like 1/mu near the end
-        resid = rhs - (diag * dx + Q @ (W @ dx))
-        dx = dx + solve_diag_plus_lowrank(diag, Q, W, resid)
+        dx = solve_diag_plus_lowrank(1.0 + d, Q, W, h - g)
         ds = -d * dx + h
 
         step = 1.0

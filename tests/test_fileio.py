@@ -55,6 +55,33 @@ class TestParseProblem:
         assert exc.value.line == 2
         assert "foo" in str(exc.value)
 
+    def test_column_count_error_names_line(self):
+        with pytest.raises(ProblemFormatError) as exc:
+            parse_problem("VI1 2 nn:2\n1 0\n0 1 2\n0 0\n")
+        assert exc.value.line == 3
+        with pytest.raises(ProblemFormatError) as exc:
+            parse_basis("BASIS1 3 2\n1 0\n0 1\n1\n")
+        assert exc.value.line == 4
+
+    def test_uniform_wrong_width_names_first_row(self):
+        # every row has 3 values, so the block is rectangular but not n wide
+        with pytest.raises(ProblemFormatError) as exc:
+            parse_problem("VI1 2 nn:2\n1 0 0\n0 1 0\n0 0 0\n")
+        assert exc.value.line == 2
+        assert "matrix row 1" in str(exc.value)
+
+    def test_comment_line_between_rows_keeps_line_numbers(self):
+        text = "VI1 2 nn:2\n1 0\n# a comment\n\n0 1\n0 bad\n"
+        with pytest.raises(ProblemFormatError) as exc:
+            parse_problem(text)
+        assert exc.value.line == 6
+        assert "'bad' in q" in str(exc.value)
+
+    def test_underscore_digits_accepted_like_float(self):
+        op, _ = parse_problem("VI1 2 nn:2\n1_0 0\n0 1\n-2 1e0\n")
+        np.testing.assert_array_equal(op.M, [[10.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(op.q, [-2.0, 1.0])
+
     def test_cone_dimension_mismatch(self):
         with pytest.raises(ProblemFormatError):
             parse_problem("VI1 2 nn:3\n1 0\n0 1\n0 0\n")
@@ -72,6 +99,15 @@ class TestRoundTrip:
         op2, cone2 = parse_problem(write_problem(op, cone))
         assert cone2 == cone
         np.testing.assert_array_equal(op2.M, op.M)  # 17 digits round-trip doubles
+        np.testing.assert_array_equal(op2.q, op.q)
+
+    def test_write_parse_exact_at_n_200(self):
+        rng = np.random.default_rng(73)
+        n = 200
+        M = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-300, 300, size=(n, n))
+        op = AffineOperator(M, rng.standard_normal(n))
+        op2, _ = parse_problem(write_problem(op, orthant(n)))
+        np.testing.assert_array_equal(op2.M, op.M)
         np.testing.assert_array_equal(op2.q, op.q)
 
     def test_parse_write_is_identity_on_canonical_file(self):

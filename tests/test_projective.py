@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conevi import projective
 from conevi.basis import orthonormalize
 from conevi.cones import SegmentKind, Segment, SeparableCone, orthant, zero
 from conevi.generate import generate_instance
@@ -159,6 +160,28 @@ class TestWoodbury:
             solve_diag_plus_lowrank(np.array([1.0, 0.0]), np.zeros((2, 1)),
                                     np.zeros((1, 2)), np.ones(2))
 
+    def test_singular_small_system_breaks(self):
+        # I + W D^-1 Q = 1 - 1 = 0 although D > 0
+        e1 = np.array([[1.0], [0.0]])
+        with pytest.raises(IpmBreakdown, match="singular"):
+            solve_diag_plus_lowrank(np.ones(2), e1, -e1.T, np.ones(2))
+
+    def test_componentwise_backward_error_late_ipm_stage(self):
+        # IPM-like Newton matrix near the end: D = 1 + s/x spans 24 decades
+        rng = np.random.default_rng(52)
+        n, k = 80, 12
+        for alpha in (1e-2, 1e-6):
+            for _ in range(10):
+                Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+                M = np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+                W = alpha * (Q.T @ M) - Q.T
+                D = 1.0 + 10.0 ** rng.uniform(-12, 12, size=n)
+                rhs = rng.standard_normal(n) * D ** rng.uniform(0, 1, size=n)
+                y = solve_diag_plus_lowrank(D, Q, W, rhs)
+                A = np.diag(D) + Q @ W
+                omega = np.abs(rhs - A @ y) / (np.abs(A) @ np.abs(y) + np.abs(rhs))
+                assert omega.max() <= 1e-14
+
 
 class TestSolveIpm:
     def test_plain_lcp_identity(self):
@@ -217,6 +240,21 @@ class TestSolveIpm:
         plcp = build_projective(op, orthonormalize(np.eye(2)), 1.0)
         with pytest.raises(ValueError):
             solve_ipm(plcp, zero(2))
+
+    def test_one_woodbury_solve_per_newton_step(self, monkeypatch):
+        calls = []
+        inner = projective.solve_diag_plus_lowrank
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(projective, "solve_diag_plus_lowrank", counted)
+        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
+        rep = solve_ipm(build_projective(op, basis, op.contraction().alpha), orthant(40))
+        assert rep.converged
+        # the last iteration only checks convergence
+        assert len(calls) == rep.iterations - 1
 
     def test_nonconvergence_reported(self):
         op, basis = generate_instance(30, 6, 1.0, 3.0, seed=51)
