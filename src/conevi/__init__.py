@@ -30,6 +30,7 @@ from .projective import (
     solve_diag_plus_lowrank,
     solve_ipm,
     verify_pd,
+    woodbury_split,
 )
 from .solvers import (
     BoundComparison,
@@ -92,5 +93,6 @@ __all__ = [
     "solve_galerkin",
     "solve_ipm",
     "verify_pd",
+    "woodbury_split",
     "zero",
 ]

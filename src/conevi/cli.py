@@ -68,6 +68,12 @@ def _solve_config(args) -> SolveConfig:
 
 
 def _cmd_solve(args) -> int:
+    unused = ("tol", "trace") if args.method == "ipm" else ("mu_tol", "feas_tol")
+    for name in unused:
+        if getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            print(f"solve --method {args.method} does not use {flag}", file=sys.stderr)
+            return 2
     op, cone = _load_problem(args.problem)
     basis = _load_basis(args.basis) if args.basis else None
     if args.method in ("bertsekas", "galerkin") and basis is None:
@@ -86,11 +92,9 @@ def _cmd_solve(args) -> int:
                 print("operator is not strongly monotone; pass --alpha explicitly",
                       file=sys.stderr)
                 return 1
-        ipm_cfg = IpmConfig(
-            mu_tol=args.mu_tol if args.mu_tol is not None else 1e-10,
-            feas_tol=args.feas_tol if args.feas_tol is not None else 1e-10,
-            max_iter=args.max_iter if args.max_iter is not None else 200,
-        )
+        ipm_cfg = IpmConfig(**{name: getattr(args, name)
+                               for name in ("mu_tol", "feas_tol", "max_iter")
+                               if getattr(args, name) is not None})
         report = solve_ipm(build_projective(op, basis, alpha), cone, ipm_cfg)
         pairs = [
             ("method", "ipm"),
@@ -226,12 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("exact", "bertsekas", "galerkin", "ipm"))
     p_solve.add_argument("--problem", required=True)
     p_solve.add_argument("--basis", help="basis file (required for bertsekas/galerkin)")
-    p_solve.add_argument("--tol", type=float)
+    p_solve.add_argument("--tol", type=float, help="step tolerance (not ipm)")
     p_solve.add_argument("--max-iter", type=int, dest="max_iter")
     p_solve.add_argument("--alpha", type=float, help="override the derived step size")
-    p_solve.add_argument("--mu-tol", type=float, dest="mu_tol")
-    p_solve.add_argument("--feas-tol", type=float, dest="feas_tol")
-    p_solve.add_argument("--trace", help="write (t, step_norm, distance_to_final) rows here")
+    p_solve.add_argument("--mu-tol", type=float, dest="mu_tol", help="ipm only")
+    p_solve.add_argument("--feas-tol", type=float, dest="feas_tol", help="ipm only")
+    p_solve.add_argument("--trace", help="write (t, step_norm, distance_to_final) rows "
+                                         "here (not ipm)")
     add_format(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 

@@ -8,7 +8,10 @@ W = alpha*Q^T M - Q^T) lets each interior-point Newton step run through a
 Woodbury solve in O(n k'^2) instead of a dense O(n^3) factorization, and
 the positive-definiteness check work on the rank <= 2k' symmetric part of
 Q W in O(n k'^2) as well. Each Newton step forms and factors its k'xk'
-Woodbury system once; the refinement pass reuses those factors.
+Woodbury system once; the refinement pass reuses those factors. The
+Newton diagonal varies only on the |B| orthant components and is 1 on the
+|F| free ones, so the free rows' share of the Woodbury system is formed
+once per solve in O(|F| k'^2), and a step costs O(|B| k'^2 + k'^3).
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ __all__ = [
     "IpmReport",
     "build_projective",
     "verify_pd",
+    "woodbury_split",
     "solve_diag_plus_lowrank",
     "solve_ipm",
 ]
@@ -133,16 +137,33 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
     return smallest if U.shape[1] == plcp.n else min(1.0, smallest)
 
 
+def woodbury_split(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray) -> tuple:
+    """Precompute the share of the Woodbury system from rows where D is 1.
+
+    Returns (fixed, I + W[:, fixed] Q[fixed], Q[~fixed], W[:, ~fixed]) for
+    solve_diag_plus_lowrank, which then forms only the ~fixed rows' term at
+    each call. Cost O(|fixed| k'^2), once.
+    """
+    fixed = np.asarray(fixed, dtype=bool)
+    if fixed.shape != (Q.shape[0],):
+        raise ValueError(f"fixed has shape {fixed.shape}, problem dimension is {Q.shape[0]}")
+    k = Q.shape[1]
+    return fixed, np.eye(k) + W[:, fixed] @ Q[fixed], Q[~fixed], W[:, ~fixed]
+
+
 def solve_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
-                            rhs: np.ndarray) -> np.ndarray:
+                            rhs: np.ndarray, split: tuple | None = None) -> np.ndarray:
     """Solve (diag(D) + Q W) y = rhs by the Woodbury identity.
 
     u = D^-1 rhs; solve the k'xk' system (I + W D^-1 Q) t = W u; return
     u - D^-1 Q t. The small system is formed and LU-factored once; one
     refinement pass then solves for the residual rhs - (D y + Q W y) with
-    the same factors. Cost O(n k'^2 + k'^3) for the factorization plus
-    O(n k' + k'^2) per solve. Raises IpmBreakdown on a nonpositive D or an
-    exactly singular small system.
+    the same factors. `split`, from woodbury_split(Q, W, F), carries the
+    share I + W[:, F] Q[F] of the small system for rows F on which D must
+    equal 1 exactly (ValueError otherwise), formed once in O(|F| k'^2). A
+    call then costs O(|B| k'^2 + k'^3) to form and factor, B the other rows
+    (all n without a split), plus O(n k' + k'^2) per solve. Raises
+    IpmBreakdown on a nonpositive D or an exactly singular small system.
     """
     D = np.asarray(D, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -151,7 +172,11 @@ def solve_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
     k = Q.shape[1] if Q.ndim == 2 else 0
     if k == 0:
         return rhs / D
-    lu, piv, info = scipy.linalg.lapack.dgetrf(np.eye(k) + W @ (Q / D[:, None]))
+    fixed, G, Q_var, W_var = split if split is not None else woodbury_split(
+        Q, W, np.zeros(D.shape, dtype=bool))
+    if np.any(D[fixed] != 1.0):
+        raise ValueError("D differs from 1 on the rows fixed by the split")
+    lu, piv, info = scipy.linalg.lapack.dgetrf(G + W_var @ (Q_var / D[~fixed, None]))
     if info > 0:
         raise IpmBreakdown(f"singular {k}x{k} Woodbury system")
 
@@ -173,8 +198,10 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
     components are handled as pure equations (Nx + r)_i = 0. Each Newton
     step eliminates ds and solves ((I + D) + Q W) dx with one call to
     solve_diag_plus_lowrank, which factors the k'xk' Woodbury system once
-    and reuses it for its refinement pass, so an iteration costs
-    O(n k'^2). A common primal-dual step length with the
+    and reuses it for its refinement pass. D is 0 on the |F| free
+    components, so their share of that system is formed once per solve in
+    O(|F| k'^2), and an iteration costs O(|B| k'^2 + k'^3) for the |B|
+    orthant components. A common primal-dual step length with the
     fraction-to-boundary rule keeps the linear residual shrinking by
     (1 - step) each iteration.
     """
@@ -188,6 +215,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
     F = cone.free_mask
     n_orth = int(B.sum())
     Q, W, r = plcp.ortho, plcp.W, plcp.r
+    split = woodbury_split(Q, W, F)
 
     x = np.where(B, 1.0, 0.0)
     s = plcp.apply(x) + r
@@ -227,7 +255,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
             h[B] = cfg.sigma * mu / x[B] - s[B]
         h[F] = -s[F]
 
-        dx = solve_diag_plus_lowrank(1.0 + d, Q, W, h - g)
+        dx = solve_diag_plus_lowrank(1.0 + d, Q, W, h - g, split)
         ds = -d * dx + h
 
         step = 1.0

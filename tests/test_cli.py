@@ -86,6 +86,34 @@ class TestSolve:
         assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
         assert float(rows[-1][2]) == 0.0
 
+    @pytest.mark.parametrize("method, flag, value", [
+        ("ipm", "--tol", "1e-8"),
+        ("ipm", "--trace", None),
+        ("exact", "--mu-tol", "5"),
+        ("exact", "--feas-tol", "1e-8"),
+        ("bertsekas", "--mu-tol", "5"),
+        ("bertsekas", "--feas-tol", "1e-8"),
+        ("galerkin", "--mu-tol", "5"),
+        ("galerkin", "--feas-tol", "1e-8"),
+    ])
+    def test_option_the_method_does_not_use_is_usage_error(
+            self, method, flag, value, problem_file, basis_file, tmp_path, capsys):
+        trace = tmp_path / "trace.tsv"
+        code = main(["solve", "--method", method, "--problem", problem_file,
+                     "--basis", basis_file, flag, value or str(trace)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"does not use {flag}" in captured.err
+        assert captured.out == ""
+        assert not trace.exists()
+
+    def test_ipm_options_reach_the_solver(self, problem_file, capsys):
+        argv = ["solve", "--method", "ipm", "--problem", problem_file, "--format", "kv"]
+        assert main(argv + ["--mu-tol", "1e-6", "--feas-tol", "1e-6"]) == 0
+        assert float(kv_lines(capsys.readouterr().out)["mu"]) <= 1e-6
+        assert main(argv + ["--max-iter", "1"]) == 1
+        assert kv_lines(capsys.readouterr().out)["iters"] == "1"
+
     def test_deterministic_output(self, problem_file, basis_file, capsys):
         argv = ["solve", "--method", "galerkin", "--problem", problem_file,
                 "--basis", basis_file, "--format", "kv"]

@@ -3,7 +3,7 @@ import pytest
 
 from conevi import projective
 from conevi.basis import orthonormalize
-from conevi.cones import SegmentKind, Segment, SeparableCone, orthant, zero
+from conevi.cones import SegmentKind, Segment, SeparableCone, orthant, parse_cone_spec, zero
 from conevi.generate import generate_instance
 from conevi.operators import AffineOperator
 from conevi.projective import (
@@ -13,6 +13,7 @@ from conevi.projective import (
     solve_diag_plus_lowrank,
     solve_ipm,
     verify_pd,
+    woodbury_split,
 )
 from conevi.solvers import solve_galerkin
 
@@ -182,6 +183,34 @@ class TestWoodbury:
                 omega = np.abs(rhs - A @ y) / (np.abs(A) @ np.abs(y) + np.abs(rhs))
                 assert omega.max() <= 1e-14
 
+    def test_cached_split_matches_unsplit_solve(self):
+        # dense Gaussian factors, so the split changes the order of summation
+        rng = np.random.default_rng(54)
+        n = 60
+        for k in (20, n):
+            for _ in range(10):
+                Q = rng.standard_normal((n, k)) / (2 * np.sqrt(n))
+                W = rng.standard_normal((k, n)) / (2 * np.sqrt(n))
+                fixed = rng.random(n) < 0.6
+                D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-2, 2, size=n))
+                rhs = rng.standard_normal(n)
+                y = solve_diag_plus_lowrank(D, Q, W, rhs, woodbury_split(Q, W, fixed))
+                A = np.diag(D) + Q @ W
+                omega = np.abs(rhs - A @ y) / (np.abs(A) @ np.abs(y) + np.abs(rhs))
+                assert omega.max() <= 1e-14
+                ref = solve_diag_plus_lowrank(D, Q, W, rhs)
+                assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_split_rejects_diagonal_not_one_on_fixed_rows(self):
+        rng = np.random.default_rng(55)
+        Q = rng.standard_normal((6, 3))
+        W = rng.standard_normal((3, 6))
+        fixed = np.array([True, False, True, False, False, True])
+        D = np.where(fixed, 1.0, 2.0)
+        D[2] = 1.0 + 2.0 ** -52
+        with pytest.raises(ValueError, match="differs from 1"):
+            solve_diag_plus_lowrank(D, Q, W, np.ones(6), woodbury_split(Q, W, fixed))
+
 
 class TestSolveIpm:
     def test_plain_lcp_identity(self):
@@ -234,6 +263,20 @@ class TestSolveIpm:
         assert abs(resid[2]) <= 1e-8
         assert np.all(rep.x[:2] >= -1e-10)
         assert np.all(resid[:2] >= -1e-8)
+
+    def test_mixed_cone_dense_basis_matches_galerkin(self):
+        # Gaussian basis: the free rows' cached share of the Woodbury system
+        # sums in another order than a full formation would
+        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=56)
+        cone = parse_cone_spec("nn:14,free:6,nn:14,free:6")
+        plcp = build_projective(op, basis, op.contraction().alpha)
+        rep = solve_ipm(plcp, cone)
+        assert rep.converged
+        x_bar = solve_galerkin(op, cone, basis).x
+        assert np.linalg.norm(rep.x - x_bar) <= 1e-6 * (1 + np.linalg.norm(x_bar))
+        resid = plcp.apply(rep.x) + plcp.r
+        assert np.abs(resid[cone.free_mask]).max() <= 1e-8
+        assert cone.is_complementary(rep.x, resid, 10 * IpmConfig().mu_tol)
 
     def test_zero_segments_rejected(self):
         op = AffineOperator(np.eye(2), [0.0, 0.0])
