@@ -27,6 +27,7 @@ from .projective import (
     IpmReport,
     ProjectiveLcp,
     build_projective,
+    factor_diag_plus_lowrank,
     solve_diag_plus_lowrank,
     solve_ipm,
     verify_pd,
@@ -77,6 +78,7 @@ __all__ = [
     "certify",
     "contraction_params",
     "eliminate_equalities",
+    "factor_diag_plus_lowrank",
     "free",
     "generate_instance",
     "iteration_bound",

@@ -75,7 +75,8 @@ def _cmd_solve(args) -> int:
             print(f"solve --method {args.method} does not use {flag}", file=sys.stderr)
             return 2
     op, cone = _load_problem(args.problem)
-    basis = _load_basis(args.basis) if args.basis else None
+    # the exact method never reads a basis, so a bad one cannot fail it
+    basis = _load_basis(args.basis) if args.basis and args.method != "exact" else None
     if args.method in ("bertsekas", "galerkin") and basis is None:
         print(f"solve --method {args.method} requires --basis", file=sys.stderr)
         return 2
@@ -103,6 +104,7 @@ def _cmd_solve(args) -> int:
             ("mu", report.mu),
             ("feas", report.feasibility),
             ("residual", report.final_step_norm),
+            ("finish", report.finish_accepted),
             ("x", report.x),
         ]
         _emit(pairs, args.format)
@@ -229,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--method", required=True,
                          choices=("exact", "bertsekas", "galerkin", "ipm"))
     p_solve.add_argument("--problem", required=True)
-    p_solve.add_argument("--basis", help="basis file (required for bertsekas/galerkin)")
+    p_solve.add_argument("--basis", help="basis file (required for bertsekas/galerkin, "
+                                         "not read by exact)")
     p_solve.add_argument("--tol", type=float, help="step tolerance (not ipm)")
     p_solve.add_argument("--max-iter", type=int, dest="max_iter")
     p_solve.add_argument("--alpha", type=float, help="override the derived step size")

@@ -8,15 +8,19 @@ W = alpha*Q^T M - Q^T) lets each interior-point Newton step run through a
 Woodbury solve in O(n k'^2) instead of a dense O(n^3) factorization, and
 the positive-definiteness check work on the rank <= 2k' symmetric part of
 Q W in O(n k'^2) as well. Each Newton step forms and factors its k'xk'
-Woodbury system once; the refinement pass reuses those factors. The
-Newton diagonal varies only on the |B| orthant components and is 1 on the
-|F| free ones, so the free rows' share of the Woodbury system is formed
-once per solve in O(|F| k'^2), and a step costs O(|B| k'^2 + k'^3).
+Woodbury system once and solves with those factors twice, for Mehrotra's
+predictor and corrector. The Newton diagonal varies only on the |B|
+orthant components and is 1 on the |F| free ones, so the free rows' share
+of the Woodbury system is formed once per solve in O(|F| k'^2), and a step
+costs O(|B| k'^2 + k'^3). Once the guessed active set settles, an
+active-set finish solves the LCP on it exactly with one more system of the
+same size.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -33,6 +37,7 @@ __all__ = [
     "build_projective",
     "verify_pd",
     "woodbury_split",
+    "factor_diag_plus_lowrank",
     "solve_diag_plus_lowrank",
     "solve_ipm",
 ]
@@ -68,15 +73,14 @@ class ProjectiveLcp:
 class IpmConfig:
     """Path-following parameters.
 
-    sigma is the centering weight; step_fraction the fraction-to-boundary
-    factor keeping (x, s) strictly positive on orthant components.
+    step_fraction is the fraction-to-boundary factor keeping (x, s)
+    strictly positive on orthant components.
     """
 
     mu_tol: float = 1e-10
     feas_tol: float = 1e-10
     max_iter: int = 200
     step_fraction: float = 0.99
-    sigma: float = 0.1
 
     def __post_init__(self) -> None:
         if self.mu_tol <= 0 or self.feas_tol <= 0:
@@ -85,8 +89,6 @@ class IpmConfig:
             raise ValueError("max_iter must be >= 1")
         if not (0.0 < self.step_fraction < 1.0):
             raise ValueError("step_fraction must be in (0, 1)")
-        if not (0.0 < self.sigma < 1.0):
-            raise ValueError("sigma must be in (0, 1)")
 
 
 @dataclass
@@ -95,7 +97,12 @@ class IpmReport:
 
     mu is the mean complementarity product x_i s_i over the orthant
     components and feasibility the largest residual of Nx + r = s (and of
-    s = 0 on free components), both at the last iterate.
+    s = 0 on free components), both at the last iterate; after an accepted
+    active-set finish they are those of the finish point, so mu is 0.
+    history holds one (mu, feasibility, step, sigma) row per Newton step:
+    the first two at the iterate the step starts from, then its step length
+    and centring weight. finish_attempts counts the active-set finishes
+    tried and finish_accepted says whether one ended the solve.
     """
 
     x: np.ndarray
@@ -105,6 +112,9 @@ class IpmReport:
     feasibility: float
     final_step_norm: float
     alpha: float
+    finish_attempts: int = 0
+    finish_accepted: bool = False
+    history: list[tuple[float, float, float, float]] = field(default_factory=list)
 
 
 def build_projective(op: AffineOperator, basis: Basis, alpha: float) -> ProjectiveLcp:
@@ -141,7 +151,7 @@ def woodbury_split(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray) -> tuple:
     """Precompute the share of the Woodbury system from rows where D is 1.
 
     Returns (fixed, I + W[:, fixed] Q[fixed], Q[~fixed], W[:, ~fixed]) for
-    solve_diag_plus_lowrank, which then forms only the ~fixed rows' term at
+    factor_diag_plus_lowrank, which then forms only the ~fixed rows' term at
     each call. Cost O(|fixed| k'^2), once.
     """
     fixed = np.asarray(fixed, dtype=bool)
@@ -151,27 +161,28 @@ def woodbury_split(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray) -> tuple:
     return fixed, np.eye(k) + W[:, fixed] @ Q[fixed], Q[~fixed], W[:, ~fixed]
 
 
-def solve_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
-                            rhs: np.ndarray, split: tuple | None = None) -> np.ndarray:
-    """Solve (diag(D) + Q W) y = rhs by the Woodbury identity.
+def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
+                             split: tuple | None = None) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor diag(D) + Q W for the Woodbury identity; return its solve.
 
-    u = D^-1 rhs; solve the k'xk' system (I + W D^-1 Q) t = W u; return
-    u - D^-1 Q t. The small system is formed and LU-factored once; one
-    refinement pass then solves for the residual rhs - (D y + Q W y) with
-    the same factors. `split`, from woodbury_split(Q, W, F), carries the
-    share I + W[:, F] Q[F] of the small system for rows F on which D must
-    equal 1 exactly (ValueError otherwise), formed once in O(|F| k'^2). A
-    call then costs O(|B| k'^2 + k'^3) to form and factor, B the other rows
-    (all n without a split), plus O(n k' + k'^2) per solve. Raises
-    IpmBreakdown on a nonpositive D or an exactly singular small system.
+    The returned solve(b) computes u = D^-1 b, solves the k'xk' system
+    (I + W D^-1 Q) t = W u with the LU factors formed here, and returns
+    u - D^-1 Q t, in O(n k' + k'^2) per call. `split`, from
+    woodbury_split(Q, W, F), carries the share I + W[:, F] Q[F] of the small
+    system for rows F on which D must equal 1 exactly (ValueError
+    otherwise), formed once in O(|F| k'^2). Forming and factoring then costs
+    O(|B| k'^2 + k'^3), B the other rows (all n without a split). D_i = inf
+    is allowed: it drops row i from the small system and pins y_i = 0, so
+    the solve restricted to the other rows runs through the same path.
+    Raises IpmBreakdown on a nonpositive D or an exactly singular small
+    system.
     """
     D = np.asarray(D, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
     if np.any(D <= 0):
         raise IpmBreakdown("diagonal lost positivity")
     k = Q.shape[1] if Q.ndim == 2 else 0
     if k == 0:
-        return rhs / D
+        return lambda b: np.asarray(b, dtype=float) / D
     fixed, G, Q_var, W_var = split if split is not None else woodbury_split(
         Q, W, np.zeros(D.shape, dtype=bool))
     if np.any(D[fixed] != 1.0):
@@ -181,29 +192,104 @@ def solve_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
         raise IpmBreakdown(f"singular {k}x{k} Woodbury system")
 
     def solve(b: np.ndarray) -> np.ndarray:
-        u = b / D
+        u = np.asarray(b, dtype=float) / D
         t, _ = scipy.linalg.lapack.dgetrs(lu, piv, W @ u)
         return u - (Q @ t) / D
 
-    y = solve(rhs)
-    # one refinement pass; in the IPM the diagonal spread grows like 1/mu near the end
-    return y + solve(rhs - (D * y + Q @ (W @ y)))
+    return solve
+
+
+def solve_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
+                            rhs: np.ndarray, split: tuple | None = None) -> np.ndarray:
+    """Solve (diag(D) + Q W) y = rhs by the Woodbury identity: one
+    factor_diag_plus_lowrank call and one solve with its factors."""
+    return factor_diag_plus_lowrank(D, Q, W, split)(rhs)
+
+
+def _boundary_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest t with v + t dv >= 0 for v > 0 (inf when dv >= 0)."""
+    neg = dv < 0
+    return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else math.inf
+
+
+def _newton_directions(solve, d: np.ndarray, x: np.ndarray, s: np.ndarray,
+                       g: np.ndarray, B: np.ndarray, mu: float) -> tuple:
+    """Mehrotra's affine predictor and centred corrector, both through `solve`.
+
+    Each direction solves (N + diag(d)) dx = h - g, ds = h - d dx, which
+    linearizes N dx - ds = -g, s dx + x ds = x h on B and ds = -s on the
+    free rows. The predictor takes h = -s. The corrector adds
+    (sigma mu - dx_aff ds_aff) / x on B, with sigma = (mu_aff / mu)^3 from
+    the complementarity the predictor reaches at its longest feasible step.
+    Returns (dx_aff, ds_aff, dx, ds, sigma); without orthant components
+    the predictor is the whole step and sigma is 0.
+    """
+    h = -s
+    dx_aff = solve(h - g)
+    ds_aff = h - d * dx_aff
+    if not B.any():
+        return dx_aff, ds_aff, dx_aff, ds_aff, 0.0
+    xb, sb, dxb, dsb = x[B], s[B], dx_aff[B], ds_aff[B]
+    t = min(1.0, _boundary_step(xb, dxb), _boundary_step(sb, dsb))
+    mu_aff = float((xb + t * dxb) @ (sb + t * dsb)) / xb.size
+    sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
+    h[B] += (sigma * mu - dxb * dsb) / xb
+    dx = solve(h - g)
+    return dx_aff, ds_aff, dx, h - d * dx, sigma
+
+
+def _active_guess(x: np.ndarray, s: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Orthant components the iterate predicts to end at x_i = 0."""
+    return B & (x < s)
+
+
+def _finish_candidate(plcp: ProjectiveLcp, active: np.ndarray, B: np.ndarray,
+                      split: tuple) -> tuple | None:
+    """The LCP point for a guessed active set A, or None if its system is
+    singular or its signs fail.
+
+    Sets x_A = 0 and solves (Nx + r)_I = 0 on I = ~A: D = inf on A and 1 on
+    I restricts diag(D) + Q W to N_II, so the small system is the cached
+    free rows' share plus the B \\ A rows, at the cost of one Newton step.
+    Returns (x, s, feasibility) with s = Nx + r on A and 0 elsewhere and
+    feasibility the largest |Nx + r| on I, when x_B >= 0 and (Nx + r)_A >= 0
+    for the orthant components B.
+    """
+    try:
+        x = solve_diag_plus_lowrank(np.where(active, np.inf, 1.0), plcp.ortho, plcp.W,
+                                    -plcp.r, split)
+    except IpmBreakdown:
+        return None
+    x = np.where(active, 0.0, x)  # -r_i / inf leaves -0.0 on A
+    y = plcp.apply(x) + plcp.r
+    if np.any(x[B] < 0.0) or np.any(y[active] < 0.0):
+        return None
+    return x, np.where(active, y, 0.0), float(np.linalg.norm(y[~active], np.inf))
 
 
 def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
               cfg: IpmConfig | None = None) -> IpmReport:
-    """Primal-dual path following on CP(Nx + r, K) for a separable K.
+    """Primal-dual path following on CP(Nx + r, K) for a separable K, with an
+    exact active-set finish.
 
     Orthant components carry complementarity pairs (x_i, s_i); free
     components are handled as pure equations (Nx + r)_i = 0. Each Newton
-    step eliminates ds and solves ((I + D) + Q W) dx with one call to
-    solve_diag_plus_lowrank, which factors the k'xk' Woodbury system once
-    and reuses it for its refinement pass. D is 0 on the |F| free
+    step LU-factors its k'xk' Woodbury system once (factor_diag_plus_lowrank)
+    and solves twice with the factors: Mehrotra's affine predictor and the
+    corrector centred by sigma = (mu_aff / mu)^3. D is 1 on the |F| free
     components, so their share of that system is formed once per solve in
     O(|F| k'^2), and an iteration costs O(|B| k'^2 + k'^3) for the |B|
     orthant components. A common primal-dual step length with the
     fraction-to-boundary rule keeps the linear residual shrinking by
     (1 - step) each iteration.
+
+    When the guessed active set A = {i in B : x_i < s_i} repeats from one
+    iteration to the next and differs from the last rejected guess (the
+    candidate depends on A alone, so retrying one would repeat it), one
+    more factorization tries the finish: x_A = 0 and (Nx + r)_I = 0 on the
+    rest. It ends the solve if x_B >= 0, (Nx + r)_A >= 0 and the point passes
+    the same stopping test, and takes precedence over an IPM point that
+    passes it too; otherwise the iteration continues unchanged.
     """
     cfg = cfg or IpmConfig()
     if cone.dim != plcp.n:
@@ -235,6 +321,10 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
     feas = math.inf
     converged = False
     iters = 0
+    history: list[tuple[float, float, float, float]] = []
+    attempts = 0
+    accepted = False
+    guess = rejected = None
     for it in range(1, cfg.max_iter + 1):
         iters = it
         g = plcp.apply(x) + r - s
@@ -242,6 +332,23 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         if F.any():
             feas = max(feas, float(np.linalg.norm(s[F], np.inf)))
         ok, mu = gap_ok(x, s)
+        # tried before the stopping test: an accepted finish is exact where the
+        # path stops about sqrt(mu) from degenerate components (an all-free
+        # cone has no active set, and its finish would repeat a Newton step)
+        previous, guess = guess, _active_guess(x, s, B)
+        if (n_orth and np.array_equal(guess, previous)
+                and not np.array_equal(guess, rejected)):
+            attempts += 1
+            finish = _finish_candidate(plcp, guess, B, split)
+            if finish is not None:
+                x_f, s_f, feas_f = finish
+                ok_f, mu_f = gap_ok(x_f, s_f)
+                if ok_f and feas_f <= cfg.feas_tol:
+                    step_norm = float(np.linalg.norm(x_f - x))
+                    x, mu, feas = x_f, mu_f, feas_f
+                    converged = accepted = True
+                    break
+            rejected = guess
         if ok and feas <= cfg.feas_tol:
             converged = True
             break
@@ -249,21 +356,13 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         if n_orth and np.any(x[B] <= 0.0):
             raise IpmBreakdown("orthant iterate lost positivity")
         d = np.zeros(plcp.n)
-        h = np.empty(plcp.n)
-        if n_orth:
-            d[B] = s[B] / x[B]
-            h[B] = cfg.sigma * mu / x[B] - s[B]
-        h[F] = -s[F]
+        d[B] = s[B] / x[B]
+        _, _, dx, ds, sigma = _newton_directions(
+            factor_diag_plus_lowrank(1.0 + d, Q, W, split), d, x, s, g, B, mu)
 
-        dx = solve_diag_plus_lowrank(1.0 + d, Q, W, h - g, split)
-        ds = -d * dx + h
-
-        step = 1.0
-        if n_orth:
-            for vec, dvec in ((x[B], dx[B]), (s[B], ds[B])):
-                neg = dvec < 0
-                if np.any(neg):
-                    step = min(step, cfg.step_fraction * float(np.min(-vec[neg] / dvec[neg])))
+        bound = min(_boundary_step(x[B], dx[B]), _boundary_step(s[B], ds[B]))
+        step = min(1.0, cfg.step_fraction * bound)
+        history.append((mu, feas, step, sigma))
         x = x + step * dx
         s = s + step * ds
         step_norm = step * float(np.linalg.norm(dx))
@@ -276,4 +375,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         feasibility=feas,
         final_step_norm=step_norm,
         alpha=plcp.alpha,
+        finish_attempts=attempts,
+        finish_accepted=accepted,
+        history=history,
     )

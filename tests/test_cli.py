@@ -114,6 +114,19 @@ class TestSolve:
         assert main(argv + ["--max-iter", "1"]) == 1
         assert kv_lines(capsys.readouterr().out)["iters"] == "1"
 
+    def test_ipm_reports_finish(self, problem_file, capsys):
+        assert main(["solve", "--method", "ipm", "--problem", problem_file,
+                     "--format", "kv"]) == 0
+        assert kv_lines(capsys.readouterr().out)["finish"] == "true"
+
+    def test_exact_does_not_read_basis(self, problem_file, tmp_path, capsys):
+        zero = tmp_path / "zero.mat"
+        zero.write_text("BASIS1 2 1\n0\n0\n")
+        assert main(["solve", "--method", "exact", "--problem", problem_file,
+                     "--basis", str(zero), "--format", "kv"]) == 0
+        x = np.array(kv_lines(capsys.readouterr().out)["x"].split(), dtype=float)
+        np.testing.assert_allclose(x, [0.5, 1.0], atol=1e-6)
+
     def test_deterministic_output(self, problem_file, basis_file, capsys):
         argv = ["solve", "--method", "galerkin", "--problem", problem_file,
                 "--basis", basis_file, "--format", "kv"]

@@ -6,16 +6,18 @@ from conevi.basis import orthonormalize
 from conevi.cones import SegmentKind, Segment, SeparableCone, orthant, parse_cone_spec, zero
 from conevi.generate import generate_instance
 from conevi.operators import AffineOperator
+from conevi.bench import _bench_instance
 from conevi.projective import (
     IpmBreakdown,
     IpmConfig,
     build_projective,
+    factor_diag_plus_lowrank,
     solve_diag_plus_lowrank,
     solve_ipm,
     verify_pd,
     woodbury_split,
 )
-from conevi.solvers import solve_galerkin
+from conevi.solvers import SolveConfig, solve_galerkin
 
 
 def dense_N(op, basis, alpha):
@@ -211,6 +213,35 @@ class TestWoodbury:
         with pytest.raises(ValueError, match="differs from 1"):
             solve_diag_plus_lowrank(D, Q, W, np.ones(6), woodbury_split(Q, W, fixed))
 
+    def test_factors_serve_several_right_hand_sides(self):
+        rng = np.random.default_rng(57)
+        n, k = 50, 7
+        Q = rng.standard_normal((n, k)) / (2 * np.sqrt(n))
+        W = rng.standard_normal((k, n)) / (2 * np.sqrt(n))
+        D = 1.0 + 10.0 ** rng.uniform(-3, 3, size=n)
+        solve = factor_diag_plus_lowrank(D, Q, W)
+        A = np.diag(D) + Q @ W
+        for _ in range(3):
+            rhs = rng.standard_normal(n)
+            ref = np.linalg.solve(A, rhs)
+            assert np.linalg.norm(solve(rhs) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_infinite_diagonal_pins_rows_to_zero(self):
+        # D = inf on A and 1 elsewhere solves (I + Q W)_II y_I = b_I with y_A = 0
+        rng = np.random.default_rng(58)
+        n, k = 40, 9
+        Q = rng.standard_normal((n, k)) / (2 * np.sqrt(n))
+        W = rng.standard_normal((k, n)) / (2 * np.sqrt(n))
+        free = rng.random(n) < 0.3
+        active = ~free & (rng.random(n) < 0.5)
+        rhs = rng.standard_normal(n)
+        y = factor_diag_plus_lowrank(np.where(active, np.inf, 1.0), Q, W,
+                                     woodbury_split(Q, W, free))(rhs)
+        keep = ~active
+        ref = np.linalg.solve((np.eye(n) + Q @ W)[np.ix_(keep, keep)], rhs[keep])
+        assert np.all(y[active] == 0.0)
+        assert np.linalg.norm(y[keep] - ref) <= 1e-13 * np.linalg.norm(ref)
+
 
 class TestSolveIpm:
     def test_plain_lcp_identity(self):
@@ -286,18 +317,131 @@ class TestSolveIpm:
 
     def test_one_woodbury_solve_per_newton_step(self, monkeypatch):
         calls = []
-        inner = projective.solve_diag_plus_lowrank
+        inner = projective.factor_diag_plus_lowrank
 
         def counted(*args):
             calls.append(1)
             return inner(*args)
 
-        monkeypatch.setattr(projective, "solve_diag_plus_lowrank", counted)
+        monkeypatch.setattr(projective, "factor_diag_plus_lowrank", counted)
         op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
         rep = solve_ipm(build_projective(op, basis, op.contraction().alpha), orthant(40))
         assert rep.converged
-        # the last iteration only checks convergence
-        assert len(calls) == rep.iterations - 1
+        # one factorization per Newton step and per finish attempt; the last
+        # iteration only checks convergence or tries the finish
+        assert len(calls) == rep.iterations - 1 + rep.finish_attempts
+
+    def test_directions_match_dense_solve(self, monkeypatch):
+        # the IPM absorbs an inexact direction, so check the directions themselves
+        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=56)
+        cone = parse_cone_spec("nn:14,free:6,nn:14,free:6")
+        plcp = build_projective(op, basis, op.contraction().alpha)
+        steps = []
+        inner = projective._newton_directions
+
+        def recorded(solve, d, x, s, g, B, mu):
+            out = inner(solve, d, x, s, g, B, mu)
+            steps.append(((d, x, s, g, B, mu), out))
+            return out
+
+        monkeypatch.setattr(projective, "_newton_directions", recorded)
+        # without the finish the path runs down to mu <= mu_tol
+        monkeypatch.setattr(projective, "_finish_candidate", lambda *args: None)
+        rep = solve_ipm(plcp, cone)
+        assert rep.converged and not rep.finish_accepted
+        assert len(steps) == rep.iterations - 1
+        N = np.eye(plcp.n) + plcp.ortho @ plcp.W
+        for (d, x, s, g, B, mu), (dx_aff, ds_aff, dx, ds, sigma) in (steps[0], steps[-1]):
+            K = N + np.diag(d)
+
+            def check(h, dx_got, ds_got):
+                # ds = h - d dx cancels late in the path, so its error is
+                # measured against the size of the terms it is formed from
+                ref = np.linalg.solve(K, h - g)
+                assert np.linalg.norm(dx_got - ref) <= 1e-12 * np.linalg.norm(ref)
+                err = np.linalg.norm(ds_got - (h - d * ref))
+                assert err <= 1e-12 * (np.linalg.norm(h) + np.linalg.norm(d * ref))
+
+            check(-s, dx_aff, ds_aff)
+            # the corrector, from the predictor the solver actually took
+            t = 1.0
+            for v, dv in ((x[B], dx_aff[B]), (s[B], ds_aff[B])):
+                neg = dv < 0
+                if neg.any():
+                    t = min(t, float(np.min(-v[neg] / dv[neg])))
+            mu_aff = float((x[B] + t * dx_aff[B]) @ (s[B] + t * ds_aff[B])) / B.sum()
+            assert sigma == pytest.approx(min(1.0, max(mu_aff, 0.0) / mu) ** 3, rel=1e-8)
+            h = -s
+            h[B] += (sigma * mu - dx_aff[B] * ds_aff[B]) / x[B]
+            check(h, dx, ds)
+        # early and late: the Newton diagonal spread grows like 1/mu
+        assert steps[0][0][5] >= 0.1 and steps[-1][0][5] <= 1e-8
+
+    def test_finish_exact_on_active_set_and_matches_galerkin(self):
+        for n in (300, 1000):
+            op, basis, alpha = _bench_instance(n, 10, 0)
+            cone = orthant(n)
+            plcp = build_projective(op, basis, alpha)
+            rep = solve_ipm(plcp, cone)
+            assert rep.converged and rep.finish_accepted and rep.mu == 0.0
+            y = plcp.apply(rep.x) + plcp.r
+            active = rep.x == 0.0
+            # exact zeros on the active set, the equations on the rest
+            assert active.sum() >= n // 3
+            assert np.all(rep.x >= 0.0) and np.all(y[active] >= 0.0)
+            assert np.abs(y[~active]).max() <= IpmConfig().feas_tol
+            x_bar = solve_galerkin(op, cone, basis,
+                                   SolveConfig(tol=1e-13, alpha_override=alpha)).x
+            assert np.linalg.norm(rep.x - x_bar) <= 1e-12 * (1 + np.linalg.norm(x_bar))
+
+    def test_finish_tried_on_the_iteration_that_meets_the_stopping_test(self):
+        # a near-degenerate component (x = 0, Nx + r = 4e-6) makes the first
+        # guess wrong; the right one settles only as mu reaches mu_tol
+        op, basis = generate_instance(40, 8, 1.0, 2.0, seed=101)
+        cone = orthant(40)
+        plcp = build_projective(op, basis, op.contraction().alpha)
+        rep = solve_ipm(plcp, cone, IpmConfig(mu_tol=1e-11, feas_tol=1e-11))
+        assert rep.converged and rep.finish_accepted and rep.finish_attempts == 2
+        assert rep.history[-1][0] <= 1e-10
+        x_bar = solve_galerkin(op, cone, basis, SolveConfig(tol=1e-12)).x
+        assert np.linalg.norm(rep.x - x_bar) <= 1e-10 * (1 + np.linalg.norm(x_bar))
+
+    def test_wrong_guess_rejected_and_ipm_point_kept(self, monkeypatch):
+        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
+        plcp = build_projective(op, basis, op.contraction().alpha)
+        monkeypatch.setattr(projective, "_finish_candidate", lambda *args: None)
+        plain = solve_ipm(plcp, orthant(40))
+        monkeypatch.undo()
+        # every orthant component guessed active: x = 0 is not this LCP's solution
+        monkeypatch.setattr(projective, "_active_guess", lambda x, s, B: B.copy())
+        rep = solve_ipm(plcp, orthant(40))
+        assert rep.finish_attempts == 1 and not rep.finish_accepted
+        assert rep.converged and rep.mu <= IpmConfig().mu_tol
+        assert rep.iterations == plain.iterations
+        np.testing.assert_array_equal(rep.x, plain.x)
+        assert np.all(rep.x > 0.0)
+
+    def test_singular_finish_system_is_a_rejected_guess(self, monkeypatch):
+        # N = [[0, 1], [-1, 0]] is monotone, but its principal block on I = {1} is 0
+        op = AffineOperator(np.array([[0.0, 1.0], [-1.0, 0.0]]), [-1.0, 1.0])
+        plcp = build_projective(op, orthonormalize(np.eye(2)), 1.0)
+        monkeypatch.setattr(projective, "_active_guess",
+                            lambda x, s, B: np.array([True, False]))
+        rep = solve_ipm(plcp, orthant(2))
+        assert rep.converged and rep.finish_attempts == 1 and not rep.finish_accepted
+        np.testing.assert_allclose(rep.x, [1.0, 1.0], atol=1e-8)
+
+    def test_history_rows(self):
+        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
+        plcp = build_projective(op, basis, op.contraction().alpha)
+        rep = solve_ipm(plcp, orthant(40))
+        assert rep.converged and rep.finish_accepted
+        assert len(rep.history) == rep.iterations - 1
+        mus = [row[0] for row in rep.history]
+        assert all(b < a for a, b in zip(mus, mus[1:]))
+        for mu, feas, step, sigma in rep.history:
+            assert mu > 0.0 and feas >= 0.0
+            assert 0.0 < step <= 1.0 and 0.0 <= sigma <= 1.0
 
     def test_nonconvergence_reported(self):
         op, basis = generate_instance(30, 6, 1.0, 3.0, seed=51)
