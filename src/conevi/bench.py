@@ -18,7 +18,7 @@ import numpy as np
 from .basis import orthonormalize
 from .cones import orthant
 from .operators import AffineOperator
-from .projective import IpmConfig, build_projective, solve_ipm
+from .projective import build_projective, solve_ipm
 
 __all__ = ["BenchResult", "bench_ipm"]
 
@@ -47,12 +47,11 @@ def _bench_instance(n: int, k: int, seed: int, beta: float = 1.0, skew: float = 
     return AffineOperator(M, q), basis, alpha
 
 
-def bench_ipm(sizes: list[int], k: int, repeats: int, seed: int = 0,
-              cfg: IpmConfig | None = None) -> list[BenchResult]:
-    """Median per-iteration IPM wall time for each problem size."""
+def bench_ipm(sizes: list[int], k: int, repeats: int, seed: int = 0) -> list[BenchResult]:
+    """Median per-iteration IPM wall time for each problem size, with the
+    default IpmConfig."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    cfg = cfg or IpmConfig()
     results = []
     for n in sizes:
         op, basis, alpha = _bench_instance(n, k, seed)
@@ -62,7 +61,7 @@ def bench_ipm(sizes: list[int], k: int, repeats: int, seed: int = 0,
         report = None
         for _ in range(repeats):
             t0 = time.perf_counter()
-            report = solve_ipm(plcp, cone, cfg)
+            report = solve_ipm(plcp, cone)
             dt = time.perf_counter() - t0
             totals.append(dt)
             per_iter.append(dt / max(report.iterations, 1))

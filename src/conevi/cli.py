@@ -52,19 +52,15 @@ def _load_problem(path: str):
     return parse_problem(Path(path).read_text())
 
 
-def _load_basis(path: str, drop_tol: float = 1e-10):
-    return orthonormalize(parse_basis(Path(path).read_text()), drop_tol)
+def _load_basis(path: str):
+    return orthonormalize(parse_basis(Path(path).read_text()))
 
 
-def _solve_config(args) -> SolveConfig:
-    kwargs = {"trace": bool(getattr(args, "trace", None))}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    if args.max_iter is not None:
-        kwargs["max_iter"] = args.max_iter
-    if getattr(args, "alpha", None) is not None:
-        kwargs["alpha_override"] = args.alpha
-    return SolveConfig(**kwargs)
+def _config(cls, args, **fields):
+    """cls built from the options that were given; `fields` maps each config
+    field to the name of its option in args."""
+    return cls(**{name: getattr(args, option) for name, option in fields.items()
+                  if getattr(args, option) is not None})
 
 
 def _cmd_solve(args) -> int:
@@ -93,9 +89,8 @@ def _cmd_solve(args) -> int:
                 print("operator is not strongly monotone; pass --alpha explicitly",
                       file=sys.stderr)
                 return 1
-        ipm_cfg = IpmConfig(**{name: getattr(args, name)
-                               for name in ("mu_tol", "feas_tol", "max_iter")
-                               if getattr(args, name) is not None})
+        ipm_cfg = _config(IpmConfig, args, mu_tol="mu_tol", feas_tol="feas_tol",
+                          max_iter="max_iter")
         report = solve_ipm(build_projective(op, basis, alpha), cone, ipm_cfg)
         pairs = [
             ("method", "ipm"),
@@ -110,7 +105,8 @@ def _cmd_solve(args) -> int:
         _emit(pairs, args.format)
         return 0 if report.converged else 1
 
-    cfg = _solve_config(args)
+    cfg = _config(SolveConfig, args, tol="tol", max_iter="max_iter", alpha_override="alpha")
+    cfg.trace = bool(args.trace)
     if args.method == "exact":
         report = solve_exact(op, cone, cfg)
     elif args.method == "bertsekas":
@@ -143,8 +139,8 @@ def _cmd_solve(args) -> int:
 def _cmd_bounds(args) -> int:
     op, cone = _load_problem(args.problem)
     basis = _load_basis(args.basis)
-    cfg = SolveConfig(tol=args.tol) if args.tol is not None else SolveConfig()
-    comp = bound_report(op, cone, basis, cfg, slack=args.slack)
+    comp = bound_report(op, cone, basis, _config(SolveConfig, args, tol="tol"),
+                        slack=args.slack)
 
     pairs = [
         ("gamma", comp.gamma),
@@ -171,12 +167,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_certify(args) -> int:
     op, cone = _load_problem(args.problem)
     basis = _load_basis(args.basis)
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    if args.cert_tol is not None:
-        kwargs["cert_tol"] = args.cert_tol
-    report = solve_galerkin(op, cone, basis, SolveConfig(**kwargs))
+    report = solve_galerkin(op, cone, basis,
+                            _config(SolveConfig, args, tol="tol", cert_tol="cert_tol"))
     cert = report.certificate
     _emit([
         ("converged", report.converged),

@@ -44,6 +44,8 @@ class Segment:
     def __post_init__(self) -> None:
         if int(self.length) != self.length or self.length < 1:
             raise ValueError(f"segment length must be a positive integer, got {self.length!r}")
+        # 2.0 or np.int64(2) would otherwise leak into slicing and spec()
+        object.__setattr__(self, "length", int(self.length))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,6 @@ from .operators import AffineOperator, lipschitz_constant, monotone_modulus
 
 __all__ = ["GenerationError", "generate_instance"]
 
-_ATTEMPTS = 100
-
 
 class GenerationError(Exception):
     """Could not hit the requested (beta, L) targets."""
@@ -32,40 +30,36 @@ def generate_instance(n: int, k: int, beta_target: float, L_target: float,
         raise ValueError(f"need 0 < beta_target < L_target, got {beta_target}, {L_target}")
 
     rng = np.random.default_rng(seed)
-    M = None
-    for _ in range(_ATTEMPTS):
-        G = rng.standard_normal((n, n))
-        A = G.T @ G
-        A /= lipschitz_constant(A)
-        G2 = rng.standard_normal((n, n))
-        S = 0.5 * (G2 - G2.T)
-        norm_S = lipschitz_constant(S)
-        if norm_S > 0:
-            S /= norm_S
-        s_amp = 0.25 * (L_target - beta_target)
+    G = rng.standard_normal((n, n))
+    A = G.T @ G
+    A /= lipschitz_constant(A)
+    G2 = rng.standard_normal((n, n))
+    S = 0.5 * (G2 - G2.T)
+    norm_S = lipschitz_constant(S)
+    if norm_S > 0:
+        S /= norm_S
+    s_amp = 0.25 * (L_target - beta_target)
 
-        def norm_at(c: float) -> float:
-            return lipschitz_constant(beta_target * np.eye(n) + c * A + s_amp * S)
+    def norm_at(c: float) -> float:
+        return lipschitz_constant(beta_target * np.eye(n) + c * A + s_amp * S)
 
-        lo, hi = 0.0, L_target - beta_target
-        if norm_at(lo) >= L_target:
-            continue
-        while norm_at(hi) < L_target:
-            hi *= 2.0
-            if hi > 1e6 * L_target:
-                break
-        else:
-            c = brentq(lambda c: norm_at(c) - L_target, lo, hi, xtol=1e-4 * L_target)
-            cand = beta_target * np.eye(n) + c * A + s_amp * S
-            beta = monotone_modulus(cand)
-            lip = lipschitz_constant(cand)
-            if beta >= beta_target * (1 - 1e-6) and abs(lip - L_target) <= 0.05 * L_target:
-                M = cand
-                break
-    if M is None:
+    # beta*I + s_amp*S is normal with norm sqrt(beta**2 + s_amp**2) < L_target,
+    # and ||c*A|| = c moves the norm by at most c, so the doubling stops by
+    # hi = 2*L_target and [0, hi] brackets c
+    hi = L_target - beta_target
+    while norm_at(hi) < L_target:
+        hi *= 2.0
+    try:
+        c = brentq(lambda c: norm_at(c) - L_target, 0.0, hi, xtol=1e-4 * L_target)
+    except ValueError as exc:
         raise GenerationError(
-            f"no admissible instance for beta={beta_target}, L={L_target} "
-            f"after {_ATTEMPTS} attempts")
+            f"no bracket for beta={beta_target}, L={L_target}: {exc}") from exc
+    M = beta_target * np.eye(n) + c * A + s_amp * S
+    beta = monotone_modulus(M)
+    lip = lipschitz_constant(M)
+    if not (beta >= beta_target * (1 - 1e-6) and abs(lip - L_target) <= 0.05 * L_target):
+        raise GenerationError(
+            f"instance for beta={beta_target}, L={L_target} has beta={beta}, L={lip}")
 
     q = rng.standard_normal(n)
     basis = orthonormalize(rng.standard_normal((n, k)))

@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 
+# fraction-to-boundary factor: keeps (x, s) strictly positive on orthant rows
+_STEP_FRACTION = 0.99
+
+
 class IpmBreakdown(Exception):
     """The interior-point Newton system lost positivity or became singular."""
 
@@ -54,12 +58,14 @@ class ProjectiveLcp:
     N = I + ortho @ W is never materialized; apply() costs O(n k').
     """
 
-    n: int
-    rank: int
     ortho: np.ndarray
     W: np.ndarray
     r: np.ndarray
     alpha: float
+
+    @property
+    def n(self) -> int:
+        return self.ortho.shape[0]
 
     def apply(self, x) -> np.ndarray:
         """N @ x in O(n k')."""
@@ -71,24 +77,18 @@ class ProjectiveLcp:
 
 @dataclass
 class IpmConfig:
-    """Path-following parameters.
-
-    step_fraction is the fraction-to-boundary factor keeping (x, s)
-    strictly positive on orthant components.
-    """
+    """Stopping rule: mu <= mu_tol with x.s <= mu_tol (1 + ||x|| ||s||), and
+    feasibility <= feas_tol (both as in IpmReport); or max_iter iterations."""
 
     mu_tol: float = 1e-10
     feas_tol: float = 1e-10
     max_iter: int = 200
-    step_fraction: float = 0.99
 
     def __post_init__(self) -> None:
         if self.mu_tol <= 0 or self.feas_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not (0.0 < self.step_fraction < 1.0):
-            raise ValueError("step_fraction must be in (0, 1)")
 
 
 @dataclass
@@ -96,9 +96,10 @@ class IpmReport:
     """Outcome of one interior-point solve.
 
     mu is the mean complementarity product x_i s_i over the orthant
-    components and feasibility the largest residual of Nx + r = s (and of
-    s = 0 on free components), both at the last iterate; after an accepted
-    active-set finish they are those of the finish point, so mu is 0.
+    components and feasibility the largest residual of Nx + r = s (s is 0
+    on free components), both at the returned x, also when the solve stops
+    at max_iter; after an accepted active-set finish they are those of the
+    finish point, so mu is 0.
     history holds one (mu, feasibility, step, sigma) row per Newton step:
     the first two at the iterate the step starts from, then its step length
     and centring weight. finish_attempts counts the active-set finishes
@@ -111,7 +112,6 @@ class IpmReport:
     mu: float
     feasibility: float
     final_step_norm: float
-    alpha: float
     finish_attempts: int = 0
     finish_accepted: bool = False
     history: list[tuple[float, float, float, float]] = field(default_factory=list)
@@ -129,7 +129,7 @@ def build_projective(op: AffineOperator, basis: Basis, alpha: float) -> Projecti
     Q = basis.ortho
     W = alpha * (Q.T @ op.M) - Q.T
     r = alpha * (Q @ (Q.T @ op.q))
-    return ProjectiveLcp(n=op.dim, rank=basis.rank, ortho=Q, W=W, r=r, alpha=float(alpha))
+    return ProjectiveLcp(ortho=Q, W=W, r=r, alpha=float(alpha))
 
 
 def verify_pd(plcp: ProjectiveLcp) -> float:
@@ -217,9 +217,9 @@ def _newton_directions(solve, d: np.ndarray, x: np.ndarray, s: np.ndarray,
     """Mehrotra's affine predictor and centred corrector, both through `solve`.
 
     Each direction solves (N + diag(d)) dx = h - g, ds = h - d dx, which
-    linearizes N dx - ds = -g, s dx + x ds = x h on B and ds = -s on the
-    free rows. The predictor takes h = -s. The corrector adds
-    (sigma mu - dx_aff ds_aff) / x on B, with sigma = (mu_aff / mu)^3 from
+    linearizes N dx - ds = -g, s dx + x ds = x h on B and keeps ds = 0 on
+    the free rows, where s is 0. The predictor takes h = -s. The corrector
+    adds (sigma mu - dx_aff ds_aff) / x on B, with sigma = (mu_aff / mu)^3 from
     the complementarity the predictor reaches at its longest feasible step.
     Returns (dx_aff, ds_aff, dx, ds, sigma); without orthant components
     the predictor is the whole step and sigma is 0.
@@ -303,10 +303,10 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
     Q, W, r = plcp.ortho, plcp.W, plcp.r
     split = woodbury_split(Q, W, F)
 
+    # s stays 0 on the free rows: their Newton equations read N dx = -(Nx + r)
+    # whatever s is, so a slack there would only track (Nx + r)_F
     x = np.where(B, 1.0, 0.0)
-    s = plcp.apply(x) + r
-    if n_orth:
-        s[B] = np.maximum(s[B], 1.0)
+    s = np.where(B, np.maximum(plcp.apply(x) + r, 1.0), 0.0)
 
     def gap_ok(xv, sv) -> tuple[bool, float]:
         if not n_orth:
@@ -329,8 +329,6 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         iters = it
         g = plcp.apply(x) + r - s
         feas = float(np.linalg.norm(g, np.inf))
-        if F.any():
-            feas = max(feas, float(np.linalg.norm(s[F], np.inf)))
         ok, mu = gap_ok(x, s)
         # tried before the stopping test: an accepted finish is exact where the
         # path stops about sqrt(mu) from degenerate components (an all-free
@@ -352,6 +350,8 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         if ok and feas <= cfg.feas_tol:
             converged = True
             break
+        if it == cfg.max_iter:
+            break  # no step past the cap: x, mu and feas stay one iterate
 
         if n_orth and np.any(x[B] <= 0.0):
             raise IpmBreakdown("orthant iterate lost positivity")
@@ -361,7 +361,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
             factor_diag_plus_lowrank(1.0 + d, Q, W, split), d, x, s, g, B, mu)
 
         bound = min(_boundary_step(x[B], dx[B]), _boundary_step(s[B], ds[B]))
-        step = min(1.0, cfg.step_fraction * bound)
+        step = min(1.0, _STEP_FRACTION * bound)
         history.append((mu, feas, step, sigma))
         x = x + step * dx
         s = s + step * ds
@@ -374,7 +374,6 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         mu=mu,
         feasibility=feas,
         final_step_norm=step_norm,
-        alpha=plcp.alpha,
         finish_attempts=attempts,
         finish_accepted=accepted,
         history=history,

@@ -53,7 +53,8 @@ class SolveConfig:
     alpha_override runs an explicit step size without the strong-monotonicity
     guarantee; tol is the fixed-point step-norm stopping threshold. max_iter
     defaults to 100x the certified iteration bound when a contraction factor
-    is available, else 10000.
+    is available, else 10000. x0 is projected onto C to start the exact and
+    intersection methods; the two-projection method always starts from z = 0.
     """
 
     alpha_override: float | None = None
@@ -61,7 +62,6 @@ class SolveConfig:
     max_iter: int | None = None
     cert_tol: float = 1e-8
     x0: np.ndarray | None = None
-    z0: np.ndarray | None = None
     trace: bool = False
 
     def __post_init__(self) -> None:
@@ -104,12 +104,15 @@ class SolveReport:
     gamma: float
     alpha: float
     converged: bool
-    guaranteed: bool
     z: np.ndarray | None = None
-    apriori_bound: float | None = None
     certificate: OptimalityCertificate | None = None
     step_norms: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] | None = None
+
+    @property
+    def guaranteed(self) -> bool:
+        """True when gamma < 1, so the iteration provably contracts."""
+        return self.gamma < 1.0
 
     def distances_to_final(self) -> np.ndarray:
         """||x_t - x_T|| for every logged iterate; needs trace=True."""
@@ -124,8 +127,8 @@ class SolveReport:
         return [(t + 1, self.step_norms[t], float(dists[t + 1])) for t in range(len(self.step_norms))]
 
 
-def _step_params(op: Operator, cfg: SolveConfig) -> tuple[float, float, bool]:
-    """Resolve (alpha, gamma, guaranteed) from the operator's parameters.
+def _step_params(op: Operator, cfg: SolveConfig) -> tuple[float, float]:
+    """Resolve (alpha, gamma) from the operator's parameters.
 
     gamma is the certified Lipschitz constant of I - alpha*F,
     sqrt(1 - 2*alpha*beta + alpha**2 * L**2); with the natural step it
@@ -140,7 +143,7 @@ def _step_params(op: Operator, cfg: SolveConfig) -> tuple[float, float, bool]:
     else:
         alpha = float(cfg.alpha_override)
     gamma = math.sqrt(max(1.0 - 2.0 * alpha * beta + (alpha * lip) ** 2, 0.0))
-    return alpha, gamma, gamma < 1.0
+    return alpha, gamma
 
 
 def _max_iter(cfg: SolveConfig, gamma: float) -> int:
@@ -167,7 +170,7 @@ def _start_x(cone: SeparableCone, cfg: SolveConfig) -> np.ndarray:
 
 
 def _fixed_point(update, v0: np.ndarray, cfg: SolveConfig, gamma: float, alpha: float,
-                 guaranteed: bool, observe=None) -> SolveReport:
+                 observe=None) -> SolveReport:
     """Iterate v <- update(v) from v0 until the step norm drops to cfg.tol.
 
     The report's x is the last v. With cfg.trace, observe(v) is logged for
@@ -195,7 +198,6 @@ def _fixed_point(update, v0: np.ndarray, cfg: SolveConfig, gamma: float, alpha: 
         gamma=gamma,
         alpha=alpha,
         converged=step <= cfg.tol,
-        guaranteed=guaranteed,
         step_norms=step_norms,
         iterates=iterates,
     )
@@ -209,9 +211,9 @@ def solve_exact(op: Operator, cone: SeparableCone, cfg: SolveConfig | None = Non
     """
     cfg = cfg or SolveConfig()
     _check_dims(op, cone)
-    alpha, gamma, guaranteed = _step_params(op, cfg)
+    alpha, gamma = _step_params(op, cfg)
     return _fixed_point(lambda x: cone.project(x - alpha * op(x)), _start_x(cone, cfg),
-                        cfg, gamma, alpha, guaranteed)
+                        cfg, gamma, alpha)
 
 
 def project_intersection(cone: SeparableCone, basis: Basis, z) -> np.ndarray:
@@ -270,23 +272,17 @@ def project_intersection(cone: SeparableCone, basis: Basis, z) -> np.ndarray:
 
 
 def solve_bertsekas(op: Operator, cone: SeparableCone, basis: Basis,
-                    cfg: SolveConfig | None = None,
-                    x_ref: np.ndarray | None = None) -> SolveReport:
+                    cfg: SolveConfig | None = None) -> SolveReport:
     """Intersection-Galerkin method: project onto C & span(Phi) each step.
 
-    When a reference solution x_ref is supplied, the report carries the
-    a-priori bound ||P_{C&span}(x_ref) - x_ref|| / (1 - gamma).
+    Its a-priori bound ||P_{C&span}(x*) - x*|| / (1 - gamma) needs the exact
+    solution x*; bound_report computes it as bound_bertsekas.
     """
     cfg = cfg or SolveConfig()
     _check_dims(op, cone, basis)
-    alpha, gamma, guaranteed = _step_params(op, cfg)
-    rep = _fixed_point(lambda x: project_intersection(cone, basis, x - alpha * op(x)),
-                       _start_x(cone, cfg), cfg, gamma, alpha, guaranteed)
-    if x_ref is not None and gamma < 1.0:
-        x_ref = cone._check_vec(np.asarray(x_ref, dtype=float), "x_ref")
-        dist = float(np.linalg.norm(project_intersection(cone, basis, x_ref) - x_ref))
-        rep.apriori_bound = dist / (1.0 - gamma)
-    return rep
+    alpha, gamma = _step_params(op, cfg)
+    return _fixed_point(lambda x: project_intersection(cone, basis, x - alpha * op(x)),
+                        _start_x(cone, cfg), cfg, gamma, alpha)
 
 
 def solve_galerkin(op: Operator, cone: SeparableCone, basis: Basis,
@@ -299,14 +295,13 @@ def solve_galerkin(op: Operator, cone: SeparableCone, basis: Basis,
     """
     cfg = cfg or SolveConfig()
     _check_dims(op, cone, basis)
-    alpha, gamma, guaranteed = _step_params(op, cfg)
+    alpha, gamma = _step_params(op, cfg)
 
     def update(z: np.ndarray) -> np.ndarray:
         x = cone.project(z)
         return basis.project_span(x - alpha * op(x))
 
-    z0 = np.zeros(cone.dim) if cfg.z0 is None else cone._check_vec(cfg.z0, "z0")
-    rep = _fixed_point(update, z0, cfg, gamma, alpha, guaranteed, observe=cone.project)
+    rep = _fixed_point(update, np.zeros(cone.dim), cfg, gamma, alpha, observe=cone.project)
     rep.z = rep.x
     rep.x = cone.project(rep.z)
     rep.certificate = certify(op, cone, basis, rep.x, rep.z, alpha, cfg.cert_tol)

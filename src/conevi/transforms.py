@@ -12,9 +12,9 @@ lambda. In variable order (s, x, lambda) the assembled operator is
 
 over the cone NonNeg(m) x Free(n) x Free(m). The symmetric part of the
 block matrix is diag(0, (M+M^T)/2, 0), so the transform preserves
-monotonicity but never strong monotonicity; downstream contraction solvers
-refuse it and the interior-point path (which only needs monotonicity)
-applies.
+monotonicity but never strong monotonicity: layout.op.beta is 0 up to
+rounding, the contraction solvers refuse it, and the interior-point path
+(which only needs monotonicity) applies.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import SegmentKind, Segment, SeparableCone
-from .operators import AffineOperator, monotone_modulus
+from .operators import AffineOperator
 
 __all__ = [
     "PolyhedralVI",
@@ -62,12 +62,14 @@ class PolyhedralVI:
 
 @dataclass(frozen=True)
 class ConicProgramLayout:
-    """A transformed problem plus the coordinate spans of its named blocks."""
+    """A transformed problem plus the coordinate spans of its named blocks.
+
+    With constraint rows op is never strongly monotone: op.beta is 0 up to
+    rounding."""
 
     cone: SeparableCone
     op: AffineOperator
     variable_map: dict[str, tuple[int, int]]
-    strongly_monotone: bool
 
     def extract(self, name: str, vector: np.ndarray) -> np.ndarray:
         lo, hi = self.variable_map[name]
@@ -98,7 +100,6 @@ def eliminate_equalities(op: AffineOperator, A, b, cone: SeparableCone) -> Conic
             cone=cone,
             op=op,
             variable_map={"y": (0, n), "lambda": (n, n)},
-            strongly_monotone=monotone_modulus(op.M) > 0,
         )
 
     big_M = np.block([[op.M, -A.T], [A, np.zeros((m, m))]])
@@ -108,7 +109,6 @@ def eliminate_equalities(op: AffineOperator, A, b, cone: SeparableCone) -> Conic
         cone=big_cone,
         op=AffineOperator(big_M, big_q),
         variable_map={"y": (0, n), "lambda": (n, n + m)},
-        strongly_monotone=False,
     )
 
 
@@ -126,7 +126,6 @@ def polyhedron_to_cone(p: PolyhedralVI) -> ConicProgramLayout:
             cone=SeparableCone((Segment(SegmentKind.FREE, n),)),
             op=AffineOperator(p.M, p.q),
             variable_map={"s": (0, 0), "x": (0, n), "lambda": (n, n)},
-            strongly_monotone=monotone_modulus(p.M) > 0,
         )
 
     I_m = np.eye(m)
@@ -145,5 +144,4 @@ def polyhedron_to_cone(p: PolyhedralVI) -> ConicProgramLayout:
         cone=big_cone,
         op=AffineOperator(big_M, big_q),
         variable_map={"s": (0, m), "x": (m, m + n), "lambda": (m + n, m + n + m)},
-        strongly_monotone=False,
     )

@@ -10,6 +10,8 @@ from conevi.cones import (
     parse_cone_spec,
     zero,
 )
+from conevi.fileio import parse_problem, write_problem
+from conevi.operators import AffineOperator
 
 
 def mixed(*pairs):
@@ -129,6 +131,19 @@ class TestSpecText:
         cone = parse_cone_spec("nn:5,free:2,nn:3")
         assert cone == mixed(("nn", 5), ("free", 2), ("nn", 3))
         assert cone.spec() == "nn:5,free:2,nn:3"
+
+    def test_integral_non_int_lengths_stored_as_int(self):
+        for length in (2.0, np.int64(2)):
+            seg = Segment(SegmentKind.NONNEGATIVE, length)
+            assert type(seg.length) is int
+            cone = SeparableCone((seg, Segment(SegmentKind.FREE, 1)))
+            np.testing.assert_array_equal(cone.project([-1.0, 2.0, -3.0]), [0.0, 2.0, -3.0])
+            assert cone.spec() == "nn:2,free:1"
+            assert parse_cone_spec(cone.spec()) == cone
+            op = AffineOperator(np.eye(3), [1.0, -1.0, 0.5])
+            op_back, cone_back = parse_problem(write_problem(op, cone))
+            assert cone_back == cone
+            np.testing.assert_array_equal(op_back.M, op.M)
 
     def test_parse_rejects_garbage(self):
         for bad in ("nn", "nn:0", "nn:x", "box:3", "", "nn:2,,free:1"):

@@ -325,11 +325,15 @@ class TestSolveIpm:
 
         monkeypatch.setattr(projective, "factor_diag_plus_lowrank", counted)
         op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
-        rep = solve_ipm(build_projective(op, basis, op.contraction().alpha), orthant(40))
-        assert rep.converged
+        plcp = build_projective(op, basis, op.contraction().alpha)
         # one factorization per Newton step and per finish attempt; the last
-        # iteration only checks convergence or tries the finish
-        assert len(calls) == rep.iterations - 1 + rep.finish_attempts
+        # iteration only checks convergence or tries the finish, also when it
+        # is the last one max_iter allows
+        for cfg, converged in ((IpmConfig(), True), (IpmConfig(max_iter=3), False)):
+            calls.clear()
+            rep = solve_ipm(plcp, orthant(40), cfg)
+            assert rep.converged is converged
+            assert len(calls) == rep.iterations - 1 + rep.finish_attempts
 
     def test_directions_match_dense_solve(self, monkeypatch):
         # the IPM absorbs an inexact direction, so check the directions themselves
@@ -449,3 +453,24 @@ class TestSolveIpm:
         rep = solve_ipm(plcp, orthant(30), IpmConfig(max_iter=2))
         assert not rep.converged
         assert rep.iterations == 2
+
+    def test_iteration_cap_reports_the_returned_iterate(self, monkeypatch):
+        op, basis = generate_instance(30, 6, 1.0, 3.0, seed=51)
+        plcp = build_projective(op, basis, op.contraction().alpha)
+        starts = []
+        inner = projective._newton_directions
+
+        def recorded(solve, d, x, s, g, B, mu):
+            starts.append(x)
+            return inner(solve, d, x, s, g, B, mu)
+
+        monkeypatch.setattr(projective, "_newton_directions", recorded)
+        longer = solve_ipm(plcp, orthant(30), IpmConfig(max_iter=3))
+        starts_longer = list(starts)
+        rep = solve_ipm(plcp, orthant(30), IpmConfig(max_iter=2))
+        # the capped run stops at the iterate the longer run takes its second
+        # step from, and reports that iterate's mu and feasibility
+        assert not rep.converged and len(rep.history) == rep.iterations - 1 == 1
+        np.testing.assert_array_equal(rep.x, starts_longer[1])
+        assert (rep.mu, rep.feasibility) == longer.history[1][:2]
+        assert rep.mu == pytest.approx(0.13379605657490962, rel=1e-9)

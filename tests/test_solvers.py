@@ -263,9 +263,8 @@ class TestSolveBertsekas:
         x_star = solve_exact(op, cone).x
         cols = [x_star + 1e-16, np.ones(12)]  # span contains x_star
         b = basis_from_columns(*cols)
-        rep = solve_bertsekas(op, cone, b, x_ref=x_star)
+        rep = solve_bertsekas(op, cone, b)
         np.testing.assert_allclose(rep.x, x_star, rtol=1e-7, atol=1e-8)
-        assert rep.apriori_bound <= 1e-8
 
     def test_axis_ray_fixed_point(self):
         # on the ray {(t,0)}: project (2,2) onto it -> (2,0); hand oracle

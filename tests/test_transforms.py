@@ -27,7 +27,7 @@ class TestEliminateEqualities:
         )
         np.testing.assert_array_equal(layout.op.q, [0.5, -0.5, -1.0])
         assert layout.cone.segments[-1] == Segment(SegmentKind.FREE, 1)
-        assert not layout.strongly_monotone
+        assert layout.op.beta <= 0
 
     def test_multiplier_rows_enforce_equality(self):
         # the free lambda rows of the transformed problem force Ay = b
@@ -148,7 +148,6 @@ class TestValidation:
         op, _ = generate_instance(6, 2, 1.0, 2.0, seed=65)
         layout = polyhedron_to_cone(
             PolyhedralVI(op.M, op.q, np.eye(6), np.zeros(6)))
-        assert not layout.strongly_monotone
         with pytest.raises(NotStronglyMonotone):
             solve_exact(layout.op, layout.cone)
         # an explicit step size runs, without any convergence guarantee
