@@ -12,6 +12,10 @@ import scipy.linalg
 
 __all__ = ["EmptyBasis", "Basis", "orthonormalize"]
 
+# relative tolerance that defines span(Phi): orthonormalize drops the columns
+# below it and project_intersection judges ranks and vanishing rows by it
+DROP_TOL = 1e-10
+
 
 class EmptyBasis(Exception):
     """The raw basis matrix has no usable columns."""
@@ -21,17 +25,19 @@ class EmptyBasis(Exception):
 class Basis:
     """A raw basis and its orthonormalized factor.
 
-    `ortho` has orthonormal columns spanning span(raw) up to drop_tol.
+    `ortho` has orthonormal columns spanning span(raw) up to DROP_TOL.
     """
 
     raw: np.ndarray
     ortho: np.ndarray
-    rank: int
-    drop_tol: float
 
     @property
     def n(self) -> int:
         return self.ortho.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.ortho.shape[1]
 
     def _check_vec(self, z, name: str = "z") -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -47,19 +53,19 @@ class Basis:
     def null_residual(self, v) -> np.ndarray:
         """Component of v in null(raw^T), i.e. v - project_span(v)."""
         v = self._check_vec(v, "v")
-        return v - self.ortho @ (self.ortho.T @ v)
+        return v - self.project_span(v)
 
     def representation_error(self, z) -> float:
         """Distance from z to span(raw)."""
         return float(np.linalg.norm(self.null_residual(z)))
 
 
-def orthonormalize(raw, drop_tol: float = 1e-10) -> Basis:
+def orthonormalize(raw) -> Basis:
     """Rank-revealing orthonormalization of a raw basis matrix.
 
     Uses QR with column pivoting; columns whose pivot magnitude falls below
-    drop_tol times the largest pivot are dropped, then the rank is grown if
-    needed until ||raw - Q Q^T raw||_F <= drop_tol * ||raw||_F.
+    DROP_TOL times the largest pivot are dropped, then the rank is grown if
+    needed until ||raw - Q Q^T raw||_F <= DROP_TOL * ||raw||_F.
 
     Raises EmptyBasis when raw has no nonzero column.
     """
@@ -68,8 +74,6 @@ def orthonormalize(raw, drop_tol: float = 1e-10) -> Basis:
         raise ValueError(f"raw basis must be a nonempty 2-D matrix, got shape {raw.shape}")
     if not np.all(np.isfinite(raw)):
         raise ValueError("raw basis has non-finite entries")
-    if drop_tol <= 0:
-        raise ValueError("drop_tol must be positive")
     if not np.any(raw):
         raise EmptyBasis("raw basis is identically zero")
 
@@ -77,14 +81,14 @@ def orthonormalize(raw, drop_tol: float = 1e-10) -> Basis:
     diag = np.abs(np.diag(R))  # non-increasing by pivoting
     if diag[0] == 0.0:
         raise EmptyBasis("raw basis is identically zero")
-    rank = max(int(np.sum(diag > drop_tol * diag[0])), 1)
+    rank = max(int(np.sum(diag > DROP_TOL * diag[0])), 1)
     # ||R[rank:, :]||_F is exactly the Frobenius projection residual
     raw_norm = float(np.linalg.norm(raw))
-    while rank < len(diag) and float(np.linalg.norm(R[rank:, :])) > drop_tol * raw_norm:
+    while rank < len(diag) and float(np.linalg.norm(R[rank:, :])) > DROP_TOL * raw_norm:
         rank += 1
 
     ortho = np.ascontiguousarray(Q[:, :rank])
     ortho.setflags(write=False)
     stored = raw.copy()
     stored.setflags(write=False)
-    return Basis(raw=stored, ortho=ortho, rank=rank, drop_tol=float(drop_tol))
+    return Basis(raw=stored, ortho=ortho)

@@ -33,7 +33,8 @@ class BenchResult:
     converged: bool
 
 
-def _bench_instance(n: int, k: int, seed: int, beta: float = 1.0, skew: float = 2.0):
+def _bench_instance(n: int, k: int, seed: int):
+    beta, skew = 1.0, 2.0
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))
     S = 0.5 * (G - G.T)

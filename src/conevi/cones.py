@@ -6,6 +6,7 @@ segment by segment, and every operation is O(dim).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -117,8 +118,8 @@ class SeparableCone:
     def contains(self, x, tol: float) -> bool:
         """Membership within relative tolerance tol*(1 + ||x||)."""
         x = self._check_vec(x)
-        if tol < 0:
-            raise ValueError("tol must be >= 0")
+        if not 0 <= tol < math.inf:
+            raise ValueError("tol must be finite and >= 0")
         slack = tol * (1.0 + float(np.linalg.norm(x)))
         nn = self.nonneg_mask
         if nn.any() and float(np.min(x[nn], initial=np.inf)) < -slack:
@@ -132,8 +133,8 @@ class SeparableCone:
         """True iff x in K, y in K* (both within tol) and |x.y| <= tol*(1+||x||*||y||)."""
         x = self._check_vec(x, "x")
         y = self._check_vec(y, "y")
-        if tol < 0:
-            raise ValueError("tol must be >= 0")
+        if not 0 <= tol < math.inf:
+            raise ValueError("tol must be finite and >= 0")
         if not self.contains(x, tol):
             return False
         if not self.dual().contains(y, tol):

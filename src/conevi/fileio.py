@@ -53,11 +53,13 @@ def _parse_row(lineno: int, line: str, expected: int, what: str) -> np.ndarray:
     if len(tokens) != expected:
         raise ProblemFormatError(
             f"expected {expected} values for {what}, found {len(tokens)}", lineno)
-    try:
-        return np.array([float(t) for t in tokens])
-    except ValueError:
-        bad = next(t for t in tokens if not _is_number(t))
-        raise ProblemFormatError(f"non-numeric token {bad!r} in {what}", lineno) from None
+    row = np.empty(expected)
+    for i, token in enumerate(tokens):
+        try:
+            row[i] = float(token)
+        except ValueError:
+            raise ProblemFormatError(f"non-numeric token {token!r} in {what}", lineno) from None
+    return row
 
 
 def _parse_block(rows: list[tuple[int, str]], width: int,
@@ -70,14 +72,6 @@ def _parse_block(rows: list[tuple[int, str]], width: int,
     except ValueError:
         pass
     return np.vstack([_parse_row(ln, line, width, what(i)) for i, (ln, line) in enumerate(rows)])
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
 
 
 def parse_problem(text: str) -> tuple[AffineOperator, SeparableCone]:

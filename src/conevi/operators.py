@@ -82,18 +82,19 @@ def lipschitz_constant(M) -> float:
     return float(math.sqrt(max(top, 0.0)))
 
 
+def _gamma(alpha: float, beta: float, lip: float) -> float:
+    """Lipschitz constant of I - alpha*F, sqrt(1 - 2*alpha*beta + alpha**2 * L**2);
+    with alpha = beta/L**2 it is sqrt(1 - beta**2/L**2)."""
+    return math.sqrt(max(1.0 - 2.0 * alpha * beta + (alpha * lip) ** 2, 0.0))
+
+
 def _params_from(beta: float, lip: float) -> ContractionParams:
     if beta <= 0.0:
         raise NotStronglyMonotone(beta)
     if lip <= 0.0:
         raise ValueError("Lipschitz constant must be positive")
-    ratio = beta / lip
-    return ContractionParams(
-        beta=beta,
-        lipschitz=lip,
-        alpha=beta / lip**2,
-        gamma=math.sqrt(max(1.0 - ratio * ratio, 0.0)),
-    )
+    alpha = beta / lip**2
+    return ContractionParams(beta=beta, lipschitz=lip, alpha=alpha, gamma=_gamma(alpha, beta, lip))
 
 
 def contraction_params(M) -> ContractionParams:
@@ -179,10 +180,10 @@ class CallableOperator(Operator):
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], dim: int,
                  beta: float, lipschitz: float):
-        if beta < 0:
-            raise ValueError("declared beta must be >= 0")
-        if lipschitz <= 0 or lipschitz < beta:
-            raise ValueError("declared lipschitz must satisfy lipschitz >= beta and > 0")
+        if not 0 <= beta < math.inf:
+            raise ValueError("declared beta must be finite and >= 0")
+        if not 0 < lipschitz < math.inf or lipschitz < beta:
+            raise ValueError("declared lipschitz must be finite, positive and >= beta")
         self._fn = fn
         self.dim = int(dim)
         self._beta = float(beta)

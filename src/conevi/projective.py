@@ -61,7 +61,6 @@ class ProjectiveLcp:
     ortho: np.ndarray
     W: np.ndarray
     r: np.ndarray
-    alpha: float
 
     @property
     def n(self) -> int:
@@ -78,15 +77,16 @@ class ProjectiveLcp:
 @dataclass
 class IpmConfig:
     """Stopping rule: mu <= mu_tol with x.s <= mu_tol (1 + ||x|| ||s||), and
-    feasibility <= feas_tol (both as in IpmReport); or max_iter iterations."""
+    feasibility <= feas_tol (both as in IpmReport); or max_iter iterations.
+    Both tolerances must be positive and finite."""
 
     mu_tol: float = 1e-10
     feas_tol: float = 1e-10
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if self.mu_tol <= 0 or self.feas_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.mu_tol < math.inf and 0 < self.feas_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -102,12 +102,12 @@ class IpmReport:
     finish point, so mu is 0.
     history holds one (mu, feasibility, step, sigma) row per Newton step:
     the first two at the iterate the step starts from, then its step length
-    and centring weight. finish_attempts counts the active-set finishes
-    tried and finish_accepted says whether one ended the solve.
+    and centring weight. iterations counts the iterates measured, one more
+    than the Newton steps taken. finish_attempts counts the active-set
+    finishes tried and finish_accepted says whether one ended the solve.
     """
 
     x: np.ndarray
-    iterations: int
     converged: bool
     mu: float
     feasibility: float
@@ -116,20 +116,24 @@ class IpmReport:
     finish_accepted: bool = False
     history: list[tuple[float, float, float, float]] = field(default_factory=list)
 
+    @property
+    def iterations(self) -> int:
+        return len(self.history) + 1
+
 
 def build_projective(op: AffineOperator, basis: Basis, alpha: float) -> ProjectiveLcp:
     """Assemble the reduced problem for F(x) = Mx + q and the given basis.
 
     The only O(n^2 k') work (forming W) happens here, once.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if basis.n != op.dim:
         raise ValueError(f"basis dimension {basis.n} != operator dimension {op.dim}")
     Q = basis.ortho
     W = alpha * (Q.T @ op.M) - Q.T
     r = alpha * (Q @ (Q.T @ op.q))
-    return ProjectiveLcp(ortho=Q, W=W, r=r, alpha=float(alpha))
+    return ProjectiveLcp(ortho=Q, W=W, r=r)
 
 
 def verify_pd(plcp: ProjectiveLcp) -> float:
@@ -251,9 +255,10 @@ def _finish_candidate(plcp: ProjectiveLcp, active: np.ndarray, B: np.ndarray,
     Sets x_A = 0 and solves (Nx + r)_I = 0 on I = ~A: D = inf on A and 1 on
     I restricts diag(D) + Q W to N_II, so the small system is the cached
     free rows' share plus the B \\ A rows, at the cost of one Newton step.
-    Returns (x, s, feasibility) with s = Nx + r on A and 0 elsewhere and
-    feasibility the largest |Nx + r| on I, when x_B >= 0 and (Nx + r)_A >= 0
-    for the orthant components B.
+    Returns (x, feasibility), feasibility the largest |Nx + r| on I, when
+    x_B >= 0 and (Nx + r)_A >= 0 for the orthant components B. Its slack
+    s = Nx + r on A and 0 elsewhere meets x = 0 on A, so x.s is exactly 0:
+    the point is complementary and only its feasibility needs a test.
     """
     try:
         x = solve_diag_plus_lowrank(np.where(active, np.inf, 1.0), plcp.ortho, plcp.W,
@@ -264,7 +269,7 @@ def _finish_candidate(plcp: ProjectiveLcp, active: np.ndarray, B: np.ndarray,
     y = plcp.apply(x) + plcp.r
     if np.any(x[B] < 0.0) or np.any(y[active] < 0.0):
         return None
-    return x, np.where(active, y, 0.0), float(np.linalg.norm(y[~active], np.inf))
+    return x, float(np.linalg.norm(y[~active], np.inf))
 
 
 def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
@@ -287,9 +292,10 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
     iteration to the next and differs from the last rejected guess (the
     candidate depends on A alone, so retrying one would repeat it), one
     more factorization tries the finish: x_A = 0 and (Nx + r)_I = 0 on the
-    rest. It ends the solve if x_B >= 0, (Nx + r)_A >= 0 and the point passes
-    the same stopping test, and takes precedence over an IPM point that
-    passes it too; otherwise the iteration continues unchanged.
+    rest. It ends the solve with mu = 0 if x_B >= 0, (Nx + r)_A >= 0 and its
+    feasibility is within feas_tol, and takes precedence over an IPM point
+    that passes the stopping test too; otherwise the iteration continues
+    unchanged.
     """
     cfg = cfg or IpmConfig()
     if cone.dim != plcp.n:
@@ -320,13 +326,11 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
     mu = math.inf
     feas = math.inf
     converged = False
-    iters = 0
     history: list[tuple[float, float, float, float]] = []
     attempts = 0
     accepted = False
     guess = rejected = None
     for it in range(1, cfg.max_iter + 1):
-        iters = it
         g = plcp.apply(x) + r - s
         feas = float(np.linalg.norm(g, np.inf))
         ok, mu = gap_ok(x, s)
@@ -338,14 +342,12 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
                 and not np.array_equal(guess, rejected)):
             attempts += 1
             finish = _finish_candidate(plcp, guess, B, split)
-            if finish is not None:
-                x_f, s_f, feas_f = finish
-                ok_f, mu_f = gap_ok(x_f, s_f)
-                if ok_f and feas_f <= cfg.feas_tol:
-                    step_norm = float(np.linalg.norm(x_f - x))
-                    x, mu, feas = x_f, mu_f, feas_f
-                    converged = accepted = True
-                    break
+            if finish is not None and finish[1] <= cfg.feas_tol:
+                step_norm = float(np.linalg.norm(finish[0] - x))
+                x, feas = finish
+                mu = 0.0
+                converged = accepted = True
+                break
             rejected = guess
         if ok and feas <= cfg.feas_tol:
             converged = True
@@ -353,7 +355,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         if it == cfg.max_iter:
             break  # no step past the cap: x, mu and feas stay one iterate
 
-        if n_orth and np.any(x[B] <= 0.0):
+        if np.any(x[B] <= 0.0):
             raise IpmBreakdown("orthant iterate lost positivity")
         d = np.zeros(plcp.n)
         d[B] = s[B] / x[B]
@@ -369,7 +371,6 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
 
     return IpmReport(
         x=x,
-        iterations=iters,
         converged=converged,
         mu=mu,
         feasibility=feas,

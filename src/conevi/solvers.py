@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .basis import Basis
+from .basis import DROP_TOL, Basis
 from .cones import SeparableCone
-from .operators import NotStronglyMonotone, Operator, iteration_bound
+from .operators import NotStronglyMonotone, Operator, _gamma, iteration_bound
 
 __all__ = [
     "IntersectionProjectionFailed",
@@ -43,7 +43,7 @@ __all__ = [
 
 class IntersectionProjectionFailed(Exception):
     """The projection onto C & span(Phi) failed: NNLS hit its iteration cap,
-    or the result missed C by more than the basis drop tolerance."""
+    or the result missed C by more than basis.DROP_TOL."""
 
 
 @dataclass
@@ -53,22 +53,23 @@ class SolveConfig:
     alpha_override runs an explicit step size without the strong-monotonicity
     guarantee; tol is the fixed-point step-norm stopping threshold. max_iter
     defaults to 100x the certified iteration bound when a contraction factor
-    is available, else 10000. x0 is projected onto C to start the exact and
-    intersection methods; the two-projection method always starts from z = 0.
+    is available, else 10000. Every method starts from 0 (x = 0 for the exact
+    and intersection methods, z = 0 for the two-projection method), which
+    lies in every separable cone. alpha_override, tol and cert_tol must be
+    positive and finite.
     """
 
     alpha_override: float | None = None
     tol: float = 1e-10
     max_iter: int | None = None
     cert_tol: float = 1e-8
-    x0: np.ndarray | None = None
     trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.alpha_override is not None and self.alpha_override <= 0:
-            raise ValueError("alpha_override must be positive")
-        if self.tol <= 0 or self.cert_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.alpha_override is not None and not 0 < self.alpha_override < math.inf:
+            raise ValueError("alpha_override must be positive and finite")
+        if not (0 < self.tol < math.inf and 0 < self.cert_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -96,11 +97,13 @@ class OptimalityCertificate:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve: iterate(s), convergence data, and certificates."""
+    """Outcome of one solve: iterate(s), convergence data, and certificates.
+
+    step_norms holds ||v_t - v_{t-1}|| for every iteration t = 1, 2, ...;
+    iterations and final_step_norm are its length and last entry.
+    """
 
     x: np.ndarray
-    iterations: int
-    final_step_norm: float
     gamma: float
     alpha: float
     converged: bool
@@ -108,6 +111,14 @@ class SolveReport:
     certificate: OptimalityCertificate | None = None
     step_norms: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.step_norms)
+
+    @property
+    def final_step_norm(self) -> float:
+        return self.step_norms[-1]
 
     @property
     def guaranteed(self) -> bool:
@@ -128,22 +139,13 @@ class SolveReport:
 
 
 def _step_params(op: Operator, cfg: SolveConfig) -> tuple[float, float]:
-    """Resolve (alpha, gamma) from the operator's parameters.
-
-    gamma is the certified Lipschitz constant of I - alpha*F,
-    sqrt(1 - 2*alpha*beta + alpha**2 * L**2); with the natural step it
-    collapses to sqrt(1 - beta**2/L**2).
-    """
-    beta = float(op.beta)
-    lip = float(op.lipschitz)
+    """(alpha, gamma): the operator's contraction parameters, or the override
+    step with gamma the Lipschitz constant of I - alpha*F at that step."""
     if cfg.alpha_override is None:
-        if beta <= 0.0 or lip <= 0.0:
-            raise NotStronglyMonotone(beta)
-        alpha = beta / lip**2
-    else:
-        alpha = float(cfg.alpha_override)
-    gamma = math.sqrt(max(1.0 - 2.0 * alpha * beta + (alpha * lip) ** 2, 0.0))
-    return alpha, gamma
+        params = op.contraction()
+        return params.alpha, params.gamma
+    alpha = float(cfg.alpha_override)
+    return alpha, _gamma(alpha, float(op.beta), float(op.lipschitz))
 
 
 def _max_iter(cfg: SolveConfig, gamma: float) -> int:
@@ -163,12 +165,6 @@ def _check_dims(op: Operator, cone: SeparableCone, basis: Basis | None = None) -
         raise ValueError(f"basis dimension {basis.n} != cone dimension {cone.dim}")
 
 
-def _start_x(cone: SeparableCone, cfg: SolveConfig) -> np.ndarray:
-    if cfg.x0 is not None:
-        return cone.project(cfg.x0)
-    return cone.project(np.zeros(cone.dim))
-
-
 def _fixed_point(update, v0: np.ndarray, cfg: SolveConfig, gamma: float, alpha: float,
                  observe=None) -> SolveReport:
     """Iterate v <- update(v) from v0 until the step norm drops to cfg.tol.
@@ -181,38 +177,28 @@ def _fixed_point(update, v0: np.ndarray, cfg: SolveConfig, gamma: float, alpha: 
     v = v0
     step_norms: list[float] = []
     iterates = [observe(v)] if cfg.trace else None
-    step = math.inf
-    for iters in range(1, _max_iter(cfg, gamma) + 1):
+    for _ in range(_max_iter(cfg, gamma)):
         v_new = update(v)
-        step = float(np.linalg.norm(v_new - v))
-        step_norms.append(step)
+        step_norms.append(float(np.linalg.norm(v_new - v)))
         v = v_new
         if iterates is not None:
             iterates.append(observe(v))
-        if step <= cfg.tol:
+        if step_norms[-1] <= cfg.tol:
             break
-    return SolveReport(
-        x=v,
-        iterations=iters,
-        final_step_norm=step,
-        gamma=gamma,
-        alpha=alpha,
-        converged=step <= cfg.tol,
-        step_norms=step_norms,
-        iterates=iterates,
-    )
+    return SolveReport(x=v, gamma=gamma, alpha=alpha, converged=step_norms[-1] <= cfg.tol,
+                       step_norms=step_norms, iterates=iterates)
 
 
 def solve_exact(op: Operator, cone: SeparableCone, cfg: SolveConfig | None = None) -> SolveReport:
     """Projection method: iterate x <- P_C(x - alpha F(x)) to the unique solution.
 
-    Starts from P_C(0) and stops when the fixed-point step norm falls below
+    Starts from 0 and stops when the fixed-point step norm falls below
     cfg.tol. Non-convergence is reported (converged=False), not raised.
     """
     cfg = cfg or SolveConfig()
     _check_dims(op, cone)
     alpha, gamma = _step_params(op, cfg)
-    return _fixed_point(lambda x: cone.project(x - alpha * op(x)), _start_x(cone, cfg),
+    return _fixed_point(lambda x: cone.project(x - alpha * op(x)), np.zeros(cone.dim),
                         cfg, gamma, alpha)
 
 
@@ -225,22 +211,22 @@ def project_intersection(cone: SeparableCone, basis: Basis, z) -> np.ndarray:
     to null(Q_H) = range(V), and A u >= 0 with A = Q_B V is solved through
     its dual, the NNLS problem min_{lam >= 0} ||A^T lam + d|| with
     d = V^T Q^T z, as u = d + A^T lam. The rank of Q_H and the vanishing
-    rows of A are judged against basis.drop_tol, the tolerance that defines
+    rows of A are judged against basis.DROP_TOL, the tolerance that defines
     span(Phi); the kept rows are normalised.
 
     u = d + A^T lam loses about eps * lam to cancellation. Rows whose
-    multipliers would push that past drop_tol * (1 + ||d||) are active at
+    multipliers would push that past DROP_TOL * (1 + ||d||) are active at
     the optimum (typically rows that force each other to zero, which NNLS
     meets with multipliers near 1/eps), so they join the held rows and the
     problem is solved again in fewer variables. Returns P_C(Q V u): in C
-    exactly and in span(Phi) within drop_tol * (1 + ||z||). Raises
+    exactly and in span(Phi) within DROP_TOL * (1 + ||z||). Raises
     IntersectionProjectionFailed when NNLS reaches its iteration cap or
     Q V u misses C by more than that.
     """
     z = cone._check_vec(z)
     if basis.n != cone.dim:
         raise ValueError(f"basis dimension {basis.n} != cone dimension {cone.dim}")
-    Q, tol = basis.ortho, basis.drop_tol
+    Q, tol = basis.ortho, DROP_TOL
     held = cone.zero_mask.copy()
     while True:
         Q_H = Q[held]
@@ -282,7 +268,7 @@ def solve_bertsekas(op: Operator, cone: SeparableCone, basis: Basis,
     _check_dims(op, cone, basis)
     alpha, gamma = _step_params(op, cfg)
     return _fixed_point(lambda x: project_intersection(cone, basis, x - alpha * op(x)),
-                        _start_x(cone, cfg), cfg, gamma, alpha)
+                        np.zeros(cone.dim), cfg, gamma, alpha)
 
 
 def solve_galerkin(op: Operator, cone: SeparableCone, basis: Basis,
@@ -368,8 +354,11 @@ def bound_report(op: Operator, cone: SeparableCone, basis: Basis,
     The intersection method's bound uses ||P_{C&span}(x*) - x*|| / (1-gamma);
     the two-projection method's bound uses ||z* - P_span(z*)|| / (1-gamma)
     and covers both the z and x errors. Solver failures are reported as
-    flags, not exceptions.
+    flags, not exceptions. slack, the allowance on each comparison, must be
+    nonnegative and finite.
     """
+    if not 0 <= slack < math.inf:
+        raise ValueError("slack must be nonnegative and finite")
     cfg = cfg or SolveConfig()
     rep_exact = solve_exact(op, cone, cfg)
     if not (rep_exact.gamma < 1.0):

@@ -4,7 +4,8 @@ variables.
 
 The polyhedral reduction composes two steps: introduce slacks s >= 0 with
 Ax - s + b = 0 (x free), then eliminate that equality with multipliers
-lambda. In variable order (s, x, lambda) the assembled operator is
+lambda through eliminate_equalities. In variable order (s, x, lambda) the
+assembled operator is
 
     [[0,    0,  I ],        (0,)
      [0,    M, -A^T],  u +  (q,)
@@ -102,7 +103,10 @@ def eliminate_equalities(op: AffineOperator, A, b, cone: SeparableCone) -> Conic
             variable_map={"y": (0, n), "lambda": (n, n)},
         )
 
-    big_M = np.block([[op.M, -A.T], [A, np.zeros((m, m))]])
+    big_M = np.zeros((n + m, n + m))
+    big_M[:n, :n] = op.M
+    big_M[:n, n:] = -A.T
+    big_M[n:, :n] = A
     big_q = np.concatenate([op.q, -b])
     big_cone = SeparableCone(cone.segments + (Segment(SegmentKind.FREE, m),))
     return ConicProgramLayout(
@@ -118,30 +122,25 @@ def polyhedron_to_cone(p: PolyhedralVI) -> ConicProgramLayout:
     Variables are ordered (s, x, lambda) with sizes (m, n, m) over
     NonNeg(m) x Free(n) x Free(m). At a solution: s = Ax + b >= 0,
     Mx + q = A^T lambda with lambda >= 0, and s^T lambda = 0.
+    Built as the slack step, diag(0, M) and (0, q) on (s, x) over
+    NonNeg(m) x Free(n), then eliminate_equalities on [-I, A] (s, x) = -b.
     """
     n = p.M.shape[0]
     m = p.A.shape[0]
-    if m == 0:
+    if m == 0:  # a segment cannot have length 0
         return ConicProgramLayout(
             cone=SeparableCone((Segment(SegmentKind.FREE, n),)),
             op=AffineOperator(p.M, p.q),
             variable_map={"s": (0, 0), "x": (0, n), "lambda": (n, n)},
         )
 
-    I_m = np.eye(m)
-    big_M = np.block([
-        [np.zeros((m, m)), np.zeros((m, n)), I_m],
-        [np.zeros((n, m)), p.M, -p.A.T],
-        [-I_m, p.A, np.zeros((m, m))],
-    ])
-    big_q = np.concatenate([np.zeros(m), p.q, p.b])
-    big_cone = SeparableCone((
-        Segment(SegmentKind.NONNEGATIVE, m),
-        Segment(SegmentKind.FREE, n),
-        Segment(SegmentKind.FREE, m),
-    ))
+    M = np.zeros((m + n, m + n))
+    M[m:, m:] = p.M
+    slacked = AffineOperator(M, np.concatenate([np.zeros(m), p.q]))
+    cone = SeparableCone((Segment(SegmentKind.NONNEGATIVE, m), Segment(SegmentKind.FREE, n)))
+    layout = eliminate_equalities(slacked, np.hstack([-np.eye(m), p.A]), -p.b, cone)
     return ConicProgramLayout(
-        cone=big_cone,
-        op=AffineOperator(big_M, big_q),
+        cone=layout.cone,
+        op=layout.op,
         variable_map={"s": (0, m), "x": (m, m + n), "lambda": (m + n, m + n + m)},
     )

@@ -251,3 +251,18 @@ class TestUsageErrors:
         bad.write_text("BASIS1 2 1\n0\n0\n")
         assert main(["solve", "--method", "galerkin", "--problem", problem_file,
                      "--basis", str(bad)]) == 1
+
+    @pytest.mark.parametrize("options", [
+        ["--method", "exact", "--tol", "inf"],
+        ["--method", "exact", "--tol", "nan"],
+        ["--method", "exact", "--alpha", "inf"],
+        ["--method", "ipm", "--mu-tol", "inf", "--feas-tol", "inf"],
+        ["--method", "ipm", "--alpha", "nan"],
+    ])
+    def test_nonfinite_tolerance_is_usage_error(self, options, problem_file, capsys):
+        # with --tol inf the exact method used to stop after one step at a
+        # point that is not the solution (0.5, 1) and report converged: true
+        assert main(["solve", "--problem", problem_file] + options) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""

@@ -68,7 +68,7 @@ class TestSolveExact:
     def test_gamma_zero_converges_immediately(self):
         q = np.array([1.5, -3.0, 0.25])
         op = AffineOperator(2.0 * np.eye(3), q)
-        rep = solve_exact(op, orthant(3), SolveConfig(x0=np.array([5.0, 5.0, 5.0])))
+        rep = solve_exact(op, orthant(3))
         assert rep.converged and rep.iterations <= 2
         np.testing.assert_allclose(rep.x, np.maximum(-q / 2.0, 0.0), atol=1e-10)
 
@@ -232,7 +232,7 @@ class TestProjectIntersection:
             raw[cone.free_mask, 4] = rng.standard_normal(3)
             raw = raw[:, raw.any(axis=0)]
             ortho = raw / np.linalg.norm(raw, axis=0)
-            b = Basis(raw=raw, ortho=ortho, rank=raw.shape[1], drop_tol=1e-10)
+            b = Basis(raw=raw, ortho=ortho)
             z = 3.0 * rng.standard_normal(20)
             # rows of one group coincide; SLSQP wants each constraint once
             B, Z = (np.unique(ortho[m][ortho[m].any(axis=1)], axis=0)
