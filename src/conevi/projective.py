@@ -7,14 +7,20 @@ r = alpha*P_span*q. Storing N as I + Q W (Q the orthonormal basis factor,
 W = alpha*Q^T M - Q^T) lets each interior-point Newton step run through a
 Woodbury solve in O(n k'^2) instead of a dense O(n^3) factorization, and
 the positive-definiteness check work on the rank <= 2k' symmetric part of
-Q W in O(n k'^2) as well. Each Newton step forms and factors its k'xk'
-Woodbury system once and solves with those factors twice, for Mehrotra's
-predictor and corrector. The Newton diagonal varies only on the |B|
-orthant components and is 1 on the |F| free ones, so the free rows' share
-of the Woodbury system is formed once per solve in O(|F| k'^2), and a step
-costs O(|B| k'^2 + k'^3). Once the guessed active set settles, an
-active-set finish solves the LCP on it exactly with one more system of the
-same size.
+Q W in O(n k'^2) as well. Each Newton step factors its system once and
+solves with those factors twice, for Mehrotra's predictor and corrector.
+The Newton diagonal varies only on the |B| orthant components and is 1 on
+the |F| free ones, so the system is factored on its smaller side,
+min(k', |B|):
+- |B| >= k': the free rows' share of the k'xk' Woodbury system is formed
+  once per solve in O(|F| k'^2), and a step forms and factors the rest in
+  O(|B| k'^2 + k'^3);
+- |B| < k': the k'xk' system at diagonal 2 on B is factored once per solve
+  in O(n k'^2 + k'^3), and a step factors only a |B|x|B| system, by the
+  Woodbury identity applied a second time, in O(|B|^3), with solves of
+  O(n k' + k'^2 + k' |B|).
+Once the guessed active set settles, an active-set finish solves the LCP
+on it exactly with one more system of the same size.
 """
 from __future__ import annotations
 
@@ -151,18 +157,89 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
     return smallest if U.shape[1] == plcp.n else min(1.0, smallest)
 
 
-def woodbury_split(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray) -> tuple:
-    """Precompute the share of the Woodbury system from rows where D is 1.
+def _k_side(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray) -> Callable:
+    """The k'-side factor for woodbury_split: caches I + W[:, fixed] Q[fixed]
+    and returns factor(D_var), which forms and LU-factors the k'xk' system
+    I + W D^-1 Q and returns its solve."""
+    k = Q.shape[1]
+    G = np.eye(k) + W[:, fixed] @ Q[fixed]
+    Q_var, W_var = Q[~fixed], W[:, ~fixed]
 
-    Returns (fixed, I + W[:, fixed] Q[fixed], Q[~fixed], W[:, ~fixed]) for
-    factor_diag_plus_lowrank, which then forms only the ~fixed rows' term at
-    each call. Cost O(|fixed| k'^2), once.
+    def factor(D_var: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        lu, piv, info = scipy.linalg.lapack.dgetrf(G + W_var @ (Q_var / D_var[:, None]))
+        if info > 0:
+            raise IpmBreakdown(f"singular {k}x{k} Woodbury system")
+        return lambda c: scipy.linalg.lapack.dgetrs(lu, piv, c)[0]
+
+    return factor
+
+
+def _varying_side(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray) -> Callable:
+    """The |V|-side factor for woodbury_split, V = ~fixed.
+
+    LU-factors G_c = I + W diag(1/D_c) Q with D_c = 1 on the fixed rows and
+    2 on V, and caches T = G_c^-1 W[:, V] and Z = Q[V] T. Then
+    I + W D^-1 Q = G_c + W[:, V] diag(e) Q[V] with e = 1/D_V - 1/2, and the
+    Woodbury identity applied a second time solves it through the |V|x|V|
+    system I + diag(e) Z; |e| <= 1/2 because D_V >= 1 (inf included).
+    """
+    k = Q.shape[1]
+    Q_var = Q[~fixed]
+    lu_c, piv_c, info = scipy.linalg.lapack.dgetrf(
+        np.eye(k) + W @ (Q * np.where(fixed, 1.0, 0.5)[:, None]))
+    if info > 0:
+        raise IpmBreakdown(f"singular {k}x{k} Woodbury system at D = 2 on the varying rows")
+
+    def solve_c(c):
+        return scipy.linalg.lapack.dgetrs(lu_c, piv_c, c)[0]
+
+    T = solve_c(W[:, ~fixed])
+    Z = Q_var @ T
+
+    def factor(D_var: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        if not D_var.size:  # no varying rows: the system is G_c itself
+            return solve_c
+        e = 1.0 / D_var - 0.5
+        v = e.size
+        lu, piv, info = scipy.linalg.lapack.dgetrf(np.eye(v) + e[:, None] * Z)
+        if info > 0:
+            raise IpmBreakdown(f"singular {v}x{v} Woodbury system")
+
+        def solve(c):
+            y = solve_c(c)
+            return y - T @ scipy.linalg.lapack.dgetrs(lu, piv, e * (Q_var @ y))[0]
+
+        return solve
+
+    return factor
+
+
+def woodbury_split(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray) -> tuple:
+    """Precompute the per-solve share of the Woodbury system for diagonals D
+    that are 1 on the rows `fixed` and >= 1 on the varying rows V = ~fixed.
+
+    Returns (fixed, factor) for factor_diag_plus_lowrank, which calls
+    factor(D[V]) once per D. The side is min(k', |V|):
+    - |V| >= k': caches I + W[:, fixed] Q[fixed] in O(|fixed| k'^2); each D
+      then forms the V rows' term and LU-factors the k'xk' system in
+      O(|V| k'^2 + k'^3);
+    - |V| < k': LU-factors G_c = I + W diag(1/D_c) Q, D_c = 1 on the fixed
+      rows and 2 on V, and forms T = G_c^-1 W[:, V] and Z = Q[V] T, in
+      O(n k'^2 + k'^3 + |V|^2 k'); each D then LU-factors only the |V|x|V|
+      system I + diag(1/D_V - 1/2) Z in O(|V|^3), and a solve costs
+      O(n k' + k'^2 + k' |V|).
+    diag(D_c) + Q W is the Newton matrix N + diag(d) at d = 1 on V. For
+    monotone N (N + N^T PSD), N + diag(d) with d > 0 on V is singular
+    exactly when N has a null vector x with x_V = 0, whatever d is; so G_c
+    is singular only if every such Newton matrix is, and IpmBreakdown is
+    raised here in that case.
     """
     fixed = np.asarray(fixed, dtype=bool)
     if fixed.shape != (Q.shape[0],):
         raise ValueError(f"fixed has shape {fixed.shape}, problem dimension is {Q.shape[0]}")
-    k = Q.shape[1]
-    return fixed, np.eye(k) + W[:, fixed] @ Q[fixed], Q[~fixed], W[:, ~fixed]
+    if int((~fixed).sum()) >= Q.shape[1]:
+        return fixed, _k_side(Q, W, fixed)
+    return fixed, _varying_side(Q, W, fixed)
 
 
 def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
@@ -170,35 +247,40 @@ def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
     """Factor diag(D) + Q W for the Woodbury identity; return its solve.
 
     The returned solve(b) computes u = D^-1 b, solves the k'xk' system
-    (I + W D^-1 Q) t = W u with the LU factors formed here, and returns
-    u - D^-1 Q t, in O(n k' + k'^2) per call. `split`, from
-    woodbury_split(Q, W, F), carries the share I + W[:, F] Q[F] of the small
-    system for rows F on which D must equal 1 exactly (ValueError
-    otherwise), formed once in O(|F| k'^2). Forming and factoring then costs
-    O(|B| k'^2 + k'^3), B the other rows (all n without a split). D_i = inf
-    is allowed: it drops row i from the small system and pins y_i = 0, so
-    the solve restricted to the other rows runs through the same path.
-    Raises IpmBreakdown on a nonpositive D or an exactly singular small
-    system.
+    (I + W D^-1 Q) t = W u with the factors formed here, and returns
+    u - D^-1 Q t. Without a split, D may be any positive vector: the k'xk'
+    system is formed and LU-factored in O(n k'^2 + k'^3), and a solve costs
+    O(n k' + k'^2). `split`, from woodbury_split(Q, W, F), requires D = 1
+    exactly on the rows F and D >= 1 on the others, V (ValueError
+    otherwise), and factors on the smaller side: when |V| >= k' the k'xk'
+    system in O(|V| k'^2 + k'^3); when |V| < k' only a |V|x|V| system, in
+    O(|V|^3), with the k'xk' one solved through the split's cached factors
+    in O(n k' + k'^2 + k' |V|) per solve.
+    D_i = inf is allowed: it drops row i from the system and pins y_i = 0,
+    so the solve restricted to the other rows runs through the same path.
+    Raises IpmBreakdown on a D that is not positive (NaN included) or an
+    exactly singular system.
     """
     D = np.asarray(D, dtype=float)
-    if np.any(D <= 0):
+    if not np.all(D > 0):
         raise IpmBreakdown("diagonal lost positivity")
     k = Q.shape[1] if Q.ndim == 2 else 0
     if k == 0:
         return lambda b: np.asarray(b, dtype=float) / D
-    fixed, G, Q_var, W_var = split if split is not None else woodbury_split(
-        Q, W, np.zeros(D.shape, dtype=bool))
-    if np.any(D[fixed] != 1.0):
-        raise ValueError("D differs from 1 on the rows fixed by the split")
-    lu, piv, info = scipy.linalg.lapack.dgetrf(G + W_var @ (Q_var / D[~fixed, None]))
-    if info > 0:
-        raise IpmBreakdown(f"singular {k}x{k} Woodbury system")
+    if split is None:
+        fixed = np.zeros(D.shape, dtype=bool)
+        factor = _k_side(Q, W, fixed)
+    else:
+        fixed, factor = split
+        if np.any(D[fixed] != 1.0):
+            raise ValueError("D differs from 1 on the rows fixed by the split")
+        if not np.all(D[~fixed] >= 1.0):
+            raise ValueError("D is below 1 on the rows the split varies")
+    solve_small = factor(D[~fixed])
 
     def solve(b: np.ndarray) -> np.ndarray:
         u = np.asarray(b, dtype=float) / D
-        t, _ = scipy.linalg.lapack.dgetrs(lu, piv, W @ u)
-        return u - (Q @ t) / D
+        return u - (Q @ solve_small(W @ u)) / D
 
     return solve
 
@@ -253,8 +335,11 @@ def _finish_candidate(plcp: ProjectiveLcp, active: np.ndarray, B: np.ndarray,
     singular or its signs fail.
 
     Sets x_A = 0 and solves (Nx + r)_I = 0 on I = ~A: D = inf on A and 1 on
-    I restricts diag(D) + Q W to N_II, so the small system is the cached
-    free rows' share plus the B \\ A rows, at the cost of one Newton step.
+    I restricts diag(D) + Q W to N_II. It goes through the solve's split at
+    the cost of one Newton step: with |B| >= k' the k'xk' system is the
+    cached free rows' share plus the B \\ A rows, O(|B| k'^2 + k'^3); with
+    |B| < k' it is the |B|x|B| system, O(|B|^3), in which the rows of A
+    enter with 1/D - 1/2 = -1/2.
     Returns (x, feasibility), feasibility the largest |Nx + r| on I, when
     x_B >= 0 and (Nx + r)_A >= 0 for the orthant components B. Its slack
     s = Nx + r on A and 0 elsewhere meets x = 0 on A, so x.s is exactly 0:
@@ -279,14 +364,19 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
 
     Orthant components carry complementarity pairs (x_i, s_i); free
     components are handled as pure equations (Nx + r)_i = 0. Each Newton
-    step LU-factors its k'xk' Woodbury system once (factor_diag_plus_lowrank)
-    and solves twice with the factors: Mehrotra's affine predictor and the
-    corrector centred by sigma = (mu_aff / mu)^3. D is 1 on the |F| free
-    components, so their share of that system is formed once per solve in
-    O(|F| k'^2), and an iteration costs O(|B| k'^2 + k'^3) for the |B|
-    orthant components. A common primal-dual step length with the
-    fraction-to-boundary rule keeps the linear residual shrinking by
-    (1 - step) each iteration.
+    step factors its system once (factor_diag_plus_lowrank) and solves twice
+    with the factors: Mehrotra's affine predictor and the corrector centred
+    by sigma = (mu_aff / mu)^3. The Newton diagonal D = 1 + s/x is 1 on the
+    |F| free components and >= 1 on the |B| orthant ones, so
+    woodbury_split(Q, W, F), made once per solve, picks the smaller side:
+    with |B| >= k' it forms the free rows' share of the k'xk' system in
+    O(|F| k'^2) and an iteration costs O(|B| k'^2 + k'^3); with |B| < k' it
+    factors the k'xk' system at D = 2 on B in O(n k'^2 + k'^3) and an
+    iteration costs O(|B|^3 + n k' + k'^2 + k' |B|). For monotone N that
+    system is singular only if every Newton matrix is, and then
+    IpmBreakdown is raised before the first step. A common primal-dual step
+    length with the fraction-to-boundary rule keeps the linear residual
+    shrinking by (1 - step) each iteration.
 
     When the guessed active set A = {i in B : x_i < s_i} repeats from one
     iteration to the next and differs from the last rejected guess (the
@@ -355,7 +445,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         if it == cfg.max_iter:
             break  # no step past the cap: x, mu and feas stay one iterate
 
-        if np.any(x[B] <= 0.0):
+        if not np.all(x[B] > 0.0):
             raise IpmBreakdown("orthant iterate lost positivity")
         d = np.zeros(plcp.n)
         d[B] = s[B] / x[B]

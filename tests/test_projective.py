@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conevi import projective
 from conevi.basis import orthonormalize
@@ -18,6 +19,7 @@ from conevi.projective import (
     woodbury_split,
 )
 from conevi.solvers import SolveConfig, solve_galerkin
+from conevi.transforms import PolyhedralVI, polyhedron_to_cone
 
 
 def dense_N(op, basis, alpha):
@@ -159,9 +161,11 @@ class TestWoodbury:
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_nonpositive_diagonal_breaks(self):
-        with pytest.raises(IpmBreakdown):
-            solve_diag_plus_lowrank(np.array([1.0, 0.0]), np.zeros((2, 1)),
-                                    np.zeros((1, 2)), np.ones(2))
+        for D in ([1.0, 0.0], [np.nan, 1.0]):
+            for k in (0, 1):
+                with pytest.raises(IpmBreakdown, match="positivity"):
+                    solve_diag_plus_lowrank(np.array(D), np.zeros((2, k)),
+                                            np.zeros((k, 2)), np.ones(2))
 
     def test_singular_small_system_breaks(self):
         # I + W D^-1 Q = 1 - 1 = 0 although D > 0
@@ -213,6 +217,66 @@ class TestWoodbury:
         with pytest.raises(ValueError, match="differs from 1"):
             solve_diag_plus_lowrank(D, Q, W, np.ones(6), woodbury_split(Q, W, fixed))
 
+    def test_split_rejects_diagonal_below_one_on_varying_rows(self):
+        rng = np.random.default_rng(59)
+        n = 8
+        fixed = np.arange(n) % 2 == 0
+        for k in (3, n):  # |V| = 4 rows: the k' side, then the |V| side
+            Q = rng.standard_normal((n, k)) / (2 * np.sqrt(n))
+            W = rng.standard_normal((k, n)) / (2 * np.sqrt(n))
+            D = np.where(fixed, 1.0, 2.0)
+            D[1] = 1.0 - 2.0 ** -53
+            with pytest.raises(ValueError, match="below 1"):
+                solve_diag_plus_lowrank(D, Q, W, np.ones(n), woodbury_split(Q, W, fixed))
+            # without a split any positive D is accepted
+            A = np.diag(D) + Q @ W
+            y = solve_diag_plus_lowrank(D, Q, W, np.ones(n))
+            np.testing.assert_allclose(A @ y, np.ones(n), atol=1e-14)
+
+    def test_varying_side_matches_dense_solve(self):
+        # fewer varying rows than k', so each D factors only the |V|x|V| system;
+        # late-IPM diagonal spread on V. With Q = I, N = alpha M and a small
+        # alpha cancels in I + W D^-1 Q on either side, so Q = I runs at the
+        # alpha of the polyhedral reductions (1) and at 0.3
+        rng = np.random.default_rng(60)
+        n = 80
+        for k, alphas in ((40, (1e-2, 1e-6)), (n, (0.3, 1.0))):
+            for alpha in alphas:
+                for _ in range(10):
+                    Q = np.eye(n) if k == n else np.linalg.qr(rng.standard_normal((n, k)))[0]
+                    M = np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+                    W = alpha * (Q.T @ M) - Q.T
+                    fixed = rng.random(n) < 0.75
+                    assert (~fixed).sum() < k
+                    D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-12, 12, size=n))
+                    rhs = rng.standard_normal(n) * D ** rng.uniform(0, 1, size=n)
+                    y = solve_diag_plus_lowrank(D, Q, W, rhs, woodbury_split(Q, W, fixed))
+                    A = np.diag(D) + Q @ W
+                    omega = np.abs(rhs - A @ y) / (np.abs(A) @ np.abs(y) + np.abs(rhs))
+                    assert omega.max() <= 1e-14
+                    ref = np.linalg.solve(A, rhs)
+                    err = np.linalg.norm(y - ref)
+                    assert err <= 1e-15 * np.linalg.cond(A) * np.linalg.norm(ref)
+
+    def test_all_free_split_reuses_its_factors(self, monkeypatch):
+        # |V| = 0: every D is 1, and each call solves with the split's G_c
+        rng = np.random.default_rng(63)
+        n, k = 30, 12
+        Q = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        W = rng.standard_normal((k, n)) / (2 * np.sqrt(n))
+        split = woodbury_split(Q, W, np.ones(n, dtype=bool))
+        factored = []
+        dgetrf = scipy.linalg.lapack.dgetrf
+        monkeypatch.setattr(scipy.linalg.lapack, "dgetrf",
+                            lambda a: factored.append(a.shape) or dgetrf(a))
+        A = np.eye(n) + Q @ W
+        for _ in range(3):
+            rhs = rng.standard_normal(n)
+            y = factor_diag_plus_lowrank(np.ones(n), Q, W, split)(rhs)
+            ref = np.linalg.solve(A, rhs)
+            assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert factored == []
+
     def test_factors_serve_several_right_hand_sides(self):
         rng = np.random.default_rng(57)
         n, k = 50, 7
@@ -227,20 +291,22 @@ class TestWoodbury:
             assert np.linalg.norm(solve(rhs) - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_infinite_diagonal_pins_rows_to_zero(self):
-        # D = inf on A and 1 elsewhere solves (I + Q W)_II y_I = b_I with y_A = 0
+        # D = inf on A and 1 elsewhere solves (I + Q W)_II y_I = b_I with y_A = 0;
+        # with 80% free rows the split is on the |V| side (|V| < k')
         rng = np.random.default_rng(58)
-        n, k = 40, 9
-        Q = rng.standard_normal((n, k)) / (2 * np.sqrt(n))
-        W = rng.standard_normal((k, n)) / (2 * np.sqrt(n))
-        free = rng.random(n) < 0.3
-        active = ~free & (rng.random(n) < 0.5)
-        rhs = rng.standard_normal(n)
-        y = factor_diag_plus_lowrank(np.where(active, np.inf, 1.0), Q, W,
-                                     woodbury_split(Q, W, free))(rhs)
-        keep = ~active
-        ref = np.linalg.solve((np.eye(n) + Q @ W)[np.ix_(keep, keep)], rhs[keep])
-        assert np.all(y[active] == 0.0)
-        assert np.linalg.norm(y[keep] - ref) <= 1e-13 * np.linalg.norm(ref)
+        n = 40
+        for k, free_share in ((9, 0.3), (20, 0.8), (n, 0.8)):
+            Q = rng.standard_normal((n, k)) / (2 * np.sqrt(n))
+            W = rng.standard_normal((k, n)) / (2 * np.sqrt(n))
+            free = rng.random(n) < free_share
+            active = ~free & (rng.random(n) < 0.5)
+            rhs = rng.standard_normal(n)
+            y = factor_diag_plus_lowrank(np.where(active, np.inf, 1.0), Q, W,
+                                         woodbury_split(Q, W, free))(rhs)
+            keep = ~active
+            ref = np.linalg.solve((np.eye(n) + Q @ W)[np.ix_(keep, keep)], rhs[keep])
+            assert np.all(y[active] == 0.0)
+            assert np.linalg.norm(y[keep] - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 class TestSolveIpm:
@@ -325,15 +391,52 @@ class TestSolveIpm:
 
         monkeypatch.setattr(projective, "factor_diag_plus_lowrank", counted)
         op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
-        plcp = build_projective(op, basis, op.contraction().alpha)
+        problems = [(build_projective(op, basis, op.contraction().alpha), orthant(40))]
+        # a polyhedral reduction with the identity basis: |B| = 10 orthant
+        # rows against k' = 30, so each step factors the |B|x|B| system
+        rng = np.random.default_rng(64)
+        op, _ = generate_instance(10, 2, 1.0, 2.0, seed=64)
+        A = rng.standard_normal((10, 10))
+        b = 0.5 + np.abs(rng.standard_normal(10)) - A @ rng.standard_normal(10)
+        layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, A, b))
+        assert layout.cone.nonneg_mask.sum() < layout.cone.dim
+        problems.append((build_projective(layout.op, orthonormalize(np.eye(layout.cone.dim)),
+                                          1.0), layout.cone))
         # one factorization per Newton step and per finish attempt; the last
         # iteration only checks convergence or tries the finish, also when it
         # is the last one max_iter allows
-        for cfg, converged in ((IpmConfig(), True), (IpmConfig(max_iter=3), False)):
-            calls.clear()
-            rep = solve_ipm(plcp, orthant(40), cfg)
-            assert rep.converged is converged
-            assert len(calls) == rep.iterations - 1 + rep.finish_attempts
+        for plcp, cone in problems:
+            for cfg, converged in ((IpmConfig(), True), (IpmConfig(max_iter=3), False)):
+                calls.clear()
+                rep = solve_ipm(plcp, cone, cfg)
+                assert rep.converged is converged
+                assert len(calls) == rep.iterations - 1 + rep.finish_attempts
+
+    def test_nan_iterate_breaks(self, monkeypatch):
+        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
+        plcp = build_projective(op, basis, op.contraction().alpha)
+        inner = projective._newton_directions
+
+        def poisoned(*args):
+            dx_aff, ds_aff, dx, ds, sigma = inner(*args)
+            dx = dx.copy()
+            dx[0] = np.nan
+            return dx_aff, ds_aff, dx, ds, sigma
+
+        monkeypatch.setattr(projective, "_newton_directions", poisoned)
+        monkeypatch.setattr(projective, "_finish_candidate", lambda *args: None)
+        with pytest.raises(IpmBreakdown, match="orthant iterate"):
+            solve_ipm(plcp, orthant(40))
+
+    def test_all_free_cone(self):
+        # |V| = 0 < k': the Newton matrix is N at every step
+        op, basis = generate_instance(30, 30, 1.0, 3.0, seed=65)
+        cone = parse_cone_spec("free:30")
+        plcp = build_projective(op, basis, op.contraction().alpha)
+        rep = solve_ipm(plcp, cone)
+        assert rep.converged and rep.finish_attempts == 0
+        resid = plcp.apply(rep.x) + plcp.r
+        assert np.abs(resid).max() <= IpmConfig().feas_tol
 
     def test_directions_match_dense_solve(self, monkeypatch):
         # the IPM absorbs an inexact direction, so check the directions themselves
