@@ -12,8 +12,9 @@ import scipy.linalg
 
 __all__ = ["EmptyBasis", "Basis", "orthonormalize"]
 
-# relative tolerance that defines span(Phi): orthonormalize drops the columns
-# below it and project_intersection judges ranks and vanishing rows by it
+# relative tolerance that defines span(Phi): orthonormalize keeps the smallest
+# rank whose Frobenius residual is within it, and project_intersection judges
+# ranks and vanishing rows by it
 DROP_TOL = 1e-10
 
 
@@ -63,9 +64,10 @@ class Basis:
 def orthonormalize(raw) -> Basis:
     """Rank-revealing orthonormalization of a raw basis matrix.
 
-    Uses QR with column pivoting; columns whose pivot magnitude falls below
-    DROP_TOL times the largest pivot are dropped, then the rank is grown if
-    needed until ||raw - Q Q^T raw||_F <= DROP_TOL * ||raw||_F.
+    Uses QR with column pivoting, raw P = Q R, and keeps the smallest rank r
+    with ||raw - Q_r Q_r^T raw||_F <= DROP_TOL * ||raw||_F, Q_r the first r
+    columns of Q; the left side is ||R[r:, :]||_F and the right one
+    DROP_TOL * ||R||_F.
 
     Raises EmptyBasis when raw has no nonzero column.
     """
@@ -78,14 +80,12 @@ def orthonormalize(raw) -> Basis:
         raise EmptyBasis("raw basis is identically zero")
 
     Q, R, _ = scipy.linalg.qr(raw, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))  # non-increasing by pivoting
-    if diag[0] == 0.0:
-        raise EmptyBasis("raw basis is identically zero")
-    rank = max(int(np.sum(diag > DROP_TOL * diag[0])), 1)
-    # ||R[rank:, :]||_F is exactly the Frobenius projection residual
-    raw_norm = float(np.linalg.norm(raw))
-    while rank < len(diag) and float(np.linalg.norm(R[rank:, :])) > DROP_TOL * raw_norm:
-        rank += 1
+    # |R[0, 0]| bounds every entry of R under column pivoting, so the scaled
+    # squares neither overflow nor lose the residual to underflow
+    R /= abs(R[0, 0])
+    rows = np.einsum("ij,ij->i", R, R)
+    residual = np.cumsum(rows[::-1])[::-1]  # ||R[r:, :]||_F^2 / R[0, 0]^2, non-increasing
+    rank = int(np.sum(residual > DROP_TOL**2 * residual[0]))
 
     ortho = np.ascontiguousarray(Q[:, :rank])
     ortho.setflags(write=False)

@@ -48,12 +48,30 @@ def _emit(pairs, fmt: str) -> None:
         print(f"{key}{sep}{_fmt(value)}")
 
 
+class _FileError(Exception):
+    """A file the command reads or writes failed to open; exit code 2."""
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise _FileError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _FileError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _load_problem(path: str):
-    return parse_problem(Path(path).read_text())
+    return parse_problem(_read(path))
 
 
 def _load_basis(path: str):
-    return orthonormalize(parse_basis(Path(path).read_text()))
+    return orthonormalize(parse_basis(_read(path)))
 
 
 def _config(cls, args, **fields):
@@ -131,8 +149,7 @@ def _cmd_solve(args) -> int:
 
     if args.trace:
         rows = report.trace_rows()
-        Path(args.trace).write_text(
-            "".join(f"{t}\t{_fmt(step)}\t{_fmt(dist)}\n" for t, step, dist in rows))
+        _write(args.trace, "".join(f"{t}\t{_fmt(step)}\t{_fmt(dist)}\n" for t, step, dist in rows))
     return 0 if report.converged else 1
 
 
@@ -184,9 +201,9 @@ def _cmd_certify(args) -> int:
 
 def _cmd_gen(args) -> int:
     op, basis = generate_instance(args.n, args.k, args.beta, args.L, args.seed)
-    Path(args.out).write_text(write_problem(op, orthant(args.n)))
+    _write(args.out, write_problem(op, orthant(args.n)))
     if args.basis_out:
-        Path(args.basis_out).write_text(write_basis(basis.raw))
+        _write(args.basis_out, write_basis(basis.raw))
     print(f"wrote {args.out}" + (f" and {args.basis_out}" if args.basis_out else ""))
     return 0
 
@@ -283,8 +300,8 @@ def main(argv=None) -> int:
     except ProblemFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
+    except _FileError as exc:
+        print(exc, file=sys.stderr)
         return 2
     except (NotStronglyMonotone, IntersectionProjectionFailed, IpmBreakdown,
             GenerationError, EmptyBasis) as exc:

@@ -37,16 +37,22 @@ _DUAL_KIND = {
 }
 
 
+def _positive_int(value, name: str) -> int:
+    """int(value) for a whole number >= 1; ValueError otherwise, NaN,
+    infinities and fractions included."""
+    if not (1 <= value < math.inf and int(value) == value):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Segment:
     kind: SegmentKind
     length: int
 
     def __post_init__(self) -> None:
-        if int(self.length) != self.length or self.length < 1:
-            raise ValueError(f"segment length must be a positive integer, got {self.length!r}")
-        # 2.0 or np.int64(2) would otherwise leak into slicing and spec()
-        object.__setattr__(self, "length", int(self.length))
+        # stored as int: 2.0 or np.int64(2) would otherwise leak into slicing and spec()
+        object.__setattr__(self, "length", _positive_int(self.length, "segment length"))
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,10 @@ W = alpha*Q^T M - Q^T) lets each interior-point Newton step run through a
 Woodbury solve in O(n k'^2) instead of a dense O(n^3) factorization, and
 the positive-definiteness check work on the rank <= 2k' symmetric part of
 Q W in O(n k'^2) as well. Each Newton step factors its system once and
-solves with those factors twice, for Mehrotra's predictor and corrector.
-The Newton diagonal varies only on the |B| orthant components and is 1 on
-the |F| free ones, so the system is factored on its smaller side,
-min(k', |B|):
-- |B| >= k': the free rows' share of the k'xk' Woodbury system is formed
-  once per solve in O(|F| k'^2), and a step forms and factors the rest in
-  O(|B| k'^2 + k'^3);
-- |B| < k': the k'xk' system at diagonal 2 on B is factored once per solve
-  in O(n k'^2 + k'^3), and a step factors only a |B|x|B| system, by the
-  Woodbury identity applied a second time, in O(|B|^3), with solves of
-  O(n k' + k'^2 + k' |B|).
-Once the guessed active set settles, an active-set finish solves the LCP
-on it exactly with one more system of the same size.
+solves with those factors twice, for Mehrotra's predictor and corrector,
+on the smaller side of the Woodbury identity (woodbury_split states the
+rule and its costs). Once the guessed active set settles, an active-set
+finish solves the LCP on it exactly with one more system of the same size.
 """
 from __future__ import annotations
 
@@ -32,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .basis import Basis
-from .cones import SeparableCone
+from .cones import SeparableCone, _positive_int
 from .operators import AffineOperator
 
 __all__ = [
@@ -84,7 +75,7 @@ class ProjectiveLcp:
 class IpmConfig:
     """Stopping rule: mu <= mu_tol with x.s <= mu_tol (1 + ||x|| ||s||), and
     feasibility <= feas_tol (both as in IpmReport); or max_iter iterations.
-    Both tolerances must be positive and finite."""
+    Both tolerances must be positive and finite, max_iter a positive integer."""
 
     mu_tol: float = 1e-10
     feas_tol: float = 1e-10
@@ -93,8 +84,7 @@ class IpmConfig:
     def __post_init__(self) -> None:
         if not (0 < self.mu_tol < math.inf and 0 < self.feas_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        self.max_iter = _positive_int(self.max_iter, "max_iter")
 
 
 @dataclass
@@ -157,61 +147,40 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
     return smallest if U.shape[1] == plcp.n else min(1.0, smallest)
 
 
-def _k_side(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray) -> Callable:
-    """The k'-side factor for woodbury_split: caches I + W[:, fixed] Q[fixed]
-    and returns factor(D_var), which forms and LU-factors the k'xk' system
-    I + W D^-1 Q and returns its solve."""
-    k = Q.shape[1]
-    G = np.eye(k) + W[:, fixed] @ Q[fixed]
-    Q_var, W_var = Q[~fixed], W[:, ~fixed]
-
-    def factor(D_var: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        lu, piv, info = scipy.linalg.lapack.dgetrf(G + W_var @ (Q_var / D_var[:, None]))
-        if info > 0:
-            raise IpmBreakdown(f"singular {k}x{k} Woodbury system")
-        return lambda c: scipy.linalg.lapack.dgetrs(lu, piv, c)[0]
-
-    return factor
-
-
-def _varying_side(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray) -> Callable:
-    """The |V|-side factor for woodbury_split, V = ~fixed.
-
-    LU-factors G_c = I + W diag(1/D_c) Q with D_c = 1 on the fixed rows and
-    2 on V, and caches T = G_c^-1 W[:, V] and Z = Q[V] T. Then
-    I + W D^-1 Q = G_c + W[:, V] diag(e) Q[V] with e = 1/D_V - 1/2, and the
-    Woodbury identity applied a second time solves it through the |V|x|V|
-    system I + diag(e) Z; |e| <= 1/2 because D_V >= 1 (inf included).
-    """
-    k = Q.shape[1]
-    Q_var = Q[~fixed]
-    lu_c, piv_c, info = scipy.linalg.lapack.dgetrf(
-        np.eye(k) + W @ (Q * np.where(fixed, 1.0, 0.5)[:, None]))
+def _lu(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """LU-factor the square A once and return its solve; IpmBreakdown when A
+    is exactly singular."""
+    lu, piv, info = scipy.linalg.lapack.dgetrf(A)
     if info > 0:
-        raise IpmBreakdown(f"singular {k}x{k} Woodbury system at D = 2 on the varying rows")
+        raise IpmBreakdown(f"singular {A.shape[0]}x{A.shape[0]} Woodbury system")
+    return lambda c: scipy.linalg.lapack.dgetrs(lu, piv, c)[0]
 
-    def solve_c(c):
-        return scipy.linalg.lapack.dgetrs(lu_c, piv_c, c)[0]
 
-    T = solve_c(W[:, ~fixed])
+def _split(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray, small_side: bool) -> tuple:
+    """woodbury_split's (fixed, factor) on the side it names: the |V|x|V|
+    system when small_side, else the k'xk' one."""
+    varying = ~fixed
+    Q_var, W_var = Q[varying], W[:, varying]
+    G_c = np.eye(Q.shape[1]) + W @ (Q * np.where(fixed, 1.0, 0.5)[:, None])
+    if not small_side:
+        return fixed, lambda D_var: _lu(G_c + W_var @ ((1.0 / D_var - 0.5)[:, None] * Q_var))
+    solve_c = _lu(G_c)
+    T = solve_c(W_var)
     Z = Q_var @ T
 
     def factor(D_var: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         if not D_var.size:  # no varying rows: the system is G_c itself
             return solve_c
         e = 1.0 / D_var - 0.5
-        v = e.size
-        lu, piv, info = scipy.linalg.lapack.dgetrf(np.eye(v) + e[:, None] * Z)
-        if info > 0:
-            raise IpmBreakdown(f"singular {v}x{v} Woodbury system")
+        solve_var = _lu(np.eye(e.size) + e[:, None] * Z)
 
         def solve(c):
             y = solve_c(c)
-            return y - T @ scipy.linalg.lapack.dgetrs(lu, piv, e * (Q_var @ y))[0]
+            return y - T @ solve_var(e * (Q_var @ y))
 
         return solve
 
-    return factor
+    return fixed, factor
 
 
 def woodbury_split(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray) -> tuple:
@@ -219,27 +188,28 @@ def woodbury_split(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray) -> tuple:
     that are 1 on the rows `fixed` and >= 1 on the varying rows V = ~fixed.
 
     Returns (fixed, factor) for factor_diag_plus_lowrank, which calls
-    factor(D[V]) once per D. The side is min(k', |V|):
-    - |V| >= k': caches I + W[:, fixed] Q[fixed] in O(|fixed| k'^2); each D
-      then forms the V rows' term and LU-factors the k'xk' system in
+    factor(D[V]) once per D. Both sides start from one base matrix,
+    G_c = I + W diag(1/D_c) Q with D_c = 1 on the fixed rows and 2 on V,
+    formed once in O(n k'^2); any such D then gives
+    I + W D^-1 Q = G_c + W[:, V] diag(e) Q[V], e = 1/D_V - 1/2. The side is
+    min(k', |V|):
+    - |V| >= k': each D forms that k'xk' sum and LU-factors it in
       O(|V| k'^2 + k'^3);
-    - |V| < k': LU-factors G_c = I + W diag(1/D_c) Q, D_c = 1 on the fixed
-      rows and 2 on V, and forms T = G_c^-1 W[:, V] and Z = Q[V] T, in
-      O(n k'^2 + k'^3 + |V|^2 k'); each D then LU-factors only the |V|x|V|
-      system I + diag(1/D_V - 1/2) Z in O(|V|^3), and a solve costs
-      O(n k' + k'^2 + k' |V|).
+    - |V| < k': G_c is LU-factored once, with T = G_c^-1 W[:, V] and
+      Z = Q[V] T, in O(k'^3 + |V|^2 k'); each D then LU-factors only the
+      |V|x|V| system I + diag(e) Z in O(|V|^3) (the Woodbury identity
+      applied a second time; |e| <= 1/2 because D_V >= 1, inf included),
+      and a solve costs O(n k' + k'^2 + k' |V|).
     diag(D_c) + Q W is the Newton matrix N + diag(d) at d = 1 on V. For
     monotone N (N + N^T PSD), N + diag(d) with d > 0 on V is singular
     exactly when N has a null vector x with x_V = 0, whatever d is; so G_c
-    is singular only if every such Newton matrix is, and IpmBreakdown is
-    raised here in that case.
+    is singular only if every such Newton matrix is, and on the |V| side
+    IpmBreakdown is raised here in that case.
     """
     fixed = np.asarray(fixed, dtype=bool)
     if fixed.shape != (Q.shape[0],):
         raise ValueError(f"fixed has shape {fixed.shape}, problem dimension is {Q.shape[0]}")
-    if int((~fixed).sum()) >= Q.shape[1]:
-        return fixed, _k_side(Q, W, fixed)
-    return fixed, _varying_side(Q, W, fixed)
+    return _split(Q, W, fixed, int((~fixed).sum()) < Q.shape[1])
 
 
 def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
@@ -248,14 +218,11 @@ def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
 
     The returned solve(b) computes u = D^-1 b, solves the k'xk' system
     (I + W D^-1 Q) t = W u with the factors formed here, and returns
-    u - D^-1 Q t. Without a split, D may be any positive vector: the k'xk'
-    system is formed and LU-factored in O(n k'^2 + k'^3), and a solve costs
-    O(n k' + k'^2). `split`, from woodbury_split(Q, W, F), requires D = 1
-    exactly on the rows F and D >= 1 on the others, V (ValueError
-    otherwise), and factors on the smaller side: when |V| >= k' the k'xk'
-    system in O(|V| k'^2 + k'^3); when |V| < k' only a |V|x|V| system, in
-    O(|V|^3), with the k'xk' one solved through the split's cached factors
-    in O(n k' + k'^2 + k' |V|) per solve.
+    u - D^-1 Q t. Without a split, D may be any positive vector and the
+    k'xk' system is formed and LU-factored here, O(n k'^2 + k'^3).
+    `split`, from woodbury_split(Q, W, F), requires D = 1 exactly on the
+    rows F and D >= 1 on the others (ValueError otherwise) and factors on
+    the side woodbury_split chose.
     D_i = inf is allowed: it drops row i from the system and pins y_i = 0,
     so the solve restricted to the other rows runs through the same path.
     Raises IpmBreakdown on a D that is not positive (NaN included) or an
@@ -268,8 +235,7 @@ def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
     if k == 0:
         return lambda b: np.asarray(b, dtype=float) / D
     if split is None:
-        fixed = np.zeros(D.shape, dtype=bool)
-        factor = _k_side(Q, W, fixed)
+        fixed, factor = _split(Q, W, np.zeros(D.shape, dtype=bool), small_side=False)
     else:
         fixed, factor = split
         if np.any(D[fixed] != 1.0):
@@ -336,10 +302,7 @@ def _finish_candidate(plcp: ProjectiveLcp, active: np.ndarray, B: np.ndarray,
 
     Sets x_A = 0 and solves (Nx + r)_I = 0 on I = ~A: D = inf on A and 1 on
     I restricts diag(D) + Q W to N_II. It goes through the solve's split at
-    the cost of one Newton step: with |B| >= k' the k'xk' system is the
-    cached free rows' share plus the B \\ A rows, O(|B| k'^2 + k'^3); with
-    |B| < k' it is the |B|x|B| system, O(|B|^3), in which the rows of A
-    enter with 1/D - 1/2 = -1/2.
+    the cost of one Newton step.
     Returns (x, feasibility), feasibility the largest |Nx + r| on I, when
     x_B >= 0 and (Nx + r)_A >= 0 for the orthant components B. Its slack
     s = Nx + r on A and 0 elsewhere meets x = 0 on A, so x.s is exactly 0:
@@ -367,16 +330,10 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
     step factors its system once (factor_diag_plus_lowrank) and solves twice
     with the factors: Mehrotra's affine predictor and the corrector centred
     by sigma = (mu_aff / mu)^3. The Newton diagonal D = 1 + s/x is 1 on the
-    |F| free components and >= 1 on the |B| orthant ones, so
-    woodbury_split(Q, W, F), made once per solve, picks the smaller side:
-    with |B| >= k' it forms the free rows' share of the k'xk' system in
-    O(|F| k'^2) and an iteration costs O(|B| k'^2 + k'^3); with |B| < k' it
-    factors the k'xk' system at D = 2 on B in O(n k'^2 + k'^3) and an
-    iteration costs O(|B|^3 + n k' + k'^2 + k' |B|). For monotone N that
-    system is singular only if every Newton matrix is, and then
-    IpmBreakdown is raised before the first step. A common primal-dual step
-    length with the fraction-to-boundary rule keeps the linear residual
-    shrinking by (1 - step) each iteration.
+    free components and >= 1 on the orthant ones, so woodbury_split(Q, W, F),
+    made once per solve, sets the side and the cost of each step. A common
+    primal-dual step length with the fraction-to-boundary rule keeps the
+    linear residual shrinking by (1 - step) each iteration.
 
     When the guessed active set A = {i in B : x_i < s_i} repeats from one
     iteration to the next and differs from the last rejected guess (the

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.optimize
 
 from .basis import DROP_TOL, Basis
-from .cones import SeparableCone
+from .cones import SeparableCone, _positive_int
 from .operators import NotStronglyMonotone, Operator, _gamma, iteration_bound
 
 __all__ = [
@@ -56,7 +56,7 @@ class SolveConfig:
     is available, else 10000. Every method starts from 0 (x = 0 for the exact
     and intersection methods, z = 0 for the two-projection method), which
     lies in every separable cone. alpha_override, tol and cert_tol must be
-    positive and finite.
+    positive and finite, max_iter a positive integer.
     """
 
     alpha_override: float | None = None
@@ -70,8 +70,8 @@ class SolveConfig:
             raise ValueError("alpha_override must be positive and finite")
         if not (0 < self.tol < math.inf and 0 < self.cert_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if self.max_iter is not None:
+            self.max_iter = _positive_int(self.max_iter, "max_iter")
 
 
 @dataclass

@@ -49,6 +49,25 @@ class TestOrthonormalize:
         b = orthonormalize(raw)
         assert b.rank == 1
 
+    def test_smallest_rank_within_drop_tol(self):
+        # ten unit columns and 1.5e-10 e_11: dropping the last column leaves
+        # 4.7e-11 of the norm although its pivot is above DROP_TOL, so the rank
+        # is 10; e_1 and 29 columns 6e-11 e_j keep 28 columns
+        for raw, rank in ((np.diag([1.0] * 10 + [1.5e-10]), 10),
+                          (np.diag([1.0] + [6e-11] * 29), 28)):
+            b = orthonormalize(raw)
+            assert b.rank == rank
+            bound = conevi.basis.DROP_TOL * np.linalg.norm(raw)
+            for r, within in ((rank, True), (rank - 1, False)):
+                Q = b.ortho[:, :r]
+                assert (np.linalg.norm(raw - Q @ (Q.T @ raw)) <= bound) == within
+
+    def test_extreme_scales(self):
+        # squares of 1e200 overflow and squares of 1e-200 underflow unless scaled
+        for scale in (1e200, 1e-200):
+            assert orthonormalize(scale * np.eye(3)).rank == 3
+            assert orthonormalize(scale * np.array([[1.0, 1.0], [0.0, 1e-12]])).rank == 1
+
     def test_wide_matrix_rank_capped_by_dimension(self):
         rng = np.random.default_rng(26)
         raw = rng.standard_normal((3, 7))

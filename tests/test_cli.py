@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import conevi.solvers
 from conevi.cli import main
 
 PROBLEM = """\
@@ -151,6 +152,18 @@ class TestBounds:
         assert kv["verdict_bertsekas"] == "OK"
         assert float(kv["err_new"]) <= float(kv["bound_new"]) + 1e-8
 
+    def test_failed_intersection_projection_skips_bertsekas(self, problem_file, basis_file,
+                                                            monkeypatch, capsys):
+        def fail(*args):
+            raise conevi.solvers.IntersectionProjectionFailed("NNLS cap")
+
+        monkeypatch.setattr(conevi.solvers, "project_intersection", fail)
+        assert main(["bounds", "--problem", problem_file, "--basis", basis_file,
+                     "--format", "kv"]) == 0
+        kv = kv_lines(capsys.readouterr().out)
+        assert kv["verdict_bertsekas"] == "SKIPPED"
+        assert "bound_bertsekas" not in kv
+
 
 class TestCertify:
     def test_kv_keys(self, problem_file, basis_file, capsys):
@@ -238,13 +251,27 @@ class TestUsageErrors:
         assert main(["solve", "--method", "exact", "--problem", str(bad)]) == 2
         assert "line" in capsys.readouterr().err
 
-    def test_missing_file_exits_2(self, capsys):
-        assert main(["solve", "--method", "exact", "--problem", "/nope.vi"]) == 2
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        # a directory is an OSError other than FileNotFoundError
+        for path in ("/nope.vi", str(tmp_path)):
+            assert main(["solve", "--method", "exact", "--problem", path]) == 2
+            assert f"cannot read {path}" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_2(self, problem_file, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "out")
+        for argv in (["solve", "--method", "exact", "--problem", problem_file, "--trace", out],
+                     ["gen", "--n", "4", "--k", "2", "--beta", "1", "--L", "4", "--seed", "0",
+                      "--out", out]):
+            assert main(argv) == 2
+            assert f"cannot write {out}" in capsys.readouterr().err
 
     def test_not_strongly_monotone_refused(self, tmp_path, capsys):
         skew = tmp_path / "skew.vi"
         skew.write_text("VI1 2 nn:2\n0 -1\n1 0\n1 1\n")
         assert main(["solve", "--method", "exact", "--problem", str(skew)]) == 1
+        # the IPM derives alpha from beta > 0, so it asks for --alpha here
+        assert main(["solve", "--method", "ipm", "--problem", str(skew)]) == 1
+        assert "pass --alpha explicitly" in capsys.readouterr().err
 
     def test_zero_basis_is_solver_error(self, problem_file, tmp_path, capsys):
         bad = tmp_path / "zero.mat"

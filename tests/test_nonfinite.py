@@ -26,6 +26,8 @@ CASES = {
     "SolveConfig.cert_tol": lambda v: SolveConfig(cert_tol=v),
     "IpmConfig.mu_tol": lambda v: IpmConfig(mu_tol=v),
     "IpmConfig.feas_tol": lambda v: IpmConfig(feas_tol=v),
+    "IpmConfig.max_iter": lambda v: IpmConfig(max_iter=v),
+    "SolveConfig.max_iter": lambda v: SolveConfig(max_iter=v),
     "build_projective.alpha": lambda v: build_projective(OP, BASIS, v),
     "bound_report.slack": lambda v: bound_report(OP, orthant(2), BASIS, slack=v),
     "SeparableCone.contains.tol": lambda v: orthant(2).contains([-5.0, 1.0], v),
@@ -47,3 +49,12 @@ def test_nonfinite_rejected(case, value):
 def test_finite_values_still_accepted():
     for make in CASES.values():
         make(1.0)
+
+
+@pytest.mark.parametrize("cls", [IpmConfig, SolveConfig])
+def test_max_iter_is_a_whole_number(cls):
+    # 2.5 passes a >= 1 test and would fail later inside range()
+    with pytest.raises(ValueError):
+        cls(max_iter=2.5)
+    for value in (1.0, np.int64(3)):
+        assert type(cls(max_iter=value).max_iter) is int

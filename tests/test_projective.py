@@ -172,6 +172,9 @@ class TestWoodbury:
         e1 = np.array([[1.0], [0.0]])
         with pytest.raises(IpmBreakdown, match="singular"):
             solve_diag_plus_lowrank(np.ones(2), e1, -e1.T, np.ones(2))
+        # |V| = 1 < k' = 2: G_c = I + W diag(1, 1/2) Q = 0 breaks at the split
+        with pytest.raises(IpmBreakdown, match="singular"):
+            woodbury_split(np.eye(2), -np.diag([1.0, 2.0]), np.array([True, False]))
 
     def test_componentwise_backward_error_late_ipm_stage(self):
         # IPM-like Newton matrix near the end: D = 1 + s/x spans 24 decades
