@@ -24,12 +24,11 @@ class EmptyBasis(Exception):
 
 @dataclass(frozen=True)
 class Basis:
-    """A raw basis and its orthonormalized factor.
+    """The orthonormal factor of a raw basis Phi.
 
-    `ortho` has orthonormal columns spanning span(raw) up to DROP_TOL.
+    `ortho` has orthonormal columns spanning span(Phi) up to DROP_TOL.
     """
 
-    raw: np.ndarray
     ortho: np.ndarray
 
     @property
@@ -47,27 +46,64 @@ class Basis:
         return z
 
     def project_span(self, z) -> np.ndarray:
-        """Euclidean projection onto span(raw), computed as Q (Q^T z)."""
+        """Euclidean projection onto span(ortho), computed as Q (Q^T z)."""
         z = self._check_vec(z)
         return self.ortho @ (self.ortho.T @ z)
 
     def null_residual(self, v) -> np.ndarray:
-        """Component of v in null(raw^T), i.e. v - project_span(v)."""
+        """Component of v in null(ortho^T), i.e. v - project_span(v)."""
         v = self._check_vec(v, "v")
         return v - self.project_span(v)
 
     def representation_error(self, z) -> float:
-        """Distance from z to span(raw)."""
+        """Distance from z to span(ortho)."""
         return float(np.linalg.norm(self.null_residual(z)))
+
+
+def _rank(squares: np.ndarray) -> int:
+    """The smallest rank r with sum(squares[r:]) <= DROP_TOL^2 * sum(squares),
+    for the squared row norms of R in pivot order."""
+    residual = np.cumsum(squares[::-1])[::-1]  # non-increasing
+    return int(np.sum(residual > DROP_TOL**2 * residual[0]))
+
+
+def _disjoint_ortho(raw: np.ndarray) -> np.ndarray | None:
+    """raw diag(1/||raw_j||) on the columns _rank keeps, when every row of raw
+    has at most one nonzero; None otherwise. O(nk).
+
+    Such columns are orthogonal, so pivoted QR would take them in order of
+    descending norm with R diagonal, |R_jj| = ||raw_j||: the same rule keeps
+    the largest-norm columns, here in their input order.
+    """
+    n, k = raw.shape
+    nonzero = raw != 0
+    col = nonzero.argmax(axis=1)  # each row's first nonzero column, 0 for a zero row
+    v = raw[np.arange(n), col]
+    if np.count_nonzero(nonzero) != np.count_nonzero(v):
+        return None  # some row has a second nonzero
+    v = v / np.max(np.abs(v))  # scaled so that squares neither overflow nor underflow
+    squares = np.bincount(col, weights=v * v, minlength=k)
+    order = np.argsort(-squares, kind="stable")
+    keep = np.zeros(k, dtype=bool)
+    keep[order[:_rank(squares[order])]] = True
+    rows = np.flatnonzero(keep[col])  # a zero row writes a harmless 0
+    ortho = np.zeros((n, int(keep.sum())))
+    ortho[rows, (np.cumsum(keep) - 1)[col[rows]]] = v[rows] / np.sqrt(squares[col[rows]])
+    return ortho
 
 
 def orthonormalize(raw) -> Basis:
     """Rank-revealing orthonormalization of a raw basis matrix.
 
-    Uses QR with column pivoting, raw P = Q R, and keeps the smallest rank r
-    with ||raw - Q_r Q_r^T raw||_F <= DROP_TOL * ||raw||_F, Q_r the first r
+    Keeps the smallest rank r of the pivoted QR raw P = Q R with
+    ||raw - Q_r Q_r^T raw||_F <= DROP_TOL * ||raw||_F, Q_r the first r
     columns of Q; the left side is ||R[r:, :]||_F and the right one
-    DROP_TOL * ||R||_F.
+    DROP_TOL * ||R||_F. Two routes apply this one rule:
+    - when every row of raw has at most one nonzero (the identity, 0/1
+      aggregation), the columns are already orthogonal and R is diagonal
+      with |R_jj| = ||raw_j||, so the kept columns are scaled to unit norm
+      in O(nk) and stay in their input order;
+    - otherwise QR with column pivoting is computed, O(n k min(n, k)).
 
     Raises EmptyBasis when raw has no nonzero column.
     """
@@ -79,16 +115,12 @@ def orthonormalize(raw) -> Basis:
     if not np.any(raw):
         raise EmptyBasis("raw basis is identically zero")
 
-    Q, R, _ = scipy.linalg.qr(raw, mode="economic", pivoting=True)
-    # |R[0, 0]| bounds every entry of R under column pivoting, so the scaled
-    # squares neither overflow nor lose the residual to underflow
-    R /= abs(R[0, 0])
-    rows = np.einsum("ij,ij->i", R, R)
-    residual = np.cumsum(rows[::-1])[::-1]  # ||R[r:, :]||_F^2 / R[0, 0]^2, non-increasing
-    rank = int(np.sum(residual > DROP_TOL**2 * residual[0]))
-
-    ortho = np.ascontiguousarray(Q[:, :rank])
+    ortho = _disjoint_ortho(raw)
+    if ortho is None:
+        Q, R, _ = scipy.linalg.qr(raw, mode="economic", pivoting=True)
+        # |R[0, 0]| bounds every entry of R under column pivoting, so the
+        # scaled squares neither overflow nor lose the residual to underflow
+        R /= abs(R[0, 0])
+        ortho = np.ascontiguousarray(Q[:, :_rank(np.einsum("ij,ij->i", R, R))])
     ortho.setflags(write=False)
-    stored = raw.copy()
-    stored.setflags(write=False)
-    return Basis(raw=stored, ortho=ortho)
+    return Basis(ortho=ortho)

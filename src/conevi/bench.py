@@ -53,6 +53,8 @@ def bench_ipm(sizes: list[int], k: int, repeats: int, seed: int = 0) -> list[Ben
     default IpmConfig."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if any(n < 1 for n in sizes):
+        raise ValueError(f"sizes must be >= 1, got {sizes}")
     results = []
     for n in sizes:
         op, basis, alpha = _bench_instance(n, k, seed)

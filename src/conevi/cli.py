@@ -203,7 +203,7 @@ def _cmd_gen(args) -> int:
     op, basis = generate_instance(args.n, args.k, args.beta, args.L, args.seed)
     _write(args.out, write_problem(op, orthant(args.n)))
     if args.basis_out:
-        _write(args.basis_out, write_basis(basis.raw))
+        _write(args.basis_out, write_basis(basis.ortho))
     print(f"wrote {args.out}" + (f" and {args.basis_out}" if args.basis_out else ""))
     return 0
 

@@ -1,6 +1,8 @@
 """Seeded random instance generation with prescribed (beta, L) targets."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import brentq
 
@@ -26,8 +28,8 @@ def generate_instance(n: int, k: int, beta_target: float, L_target: float,
     """
     if n < 1 or k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    if not (0.0 < beta_target < L_target):
-        raise ValueError(f"need 0 < beta_target < L_target, got {beta_target}, {L_target}")
+    if not (0.0 < beta_target < L_target < math.inf):
+        raise ValueError(f"need 0 < beta_target < L_target < inf, got {beta_target}, {L_target}")
 
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))

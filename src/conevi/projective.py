@@ -45,7 +45,8 @@ _STEP_FRACTION = 0.99
 
 
 class IpmBreakdown(Exception):
-    """The interior-point Newton system lost positivity or became singular."""
+    """The interior-point Newton system lost positivity or finiteness, or
+    became singular."""
 
 
 @dataclass(frozen=True)
@@ -405,7 +406,10 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         if not np.all(x[B] > 0.0):
             raise IpmBreakdown("orthant iterate lost positivity")
         d = np.zeros(plcp.n)
-        d[B] = s[B] / x[B]
+        with np.errstate(over="ignore"):  # an overflow is caught by the test below
+            d[B] = s[B] / x[B]
+        if not np.all(np.isfinite(d)):
+            raise IpmBreakdown("Newton diagonal D = 1 + s/x is not finite")
         _, _, dx, ds, sigma = _newton_directions(
             factor_diag_plus_lowrank(1.0 + d, Q, W, split), d, x, s, g, B, mu)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import conevi.basis
 from conevi.basis import EmptyBasis, orthonormalize
@@ -77,6 +78,69 @@ class TestOrthonormalize:
         np.testing.assert_allclose(b.project_span(z), z, atol=1e-12)
 
 
+def pivoted_qr(raw):
+    """Reference: the factor of the pivoted QR under the rank rule, written out."""
+    Q, R, _ = scipy.linalg.qr(raw, mode="economic", pivoting=True)
+    R = R / abs(R[0, 0])
+    residual = np.cumsum(np.sum(R * R, axis=1)[::-1])[::-1]
+    return Q[:, :int(np.sum(residual > conevi.basis.DROP_TOL**2 * residual[0]))]
+
+
+def disjoint_support_cases():
+    """Raw bases with at most one nonzero per row."""
+    rng = np.random.default_rng(27)
+    yield np.eye(7)
+    perm = rng.permutation(9)
+    signed = rng.choice([-1.0, 1.0], 9) * 10.0 ** rng.uniform(-3, 3, 9)
+    yield np.diag(signed)[perm]
+    # 0/1 aggregation: 40 states in 6 of 8 groups, so two columns are zero,
+    # and every fifth state in no group, so its row is zero
+    agg = np.zeros((40, 8))
+    agg[np.arange(40), rng.integers(0, 6, 40)] = 1.0
+    agg[::5] = 0.0
+    yield agg
+    # a column of relative norm 1e-11 is dropped and one of 1e-9 kept; each
+    # comes first so that the kept columns' order shows
+    for rel in (1e-11, 1e-9):
+        small = np.eye(6)
+        small[0, 0] = rel * np.sqrt(5.0)
+        yield small
+    for scale in (1e200, 1e-200):
+        yield scale * agg
+        yield scale * np.diag(signed)[perm]
+
+
+class TestDisjointSupport:
+    def test_matches_pivoted_qr(self, monkeypatch):
+        cases = list(disjoint_support_cases())
+        refs = [pivoted_qr(raw) for raw in cases]
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("a basis with one nonzero per row took the QR route")
+
+        monkeypatch.setattr(scipy.linalg, "qr", no_qr)
+        for raw, ref in zip(cases, refs):
+            b = orthonormalize(raw)
+            assert b.rank == ref.shape[1]
+            np.testing.assert_allclose(b.ortho @ b.ortho.T, ref @ ref.T, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(b.ortho.T @ b.ortho, np.eye(b.rank), rtol=0, atol=1e-15)
+            # the kept columns, each scaled to unit norm, in their input order;
+            # in these cases they are those above DROP_TOL relative norm
+            norms = np.linalg.norm(raw / np.abs(raw).max(), axis=0)
+            kept = np.flatnonzero(norms > conevi.basis.DROP_TOL * np.linalg.norm(norms))
+            np.testing.assert_allclose(b.ortho, raw[:, kept] / (np.abs(raw).max() * norms[kept]),
+                                       rtol=1e-15, atol=0)
+
+    def test_shared_row_or_dense_basis_keeps_the_qr_result(self):
+        rng = np.random.default_rng(28)
+        dense = rng.standard_normal((40, 6))
+        dense[:, 3] = 2.0 * dense[:, 0] - dense[:, 1]
+        shared = np.eye(5)
+        shared[0, 1] = 0.5  # one row with two nonzeros
+        for raw in (dense, shared):
+            np.testing.assert_array_equal(orthonormalize(raw).ortho, pivoted_qr(raw))
+
+
 class TestProjection:
     def test_axis_projection(self):
         b = orthonormalize(np.array([[1.0], [0.0]]))
@@ -92,8 +156,9 @@ class TestProjection:
 
     def test_in_span_fixed(self):
         rng = np.random.default_rng(22)
-        b = orthonormalize(rng.standard_normal((10, 3)))
-        z = b.raw @ rng.standard_normal(3)
+        raw = rng.standard_normal((10, 3))
+        b = orthonormalize(raw)
+        z = raw @ rng.standard_normal(3)
         np.testing.assert_allclose(b.project_span(z), z, atol=1e-12 * (1 + np.linalg.norm(z)))
         np.testing.assert_allclose(b.null_residual(z), np.zeros(10), atol=1e-12)
 
@@ -116,11 +181,12 @@ class TestProjection:
 
     def test_best_approximation_in_span(self):
         rng = np.random.default_rng(24)
-        b = orthonormalize(rng.standard_normal((12, 4)))
+        raw = rng.standard_normal((12, 4))
+        b = orthonormalize(raw)
         z = rng.standard_normal(12)
         err = b.representation_error(z)
         for _ in range(100):
-            w = b.raw @ rng.standard_normal(4)
+            w = raw @ rng.standard_normal(4)
             assert err <= np.linalg.norm(z - w) + 1e-10
 
     def test_span_error_no_larger_than_intersection_error(self):

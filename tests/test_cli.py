@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,15 @@ class TestGenAndPipeline:
         op, _ = parse_problem(out.read_text())
         assert monotone_modulus(op.M) >= 0.999999
 
+    def test_gen_nonfinite_targets_are_usage_errors(self, tmp_path, capsys):
+        for beta, lip in (("1", "inf"), ("1", "nan"), ("nan", "4")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["gen", "--n", "10", "--k", "3", "--beta", beta, "--L", lip,
+                             "--seed", "0", "--out", str(tmp_path / "f.vi")]) == 2
+            assert "L_target" in capsys.readouterr().err
+        assert not (tmp_path / "f.vi").exists()
+
 
 class TestBench:
     def test_small_sizes_smoke(self, capsys):
@@ -228,6 +239,11 @@ class TestBench:
 
     def test_empty_sizes_is_usage_error(self, capsys):
         assert main(["bench", "--sizes", ","]) == 2
+
+    def test_nonpositive_size_is_usage_error(self, capsys):
+        for sizes in ("0", "60,-4"):
+            assert main(["bench", "--sizes", sizes]) == 2
+            assert "sizes must be >= 1" in capsys.readouterr().err
 
 
 class TestUsageErrors:

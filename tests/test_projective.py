@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -430,6 +432,20 @@ class TestSolveIpm:
         monkeypatch.setattr(projective, "_finish_candidate", lambda *args: None)
         with pytest.raises(IpmBreakdown, match="orthant iterate"):
             solve_ipm(plcp, orthant(40))
+
+    def test_overflowing_diagonal_breaks_without_warning(self):
+        # tolerances no iterate meets drive x_i toward 0 on the active rows
+        # until s_i / x_i overflows: a breakdown, not a RuntimeWarning
+        op, _ = generate_instance(10, 2, 1.0, 2.0, seed=64)
+        rng = np.random.default_rng(64)
+        A = rng.standard_normal((10, 10))
+        b = 0.5 + np.abs(rng.standard_normal(10)) - A @ rng.standard_normal(10)
+        layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, A, b))
+        plcp = build_projective(layout.op, orthonormalize(np.eye(layout.cone.dim)), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IpmBreakdown, match="not finite"):
+                solve_ipm(plcp, layout.cone, IpmConfig(mu_tol=1e-30, feas_tol=1e-30))
 
     def test_all_free_cone(self):
         # |V| = 0 < k': the Newton matrix is N at every step

@@ -232,7 +232,7 @@ class TestProjectIntersection:
             raw[cone.free_mask, 4] = rng.standard_normal(3)
             raw = raw[:, raw.any(axis=0)]
             ortho = raw / np.linalg.norm(raw, axis=0)
-            b = Basis(raw=raw, ortho=ortho)
+            b = Basis(ortho=ortho)
             z = 3.0 * rng.standard_normal(20)
             # rows of one group coincide; SLSQP wants each constraint once
             B, Z = (np.unique(ortho[m][ortho[m].any(axis=1)], axis=0)
