@@ -5,10 +5,11 @@ two-step n x k' product so projection stays O(n k').
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 __all__ = ["EmptyBasis", "Basis", "orthonormalize"]
 
@@ -30,6 +31,10 @@ class Basis:
     """
 
     ortho: np.ndarray
+    # ortho as a CSR array when orthonormalize found at most one nonzero in
+    # each row, else None; build_projective then applies Q by row gathers and
+    # scalings instead of dense products
+    _sparse: scipy.sparse.csr_array | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -67,9 +72,10 @@ def _rank(squares: np.ndarray) -> int:
     return int(np.sum(residual > DROP_TOL**2 * residual[0]))
 
 
-def _disjoint_ortho(raw: np.ndarray) -> np.ndarray | None:
-    """raw diag(1/||raw_j||) on the columns _rank keeps, when every row of raw
-    has at most one nonzero; None otherwise. O(nk).
+def _disjoint_ortho(raw: np.ndarray) -> scipy.sparse.csr_array | None:
+    """raw diag(1/||raw_j||) on the columns _rank keeps, as a CSR array with
+    one stored entry per nonzero row, when every row of raw has at most one
+    nonzero; None otherwise. O(nk).
 
     Such columns are orthogonal, so pivoted QR would take them in order of
     descending norm with R diagonal, |R_jj| = ||raw_j||: the same rule keeps
@@ -86,10 +92,11 @@ def _disjoint_ortho(raw: np.ndarray) -> np.ndarray | None:
     order = np.argsort(-squares, kind="stable")
     keep = np.zeros(k, dtype=bool)
     keep[order[:_rank(squares[order])]] = True
-    rows = np.flatnonzero(keep[col])  # a zero row writes a harmless 0
-    ortho = np.zeros((n, int(keep.sum())))
-    ortho[rows, (np.cumsum(keep) - 1)[col[rows]]] = v[rows] / np.sqrt(squares[col[rows]])
-    return ortho
+    stored = keep[col] & (v != 0)
+    indptr = np.concatenate(([0], np.cumsum(stored)))
+    indices = (np.cumsum(keep) - 1)[col[stored]]
+    data = v[stored] / np.sqrt(squares[col[stored]])
+    return scipy.sparse.csr_array((data, indices, indptr), shape=(n, int(keep.sum())))
 
 
 def orthonormalize(raw) -> Basis:
@@ -102,7 +109,8 @@ def orthonormalize(raw) -> Basis:
     - when every row of raw has at most one nonzero (the identity, 0/1
       aggregation), the columns are already orthogonal and R is diagonal
       with |R_jj| = ||raw_j||, so the kept columns are scaled to unit norm
-      in O(nk) and stay in their input order;
+      in O(nk) and stay in their input order (the Basis keeps them in CSR
+      form too);
     - otherwise QR with column pivoting is computed, O(n k min(n, k)).
 
     Raises EmptyBasis when raw has no nonzero column.
@@ -115,12 +123,16 @@ def orthonormalize(raw) -> Basis:
     if not np.any(raw):
         raise EmptyBasis("raw basis is identically zero")
 
-    ortho = _disjoint_ortho(raw)
-    if ortho is None:
+    sparse = _disjoint_ortho(raw)
+    if sparse is None:
         Q, R, _ = scipy.linalg.qr(raw, mode="economic", pivoting=True)
         # |R[0, 0]| bounds every entry of R under column pivoting, so the
         # scaled squares neither overflow nor lose the residual to underflow
         R /= abs(R[0, 0])
         ortho = np.ascontiguousarray(Q[:, :_rank(np.einsum("ij,ij->i", R, R))])
+    else:
+        ortho = sparse.toarray()
+        for part in (sparse.data, sparse.indices, sparse.indptr):
+            part.setflags(write=False)
     ortho.setflags(write=False)
-    return Basis(ortho=ortho)
+    return Basis(ortho=ortho, _sparse=sparse)

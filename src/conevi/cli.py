@@ -100,6 +100,10 @@ def _cmd_solve(args) -> int:
             basis = orthonormalize(np.eye(cone.dim))
         if args.alpha is not None:
             alpha = args.alpha
+        elif basis.rank == cone.dim:
+            # a full span has N = alpha M and r = alpha q: alpha only rescales
+            # the LCP, and 1 keeps the IPM's absolute tolerances in M's units
+            alpha = 1.0
         else:
             try:
                 alpha = op.contraction().alpha
@@ -244,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
                                          "not read by exact)")
     p_solve.add_argument("--tol", type=float, help="step tolerance (not ipm)")
     p_solve.add_argument("--max-iter", type=int, dest="max_iter")
-    p_solve.add_argument("--alpha", type=float, help="override the derived step size")
+    p_solve.add_argument("--alpha", type=float,
+                         help="override the derived step size (ipm on a full-span basis: 1)")
     p_solve.add_argument("--mu-tol", type=float, dest="mu_tol", help="ipm only")
     p_solve.add_argument("--feas-tol", type=float, dest="feas_tol", help="ipm only")
     p_solve.add_argument("--trace", help="write (t, step_norm, distance_to_final) rows "

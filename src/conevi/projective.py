@@ -12,6 +12,12 @@ solves with those factors twice, for Mehrotra's predictor and corrector,
 on the smaller side of the Woodbury identity (woodbury_split states the
 rule and its costs). Once the guessed active set settles, an active-set
 finish solves the LCP on it exactly with one more system of the same size.
+
+When every row of the basis has at most one nonzero (the identity of a full
+span, 0/1 aggregation), Q is a scipy.sparse CSR array and the same
+expressions apply it by gathering, scattering and scaling rows and columns:
+W costs O(n nnz(Q)) <= O(n^2) instead of O(n^2 k'), and each product with Q
+in the Woodbury solve and the positive-definiteness check at most O(n k').
 """
 from __future__ import annotations
 
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .basis import Basis
 from .cones import SeparableCone, _positive_int
@@ -54,9 +61,11 @@ class ProjectiveLcp:
     """The reduced problem CP(Nx + r, K) in identity-plus-low-rank form.
 
     N = I + ortho @ W is never materialized; apply() costs O(n k').
+    ortho is a scipy.sparse CSR array when the basis has at most one nonzero
+    per row (see build_projective), else a dense array.
     """
 
-    ortho: np.ndarray
+    ortho: np.ndarray | scipy.sparse.csr_array
     W: np.ndarray
     r: np.ndarray
 
@@ -121,14 +130,24 @@ class IpmReport:
 def build_projective(op: AffineOperator, basis: Basis, alpha: float) -> ProjectiveLcp:
     """Assemble the reduced problem for F(x) = Mx + q and the given basis.
 
-    The only O(n^2 k') work (forming W) happens here, once.
+    The only O(n^2 k') work (forming W) happens here, once. A basis that
+    orthonormalize found to have at most one nonzero per row keeps its CSR
+    form as ortho, and W is then gathered from scaled rows of M in O(n nnz(Q)).
     """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     if basis.n != op.dim:
         raise ValueError(f"basis dimension {basis.n} != operator dimension {op.dim}")
-    Q = basis.ortho
-    W = alpha * (Q.T @ op.M) - Q.T
+    if basis._sparse is None:
+        Q = basis.ortho
+        W = alpha * (Q.T @ op.M) - Q.T
+    else:
+        # subtracting Q^T at its stored entries leaves W's other entries
+        # exactly as the dense difference does
+        Q = basis._sparse
+        W = alpha * (Q.T @ op.M)
+        entries = Q.tocoo()
+        W[entries.col, entries.row] -= entries.data
     r = alpha * (Q @ (Q.T @ op.q))
     return ProjectiveLcp(ortho=Q, W=W, r=r)
 
@@ -142,8 +161,10 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
     eigenvalues are 1 + eig(sym C), plus 1 on the complement of range(U)
     when U has fewer than n columns. Cost O(n k'^2).
     """
-    U, _ = np.linalg.qr(np.hstack([plcp.ortho, plcp.W.T]))
-    C = (U.T @ plcp.ortho) @ (plcp.W @ U)
+    Q = plcp.ortho
+    dense_Q = Q.toarray() if scipy.sparse.issparse(Q) else Q
+    U, _ = np.linalg.qr(np.hstack([dense_Q, plcp.W.T]))
+    C = (U.T @ Q) @ (plcp.W @ U)
     smallest = 1.0 + float(scipy.linalg.eigvalsh(0.5 * (C + C.T), subset_by_index=[0, 0])[0])
     return smallest if U.shape[1] == plcp.n else min(1.0, smallest)
 
@@ -162,7 +183,8 @@ def _split(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray, small_side: bool) ->
     system when small_side, else the k'xk' one."""
     varying = ~fixed
     Q_var, W_var = Q[varying], W[:, varying]
-    G_c = np.eye(Q.shape[1]) + W @ (Q * np.where(fixed, 1.0, 0.5)[:, None])
+    G_c = W @ (Q * np.where(fixed, 1.0, 0.5)[:, None])
+    G_c += np.eye(Q.shape[1])  # the sums of I + G_c, with one k'xk' temporary fewer
     if not small_side:
         return fixed, lambda D_var: _lu(G_c + W_var @ ((1.0 / D_var - 0.5)[:, None] * Q_var))
     solve_c = _lu(G_c)
@@ -201,6 +223,10 @@ def woodbury_split(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray) -> tuple:
       |V|x|V| system I + diag(e) Z in O(|V|^3) (the Woodbury identity
       applied a second time; |e| <= 1/2 because D_V >= 1, inf included),
       and a solve costs O(n k' + k'^2 + k' |V|).
+    With Q a CSR array of at most one nonzero per row (see ProjectiveLcp),
+    every product with Q gathers and scales rows or columns of the other
+    factor: G_c costs O(n k' + k'^2), Z O(|V|^2) and the k'xk' sum
+    O(|V| k' + k'^2); the LU factorizations and T keep their costs.
     diag(D_c) + Q W is the Newton matrix N + diag(d) at d = 1 on V. For
     monotone N (N + N^T PSD), N + diag(d) with d > 0 on V is singular
     exactly when N has a null vector x with x_V = 0, whatever d is; so G_c

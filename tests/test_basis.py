@@ -130,6 +130,9 @@ class TestDisjointSupport:
             kept = np.flatnonzero(norms > conevi.basis.DROP_TOL * np.linalg.norm(norms))
             np.testing.assert_allclose(b.ortho, raw[:, kept] / (np.abs(raw).max() * norms[kept]),
                                        rtol=1e-15, atol=0)
+            # the same factor in CSR form, one stored entry per nonzero row
+            np.testing.assert_array_equal(b._sparse.toarray(), b.ortho)
+            assert b._sparse.nnz == np.count_nonzero(b.ortho)
 
     def test_shared_row_or_dense_basis_keeps_the_qr_result(self):
         rng = np.random.default_rng(28)
@@ -138,7 +141,9 @@ class TestDisjointSupport:
         shared = np.eye(5)
         shared[0, 1] = 0.5  # one row with two nonzeros
         for raw in (dense, shared):
-            np.testing.assert_array_equal(orthonormalize(raw).ortho, pivoted_qr(raw))
+            b = orthonormalize(raw)
+            np.testing.assert_array_equal(b.ortho, pivoted_qr(raw))
+            assert b._sparse is None
 
 
 class TestProjection:

@@ -5,6 +5,9 @@ import pytest
 
 import conevi.solvers
 from conevi.cli import main
+from conevi.cones import orthant
+from conevi.fileio import write_problem
+from conevi.generate import generate_instance
 
 PROBLEM = """\
 VI1 2 nn:2
@@ -116,6 +119,28 @@ class TestSolve:
         assert float(kv_lines(capsys.readouterr().out)["mu"]) <= 1e-6
         assert main(argv + ["--max-iter", "1"]) == 1
         assert kv_lines(capsys.readouterr().out)["iters"] == "1"
+
+    def test_full_span_ipm_runs_at_alpha_one(self, tmp_path, capsys):
+        # the full span needs no beta: the skew problem with beta = 0 solves
+        skew = tmp_path / "skew.vi"
+        skew.write_text("VI1 2 nn:2\n0 -1\n1 0\n1 1\n")
+        (tmp_path / "full.mat").write_text(BASIS_FULL)
+        for basis in ([], ["--basis", str(tmp_path / "full.mat")]):
+            assert main(["solve", "--method", "ipm", "--problem", str(skew),
+                         "--format", "kv"] + basis) == 0
+            assert [float(v) for v in kv_lines(capsys.readouterr().out)["x"].split()] == [0, 0]
+
+    def test_full_span_ipm_solves_the_lcp_in_its_own_units(self, tmp_path, capsys):
+        # at alpha = beta/L^2 = 1e-5 the IPM's absolute tolerances stopped at
+        # ||min(x, Mx + q)|| = 1.3e-3, without a finish
+        op, _ = generate_instance(300, 8, 1e-3, 10.0, 3)
+        path = tmp_path / "f.vi"
+        path.write_text(write_problem(op, orthant(300)))
+        assert main(["solve", "--method", "ipm", "--problem", str(path), "--format", "kv"]) == 0
+        kv = kv_lines(capsys.readouterr().out)
+        assert kv["finish"] == "true"
+        x = np.array([float(v) for v in kv["x"].split()])
+        assert np.linalg.norm(np.minimum(x, op.M @ x + op.q)) <= 1e-10
 
     def test_ipm_reports_finish(self, problem_file, capsys):
         assert main(["solve", "--method", "ipm", "--problem", problem_file,
@@ -284,9 +309,13 @@ class TestUsageErrors:
     def test_not_strongly_monotone_refused(self, tmp_path, capsys):
         skew = tmp_path / "skew.vi"
         skew.write_text("VI1 2 nn:2\n0 -1\n1 0\n1 1\n")
+        axis = tmp_path / "axis.mat"
+        axis.write_text(BASIS_AXIS)
         assert main(["solve", "--method", "exact", "--problem", str(skew)]) == 1
-        # the IPM derives alpha from beta > 0, so it asks for --alpha here
-        assert main(["solve", "--method", "ipm", "--problem", str(skew)]) == 1
+        # on a proper subspace the IPM derives alpha from beta > 0, so it asks
+        # for --alpha here
+        assert main(["solve", "--method", "ipm", "--problem", str(skew),
+                     "--basis", str(axis)]) == 1
         assert "pass --alpha explicitly" in capsys.readouterr().err
 
     def test_zero_basis_is_solver_error(self, problem_file, tmp_path, capsys):

@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from conevi import projective
-from conevi.basis import orthonormalize
+from conevi.basis import Basis, orthonormalize
 from conevi.cones import SegmentKind, Segment, SeparableCone, orthant, parse_cone_spec, zero
 from conevi.generate import generate_instance
 from conevi.operators import AffineOperator
@@ -133,6 +134,82 @@ class TestVerifyPd:
         plcp = build_projective(op, basis, 0.4)
         # N = I - P + 0.6 P: eigenvalue 0.6 on the span, 1 on its complement
         assert verify_pd(plcp) == pytest.approx(0.6, abs=1e-12)
+
+
+def disjoint_raw_bases():
+    """(raw basis with at most one nonzero per row, whether the disjoint route
+    must match the dense one bit for bit) for n = 40."""
+    rng = np.random.default_rng(66)
+    n = 40
+    yield np.eye(n), True
+    # every product with a +-1 entry of Q is exact, whatever the summation order
+    signed = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
+    yield np.diag(signed)[rng.permutation(n)], True
+    # 0/1 aggregation into 7 of 8 groups: the empty group's column is dropped,
+    # every fifth state is in no group and its row is zero
+    agg = np.zeros((n, 8))
+    agg[np.arange(n), rng.integers(0, 7, n)] = 1.0
+    agg[::5] = 0.0
+    yield agg, False
+
+
+class TestDisjointRoute:
+    """The CSR factor of a disjoint-support basis against the same Q stored dense."""
+
+    @staticmethod
+    def same(got, ref, exact):
+        if exact:
+            np.testing.assert_array_equal(got, ref)
+        else:
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @staticmethod
+    def both_routes(raw, alpha):
+        op, _ = generate_instance(raw.shape[0], 4, 1.0, 3.0, seed=67)
+        basis = orthonormalize(raw)
+        sparse = build_projective(op, basis, alpha)
+        dense = build_projective(op, Basis(ortho=basis.ortho), alpha)
+        assert scipy.sparse.issparse(sparse.ortho) and isinstance(dense.ortho, np.ndarray)
+        np.testing.assert_array_equal(sparse.ortho.toarray(), dense.ortho)
+        return sparse, dense
+
+    @pytest.mark.parametrize("raw, exact", disjoint_raw_bases())
+    def test_reduced_problem_and_verify_pd(self, raw, exact):
+        sparse, dense = self.both_routes(raw, 0.3)
+        assert sparse.ortho.shape[1] == np.count_nonzero(raw.any(axis=0))
+        self.same(sparse.W, dense.W, exact)
+        self.same(sparse.r, dense.r, exact)
+        x = np.random.default_rng(68).standard_normal(raw.shape[0])
+        self.same(sparse.apply(x), dense.apply(x), exact)
+        assert (verify_pd(sparse) == verify_pd(dense) if exact
+                else verify_pd(sparse) == pytest.approx(verify_pd(dense), rel=1e-14))
+
+    @pytest.mark.parametrize("raw, exact", disjoint_raw_bases())
+    def test_woodbury_sides_and_solve(self, raw, exact):
+        sparse, dense = self.both_routes(raw, 0.3)
+        n, k = sparse.ortho.shape
+        rng = np.random.default_rng(69)
+        # |V| >= k' (the k'xk' side, and no split at all) and |V| < k'
+        for n_var in (n, k - 1):
+            fixed = np.ones(n, dtype=bool)
+            fixed[rng.permutation(n)[:n_var]] = False
+            D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-6, 6, n))
+            rhs = rng.standard_normal(n)
+            splits = [woodbury_split(p.ortho, p.W, fixed) for p in (sparse, dense)]
+            got, ref = (factor_diag_plus_lowrank(D, p.ortho, p.W, split)(rhs)
+                        for p, split in zip((sparse, dense), splits))
+            self.same(got, ref, exact)
+            got, ref = (factor_diag_plus_lowrank(D, p.ortho, p.W)(rhs) for p in (sparse, dense))
+            self.same(got, ref, exact)
+
+    @pytest.mark.parametrize("raw, exact", disjoint_raw_bases())
+    def test_solve_ipm(self, raw, exact):
+        cone = parse_cone_spec("nn:14,free:6,nn:14,free:6")
+        sparse, dense = self.both_routes(raw, 0.3)
+        got, ref = solve_ipm(sparse, cone), solve_ipm(dense, cone)
+        assert got.converged and ref.converged
+        assert (got.iterations, got.finish_accepted) == (ref.iterations, ref.finish_accepted)
+        self.same(got.x, ref.x, exact)
 
 
 class TestWoodbury:
