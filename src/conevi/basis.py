@@ -32,8 +32,9 @@ class Basis:
 
     ortho: np.ndarray
     # ortho as a CSR array when orthonormalize found at most one nonzero in
-    # each row, else None; build_projective then applies Q by row gathers and
-    # scalings instead of dense products
+    # each row and kept all n columns (ortho is then a signed permutation),
+    # else None; build_projective then applies Q by row gathers and scalings
+    # instead of dense products
     _sparse: scipy.sparse.csr_array | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -72,31 +73,38 @@ def _rank(squares: np.ndarray) -> int:
     return int(np.sum(residual > DROP_TOL**2 * residual[0]))
 
 
-def _disjoint_ortho(raw: np.ndarray) -> scipy.sparse.csr_array | None:
-    """raw diag(1/||raw_j||) on the columns _rank keeps, as a CSR array with
-    one stored entry per nonzero row, when every row of raw has at most one
-    nonzero; None otherwise. O(nk).
+def _disjoint_ortho(raw: np.ndarray) -> tuple:
+    """(raw diag(1/||raw_j||) on the columns _rank keeps, the same factor as a
+    CSR array or None) when every row of raw has at most one nonzero;
+    (None, None) otherwise. O(nk).
 
     Such columns are orthogonal, so pivoted QR would take them in order of
     descending norm with R diagonal, |R_jj| = ||raw_j||: the same rule keeps
-    the largest-norm columns, here in their input order.
+    the largest-norm columns, here in their input order. The CSR form is
+    built only when all n columns are kept, a signed permutation: below full
+    rank, scipy.sparse's fixed cost per product exceeded the dense work it
+    saves in the projective IPM at the paper's sizes (n = 40).
     """
     n, k = raw.shape
     nonzero = raw != 0
     col = nonzero.argmax(axis=1)  # each row's first nonzero column, 0 for a zero row
     v = raw[np.arange(n), col]
     if np.count_nonzero(nonzero) != np.count_nonzero(v):
-        return None  # some row has a second nonzero
+        return None, None  # some row has a second nonzero
     v = v / np.max(np.abs(v))  # scaled so that squares neither overflow nor underflow
     squares = np.bincount(col, weights=v * v, minlength=k)
     order = np.argsort(-squares, kind="stable")
     keep = np.zeros(k, dtype=bool)
     keep[order[:_rank(squares[order])]] = True
-    stored = keep[col] & (v != 0)
-    indptr = np.concatenate(([0], np.cumsum(stored)))
-    indices = (np.cumsum(keep) - 1)[col[stored]]
-    data = v[stored] / np.sqrt(squares[col[stored]])
-    return scipy.sparse.csr_array((data, indices, indptr), shape=(n, int(keep.sum())))
+    rows = np.flatnonzero(keep[col])  # a zero row writes a harmless 0
+    cols = (np.cumsum(keep) - 1)[col[rows]]
+    values = v[rows] / np.sqrt(squares[col[rows]])
+    ortho = np.zeros((n, int(keep.sum())))
+    ortho[rows, cols] = values
+    if ortho.shape[1] < n:
+        return ortho, None
+    # every row holds exactly one nonzero, so rows is 0..n-1
+    return ortho, scipy.sparse.csr_array((values, cols, np.arange(n + 1)), shape=(n, n))
 
 
 def orthonormalize(raw) -> Basis:
@@ -109,8 +117,8 @@ def orthonormalize(raw) -> Basis:
     - when every row of raw has at most one nonzero (the identity, 0/1
       aggregation), the columns are already orthogonal and R is diagonal
       with |R_jj| = ||raw_j||, so the kept columns are scaled to unit norm
-      in O(nk) and stay in their input order (the Basis keeps them in CSR
-      form too);
+      in O(nk) and stay in their input order (a Basis of rank n keeps them
+      in CSR form too);
     - otherwise QR with column pivoting is computed, O(n k min(n, k)).
 
     Raises EmptyBasis when raw has no nonzero column.
@@ -123,16 +131,15 @@ def orthonormalize(raw) -> Basis:
     if not np.any(raw):
         raise EmptyBasis("raw basis is identically zero")
 
-    sparse = _disjoint_ortho(raw)
-    if sparse is None:
+    ortho, sparse = _disjoint_ortho(raw)
+    if ortho is None:
         Q, R, _ = scipy.linalg.qr(raw, mode="economic", pivoting=True)
         # |R[0, 0]| bounds every entry of R under column pivoting, so the
         # scaled squares neither overflow nor lose the residual to underflow
         R /= abs(R[0, 0])
         ortho = np.ascontiguousarray(Q[:, :_rank(np.einsum("ij,ij->i", R, R))])
-    else:
-        ortho = sparse.toarray()
+    ortho.setflags(write=False)
+    if sparse is not None:
         for part in (sparse.data, sparse.indices, sparse.indptr):
             part.setflags(write=False)
-    ortho.setflags(write=False)
     return Basis(ortho=ortho, _sparse=sparse)

@@ -13,11 +13,11 @@ on the smaller side of the Woodbury identity (woodbury_split states the
 rule and its costs). Once the guessed active set settles, an active-set
 finish solves the LCP on it exactly with one more system of the same size.
 
-When every row of the basis has at most one nonzero (the identity of a full
-span, 0/1 aggregation), Q is a scipy.sparse CSR array and the same
-expressions apply it by gathering, scattering and scaling rows and columns:
-W costs O(n nnz(Q)) <= O(n^2) instead of O(n^2 k'), and each product with Q
-in the Woodbury solve and the positive-definiteness check at most O(n k').
+When the basis spans all of R^n with one nonzero per row (the identity of
+a full span), Q is a signed permutation stored as a scipy.sparse CSR array,
+and the same expressions apply it by gathering, scattering and scaling rows
+and columns: W costs O(n^2) instead of O(n^3), and each product with Q in
+the Woodbury solve and the positive-definiteness check at most O(n k').
 """
 from __future__ import annotations
 
@@ -61,8 +61,8 @@ class ProjectiveLcp:
     """The reduced problem CP(Nx + r, K) in identity-plus-low-rank form.
 
     N = I + ortho @ W is never materialized; apply() costs O(n k').
-    ortho is a scipy.sparse CSR array when the basis has at most one nonzero
-    per row (see build_projective), else a dense array.
+    ortho is a scipy.sparse CSR array when the basis is a signed permutation
+    (see build_projective), else a dense array.
     """
 
     ortho: np.ndarray | scipy.sparse.csr_array
@@ -131,8 +131,8 @@ def build_projective(op: AffineOperator, basis: Basis, alpha: float) -> Projecti
     """Assemble the reduced problem for F(x) = Mx + q and the given basis.
 
     The only O(n^2 k') work (forming W) happens here, once. A basis that
-    orthonormalize found to have at most one nonzero per row keeps its CSR
-    form as ortho, and W is then gathered from scaled rows of M in O(n nnz(Q)).
+    orthonormalize found to be a signed permutation keeps its CSR form as
+    ortho, and W is then gathered from scaled rows of M in O(n^2).
     """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
@@ -142,12 +142,11 @@ def build_projective(op: AffineOperator, basis: Basis, alpha: float) -> Projecti
         Q = basis.ortho
         W = alpha * (Q.T @ op.M) - Q.T
     else:
-        # subtracting Q^T at its stored entries leaves W's other entries
-        # exactly as the dense difference does
+        # Q is a signed permutation: subtract Q^T at its n entries, where
+        # ndarray - sparse would first densify Q^T into an n x n temporary
         Q = basis._sparse
         W = alpha * (Q.T @ op.M)
-        entries = Q.tocoo()
-        W[entries.col, entries.row] -= entries.data
+        W[Q.indices, np.arange(Q.shape[0])] -= Q.data
     r = alpha * (Q @ (Q.T @ op.q))
     return ProjectiveLcp(ortho=Q, W=W, r=r)
 
@@ -178,13 +177,15 @@ def _lu(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda c: scipy.linalg.lapack.dgetrs(lu, piv, c)[0]
 
 
-def _split(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray, small_side: bool) -> tuple:
+def _split(Q: np.ndarray | scipy.sparse.csr_array, W: np.ndarray, fixed: np.ndarray,
+           small_side: bool) -> tuple:
     """woodbury_split's (fixed, factor) on the side it names: the |V|x|V|
     system when small_side, else the k'xk' one."""
     varying = ~fixed
     Q_var, W_var = Q[varying], W[:, varying]
+    # summed in place, so one k'xk' buffer fewer is live at the IPM's peak
     G_c = W @ (Q * np.where(fixed, 1.0, 0.5)[:, None])
-    G_c += np.eye(Q.shape[1])  # the sums of I + G_c, with one k'xk' temporary fewer
+    G_c += np.eye(Q.shape[1])
     if not small_side:
         return fixed, lambda D_var: _lu(G_c + W_var @ ((1.0 / D_var - 0.5)[:, None] * Q_var))
     solve_c = _lu(G_c)
@@ -206,7 +207,8 @@ def _split(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray, small_side: bool) ->
     return fixed, factor
 
 
-def woodbury_split(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray) -> tuple:
+def woodbury_split(Q: np.ndarray | scipy.sparse.csr_array, W: np.ndarray,
+                   fixed: np.ndarray) -> tuple:
     """Precompute the per-solve share of the Woodbury system for diagonals D
     that are 1 on the rows `fixed` and >= 1 on the varying rows V = ~fixed.
 
@@ -223,7 +225,7 @@ def woodbury_split(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray) -> tuple:
       |V|x|V| system I + diag(e) Z in O(|V|^3) (the Woodbury identity
       applied a second time; |e| <= 1/2 because D_V >= 1, inf included),
       and a solve costs O(n k' + k'^2 + k' |V|).
-    With Q a CSR array of at most one nonzero per row (see ProjectiveLcp),
+    With Q a signed permutation in CSR form (see ProjectiveLcp),
     every product with Q gathers and scales rows or columns of the other
     factor: G_c costs O(n k' + k'^2), Z O(|V|^2) and the k'xk' sum
     O(|V| k' + k'^2); the LU factorizations and T keep their costs.
@@ -239,7 +241,7 @@ def woodbury_split(Q: np.ndarray, W: np.ndarray, fixed: np.ndarray) -> tuple:
     return _split(Q, W, fixed, int((~fixed).sum()) < Q.shape[1])
 
 
-def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
+def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | scipy.sparse.csr_array, W: np.ndarray,
                              split: tuple | None = None) -> Callable[[np.ndarray], np.ndarray]:
     """Factor diag(D) + Q W for the Woodbury identity; return its solve.
 
@@ -278,7 +280,7 @@ def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
     return solve
 
 
-def solve_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray, W: np.ndarray,
+def solve_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | scipy.sparse.csr_array, W: np.ndarray,
                             rhs: np.ndarray, split: tuple | None = None) -> np.ndarray:
     """Solve (diag(D) + Q W) y = rhs by the Woodbury identity: one
     factor_diag_plus_lowrank call and one solve with its factors."""

@@ -130,9 +130,13 @@ class TestDisjointSupport:
             kept = np.flatnonzero(norms > conevi.basis.DROP_TOL * np.linalg.norm(norms))
             np.testing.assert_allclose(b.ortho, raw[:, kept] / (np.abs(raw).max() * norms[kept]),
                                        rtol=1e-15, atol=0)
-            # the same factor in CSR form, one stored entry per nonzero row
-            np.testing.assert_array_equal(b._sparse.toarray(), b.ortho)
-            assert b._sparse.nnz == np.count_nonzero(b.ortho)
+            # a full span keeps the same factor in CSR form, one stored entry
+            # per row; a basis of lower rank keeps only the dense one
+            if b.rank < b.n:
+                assert b._sparse is None
+            else:
+                np.testing.assert_array_equal(b._sparse.toarray(), b.ortho)
+                assert b._sparse.nnz == b.n
 
     def test_shared_row_or_dense_basis_keeps_the_qr_result(self):
         rng = np.random.default_rng(28)

@@ -136,32 +136,19 @@ class TestVerifyPd:
         assert verify_pd(plcp) == pytest.approx(0.6, abs=1e-12)
 
 
-def disjoint_raw_bases():
-    """(raw basis with at most one nonzero per row, whether the disjoint route
-    must match the dense one bit for bit) for n = 40."""
+def signed_permutations():
+    """Full-span raw bases with one nonzero per row, n = 40: orthonormalize
+    keeps their Q, a signed permutation, in CSR form."""
     rng = np.random.default_rng(66)
     n = 40
-    yield np.eye(n), True
-    # every product with a +-1 entry of Q is exact, whatever the summation order
+    yield np.eye(n)
     signed = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
-    yield np.diag(signed)[rng.permutation(n)], True
-    # 0/1 aggregation into 7 of 8 groups: the empty group's column is dropped,
-    # every fifth state is in no group and its row is zero
-    agg = np.zeros((n, 8))
-    agg[np.arange(n), rng.integers(0, 7, n)] = 1.0
-    agg[::5] = 0.0
-    yield agg, False
+    yield np.diag(signed)[rng.permutation(n)]
 
 
-class TestDisjointRoute:
-    """The CSR factor of a disjoint-support basis against the same Q stored dense."""
-
-    @staticmethod
-    def same(got, ref, exact):
-        if exact:
-            np.testing.assert_array_equal(got, ref)
-        else:
-            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+class TestSignedPermutationRoute:
+    """The CSR factor of a signed permutation against the same Q stored dense:
+    every product with a +-1 entry is exact, so the two match bit for bit."""
 
     @staticmethod
     def both_routes(raw, alpha):
@@ -173,19 +160,18 @@ class TestDisjointRoute:
         np.testing.assert_array_equal(sparse.ortho.toarray(), dense.ortho)
         return sparse, dense
 
-    @pytest.mark.parametrize("raw, exact", disjoint_raw_bases())
-    def test_reduced_problem_and_verify_pd(self, raw, exact):
+    @pytest.mark.parametrize("raw", signed_permutations())
+    def test_reduced_problem_and_verify_pd(self, raw):
         sparse, dense = self.both_routes(raw, 0.3)
-        assert sparse.ortho.shape[1] == np.count_nonzero(raw.any(axis=0))
-        self.same(sparse.W, dense.W, exact)
-        self.same(sparse.r, dense.r, exact)
+        assert isinstance(sparse.W, np.ndarray)
+        np.testing.assert_array_equal(sparse.W, dense.W)
+        np.testing.assert_array_equal(sparse.r, dense.r)
         x = np.random.default_rng(68).standard_normal(raw.shape[0])
-        self.same(sparse.apply(x), dense.apply(x), exact)
-        assert (verify_pd(sparse) == verify_pd(dense) if exact
-                else verify_pd(sparse) == pytest.approx(verify_pd(dense), rel=1e-14))
+        np.testing.assert_array_equal(sparse.apply(x), dense.apply(x))
+        assert verify_pd(sparse) == verify_pd(dense)
 
-    @pytest.mark.parametrize("raw, exact", disjoint_raw_bases())
-    def test_woodbury_sides_and_solve(self, raw, exact):
+    @pytest.mark.parametrize("raw", signed_permutations())
+    def test_woodbury_sides_and_solve(self, raw):
         sparse, dense = self.both_routes(raw, 0.3)
         n, k = sparse.ortho.shape
         rng = np.random.default_rng(69)
@@ -198,18 +184,18 @@ class TestDisjointRoute:
             splits = [woodbury_split(p.ortho, p.W, fixed) for p in (sparse, dense)]
             got, ref = (factor_diag_plus_lowrank(D, p.ortho, p.W, split)(rhs)
                         for p, split in zip((sparse, dense), splits))
-            self.same(got, ref, exact)
+            np.testing.assert_array_equal(got, ref)
             got, ref = (factor_diag_plus_lowrank(D, p.ortho, p.W)(rhs) for p in (sparse, dense))
-            self.same(got, ref, exact)
+            np.testing.assert_array_equal(got, ref)
 
-    @pytest.mark.parametrize("raw, exact", disjoint_raw_bases())
-    def test_solve_ipm(self, raw, exact):
+    @pytest.mark.parametrize("raw", signed_permutations())
+    def test_solve_ipm(self, raw):
         cone = parse_cone_spec("nn:14,free:6,nn:14,free:6")
         sparse, dense = self.both_routes(raw, 0.3)
         got, ref = solve_ipm(sparse, cone), solve_ipm(dense, cone)
         assert got.converged and ref.converged
         assert (got.iterations, got.finish_accepted) == (ref.iterations, ref.finish_accepted)
-        self.same(got.x, ref.x, exact)
+        np.testing.assert_array_equal(got.x, ref.x)
 
 
 class TestWoodbury:
