@@ -2,20 +2,23 @@
 
 Problem files:  line 1 is `VI1 <n> <cone-spec>`, followed by n rows of M and
 one row of q, whitespace separated. Basis files: `BASIS1 <n> <k>` followed by
-n rows of k entries. `#` starts a comment; blank lines are ignored. Numbers
-are written with 17 significant digits, so write/parse round-trips are exact
-on IEEE doubles.
+n rows of k entries. `#` starts a comment; blank lines are ignored. Lines end
+where `str.splitlines` ends them. Numbers are written with 17 significant
+digits, so write/parse round-trips are exact on IEEE doubles.
 
-The number block after the header is read in one pass by NumPy's C reader
-(`np.loadtxt`). When that fails or yields the wrong shape, the rows are read
-again one by one with `float()`, which names the offending line and also
-accepts the spellings `float()` takes and the C reader does not (`1_0`,
-non-ASCII digits), so accepted files and parsed values do not depend on
-which reader ran.
+The lines are streamed: a generator cuts the text one line at a time, and
+NumPy's C reader (`np.loadtxt`) reads the number block after the header
+from it in one pass, so no second copy of the file is made. When that
+fails or yields the wrong shape, the rows are split again and read one by
+one with `float()`, which names the offending line and also accepts the
+spellings `float()` takes and the C reader does not (`1_0`, non-ASCII
+digits), so accepted files and parsed values do not depend on which reader
+ran.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+import itertools
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -39,13 +42,23 @@ class ProblemFormatError(ValueError):
         self.line = line
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            out.append((lineno, stripped))
-    return out
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, comment-stripped line) for each non-blank line of text.
+
+    The text is cut at each "\n" and each piece, "\n" included, split by
+    str.splitlines: a "\n" ends a line under every separator rule and can
+    only join the "\r" before it, so the lines are those of
+    text.splitlines(), without a list of them all.
+    """
+    lineno, start = 0, 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        for raw in text[start:end].splitlines():
+            lineno += 1
+            stripped = raw.partition("#")[0].strip()
+            if stripped:
+                yield lineno, stripped
+        start = end
 
 
 def _parse_row(lineno: int, line: str, expected: int, what: str) -> np.ndarray:
@@ -62,24 +75,33 @@ def _parse_row(lineno: int, line: str, expected: int, what: str) -> np.ndarray:
     return row
 
 
-def _parse_block(rows: list[tuple[int, str]], width: int,
-                 what: Callable[[int], str]) -> np.ndarray:
-    """Parse content rows into a len(rows) x width array; what(i) names row i."""
+def _read_block(lines: Iterator[tuple[int, str]], shape: tuple[int, int]) -> np.ndarray | None:
+    """The rest of `lines` read by the C reader, or None when that fails or
+    the block is not `shape`."""
+    rows = (line for _, line in lines)
+    first = next(rows, None)
+    if first is None:  # np.loadtxt would warn about the empty input
+        return None
     try:
-        block = np.loadtxt([line for _, line in rows], dtype=float, ndmin=2)
-        if block.shape == (len(rows), width):
-            return block
+        block = np.loadtxt(itertools.chain((first,), rows), dtype=float, ndmin=2)
     except ValueError:
-        pass
+        return None
+    return block if block.shape == shape else None
+
+
+def _parse_rows(rows: list[tuple[int, str]], width: int,
+                what: Callable[[int], str]) -> np.ndarray:
+    """Parse content rows one by one into a len(rows) x width array; what(i)
+    names row i in the error."""
     return np.vstack([_parse_row(ln, line, width, what(i)) for i, (ln, line) in enumerate(rows)])
 
 
 def parse_problem(text: str) -> tuple[AffineOperator, SeparableCone]:
     """Parse a `VI1` problem file into an operator and its cone."""
     lines = _content_lines(text)
-    if not lines:
+    lineno, header = next(lines, (1, None))
+    if header is None:
         raise ProblemFormatError("empty problem file", 1)
-    lineno, header = lines[0]
     tokens = header.split()
     if len(tokens) != 3 or tokens[0] != "VI1":
         raise ProblemFormatError("header must be 'VI1 <n> <cone-spec>'", lineno)
@@ -97,15 +119,16 @@ def parse_problem(text: str) -> tuple[AffineOperator, SeparableCone]:
         raise ProblemFormatError(
             f"cone spec covers {cone.dim} components, header says {n}", lineno)
 
-    body = lines[1:]
-    if len(body) < n + 1:
-        last = body[-1][0] if body else lineno
-        raise ProblemFormatError(
-            f"expected {n} matrix rows plus q, file ends after {len(body)} rows", last)
-    if len(body) > n + 1:
-        raise ProblemFormatError("unexpected extra row", body[n + 1][0])
-
-    block = _parse_block(body, n, lambda i: "q" if i == n else f"matrix row {i + 1}")
+    block = _read_block(lines, (n + 1, n))
+    if block is None:
+        body = list(_content_lines(text))[1:]
+        if len(body) < n + 1:
+            last = body[-1][0] if body else lineno
+            raise ProblemFormatError(
+                f"expected {n} matrix rows plus q, file ends after {len(body)} rows", last)
+        if len(body) > n + 1:
+            raise ProblemFormatError("unexpected extra row", body[n + 1][0])
+        block = _parse_rows(body, n, lambda i: "q" if i == n else f"matrix row {i + 1}")
     return AffineOperator(block[:n], block[n]), cone
 
 
@@ -125,9 +148,9 @@ def write_problem(op: AffineOperator, cone: SeparableCone) -> str:
 def parse_basis(text: str) -> np.ndarray:
     """Parse a `BASIS1` file into the raw (not yet orthonormalized) matrix."""
     lines = _content_lines(text)
-    if not lines:
+    lineno, header = next(lines, (1, None))
+    if header is None:
         raise ProblemFormatError("empty basis file", 1)
-    lineno, header = lines[0]
     tokens = header.split()
     if len(tokens) != 3 or tokens[0] != "BASIS1":
         raise ProblemFormatError("header must be 'BASIS1 <n> <k>'", lineno)
@@ -138,11 +161,14 @@ def parse_basis(text: str) -> np.ndarray:
     if n < 1 or k < 1:
         raise ProblemFormatError(f"basis dimensions must be >= 1, got {n}x{k}", lineno)
 
-    body = lines[1:]
-    if len(body) != n:
-        where = body[min(n, len(body) - 1)][0] if body else lineno
-        raise ProblemFormatError(f"expected {n} basis rows, found {len(body)}", where)
-    return _parse_block(body, k, lambda i: f"basis row {i + 1}")
+    block = _read_block(lines, (n, k))
+    if block is None:
+        body = list(_content_lines(text))[1:]
+        if len(body) != n:
+            where = body[min(n, len(body) - 1)][0] if body else lineno
+            raise ProblemFormatError(f"expected {n} basis rows, found {len(body)}", where)
+        block = _parse_rows(body, k, lambda i: f"basis row {i + 1}")
+    return block
 
 
 def write_basis(raw: np.ndarray) -> str:

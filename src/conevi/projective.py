@@ -138,14 +138,14 @@ def build_projective(op: AffineOperator, basis: Basis, alpha: float) -> Projecti
         raise ValueError("alpha must be positive and finite")
     if basis.n != op.dim:
         raise ValueError(f"basis dimension {basis.n} != operator dimension {op.dim}")
+    Q = basis.ortho if basis._sparse is None else basis._sparse
+    W = Q.T @ op.M
+    W *= alpha
     if basis._sparse is None:
-        Q = basis.ortho
-        W = alpha * (Q.T @ op.M) - Q.T
+        W -= Q.T
     else:
         # Q is a signed permutation: subtract Q^T at its n entries, where
         # ndarray - sparse would first densify Q^T into an n x n temporary
-        Q = basis._sparse
-        W = alpha * (Q.T @ op.M)
         W[Q.indices, np.arange(Q.shape[0])] -= Q.data
     r = alpha * (Q @ (Q.T @ op.q))
     return ProjectiveLcp(ortho=Q, W=W, r=r)
@@ -159,13 +159,19 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
     so the symmetric part is I + U sym(C) U^T with C = U^T Q W U. Its
     eigenvalues are 1 + eig(sym C), plus 1 on the complement of range(U)
     when U has fewer than n columns. Cost O(n k'^2).
+    On a full span (k' = n) Q is square and orthogonal, so Q itself serves
+    as U and C = W Q, formed without the QR (a column gather when Q is in
+    CSR form).
     """
     Q = plcp.ortho
-    dense_Q = Q.toarray() if scipy.sparse.issparse(Q) else Q
-    U, _ = np.linalg.qr(np.hstack([dense_Q, plcp.W.T]))
-    C = (U.T @ Q) @ (plcp.W @ U)
+    if Q.shape[1] == plcp.n:
+        C = _times_ortho(plcp.W, Q)
+    else:
+        dense_Q = Q.toarray() if scipy.sparse.issparse(Q) else Q
+        U, _ = np.linalg.qr(np.hstack([dense_Q, plcp.W.T]))
+        C = (U.T @ Q) @ (plcp.W @ U)
     smallest = 1.0 + float(scipy.linalg.eigvalsh(0.5 * (C + C.T), subset_by_index=[0, 0])[0])
-    return smallest if U.shape[1] == plcp.n else min(1.0, smallest)
+    return smallest if C.shape[0] == plcp.n else min(1.0, smallest)
 
 
 def _lu(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -177,17 +183,48 @@ def _lu(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda c: scipy.linalg.lapack.dgetrs(lu, piv, c)[0]
 
 
+def _times_ortho(A: np.ndarray, Q: np.ndarray | scipy.sparse.csr_array,
+                 w: np.ndarray | None = None) -> np.ndarray:
+    """A @ diag(w) @ Q (w = 1 when None) as a new array.
+
+    A CSR Q must be a signed permutation, one entry per row and column (see
+    ProjectiveLcp): column j of the product is then column i of A scaled by
+    w_i Q_ij, i the row holding column j's entry, so the product is a
+    column gather scaled in place, O(k' n), where scipy's dense @ sparse
+    costs several times more.
+    """
+    if not scipy.sparse.issparse(Q):
+        return A @ (Q if w is None else Q * w[:, None])
+    rows = np.empty_like(Q.indices)
+    rows[Q.indices] = np.arange(Q.shape[0])
+    out = A[:, rows]
+    out *= (Q.data if w is None else w * Q.data)[rows]
+    return out
+
+
+def _plus_identity(A: np.ndarray) -> np.ndarray:
+    """A + I for a square A, added in place."""
+    A[np.diag_indices(A.shape[0])] += 1.0
+    return A
+
+
 def _split(Q: np.ndarray | scipy.sparse.csr_array, W: np.ndarray, fixed: np.ndarray,
            small_side: bool) -> tuple:
     """woodbury_split's (fixed, factor) on the side it names: the |V|x|V|
-    system when small_side, else the k'xk' one."""
+    system when small_side, else the k'xk' one.
+
+    The k'xk' side is taken for a CSR Q only when every row varies (k' = n
+    there), so Q[V] is then the whole signed permutation."""
     varying = ~fixed
     Q_var, W_var = Q[varying], W[:, varying]
-    # summed in place, so one k'xk' buffer fewer is live at the IPM's peak
-    G_c = W @ (Q * np.where(fixed, 1.0, 0.5)[:, None])
-    G_c += np.eye(Q.shape[1])
+    G_c = _plus_identity(_times_ortho(W, Q, np.where(fixed, 1.0, 0.5)))
     if not small_side:
-        return fixed, lambda D_var: _lu(G_c + W_var @ ((1.0 / D_var - 0.5)[:, None] * Q_var))
+        def factor_k(D_var: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+            S = _times_ortho(W_var, Q_var, 1.0 / D_var - 0.5)
+            S += G_c
+            return _lu(S)
+
+        return fixed, factor_k
     solve_c = _lu(G_c)
     T = solve_c(W_var)
     Z = Q_var @ T
@@ -196,7 +233,7 @@ def _split(Q: np.ndarray | scipy.sparse.csr_array, W: np.ndarray, fixed: np.ndar
         if not D_var.size:  # no varying rows: the system is G_c itself
             return solve_c
         e = 1.0 / D_var - 0.5
-        solve_var = _lu(np.eye(e.size) + e[:, None] * Z)
+        solve_var = _lu(_plus_identity(e[:, None] * Z))
 
         def solve(c):
             y = solve_c(c)

@@ -122,8 +122,10 @@ def polyhedron_to_cone(p: PolyhedralVI) -> ConicProgramLayout:
     Variables are ordered (s, x, lambda) with sizes (m, n, m) over
     NonNeg(m) x Free(n) x Free(m). At a solution: s = Ax + b >= 0,
     Mx + q = A^T lambda with lambda >= 0, and s^T lambda = 0.
-    Built as the slack step, diag(0, M) and (0, q) on (s, x) over
-    NonNeg(m) x Free(n), then eliminate_equalities on [-I, A] (s, x) = -b.
+    The result is that of the slack step, diag(0, M) and (0, q) on (s, x)
+    over NonNeg(m) x Free(n), followed by eliminate_equalities on
+    [-I, A] (s, x) = -b; the block matrix is written into one zero array,
+    with no intermediate of size (m + n)^2 and no identity matrix.
     """
     n = p.M.shape[0]
     m = p.A.shape[0]
@@ -134,13 +136,18 @@ def polyhedron_to_cone(p: PolyhedralVI) -> ConicProgramLayout:
             variable_map={"s": (0, 0), "x": (0, n), "lambda": (n, n)},
         )
 
-    M = np.zeros((m + n, m + n))
-    M[m:, m:] = p.M
-    slacked = AffineOperator(M, np.concatenate([np.zeros(m), p.q]))
-    cone = SeparableCone((Segment(SegmentKind.NONNEGATIVE, m), Segment(SegmentKind.FREE, n)))
-    layout = eliminate_equalities(slacked, np.hstack([-np.eye(m), p.A]), -p.b, cone)
+    x, lam = slice(m, m + n), slice(m + n, m + n + m)
+    M = np.zeros((2 * m + n, 2 * m + n))
+    M[x, x] = p.M
+    M[x, lam] = -p.A.T
+    M[lam, x] = p.A
+    i = np.arange(m)
+    M[i, m + n + i] = 1.0
+    M[m + n + i, i] = -1.0
+    cone = SeparableCone((Segment(SegmentKind.NONNEGATIVE, m), Segment(SegmentKind.FREE, n),
+                          Segment(SegmentKind.FREE, m)))
     return ConicProgramLayout(
-        cone=layout.cone,
-        op=layout.op,
+        cone=cone,
+        op=AffineOperator(M, np.concatenate([np.zeros(m), p.q, p.b])),
         variable_map={"s": (0, m), "x": (m, m + n), "lambda": (m + n, m + n + m)},
     )

@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conevi import fileio
 from conevi.cones import orthant, parse_cone_spec
 from conevi.fileio import (
     ProblemFormatError,
@@ -133,3 +138,104 @@ class TestRoundTrip:
         op = AffineOperator(np.eye(2), [0.0, 0.0])
         with pytest.raises(ValueError):
             write_problem(op, orthant(3))
+
+
+# the separators str.splitlines ends a line at, "\r\n" counted once
+SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", " ", " "]
+TOKENS = ["0", "-1", "2.5", "1e-300", "-0.0", "1_0", "+.5", "3.", "x", "1.2.3", "nan", "--1",
+          "١"]
+
+
+def _splitlines_content_lines(text):
+    """The content lines as the parser read them before lines were streamed:
+    one list from text.splitlines()."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            yield lineno, stripped
+
+
+def _outcome(parse, text):
+    """The parsed arrays as bytes, or the error's type, message and line."""
+    try:
+        result = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    if isinstance(result, np.ndarray):
+        return result.shape, result.tobytes()
+    op, cone = result
+    return op.M.shape, op.M.tobytes(), op.q.tobytes(), cone
+
+
+def _reference_outcome(parse, text):
+    """_outcome on the line-numbered path alone, over text.splitlines()."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_read_block", lambda lines, shape: None)
+        mp.setattr(fileio, "_content_lines", _splitlines_content_lines)
+        return _outcome(parse, text)
+
+
+@st.composite
+def small_files(draw):
+    """Small VI1 or BASIS1 texts: mixed line separators, comment and blank
+    lines, tabs and runs of spaces, odd and bad tokens, rows too few or too
+    many and rows of the wrong width."""
+    problem = draw(st.booleans())
+    n = draw(st.integers(1, 4))
+    width = n if problem else draw(st.integers(1, 3))
+    n_rows = (n + 1 if problem else n) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    header = f"VI1 {n} nn:{n}" if problem else f"BASIS1 {n} {width}"
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(TOKENS[:8]),
+        st.sampled_from(TOKENS))
+    spaces = st.sampled_from([" ", " ", "  ", "\t", " \t "])
+    lines = []
+
+    def filler():
+        for _ in range(draw(st.integers(0, 1))):
+            lines.append(draw(st.sampled_from(["", "   ", "# comment", "\t# 1 2 3", "#"])))
+
+    filler()
+    lines.append(header)
+    for _ in range(max(n_rows, 0)):
+        filler()
+        count = width + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1]))
+        tokens = [draw(number) for _ in range(max(count, 0))]
+        row = draw(spaces).join(tokens)
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + row
+                     + draw(st.sampled_from(["", "", "  ", " # tail"])))
+    filler()
+    separator = st.sampled_from(SEPARATORS[:2] * 3 + SEPARATORS)
+    text = "".join(line + draw(separator) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("".join(SEPARATORS))  # no final line end
+    return (parse_problem if problem else parse_basis), text
+
+
+class TestStreamedReader:
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="ab #\t" + "".join(SEPARATORS), max_size=40))
+    def test_content_lines_follow_splitlines(self, text):
+        assert list(fileio._content_lines(text)) == list(_splitlines_content_lines(text))
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_files())
+    def test_matches_line_numbered_path(self, case):
+        parse, text = case
+        assert _outcome(parse, text) == _reference_outcome(parse, text)
+
+    def test_peak_memory_below_matrix_plus_half_the_text(self):
+        # the lines are streamed into the C reader: no list of all lines
+        rng = np.random.default_rng(74)
+        n = 400
+        op = AffineOperator(rng.standard_normal((n, n)), rng.standard_normal(n))
+        text = write_problem(op, orthant(n))
+        tracemalloc.start()
+        try:
+            parsed, _ = parse_problem(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(parsed.M, op.M)
+        assert peak < op.M.nbytes + len(text) / 2

@@ -125,6 +125,34 @@ class TestVerifyPd:
             ref = np.linalg.eigvalsh(0.5 * (N + N.T))[0]
             assert verify_pd(plcp) == pytest.approx(ref, abs=1e-12 * (1 + abs(ref)))
 
+    def test_full_span_without_qr(self):
+        # k' = n: 1 + lambda_min(sym(W Q)), Q the identity, a signed and
+        # scaled permutation (both in CSR form) or a dense orthogonal factor
+        rng = np.random.default_rng(54)
+        n = 50
+        signed = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
+        M = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+        for raw in (np.eye(n), np.diag(signed)[rng.permutation(n)], rng.standard_normal((n, n))):
+            basis = orthonormalize(raw)
+            plcp = build_projective(AffineOperator(M, np.zeros(n)), basis, 0.3)
+            assert plcp.ortho.shape == (n, n)
+            assert scipy.sparse.issparse(plcp.ortho) == (basis._sparse is not None)
+            Q = basis.ortho
+            N = np.eye(n) + Q @ plcp.W
+            ref = np.linalg.eigvalsh(0.5 * (N + N.T))[0]
+            assert verify_pd(plcp) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_proper_subspace_keeps_qr_formula(self):
+        rng = np.random.default_rng(55)
+        for n, k in ((7, 4), (40, 8), (30, 29)):
+            M = rng.standard_normal((n, n)) + 0.5 * np.eye(n)
+            plcp = build_projective(AffineOperator(M, np.zeros(n)),
+                                    orthonormalize(rng.standard_normal((n, k))), 0.3)
+            U, _ = np.linalg.qr(np.hstack([plcp.ortho, plcp.W.T]))
+            C = (U.T @ plcp.ortho) @ (plcp.W @ U)
+            ref = 1.0 + scipy.linalg.eigvalsh(0.5 * (C + C.T), subset_by_index=[0, 0])[0]
+            assert verify_pd(plcp) == (ref if U.shape[1] == n else min(1.0, ref))
+
     def test_large_n_without_dense_matrix(self):
         # only O(n k) data is formed; a dense N would take 50 MB here
         n = 2500

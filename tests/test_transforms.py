@@ -66,6 +66,24 @@ class TestPolyhedronToCone:
             Segment(SegmentKind.FREE, 1),
         )
 
+    @pytest.mark.parametrize("n, m", [(6, 6), (7, 3), (3, 8)])
+    def test_matches_slack_step_then_elimination(self, n, m):
+        # the composed construction the one-array assembly replaces
+        rng = np.random.default_rng(65 + n + m)
+        p = PolyhedralVI(rng.standard_normal((n, n)), rng.standard_normal(n),
+                         rng.standard_normal((m, n)), rng.standard_normal(m))
+        M = np.zeros((m + n, m + n))
+        M[m:, m:] = p.M
+        slacked = AffineOperator(M, np.concatenate([np.zeros(m), p.q]))
+        cone = SeparableCone((Segment(SegmentKind.NONNEGATIVE, m), Segment(SegmentKind.FREE, n)))
+        ref = eliminate_equalities(slacked, np.hstack([-np.eye(m), p.A]), -p.b, cone)
+        got = polyhedron_to_cone(p)
+        np.testing.assert_array_equal(got.op.M, ref.op.M)
+        np.testing.assert_array_equal(got.op.q, ref.op.q)
+        assert got.cone == ref.cone
+        assert got.variable_map == {"s": (0, m), "x": (m, m + n), "lambda": (m + n, m + n + m)}
+        assert ref.variable_map == {"y": (0, m + n), "lambda": (m + n, m + n + m)}
+
     def test_no_constraints_becomes_linear_equation(self):
         op, _ = generate_instance(5, 2, 1.0, 2.0, seed=63)
         layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, np.zeros((0, 5)), np.zeros(0)))
