@@ -18,7 +18,7 @@ ran.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -89,13 +89,6 @@ def _read_block(lines: Iterator[tuple[int, str]], shape: tuple[int, int]) -> np.
     return block if block.shape == shape else None
 
 
-def _parse_rows(rows: list[tuple[int, str]], width: int,
-                what: Callable[[int], str]) -> np.ndarray:
-    """Parse content rows one by one into a len(rows) x width array; what(i)
-    names row i in the error."""
-    return np.vstack([_parse_row(ln, line, width, what(i)) for i, (ln, line) in enumerate(rows)])
-
-
 def parse_problem(text: str) -> tuple[AffineOperator, SeparableCone]:
     """Parse a `VI1` problem file into an operator and its cone."""
     lines = _content_lines(text)
@@ -128,7 +121,8 @@ def parse_problem(text: str) -> tuple[AffineOperator, SeparableCone]:
                 f"expected {n} matrix rows plus q, file ends after {len(body)} rows", last)
         if len(body) > n + 1:
             raise ProblemFormatError("unexpected extra row", body[n + 1][0])
-        block = _parse_rows(body, n, lambda i: "q" if i == n else f"matrix row {i + 1}")
+        block = np.vstack([_parse_row(ln, line, n, "q" if i == n else f"matrix row {i + 1}")
+                           for i, (ln, line) in enumerate(body)])
     return AffineOperator(block[:n], block[n]), cone
 
 
@@ -167,7 +161,8 @@ def parse_basis(text: str) -> np.ndarray:
         if len(body) != n:
             where = body[min(n, len(body) - 1)][0] if body else lineno
             raise ProblemFormatError(f"expected {n} basis rows, found {len(body)}", where)
-        block = _parse_rows(body, k, lambda i: f"basis row {i + 1}")
+        block = np.vstack([_parse_row(ln, line, k, f"basis row {i + 1}")
+                           for i, (ln, line) in enumerate(body)])
     return block
 
 

@@ -141,14 +141,13 @@ class TestRoundTrip:
 
 
 # the separators str.splitlines ends a line at, "\r\n" counted once
-SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", " ", " "]
-TOKENS = ["0", "-1", "2.5", "1e-300", "-0.0", "1_0", "+.5", "3.", "x", "1.2.3", "nan", "--1",
-          "١"]
+SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+NUMBERS = ["0", "-1", "2.5", "1e-300", "-0.0", "1_0", "+.5", "3.", "\u0661"]  # float() takes all
+BAD_TOKENS = ["x", "1.2.3", "nan", "--1"]
 
 
 def _splitlines_content_lines(text):
-    """The content lines as the parser read them before lines were streamed:
-    one list from text.splitlines()."""
+    """Reference content lines, cut by text.splitlines() in one list."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
@@ -187,8 +186,8 @@ def small_files(draw):
     header = f"VI1 {n} nn:{n}" if problem else f"BASIS1 {n} {width}"
     number = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False).map(repr),
-        st.sampled_from(TOKENS[:8]),
-        st.sampled_from(TOKENS))
+        st.sampled_from(NUMBERS),
+        st.sampled_from(NUMBERS + BAD_TOKENS))
     spaces = st.sampled_from([" ", " ", "  ", "\t", " \t "])
     lines = []
 
