@@ -6,9 +6,13 @@ alpha = beta/L**2 the map I - alpha*F contracts with factor
 gamma = sqrt(1 - beta**2/L**2) < 1, which every solver in this library
 leans on.
 
-Both constants come from LAPACK's dense symmetric eigensolver for every n.
-Their error is its backward error, a small multiple of n*eps*||M||; they are
-not padded into a rigorous enclosure.
+L is a certified upper bound on ||M||_2: an estimate of the top eigenvalue
+of fl(M^T M) (Lanczos, or the dense eigensolver for small n), padded for
+every rounding error and proved by one floating-point Cholesky
+factorization (Rump, "Verification of positive definiteness", BIT 46,
+2006). It exceeds ||M||_2 by at most about n**2 * eps relative. beta is
+still LAPACK's dense symmetric eigenvalue, accurate to its backward error,
+a small multiple of n*eps*||M||, in either direction.
 """
 from __future__ import annotations
 
@@ -19,6 +23,9 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsymv, dsyrk
+from scipy.linalg.lapack import dpotrf
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 __all__ = [
     "NotStronglyMonotone",
@@ -65,21 +72,124 @@ def monotone_modulus(M) -> float:
     error, a small multiple of n*eps*||M||, in either direction.
     """
     M = _check_square(M)
-    S = 0.5 * (M + M.T)
-    return float(scipy.linalg.eigvalsh(S, subset_by_index=[0, 0])[0])
+    S = M + M.T
+    S *= 0.5
+    # S is symmetric, so S.T is the same matrix in Fortran order, which LAPACK
+    # can overwrite without a copy
+    return float(scipy.linalg.eigvalsh(S.T, subset_by_index=[0, 0], overwrite_a=True)[0])
+
+
+_U = 2.0**-53  # unit roundoff of binary64
+_ETA = math.ulp(0.0)  # smallest subnormal, the error floor under underflow
+# M is rescaled only when its largest entry lies outside 2**(+-_SAFE_EXP);
+# inside, n * max**2 cannot overflow and the norm is far above the underflow floor
+_SAFE_EXP = 256
+_GROWTH = 4.0  # factor on the shift's headroom after a failed Cholesky
+# where Lanczos overtakes the dense eigensolver (about 3 ms each on a 2-core
+# x86 with OpenBLAS 0.3.31, one or two threads)
+_LANCZOS_MIN_N = 300
+
+
+def _higham_gamma(k: int) -> float:
+    """k*u/(1 - k*u): relative error bound of a k-term floating-point dot product."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _neg_gram(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """-fl(A^T A) in the lower triangle of a Fortran-ordered array, by SYRK.
+
+    The upper triangle is not referenced. `out`, if given, is overwritten.
+    """
+    # A.T of a C-ordered A is Fortran-ordered, so SYRK reads A without a copy
+    return dsyrk(-1.0, A.T, lower=1, c=out, overwrite_c=out is not None)
+
+
+def _top_eigenvalue(N: np.ndarray) -> float:
+    """Estimate of the top eigenvalue of -N, reading the lower triangle.
+
+    Lanczos (ARPACK) from a fixed start vector; below _LANCZOS_MIN_N the
+    dense eigensolver is faster than ARPACK's per-step overhead.
+    """
+    n = N.shape[0]
+    if n < _LANCZOS_MIN_N:
+        return -float(scipy.linalg.eigvalsh(N, lower=True, subset_by_index=[0, 0])[0])
+    op = LinearOperator((n, n), matvec=lambda x: dsymv(-1.0, N, x, lower=1), dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)  # fixed, so equal M give equal L
+    try:
+        return float(eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+    except ArpackNoConvergence as exc:
+        # any estimate is sound: the certificate moves the shift up until it holds
+        return float(max(exc.eigenvalues, default=0.0))
+
+
+def _certified_norm(A: np.ndarray, N: np.ndarray, theta: float) -> float:
+    """Upper bound on ||A||_2 from an estimate theta of ||A||_2**2.
+
+    N holds -fl(A^T A) in its lower triangle (`_neg_gram`) and is overwritten.
+    With G = fl(A^T A) and s = theta + headroom, the Cholesky factorization of
+    H = fl(s*I - G) runs in place. If it completes, H + dH is positive
+    semidefinite with ||dH||_2 <= gamma_{n+1}/(1 - gamma_{n+1}) * trace(H)
+    (Rump 2006), so ||A||_2**2 <= s plus that margin, the rounding of the
+    diagonal shift (u*s) and the Gram error ||G - A^T A||_2 <= gamma_n *
+    ||A||_F**2. Terms in eta bound what underflow adds to either error. If
+    it fails, the headroom grows geometrically; once s reaches the Frobenius
+    bound ||A||_F**2, that bound is returned instead, so the loop ends for
+    every theta. A must be nonzero.
+    """
+    n = A.shape[0]
+    # fl(sum of squares) of each column loses at most gamma_n relative, so
+    # 1.01 covers the Frobenius norm's rounding for n < 10**13; it also covers
+    # the floating-point evaluation of the pads below (a few u relative each)
+    frob_up = 1.01 * (math.fsum(-N.diagonal()) + n * n * _ETA)
+    gram_pad = _higham_gamma(n) * frob_up + n * n * _ETA
+    rump = _higham_gamma(n + 1) / (1.0 - _higham_gamma(n + 1))
+    theta, room = max(theta, 0.0), gram_pad
+    while True:
+        s = theta + room
+        if s >= frob_up:
+            t2 = frob_up
+            break
+        N.reshape(-1, order="F")[:: n + 1] += s  # H = fl(s*I - G): diagonal shift
+        trace_h = math.fsum(N.diagonal())
+        _, info = dpotrf(N, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            underflow = 4.0 * (n + 1) * (2.0 * (n + 2) + s) * _ETA
+            t2 = s + 1.01 * (rump * trace_h + _U * s + gram_pad + underflow)
+            break
+        room *= _GROWTH
+        _neg_gram(A, out=N)
+    # each nextafter rounds up past a round-to-nearest result; the last one
+    # also covers the entries of A that underflowed when M was scaled (at most
+    # n*eta in norm, far below half an ulp of ||A||_2 >= max|a_ij|)
+    return math.nextafter(math.sqrt(math.nextafter(t2, math.inf)), math.inf)
 
 
 def lipschitz_constant(M) -> float:
-    """Spectral norm of M: the square root of the top eigenvalue of M^T M.
+    """Certified upper bound on the spectral norm ||M||_2.
 
-    Dense LAPACK symmetric eigensolver on the Gram matrix for every n:
-    accurate to its backward error, a small multiple of n*eps*||M||, in
-    either direction; it is not rounded up into an enclosure.
+    M is scaled by a power of two when its entries are too large or too
+    small for the Gram matrix, which SYRK then forms in one triangle.
+    Lanczos (ARPACK, fixed start vector; the dense eigensolver below
+    n = 300) estimates its top eigenvalue, and one in-place Cholesky
+    factorization proves the padded estimate (`_certified_norm`). The bound
+    is above ||M||_2 by at most about n**2 * eps relative and deterministic
+    for a given M. Raises OverflowError if ||M||_2 may exceed the largest
+    double.
     """
     M = _check_square(M)
-    n = M.shape[0]
-    top = scipy.linalg.eigvalsh(M.T @ M, subset_by_index=[n - 1, n - 1])[0]
-    return float(math.sqrt(max(top, 0.0)))
+    amax = max(M.max(), -M.min())
+    if amax == 0.0:
+        return 0.0
+    _, exp = math.frexp(amax)
+    shift = 0 if abs(exp) <= _SAFE_EXP else -exp
+    A = np.ldexp(M, shift) if shift else M  # exact, except entries that underflow
+    N = _neg_gram(A)
+    lip = _certified_norm(A, N, _top_eigenvalue(N))
+    if not shift:
+        return lip
+    back = math.ldexp(lip, -shift)
+    # scaling back is exact unless it lands among the subnormals; round up there
+    return back if math.ldexp(back, shift) >= lip else math.nextafter(back, math.inf)
 
 
 def _gamma(alpha: float, beta: float, lip: float) -> float:

@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
+from conevi import operators
 from conevi.bench import _bench_instance
 from conevi.operators import (
     AffineOperator,
@@ -88,6 +91,16 @@ class TestMonotoneModulus:
         M = np.diag(d) + 0.1 * (K - K.T)
         assert monotone_modulus(M) == pytest.approx(0.5, abs=n * np.finfo(float).eps)
 
+    def test_bit_identical_to_symmetric_part_and_m_untouched(self):
+        rng = np.random.default_rng(17)
+        for n in (2, 7, 60):
+            M = rng.standard_normal((n, n))
+            op = AffineOperator(M, np.zeros(n))
+            before = op.M.copy()
+            oracle = scipy.linalg.eigvalsh(0.5 * (M + M.T), subset_by_index=[0, 0])[0]
+            assert op.beta == oracle
+            np.testing.assert_array_equal(op.M, before)
+
 
 class TestLipschitzConstant:
     def test_diagonal(self):
@@ -126,6 +139,91 @@ class TestLipschitzConstant:
         v = vt[0]
         witness = np.linalg.norm(op.M @ v) / np.linalg.norm(v)
         assert lipschitz_constant(op.M) >= witness * (1 - n * np.finfo(float).eps)
+
+
+def _certificate_cases():
+    rng = np.random.default_rng(18)
+    G = rng.standard_normal((50, 50))
+    jordan = 2.0 * np.eye(40) + np.eye(40, k=1)
+    return {
+        "random": rng.standard_normal((60, 60)),
+        "rank_deficient": rng.standard_normal((70, 3)) @ rng.standard_normal((3, 70)),
+        "psd": G.T @ G,
+        "jordan_block": jordan,
+        "skew_saddle": _bench_instance(400, 10, 0)[0].M,
+    }
+
+
+@pytest.fixture
+def potrf_infos(monkeypatch):
+    """The info code of every Cholesky attempt the certificate makes."""
+    infos = []
+    real = operators.dpotrf
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        infos.append(out[1])
+        return out
+
+    monkeypatch.setattr(operators, "dpotrf", counted)
+    return infos
+
+
+class TestCertifiedLipschitz:
+    @pytest.mark.parametrize("name", sorted(_certificate_cases()))
+    def test_upper_bounds_top_singular_value(self, name):
+        M = _certificate_cases()[name]
+        assert lipschitz_constant(M) >= scipy.linalg.svdvals(M)[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
+    def test_within_1e12_of_svd_for_small_n(self, n):
+        rng = np.random.default_rng(19 + n)
+        for M in (rng.standard_normal((n, n)), random_spd_plus_skew(n, rng)):
+            sigma = np.linalg.svd(M, compute_uv=False)[0]
+            L = lipschitz_constant(M)
+            assert sigma <= L <= sigma * (1 + 1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    def test_extreme_scales_match_svd(self, scale):
+        M = scale * np.array([[2.0, 1.0], [0.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L = lipschitz_constant(M)
+        sigma = np.linalg.svd(M, compute_uv=False)[0]
+        assert sigma <= L <= sigma * (1 + 1e-12)
+
+    def test_zero_matrix(self):
+        assert lipschitz_constant(np.zeros((4, 4))) == 0.0
+
+    def test_deterministic(self):
+        M = _bench_instance(300, 10, 1)[0].M
+        assert lipschitz_constant(M) == lipschitz_constant(M)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    def test_low_estimate_is_moved_up_until_it_certifies(self, fraction, potrf_infos):
+        rng = np.random.default_rng(20)
+        A = rng.standard_normal((30, 30))
+        sigma = scipy.linalg.svdvals(A)[0]
+        L = operators._certified_norm(A, operators._neg_gram(A), (fraction * sigma) ** 2)
+        assert len(potrf_infos) > 1 and potrf_infos[-1] == 0 and all(potrf_infos[:-1])
+        assert L >= sigma
+
+    def test_frobenius_bound_ends_the_loop(self, potrf_infos):
+        # rank one: ||A||_2 = ||A||_F, so the headroom steps past the narrow
+        # window where s I - A^T A is definite but s is below the Frobenius bound
+        A = np.outer(np.arange(1.0, 21.0), np.linspace(-1.0, 2.0, 20))
+        sigma = np.linalg.norm(A)
+        L = operators._certified_norm(A, operators._neg_gram(A), 0.0)
+        assert potrf_infos and all(potrf_infos)
+        assert sigma <= L <= sigma * math.sqrt(1.02)
+
+    def test_lanczos_without_convergence_still_certifies(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([]), None)
+
+        monkeypatch.setattr(operators, "eigsh", stalled)
+        M = np.random.default_rng(21).standard_normal((300, 300))
+        assert lipschitz_constant(M) >= scipy.linalg.svdvals(M)[0]
 
 
 class TestContractionParams:
