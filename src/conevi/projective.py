@@ -31,7 +31,7 @@ import scipy.sparse
 
 from .basis import Basis
 from .cones import SeparableCone, _positive_int
-from .operators import AffineOperator
+from .operators import AffineOperator, _smallest_eigenvalue
 
 __all__ = [
     "IpmBreakdown",
@@ -158,7 +158,9 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
     N - I = Q W has its range and row space in range(U), U = qr([Q, W^T]),
     so the symmetric part is I + U sym(C) U^T with C = U^T Q W U. Its
     eigenvalues are 1 + eig(sym C), plus 1 on the complement of range(U)
-    when U has fewer than n columns. Cost O(n k'^2).
+    when U has fewer than n columns. Cost O(n k'^2). The smallest
+    eigenvalue of sym C is taken one coupled block at a time, as for beta
+    (see conevi.operators).
     On a full span (k' = n) Q is square and orthogonal, so Q itself serves
     as U and C = W Q, formed without the QR (a column gather when Q is in
     CSR form).
@@ -170,7 +172,9 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
         dense_Q = Q.toarray() if scipy.sparse.issparse(Q) else Q
         U, _ = np.linalg.qr(np.hstack([dense_Q, plcp.W.T]))
         C = (U.T @ Q) @ (plcp.W @ U)
-    smallest = 1.0 + float(scipy.linalg.eigvalsh(0.5 * (C + C.T), subset_by_index=[0, 0])[0])
+    S = np.asarray_chkfinite(C + C.T)
+    S *= 0.5
+    smallest = 1.0 + _smallest_eigenvalue(S)
     return smallest if C.shape[0] == plcp.n else min(1.0, smallest)
 
 

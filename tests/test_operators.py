@@ -102,6 +102,153 @@ class TestMonotoneModulus:
             np.testing.assert_array_equal(op.M, before)
 
 
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    """The order of every matrix handed to scipy.linalg.eigvalsh."""
+    sizes = []
+    real = scipy.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", counted)
+    return sizes
+
+
+def scattered_blocks(sizes, rng, gap=0.0):
+    """M whose symmetric part is exactly symmetric blocks of the given sizes,
+    scattered by a random permutation, plus a skew part off the blocks.
+
+    Returns M and, per block, its coordinates in increasing order. gap is
+    added to the diagonal of every block but the first.
+    """
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    S = np.zeros((n, n))
+    blocks, start = [], 0
+    for b, size in enumerate(sizes):
+        G = rng.standard_normal((size, size))
+        idx = perm[start:start + size]
+        S[np.ix_(idx, idx)] = 0.5 * (G + G.T) + (gap if b else 0.0) * np.eye(size)
+        blocks.append(np.sort(idx))
+        start += size
+    K = rng.standard_normal((n, n))
+    skew = K - K.T  # exactly skew: fl(a - b) = -fl(b - a)
+    skew[S != 0.0] = 0.0  # so fl(s + k) + fl(s - k) never rounds
+    np.fill_diagonal(skew, 0.0)
+    return S + skew, blocks
+
+
+class TestBlockModulus:
+    def test_diagonal_plus_skew_needs_no_eigensolve(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("dense eigensolve on an uncoupled symmetric part")
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", refused)
+        rng = np.random.default_rng(71)
+        d = rng.uniform(-2.0, 3.0, 200)
+        K = rng.standard_normal((200, 200))
+        assert monotone_modulus(np.diag(d) + (K - K.T)) == d.min()
+
+    @pytest.mark.parametrize("lowest", range(4))
+    def test_scattered_blocks_bit_for_bit(self, lowest, eigvalsh_sizes):
+        sizes = [1, 3, 5, 40]
+        sizes.insert(0, sizes.pop(lowest))  # the first block holds beta
+        M, blocks = scattered_blocks(sizes, np.random.default_rng(72 + lowest), gap=8.0)
+        S = 0.5 * (M + M.T)
+        per_block = [scipy.linalg.eigvalsh(S[np.ix_(b, b)], subset_by_index=[0, 0])[0]
+                     for b in blocks]
+        del eigvalsh_sizes[:]
+        beta = monotone_modulus(M)
+        assert beta == min(per_block)
+        assert sorted(eigvalsh_sizes) == sorted(s for s in sizes if s > 1)
+        assert beta == pytest.approx(scipy.linalg.eigvalsh(S)[0], abs=1e-12)
+
+    def test_one_symmetric_pair_merges_two_blocks(self, eigvalsh_sizes):
+        M, blocks = scattered_blocks([3, 4, 5], np.random.default_rng(73))
+        i, j = blocks[0][0], blocks[1][-1]
+        M[i, j] += 0.75
+        M[j, i] += 0.75
+        merged = np.sort(np.concatenate(blocks[:2]))
+        S = 0.5 * (M + M.T)
+        expected = min(scipy.linalg.eigvalsh(S[np.ix_(b, b)], subset_by_index=[0, 0])[0]
+                       for b in (merged, blocks[2]))
+        del eigvalsh_sizes[:]
+        beta = monotone_modulus(M)
+        assert beta == expected
+        assert sorted(eigvalsh_sizes) == [5, 7]
+        assert beta == pytest.approx(scipy.linalg.eigvalsh(S)[0], abs=1e-12)
+
+    @pytest.mark.parametrize("shift", [1.0, -1.0])
+    def test_polyhedral_reduction(self, shift, eigvalsh_sizes):
+        from conevi.transforms import PolyhedralVI, polyhedron_to_cone
+
+        rng = np.random.default_rng(74)
+        n, m = 12, 7
+        G = rng.standard_normal((n, n))
+        M = shift * np.eye(n) + 0.1 * (G + G.T) + (G - G.T)
+        layout = polyhedron_to_cone(PolyhedralVI(M, rng.standard_normal(n),
+                                                 rng.standard_normal((m, n)), np.zeros(m)))
+        sym = scipy.linalg.eigvalsh(0.5 * (M + M.T), subset_by_index=[0, 0])[0]
+        del eigvalsh_sizes[:]
+        assert layout.op.beta == min(0.0, sym)
+        assert eigvalsh_sizes == [n]
+
+    def test_zero_matrix(self):
+        assert monotone_modulus(np.zeros((5, 5))) == 0.0
+
+    def test_connected_pattern_keeps_the_dense_eigensolve(self, eigvalsh_sizes):
+        # a path couples every coordinate though most pairs are zero
+        n = 30
+        M = np.diag(np.linspace(1.0, 2.0, n)) + np.diag(np.full(n - 1, 0.4), k=1)
+        S = 0.5 * (M + M.T)
+        expected = scipy.linalg.eigvalsh(S, subset_by_index=[0, 0])[0]
+        del eigvalsh_sizes[:]
+        assert monotone_modulus(M) == expected
+        assert eigvalsh_sizes == [n]
+
+
+class TestExtremeModulus:
+    @pytest.mark.parametrize("M", [1e308 * np.diag([1.5, 1.0]),
+                                   [[1e308, 1.7e308], [-1.7e308, 1e308]]])
+    def test_entries_near_the_largest_double(self, M):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert monotone_modulus(M) == 1e308
+
+    @pytest.mark.parametrize("scale", [1e308, 1e200, 1e-300])
+    def test_coupled_extremes_match_the_scaled_matrix(self, scale):
+        M = scale * np.array([[1.5, 0.6], [0.2, -0.25]])
+        shift = -math.frexp(1.5 * scale)[1]  # brings the largest entry into [1/2, 1)
+        A = np.ldexp(M, shift)
+        S = 0.5 * (A + A.T)
+        expected = math.ldexp(scipy.linalg.eigvalsh(S, subset_by_index=[0, 0])[0], -shift)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert monotone_modulus(M) == expected
+
+    def test_below_the_largest_double_is_minus_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert monotone_modulus(np.full((2, 2), -1.5e308)) == -math.inf
+
+
+def test_operator_checks_its_matrix_once(monkeypatch):
+    calls = []
+    real = operators._check_square
+
+    def counted(M):
+        calls.append(1)
+        return real(M)
+
+    monkeypatch.setattr(operators, "_check_square", counted)
+    M = random_spd_plus_skew(20, np.random.default_rng(75))
+    params = AffineOperator(M, np.zeros(20)).contraction()
+    assert len(calls) == 1
+    assert params == contraction_params(M)
+
+
 class TestLipschitzConstant:
     def test_diagonal(self):
         assert lipschitz_constant(np.diag([1.0, 3.0])) == pytest.approx(3.0, rel=1e-10)
