@@ -12,14 +12,14 @@ every rounding error and proved by one floating-point Cholesky
 factorization (Rump, "Verification of positive definiteness", BIT 46,
 2006). It exceeds ||M||_2 by at most about n**2 * eps relative. beta is
 LAPACK's dense symmetric eigenvalue, accurate to its backward error, a
-small multiple of n*eps*||M||, in either direction. It is taken one
-coupled block at a time: the connected components of the off-diagonal
-nonzero pattern of (M + M^T)/2 each get their own eigensolve, and an
-uncoupled coordinate contributes its diagonal entry exactly, so a
-symmetric part that is diagonal (a skew-dominated saddle, beta*I plus a
-skew part) or block diagonal (the polyhedral reductions) costs no n x n
-eigensolve. A pattern that couples every coordinate, as a dense M does,
-runs the one dense eigensolve on all of it.
+small multiple of n*eps*||M||, in either direction. A coordinate that
+(M + M^T)/2 does not couple to any other (no off-diagonal nonzero in its
+row) contributes its diagonal entry exactly, and only the remaining
+coordinates go to the eigensolver, so a symmetric part that is diagonal
+(a skew-dominated saddle, beta*I plus a skew part) costs no eigensolve and
+one that is diag(0, sym M, 0) (the polyhedral reductions) costs one the
+size of M. When every coordinate is coupled, as for a dense M, the one
+dense eigensolve runs on all of it.
 
 Entries with a magnitude outside 2**(+-256) are scaled by a power of two
 for both constants, so neither overflows on entries near the largest
@@ -67,13 +67,18 @@ class ContractionParams:
     gamma: float
 
 
-def _check_square(M) -> np.ndarray:
+def _check_square(M) -> tuple[np.ndarray, float]:
+    """(M as a float array, its largest entry magnitude); ValueError unless
+    M is square with finite entries."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    # max and min propagate NaN, so the two reductions that give the scale
+    # also check every entry, with no n x n temporary
+    amax = max(M.max(), -M.min()) if M.size else 0.0
+    if not math.isfinite(amax):
         raise ValueError("matrix has non-finite entries")
-    return M
+    return M, float(amax)
 
 
 _U = 2.0**-53  # unit roundoff of binary64
@@ -85,8 +90,6 @@ _GROWTH = 4.0  # factor on the shift's headroom after a failed Cholesky
 # where Lanczos overtakes the dense eigensolver (about 3 ms each on a 2-core
 # x86 with OpenBLAS 0.3.31, one or two threads)
 _LANCZOS_MIN_N = 300
-# pattern rows gathered at once while a coupled block is traced (about 1 MB)
-_ROW_GATHER_BYTES = 2**20
 
 
 def _scaled(M: np.ndarray, amax: float) -> tuple[np.ndarray, int]:
@@ -108,67 +111,44 @@ def _lowest_eigenvalue(A: np.ndarray) -> float:
                                        check_finite=False)[0])
 
 
-def _coupled_blocks(S: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(uncoupled, blocks) for the symmetric S: a mask of the coordinates with
-    no off-diagonal nonzero, and the coordinates of each connected component
-    of the off-diagonal nonzero pattern among the rest, in increasing order.
-
-    Breadth-first over the pattern, which is symmetric since
-    fl(a + b) = fl(b + a): each row is read at most once, and a sweep stops
-    as soon as its block holds every coupled coordinate left.
-    """
-    n = S.shape[0]
-    pattern = S != 0.0
-    pattern.reshape(-1)[:: n + 1] = False
-    unseen = pattern.any(axis=1)  # the coupled coordinates not yet in a block
-    uncoupled = ~unseen
-    rows = max(1, _ROW_GATHER_BYTES // max(n, 1))
-    blocks = []
-    while unseen.any():
-        remaining = np.count_nonzero(unseen)
-        block = np.zeros(n, dtype=bool)
-        frontier = np.array([unseen.argmax()])
-        block[frontier] = True
-        size = 1
-        while frontier.size and size < remaining:
-            reach = np.zeros(n, dtype=bool)
-            for lo in range(0, frontier.size, rows):
-                reach |= pattern[frontier[lo:lo + rows]].any(axis=0)
-            reach &= ~block
-            frontier = np.flatnonzero(reach)
-            block |= reach
-            size += frontier.size
-        blocks.append(np.flatnonzero(block))
-        unseen &= ~block
-    return uncoupled, blocks
-
-
 def _smallest_eigenvalue(S: np.ndarray) -> float:
-    """Smallest eigenvalue of the finite symmetric S, one coupled block at a time.
+    """Smallest eigenvalue of the finite, exactly symmetric S, which it may
+    overwrite.
 
-    Up to a permutation, S is block diagonal over the connected components
-    of its off-diagonal nonzero pattern, so its spectrum is the union of the
-    blocks' spectra. A coordinate with no off-diagonal nonzero contributes
-    its diagonal entry, exactly. Every other block gets its own dense
-    eigensolve, accurate to a small multiple of its size times eps times its
-    norm, which is at most ||S||. When one block covers every coordinate,
-    the eigensolve runs on S itself and overwrites it.
+    A coordinate with no off-diagonal nonzero in S is an eigenvector, so it
+    contributes its diagonal entry, exactly. The other coordinates form a
+    diagonal block of S up to a permutation, and get one dense eigensolve,
+    accurate to a small multiple of its size times eps times its norm, which
+    is at most ||S||. When every coordinate is coupled, as for a dense M,
+    the eigensolve runs on S itself.
     """
-    # the n x n pattern is freed before any eigensolve: held across one, it left
-    # about 0.5 MB more memory resident afterwards
-    uncoupled, blocks = _coupled_blocks(S)
-    if blocks and blocks[0].size == S.shape[0]:
+    pattern = S != 0.0
+    np.fill_diagonal(pattern, False)
+    coupled = pattern.any(axis=1)
+    del pattern  # held across the eigensolve, it left about 0.5 MB more resident
+    if coupled.all():
         # S is symmetric, so S.T is the same matrix in Fortran order
         return _lowest_eigenvalue(S.T)
-    values = [_lowest_eigenvalue(S[np.ix_(b, b)].T) for b in blocks]
-    if uncoupled.any():
-        values.append(float(S.diagonal()[uncoupled].min()))
-    return min(values)
+    smallest = float(S.diagonal()[~coupled].min())
+    if coupled.any():
+        smallest = min(smallest, _lowest_eigenvalue(S[np.ix_(coupled, coupled)].T))
+    return smallest
 
 
-def _modulus(M: np.ndarray) -> float:
-    """monotone_modulus of a square M already checked finite."""
-    A, shift = _scaled(M, max(M.max(), -M.min()))
+def monotone_modulus(M) -> float:
+    """beta = smallest eigenvalue of (M + M^T)/2; negative means not monotone.
+
+    The diagonal entry of each coordinate that the symmetric part does not
+    couple, and LAPACK's dense symmetric eigensolver on the block of the
+    coordinates it does couple. Accurate to the eigensolver's backward
+    error, a small multiple of n*eps*||M||, in either direction; bit for bit
+    the dense eigenvalue when every coordinate is coupled. M is scaled by a
+    power of two when its entries lie outside 2**(+-256), so entries near
+    the largest double do not overflow; a beta below minus the largest
+    double is -inf.
+    """
+    M, amax = _check_square(M)
+    A, shift = _scaled(M, amax)
     S = A + A.T  # finite: every entry of A is below 2**_SAFE_EXP
     S *= 0.5
     beta = _smallest_eigenvalue(S)
@@ -176,20 +156,6 @@ def _modulus(M: np.ndarray) -> float:
         return math.ldexp(beta, -shift)
     except OverflowError:  # only a negative beta can exceed the largest double
         return -math.inf
-
-
-def monotone_modulus(M) -> float:
-    """beta = smallest eigenvalue of (M + M^T)/2; negative means not monotone.
-
-    LAPACK's dense symmetric eigensolver on each block of coordinates that
-    the symmetric part couples, and the diagonal entry of each coordinate it
-    does not couple. Accurate to the eigensolver's backward error, a small
-    multiple of n*eps*||M||, in either direction; bit for bit the dense
-    eigenvalue when every coordinate is coupled. M is scaled by a power of
-    two when its entries lie outside 2**(+-256), so entries near the largest
-    double do not overflow; a beta below minus the largest double is -inf.
-    """
-    return _modulus(_check_square(M))
 
 
 def _higham_gamma(k: int) -> float:
@@ -266,21 +232,6 @@ def _certified_norm(A: np.ndarray, N: np.ndarray, theta: float) -> float:
     return math.nextafter(math.sqrt(math.nextafter(t2, math.inf)), math.inf)
 
 
-def _lipschitz(M: np.ndarray) -> float:
-    """lipschitz_constant of a square M already checked finite."""
-    amax = max(M.max(), -M.min())
-    if amax == 0.0:
-        return 0.0
-    A, shift = _scaled(M, amax)
-    N = _neg_gram(A)
-    lip = _certified_norm(A, N, _top_eigenvalue(N))
-    if not shift:
-        return lip
-    back = math.ldexp(lip, -shift)
-    # scaling back is exact unless it lands among the subnormals; round up there
-    return back if math.ldexp(back, shift) >= lip else math.nextafter(back, math.inf)
-
-
 def lipschitz_constant(M) -> float:
     """Certified upper bound on the spectral norm ||M||_2.
 
@@ -293,7 +244,17 @@ def lipschitz_constant(M) -> float:
     for a given M. Raises OverflowError if ||M||_2 may exceed the largest
     double.
     """
-    return _lipschitz(_check_square(M))
+    M, amax = _check_square(M)
+    if amax == 0.0:
+        return 0.0
+    A, shift = _scaled(M, amax)
+    N = _neg_gram(A)
+    lip = _certified_norm(A, N, _top_eigenvalue(N))
+    if not shift:
+        return lip
+    back = math.ldexp(lip, -shift)
+    # scaling back is exact unless it lands among the subnormals; round up there
+    return back if math.ldexp(back, shift) >= lip else math.nextafter(back, math.inf)
 
 
 def _gamma(alpha: float, beta: float, lip: float) -> float:
@@ -317,8 +278,8 @@ def contraction_params(M) -> ContractionParams:
     Raises NotStronglyMonotone when beta <= 0; callers that only need
     monotonicity (the interior-point path) should catch it.
     """
-    M = _check_square(M)
-    return _params_from(_modulus(M), _lipschitz(M))
+    M = np.asarray(M, dtype=float)
+    return _params_from(monotone_modulus(M), lipschitz_constant(M))
 
 
 def iteration_bound(gamma: float, eps: float) -> int:
@@ -354,7 +315,7 @@ class AffineOperator(Operator):
     """F(x) = M x + q with derived monotonicity and Lipschitz parameters."""
 
     def __init__(self, M, q):
-        M = _check_square(M)
+        M, _ = _check_square(M)
         q = np.asarray(q, dtype=float)
         if q.shape != (M.shape[0],):
             raise ValueError(f"q has shape {q.shape}, expected ({M.shape[0]},)")
@@ -373,14 +334,13 @@ class AffineOperator(Operator):
             raise ValueError(f"x has shape {x.shape}, operator dimension is {self.dim}")
         return self.M @ x + self.q
 
-    # M was checked at construction, so neither constant checks it again
     @cached_property
     def beta(self) -> float:
-        return _modulus(self.M)
+        return monotone_modulus(self.M)
 
     @cached_property
     def lipschitz(self) -> float:
-        return _lipschitz(self.M)
+        return lipschitz_constant(self.M)
 
     def __repr__(self) -> str:
         return f"AffineOperator(dim={self.dim})"

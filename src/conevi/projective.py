@@ -159,8 +159,8 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
     so the symmetric part is I + U sym(C) U^T with C = U^T Q W U. Its
     eigenvalues are 1 + eig(sym C), plus 1 on the complement of range(U)
     when U has fewer than n columns. Cost O(n k'^2). The smallest
-    eigenvalue of sym C is taken one coupled block at a time, as for beta
-    (see conevi.operators).
+    eigenvalue of sym C skips the coordinates it does not couple, as for
+    beta (see conevi.operators).
     On a full span (k' = n) Q is square and orthogonal, so Q itself serves
     as U and C = W Q, formed without the QR (a column gather when Q is in
     CSR form).

@@ -152,32 +152,36 @@ class TestBlockModulus:
         assert monotone_modulus(np.diag(d) + (K - K.T)) == d.min()
 
     @pytest.mark.parametrize("lowest", range(4))
-    def test_scattered_blocks_bit_for_bit(self, lowest, eigvalsh_sizes):
+    def test_scattered_blocks_one_eigensolve(self, lowest, eigvalsh_sizes):
         sizes = [1, 3, 5, 40]
         sizes.insert(0, sizes.pop(lowest))  # the first block holds beta
         M, blocks = scattered_blocks(sizes, np.random.default_rng(72 + lowest), gap=8.0)
         S = 0.5 * (M + M.T)
-        per_block = [scipy.linalg.eigvalsh(S[np.ix_(b, b)], subset_by_index=[0, 0])[0]
-                     for b in blocks]
-        del eigvalsh_sizes[:]
-        beta = monotone_modulus(M)
-        assert beta == min(per_block)
-        assert sorted(eigvalsh_sizes) == sorted(s for s in sizes if s > 1)
-        assert beta == pytest.approx(scipy.linalg.eigvalsh(S)[0], abs=1e-12)
-
-    def test_one_symmetric_pair_merges_two_blocks(self, eigvalsh_sizes):
-        M, blocks = scattered_blocks([3, 4, 5], np.random.default_rng(73))
-        i, j = blocks[0][0], blocks[1][-1]
-        M[i, j] += 0.75
-        M[j, i] += 0.75
-        merged = np.sort(np.concatenate(blocks[:2]))
-        S = 0.5 * (M + M.T)
-        expected = min(scipy.linalg.eigvalsh(S[np.ix_(b, b)], subset_by_index=[0, 0])[0]
-                       for b in (merged, blocks[2]))
+        coupled = np.sort(np.concatenate([b for b in blocks if b.size > 1]))
+        (single,) = [b for b in blocks if b.size == 1]
+        expected = min(S[single[0], single[0]],
+                       scipy.linalg.eigvalsh(S[np.ix_(coupled, coupled)], subset_by_index=[0, 0])[0])
         del eigvalsh_sizes[:]
         beta = monotone_modulus(M)
         assert beta == expected
-        assert sorted(eigvalsh_sizes) == [5, 7]
+        assert eigvalsh_sizes == [coupled.size]
+        assert beta == pytest.approx(scipy.linalg.eigvalsh(S)[0], abs=1e-12)
+
+    def test_one_symmetric_pair_couples_two_coordinates(self, eigvalsh_sizes):
+        rng = np.random.default_rng(73)
+        n = 12
+        d = rng.uniform(1.0, 2.0, n)
+        K = rng.standard_normal((n, n))
+        M = np.diag(d) + (K - K.T)
+        i, j = 2, 9
+        M[i, j] = M[j, i] = 0.75  # symmetric, so the skew part there is gone
+        pair = [i, j]
+        S = 0.5 * (M + M.T)
+        expected = scipy.linalg.eigvalsh(S[np.ix_(pair, pair)], subset_by_index=[0, 0])[0]
+        del eigvalsh_sizes[:]
+        beta = monotone_modulus(M)
+        assert beta == min(expected, np.delete(d, pair).min())
+        assert eigvalsh_sizes == [2]
         assert beta == pytest.approx(scipy.linalg.eigvalsh(S)[0], abs=1e-12)
 
     @pytest.mark.parametrize("shift", [1.0, -1.0])
@@ -234,18 +238,29 @@ class TestExtremeModulus:
             assert monotone_modulus(np.full((2, 2), -1.5e308)) == -math.inf
 
 
-def test_operator_checks_its_matrix_once(monkeypatch):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_entries_raise_without_warnings(bad):
+    M = np.eye(3)
+    M[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (monotone_modulus, lipschitz_constant, contraction_params):
+            with pytest.raises(ValueError, match="non-finite"):
+                f(M)
+        with pytest.raises(ValueError, match="non-finite"):
+            AffineOperator(M, np.zeros(3))
+
+
+def test_operator_constants_go_through_the_public_functions(monkeypatch):
+    # the traced benchmark times beta and L by wrapping these module attributes
     calls = []
-    real = operators._check_square
-
-    def counted(M):
-        calls.append(1)
-        return real(M)
-
-    monkeypatch.setattr(operators, "_check_square", counted)
+    for name in ("monotone_modulus", "lipschitz_constant"):
+        real = getattr(operators, name)
+        monkeypatch.setattr(operators, name,
+                            lambda M, real=real, name=name: calls.append(name) or real(M))
     M = random_spd_plus_skew(20, np.random.default_rng(75))
     params = AffineOperator(M, np.zeros(20)).contraction()
-    assert len(calls) == 1
+    assert calls == ["monotone_modulus", "lipschitz_constant"]
     assert params == contraction_params(M)
 
 
