@@ -1,15 +1,17 @@
 """Subspace bases: orthonormalization, span projection, and null-space residuals.
 
 The projector onto span(Phi) is never materialized; all uses go through the
-two-step n x k' product so projection stays O(n k').
+two-step n x k' product so projection stays O(n k'). A Basis holds one dense
+orthonormal factor; one of rank n spans R^n, and the reduced problem of
+conevi.projective then uses the identity in its place.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 __all__ = ["EmptyBasis", "Basis", "orthonormalize"]
 
@@ -31,11 +33,6 @@ class Basis:
     """
 
     ortho: np.ndarray
-    # ortho as a CSR array when orthonormalize found at most one nonzero in
-    # each row and kept all n columns (ortho is then a signed permutation),
-    # else None; build_projective then applies Q by row gathers and scalings
-    # instead of dense products
-    _sparse: scipy.sparse.csr_array | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -73,38 +70,30 @@ def _rank(squares: np.ndarray) -> int:
     return int(np.sum(residual > DROP_TOL**2 * residual[0]))
 
 
-def _disjoint_ortho(raw: np.ndarray) -> tuple:
-    """(raw diag(1/||raw_j||) on the columns _rank keeps, the same factor as a
-    CSR array or None) when every row of raw has at most one nonzero;
-    (None, None) otherwise. O(nk).
+def _disjoint_ortho(raw: np.ndarray, amax: float) -> np.ndarray | None:
+    """raw diag(1/||raw_j||) on the columns _rank keeps when every row of raw
+    has at most one nonzero, amax its largest entry magnitude; None
+    otherwise. O(nk).
 
     Such columns are orthogonal, so pivoted QR would take them in order of
     descending norm with R diagonal, |R_jj| = ||raw_j||: the same rule keeps
-    the largest-norm columns, here in their input order. The CSR form is
-    built only when all n columns are kept, a signed permutation: below full
-    rank, scipy.sparse's fixed cost per product exceeded the dense work it
-    saves in the projective IPM at the paper's sizes (n = 40).
+    the largest-norm columns, here in their input order.
     """
     n, k = raw.shape
     nonzero = raw != 0
     col = nonzero.argmax(axis=1)  # each row's first nonzero column, 0 for a zero row
     v = raw[np.arange(n), col]
     if np.count_nonzero(nonzero) != np.count_nonzero(v):
-        return None, None  # some row has a second nonzero
-    v = v / np.max(np.abs(v))  # scaled so that squares neither overflow nor underflow
+        return None  # some row has a second nonzero
+    v = v / amax  # scaled so that squares neither overflow nor underflow
     squares = np.bincount(col, weights=v * v, minlength=k)
     order = np.argsort(-squares, kind="stable")
     keep = np.zeros(k, dtype=bool)
     keep[order[:_rank(squares[order])]] = True
     rows = np.flatnonzero(keep[col])  # a zero row writes a harmless 0
-    cols = (np.cumsum(keep) - 1)[col[rows]]
-    values = v[rows] / np.sqrt(squares[col[rows]])
     ortho = np.zeros((n, int(keep.sum())))
-    ortho[rows, cols] = values
-    if ortho.shape[1] < n:
-        return ortho, None
-    # every row holds exactly one nonzero, so rows is 0..n-1
-    return ortho, scipy.sparse.csr_array((values, cols, np.arange(n + 1)), shape=(n, n))
+    ortho[rows, (np.cumsum(keep) - 1)[col[rows]]] = v[rows] / np.sqrt(squares[col[rows]])
+    return ortho
 
 
 def orthonormalize(raw) -> Basis:
@@ -117,8 +106,7 @@ def orthonormalize(raw) -> Basis:
     - when every row of raw has at most one nonzero (the identity, 0/1
       aggregation), the columns are already orthogonal and R is diagonal
       with |R_jj| = ||raw_j||, so the kept columns are scaled to unit norm
-      in O(nk) and stay in their input order (a Basis of rank n keeps them
-      in CSR form too);
+      in O(nk) and stay in their input order;
     - otherwise QR with column pivoting is computed, O(n k min(n, k)).
 
     Raises EmptyBasis when raw has no nonzero column.
@@ -126,12 +114,15 @@ def orthonormalize(raw) -> Basis:
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[0] < 1 or raw.shape[1] < 1:
         raise ValueError(f"raw basis must be a nonempty 2-D matrix, got shape {raw.shape}")
-    if not np.all(np.isfinite(raw)):
+    # max and min propagate NaN, so one pair checks every entry, with no
+    # n x k temporary
+    amax = max(raw.max(), -raw.min())
+    if not math.isfinite(amax):
         raise ValueError("raw basis has non-finite entries")
-    if not np.any(raw):
+    if amax == 0.0:
         raise EmptyBasis("raw basis is identically zero")
 
-    ortho, sparse = _disjoint_ortho(raw)
+    ortho = _disjoint_ortho(raw, float(amax))
     if ortho is None:
         Q, R, _ = scipy.linalg.qr(raw, mode="economic", pivoting=True)
         # |R[0, 0]| bounds every entry of R under column pivoting, so the
@@ -139,7 +130,4 @@ def orthonormalize(raw) -> Basis:
         R /= abs(R[0, 0])
         ortho = np.ascontiguousarray(Q[:, :_rank(np.einsum("ij,ij->i", R, R))])
     ortho.setflags(write=False)
-    if sparse is not None:
-        for part in (sparse.data, sparse.indices, sparse.indptr):
-            part.setflags(write=False)
-    return Basis(ortho=ortho, _sparse=sparse)
+    return Basis(ortho=ortho)

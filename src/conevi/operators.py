@@ -90,6 +90,7 @@ _GROWTH = 4.0  # factor on the shift's headroom after a failed Cholesky
 # where Lanczos overtakes the dense eigensolver (about 3 ms each on a 2-core
 # x86 with OpenBLAS 0.3.31, one or two threads)
 _LANCZOS_MIN_N = 300
+_TILE = 256  # side of the square tiles _transpose_sum adds, 512 KB of doubles
 
 
 def _scaled(M: np.ndarray, amax: float) -> tuple[np.ndarray, int]:
@@ -135,6 +136,19 @@ def _smallest_eigenvalue(S: np.ndarray) -> float:
     return smallest
 
 
+def _transpose_sum(A: np.ndarray) -> np.ndarray:
+    """A + A^T for a square A, bit for bit, added one tile at a time so that
+    the transposed operand is read from cache, not column by column across
+    A. Floating-point addition commutes, so the result is exactly symmetric.
+    """
+    S = np.empty_like(A)
+    for i in range(0, A.shape[0], _TILE):
+        for j in range(0, A.shape[0], _TILE):
+            np.add(A[i:i + _TILE, j:j + _TILE], A[j:j + _TILE, i:i + _TILE].T,
+                   out=S[i:i + _TILE, j:j + _TILE])
+    return S
+
+
 def monotone_modulus(M) -> float:
     """beta = smallest eigenvalue of (M + M^T)/2; negative means not monotone.
 
@@ -149,7 +163,7 @@ def monotone_modulus(M) -> float:
     """
     M, amax = _check_square(M)
     A, shift = _scaled(M, amax)
-    S = A + A.T  # finite: every entry of A is below 2**_SAFE_EXP
+    S = _transpose_sum(A)  # finite: every entry of A is below 2**_SAFE_EXP
     S *= 0.5
     beta = _smallest_eigenvalue(S)
     try:

@@ -13,11 +13,11 @@ on the smaller side of the Woodbury identity (woodbury_split states the
 rule and its costs). Once the guessed active set settles, an active-set
 finish solves the LCP on it exactly with one more system of the same size.
 
-When the basis spans all of R^n with one nonzero per row (the identity of
-a full span), Q is a signed permutation stored as a scipy.sparse CSR array,
-and the same expressions apply it by gathering, scattering and scaling rows
-and columns: W costs O(n^2) instead of O(n^3), and each product with Q in
-the Woodbury solve and the positive-definiteness check at most O(n k').
+When the basis spans all of R^n (k' = n), Q is square and orthogonal, so
+N = alpha*M and r = alpha*q whatever the basis: Q is then stored as None,
+the identity, W = alpha*M - I costs O(n^2) instead of O(n^3), and every
+product with Q in the Woodbury solve and the positive-definiteness check
+is dropped or becomes a row gather or a column scaling.
 """
 from __future__ import annotations
 
@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .basis import Basis
 from .cones import SeparableCone, _positive_int
-from .operators import AffineOperator, _smallest_eigenvalue
+from .operators import AffineOperator, _smallest_eigenvalue, _transpose_sum
 
 __all__ = [
     "IpmBreakdown",
@@ -61,24 +60,25 @@ class ProjectiveLcp:
     """The reduced problem CP(Nx + r, K) in identity-plus-low-rank form.
 
     N = I + ortho @ W is never materialized; apply() costs O(n k').
-    ortho is a scipy.sparse CSR array when the basis is a signed permutation
-    (see build_projective), else a dense array.
+    ortho is None for the identity, which build_projective stores for a
+    basis of rank n (N = I + W there), else the dense n x k' factor Q.
     """
 
-    ortho: np.ndarray | scipy.sparse.csr_array
+    ortho: np.ndarray | None
     W: np.ndarray
     r: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.ortho.shape[0]
+        return self.W.shape[1]
 
     def apply(self, x) -> np.ndarray:
         """N @ x in O(n k')."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"x has shape {x.shape}, problem dimension is {self.n}")
-        return x + self.ortho @ (self.W @ x)
+        Wx = self.W @ x
+        return x + (Wx if self.ortho is None else self.ortho @ Wx)
 
 
 @dataclass
@@ -130,25 +130,24 @@ class IpmReport:
 def build_projective(op: AffineOperator, basis: Basis, alpha: float) -> ProjectiveLcp:
     """Assemble the reduced problem for F(x) = Mx + q and the given basis.
 
-    The only O(n^2 k') work (forming W) happens here, once. A basis that
-    orthonormalize found to be a signed permutation keeps its CSR form as
-    ortho, and W is then gathered from scaled rows of M in O(n^2).
+    The only O(n^2 k') work (forming W) happens here, once. A basis of rank
+    n has a square orthogonal Q, so N = I + Q(alpha Q^T M - Q^T) = alpha M
+    and r = alpha q: ortho is then None, the identity, and W = alpha M - I
+    costs O(n^2).
     """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     if basis.n != op.dim:
         raise ValueError(f"basis dimension {basis.n} != operator dimension {op.dim}")
-    Q = basis.ortho if basis._sparse is None else basis._sparse
+    if basis.rank == basis.n:
+        W = alpha * op.M
+        W[np.diag_indices(basis.n)] -= 1.0
+        return ProjectiveLcp(ortho=None, W=W, r=alpha * op.q)
+    Q = basis.ortho
     W = Q.T @ op.M
     W *= alpha
-    if basis._sparse is None:
-        W -= Q.T
-    else:
-        # Q is a signed permutation: subtract Q^T at its n entries, where
-        # ndarray - sparse would first densify Q^T into an n x n temporary
-        W[Q.indices, np.arange(Q.shape[0])] -= Q.data
-    r = alpha * (Q @ (Q.T @ op.q))
-    return ProjectiveLcp(ortho=Q, W=W, r=r)
+    W -= Q.T
+    return ProjectiveLcp(ortho=Q, W=W, r=alpha * (Q @ (Q.T @ op.q)))
 
 
 def verify_pd(plcp: ProjectiveLcp) -> float:
@@ -161,18 +160,16 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
     when U has fewer than n columns. Cost O(n k'^2). The smallest
     eigenvalue of sym C skips the coordinates it does not couple, as for
     beta (see conevi.operators).
-    On a full span (k' = n) Q is square and orthogonal, so Q itself serves
-    as U and C = W Q, formed without the QR (a column gather when Q is in
-    CSR form).
+    On a full span Q is the identity (ortho is None), so U = I and C = W,
+    with no QR: the result is 1 + lambda_min(sym W).
     """
     Q = plcp.ortho
-    if Q.shape[1] == plcp.n:
-        C = _times_ortho(plcp.W, Q)
+    if Q is None:
+        C = plcp.W
     else:
-        dense_Q = Q.toarray() if scipy.sparse.issparse(Q) else Q
-        U, _ = np.linalg.qr(np.hstack([dense_Q, plcp.W.T]))
+        U, _ = np.linalg.qr(np.hstack([Q, plcp.W.T]))
         C = (U.T @ Q) @ (plcp.W @ U)
-    S = np.asarray_chkfinite(C + C.T)
+    S = np.asarray_chkfinite(_transpose_sum(C))
     S *= 0.5
     smallest = 1.0 + _smallest_eigenvalue(S)
     return smallest if C.shape[0] == plcp.n else min(1.0, smallest)
@@ -180,30 +177,23 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
 
 def _lu(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """LU-factor the square A once and return its solve; IpmBreakdown when A
-    is exactly singular."""
-    lu, piv, info = scipy.linalg.lapack.dgetrf(A)
+    is exactly singular.
+
+    A is overwritten by the factors: every caller passes a matrix it has
+    just built and never reads again. A C-ordered A is factored as its
+    Fortran-ordered transpose, A^T = P L U, so LAPACK gets it without a
+    copy, and the solve applies the factors transposed.
+    """
+    lu, piv, info = scipy.linalg.lapack.dgetrf(A.T, overwrite_a=True)
     if info > 0:
         raise IpmBreakdown(f"singular {A.shape[0]}x{A.shape[0]} Woodbury system")
-    return lambda c: scipy.linalg.lapack.dgetrs(lu, piv, c)[0]
+    return lambda c: scipy.linalg.lapack.dgetrs(lu, piv, c, trans=1)[0]
 
 
-def _times_ortho(A: np.ndarray, Q: np.ndarray | scipy.sparse.csr_array,
-                 w: np.ndarray | None = None) -> np.ndarray:
-    """A @ diag(w) @ Q (w = 1 when None) as a new array.
-
-    A CSR Q must be a signed permutation, one entry per row and column (see
-    ProjectiveLcp): column j of the product is then column i of A scaled by
-    w_i Q_ij, i the row holding column j's entry, so the product is a
-    column gather scaled in place, O(k' n), where scipy's dense @ sparse
-    costs several times more.
-    """
-    if not scipy.sparse.issparse(Q):
-        return A @ (Q if w is None else Q * w[:, None])
-    rows = np.empty_like(Q.indices)
-    rows[Q.indices] = np.arange(Q.shape[0])
-    out = A[:, rows]
-    out *= (Q.data if w is None else w * Q.data)[rows]
-    return out
+def _times_ortho(A: np.ndarray, Q: np.ndarray | None, w: np.ndarray) -> np.ndarray:
+    """A @ diag(w) @ Q as a new array; a column scaling of A when Q is None,
+    the identity."""
+    return A * w if Q is None else A @ (Q * w[:, None])
 
 
 def _plus_identity(A: np.ndarray) -> np.ndarray:
@@ -212,15 +202,16 @@ def _plus_identity(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _split(Q: np.ndarray | scipy.sparse.csr_array, W: np.ndarray, fixed: np.ndarray,
+def _split(Q: np.ndarray | None, W: np.ndarray, fixed: np.ndarray,
            small_side: bool) -> tuple:
     """woodbury_split's (fixed, factor) on the side it names: the |V|x|V|
     system when small_side, else the k'xk' one.
 
-    The k'xk' side is taken for a CSR Q only when every row varies (k' = n
-    there), so Q[V] is then the whole signed permutation."""
+    The k'xk' side is taken for Q = None only when every row varies (k' = n
+    there), so Q[V] is then the whole identity."""
     varying = ~fixed
-    Q_var, W_var = Q[varying], W[:, varying]
+    Q_var = None if Q is None else Q[varying]
+    W_var = W[:, varying]
     G_c = _plus_identity(_times_ortho(W, Q, np.where(fixed, 1.0, 0.5)))
     if not small_side:
         def factor_k(D_var: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -231,7 +222,7 @@ def _split(Q: np.ndarray | scipy.sparse.csr_array, W: np.ndarray, fixed: np.ndar
         return fixed, factor_k
     solve_c = _lu(G_c)
     T = solve_c(W_var)
-    Z = Q_var @ T
+    Z = T[varying] if Q is None else Q_var @ T
 
     def factor(D_var: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         if not D_var.size:  # no varying rows: the system is G_c itself
@@ -241,15 +232,14 @@ def _split(Q: np.ndarray | scipy.sparse.csr_array, W: np.ndarray, fixed: np.ndar
 
         def solve(c):
             y = solve_c(c)
-            return y - T @ solve_var(e * (Q_var @ y))
+            return y - T @ solve_var(e * (y[varying] if Q is None else Q_var @ y))
 
         return solve
 
     return fixed, factor
 
 
-def woodbury_split(Q: np.ndarray | scipy.sparse.csr_array, W: np.ndarray,
-                   fixed: np.ndarray) -> tuple:
+def woodbury_split(Q: np.ndarray | None, W: np.ndarray, fixed: np.ndarray) -> tuple:
     """Precompute the per-solve share of the Woodbury system for diagonals D
     that are 1 on the rows `fixed` and >= 1 on the varying rows V = ~fixed.
 
@@ -266,10 +256,10 @@ def woodbury_split(Q: np.ndarray | scipy.sparse.csr_array, W: np.ndarray,
       |V|x|V| system I + diag(e) Z in O(|V|^3) (the Woodbury identity
       applied a second time; |e| <= 1/2 because D_V >= 1, inf included),
       and a solve costs O(n k' + k'^2 + k' |V|).
-    With Q a signed permutation in CSR form (see ProjectiveLcp),
-    every product with Q gathers and scales rows or columns of the other
-    factor: G_c costs O(n k' + k'^2), Z O(|V|^2) and the k'xk' sum
-    O(|V| k' + k'^2); the LU factorizations and T keep their costs.
+    Q = None stands for the identity (k' = n, see ProjectiveLcp): every
+    product with Q becomes a column scaling or a row gather of the other
+    factor, so G_c costs O(n^2), Z O(|V| n) and the k'xk' sum O(n^2); the
+    LU factorizations and T keep their costs.
     diag(D_c) + Q W is the Newton matrix N + diag(d) at d = 1 on V. For
     monotone N (N + N^T PSD), N + diag(d) with d > 0 on V is singular
     exactly when N has a null vector x with x_V = 0, whatever d is; so G_c
@@ -277,14 +267,16 @@ def woodbury_split(Q: np.ndarray | scipy.sparse.csr_array, W: np.ndarray,
     IpmBreakdown is raised here in that case.
     """
     fixed = np.asarray(fixed, dtype=bool)
-    if fixed.shape != (Q.shape[0],):
-        raise ValueError(f"fixed has shape {fixed.shape}, problem dimension is {Q.shape[0]}")
-    return _split(Q, W, fixed, int((~fixed).sum()) < Q.shape[1])
+    k, n = W.shape
+    if fixed.shape != (n,):
+        raise ValueError(f"fixed has shape {fixed.shape}, problem dimension is {n}")
+    return _split(Q, W, fixed, int((~fixed).sum()) < k)
 
 
-def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | scipy.sparse.csr_array, W: np.ndarray,
+def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | None, W: np.ndarray,
                              split: tuple | None = None) -> Callable[[np.ndarray], np.ndarray]:
     """Factor diag(D) + Q W for the Woodbury identity; return its solve.
+    Q = None stands for the identity (W is then n x n, see ProjectiveLcp).
 
     The returned solve(b) computes u = D^-1 b, solves the k'xk' system
     (I + W D^-1 Q) t = W u with the factors formed here, and returns
@@ -301,8 +293,7 @@ def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | scipy.sparse.csr_arr
     D = np.asarray(D, dtype=float)
     if not np.all(D > 0):
         raise IpmBreakdown("diagonal lost positivity")
-    k = Q.shape[1] if Q.ndim == 2 else 0
-    if k == 0:
+    if W.shape[0] == 0:
         return lambda b: np.asarray(b, dtype=float) / D
     if split is None:
         fixed, factor = _split(Q, W, np.zeros(D.shape, dtype=bool), small_side=False)
@@ -316,12 +307,13 @@ def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | scipy.sparse.csr_arr
 
     def solve(b: np.ndarray) -> np.ndarray:
         u = np.asarray(b, dtype=float) / D
-        return u - (Q @ solve_small(W @ u)) / D
+        t = solve_small(W @ u)
+        return u - (t if Q is None else Q @ t) / D
 
     return solve
 
 
-def solve_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | scipy.sparse.csr_array, W: np.ndarray,
+def solve_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | None, W: np.ndarray,
                             rhs: np.ndarray, split: tuple | None = None) -> np.ndarray:
     """Solve (diag(D) + Q W) y = rhs by the Woodbury identity: one
     factor_diag_plus_lowrank call and one solve with its factors."""

@@ -32,8 +32,18 @@ class TestOrthonormalize:
             np.testing.assert_allclose(b.project_span(u), u, atol=1e-12)
 
     def test_all_zero_rejected(self):
-        with pytest.raises(EmptyBasis):
-            orthonormalize(np.zeros((3, 2)))
+        for zero in (0.0, -0.0):
+            with pytest.raises(EmptyBasis):
+                orthonormalize(np.full((3, 2), zero))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        # also where the rest of the basis is zero, or as its largest entry
+        for rest in (0.0, 1.0, -1e300):
+            raw = np.full((3, 2), rest)
+            raw[1, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                orthonormalize(raw)
 
     def test_span_preserved_within_drop_tol(self):
         rng = np.random.default_rng(21)
@@ -130,13 +140,6 @@ class TestDisjointSupport:
             kept = np.flatnonzero(norms > conevi.basis.DROP_TOL * np.linalg.norm(norms))
             np.testing.assert_allclose(b.ortho, raw[:, kept] / (np.abs(raw).max() * norms[kept]),
                                        rtol=1e-15, atol=0)
-            # a full span keeps the same factor in CSR form, one stored entry
-            # per row; a basis of lower rank keeps only the dense one
-            if b.rank < b.n:
-                assert b._sparse is None
-            else:
-                np.testing.assert_array_equal(b._sparse.toarray(), b.ortho)
-                assert b._sparse.nnz == b.n
 
     def test_shared_row_or_dense_basis_keeps_the_qr_result(self):
         rng = np.random.default_rng(28)
@@ -147,7 +150,6 @@ class TestDisjointSupport:
         for raw in (dense, shared):
             b = orthonormalize(raw)
             np.testing.assert_array_equal(b.ortho, pivoted_qr(raw))
-            assert b._sparse is None
 
 
 class TestProjection:

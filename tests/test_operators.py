@@ -93,10 +93,12 @@ class TestMonotoneModulus:
 
     def test_bit_identical_to_symmetric_part_and_m_untouched(self):
         rng = np.random.default_rng(17)
-        for n in (2, 7, 60):
+        # 257 and 600 are not multiples of the tile of the transposed add
+        for n in (1, 2, 7, 60, 257, 600):
             M = rng.standard_normal((n, n))
             op = AffineOperator(M, np.zeros(n))
             before = op.M.copy()
+            assert operators._transpose_sum(M).tobytes() == (M + M.T).tobytes()
             oracle = scipy.linalg.eigvalsh(0.5 * (M + M.T), subset_by_index=[0, 0])[0]
             assert op.beta == oracle
             np.testing.assert_array_equal(op.M, before)

@@ -3,10 +3,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from conevi import projective
-from conevi.basis import Basis, orthonormalize
+from conevi.basis import orthonormalize
 from conevi.cones import SegmentKind, Segment, SeparableCone, orthant, parse_cone_spec, zero
 from conevi.generate import generate_instance
 from conevi.operators import AffineOperator
@@ -14,6 +13,7 @@ from conevi.bench import _bench_instance
 from conevi.projective import (
     IpmBreakdown,
     IpmConfig,
+    ProjectiveLcp,
     build_projective,
     factor_diag_plus_lowrank,
     solve_diag_plus_lowrank,
@@ -32,6 +32,18 @@ def dense_N(op, basis, alpha):
     return np.eye(n) - P + alpha * (P @ op.M)
 
 
+def materialize(plcp):
+    """N, read column by column through plcp.apply on the identity's columns."""
+    return np.column_stack([plcp.apply(e) for e in np.eye(plcp.n)])
+
+
+def full_spans(n, rng):
+    """Raw bases of rank n: the identity, a signed and scaled permutation,
+    and a dense Gaussian matrix (a dense orthogonal factor)."""
+    signed = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
+    return np.eye(n), np.diag(signed)[rng.permutation(n)], rng.standard_normal((n, n))
+
+
 class TestBuildProjective:
     def test_identity_basis_collapses_to_alpha_m(self):
         rng = np.random.default_rng(41)
@@ -39,8 +51,28 @@ class TestBuildProjective:
         q = rng.standard_normal(5)
         op = AffineOperator(M, q)
         plcp = build_projective(op, orthonormalize(np.eye(5)), 0.3)
-        np.testing.assert_allclose(np.eye(5) + plcp.ortho @ plcp.W, 0.3 * M, atol=1e-12)
+        np.testing.assert_allclose(materialize(plcp), 0.3 * M, atol=1e-12)
         np.testing.assert_allclose(plcp.r, 0.3 * q, atol=1e-14)
+
+    def test_every_full_span_is_the_identity(self):
+        # Q square and orthogonal: N = alpha M and r = alpha q whatever the basis
+        rng = np.random.default_rng(48)
+        n, alpha = 30, 0.3
+        op, _ = generate_instance(n, 4, 1.0, 3.0, seed=48)
+        M = op.M
+        cone = parse_cone_spec("nn:12,free:6,nn:12")
+        xs = []
+        for raw in full_spans(n, rng):
+            plcp = build_projective(op, orthonormalize(raw), alpha)
+            assert plcp.ortho is None
+            np.testing.assert_allclose(plcp.W, alpha * M - np.eye(n), rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(plcp.r, alpha * op.q)
+            np.testing.assert_allclose(materialize(plcp), alpha * M, rtol=0, atol=1e-15)
+            rep = solve_ipm(plcp, cone)
+            assert rep.converged
+            xs.append(rep.x)
+        for x in xs[1:]:
+            assert np.linalg.norm(x - xs[0]) <= 1e-12 * np.linalg.norm(xs[0])
 
     def test_single_axis_identity_m(self):
         op = AffineOperator(np.eye(2), [4.0, -7.0])
@@ -121,25 +153,26 @@ class TestVerifyPd:
             M = rng.standard_normal((n, n)) + 0.5 * np.eye(n)
             basis = orthonormalize(rng.standard_normal((n, k)))
             plcp = build_projective(AffineOperator(M, np.zeros(n)), basis, 0.3)
-            N = np.eye(n) + plcp.ortho @ plcp.W
+            N = materialize(plcp)
             ref = np.linalg.eigvalsh(0.5 * (N + N.T))[0]
             assert verify_pd(plcp) == pytest.approx(ref, abs=1e-12 * (1 + abs(ref)))
 
-    def test_full_span_without_qr(self):
-        # k' = n: 1 + lambda_min(sym(W Q)), Q the identity, a signed and
-        # scaled permutation (both in CSR form) or a dense orthogonal factor
+    def test_full_span_without_qr(self, monkeypatch):
+        # k' = n: 1 + lambda_min(sym(alpha M - I)) for the identity, a signed
+        # and scaled permutation and a dense orthogonal factor
         rng = np.random.default_rng(54)
-        n = 50
-        signed = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
+        n, alpha = 50, 0.3
         M = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
-        for raw in (np.eye(n), np.diag(signed)[rng.permutation(n)], rng.standard_normal((n, n))):
-            basis = orthonormalize(raw)
-            plcp = build_projective(AffineOperator(M, np.zeros(n)), basis, 0.3)
-            assert plcp.ortho.shape == (n, n)
-            assert scipy.sparse.issparse(plcp.ortho) == (basis._sparse is not None)
-            Q = basis.ortho
-            N = np.eye(n) + Q @ plcp.W
-            ref = np.linalg.eigvalsh(0.5 * (N + N.T))[0]
+        plcps = [build_projective(AffineOperator(M, np.zeros(n)), orthonormalize(raw), alpha)
+                 for raw in full_spans(n, rng)]
+        W = alpha * M - np.eye(n)
+        ref = 1.0 + np.linalg.eigvalsh(0.5 * (W + W.T))[0]
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("verify_pd ran a QR on a full span")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        for plcp in plcps:
             assert verify_pd(plcp) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_proper_subspace_keeps_qr_formula(self):
@@ -164,66 +197,74 @@ class TestVerifyPd:
         assert verify_pd(plcp) == pytest.approx(0.6, abs=1e-12)
 
 
-def signed_permutations():
-    """Full-span raw bases with one nonzero per row, n = 40: orthonormalize
-    keeps their Q, a signed permutation, in CSR form."""
-    rng = np.random.default_rng(66)
-    n = 40
-    yield np.eye(n)
-    signed = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
-    yield np.diag(signed)[rng.permutation(n)]
-
-
 class TestSignedPermutationRoute:
-    """The CSR factor of a signed permutation against the same Q stored dense:
-    every product with a +-1 entry is exact, so the two match bit for bit."""
+    """The route of a signed permutation, and of every other rank-n basis:
+    the identity (ortho = None, W = alpha M - I), against the same reduced
+    problem stored with its dense orthogonal Q."""
 
     @staticmethod
     def both_routes(raw, alpha):
         op, _ = generate_instance(raw.shape[0], 4, 1.0, 3.0, seed=67)
         basis = orthonormalize(raw)
-        sparse = build_projective(op, basis, alpha)
-        dense = build_projective(op, Basis(ortho=basis.ortho), alpha)
-        assert scipy.sparse.issparse(sparse.ortho) and isinstance(dense.ortho, np.ndarray)
-        np.testing.assert_array_equal(sparse.ortho.toarray(), dense.ortho)
-        return sparse, dense
+        Q = basis.ortho
+        identity = build_projective(op, basis, alpha)
+        dense = ProjectiveLcp(ortho=Q, W=alpha * (Q.T @ op.M) - Q.T,
+                              r=alpha * (Q @ (Q.T @ op.q)))
+        assert identity.ortho is None
+        return identity, dense
 
-    @pytest.mark.parametrize("raw", signed_permutations())
+    @pytest.mark.parametrize("raw", full_spans(40, np.random.default_rng(66)))
     def test_reduced_problem_and_verify_pd(self, raw):
-        sparse, dense = self.both_routes(raw, 0.3)
-        assert isinstance(sparse.W, np.ndarray)
-        np.testing.assert_array_equal(sparse.W, dense.W)
-        np.testing.assert_array_equal(sparse.r, dense.r)
-        x = np.random.default_rng(68).standard_normal(raw.shape[0])
-        np.testing.assert_array_equal(sparse.apply(x), dense.apply(x))
-        assert verify_pd(sparse) == verify_pd(dense)
+        identity, dense = self.both_routes(raw, 0.3)
+        N = materialize(identity)
+        assert np.abs(N - materialize(dense)).max() <= 1e-14 * np.abs(N).max()
+        np.testing.assert_allclose(identity.r, dense.r, rtol=0,
+                                   atol=1e-14 * np.abs(identity.r).max())
+        assert verify_pd(identity) == pytest.approx(verify_pd(dense), rel=1e-12)
 
-    @pytest.mark.parametrize("raw", signed_permutations())
+    @pytest.mark.parametrize("raw", full_spans(40, np.random.default_rng(66)))
     def test_woodbury_sides_and_solve(self, raw):
-        sparse, dense = self.both_routes(raw, 0.3)
-        n, k = sparse.ortho.shape
+        identity, dense = self.both_routes(raw, 0.3)
+        n = identity.n
+        N = materialize(identity)
         rng = np.random.default_rng(69)
-        # |V| >= k' (the k'xk' side, and no split at all) and |V| < k'
-        for n_var in (n, k - 1):
+        # |V| = n (the k'xk' side, and no split at all) and |V| < k'
+        for n_var in (n, n - 5):
             fixed = np.ones(n, dtype=bool)
             fixed[rng.permutation(n)[:n_var]] = False
             D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-6, 6, n))
+            K = N - np.eye(n) + np.diag(D)
             rhs = rng.standard_normal(n)
-            splits = [woodbury_split(p.ortho, p.W, fixed) for p in (sparse, dense)]
-            got, ref = (factor_diag_plus_lowrank(D, p.ortho, p.W, split)(rhs)
-                        for p, split in zip((sparse, dense), splits))
-            np.testing.assert_array_equal(got, ref)
-            got, ref = (factor_diag_plus_lowrank(D, p.ortho, p.W)(rhs) for p in (sparse, dense))
-            np.testing.assert_array_equal(got, ref)
+            for p in (identity, dense):
+                for split in (woodbury_split(p.ortho, p.W, fixed), None):
+                    y = factor_diag_plus_lowrank(D, p.ortho, p.W, split)(rhs)
+                    # normwise backward error of the solve
+                    err = np.abs(K @ y - rhs).max()
+                    assert err <= 1e-14 * (np.abs(K).sum(1).max() * np.abs(y).max()
+                                           + np.abs(rhs).max())
 
-    @pytest.mark.parametrize("raw", signed_permutations())
+    @pytest.mark.parametrize("raw", full_spans(40, np.random.default_rng(66)))
     def test_solve_ipm(self, raw):
         cone = parse_cone_spec("nn:14,free:6,nn:14,free:6")
-        sparse, dense = self.both_routes(raw, 0.3)
-        got, ref = solve_ipm(sparse, cone), solve_ipm(dense, cone)
+        identity, dense = self.both_routes(raw, 0.3)
+        got, ref = solve_ipm(identity, cone), solve_ipm(dense, cone)
         assert got.converged and ref.converged
         assert (got.iterations, got.finish_accepted) == (ref.iterations, ref.finish_accepted)
-        np.testing.assert_array_equal(got.x, ref.x)
+        assert np.linalg.norm(got.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
+
+    @pytest.mark.parametrize("k", [40, 30])
+    @pytest.mark.parametrize("cone", ["nn:14,free:6,nn:14,free:6", "nn:40"])
+    def test_inputs_left_untouched(self, k, cone):
+        # the LU factorizations overwrite only matrices they built, on both
+        # Woodbury sides (|V| = 28 or 40 against k' = 30 or 40)
+        op, _ = generate_instance(40, 4, 1.0, 3.0, seed=70)
+        before = [a.tobytes() for a in (op.M, op.q)]
+        plcp = build_projective(op, orthonormalize(np.eye(40)[:, :k]), 0.3)
+        stored = [a.tobytes() for a in (plcp.W, plcp.r)]
+        assert solve_ipm(plcp, parse_cone_spec(cone)).converged
+        verify_pd(plcp)
+        assert [a.tobytes() for a in (plcp.W, plcp.r)] == stored
+        assert [a.tobytes() for a in (op.M, op.q)] == before
 
 
 class TestWoodbury:
@@ -567,7 +608,7 @@ class TestSolveIpm:
         rep = solve_ipm(plcp, cone)
         assert rep.converged and not rep.finish_accepted
         assert len(steps) == rep.iterations - 1
-        N = np.eye(plcp.n) + plcp.ortho @ plcp.W
+        N = materialize(plcp)
         for (d, x, s, g, B, mu), (dx_aff, ds_aff, dx, ds, sigma) in (steps[0], steps[-1]):
             K = N + np.diag(d)
 
