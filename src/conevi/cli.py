@@ -82,38 +82,27 @@ def _config(cls, args, **fields):
 
 
 def _cmd_solve(args) -> int:
-    unused = ("tol", "trace") if args.method == "ipm" else ("mu_tol", "feas_tol")
-    for name in unused:
-        if getattr(args, name) is not None:
-            flag = "--" + name.replace("_", "-")
-            print(f"solve --method {args.method} does not use {flag}", file=sys.stderr)
-            return 2
+    if args.method == "ipm" and args.trace is not None:
+        print("solve --method ipm does not use --trace", file=sys.stderr)
+        return 2
+    if args.method in ("bertsekas", "galerkin") and not args.basis:
+        print(f"solve --method {args.method} requires --basis", file=sys.stderr)
+        return 2
     op, cone = _load_problem(args.problem)
     # the exact method never reads a basis, so a bad one cannot fail it
     basis = _load_basis(args.basis) if args.basis and args.method != "exact" else None
-    if args.method in ("bertsekas", "galerkin") and basis is None:
-        print(f"solve --method {args.method} requires --basis", file=sys.stderr)
-        return 2
 
     if args.method == "ipm":
+        ipm_cfg = _config(IpmConfig, args, tol="tol", max_iter="max_iter")
         if basis is None:
             basis = orthonormalize(np.eye(cone.dim))
-        if args.alpha is not None:
-            alpha = args.alpha
-        elif basis.rank == cone.dim:
-            # a full span has N = alpha M and r = alpha q: alpha only rescales
-            # the LCP, and 1 keeps the IPM's absolute tolerances in M's units
-            alpha = 1.0
-        else:
-            try:
-                alpha = op.contraction().alpha
-            except NotStronglyMonotone:
-                print("operator is not strongly monotone; pass --alpha explicitly",
-                      file=sys.stderr)
-                return 1
-        ipm_cfg = _config(IpmConfig, args, mu_tol="mu_tol", feas_tol="feas_tol",
-                          max_iter="max_iter")
-        report = solve_ipm(build_projective(op, basis, alpha), cone, ipm_cfg)
+        try:
+            plcp = build_projective(op, basis, args.alpha)
+        except NotStronglyMonotone:
+            print("operator is not strongly monotone; pass --alpha explicitly",
+                  file=sys.stderr)
+            return 1
+        report = solve_ipm(plcp, cone, ipm_cfg)
         pairs = [
             ("method", "ipm"),
             ("converged", report.converged),
@@ -246,12 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--problem", required=True)
     p_solve.add_argument("--basis", help="basis file (required for bertsekas/galerkin, "
                                          "not read by exact)")
-    p_solve.add_argument("--tol", type=float, help="step tolerance (not ipm)")
+    p_solve.add_argument("--tol", type=float, help="stopping tolerance (ipm: mu and feasibility)")
     p_solve.add_argument("--max-iter", type=int, dest="max_iter")
     p_solve.add_argument("--alpha", type=float,
-                         help="override the derived step size (ipm on a full-span basis: 1)")
-    p_solve.add_argument("--mu-tol", type=float, dest="mu_tol", help="ipm only")
-    p_solve.add_argument("--feas-tol", type=float, dest="feas_tol", help="ipm only")
+                         help="override the step size derived from beta and L "
+                              "(ipm on a full-span basis ignores it)")
     p_solve.add_argument("--trace", help="write (t, step_norm, distance_to_final) rows "
                                          "here (not ipm)")
     add_format(p_solve)

@@ -14,10 +14,11 @@ rule and its costs). Once the guessed active set settles, an active-set
 finish solves the LCP on it exactly with one more system of the same size.
 
 When the basis spans all of R^n (k' = n), Q is square and orthogonal, so
-N = alpha*M and r = alpha*q whatever the basis: Q is then stored as None,
-the identity, W = alpha*M - I costs O(n^2) instead of O(n^3), and every
-product with Q in the Woodbury solve and the positive-definiteness check
-is dropped or becomes a row gather or a column scaling.
+N = alpha*M and r = alpha*q, which only rescale CP(Mx + q): the original CP
+is stored, Q as None (the identity) and W = M - I, in O(n^2) instead of
+O(n^3), and every product with Q in the Woodbury solve and the
+positive-definiteness check is dropped or becomes a row gather or a column
+scaling.
 """
 from __future__ import annotations
 
@@ -61,7 +62,7 @@ class ProjectiveLcp:
 
     N = I + ortho @ W is never materialized; apply() costs O(n k').
     ortho is None for the identity, which build_projective stores for a
-    basis of rank n (N = I + W there), else the dense n x k' factor Q.
+    basis of rank n (N = I + W = M there), else the dense n x k' factor Q.
     """
 
     ortho: np.ndarray | None
@@ -83,17 +84,17 @@ class ProjectiveLcp:
 
 @dataclass
 class IpmConfig:
-    """Stopping rule: mu <= mu_tol with x.s <= mu_tol (1 + ||x|| ||s||), and
-    feasibility <= feas_tol (both as in IpmReport); or max_iter iterations.
-    Both tolerances must be positive and finite, max_iter a positive integer."""
+    """Stopping rule: mu <= tol with x.s <= tol (1 + ||x|| ||s||), and
+    feasibility <= tol (both as in IpmReport); or max_iter iterations. An
+    active-set finish is accepted when its feasibility is within tol.
+    tol must be positive and finite, max_iter a positive integer."""
 
-    mu_tol: float = 1e-10
-    feas_tol: float = 1e-10
+    tol: float = 1e-10
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if not (0 < self.mu_tol < math.inf and 0 < self.feas_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         self.max_iter = _positive_int(self.max_iter, "max_iter")
 
 
@@ -127,22 +128,26 @@ class IpmReport:
         return len(self.history) + 1
 
 
-def build_projective(op: AffineOperator, basis: Basis, alpha: float) -> ProjectiveLcp:
+def build_projective(op: AffineOperator, basis: Basis,
+                     alpha: float | None = None) -> ProjectiveLcp:
     """Assemble the reduced problem for F(x) = Mx + q and the given basis.
 
-    The only O(n^2 k') work (forming W) happens here, once. A basis of rank
-    n has a square orthogonal Q, so N = I + Q(alpha Q^T M - Q^T) = alpha M
-    and r = alpha q: ortho is then None, the identity, and W = alpha M - I
-    costs O(n^2).
+    A basis of rank n gives N = alpha M and r = alpha q, whose CP has the
+    solutions of CP(Mx + q) for every alpha > 0: the original CP is returned
+    (ortho None, W = M - I, r = q) in O(n^2), whatever alpha is. Below rank
+    n, alpha defaults to op.contraction().alpha (NotStronglyMonotone when
+    beta = 0), and forming W = alpha Q^T M - Q^T is the only O(n^2 k') work.
     """
-    if not 0 < alpha < math.inf:
+    if alpha is not None and not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     if basis.n != op.dim:
         raise ValueError(f"basis dimension {basis.n} != operator dimension {op.dim}")
     if basis.rank == basis.n:
-        W = alpha * op.M
+        W = np.array(op.M)
         W[np.diag_indices(basis.n)] -= 1.0
-        return ProjectiveLcp(ortho=None, W=W, r=alpha * op.q)
+        return ProjectiveLcp(ortho=None, W=W, r=np.array(op.q))
+    if alpha is None:
+        alpha = op.contraction().alpha
     Q = basis.ortho
     W = Q.T @ op.M
     W *= alpha
@@ -151,8 +156,8 @@ def build_projective(op: AffineOperator, basis: Basis, alpha: float) -> Projecti
 
 
 def verify_pd(plcp: ProjectiveLcp) -> float:
-    """Smallest eigenvalue of (N + N^T)/2; positive when M is PD and
-    alpha comes from the contraction parameters.
+    """Smallest eigenvalue of (N + N^T)/2; positive when M is PD and, on a
+    proper subspace, alpha comes from the contraction parameters.
 
     N - I = Q W has its range and row space in range(U), U = qr([Q, W^T]),
     so the symmetric part is I + U sym(C) U^T with C = U^T Q W U. Its
@@ -161,7 +166,7 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
     eigenvalue of sym C skips the coordinates it does not couple, as for
     beta (see conevi.operators).
     On a full span Q is the identity (ortho is None), so U = I and C = W,
-    with no QR: the result is 1 + lambda_min(sym W).
+    with no QR: the result is 1 + lambda_min(sym(M - I)) = lambda_min(sym M).
     """
     Q = plcp.ortho
     if Q is None:
@@ -208,10 +213,12 @@ def _split(Q: np.ndarray | None, W: np.ndarray, fixed: np.ndarray,
     system when small_side, else the k'xk' one.
 
     The k'xk' side is taken for Q = None only when every row varies (k' = n
-    there), so Q[V] is then the whole identity."""
+    there), so Q[V] is then the whole identity and W serves as W[:, V], with
+    no copy. A dense Q keeps the copies: W[:, V] is Fortran-ordered, and
+    BLAS sums a product with the C-ordered W in another order."""
     varying = ~fixed
     Q_var = None if Q is None else Q[varying]
-    W_var = W[:, varying]
+    W_var = W if Q is None and not fixed.any() else W[:, varying]
     G_c = _plus_identity(_times_ortho(W, Q, np.where(fixed, 1.0, 0.5)))
     if not small_side:
         def factor_k(D_var: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -402,7 +409,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
     candidate depends on A alone, so retrying one would repeat it), one
     more factorization tries the finish: x_A = 0 and (Nx + r)_I = 0 on the
     rest. It ends the solve with mu = 0 if x_B >= 0, (Nx + r)_A >= 0 and its
-    feasibility is within feas_tol, and takes precedence over an IPM point
+    feasibility is within tol, and takes precedence over an IPM point
     that passes the stopping test too; otherwise the iteration continues
     unchanged.
     """
@@ -429,7 +436,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         total = float(xv[B] @ sv[B])
         mu_val = total / n_orth
         scale = 1.0 + float(np.linalg.norm(xv)) * float(np.linalg.norm(sv))
-        return (mu_val <= cfg.mu_tol and total <= cfg.mu_tol * scale), mu_val
+        return (mu_val <= cfg.tol and total <= cfg.tol * scale), mu_val
 
     step_norm = 0.0
     mu = math.inf
@@ -451,14 +458,14 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
                 and not np.array_equal(guess, rejected)):
             attempts += 1
             finish = _finish_candidate(plcp, guess, B, split)
-            if finish is not None and finish[1] <= cfg.feas_tol:
+            if finish is not None and finish[1] <= cfg.tol:
                 step_norm = float(np.linalg.norm(finish[0] - x))
                 x, feas = finish
                 mu = 0.0
                 converged = accepted = True
                 break
             rejected = guess
-        if ok and feas <= cfg.feas_tol:
+        if ok and feas <= cfg.tol:
             converged = True
             break
         if it == cfg.max_iter:

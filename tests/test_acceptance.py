@@ -49,7 +49,7 @@ def reduction_sweep():
         cone = orthant(40)
         x_bar = solve_galerkin(op, cone, basis, SolveConfig(tol=1e-12)).x
         plcp = build_projective(op, basis, op.contraction().alpha)
-        rep = solve_ipm(plcp, cone, IpmConfig(mu_tol=1e-11, feas_tol=1e-11))
+        rep = solve_ipm(plcp, cone, IpmConfig(tol=1e-11))
         out.append((plcp, x_bar, rep))
     return out
 
@@ -184,7 +184,7 @@ def test_c11_transform_roundtrip():
         direct = solve_exact(op, orthant(10), SolveConfig(tol=1e-12)).x
         layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, np.eye(10), np.zeros(10)))
         plcp = build_projective(layout.op, orthonormalize(np.eye(layout.cone.dim)), 1.0)
-        rep = solve_ipm(plcp, layout.cone, IpmConfig(mu_tol=1e-12, feas_tol=1e-12))
+        rep = solve_ipm(plcp, layout.cone, IpmConfig(tol=1e-12))
         ok &= rep.converged
         err = np.linalg.norm(layout.extract("x", rep.x) - direct) / (1 + np.linalg.norm(direct))
         worst = max(worst, err)

@@ -74,9 +74,15 @@ class TestSolve:
         assert kv["cert_normalcone"] == "true"
         assert float(kv["cert_nullspace"]) <= 1e-8
 
-    def test_missing_basis_is_usage_error(self, problem_file, capsys):
-        assert main(["solve", "--method", "galerkin", "--problem", problem_file]) == 2
-        assert "requires --basis" in capsys.readouterr().err
+    def test_missing_basis_is_usage_error(self, problem_file, tmp_path, capsys):
+        # reported before the problem file is read, so a missing or malformed
+        # file cannot hide it
+        bad = tmp_path / "bad.vi"
+        bad.write_text("VI0 2 nn:2\n")
+        for method in ("bertsekas", "galerkin"):
+            for path in (problem_file, str(tmp_path / "missing.vi"), str(bad)):
+                assert main(["solve", "--method", method, "--problem", path]) == 2
+                assert "requires --basis" in capsys.readouterr().err
 
     def test_nonconvergence_exit_code(self, problem_file, capsys):
         code = main(["solve", "--method", "exact", "--problem", problem_file,
@@ -93,14 +99,7 @@ class TestSolve:
         assert float(rows[-1][2]) == 0.0
 
     @pytest.mark.parametrize("method, flag, value", [
-        ("ipm", "--tol", "1e-8"),
         ("ipm", "--trace", None),
-        ("exact", "--mu-tol", "5"),
-        ("exact", "--feas-tol", "1e-8"),
-        ("bertsekas", "--mu-tol", "5"),
-        ("bertsekas", "--feas-tol", "1e-8"),
-        ("galerkin", "--mu-tol", "5"),
-        ("galerkin", "--feas-tol", "1e-8"),
     ])
     def test_option_the_method_does_not_use_is_usage_error(
             self, method, flag, value, problem_file, basis_file, tmp_path, capsys):
@@ -115,8 +114,12 @@ class TestSolve:
 
     def test_ipm_options_reach_the_solver(self, problem_file, capsys):
         argv = ["solve", "--method", "ipm", "--problem", problem_file, "--format", "kv"]
-        assert main(argv + ["--mu-tol", "1e-6", "--feas-tol", "1e-6"]) == 0
-        assert float(kv_lines(capsys.readouterr().out)["mu"]) <= 1e-6
+        # a tol the first iterate meets stops it before the finish is tried
+        assert main(argv + ["--tol", "10"]) == 0
+        kv = kv_lines(capsys.readouterr().out)
+        assert (kv["iters"], kv["finish"]) == ("1", "false")
+        assert main(argv) == 0
+        assert kv_lines(capsys.readouterr().out)["finish"] == "true"
         assert main(argv + ["--max-iter", "1"]) == 1
         assert kv_lines(capsys.readouterr().out)["iters"] == "1"
 
@@ -129,6 +132,16 @@ class TestSolve:
             assert main(["solve", "--method", "ipm", "--problem", str(skew),
                          "--format", "kv"] + basis) == 0
             assert [float(v) for v in kv_lines(capsys.readouterr().out)["x"].split()] == [0, 0]
+
+    def test_full_span_ipm_ignores_alpha(self, tmp_path, capsys):
+        # scaled by alpha = 1e-9, the LCP meets the IPM's absolute tolerances at
+        # (1.0000547, 0.0025442), far from the solution (1, 0)
+        path = tmp_path / "eye.vi"
+        path.write_text("VI1 2 nn:2\n1 0\n0 1\n-1 1\n")
+        assert main(["solve", "--method", "ipm", "--problem", str(path), "--alpha", "1e-9",
+                     "--format", "kv"]) == 0
+        x = np.array([float(v) for v in kv_lines(capsys.readouterr().out)["x"].split()])
+        assert np.abs(x - [1.0, 0.0]).max() <= 1e-12
 
     def test_full_span_ipm_solves_the_lcp_in_its_own_units(self, tmp_path, capsys):
         # at alpha = beta/L^2 = 1e-5 the IPM's absolute tolerances stopped at
@@ -328,7 +341,7 @@ class TestUsageErrors:
         ["--method", "exact", "--tol", "inf"],
         ["--method", "exact", "--tol", "nan"],
         ["--method", "exact", "--alpha", "inf"],
-        ["--method", "ipm", "--mu-tol", "inf", "--feas-tol", "inf"],
+        ["--method", "ipm", "--tol", "inf"],
         ["--method", "ipm", "--alpha", "nan"],
     ])
     def test_nonfinite_tolerance_is_usage_error(self, options, problem_file, capsys):

@@ -24,8 +24,7 @@ CASES = {
     "SolveConfig.alpha_override": lambda v: SolveConfig(alpha_override=v),
     "SolveConfig.tol": lambda v: SolveConfig(tol=v),
     "SolveConfig.cert_tol": lambda v: SolveConfig(cert_tol=v),
-    "IpmConfig.mu_tol": lambda v: IpmConfig(mu_tol=v),
-    "IpmConfig.feas_tol": lambda v: IpmConfig(feas_tol=v),
+    "IpmConfig.tol": lambda v: IpmConfig(tol=v),
     "IpmConfig.max_iter": lambda v: IpmConfig(max_iter=v),
     "SolveConfig.max_iter": lambda v: SolveConfig(max_iter=v),
     "build_projective.alpha": lambda v: build_projective(OP, BASIS, v),

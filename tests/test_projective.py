@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -46,33 +47,62 @@ def full_spans(n, rng):
 
 class TestBuildProjective:
     def test_identity_basis_collapses_to_alpha_m(self):
+        # N = alpha M and r = alpha q only rescale CP(Mx + q): the reduced
+        # problem is M and q themselves, whatever alpha is passed
         rng = np.random.default_rng(41)
         M = rng.standard_normal((5, 5))
         q = rng.standard_normal(5)
         op = AffineOperator(M, q)
         plcp = build_projective(op, orthonormalize(np.eye(5)), 0.3)
-        np.testing.assert_allclose(materialize(plcp), 0.3 * M, atol=1e-12)
-        np.testing.assert_allclose(plcp.r, 0.3 * q, atol=1e-14)
+        np.testing.assert_allclose(materialize(plcp), M, atol=1e-12)
+        np.testing.assert_array_equal(plcp.r, q)
 
     def test_every_full_span_is_the_identity(self):
-        # Q square and orthogonal: N = alpha M and r = alpha q whatever the basis
+        # Q square and orthogonal: the original CP, W = M - I and r = q, bit for
+        # bit whatever the basis and alpha
         rng = np.random.default_rng(48)
-        n, alpha = 30, 0.3
+        n = 30
         op, _ = generate_instance(n, 4, 1.0, 3.0, seed=48)
-        M = op.M
+        W_ref = op.M.copy()
+        W_ref[np.diag_indices(n)] -= 1.0
         cone = parse_cone_spec("nn:12,free:6,nn:12")
-        xs = []
         for raw in full_spans(n, rng):
-            plcp = build_projective(op, orthonormalize(raw), alpha)
-            assert plcp.ortho is None
-            np.testing.assert_allclose(plcp.W, alpha * M - np.eye(n), rtol=0, atol=1e-15)
-            np.testing.assert_array_equal(plcp.r, alpha * op.q)
-            np.testing.assert_allclose(materialize(plcp), alpha * M, rtol=0, atol=1e-15)
-            rep = solve_ipm(plcp, cone)
-            assert rep.converged
-            xs.append(rep.x)
-        for x in xs[1:]:
-            assert np.linalg.norm(x - xs[0]) <= 1e-12 * np.linalg.norm(xs[0])
+            for alpha in (1.0, 0.3, 1e-9):
+                plcp = build_projective(op, orthonormalize(raw), alpha)
+                assert plcp.ortho is None
+                assert plcp.W.tobytes() == W_ref.tobytes()
+                assert plcp.r.tobytes() == op.q.tobytes()
+        np.testing.assert_allclose(materialize(plcp), op.M, rtol=0, atol=1e-15)
+        rep = solve_ipm(plcp, cone)
+        assert rep.converged
+        assert cone.is_complementary(rep.x, op(rep.x), 1e-10)
+
+    def test_alpha_derived_on_a_proper_span_only(self, monkeypatch):
+        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=47)
+        derived = build_projective(op, basis)
+        given = build_projective(op, basis, op.contraction().alpha)
+        assert derived.ortho.tobytes() == given.ortho.tobytes()
+        assert (derived.W.tobytes(), derived.r.tobytes()) == (given.W.tobytes(),
+                                                              given.r.tobytes())
+
+        def no_constants(self):
+            raise AssertionError("beta or L computed for a full span")
+
+        monkeypatch.setattr(AffineOperator, "contraction", no_constants)
+        for raw in full_spans(40, np.random.default_rng(47)):
+            assert build_projective(op, orthonormalize(raw)).ortho is None
+        with pytest.raises(AssertionError, match="full span"):
+            build_projective(op, basis)
+
+    def test_contraction_alpha_on_identity_solves_the_cp(self):
+        # build_projective(op, basis, op.contraction().alpha) at alpha =
+        # beta/L^2 = 1e-5: scaled by alpha, the full span meets the IPM's
+        # absolute tolerances at ||min(x, Mx + q)|| = 1.3e-3
+        op, _ = generate_instance(300, 8, 1e-3, 10.0, 3)
+        basis = orthonormalize(np.eye(300))
+        rep = solve_ipm(build_projective(op, basis, op.contraction().alpha), orthant(300))
+        assert rep.converged
+        assert np.linalg.norm(np.minimum(rep.x, op(rep.x))) <= 1e-10
 
     def test_single_axis_identity_m(self):
         op = AffineOperator(np.eye(2), [4.0, -7.0])
@@ -111,12 +141,13 @@ class TestApplyN:
         np.testing.assert_array_equal(plcp.apply(np.zeros(20)), np.zeros(20))
 
     def test_identity_basis_gives_alpha_m_action(self):
+        # on the full span alpha only rescales the CP, so N acts as M
         rng = np.random.default_rng(45)
         M = rng.standard_normal((7, 7))
         op = AffineOperator(M, np.zeros(7))
         plcp = build_projective(op, orthonormalize(np.eye(7)), 0.4)
         x = rng.standard_normal(7)
-        np.testing.assert_allclose(plcp.apply(x), 0.4 * (M @ x), atol=1e-12)
+        np.testing.assert_allclose(plcp.apply(x), M @ x, atol=1e-12)
 
     def test_matches_dense_oracle(self):
         op, basis = generate_instance(50, 5, 1.0, 3.0, seed=46)
@@ -134,7 +165,8 @@ class TestVerifyPd:
     def test_identity_case(self):
         op = AffineOperator(2.0 * np.eye(4), np.zeros(4))
         plcp = build_projective(op, orthonormalize(np.eye(4)), 0.5)
-        assert verify_pd(plcp) == pytest.approx(1.0, abs=1e-12)
+        # N = M on the full span: lambda_min(sym M), whatever alpha
+        assert verify_pd(plcp) == pytest.approx(2.0, abs=1e-12)
 
     def test_pd_with_contraction_step(self):
         op, basis = generate_instance(50, 5, 1.0, 3.0, seed=47)
@@ -158,14 +190,14 @@ class TestVerifyPd:
             assert verify_pd(plcp) == pytest.approx(ref, abs=1e-12 * (1 + abs(ref)))
 
     def test_full_span_without_qr(self, monkeypatch):
-        # k' = n: 1 + lambda_min(sym(alpha M - I)) for the identity, a signed
-        # and scaled permutation and a dense orthogonal factor
+        # k' = n: 1 + lambda_min(sym(M - I)) for the identity, a signed and
+        # scaled permutation and a dense orthogonal factor
         rng = np.random.default_rng(54)
         n, alpha = 50, 0.3
         M = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
         plcps = [build_projective(AffineOperator(M, np.zeros(n)), orthonormalize(raw), alpha)
                  for raw in full_spans(n, rng)]
-        W = alpha * M - np.eye(n)
+        W = M - np.eye(n)
         ref = 1.0 + np.linalg.eigvalsh(0.5 * (W + W.T))[0]
 
         def no_qr(*args, **kwargs):
@@ -199,8 +231,9 @@ class TestVerifyPd:
 
 class TestSignedPermutationRoute:
     """The route of a signed permutation, and of every other rank-n basis:
-    the identity (ortho = None, W = alpha M - I), against the same reduced
-    problem stored with its dense orthogonal Q."""
+    the identity (ortho = None, W = M - I), against the same reduced problem
+    stored with its dense orthogonal Q at alpha = 1, which the identity
+    route takes whatever alpha is passed."""
 
     @staticmethod
     def both_routes(raw, alpha):
@@ -208,8 +241,7 @@ class TestSignedPermutationRoute:
         basis = orthonormalize(raw)
         Q = basis.ortho
         identity = build_projective(op, basis, alpha)
-        dense = ProjectiveLcp(ortho=Q, W=alpha * (Q.T @ op.M) - Q.T,
-                              r=alpha * (Q @ (Q.T @ op.q)))
+        dense = ProjectiveLcp(ortho=Q, W=Q.T @ op.M - Q.T, r=Q @ (Q.T @ op.q))
         assert identity.ortho is None
         return identity, dense
 
@@ -374,7 +406,7 @@ class TestWoodbury:
         # fewer varying rows than k', so each D factors only the |V|x|V| system;
         # late-IPM diagonal spread on V. With Q = I, N = alpha M and a small
         # alpha cancels in I + W D^-1 Q on either side, so Q = I runs at the
-        # alpha of the polyhedral reductions (1) and at 0.3
+        # alpha build_projective takes on every full span (1) and at 0.3
         rng = np.random.default_rng(60)
         n = 80
         for k, alphas in ((40, (1e-2, 1e-6)), (n, (0.3, 1.0))):
@@ -413,6 +445,25 @@ class TestWoodbury:
             ref = np.linalg.solve(A, rhs)
             assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
         assert factored == []
+
+    def test_identity_split_with_no_fixed_row_holds_no_copy(self):
+        # Q = I and every row varies (an orthant cone without --basis): the
+        # k'xk' side keeps only G_c and reads W in place, no n x n copy of W[:, V]
+        rng = np.random.default_rng(71)
+        n = 600
+        W = rng.standard_normal((n, n)) / np.sqrt(n)
+        tracemalloc.start()
+        try:
+            split = woodbury_split(None, W, np.zeros(n, dtype=bool))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= W.nbytes + 2**16
+        D = 1.0 + 10.0 ** rng.uniform(-3, 3, n)
+        rhs = rng.standard_normal(n)
+        y = factor_diag_plus_lowrank(D, None, W, split)(rhs)
+        ref = np.linalg.solve(np.diag(D) + W, rhs)
+        assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_factors_serve_several_right_hand_sides(self):
         rng = np.random.default_rng(57)
@@ -467,7 +518,7 @@ class TestSolveIpm:
         # fully degenerate path x = s = sqrt(mu): needs a deep mu target
         op = AffineOperator(2.0 * np.eye(4), np.zeros(4))
         plcp = build_projective(op, orthonormalize(np.eye(4)), 0.5)
-        rep = solve_ipm(plcp, orthant(4), IpmConfig(mu_tol=1e-17, feas_tol=1e-12))
+        rep = solve_ipm(plcp, orthant(4), IpmConfig(tol=1e-17))
         assert rep.converged
         assert np.linalg.norm(rep.x) <= 1e-8
 
@@ -480,7 +531,7 @@ class TestSolveIpm:
             rep = solve_ipm(plcp, cone, cfg)
             assert rep.converged
             y = plcp.apply(rep.x) + plcp.r
-            assert cone.is_complementary(rep.x, y, 10 * cfg.mu_tol)
+            assert cone.is_complementary(rep.x, y, 10 * cfg.tol)
 
     def test_mixed_free_rows_solved_as_equations(self):
         # free block forces (Nx + r)_free = 0
@@ -510,7 +561,7 @@ class TestSolveIpm:
         assert np.linalg.norm(rep.x - x_bar) <= 1e-6 * (1 + np.linalg.norm(x_bar))
         resid = plcp.apply(rep.x) + plcp.r
         assert np.abs(resid[cone.free_mask]).max() <= 1e-8
-        assert cone.is_complementary(rep.x, resid, 10 * IpmConfig().mu_tol)
+        assert cone.is_complementary(rep.x, resid, 10 * IpmConfig().tol)
 
     def test_zero_segments_rejected(self):
         op = AffineOperator(np.eye(2), [0.0, 0.0])
@@ -577,7 +628,7 @@ class TestSolveIpm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IpmBreakdown, match="not finite"):
-                solve_ipm(plcp, layout.cone, IpmConfig(mu_tol=1e-30, feas_tol=1e-30))
+                solve_ipm(plcp, layout.cone, IpmConfig(tol=1e-30))
 
     def test_all_free_cone(self):
         # |V| = 0 < k': the Newton matrix is N at every step
@@ -587,7 +638,7 @@ class TestSolveIpm:
         rep = solve_ipm(plcp, cone)
         assert rep.converged and rep.finish_attempts == 0
         resid = plcp.apply(rep.x) + plcp.r
-        assert np.abs(resid).max() <= IpmConfig().feas_tol
+        assert np.abs(resid).max() <= IpmConfig().tol
 
     def test_directions_match_dense_solve(self, monkeypatch):
         # the IPM absorbs an inexact direction, so check the directions themselves
@@ -603,7 +654,7 @@ class TestSolveIpm:
             return out
 
         monkeypatch.setattr(projective, "_newton_directions", recorded)
-        # without the finish the path runs down to mu <= mu_tol
+        # without the finish the path runs down to mu <= tol
         monkeypatch.setattr(projective, "_finish_candidate", lambda *args: None)
         rep = solve_ipm(plcp, cone)
         assert rep.converged and not rep.finish_accepted
@@ -647,18 +698,18 @@ class TestSolveIpm:
             # exact zeros on the active set, the equations on the rest
             assert active.sum() >= n // 3
             assert np.all(rep.x >= 0.0) and np.all(y[active] >= 0.0)
-            assert np.abs(y[~active]).max() <= IpmConfig().feas_tol
+            assert np.abs(y[~active]).max() <= IpmConfig().tol
             x_bar = solve_galerkin(op, cone, basis,
                                    SolveConfig(tol=1e-13, alpha_override=alpha)).x
             assert np.linalg.norm(rep.x - x_bar) <= 1e-12 * (1 + np.linalg.norm(x_bar))
 
     def test_finish_tried_on_the_iteration_that_meets_the_stopping_test(self):
         # a near-degenerate component (x = 0, Nx + r = 4e-6) makes the first
-        # guess wrong; the right one settles only as mu reaches mu_tol
+        # guess wrong; the right one settles only as mu reaches tol
         op, basis = generate_instance(40, 8, 1.0, 2.0, seed=101)
         cone = orthant(40)
         plcp = build_projective(op, basis, op.contraction().alpha)
-        rep = solve_ipm(plcp, cone, IpmConfig(mu_tol=1e-11, feas_tol=1e-11))
+        rep = solve_ipm(plcp, cone, IpmConfig(tol=1e-11))
         assert rep.converged and rep.finish_accepted and rep.finish_attempts == 2
         assert rep.history[-1][0] <= 1e-10
         x_bar = solve_galerkin(op, cone, basis, SolveConfig(tol=1e-12)).x
@@ -674,7 +725,7 @@ class TestSolveIpm:
         monkeypatch.setattr(projective, "_active_guess", lambda x, s, B: B.copy())
         rep = solve_ipm(plcp, orthant(40))
         assert rep.finish_attempts == 1 and not rep.finish_accepted
-        assert rep.converged and rep.mu <= IpmConfig().mu_tol
+        assert rep.converged and rep.mu <= IpmConfig().tol
         assert rep.iterations == plain.iterations
         np.testing.assert_array_equal(rep.x, plain.x)
         assert np.all(rep.x > 0.0)

@@ -38,7 +38,7 @@ class TestEliminateEqualities:
         b = A @ y_feas  # guarantees a feasible point exists
         layout = eliminate_equalities(op, A, b, orthant(6))
         plcp = build_projective(layout.op, orthonormalize(np.eye(layout.cone.dim)), 1.0)
-        rep = solve_ipm(plcp, layout.cone, IpmConfig(mu_tol=1e-11, feas_tol=1e-11))
+        rep = solve_ipm(plcp, layout.cone, IpmConfig(tol=1e-11))
         assert rep.converged
         y = layout.extract("y", rep.x)
         np.testing.assert_allclose(A @ y, b, atol=1e-8)
@@ -120,7 +120,7 @@ class TestPolyhedronToCone:
             layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, A, b))
             plcp = build_projective(
                 layout.op, orthonormalize(np.eye(layout.cone.dim)), 1.0)
-            rep = solve_ipm(plcp, layout.cone, IpmConfig(mu_tol=1e-11, feas_tol=1e-11))
+            rep = solve_ipm(plcp, layout.cone, IpmConfig(tol=1e-11))
             assert rep.converged
             s = layout.extract("s", rep.x)
             x = layout.extract("x", rep.x)
@@ -140,7 +140,7 @@ class TestPolyhedronToCone:
                 PolyhedralVI(op.M, op.q, np.eye(n), np.zeros(n)))
             plcp = build_projective(
                 layout.op, orthonormalize(np.eye(layout.cone.dim)), 1.0)
-            rep = solve_ipm(plcp, layout.cone, IpmConfig(mu_tol=1e-12, feas_tol=1e-12))
+            rep = solve_ipm(plcp, layout.cone, IpmConfig(tol=1e-12))
             assert rep.converged
             s = layout.extract("s", rep.x)
             x = layout.extract("x", rep.x)
