@@ -25,6 +25,10 @@ CASES = {
     "SolveConfig.tol": lambda v: SolveConfig(tol=v),
     "SolveConfig.cert_tol": lambda v: SolveConfig(cert_tol=v),
     "IpmConfig.tol": lambda v: IpmConfig(tol=v),
+    # tol is also the tolerance of the mu test and of the feasibility test,
+    # which had a field each (mu_tol, feas_tol) before they were merged
+    "IpmConfig.mu_tol": lambda v: IpmConfig(tol=v),
+    "IpmConfig.feas_tol": lambda v: IpmConfig(tol=v),
     "IpmConfig.max_iter": lambda v: IpmConfig(max_iter=v),
     "SolveConfig.max_iter": lambda v: SolveConfig(max_iter=v),
     "build_projective.alpha": lambda v: build_projective(OP, BASIS, v),
