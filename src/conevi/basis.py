@@ -1,14 +1,17 @@
 """Subspace bases: orthonormalization, span projection, and null-space residuals.
 
 The projector onto span(Phi) is never materialized; all uses go through the
-two-step n x k' product so projection stays O(n k'). A Basis holds one dense
-orthonormal factor; one of rank n spans R^n, and the reduced problem of
-conevi.projective then uses the identity in its place.
+two-step n x k' product so projection stays O(n k'). A Basis holds one
+orthonormal factor: dense, or, for a raw basis with disjoint column supports,
+as its support map, from which the dense factor is written on first read. One
+of rank n spans R^n, and the reduced problem of conevi.projective then uses
+the identity in its place and never reads the factor.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -26,21 +29,44 @@ class EmptyBasis(Exception):
 
 
 @dataclass(frozen=True)
+class _Support:
+    """An n x k' factor with one nonzero per listed row: vals at (rows, cols),
+    zero elsewhere."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        ortho = np.zeros(self.shape)
+        ortho[self.rows, self.cols] = self.vals
+        ortho.setflags(write=False)
+        return ortho
+
+
 class Basis:
     """The orthonormal factor of a raw basis Phi.
 
-    `ortho` has orthonormal columns spanning span(Phi) up to DROP_TOL.
+    `ortho` has orthonormal columns spanning span(Phi) up to DROP_TOL. Pass
+    it dense, or as the O(n) support map of a factor with at most one
+    nonzero per row (what orthonormalize keeps for disjoint supports); the
+    dense, read-only n x k' array is then written on the first read of
+    `ortho`, and n and rank need no array at all.
     """
 
-    ortho: np.ndarray
+    def __init__(self, ortho: np.ndarray | None = None, *,
+                 support: _Support | None = None) -> None:
+        if (ortho is None) == (support is None):
+            raise TypeError("Basis takes exactly one of ortho and support")
+        if ortho is not None:
+            self.ortho = ortho  # fills the cache of the property below
+        self._support = support
+        self.n, self.rank = np.shape(ortho) if support is None else support.shape
 
-    @property
-    def n(self) -> int:
-        return self.ortho.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.ortho.shape[1]
+    @cached_property
+    def ortho(self) -> np.ndarray:
+        return self._support.dense()
 
     def _check_vec(self, z, name: str = "z") -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -70,10 +96,10 @@ def _rank(squares: np.ndarray) -> int:
     return int(np.sum(residual > DROP_TOL**2 * residual[0]))
 
 
-def _disjoint_ortho(raw: np.ndarray, amax: float) -> np.ndarray | None:
-    """raw diag(1/||raw_j||) on the columns _rank keeps when every row of raw
-    has at most one nonzero, amax its largest entry magnitude; None
-    otherwise. O(nk).
+def _disjoint_support(raw: np.ndarray, amax: float) -> _Support | None:
+    """The support map of raw diag(1/||raw_j||) on the columns _rank keeps
+    when every row of raw has at most one nonzero, amax its largest entry
+    magnitude; None otherwise. O(nk).
 
     Such columns are orthogonal, so pivoted QR would take them in order of
     descending norm with R diagonal, |R_jj| = ||raw_j||: the same rule keeps
@@ -91,9 +117,8 @@ def _disjoint_ortho(raw: np.ndarray, amax: float) -> np.ndarray | None:
     keep = np.zeros(k, dtype=bool)
     keep[order[:_rank(squares[order])]] = True
     rows = np.flatnonzero(keep[col])  # a zero row writes a harmless 0
-    ortho = np.zeros((n, int(keep.sum())))
-    ortho[rows, (np.cumsum(keep) - 1)[col[rows]]] = v[rows] / np.sqrt(squares[col[rows]])
-    return ortho
+    return _Support((n, int(keep.sum())), rows, (np.cumsum(keep) - 1)[col[rows]],
+                    v[rows] / np.sqrt(squares[col[rows]]))
 
 
 def orthonormalize(raw) -> Basis:
@@ -106,7 +131,8 @@ def orthonormalize(raw) -> Basis:
     - when every row of raw has at most one nonzero (the identity, 0/1
       aggregation), the columns are already orthogonal and R is diagonal
       with |R_jj| = ||raw_j||, so the kept columns are scaled to unit norm
-      in O(nk) and stay in their input order;
+      in O(nk) and stay in their input order, kept as a support map until
+      Basis.ortho is first read;
     - otherwise QR with column pivoting is computed, O(n k min(n, k)).
 
     Raises EmptyBasis when raw has no nonzero column.
@@ -122,12 +148,13 @@ def orthonormalize(raw) -> Basis:
     if amax == 0.0:
         raise EmptyBasis("raw basis is identically zero")
 
-    ortho = _disjoint_ortho(raw, float(amax))
-    if ortho is None:
-        Q, R, _ = scipy.linalg.qr(raw, mode="economic", pivoting=True)
-        # |R[0, 0]| bounds every entry of R under column pivoting, so the
-        # scaled squares neither overflow nor lose the residual to underflow
-        R /= abs(R[0, 0])
-        ortho = np.ascontiguousarray(Q[:, :_rank(np.einsum("ij,ij->i", R, R))])
+    support = _disjoint_support(raw, float(amax))
+    if support is not None:
+        return Basis(support=support)
+    Q, R, _ = scipy.linalg.qr(raw, mode="economic", pivoting=True)
+    # |R[0, 0]| bounds every entry of R under column pivoting, so the
+    # scaled squares neither overflow nor lose the residual to underflow
+    R /= abs(R[0, 0])
+    ortho = np.ascontiguousarray(Q[:, :_rank(np.einsum("ij,ij->i", R, R))])
     ortho.setflags(write=False)
     return Basis(ortho=ortho)

@@ -7,7 +7,8 @@ r = alpha*P_span*q. Storing N as I + Q W (Q the orthonormal basis factor,
 W = alpha*Q^T M - Q^T) lets each interior-point Newton step run through a
 Woodbury solve in O(n k'^2) instead of a dense O(n^3) factorization, and
 the positive-definiteness check work on the rank <= 2k' symmetric part of
-Q W in O(n k'^2) as well. Each Newton step factors its system once and
+Q W in O(n k'^2) as well. Every Newton matrix is N + diag(D - 1) for a
+diagonal D >= 1. Each Newton step factors its system once and
 solves with those factors twice, for Mehrotra's predictor and corrector,
 on the smaller side of the Woodbury identity (woodbury_split states the
 rule and its costs). Once the guessed active set settles, an active-set
@@ -15,10 +16,10 @@ finish solves the LCP on it exactly with one more system of the same size.
 
 When the basis spans all of R^n (k' = n), Q is square and orthogonal, so
 N = alpha*M and r = alpha*q, which only rescale CP(Mx + q): the original CP
-is stored, Q as None (the identity) and W = M - I, in O(n^2) instead of
-O(n^3), and every product with Q in the Woodbury solve and the
-positive-definiteness check is dropped or becomes a row gather or a column
-scaling.
+is stored, Q as None and W as N = M itself, the operator's array, shared and
+not copied. The Woodbury solve then factors (N + diag(D - 1)) D^-1 formed
+from N, and the positive-definiteness check is beta of N, with no product
+with Q and no n x n copy made at set-up.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import scipy.linalg
 
 from .basis import Basis
 from .cones import SeparableCone, _positive_int
-from .operators import AffineOperator, _smallest_eigenvalue, _transpose_sum
+from .operators import AffineOperator, _smallest_eigenvalue, _transpose_sum, monotone_modulus
 
 __all__ = [
     "IpmBreakdown",
@@ -60,9 +61,11 @@ class IpmBreakdown(Exception):
 class ProjectiveLcp:
     """The reduced problem CP(Nx + r, K) in identity-plus-low-rank form.
 
-    N = I + ortho @ W is never materialized; apply() costs O(n k').
-    ortho is None for the identity, which build_projective stores for a
-    basis of rank n (N = I + W = M there), else the dense n x k' factor Q.
+    ortho is the dense n x k' factor Q, and N = I + ortho @ W is never
+    materialized: apply() costs O(n k'). ortho is None for a basis of rank
+    n, where W is N itself (n x n): build_projective stores the operator's
+    M there, shared and never written. Either way every Newton matrix is
+    N + diag(D - 1).
     """
 
     ortho: np.ndarray | None
@@ -79,7 +82,7 @@ class ProjectiveLcp:
         if x.shape != (self.n,):
             raise ValueError(f"x has shape {x.shape}, problem dimension is {self.n}")
         Wx = self.W @ x
-        return x + (Wx if self.ortho is None else self.ortho @ Wx)
+        return Wx if self.ortho is None else x + self.ortho @ Wx
 
 
 @dataclass
@@ -134,7 +137,7 @@ def build_projective(op: AffineOperator, basis: Basis,
 
     A basis of rank n gives N = alpha M and r = alpha q, whose CP has the
     solutions of CP(Mx + q) for every alpha > 0: the original CP is returned
-    (ortho None, W = M - I, r = q) in O(n^2), whatever alpha is. Below rank
+    (ortho None, W = op.M itself, r = q) in O(n), whatever alpha is. Below rank
     n, alpha defaults to op.contraction().alpha (NotStronglyMonotone when
     beta = 0), and forming W = alpha Q^T M - Q^T is the only O(n^2 k') work.
     """
@@ -143,9 +146,7 @@ def build_projective(op: AffineOperator, basis: Basis,
     if basis.n != op.dim:
         raise ValueError(f"basis dimension {basis.n} != operator dimension {op.dim}")
     if basis.rank == basis.n:
-        W = np.array(op.M)
-        W[np.diag_indices(basis.n)] -= 1.0
-        return ProjectiveLcp(ortho=None, W=W, r=np.array(op.q))
+        return ProjectiveLcp(ortho=None, W=op.M, r=np.array(op.q))
     if alpha is None:
         alpha = op.contraction().alpha
     Q = basis.ortho
@@ -165,15 +166,14 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
     when U has fewer than n columns. Cost O(n k'^2). The smallest
     eigenvalue of sym C skips the coordinates it does not couple, as for
     beta (see conevi.operators).
-    On a full span Q is the identity (ortho is None), so U = I and C = W,
-    with no QR: the result is 1 + lambda_min(sym(M - I)) = lambda_min(sym M).
+    On a full span (ortho is None) W is N itself, and the result is its
+    monotone modulus lambda_min(sym N), with no QR: op.beta when W is op.M.
     """
     Q = plcp.ortho
     if Q is None:
-        C = plcp.W
-    else:
-        U, _ = np.linalg.qr(np.hstack([Q, plcp.W.T]))
-        C = (U.T @ Q) @ (plcp.W @ U)
+        return monotone_modulus(plcp.W)
+    U, _ = np.linalg.qr(np.hstack([Q, plcp.W.T]))
+    C = (U.T @ Q) @ (plcp.W @ U)
     S = np.asarray_chkfinite(_transpose_sum(C))
     S *= 0.5
     smallest = 1.0 + _smallest_eigenvalue(S)
@@ -195,38 +195,50 @@ def _lu(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda c: scipy.linalg.lapack.dgetrs(lu, piv, c, trans=1)[0]
 
 
-def _times_ortho(A: np.ndarray, Q: np.ndarray | None, w: np.ndarray) -> np.ndarray:
-    """A @ diag(w) @ Q as a new array; a column scaling of A when Q is None,
-    the identity."""
-    return A * w if Q is None else A @ (Q * w[:, None])
-
-
 def _plus_identity(A: np.ndarray) -> np.ndarray:
     """A + I for a square A, added in place."""
     A[np.diag_indices(A.shape[0])] += 1.0
     return A
 
 
+def _over_diagonal(N: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """(N + diag(D - 1)) D^-1 = N diag(1/D) + diag(1 - 1/D) as one new array:
+    I + (N - I) D^-1, with N - I never formed."""
+    w = 1.0 / D
+    G = N * w
+    G[np.diag_indices(D.size)] += 1.0 - w
+    return G
+
+
 def _split(Q: np.ndarray | None, W: np.ndarray, fixed: np.ndarray,
            small_side: bool) -> tuple:
     """woodbury_split's (fixed, factor) on the side it names: the |V|x|V|
-    system when small_side, else the k'xk' one.
+    system when small_side, else the k'xk' one. factor(D[V]) returns the
+    solve of I + W D^-1 Q, or of (N + diag(D - 1)) D^-1 when Q is None.
 
-    The k'xk' side is taken for Q = None only when every row varies (k' = n
-    there), so Q[V] is then the whole identity and W serves as W[:, V], with
-    no copy. A dense Q keeps the copies: W[:, V] is Fortran-ordered, and
-    BLAS sums a product with the C-ordered W in another order."""
+    With no fixed row, Q[V] and W[:, V] are Q and W themselves, read in
+    place. For Q = None the k'xk' side is taken only then (k' = n), and
+    each D forms its system from N itself, so the split holds no matrix."""
     varying = ~fixed
-    Q_var = None if Q is None else Q[varying]
-    W_var = W if Q is None and not fixed.any() else W[:, varying]
-    G_c = _plus_identity(_times_ortho(W, Q, np.where(fixed, 1.0, 0.5)))
-    if not small_side:
-        def factor_k(D_var: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            S = _times_ortho(W_var, Q_var, 1.0 / D_var - 0.5)
-            S += G_c
-            return _lu(S)
+    if Q is None:
+        if not small_side:
+            return fixed, lambda D_var: _lu(_over_diagonal(W, D_var))
+        G_c = _over_diagonal(W, np.where(fixed, 1.0, 2.0))
+        W_var = W[:, varying]  # becomes (N - I)[:, V]
+        W_var[np.flatnonzero(varying), np.arange(W_var.shape[1])] -= 1.0
+        Q_var = None
+    else:
+        every = not fixed.any()
+        Q_var = Q if every else Q[varying]
+        W_var = W if every else W[:, varying]
+        G_c = _plus_identity(W @ (Q * np.where(fixed, 1.0, 0.5)[:, None]))
+        if not small_side:
+            def factor_k(D_var: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+                S = W_var @ (Q_var * (1.0 / D_var - 0.5)[:, None])
+                S += G_c
+                return _lu(S)
 
-        return fixed, factor_k
+            return fixed, factor_k
     solve_c = _lu(G_c)
     T = solve_c(W_var)
     Z = T[varying] if Q is None else Q_var @ T
@@ -250,12 +262,16 @@ def woodbury_split(Q: np.ndarray | None, W: np.ndarray, fixed: np.ndarray) -> tu
     """Precompute the per-solve share of the Woodbury system for diagonals D
     that are 1 on the rows `fixed` and >= 1 on the varying rows V = ~fixed.
 
+    The Newton matrix N + diag(D - 1) is diag(D) + Q W for N = I + Q W, and
+    its Woodbury system is the k'xk' G(D) = I + W D^-1 Q. For Q = None
+    (N = W, k' = n) the same rule with Q = I and N - I in the place of W
+    gives G(D) = (N + diag(D - 1)) D^-1, the Newton matrix itself up to the
+    column scaling D, and N - I is never formed.
     Returns (fixed, factor) for factor_diag_plus_lowrank, which calls
     factor(D[V]) once per D. Both sides start from one base matrix,
-    G_c = I + W diag(1/D_c) Q with D_c = 1 on the fixed rows and 2 on V,
-    formed once in O(n k'^2); any such D then gives
-    I + W D^-1 Q = G_c + W[:, V] diag(e) Q[V], e = 1/D_V - 1/2. The side is
-    min(k', |V|):
+    G_c = G(D_c) with D_c = 1 on the fixed rows and 2 on V, formed once in
+    O(n k'^2); any such D then gives G(D) = G_c + W[:, V] diag(e) Q[V],
+    e = 1/D_V - 1/2. The side is min(k', |V|):
     - |V| >= k': each D forms that k'xk' sum and LU-factors it in
       O(|V| k'^2 + k'^3);
     - |V| < k': G_c is LU-factored once, with T = G_c^-1 W[:, V] and
@@ -263,11 +279,13 @@ def woodbury_split(Q: np.ndarray | None, W: np.ndarray, fixed: np.ndarray) -> tu
       |V|x|V| system I + diag(e) Z in O(|V|^3) (the Woodbury identity
       applied a second time; |e| <= 1/2 because D_V >= 1, inf included),
       and a solve costs O(n k' + k'^2 + k' |V|).
-    Q = None stands for the identity (k' = n, see ProjectiveLcp): every
-    product with Q becomes a column scaling or a row gather of the other
-    factor, so G_c costs O(n^2), Z O(|V| n) and the k'xk' sum O(n^2); the
-    LU factorizations and T keep their costs.
-    diag(D_c) + Q W is the Newton matrix N + diag(d) at d = 1 on V. For
+    Q = None stands for the identity (k' = n, see ProjectiveLcp): G_c is
+    N diag(1/D_c) + diag(1 - 1/D_c) in O(n^2), in the buffer its LU
+    overwrites, (N - I)[:, V] is N[:, V] with -1 on its V diagonal and
+    Z = T[V]; the k'xk' side (no fixed row) forms G(D) from N in O(n^2) per
+    D. The LU factorizations and T keep their costs.
+    G_c is the Woodbury system of N + diag(D_c - 1), the Newton matrix
+    N + diag(d) at d = 1 on V. For
     monotone N (N + N^T PSD), N + diag(d) with d > 0 on V is singular
     exactly when N has a null vector x with x_V = 0, whatever d is; so G_c
     is singular only if every such Newton matrix is, and on the |V| side
@@ -282,12 +300,16 @@ def woodbury_split(Q: np.ndarray | None, W: np.ndarray, fixed: np.ndarray) -> tu
 
 def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | None, W: np.ndarray,
                              split: tuple | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor diag(D) + Q W for the Woodbury identity; return its solve.
-    Q = None stands for the identity (W is then n x n, see ProjectiveLcp).
+    """Factor the Newton matrix N + diag(D - 1) for the Woodbury identity;
+    return its solve. That is diag(D) + Q W for a dense Q (N = I + Q W),
+    and W + diag(D - 1) for Q = None, where W is N itself (see
+    ProjectiveLcp).
 
-    The returned solve(b) computes u = D^-1 b, solves the k'xk' system
-    (I + W D^-1 Q) t = W u with the factors formed here, and returns
-    u - D^-1 Q t. Without a split, D may be any positive vector and the
+    For a dense Q the returned solve(b) computes u = D^-1 b, solves the
+    k'xk' system (I + W D^-1 Q) t = W u with the factors formed here, and
+    returns u - D^-1 Q t. For Q = None it returns D^-1 G(D)^-1 b, with
+    G(D) = (N + diag(D - 1)) D^-1 (see woodbury_split), so a solve reads no
+    product with N. Without a split, D may be any positive vector and the
     k'xk' system is formed and LU-factored here, O(n k'^2 + k'^3).
     `split`, from woodbury_split(Q, W, F), requires D = 1 exactly on the
     rows F and D >= 1 on the others (ValueError otherwise) and factors on
@@ -311,18 +333,19 @@ def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | None, W: np.ndarray,
         if not np.all(D[~fixed] >= 1.0):
             raise ValueError("D is below 1 on the rows the split varies")
     solve_small = factor(D[~fixed])
+    if Q is None:
+        return lambda b: solve_small(np.asarray(b, dtype=float)) / D
 
     def solve(b: np.ndarray) -> np.ndarray:
         u = np.asarray(b, dtype=float) / D
-        t = solve_small(W @ u)
-        return u - (t if Q is None else Q @ t) / D
+        return u - Q @ solve_small(W @ u) / D
 
     return solve
 
 
 def solve_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | None, W: np.ndarray,
                             rhs: np.ndarray, split: tuple | None = None) -> np.ndarray:
-    """Solve (diag(D) + Q W) y = rhs by the Woodbury identity: one
+    """Solve (N + diag(D - 1)) y = rhs by the Woodbury identity: one
     factor_diag_plus_lowrank call and one solve with its factors."""
     return factor_diag_plus_lowrank(D, Q, W, split)(rhs)
 
@@ -370,7 +393,7 @@ def _finish_candidate(plcp: ProjectiveLcp, active: np.ndarray, B: np.ndarray,
     singular or its signs fail.
 
     Sets x_A = 0 and solves (Nx + r)_I = 0 on I = ~A: D = inf on A and 1 on
-    I restricts diag(D) + Q W to N_II. It goes through the solve's split at
+    I restricts N + diag(D - 1) to N_II. It goes through the solve's split at
     the cost of one Newton step.
     Returns (x, feasibility), feasibility the largest |Nx + r| on I, when
     x_B >= 0 and (Nx + r)_A >= 0 for the orthant components B. Its slack

@@ -152,6 +152,29 @@ class TestDisjointSupport:
             np.testing.assert_array_equal(b.ortho, pivoted_qr(raw))
 
 
+    def test_factor_written_on_first_read(self):
+        # the identity, a signed scaled permutation and a 0/1 aggregation of
+        # rank 6 < 40: orthonormalize keeps only the support map, and the
+        # first read of ortho writes the dense factor, bit for bit the
+        # kept columns scaled to unit norm, read-only and written once
+        rng = np.random.default_rng(29)
+        perm = rng.permutation(9)
+        signed = rng.choice([-1.0, 1.0], 9) * 10.0 ** rng.uniform(-3, 3, 9)
+        agg = np.zeros((40, 8))
+        agg[np.arange(40), rng.integers(0, 6, 40)] = 1.0
+        agg[::5] = 0.0
+        for raw, rank in ((np.eye(7), 7), (np.diag(signed)[perm], 9), (agg, 6)):
+            b = orthonormalize(raw)
+            assert "ortho" not in vars(b)
+            assert (b.n, b.rank) == (raw.shape[0], rank)
+            kept = raw[:, raw.any(axis=0)]
+            eager = kept / np.sqrt((kept * kept).sum(axis=0))
+            ortho = b.ortho
+            assert ortho.shape == eager.shape and ortho.tobytes() == eager.tobytes()
+            assert not ortho.flags.writeable
+            assert b.ortho is ortho
+
+
 class TestProjection:
     def test_axis_projection(self):
         b = orthonormalize(np.array([[1.0], [0.0]]))

@@ -58,24 +58,39 @@ class TestBuildProjective:
         np.testing.assert_array_equal(plcp.r, q)
 
     def test_every_full_span_is_the_identity(self):
-        # Q square and orthogonal: the original CP, W = M - I and r = q, bit for
-        # bit whatever the basis and alpha
+        # Q square and orthogonal: the original CP, W = M itself (the
+        # operator's array, not a copy, read as N) and r = q bit for bit,
+        # whatever the basis and alpha
         rng = np.random.default_rng(48)
         n = 30
         op, _ = generate_instance(n, 4, 1.0, 3.0, seed=48)
-        W_ref = op.M.copy()
-        W_ref[np.diag_indices(n)] -= 1.0
         cone = parse_cone_spec("nn:12,free:6,nn:12")
         for raw in full_spans(n, rng):
             for alpha in (1.0, 0.3, 1e-9):
                 plcp = build_projective(op, orthonormalize(raw), alpha)
                 assert plcp.ortho is None
-                assert plcp.W.tobytes() == W_ref.tobytes()
+                assert plcp.W is op.M
                 assert plcp.r.tobytes() == op.q.tobytes()
         np.testing.assert_allclose(materialize(plcp), op.M, rtol=0, atol=1e-15)
         rep = solve_ipm(plcp, cone)
         assert rep.converged
         assert cone.is_complementary(rep.x, op(rep.x), 1e-10)
+
+    def test_full_span_setup_copies_no_matrix(self):
+        # the identity basis keeps its O(n) support map and the reduced
+        # problem holds M itself: together they peak below one n x n array
+        n = 600
+        rng = np.random.default_rng(49)
+        op = AffineOperator(rng.standard_normal((n, n)), rng.standard_normal(n))
+        raw = np.eye(n)
+        tracemalloc.start()
+        try:
+            plcp = build_projective(op, orthonormalize(raw))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+        assert np.shares_memory(plcp.W, op.M)
 
     def test_alpha_derived_on_a_proper_span_only(self, monkeypatch):
         op, basis = generate_instance(40, 8, 1.0, 3.0, seed=47)
@@ -190,15 +205,14 @@ class TestVerifyPd:
             assert verify_pd(plcp) == pytest.approx(ref, abs=1e-12 * (1 + abs(ref)))
 
     def test_full_span_without_qr(self, monkeypatch):
-        # k' = n: 1 + lambda_min(sym(M - I)) for the identity, a signed and
-        # scaled permutation and a dense orthogonal factor
+        # k' = n: lambda_min(sym M) for the identity, a signed and scaled
+        # permutation and a dense orthogonal factor
         rng = np.random.default_rng(54)
         n, alpha = 50, 0.3
         M = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
         plcps = [build_projective(AffineOperator(M, np.zeros(n)), orthonormalize(raw), alpha)
                  for raw in full_spans(n, rng)]
-        W = M - np.eye(n)
-        ref = 1.0 + np.linalg.eigvalsh(0.5 * (W + W.T))[0]
+        ref = np.linalg.eigvalsh(0.5 * (M + M.T))[0]
 
         def no_qr(*args, **kwargs):
             raise AssertionError("verify_pd ran a QR on a full span")
@@ -206,6 +220,14 @@ class TestVerifyPd:
         monkeypatch.setattr(np.linalg, "qr", no_qr)
         for plcp in plcps:
             assert verify_pd(plcp) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_full_span_is_beta_of_the_original_cp(self):
+        # N = M on a full span, so verify_pd is beta itself, bit for bit
+        for seed, n in ((56, 40), (57, 300)):
+            rng = np.random.default_rng(seed)
+            op = AffineOperator(rng.standard_normal((n, n)) + 0.5 * np.eye(n),
+                                rng.standard_normal(n))
+            assert verify_pd(build_projective(op, orthonormalize(np.eye(n)))) == op.beta
 
     def test_proper_subspace_keeps_qr_formula(self):
         rng = np.random.default_rng(55)
@@ -231,7 +253,7 @@ class TestVerifyPd:
 
 class TestSignedPermutationRoute:
     """The route of a signed permutation, and of every other rank-n basis:
-    the identity (ortho = None, W = M - I), against the same reduced problem
+    the identity (ortho = None, W = M), against the same reduced problem
     stored with its dense orthogonal Q at alpha = 1, which the identity
     route takes whatever alpha is passed."""
 
@@ -447,8 +469,9 @@ class TestWoodbury:
         assert factored == []
 
     def test_identity_split_with_no_fixed_row_holds_no_copy(self):
-        # Q = I and every row varies (an orthant cone without --basis): the
-        # k'xk' side keeps only G_c and reads W in place, no n x n copy of W[:, V]
+        # Q = None and every row varies (an orthant cone without --basis): the
+        # k'xk' side forms each system from N = W in place, so the split
+        # holds no n x n array, neither a copy of W[:, V] nor G_c
         rng = np.random.default_rng(71)
         n = 600
         W = rng.standard_normal((n, n)) / np.sqrt(n)
@@ -458,12 +481,36 @@ class TestWoodbury:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held <= W.nbytes + 2**16
+        assert held <= 2**16
         D = 1.0 + 10.0 ** rng.uniform(-3, 3, n)
         rhs = rng.standard_normal(n)
         y = factor_diag_plus_lowrank(D, None, W, split)(rhs)
-        ref = np.linalg.solve(np.diag(D) + W, rhs)
+        ref = np.linalg.solve(np.diag(D - 1.0) + W, rhs)
         assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_small_alpha_identity_form_keeps_accuracy(self):
+        # N = alpha M passed as W itself (ortho None), with every row varying:
+        # each system is formed from N, so no I + (alpha M - I) cancels. On
+        # the finish's diagonals (1 on I, inf on A, the system N_II) a stored
+        # W = alpha M - I lost the low bits of alpha M: 1.7e-11 at 1e-6
+        n = 60
+        for alpha in (1e-6, 1e-3):
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                N = alpha * (np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n))
+                active = rng.random(n) < 0.5
+                rhs = rng.standard_normal(n)
+                for D in (np.ones(n), np.where(active, np.inf, 1.0)):
+                    rows = np.isfinite(D)
+                    K = N[np.ix_(rows, rows)]
+                    for split in (woodbury_split(None, N, np.zeros(n, dtype=bool)), None):
+                        y = factor_diag_plus_lowrank(D, None, N, split)(rhs)
+                        assert np.all(y[~rows] == 0.0)
+                        b, y = rhs[rows], y[rows]
+                        # normwise backward error of the solve
+                        err = np.abs(K @ y - b).max()
+                        assert err <= 1e-14 * (np.abs(K).sum(1).max() * np.abs(y).max()
+                                               + np.abs(b).max())
 
     def test_factors_serve_several_right_hand_sides(self):
         rng = np.random.default_rng(57)
@@ -702,6 +749,20 @@ class TestSolveIpm:
             x_bar = solve_galerkin(op, cone, basis,
                                    SolveConfig(tol=1e-13, alpha_override=alpha)).x
             assert np.linalg.norm(rep.x - x_bar) <= 1e-12 * (1 + np.linalg.norm(x_bar))
+
+    def test_full_span_reads_a_read_only_m(self):
+        # the reduced problem shares M, so the IPM, its finish and verify_pd
+        # must never write it: any in-place write on a read-only M raises.
+        # Both Woodbury sides: every row varies (orthant) and 6 rows fixed
+        op, _ = generate_instance(60, 4, 1.0, 3.0, seed=72)
+        op.M.setflags(write=False)
+        plcp = build_projective(op, orthonormalize(np.eye(60)))
+        assert plcp.W is op.M
+        for cone in (orthant(60), parse_cone_spec("nn:27,free:6,nn:27")):
+            rep = solve_ipm(plcp, cone)
+            assert rep.converged and rep.finish_accepted
+            assert cone.is_complementary(rep.x, op(rep.x), 1e-10)
+        assert verify_pd(plcp) == op.beta
 
     def test_finish_tried_on_the_iteration_that_meets_the_stopping_test(self):
         # a near-degenerate component (x = 0, Nx + r = 4e-6) makes the first
