@@ -16,6 +16,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
+from .cones import _max_abs, _vector
+
 __all__ = ["EmptyBasis", "Basis", "orthonormalize"]
 
 # relative tolerance that defines span(Phi): orthonormalize keeps the smallest
@@ -68,20 +70,14 @@ class Basis:
     def ortho(self) -> np.ndarray:
         return self._support.dense()
 
-    def _check_vec(self, z, name: str = "z") -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.n,):
-            raise ValueError(f"{name} has shape {z.shape}, basis lives in dimension {self.n}")
-        return z
-
     def project_span(self, z) -> np.ndarray:
         """Euclidean projection onto span(ortho), computed as Q (Q^T z)."""
-        z = self._check_vec(z)
+        z = _vector(z, self.n, "z")
         return self.ortho @ (self.ortho.T @ z)
 
     def null_residual(self, v) -> np.ndarray:
         """Component of v in null(ortho^T), i.e. v - project_span(v)."""
-        v = self._check_vec(v, "v")
+        v = _vector(v, self.n, "v")
         return v - self.project_span(v)
 
     def representation_error(self, z) -> float:
@@ -140,15 +136,13 @@ def orthonormalize(raw) -> Basis:
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[0] < 1 or raw.shape[1] < 1:
         raise ValueError(f"raw basis must be a nonempty 2-D matrix, got shape {raw.shape}")
-    # max and min propagate NaN, so one pair checks every entry, with no
-    # n x k temporary
-    amax = max(raw.max(), -raw.min())
+    amax = _max_abs(raw)
     if not math.isfinite(amax):
         raise ValueError("raw basis has non-finite entries")
     if amax == 0.0:
         raise EmptyBasis("raw basis is identically zero")
 
-    support = _disjoint_support(raw, float(amax))
+    support = _disjoint_support(raw, amax)
     if support is not None:
         return Basis(support=support)
     Q, R, _ = scipy.linalg.qr(raw, mode="economic", pivoting=True)

@@ -45,6 +45,22 @@ def _positive_int(value, name: str) -> int:
     return int(value)
 
 
+def _vector(x, n: int, name: str) -> np.ndarray:
+    """x as a float array of shape (n,); ValueError naming it otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"{name} has shape {x.shape}, expected ({n},)")
+    return x
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """Largest entry magnitude of the float array a (0 when it is empty):
+    NaN when an entry is NaN and inf when one is infinite, so one finite
+    test checks every entry. max and min propagate NaN, so the two
+    reductions need no temporary the size of a."""
+    return float(max(a.max(), -a.min())) if a.size else 0.0
+
+
 @dataclass(frozen=True)
 class Segment:
     kind: SegmentKind
@@ -93,18 +109,11 @@ class SeparableCone:
     def zero_mask(self) -> np.ndarray:
         return self._mask(SegmentKind.ZERO)
 
-    def _check_vec(self, x, name: str = "x") -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"{name} has shape {x.shape}, cone has dimension {self.dim}")
-        return x
-
     # -- operations -----------------------------------------------------
 
     def project(self, x) -> np.ndarray:
         """Euclidean projection onto the cone (componentwise thresholding)."""
-        x = self._check_vec(x)
-        out = x.copy()
+        out = _vector(x, self.dim, "x").copy()
         nn = self.nonneg_mask
         if nn.any():
             out[nn] = np.maximum(out[nn], 0.0)
@@ -122,10 +131,13 @@ class SeparableCone:
         return SeparableCone(tuple(Segment(_DUAL_KIND[s.kind], s.length) for s in self.segments))
 
     def contains(self, x, tol: float) -> bool:
-        """Membership within relative tolerance tol*(1 + ||x||)."""
-        x = self._check_vec(x)
+        """Membership within relative tolerance tol*(1 + ||x||); a vector
+        with a NaN or infinite entry is in no cone."""
+        x = _vector(x, self.dim, "x")
         if not 0 <= tol < math.inf:
             raise ValueError("tol must be finite and >= 0")
+        if not math.isfinite(_max_abs(x)):
+            return False
         slack = tol * (1.0 + float(np.linalg.norm(x)))
         nn = self.nonneg_mask
         if nn.any() and float(np.min(x[nn], initial=np.inf)) < -slack:
@@ -137,8 +149,8 @@ class SeparableCone:
 
     def is_complementary(self, x, y, tol: float) -> bool:
         """True iff x in K, y in K* (both within tol) and |x.y| <= tol*(1+||x||*||y||)."""
-        x = self._check_vec(x, "x")
-        y = self._check_vec(y, "y")
+        x = _vector(x, self.dim, "x")
+        y = _vector(y, self.dim, "y")
         if not 0 <= tol < math.inf:
             raise ValueError("tol must be finite and >= 0")
         if not self.contains(x, tol):
@@ -152,12 +164,15 @@ class SeparableCone:
         """Test d in N_C(x) through the projection characterization.
 
         d is normal at x exactly when x = project(x + d); the test allows
-        relative slack tol*(1 + ||d||). Requires x feasible within tol.
+        relative slack tol*(1 + ||d||). Requires x feasible within tol; a d
+        with a NaN or infinite entry is normal nowhere.
         """
-        x = self._check_vec(x, "x")
-        d = self._check_vec(d, "d")
+        x = _vector(x, self.dim, "x")
+        d = _vector(d, self.dim, "d")
         if not self.contains(x, tol):
             raise ValueError("x is not in the cone within tol")
+        if not math.isfinite(_max_abs(d)):
+            return False
         moved = float(np.linalg.norm(self.project(x + d) - x))
         return moved <= tol * (1.0 + float(np.linalg.norm(d)))
 

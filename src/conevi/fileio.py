@@ -18,7 +18,7 @@ ran.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -89,88 +89,84 @@ def _read_block(lines: Iterator[tuple[int, str]], shape: tuple[int, int]) -> np.
     return block if block.shape == shape else None
 
 
+def _header(lines: Iterator[tuple[int, str]], magic: str, fields: str) -> tuple[int, list[str]]:
+    """(line number, the two fields after `magic`) of the first content line."""
+    lineno, header = next(lines, (1, None))
+    if header is None:
+        raise ProblemFormatError(f"empty {magic} file", 1)
+    tokens = header.split()
+    if len(tokens) != 3 or tokens[0] != magic:
+        raise ProblemFormatError(f"header must be '{magic} {fields}'", lineno)
+    return lineno, tokens[1:]
+
+
+def _dimension(token: str, lineno: int) -> int:
+    try:
+        n = int(token)
+    except ValueError:
+        raise ProblemFormatError(f"bad dimension {token!r}", lineno) from None
+    if n < 1:
+        raise ProblemFormatError(f"dimension must be >= 1, got {n}", lineno)
+    return n
+
+
+def _numbers(text: str, lines: Iterator[tuple[int, str]], lineno: int,
+             shape: tuple[int, int], row_name: Callable[[int], str]) -> np.ndarray:
+    """The number block after the header on line `lineno`: `lines` through
+    the C reader, else every row of `text` again, one by one with float(),
+    so that an error names its line and the row row_name(i)."""
+    block = _read_block(lines, shape)
+    if block is None:
+        body = list(_content_lines(text))[1:]
+        if len(body) != shape[0]:
+            where = body[min(shape[0], len(body) - 1)][0] if body else lineno
+            raise ProblemFormatError(
+                f"expected {shape[0]} rows after the header, found {len(body)}", where)
+        block = np.vstack([_parse_row(ln, line, shape[1], row_name(i))
+                           for i, (ln, line) in enumerate(body)])
+    return block
+
+
 def parse_problem(text: str) -> tuple[AffineOperator, SeparableCone]:
     """Parse a `VI1` problem file into an operator and its cone."""
     lines = _content_lines(text)
-    lineno, header = next(lines, (1, None))
-    if header is None:
-        raise ProblemFormatError("empty problem file", 1)
-    tokens = header.split()
-    if len(tokens) != 3 or tokens[0] != "VI1":
-        raise ProblemFormatError("header must be 'VI1 <n> <cone-spec>'", lineno)
+    lineno, (size, spec) = _header(lines, "VI1", "<n> <cone-spec>")
+    n = _dimension(size, lineno)
     try:
-        n = int(tokens[1])
-    except ValueError:
-        raise ProblemFormatError(f"bad dimension {tokens[1]!r}", lineno) from None
-    if n < 1:
-        raise ProblemFormatError(f"dimension must be >= 1, got {n}", lineno)
-    try:
-        cone = parse_cone_spec(tokens[2])
+        cone = parse_cone_spec(spec)
     except ValueError as exc:
         raise ProblemFormatError(str(exc), lineno) from None
     if cone.dim != n:
         raise ProblemFormatError(
             f"cone spec covers {cone.dim} components, header says {n}", lineno)
-
-    block = _read_block(lines, (n + 1, n))
-    if block is None:
-        body = list(_content_lines(text))[1:]
-        if len(body) < n + 1:
-            last = body[-1][0] if body else lineno
-            raise ProblemFormatError(
-                f"expected {n} matrix rows plus q, file ends after {len(body)} rows", last)
-        if len(body) > n + 1:
-            raise ProblemFormatError("unexpected extra row", body[n + 1][0])
-        block = np.vstack([_parse_row(ln, line, n, "q" if i == n else f"matrix row {i + 1}")
-                           for i, (ln, line) in enumerate(body)])
+    block = _numbers(text, lines, lineno, (n + 1, n),
+                     lambda i: "q" if i == n else f"matrix row {i + 1}")
     return AffineOperator(block[:n], block[n]), cone
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def write_problem(op: AffineOperator, cone: SeparableCone) -> str:
-    if op.dim != cone.dim:
-        raise ValueError(f"operator dimension {op.dim} != cone dimension {cone.dim}")
-    rows = [f"VI1 {op.dim} {cone.spec()}"]
-    rows.extend(" ".join(_fmt(v) for v in row) for row in op.M)
-    rows.append(" ".join(_fmt(v) for v in op.q))
-    return "\n".join(rows) + "\n"
 
 
 def parse_basis(text: str) -> np.ndarray:
     """Parse a `BASIS1` file into the raw (not yet orthonormalized) matrix."""
     lines = _content_lines(text)
-    lineno, header = next(lines, (1, None))
-    if header is None:
-        raise ProblemFormatError("empty basis file", 1)
-    tokens = header.split()
-    if len(tokens) != 3 or tokens[0] != "BASIS1":
-        raise ProblemFormatError("header must be 'BASIS1 <n> <k>'", lineno)
-    try:
-        n, k = int(tokens[1]), int(tokens[2])
-    except ValueError:
-        raise ProblemFormatError("bad basis dimensions in header", lineno) from None
-    if n < 1 or k < 1:
-        raise ProblemFormatError(f"basis dimensions must be >= 1, got {n}x{k}", lineno)
+    lineno, fields = _header(lines, "BASIS1", "<n> <k>")
+    n, k = (_dimension(token, lineno) for token in fields)
+    return _numbers(text, lines, lineno, (n, k), lambda i: f"basis row {i + 1}")
 
-    block = _read_block(lines, (n, k))
-    if block is None:
-        body = list(_content_lines(text))[1:]
-        if len(body) != n:
-            where = body[min(n, len(body) - 1)][0] if body else lineno
-            raise ProblemFormatError(f"expected {n} basis rows, found {len(body)}", where)
-        block = np.vstack([_parse_row(ln, line, k, f"basis row {i + 1}")
-                           for i, (ln, line) in enumerate(body)])
-    return block
+
+def _write(header: str, rows) -> str:
+    """The header and one line per row, 17 significant digits per number."""
+    lines = [header]
+    lines.extend(" ".join(format(float(v), ".17g") for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def write_problem(op: AffineOperator, cone: SeparableCone) -> str:
+    if op.dim != cone.dim:
+        raise ValueError(f"operator dimension {op.dim} != cone dimension {cone.dim}")
+    return _write(f"VI1 {op.dim} {cone.spec()}", itertools.chain(op.M, [op.q]))
 
 
 def write_basis(raw: np.ndarray) -> str:
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2:
         raise ValueError(f"basis must be 2-D, got shape {raw.shape}")
-    n, k = raw.shape
-    rows = [f"BASIS1 {n} {k}"]
-    rows.extend(" ".join(_fmt(v) for v in row) for row in raw)
-    return "\n".join(rows) + "\n"
+    return _write(f"BASIS1 {raw.shape[0]} {raw.shape[1]}", raw)

@@ -38,6 +38,8 @@ from scipy.linalg.blas import dsymv, dsyrk
 from scipy.linalg.lapack import dpotrf
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from .cones import _max_abs, _vector
+
 __all__ = [
     "NotStronglyMonotone",
     "ContractionParams",
@@ -73,12 +75,10 @@ def _check_square(M) -> tuple[np.ndarray, float]:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    # max and min propagate NaN, so the two reductions that give the scale
-    # also check every entry, with no n x n temporary
-    amax = max(M.max(), -M.min()) if M.size else 0.0
+    amax = _max_abs(M)
     if not math.isfinite(amax):
         raise ValueError("matrix has non-finite entries")
-    return M, float(amax)
+    return M, amax
 
 
 _U = 2.0**-53  # unit roundoff of binary64
@@ -330,10 +330,8 @@ class AffineOperator(Operator):
 
     def __init__(self, M, q):
         M, _ = _check_square(M)
-        q = np.asarray(q, dtype=float)
-        if q.shape != (M.shape[0],):
-            raise ValueError(f"q has shape {q.shape}, expected ({M.shape[0]},)")
-        if not np.all(np.isfinite(q)):
+        q = _vector(q, M.shape[0], "q")
+        if not math.isfinite(_max_abs(q)):
             raise ValueError("q has non-finite entries")
         self.M = M
         self.q = q
@@ -343,10 +341,7 @@ class AffineOperator(Operator):
         return self.M.shape[0]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"x has shape {x.shape}, operator dimension is {self.dim}")
-        return self.M @ x + self.q
+        return self.M @ _vector(x, self.dim, "x") + self.q
 
     @cached_property
     def beta(self) -> float:
@@ -379,10 +374,7 @@ class CallableOperator(Operator):
         self._lipschitz = float(lipschitz)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"x has shape {x.shape}, operator dimension is {self.dim}")
-        return np.asarray(self._fn(x), dtype=float)
+        return np.asarray(self._fn(_vector(x, self.dim, "x")), dtype=float)
 
     @property
     def beta(self) -> float:

@@ -31,8 +31,8 @@ import numpy as np
 import scipy.linalg
 
 from .basis import Basis
-from .cones import SeparableCone, _positive_int
-from .operators import AffineOperator, _smallest_eigenvalue, _transpose_sum, monotone_modulus
+from .cones import SeparableCone, _max_abs, _positive_int, _vector
+from .operators import AffineOperator, monotone_modulus
 
 __all__ = [
     "IpmBreakdown",
@@ -78,9 +78,7 @@ class ProjectiveLcp:
 
     def apply(self, x) -> np.ndarray:
         """N @ x in O(n k')."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"x has shape {x.shape}, problem dimension is {self.n}")
+        x = _vector(x, self.n, "x")
         Wx = self.W @ x
         return Wx if self.ortho is None else x + self.ortho @ Wx
 
@@ -164,8 +162,8 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
     so the symmetric part is I + U sym(C) U^T with C = U^T Q W U. Its
     eigenvalues are 1 + eig(sym C), plus 1 on the complement of range(U)
     when U has fewer than n columns. Cost O(n k'^2). The smallest
-    eigenvalue of sym C skips the coordinates it does not couple, as for
-    beta (see conevi.operators).
+    eigenvalue of sym C is the monotone modulus of C (see
+    conevi.operators).
     On a full span (ortho is None) W is N itself, and the result is its
     monotone modulus lambda_min(sym N), with no QR: op.beta when W is op.M.
     """
@@ -174,9 +172,7 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
         return monotone_modulus(plcp.W)
     U, _ = np.linalg.qr(np.hstack([Q, plcp.W.T]))
     C = (U.T @ Q) @ (plcp.W @ U)
-    S = np.asarray_chkfinite(_transpose_sum(C))
-    S *= 0.5
-    smallest = 1.0 + _smallest_eigenvalue(S)
+    smallest = 1.0 + monotone_modulus(C)
     return smallest if C.shape[0] == plcp.n else min(1.0, smallest)
 
 
@@ -210,16 +206,16 @@ def _over_diagonal(N: np.ndarray, D: np.ndarray) -> np.ndarray:
     return G
 
 
-def _split(Q: np.ndarray | None, W: np.ndarray, fixed: np.ndarray,
-           small_side: bool) -> tuple:
-    """woodbury_split's (fixed, factor) on the side it names: the |V|x|V|
-    system when small_side, else the k'xk' one. factor(D[V]) returns the
+def _split(Q: np.ndarray | None, W: np.ndarray, fixed: np.ndarray) -> tuple:
+    """woodbury_split's (fixed, factor) on the smaller side: the |V|x|V|
+    system when |V| < k', else the k'xk' one. factor(D[V]) returns the
     solve of I + W D^-1 Q, or of (N + diag(D - 1)) D^-1 when Q is None.
 
     With no fixed row, Q[V] and W[:, V] are Q and W themselves, read in
     place. For Q = None the k'xk' side is taken only then (k' = n), and
     each D forms its system from N itself, so the split holds no matrix."""
     varying = ~fixed
+    small_side = int(varying.sum()) < W.shape[0]
     if Q is None:
         if not small_side:
             return fixed, lambda D_var: _lu(_over_diagonal(W, D_var))
@@ -292,10 +288,10 @@ def woodbury_split(Q: np.ndarray | None, W: np.ndarray, fixed: np.ndarray) -> tu
     IpmBreakdown is raised here in that case.
     """
     fixed = np.asarray(fixed, dtype=bool)
-    k, n = W.shape
+    n = W.shape[1]
     if fixed.shape != (n,):
         raise ValueError(f"fixed has shape {fixed.shape}, problem dimension is {n}")
-    return _split(Q, W, fixed, int((~fixed).sum()) < k)
+    return _split(Q, W, fixed)
 
 
 def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | None, W: np.ndarray,
@@ -325,7 +321,7 @@ def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | None, W: np.ndarray,
     if W.shape[0] == 0:
         return lambda b: np.asarray(b, dtype=float) / D
     if split is None:
-        fixed, factor = _split(Q, W, np.zeros(D.shape, dtype=bool), small_side=False)
+        fixed, factor = _split(Q, W, np.zeros(D.shape, dtype=bool))
     else:
         fixed, factor = split
         if np.any(D[fixed] != 1.0):
@@ -499,7 +495,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         d = np.zeros(plcp.n)
         with np.errstate(over="ignore"):  # an overflow is caught by the test below
             d[B] = s[B] / x[B]
-        if not np.all(np.isfinite(d)):
+        if not math.isfinite(_max_abs(d)):
             raise IpmBreakdown("Newton diagonal D = 1 + s/x is not finite")
         _, _, dx, ds, sigma = _newton_directions(
             factor_diag_plus_lowrank(1.0 + d, Q, W, split), d, x, s, g, B, mu)

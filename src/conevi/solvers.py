@@ -23,7 +23,7 @@ import numpy as np
 import scipy.optimize
 
 from .basis import DROP_TOL, Basis
-from .cones import SeparableCone, _positive_int
+from .cones import SeparableCone, _positive_int, _vector
 from .operators import NotStronglyMonotone, Operator, _gamma, iteration_bound
 
 __all__ = [
@@ -223,7 +223,7 @@ def project_intersection(cone: SeparableCone, basis: Basis, z) -> np.ndarray:
     IntersectionProjectionFailed when NNLS reaches its iteration cap or
     Q V u misses C by more than that.
     """
-    z = cone._check_vec(z)
+    z = _vector(z, cone.dim, "z")
     if basis.n != cone.dim:
         raise ValueError(f"basis dimension {basis.n} != cone dimension {cone.dim}")
     Q, tol = basis.ortho, DROP_TOL
@@ -303,8 +303,8 @@ def certify(op: Operator, cone: SeparableCone, basis: Basis,
     checks that eps lies in null(Phi^T) and that z_bar - x_bar is in the
     normal cone at x_bar. Violations are reported, never raised.
     """
-    x_bar = cone._check_vec(np.asarray(x_bar, dtype=float), "x_bar")
-    z_bar = cone._check_vec(np.asarray(z_bar, dtype=float), "z_bar")
+    x_bar = _vector(x_bar, cone.dim, "x_bar")
+    z_bar = _vector(z_bar, cone.dim, "z_bar")
     fx = op(x_bar)
     eps_prime = z_bar - (x_bar - alpha * fx)
     eps = eps_prime / alpha

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import SegmentKind, Segment, SeparableCone
+from .cones import SegmentKind, Segment, SeparableCone, _vector
 from .operators import AffineOperator
 
 __all__ = [
@@ -45,18 +45,14 @@ class PolyhedralVI:
 
     def __post_init__(self) -> None:
         M = np.asarray(self.M, dtype=float)
-        q = np.asarray(self.q, dtype=float)
         A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"M must be square, got shape {M.shape}")
         n = M.shape[0]
-        if q.shape != (n,):
-            raise ValueError(f"q has shape {q.shape}, expected ({n},)")
+        q = _vector(self.q, n, "q")
         if A.ndim != 2 or A.shape[1] != n:
             raise ValueError(f"A has shape {A.shape}, expected (m, {n})")
-        if b.shape != (A.shape[0],):
-            raise ValueError(f"b has shape {b.shape}, expected ({A.shape[0]},)")
+        b = _vector(self.b, A.shape[0], "b")
         for name, val in (("M", M), ("q", q), ("A", A), ("b", b)):
             object.__setattr__(self, name, val)
 
@@ -84,7 +80,6 @@ def eliminate_equalities(op: AffineOperator, A, b, cone: SeparableCone) -> Conic
     offset (q, -b), over cone x Free(m).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float)
     n = op.dim
     if cone.dim != n:
         raise ValueError(f"cone dimension {cone.dim} != operator dimension {n}")
@@ -93,8 +88,7 @@ def eliminate_equalities(op: AffineOperator, A, b, cone: SeparableCone) -> Conic
     m = A.shape[0]
     if A.shape != (m, n):
         raise ValueError(f"A has shape {A.shape}, expected ({m}, {n})")
-    if b.shape != (m,):
-        raise ValueError(f"b has shape {b.shape}, expected ({m},)")
+    b = _vector(b, m, "b")
 
     if m == 0:
         return ConicProgramLayout(

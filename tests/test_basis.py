@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import conevi.basis
-from conevi.basis import EmptyBasis, orthonormalize
+from conevi.basis import Basis, EmptyBasis, orthonormalize
 from conevi.cones import orthant
 from conevi.solvers import project_intersection
 
@@ -173,6 +173,13 @@ class TestDisjointSupport:
             assert ortho.shape == eager.shape and ortho.tobytes() == eager.tobytes()
             assert not ortho.flags.writeable
             assert b.ortho is ortho
+
+    def test_basis_takes_exactly_one_factor(self):
+        support = orthonormalize(np.eye(3))._support
+        with pytest.raises(TypeError):
+            Basis()
+        with pytest.raises(TypeError):
+            Basis(np.eye(3), support=support)
 
 
 class TestProjection:

@@ -97,6 +97,24 @@ class TestParseProblem:
                 parse_problem(text)
 
 
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_problem, "", 1),
+    (parse_basis, "# nothing\n\n", 1),
+    (parse_problem, "# comment\nXX1 1 nn:1\n2\n1\n", 2),
+    (parse_basis, "\nBASIS 3 2\n", 2),
+    (parse_basis, "BASIS1 3\n", 1),
+    (parse_problem, "VI1 one nn:1\n2\n1\n", 1),
+    (parse_basis, "BASIS1 3 two\n", 1),
+    (parse_problem, "VI1 0 nn:1\n", 1),
+    (parse_basis, "# c\nBASIS1 0 2\n", 2),
+    (parse_basis, "BASIS1 3 -1\n1\n1\n1\n", 1),
+])
+def test_header_errors_name_their_line(parse, text, line):
+    with pytest.raises(ProblemFormatError) as exc:
+        parse(text)
+    assert exc.value.line == line
+
+
 class TestRoundTrip:
     def test_write_parse_exact_values(self):
         op, _ = generate_instance(7, 2, 1.0, 2.0, seed=71)
@@ -238,3 +256,20 @@ class TestStreamedReader:
             tracemalloc.stop()
         np.testing.assert_array_equal(parsed.M, op.M)
         assert peak < op.M.nbytes + len(text) / 2
+
+    def test_well_formed_files_stay_on_the_c_reader(self, monkeypatch):
+        # the per-row path is for malformed input; a good file read there
+        # would parse the same values, only several times slower
+        def refused(*args):
+            raise AssertionError("a well-formed file was read row by row")
+
+        rng = np.random.default_rng(75)
+        n = 300
+        op = AffineOperator(rng.standard_normal((n, n)), rng.standard_normal(n))
+        raw = rng.standard_normal((n, 4))
+        problem, basis = write_problem(op, orthant(n)), write_basis(raw)
+        monkeypatch.setattr(fileio, "_parse_row", refused)
+        parsed, _ = parse_problem(problem)
+        np.testing.assert_array_equal(parsed.M, op.M)
+        np.testing.assert_array_equal(parsed.q, op.q)
+        np.testing.assert_array_equal(parse_basis(basis), raw)

@@ -1,6 +1,9 @@
 """Every range check on a tolerance, step or declared constant also rejects
 NaN and infinities, which would otherwise pass it and make a stopping or
-membership test vacuous."""
+membership test vacuous. A vector with a NaN or infinite entry is in no
+cone: the membership tests return False for it, with no warning."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,10 @@ from conevi import (
     SolveConfig,
     bound_report,
     build_projective,
+    free,
     orthant,
     orthonormalize,
+    zero,
 )
 
 BAD = [np.inf, -np.inf, np.nan]
@@ -61,3 +66,23 @@ def test_max_iter_is_a_whole_number(cls):
         cls(max_iter=2.5)
     for value in (1.0, np.int64(3)):
         assert type(cls(max_iter=value).max_iter) is int
+
+
+MEMBERSHIP = {
+    "orthant.contains": lambda v: orthant(1).contains([v], 1e-8),
+    "zero.contains": lambda v: zero(1).contains([v], 1e-8),
+    "free.contains": lambda v: free(2).contains([v, 0.0], 0.0),
+    "orthant.in_normal_cone.d": lambda v: orthant(1).in_normal_cone([0.0], [v], 1e-8),
+    "orthant.is_complementary.x": lambda v: orthant(2).is_complementary(
+        [v, 0.0], [0.0, 1.0], 1e-8),
+    "orthant.is_complementary.y": lambda v: orthant(2).is_complementary(
+        [1.0, 0.0], [0.0, v], 1e-8),
+}
+
+
+@pytest.mark.parametrize("value", BAD, ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("case", sorted(MEMBERSHIP))
+def test_nonfinite_vector_in_no_cone(case, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert MEMBERSHIP[case](value) is False

@@ -5,9 +5,9 @@ import pytest
 import scipy.optimize
 
 from conevi.basis import Basis, orthonormalize
-from conevi.cones import orthant, parse_cone_spec
+from conevi.cones import free, orthant, parse_cone_spec
 from conevi.generate import generate_instance
-from conevi.operators import AffineOperator, NotStronglyMonotone, iteration_bound
+from conevi.operators import AffineOperator, CallableOperator, NotStronglyMonotone, iteration_bound
 from conevi.solvers import (
     IntersectionProjectionFailed,
     SolveConfig,
@@ -93,6 +93,21 @@ class TestSolveExact:
         rep = solve_exact(op, orthant(2), SolveConfig(max_iter=2, tol=1e-14))
         assert not rep.converged
         assert rep.iterations == 2
+
+    def test_default_cap_is_100_steps_when_gamma_is_zero(self):
+        # beta = L declares gamma = 0; x <- -x - 1 never settles
+        op = CallableOperator(lambda x: 2.0 * x + 1.0, dim=1, beta=1.0, lipschitz=1.0)
+        rep = solve_exact(op, free(1))
+        assert rep.gamma == 0.0
+        assert not rep.converged and rep.iterations == 100
+
+    def test_default_cap_is_10000_steps_when_gamma_is_not_below_one(self):
+        # alpha = 2 on M = I gives gamma >= 1; x <- max(2 - x, 0) cycles 0, 2
+        op = AffineOperator(np.eye(1), [-1.0])
+        rep = solve_exact(op, orthant(1), SolveConfig(alpha_override=2.0))
+        assert rep.gamma >= 1.0
+        assert not rep.converged and rep.iterations == 10000
+        assert np.isfinite(rep.x).all()
 
     def test_iterates_stay_feasible(self):
         op, _ = generate_instance(20, 4, 1.0, 2.0, seed=1)
@@ -356,6 +371,12 @@ class TestCertify:
         cert = certify(op, cone, basis, x_bad, rep.z, rep.alpha)
         assert not cert.normal_cone_ok
 
+    def test_infeasible_x_bar_fails_normal_cone(self):
+        op = AffineOperator(np.eye(2), [-1.0, 1.0])
+        x_bar = np.array([-1.0, 0.0])
+        cert = certify(op, orthant(2), orthonormalize(np.eye(2)), x_bar, x_bar, 1.0)
+        assert not cert.normal_cone_ok and not cert.valid
+
 
 class TestContractionBehavior:
     def test_distances_contract_and_bound_holds(self):
@@ -412,3 +433,10 @@ class TestBoundReport:
         comp = bound_report(op, orthant(40), basis)
         assert comp.new_ok
         assert not comp.bertsekas_skipped and comp.bertsekas_ok
+
+    def test_override_step_without_contraction_refused(self):
+        # alpha = 3 on M = I: gamma = sqrt(1 - 6 + 9 L**2) >= 1
+        op = AffineOperator(np.eye(2), np.zeros(2))
+        with pytest.raises(NotStronglyMonotone):
+            bound_report(op, orthant(2), orthonormalize(np.eye(2)),
+                         SolveConfig(alpha_override=3.0))
