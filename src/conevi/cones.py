@@ -132,13 +132,18 @@ class SeparableCone:
 
     def contains(self, x, tol: float) -> bool:
         """Membership within relative tolerance tol*(1 + ||x||); a vector
-        with a NaN or infinite entry is in no cone."""
+        with a NaN or infinite entry is in no cone. The test runs in units
+        of the largest entry, so no norm overflows."""
         x = _vector(x, self.dim, "x")
         if not 0 <= tol < math.inf:
             raise ValueError("tol must be finite and >= 0")
-        if not math.isfinite(_max_abs(x)):
+        scale = _max_abs(x)
+        if not math.isfinite(scale):
             return False
-        slack = tol * (1.0 + float(np.linalg.norm(x)))
+        if not scale:
+            return True
+        x = x / scale
+        slack = tol / scale + tol * float(np.linalg.norm(x))
         nn = self.nonneg_mask
         if nn.any() and float(np.min(x[nn], initial=np.inf)) < -slack:
             return False
@@ -148,7 +153,9 @@ class SeparableCone:
         return True
 
     def is_complementary(self, x, y, tol: float) -> bool:
-        """True iff x in K, y in K* (both within tol) and |x.y| <= tol*(1+||x||*||y||)."""
+        """True iff x in K, y in K* (both within tol) and
+        |x.y| <= tol*(1+||x||*||y||), tested with x and y each in units of
+        its largest entry, so no product overflows."""
         x = _vector(x, self.dim, "x")
         y = _vector(y, self.dim, "y")
         if not 0 <= tol < math.inf:
@@ -157,24 +164,35 @@ class SeparableCone:
             return False
         if not self.dual().contains(y, tol):
             return False
+        a, b = _max_abs(x), _max_abs(y)
+        if not a or not b:
+            return True
+        x, y = x / a, y / b
         gap = abs(float(x @ y))
-        return gap <= tol * (1.0 + float(np.linalg.norm(x)) * float(np.linalg.norm(y)))
+        return gap <= (tol / a / b
+                       + tol * float(np.linalg.norm(x)) * float(np.linalg.norm(y)))
 
     def in_normal_cone(self, x, d, tol: float) -> bool:
         """Test d in N_C(x) through the projection characterization.
 
         d is normal at x exactly when x = project(x + d); the test allows
-        relative slack tol*(1 + ||d||). Requires x feasible within tol; a d
+        relative slack tol*(1 + ||d||), in units of the largest entry of x
+        and d, so no norm overflows. Requires x feasible within tol; a d
         with a NaN or infinite entry is normal nowhere.
         """
         x = _vector(x, self.dim, "x")
         d = _vector(d, self.dim, "d")
         if not self.contains(x, tol):
             raise ValueError("x is not in the cone within tol")
-        if not math.isfinite(_max_abs(d)):
+        scale = _max_abs(d)
+        if not math.isfinite(scale):
             return False
+        scale = max(scale, _max_abs(x))
+        if not scale:
+            return True
+        x, d = x / scale, d / scale
         moved = float(np.linalg.norm(self.project(x + d) - x))
-        return moved <= tol * (1.0 + float(np.linalg.norm(d)))
+        return moved <= tol / scale + tol * float(np.linalg.norm(d))
 
     # -- text form --------------------------------------------------------
 

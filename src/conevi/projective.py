@@ -8,11 +8,11 @@ W = alpha*Q^T M - Q^T) lets each interior-point Newton step run through a
 Woodbury solve in O(n k'^2) instead of a dense O(n^3) factorization, and
 the positive-definiteness check work on the rank <= 2k' symmetric part of
 Q W in O(n k'^2) as well. Every Newton matrix is N + diag(D - 1) for a
-diagonal D >= 1. Each Newton step factors its system once and
-solves with those factors twice, for Mehrotra's predictor and corrector,
-on the smaller side of the Woodbury identity (woodbury_split states the
-rule and its costs). Once the guessed active set settles, an active-set
-finish solves the LCP on it exactly with one more system of the same size.
+diagonal D >= 1. Each Newton step factors its system once (woodbury_split
+states which system and its cost) and solves with those factors twice, for
+Mehrotra's predictor and corrector. Once the guessed active set settles,
+an active-set finish solves the LCP on it exactly with one more system of
+the same size.
 
 When the basis spans all of R^n (k' = n), Q is square and orthogonal, so
 N = alpha*M and r = alpha*q, which only rescale CP(Mx + q): the original CP
@@ -207,47 +207,33 @@ def _over_diagonal(N: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def _split(Q: np.ndarray | None, W: np.ndarray, fixed: np.ndarray) -> tuple:
-    """woodbury_split's (fixed, factor) on the smaller side: the |V|x|V|
-    system when |V| < k', else the k'xk' one. factor(D[V]) returns the
-    solve of I + W D^-1 Q, or of (N + diag(D - 1)) D^-1 when Q is None.
+    """woodbury_split's (fixed, factor): factor(D) returns the solve of
+    G(D) = I + W D^-1 Q, or of (N + diag(D - 1)) D^-1 when Q is None.
 
-    With no fixed row, Q[V] and W[:, V] are Q and W themselves, read in
-    place. For Q = None the k'xk' side is taken only then (k' = n), and
-    each D forms its system from N itself, so the split holds no matrix."""
+    A dense Q and a full span with no fixed row form each G(D) whole from Q
+    and W, read in place, so the split holds no matrix. A full span with a
+    fixed row takes the |V| side."""
+    if Q is not None:
+        return fixed, lambda D: _lu(_plus_identity(W @ (Q * (1.0 / D)[:, None])))
+    if not fixed.any():
+        return fixed, lambda D: _lu(_over_diagonal(W, D))
     varying = ~fixed
-    small_side = int(varying.sum()) < W.shape[0]
-    if Q is None:
-        if not small_side:
-            return fixed, lambda D_var: _lu(_over_diagonal(W, D_var))
-        G_c = _over_diagonal(W, np.where(fixed, 1.0, 2.0))
-        W_var = W[:, varying]  # becomes (N - I)[:, V]
-        W_var[np.flatnonzero(varying), np.arange(W_var.shape[1])] -= 1.0
-        Q_var = None
-    else:
-        every = not fixed.any()
-        Q_var = Q if every else Q[varying]
-        W_var = W if every else W[:, varying]
-        G_c = _plus_identity(W @ (Q * np.where(fixed, 1.0, 0.5)[:, None]))
-        if not small_side:
-            def factor_k(D_var: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-                S = W_var @ (Q_var * (1.0 / D_var - 0.5)[:, None])
-                S += G_c
-                return _lu(S)
-
-            return fixed, factor_k
+    G_c = _over_diagonal(W, np.where(fixed, 1.0, 2.0))
+    W_var = W[:, varying]  # becomes (N - I)[:, V]
+    W_var[np.flatnonzero(varying), np.arange(W_var.shape[1])] -= 1.0
     solve_c = _lu(G_c)
     T = solve_c(W_var)
-    Z = T[varying] if Q is None else Q_var @ T
+    Z = T[varying]
 
-    def factor(D_var: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        if not D_var.size:  # no varying rows: the system is G_c itself
+    def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        if not Z.size:  # no varying rows: the system is G_c itself
             return solve_c
-        e = 1.0 / D_var - 0.5
+        e = 1.0 / D[varying] - 0.5
         solve_var = _lu(_plus_identity(e[:, None] * Z))
 
         def solve(c):
             y = solve_c(c)
-            return y - T @ solve_var(e * (y[varying] if Q is None else Q_var @ y))
+            return y - T @ solve_var(e * y[varying])
 
         return solve
 
@@ -264,28 +250,28 @@ def woodbury_split(Q: np.ndarray | None, W: np.ndarray, fixed: np.ndarray) -> tu
     gives G(D) = (N + diag(D - 1)) D^-1, the Newton matrix itself up to the
     column scaling D, and N - I is never formed.
     Returns (fixed, factor) for factor_diag_plus_lowrank, which calls
-    factor(D[V]) once per D. Both sides start from one base matrix,
-    G_c = G(D_c) with D_c = 1 on the fixed rows and 2 on V, formed once in
-    O(n k'^2); any such D then gives G(D) = G_c + W[:, V] diag(e) Q[V],
-    e = 1/D_V - 1/2. The side is min(k', |V|):
-    - |V| >= k': each D forms that k'xk' sum and LU-factors it in
-      O(|V| k'^2 + k'^3);
-    - |V| < k': G_c is LU-factored once, with T = G_c^-1 W[:, V] and
-      Z = Q[V] T, in O(k'^3 + |V|^2 k'); each D then LU-factors only the
-      |V|x|V| system I + diag(e) Z in O(|V|^3) (the Woodbury identity
-      applied a second time; |e| <= 1/2 because D_V >= 1, inf included),
-      and a solve costs O(n k' + k'^2 + k' |V|).
-    Q = None stands for the identity (k' = n, see ProjectiveLcp): G_c is
-    N diag(1/D_c) + diag(1 - 1/D_c) in O(n^2), in the buffer its LU
-    overwrites, (N - I)[:, V] is N[:, V] with -1 on its V diagonal and
-    Z = T[V]; the k'xk' side (no fixed row) forms G(D) from N in O(n^2) per
-    D. The LU factorizations and T keep their costs.
+    factor(D) once per D. Each D factors one system:
+    - a dense Q: G(D) itself, k'xk', formed from Q and W read in place and
+      LU-factored in O(n k'^2 + k'^3), the paper's cost; the split holds
+      nothing;
+    - Q = None with no fixed row: G(D) itself, n x n, formed from N in
+      O(n^2) and LU-factored directly; the split holds nothing;
+    - Q = None with a fixed row, the |V| side: the split forms
+      G_c = G(D_c), D_c = 1 on the fixed rows and 2 on V, as
+      N diag(1/D_c) + diag(1 - 1/D_c) in the buffer its LU overwrites, and
+      T = G_c^-1 (N - I)[:, V] and Z = T[V] ((N - I)[:, V] is N[:, V] with
+      -1 on its V diagonal), once in O(n^3). Any D then gives
+      G(D) = G_c + (N - I)[:, V] diag(e) I[V] (I[V] the rows V of I),
+      e = 1/D_V - 1/2, and each D LU-factors only the |V|x|V| system
+      I + diag(e) Z in O(|V|^3) (the Woodbury identity applied a second
+      time; |e| <= 1/2 because D_V >= 1, inf included); a solve costs
+      O(n^2).
     G_c is the Woodbury system of N + diag(D_c - 1), the Newton matrix
-    N + diag(d) at d = 1 on V. For
-    monotone N (N + N^T PSD), N + diag(d) with d > 0 on V is singular
-    exactly when N has a null vector x with x_V = 0, whatever d is; so G_c
-    is singular only if every such Newton matrix is, and on the |V| side
-    IpmBreakdown is raised here in that case.
+    N + diag(d) at d = 1 on V. For monotone N (N + N^T PSD), N + diag(d)
+    with d > 0 on V is singular exactly when N has a null vector x with
+    x_V = 0, whatever d is; so G_c is singular only if every such Newton
+    matrix is, and on the |V| side IpmBreakdown is raised here in that
+    case.
     """
     fixed = np.asarray(fixed, dtype=bool)
     n = W.shape[1]
@@ -305,11 +291,12 @@ def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | None, W: np.ndarray,
     k'xk' system (I + W D^-1 Q) t = W u with the factors formed here, and
     returns u - D^-1 Q t. For Q = None it returns D^-1 G(D)^-1 b, with
     G(D) = (N + diag(D - 1)) D^-1 (see woodbury_split), so a solve reads no
-    product with N. Without a split, D may be any positive vector and the
-    k'xk' system is formed and LU-factored here, O(n k'^2 + k'^3).
+    product with N. Without a split, D may be any positive vector and G(D)
+    is formed and LU-factored here, as woodbury_split states for no fixed
+    row.
     `split`, from woodbury_split(Q, W, F), requires D = 1 exactly on the
-    rows F and D >= 1 on the others (ValueError otherwise) and factors on
-    the side woodbury_split chose.
+    rows F and D >= 1 on the others (ValueError otherwise) and factors the
+    system woodbury_split states.
     D_i = inf is allowed: it drops row i from the system and pins y_i = 0,
     so the solve restricted to the other rows runs through the same path.
     Raises IpmBreakdown on a D that is not positive (NaN included) or an
@@ -328,7 +315,7 @@ def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | None, W: np.ndarray,
             raise ValueError("D differs from 1 on the rows fixed by the split")
         if not np.all(D[~fixed] >= 1.0):
             raise ValueError("D is below 1 on the rows the split varies")
-    solve_small = factor(D[~fixed])
+    solve_small = factor(D)
     if Q is None:
         return lambda b: solve_small(np.asarray(b, dtype=float)) / D
 
@@ -419,9 +406,9 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
     with the factors: Mehrotra's affine predictor and the corrector centred
     by sigma = (mu_aff / mu)^3. The Newton diagonal D = 1 + s/x is 1 on the
     free components and >= 1 on the orthant ones, so woodbury_split(Q, W, F),
-    made once per solve, sets the side and the cost of each step. A common
-    primal-dual step length with the fraction-to-boundary rule keeps the
-    linear residual shrinking by (1 - step) each iteration.
+    made once per solve, sets the system each step factors and its cost. A
+    common primal-dual step length with the fraction-to-boundary rule keeps
+    the linear residual shrinking by (1 - step) each iteration.
 
     When the guessed active set A = {i in B : x_i < s_i} repeats from one
     iteration to the next and differs from the last rejected guess (the

@@ -301,8 +301,11 @@ def certify(op: Operator, cone: SeparableCone, basis: Basis,
 
     Computes the residual eps = (z_bar - x_bar + alpha*F(x_bar)) / alpha and
     checks that eps lies in null(Phi^T) and that z_bar - x_bar is in the
-    normal cone at x_bar. Violations are reported, never raised.
+    normal cone at x_bar. Violations are reported, never raised. alpha and
+    cert_tol must be positive and finite, as in SolveConfig.
     """
+    if not (0 < alpha < math.inf and 0 < cert_tol < math.inf):
+        raise ValueError("alpha and cert_tol must be positive and finite")
     x_bar = _vector(x_bar, cone.dim, "x_bar")
     z_bar = _vector(z_bar, cone.dim, "z_bar")
     fx = op(x_bar)

@@ -1,7 +1,8 @@
 """Every range check on a tolerance, step or declared constant also rejects
 NaN and infinities, which would otherwise pass it and make a stopping or
 membership test vacuous. A vector with a NaN or infinite entry is in no
-cone: the membership tests return False for it, with no warning."""
+cone: the membership tests return False for it, with no warning, and they
+test finite entries near the overflow threshold without overflowing."""
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from conevi import (
     SolveConfig,
     bound_report,
     build_projective,
+    certify,
     free,
     orthant,
     orthonormalize,
@@ -38,6 +40,9 @@ CASES = {
     "SolveConfig.max_iter": lambda v: SolveConfig(max_iter=v),
     "build_projective.alpha": lambda v: build_projective(OP, BASIS, v),
     "bound_report.slack": lambda v: bound_report(OP, orthant(2), BASIS, slack=v),
+    "certify.alpha": lambda v: certify(OP, orthant(2), BASIS, [1.0, 0.0], [1.0, 0.0], v),
+    "certify.cert_tol": lambda v: certify(OP, orthant(2), BASIS, [1.0, 0.0], [1.0, 0.0],
+                                          0.5, v),
     "SeparableCone.contains.tol": lambda v: orthant(2).contains([-5.0, 1.0], v),
     "SeparableCone.is_complementary.tol": lambda v: orthant(2).is_complementary(
         [1.0, 0.0], [0.0, 1.0], v),
@@ -57,6 +62,15 @@ def test_nonfinite_rejected(case, value):
 def test_finite_values_still_accepted():
     for make in CASES.values():
         make(1.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("case", ["certify.alpha", "certify.cert_tol"])
+def test_certify_rejects_nonpositive(case, value):
+    # alpha = 0 would divide by zero; a negative alpha or cert_tol would
+    # return a certificate for no step or no tolerance
+    with pytest.raises(ValueError):
+        CASES[case](value)
 
 
 @pytest.mark.parametrize("cls", [IpmConfig, SolveConfig])
@@ -86,3 +100,28 @@ def test_nonfinite_vector_in_no_cone(case, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert MEMBERSHIP[case](value) is False
+
+
+# entries near 1e200 overflow a plain norm or dot product to inf, which made
+# every slack infinite and each test below pass
+OVERFLOW = {
+    "orthant.contains": (lambda: orthant(2).contains([-1e200, 1e200], 1e-8), False),
+    "zero.contains": (lambda: zero(2).contains([1e200, 1e200], 1e-8), False),
+    "orthant.is_complementary": (lambda: orthant(2).is_complementary(
+        [1e200, 1e200], [1e200, 1e200], 1e-8), False),
+    "orthant.in_normal_cone": (lambda: orthant(2).in_normal_cone(
+        [0.0, 0.0], [1e200, -1e200], 1e-8), False),
+    "orthant.contains.true": (lambda: orthant(2).contains([1e200, 1e200], 1e-8), True),
+    "orthant.is_complementary.true": (lambda: orthant(2).is_complementary(
+        [1e200, 0.0], [0.0, 1e200], 1e-8), True),
+    "orthant.in_normal_cone.true": (lambda: orthant(2).in_normal_cone(
+        [1e200, 0.0], [0.0, -1e200], 1e-8), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW))
+def test_huge_entries_tested_without_overflow(case):
+    test, expected = OVERFLOW[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert test() is expected

@@ -38,6 +38,31 @@ def materialize(plcp):
     return np.column_stack([plcp.apply(e) for e in np.eye(plcp.n)])
 
 
+def record_factorizations(monkeypatch):
+    """The shapes of the matrices LU-factored from now on, in call order."""
+    shapes = []
+    dgetrf = scipy.linalg.lapack.dgetrf
+
+    def recorded(a, **kwargs):
+        shapes.append(a.shape)
+        return dgetrf(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", recorded)
+    return shapes
+
+
+def polyhedral_problem():
+    """A polyhedral VI with n = m = 10 reduced to a separable cone, with the
+    identity basis: the reduced problem, a full span, and its cone."""
+    rng = np.random.default_rng(64)
+    op, _ = generate_instance(10, 2, 1.0, 2.0, seed=64)
+    A = rng.standard_normal((10, 10))
+    b = 0.5 + np.abs(rng.standard_normal(10)) - A @ rng.standard_normal(10)
+    layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, A, b))
+    return (build_projective(layout.op, orthonormalize(np.eye(layout.cone.dim)), 1.0),
+            layout.cone)
+
+
 def full_spans(n, rng):
     """Raw bases of rank n: the identity, a signed and scaled permutation,
     and a dense Gaussian matrix (a dense orthogonal factor)."""
@@ -282,7 +307,8 @@ class TestSignedPermutationRoute:
         n = identity.n
         N = materialize(identity)
         rng = np.random.default_rng(69)
-        # |V| = n (the k'xk' side, and no split at all) and |V| < k'
+        # no fixed row (the full span's one LU, and no split at all) and 5
+        # fixed rows (its |V| side); the dense Q factors k'xk' either way
         for n_var in (n, n - 5):
             fixed = np.ones(n, dtype=bool)
             fixed[rng.permutation(n)[:n_var]] = False
@@ -309,8 +335,9 @@ class TestSignedPermutationRoute:
     @pytest.mark.parametrize("k", [40, 30])
     @pytest.mark.parametrize("cone", ["nn:14,free:6,nn:14,free:6", "nn:40"])
     def test_inputs_left_untouched(self, k, cone):
-        # the LU factorizations overwrite only matrices they built, on both
-        # Woodbury sides (|V| = 28 or 40 against k' = 30 or 40)
+        # the LU factorizations overwrite only matrices they built, on every
+        # route: a dense Q (k' = 30) and a full span (k' = 40), with 12 fixed
+        # rows and with none
         op, _ = generate_instance(40, 4, 1.0, 3.0, seed=70)
         before = [a.tobytes() for a in (op.M, op.q)]
         plcp = build_projective(op, orthonormalize(np.eye(40)[:, :k]), 0.3)
@@ -360,9 +387,10 @@ class TestWoodbury:
         e1 = np.array([[1.0], [0.0]])
         with pytest.raises(IpmBreakdown, match="singular"):
             solve_diag_plus_lowrank(np.ones(2), e1, -e1.T, np.ones(2))
-        # |V| = 1 < k' = 2: G_c = I + W diag(1, 1/2) Q = 0 breaks at the split
+        # a full span with a fixed row: G_c = N diag(1, 1/2) + diag(0, 1/2) = 0
+        # breaks at the split
         with pytest.raises(IpmBreakdown, match="singular"):
-            woodbury_split(np.eye(2), -np.diag([1.0, 2.0]), np.array([True, False]))
+            woodbury_split(None, np.diag([0.0, -1.0]), np.array([True, False]))
 
     def test_componentwise_backward_error_late_ipm_stage(self):
         # IPM-like Newton matrix near the end: D = 1 + s/x spans 24 decades
@@ -412,7 +440,7 @@ class TestWoodbury:
         rng = np.random.default_rng(59)
         n = 8
         fixed = np.arange(n) % 2 == 0
-        for k in (3, n):  # |V| = 4 rows: the k' side, then the |V| side
+        for k in (3, n):  # |V| = 4 rows, below and above k'
             Q = rng.standard_normal((n, k)) / (2 * np.sqrt(n))
             W = rng.standard_normal((k, n)) / (2 * np.sqrt(n))
             D = np.where(fixed, 1.0, 2.0)
@@ -425,9 +453,9 @@ class TestWoodbury:
             np.testing.assert_allclose(A @ y, np.ones(n), atol=1e-14)
 
     def test_varying_side_matches_dense_solve(self):
-        # fewer varying rows than k', so each D factors only the |V|x|V| system;
-        # late-IPM diagonal spread on V. With Q = I, N = alpha M and a small
-        # alpha cancels in I + W D^-1 Q on either side, so Q = I runs at the
+        # fewer varying rows than k', with a dense Q, so each D factors the
+        # k'xk' system; late-IPM diagonal spread on V. With Q = I, N = alpha M
+        # and a small alpha cancels in I + W D^-1 Q, so Q = I runs at the
         # alpha build_projective takes on every full span (1) and at 0.3
         rng = np.random.default_rng(60)
         n = 80
@@ -450,28 +478,24 @@ class TestWoodbury:
                     assert err <= 1e-15 * np.linalg.cond(A) * np.linalg.norm(ref)
 
     def test_all_free_split_reuses_its_factors(self, monkeypatch):
-        # |V| = 0: every D is 1, and each call solves with the split's G_c
+        # a full span with |V| = 0: every D is 1, and each call solves with
+        # the split's G_c = N
         rng = np.random.default_rng(63)
-        n, k = 30, 12
-        Q = np.linalg.qr(rng.standard_normal((n, k)))[0]
-        W = rng.standard_normal((k, n)) / (2 * np.sqrt(n))
-        split = woodbury_split(Q, W, np.ones(n, dtype=bool))
-        factored = []
-        dgetrf = scipy.linalg.lapack.dgetrf
-        monkeypatch.setattr(scipy.linalg.lapack, "dgetrf",
-                            lambda a: factored.append(a.shape) or dgetrf(a))
-        A = np.eye(n) + Q @ W
+        n = 30
+        N = np.eye(n) + rng.standard_normal((n, n)) / (2 * np.sqrt(n))
+        split = woodbury_split(None, N, np.ones(n, dtype=bool))
+        factored = record_factorizations(monkeypatch)
         for _ in range(3):
             rhs = rng.standard_normal(n)
-            y = factor_diag_plus_lowrank(np.ones(n), Q, W, split)(rhs)
-            ref = np.linalg.solve(A, rhs)
+            y = factor_diag_plus_lowrank(np.ones(n), None, N, split)(rhs)
+            ref = np.linalg.solve(N, rhs)
             assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
         assert factored == []
 
     def test_identity_split_with_no_fixed_row_holds_no_copy(self):
-        # Q = None and every row varies (an orthant cone without --basis): the
-        # k'xk' side forms each system from N = W in place, so the split
-        # holds no n x n array, neither a copy of W[:, V] nor G_c
+        # Q = None and every row varies (an orthant cone without --basis): each
+        # system is formed from N = W in place, so the split holds no n x n
+        # array, neither a copy of W[:, V] nor G_c
         rng = np.random.default_rng(71)
         n = 600
         W = rng.standard_normal((n, n)) / np.sqrt(n)
@@ -527,7 +551,7 @@ class TestWoodbury:
 
     def test_infinite_diagonal_pins_rows_to_zero(self):
         # D = inf on A and 1 elsewhere solves (I + Q W)_II y_I = b_I with y_A = 0;
-        # with 80% free rows the split is on the |V| side (|V| < k')
+        # a dense Q factors the k'xk' system whatever share of rows is free
         rng = np.random.default_rng(58)
         n = 40
         for k, free_share in ((9, 0.3), (20, 0.8), (n, 0.8)):
@@ -629,14 +653,9 @@ class TestSolveIpm:
         problems = [(build_projective(op, basis, op.contraction().alpha), orthant(40))]
         # a polyhedral reduction with the identity basis: |B| = 10 orthant
         # rows against k' = 30, so each step factors the |B|x|B| system
-        rng = np.random.default_rng(64)
-        op, _ = generate_instance(10, 2, 1.0, 2.0, seed=64)
-        A = rng.standard_normal((10, 10))
-        b = 0.5 + np.abs(rng.standard_normal(10)) - A @ rng.standard_normal(10)
-        layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, A, b))
-        assert layout.cone.nonneg_mask.sum() < layout.cone.dim
-        problems.append((build_projective(layout.op, orthonormalize(np.eye(layout.cone.dim)),
-                                          1.0), layout.cone))
+        plcp, cone = polyhedral_problem()
+        assert cone.nonneg_mask.sum() < cone.dim
+        problems.append((plcp, cone))
         # one factorization per Newton step and per finish attempt; the last
         # iteration only checks convergence or tries the finish, also when it
         # is the last one max_iter allows
@@ -646,6 +665,24 @@ class TestSolveIpm:
                 rep = solve_ipm(plcp, cone, cfg)
                 assert rep.converged is converged
                 assert len(calls) == rep.iterations - 1 + rep.finish_attempts
+
+    def test_factorization_sizes(self, monkeypatch):
+        # the per-step cost rule: a dense Q factors k'xk' systems only, here
+        # with k' = 30 above |V| = 28 orthant rows
+        op, _ = generate_instance(40, 4, 1.0, 3.0, seed=70)
+        plcp = build_projective(op, orthonormalize(np.eye(40)[:, :30]), 0.3)
+        factored = record_factorizations(monkeypatch)
+        assert solve_ipm(plcp, parse_cone_spec("nn:14,free:6,nn:14,free:6")).converged
+        assert factored and set(factored) == {(30, 30)}
+        # a full span with fixed rows: one n x n matrix (G_c) per solve, then
+        # only |V|x|V| ones, one per Newton step and per finish attempt
+        plcp, cone = polyhedral_problem()
+        n, n_var = cone.dim, int(cone.nonneg_mask.sum())
+        factored.clear()
+        rep = solve_ipm(plcp, cone)
+        assert rep.converged
+        assert factored == [(n, n)] + [(n_var, n_var)] * (rep.iterations - 1
+                                                           + rep.finish_attempts)
 
     def test_nan_iterate_breaks(self, monkeypatch):
         op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
@@ -666,16 +703,11 @@ class TestSolveIpm:
     def test_overflowing_diagonal_breaks_without_warning(self):
         # tolerances no iterate meets drive x_i toward 0 on the active rows
         # until s_i / x_i overflows: a breakdown, not a RuntimeWarning
-        op, _ = generate_instance(10, 2, 1.0, 2.0, seed=64)
-        rng = np.random.default_rng(64)
-        A = rng.standard_normal((10, 10))
-        b = 0.5 + np.abs(rng.standard_normal(10)) - A @ rng.standard_normal(10)
-        layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, A, b))
-        plcp = build_projective(layout.op, orthonormalize(np.eye(layout.cone.dim)), 1.0)
+        plcp, cone = polyhedral_problem()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IpmBreakdown, match="not finite"):
-                solve_ipm(plcp, layout.cone, IpmConfig(tol=1e-30))
+                solve_ipm(plcp, cone, IpmConfig(tol=1e-30))
 
     def test_all_free_cone(self):
         # |V| = 0 < k': the Newton matrix is N at every step
