@@ -61,6 +61,15 @@ def _max_abs(a: np.ndarray) -> float:
     return float(max(a.max(), -a.min())) if a.size else 0.0
 
 
+def _norm(a: np.ndarray) -> float:
+    """Euclidean norm of the float array a, taken in units of its largest
+    entry so that no square overflows: inf (or NaN) when an entry is."""
+    scale = _max_abs(a)
+    if not 0 < scale < math.inf:
+        return scale
+    return scale * float(np.linalg.norm(a / scale))
+
+
 @dataclass(frozen=True)
 class Segment:
     kind: SegmentKind

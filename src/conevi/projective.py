@@ -7,19 +7,18 @@ r = alpha*P_span*q. Storing N as I + Q W (Q the orthonormal basis factor,
 W = alpha*Q^T M - Q^T) lets each interior-point Newton step run through a
 Woodbury solve in O(n k'^2) instead of a dense O(n^3) factorization, and
 the positive-definiteness check work on the rank <= 2k' symmetric part of
-Q W in O(n k'^2) as well. Every Newton matrix is N + diag(D - 1) for a
-diagonal D >= 1. Each Newton step factors its system once (woodbury_split
-states which system and its cost) and solves with those factors twice, for
-Mehrotra's predictor and corrector. Once the guessed active set settles,
-an active-set finish solves the LCP on it exactly with one more system of
-the same size.
+Q W in O(n k'^2) as well. Each Newton step factors its system
+N + diag(D - 1) once (_newton states which system and its cost) and solves
+with those factors twice, for Mehrotra's predictor and corrector. Once the
+guessed active set settles, an active-set finish solves the LCP on it
+exactly with one more system of the same size.
 
 When the basis spans all of R^n (k' = n), Q is square and orthogonal, so
 N = alpha*M and r = alpha*q, which only rescale CP(Mx + q): the original CP
 is stored, Q as None and W as N = M itself, the operator's array, shared and
-not copied. The Woodbury solve then factors (N + diag(D - 1)) D^-1 formed
-from N, and the positive-definiteness check is beta of N, with no product
-with Q and no n x n copy made at set-up.
+not copied. The Newton systems are then formed from N, and the
+positive-definiteness check is beta of N, with no product with Q and no
+n x n copy made at set-up.
 """
 from __future__ import annotations
 
@@ -31,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .basis import Basis
-from .cones import SeparableCone, _max_abs, _positive_int, _vector
+from .cones import SeparableCone, _max_abs, _norm, _positive_int, _vector
 from .operators import AffineOperator, monotone_modulus
 
 __all__ = [
@@ -41,9 +40,6 @@ __all__ = [
     "IpmReport",
     "build_projective",
     "verify_pd",
-    "woodbury_split",
-    "factor_diag_plus_lowrank",
-    "solve_diag_plus_lowrank",
     "solve_ipm",
 ]
 
@@ -206,131 +202,73 @@ def _over_diagonal(N: np.ndarray, D: np.ndarray) -> np.ndarray:
     return G
 
 
-def _split(Q: np.ndarray | None, W: np.ndarray, fixed: np.ndarray) -> tuple:
-    """woodbury_split's (fixed, factor): factor(D) returns the solve of
-    G(D) = I + W D^-1 Q, or of (N + diag(D - 1)) D^-1 when Q is None.
+def _newton(Q: np.ndarray | None, W: np.ndarray,
+            fixed: np.ndarray) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """factor(D) for the Newton matrices N + diag(D - 1) of one solve, with
+    D = 1 on the rows `fixed` and >= 1 on V = ~fixed: it factors one system
+    and returns the solve of (N + diag(D - 1)) y = b. D_i = inf pins y_i = 0.
 
-    A dense Q and a full span with no fixed row form each G(D) whole from Q
-    and W, read in place, so the split holds no matrix. A full span with a
-    fixed row takes the |V| side."""
-    if Q is not None:
-        return fixed, lambda D: _lu(_plus_identity(W @ (Q * (1.0 / D)[:, None])))
-    if not fixed.any():
-        return fixed, lambda D: _lu(_over_diagonal(W, D))
-    varying = ~fixed
-    G_c = _over_diagonal(W, np.where(fixed, 1.0, 2.0))
-    W_var = W[:, varying]  # becomes (N - I)[:, V]
-    W_var[np.flatnonzero(varying), np.arange(W_var.shape[1])] -= 1.0
-    solve_c = _lu(G_c)
-    T = solve_c(W_var)
-    Z = T[varying]
+    By the Woodbury identity y = u - D^-1 Q G(D)^-1 W u, u = D^-1 b, with
+    G(D) = I + W D^-1 Q; for Q = None (N = W, k' = n) the same rule with Q = I
+    and N - I in the place of W gives G(D) = (N + diag(D - 1)) D^-1. Each D
+    factors:
+    - a dense Q: the k'xk' G(D), in O(n k'^2 + k'^3), for any positive D;
+    - Q = None with no fixed row: G(D), n x n, formed from N in O(n^2);
+    - Q = None with a fixed row, the |V| side: G_c = G(D_c) (D_c = 1 on the
+      fixed rows and 2 on V), T = G_c^-1 (N - I)[:, V] and Z = T[V] are formed
+      here once, in O(n^3). Then G(D) = G_c + (N - I)[:, V] diag(e) I[V] with
+      e = 1/D_V - 1/2 (|e| <= 1/2), so each D factors only the |V|x|V|
+      I + diag(e) Z, and a solve costs O(n^2). For monotone N, G_c is
+      singular only if every Newton matrix is (N x = 0 with x_V = 0).
+    IpmBreakdown on a D that is not positive (NaN included) or an exactly
+    singular system.
+    """
+    if Q is not None and W.shape[0]:
+        small = lambda D: _lu(_plus_identity(W @ (Q * (1.0 / D)[:, None])))
+    elif Q is not None:  # k' = 0: N = I
+        small = lambda D: lambda c: c
+    elif not fixed.any():
+        small = lambda D: _lu(_over_diagonal(W, D))
+    else:
+        varying = ~fixed
+        solve_c = _lu(_over_diagonal(W, np.where(fixed, 1.0, 2.0)))
+        W_var = W[:, varying]  # becomes (N - I)[:, V]
+        W_var[np.flatnonzero(varying), np.arange(W_var.shape[1])] -= 1.0
+        T = solve_c(W_var)
+        Z = T[varying]
+
+        def small(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+            if not Z.size:  # no varying rows: the system is G_c itself
+                return solve_c
+            e = 1.0 / D[varying] - 0.5
+            solve_var = _lu(_plus_identity(e[:, None] * Z))
+
+            def solve(c):
+                y = solve_c(c)
+                return y - T @ solve_var(e * y[varying])
+
+            return solve
 
     def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        if not Z.size:  # no varying rows: the system is G_c itself
-            return solve_c
-        e = 1.0 / D[varying] - 0.5
-        solve_var = _lu(_plus_identity(e[:, None] * Z))
+        if not np.all(D > 0):
+            raise IpmBreakdown("diagonal lost positivity")
+        solve_small = small(D)
+        if Q is None:
+            return lambda b: solve_small(b) / D
 
-        def solve(c):
-            y = solve_c(c)
-            return y - T @ solve_var(e * y[varying])
+        def solve(b: np.ndarray) -> np.ndarray:
+            u = b / D
+            return u - Q @ solve_small(W @ u) / D
 
         return solve
 
-    return fixed, factor
+    return factor
 
 
-def woodbury_split(Q: np.ndarray | None, W: np.ndarray, fixed: np.ndarray) -> tuple:
-    """Precompute the per-solve share of the Woodbury system for diagonals D
-    that are 1 on the rows `fixed` and >= 1 on the varying rows V = ~fixed.
-
-    The Newton matrix N + diag(D - 1) is diag(D) + Q W for N = I + Q W, and
-    its Woodbury system is the k'xk' G(D) = I + W D^-1 Q. For Q = None
-    (N = W, k' = n) the same rule with Q = I and N - I in the place of W
-    gives G(D) = (N + diag(D - 1)) D^-1, the Newton matrix itself up to the
-    column scaling D, and N - I is never formed.
-    Returns (fixed, factor) for factor_diag_plus_lowrank, which calls
-    factor(D) once per D. Each D factors one system:
-    - a dense Q: G(D) itself, k'xk', formed from Q and W read in place and
-      LU-factored in O(n k'^2 + k'^3), the paper's cost; the split holds
-      nothing;
-    - Q = None with no fixed row: G(D) itself, n x n, formed from N in
-      O(n^2) and LU-factored directly; the split holds nothing;
-    - Q = None with a fixed row, the |V| side: the split forms
-      G_c = G(D_c), D_c = 1 on the fixed rows and 2 on V, as
-      N diag(1/D_c) + diag(1 - 1/D_c) in the buffer its LU overwrites, and
-      T = G_c^-1 (N - I)[:, V] and Z = T[V] ((N - I)[:, V] is N[:, V] with
-      -1 on its V diagonal), once in O(n^3). Any D then gives
-      G(D) = G_c + (N - I)[:, V] diag(e) I[V] (I[V] the rows V of I),
-      e = 1/D_V - 1/2, and each D LU-factors only the |V|x|V| system
-      I + diag(e) Z in O(|V|^3) (the Woodbury identity applied a second
-      time; |e| <= 1/2 because D_V >= 1, inf included); a solve costs
-      O(n^2).
-    G_c is the Woodbury system of N + diag(D_c - 1), the Newton matrix
-    N + diag(d) at d = 1 on V. For monotone N (N + N^T PSD), N + diag(d)
-    with d > 0 on V is singular exactly when N has a null vector x with
-    x_V = 0, whatever d is; so G_c is singular only if every such Newton
-    matrix is, and on the |V| side IpmBreakdown is raised here in that
-    case.
-    """
-    fixed = np.asarray(fixed, dtype=bool)
-    n = W.shape[1]
-    if fixed.shape != (n,):
-        raise ValueError(f"fixed has shape {fixed.shape}, problem dimension is {n}")
-    return _split(Q, W, fixed)
-
-
-def factor_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | None, W: np.ndarray,
-                             split: tuple | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor the Newton matrix N + diag(D - 1) for the Woodbury identity;
-    return its solve. That is diag(D) + Q W for a dense Q (N = I + Q W),
-    and W + diag(D - 1) for Q = None, where W is N itself (see
-    ProjectiveLcp).
-
-    For a dense Q the returned solve(b) computes u = D^-1 b, solves the
-    k'xk' system (I + W D^-1 Q) t = W u with the factors formed here, and
-    returns u - D^-1 Q t. For Q = None it returns D^-1 G(D)^-1 b, with
-    G(D) = (N + diag(D - 1)) D^-1 (see woodbury_split), so a solve reads no
-    product with N. Without a split, D may be any positive vector and G(D)
-    is formed and LU-factored here, as woodbury_split states for no fixed
-    row.
-    `split`, from woodbury_split(Q, W, F), requires D = 1 exactly on the
-    rows F and D >= 1 on the others (ValueError otherwise) and factors the
-    system woodbury_split states.
-    D_i = inf is allowed: it drops row i from the system and pins y_i = 0,
-    so the solve restricted to the other rows runs through the same path.
-    Raises IpmBreakdown on a D that is not positive (NaN included) or an
-    exactly singular system.
-    """
-    D = np.asarray(D, dtype=float)
-    if not np.all(D > 0):
-        raise IpmBreakdown("diagonal lost positivity")
-    if W.shape[0] == 0:
-        return lambda b: np.asarray(b, dtype=float) / D
-    if split is None:
-        fixed, factor = _split(Q, W, np.zeros(D.shape, dtype=bool))
-    else:
-        fixed, factor = split
-        if np.any(D[fixed] != 1.0):
-            raise ValueError("D differs from 1 on the rows fixed by the split")
-        if not np.all(D[~fixed] >= 1.0):
-            raise ValueError("D is below 1 on the rows the split varies")
-    solve_small = factor(D)
-    if Q is None:
-        return lambda b: solve_small(np.asarray(b, dtype=float)) / D
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        u = np.asarray(b, dtype=float) / D
-        return u - Q @ solve_small(W @ u) / D
-
-    return solve
-
-
-def solve_diag_plus_lowrank(D: np.ndarray, Q: np.ndarray | None, W: np.ndarray,
-                            rhs: np.ndarray, split: tuple | None = None) -> np.ndarray:
-    """Solve (N + diag(D - 1)) y = rhs by the Woodbury identity: one
-    factor_diag_plus_lowrank call and one solve with its factors."""
-    return factor_diag_plus_lowrank(D, Q, W, split)(rhs)
+def solve_diag_plus_lowrank(factor: Callable, D: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """factor(D)(rhs), one system factored for one solve: the active-set
+    finish's call, under its own name so that a profiler can time it."""
+    return factor(D)(rhs)
 
 
 def _boundary_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -371,21 +309,20 @@ def _active_guess(x: np.ndarray, s: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _finish_candidate(plcp: ProjectiveLcp, active: np.ndarray, B: np.ndarray,
-                      split: tuple) -> tuple | None:
+                      factor: Callable) -> tuple | None:
     """The LCP point for a guessed active set A, or None if its system is
     singular or its signs fail.
 
     Sets x_A = 0 and solves (Nx + r)_I = 0 on I = ~A: D = inf on A and 1 on
-    I restricts N + diag(D - 1) to N_II. It goes through the solve's split at
-    the cost of one Newton step.
+    I restricts N + diag(D - 1) to N_II. It goes through the solve's
+    factor (see _newton) at the cost of one Newton step.
     Returns (x, feasibility), feasibility the largest |Nx + r| on I, when
     x_B >= 0 and (Nx + r)_A >= 0 for the orthant components B. Its slack
     s = Nx + r on A and 0 elsewhere meets x = 0 on A, so x.s is exactly 0:
     the point is complementary and only its feasibility needs a test.
     """
     try:
-        x = solve_diag_plus_lowrank(np.where(active, np.inf, 1.0), plcp.ortho, plcp.W,
-                                    -plcp.r, split)
+        x = solve_diag_plus_lowrank(factor, np.where(active, np.inf, 1.0), -plcp.r)
     except IpmBreakdown:
         return None
     x = np.where(active, 0.0, x)  # -r_i / inf leaves -0.0 on A
@@ -402,13 +339,16 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
 
     Orthant components carry complementarity pairs (x_i, s_i); free
     components are handled as pure equations (Nx + r)_i = 0. Each Newton
-    step factors its system once (factor_diag_plus_lowrank) and solves twice
-    with the factors: Mehrotra's affine predictor and the corrector centred
-    by sigma = (mu_aff / mu)^3. The Newton diagonal D = 1 + s/x is 1 on the
-    free components and >= 1 on the orthant ones, so woodbury_split(Q, W, F),
-    made once per solve, sets the system each step factors and its cost. A
-    common primal-dual step length with the fraction-to-boundary rule keeps
-    the linear residual shrinking by (1 - step) each iteration.
+    step factors its system N + diag(D - 1) once and solves twice with the
+    factors: Mehrotra's affine predictor and the corrector centred by
+    sigma = (mu_aff / mu)^3. The Newton diagonal D = 1 + s/x is 1 on the
+    free components F and >= 1 on the orthant ones, so _newton(Q, W, F),
+    made once per solve, sets the system each step factors: k'xk' for a
+    dense Q, and on a full span n x n with no free component, else one
+    n x n factorization per solve and |B|x|B| per step (its docstring has
+    the costs). A common primal-dual step length with the
+    fraction-to-boundary rule keeps the linear residual shrinking by
+    (1 - step) each iteration.
 
     When the guessed active set A = {i in B : x_i < s_i} repeats from one
     iteration to the next and differs from the last rejected guess (the
@@ -428,8 +368,8 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
     B = cone.nonneg_mask
     F = cone.free_mask
     n_orth = int(B.sum())
-    Q, W, r = plcp.ortho, plcp.W, plcp.r
-    split = woodbury_split(Q, W, F)
+    r = plcp.r
+    factor = _newton(plcp.ortho, plcp.W, F)
 
     # s stays 0 on the free rows: their Newton equations read N dx = -(Nx + r)
     # whatever s is, so a slack there would only track (Nx + r)_F
@@ -441,7 +381,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
             return True, 0.0
         total = float(xv[B] @ sv[B])
         mu_val = total / n_orth
-        scale = 1.0 + float(np.linalg.norm(xv)) * float(np.linalg.norm(sv))
+        scale = 1.0 + _norm(xv) * _norm(sv)
         return (mu_val <= cfg.tol and total <= cfg.tol * scale), mu_val
 
     step_norm = 0.0
@@ -463,7 +403,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         if (n_orth and np.array_equal(guess, previous)
                 and not np.array_equal(guess, rejected)):
             attempts += 1
-            finish = _finish_candidate(plcp, guess, B, split)
+            finish = _finish_candidate(plcp, guess, B, factor)
             if finish is not None and finish[1] <= cfg.tol:
                 step_norm = float(np.linalg.norm(finish[0] - x))
                 x, feas = finish
@@ -484,8 +424,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
             d[B] = s[B] / x[B]
         if not math.isfinite(_max_abs(d)):
             raise IpmBreakdown("Newton diagonal D = 1 + s/x is not finite")
-        _, _, dx, ds, sigma = _newton_directions(
-            factor_diag_plus_lowrank(1.0 + d, Q, W, split), d, x, s, g, B, mu)
+        _, _, dx, ds, sigma = _newton_directions(factor(1.0 + d), d, x, s, g, B, mu)
 
         bound = min(_boundary_step(x[B], dx[B]), _boundary_step(s[B], ds[B]))
         step = min(1.0, _STEP_FRACTION * bound)

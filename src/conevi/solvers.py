@@ -23,7 +23,7 @@ import numpy as np
 import scipy.optimize
 
 from .basis import DROP_TOL, Basis
-from .cones import SeparableCone, _positive_int, _vector
+from .cones import SeparableCone, _norm, _positive_int, _vector
 from .operators import NotStronglyMonotone, Operator, _gamma, iteration_bound
 
 __all__ = [
@@ -91,7 +91,7 @@ class OptimalityCertificate:
 
     @property
     def valid(self) -> bool:
-        bound = self.cert_tol * (1.0 + float(np.linalg.norm(self.epsilon)))
+        bound = self.cert_tol * (1.0 + _norm(self.epsilon))
         return self.normal_cone_ok and self.null_space_violation <= bound
 
 
@@ -301,8 +301,9 @@ def certify(op: Operator, cone: SeparableCone, basis: Basis,
 
     Computes the residual eps = (z_bar - x_bar + alpha*F(x_bar)) / alpha and
     checks that eps lies in null(Phi^T) and that z_bar - x_bar is in the
-    normal cone at x_bar. Violations are reported, never raised. alpha and
-    cert_tol must be positive and finite, as in SolveConfig.
+    normal cone at x_bar. Violations are reported, never raised. Norms of
+    eps are taken in units of its largest entry, so none overflows. alpha
+    and cert_tol must be positive and finite, as in SolveConfig.
     """
     if not (0 < alpha < math.inf and 0 < cert_tol < math.inf):
         raise ValueError("alpha and cert_tol must be positive and finite")
@@ -311,7 +312,7 @@ def certify(op: Operator, cone: SeparableCone, basis: Basis,
     fx = op(x_bar)
     eps_prime = z_bar - (x_bar - alpha * fx)
     eps = eps_prime / alpha
-    violation = float(np.linalg.norm(basis.ortho.T @ eps))
+    violation = _norm(basis.ortho.T @ eps)
     try:
         normal_ok = cone.in_normal_cone(x_bar, z_bar - x_bar, cert_tol)
     except ValueError:

@@ -116,6 +116,13 @@ OVERFLOW = {
         [1e200, 0.0], [0.0, 1e200], 1e-8), True),
     "orthant.in_normal_cone.true": (lambda: orthant(2).in_normal_cone(
         [1e200, 0.0], [0.0, -1e200], 1e-8), True),
+    # epsilon = z_bar: its span component 1e200 is far above cert_tol (1 + ||eps||)
+    "certify.valid": (lambda: certify(
+        AffineOperator(np.eye(2), [0.0, 0.0]), zero(2), orthonormalize(np.eye(2)[:, :1]),
+        [0.0, 0.0], [1e200, 1e200], 1.0).valid, False),
+    "certify.valid.true": (lambda: certify(
+        AffineOperator(np.eye(2), [0.0, 0.0]), zero(2), orthonormalize(np.eye(2)[:, :1]),
+        [0.0, 0.0], [0.0, 1e200], 1.0).valid, True),
 }
 
 

@@ -15,12 +15,10 @@ from conevi.projective import (
     IpmBreakdown,
     IpmConfig,
     ProjectiveLcp,
+    _newton,
     build_projective,
-    factor_diag_plus_lowrank,
-    solve_diag_plus_lowrank,
     solve_ipm,
     verify_pd,
-    woodbury_split,
 )
 from conevi.solvers import SolveConfig, solve_galerkin
 from conevi.transforms import PolyhedralVI, polyhedron_to_cone
@@ -49,6 +47,12 @@ def record_factorizations(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", recorded)
     return shapes
+
+
+def no_fixed_row(n):
+    """The `fixed` mask with every row varying: a dense Q's route, or a full
+    span's direct LU."""
+    return np.zeros(n, dtype=bool)
 
 
 def polyhedral_problem():
@@ -307,8 +311,8 @@ class TestSignedPermutationRoute:
         n = identity.n
         N = materialize(identity)
         rng = np.random.default_rng(69)
-        # no fixed row (the full span's one LU, and no split at all) and 5
-        # fixed rows (its |V| side); the dense Q factors k'xk' either way
+        # no fixed row (the full span's one LU) and 5 fixed rows (its |V|
+        # side); the dense Q factors k'xk' either way
         for n_var in (n, n - 5):
             fixed = np.ones(n, dtype=bool)
             fixed[rng.permutation(n)[:n_var]] = False
@@ -316,12 +320,11 @@ class TestSignedPermutationRoute:
             K = N - np.eye(n) + np.diag(D)
             rhs = rng.standard_normal(n)
             for p in (identity, dense):
-                for split in (woodbury_split(p.ortho, p.W, fixed), None):
-                    y = factor_diag_plus_lowrank(D, p.ortho, p.W, split)(rhs)
-                    # normwise backward error of the solve
-                    err = np.abs(K @ y - rhs).max()
-                    assert err <= 1e-14 * (np.abs(K).sum(1).max() * np.abs(y).max()
-                                           + np.abs(rhs).max())
+                y = _newton(p.ortho, p.W, fixed)(D)(rhs)
+                # normwise backward error of the solve
+                err = np.abs(K @ y - rhs).max()
+                assert err <= 1e-14 * (np.abs(K).sum(1).max() * np.abs(y).max()
+                                       + np.abs(rhs).max())
 
     @pytest.mark.parametrize("raw", full_spans(40, np.random.default_rng(66)))
     def test_solve_ipm(self, raw):
@@ -352,12 +355,12 @@ class TestWoodbury:
     def test_empty_lowrank_part(self):
         D = np.array([2.0, 4.0])
         rhs = np.array([2.0, 8.0])
-        got = solve_diag_plus_lowrank(D, np.zeros((2, 0)), np.zeros((0, 2)), rhs)
+        got = _newton(np.zeros((2, 0)), np.zeros((0, 2)), no_fixed_row(2))(D)(rhs)
         np.testing.assert_allclose(got, [1.0, 2.0], atol=1e-15)
 
     def test_zero_correction(self):
         rhs = np.array([1.0, -2.0, 3.0])
-        got = solve_diag_plus_lowrank(np.ones(3), np.zeros((3, 2)), np.zeros((2, 3)), rhs)
+        got = _newton(np.zeros((3, 2)), np.zeros((2, 3)), no_fixed_row(3))(np.ones(3))(rhs)
         np.testing.assert_allclose(got, rhs, atol=1e-15)
 
     def test_matches_dense_solve(self):
@@ -372,25 +375,25 @@ class TestWoodbury:
                 continue
             rhs = rng.standard_normal(n)
             ref = np.linalg.solve(A, rhs)
-            got = solve_diag_plus_lowrank(D, Q, W, rhs)
+            got = _newton(Q, W, no_fixed_row(n))(D)(rhs)
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_nonpositive_diagonal_breaks(self):
         for D in ([1.0, 0.0], [np.nan, 1.0]):
             for k in (0, 1):
+                factor = _newton(np.zeros((2, k)), np.zeros((k, 2)), no_fixed_row(2))
                 with pytest.raises(IpmBreakdown, match="positivity"):
-                    solve_diag_plus_lowrank(np.array(D), np.zeros((2, k)),
-                                            np.zeros((k, 2)), np.ones(2))
+                    factor(np.array(D))(np.ones(2))
 
     def test_singular_small_system_breaks(self):
         # I + W D^-1 Q = 1 - 1 = 0 although D > 0
         e1 = np.array([[1.0], [0.0]])
         with pytest.raises(IpmBreakdown, match="singular"):
-            solve_diag_plus_lowrank(np.ones(2), e1, -e1.T, np.ones(2))
+            _newton(e1, -e1.T, no_fixed_row(2))(np.ones(2))
         # a full span with a fixed row: G_c = N diag(1, 1/2) + diag(0, 1/2) = 0
-        # breaks at the split
+        # breaks when the factory is made
         with pytest.raises(IpmBreakdown, match="singular"):
-            woodbury_split(None, np.diag([0.0, -1.0]), np.array([True, False]))
+            _newton(None, np.diag([0.0, -1.0]), np.array([True, False]))
 
     def test_componentwise_backward_error_late_ipm_stage(self):
         # IPM-like Newton matrix near the end: D = 1 + s/x spans 24 decades
@@ -403,13 +406,14 @@ class TestWoodbury:
                 W = alpha * (Q.T @ M) - Q.T
                 D = 1.0 + 10.0 ** rng.uniform(-12, 12, size=n)
                 rhs = rng.standard_normal(n) * D ** rng.uniform(0, 1, size=n)
-                y = solve_diag_plus_lowrank(D, Q, W, rhs)
+                y = _newton(Q, W, no_fixed_row(n))(D)(rhs)
                 A = np.diag(D) + Q @ W
                 omega = np.abs(rhs - A @ y) / (np.abs(A) @ np.abs(y) + np.abs(rhs))
                 assert omega.max() <= 1e-14
 
     def test_cached_split_matches_unsplit_solve(self):
-        # dense Gaussian factors, so the split changes the order of summation
+        # dense Gaussian factors; the fixed rows leave a dense Q's system as
+        # it is, so the solve matches the one with no fixed row
         rng = np.random.default_rng(54)
         n = 60
         for k in (20, n):
@@ -419,38 +423,12 @@ class TestWoodbury:
                 fixed = rng.random(n) < 0.6
                 D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-2, 2, size=n))
                 rhs = rng.standard_normal(n)
-                y = solve_diag_plus_lowrank(D, Q, W, rhs, woodbury_split(Q, W, fixed))
+                y = _newton(Q, W, fixed)(D)(rhs)
                 A = np.diag(D) + Q @ W
                 omega = np.abs(rhs - A @ y) / (np.abs(A) @ np.abs(y) + np.abs(rhs))
                 assert omega.max() <= 1e-14
-                ref = solve_diag_plus_lowrank(D, Q, W, rhs)
+                ref = _newton(Q, W, no_fixed_row(n))(D)(rhs)
                 assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
-
-    def test_split_rejects_diagonal_not_one_on_fixed_rows(self):
-        rng = np.random.default_rng(55)
-        Q = rng.standard_normal((6, 3))
-        W = rng.standard_normal((3, 6))
-        fixed = np.array([True, False, True, False, False, True])
-        D = np.where(fixed, 1.0, 2.0)
-        D[2] = 1.0 + 2.0 ** -52
-        with pytest.raises(ValueError, match="differs from 1"):
-            solve_diag_plus_lowrank(D, Q, W, np.ones(6), woodbury_split(Q, W, fixed))
-
-    def test_split_rejects_diagonal_below_one_on_varying_rows(self):
-        rng = np.random.default_rng(59)
-        n = 8
-        fixed = np.arange(n) % 2 == 0
-        for k in (3, n):  # |V| = 4 rows, below and above k'
-            Q = rng.standard_normal((n, k)) / (2 * np.sqrt(n))
-            W = rng.standard_normal((k, n)) / (2 * np.sqrt(n))
-            D = np.where(fixed, 1.0, 2.0)
-            D[1] = 1.0 - 2.0 ** -53
-            with pytest.raises(ValueError, match="below 1"):
-                solve_diag_plus_lowrank(D, Q, W, np.ones(n), woodbury_split(Q, W, fixed))
-            # without a split any positive D is accepted
-            A = np.diag(D) + Q @ W
-            y = solve_diag_plus_lowrank(D, Q, W, np.ones(n))
-            np.testing.assert_allclose(A @ y, np.ones(n), atol=1e-14)
 
     def test_varying_side_matches_dense_solve(self):
         # fewer varying rows than k', with a dense Q, so each D factors the
@@ -469,7 +447,7 @@ class TestWoodbury:
                     assert (~fixed).sum() < k
                     D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-12, 12, size=n))
                     rhs = rng.standard_normal(n) * D ** rng.uniform(0, 1, size=n)
-                    y = solve_diag_plus_lowrank(D, Q, W, rhs, woodbury_split(Q, W, fixed))
+                    y = _newton(Q, W, fixed)(D)(rhs)
                     A = np.diag(D) + Q @ W
                     omega = np.abs(rhs - A @ y) / (np.abs(A) @ np.abs(y) + np.abs(rhs))
                     assert omega.max() <= 1e-14
@@ -479,36 +457,36 @@ class TestWoodbury:
 
     def test_all_free_split_reuses_its_factors(self, monkeypatch):
         # a full span with |V| = 0: every D is 1, and each call solves with
-        # the split's G_c = N
+        # the factory's G_c = N
         rng = np.random.default_rng(63)
         n = 30
         N = np.eye(n) + rng.standard_normal((n, n)) / (2 * np.sqrt(n))
-        split = woodbury_split(None, N, np.ones(n, dtype=bool))
+        factor = _newton(None, N, np.ones(n, dtype=bool))
         factored = record_factorizations(monkeypatch)
         for _ in range(3):
             rhs = rng.standard_normal(n)
-            y = factor_diag_plus_lowrank(np.ones(n), None, N, split)(rhs)
+            y = factor(np.ones(n))(rhs)
             ref = np.linalg.solve(N, rhs)
             assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
         assert factored == []
 
     def test_identity_split_with_no_fixed_row_holds_no_copy(self):
         # Q = None and every row varies (an orthant cone without --basis): each
-        # system is formed from N = W in place, so the split holds no n x n
+        # system is formed from N = W in place, so the factory holds no n x n
         # array, neither a copy of W[:, V] nor G_c
         rng = np.random.default_rng(71)
         n = 600
         W = rng.standard_normal((n, n)) / np.sqrt(n)
         tracemalloc.start()
         try:
-            split = woodbury_split(None, W, np.zeros(n, dtype=bool))
+            factor = _newton(None, W, no_fixed_row(n))
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert held <= 2**16
         D = 1.0 + 10.0 ** rng.uniform(-3, 3, n)
         rhs = rng.standard_normal(n)
-        y = factor_diag_plus_lowrank(D, None, W, split)(rhs)
+        y = factor(D)(rhs)
         ref = np.linalg.solve(np.diag(D - 1.0) + W, rhs)
         assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -527,14 +505,13 @@ class TestWoodbury:
                 for D in (np.ones(n), np.where(active, np.inf, 1.0)):
                     rows = np.isfinite(D)
                     K = N[np.ix_(rows, rows)]
-                    for split in (woodbury_split(None, N, np.zeros(n, dtype=bool)), None):
-                        y = factor_diag_plus_lowrank(D, None, N, split)(rhs)
-                        assert np.all(y[~rows] == 0.0)
-                        b, y = rhs[rows], y[rows]
-                        # normwise backward error of the solve
-                        err = np.abs(K @ y - b).max()
-                        assert err <= 1e-14 * (np.abs(K).sum(1).max() * np.abs(y).max()
-                                               + np.abs(b).max())
+                    y = _newton(None, N, no_fixed_row(n))(D)(rhs)
+                    assert np.all(y[~rows] == 0.0)
+                    b, y = rhs[rows], y[rows]
+                    # normwise backward error of the solve
+                    err = np.abs(K @ y - b).max()
+                    assert err <= 1e-14 * (np.abs(K).sum(1).max() * np.abs(y).max()
+                                           + np.abs(b).max())
 
     def test_factors_serve_several_right_hand_sides(self):
         rng = np.random.default_rng(57)
@@ -542,7 +519,7 @@ class TestWoodbury:
         Q = rng.standard_normal((n, k)) / (2 * np.sqrt(n))
         W = rng.standard_normal((k, n)) / (2 * np.sqrt(n))
         D = 1.0 + 10.0 ** rng.uniform(-3, 3, size=n)
-        solve = factor_diag_plus_lowrank(D, Q, W)
+        solve = _newton(Q, W, no_fixed_row(n))(D)
         A = np.diag(D) + Q @ W
         for _ in range(3):
             rhs = rng.standard_normal(n)
@@ -560,8 +537,7 @@ class TestWoodbury:
             free = rng.random(n) < free_share
             active = ~free & (rng.random(n) < 0.5)
             rhs = rng.standard_normal(n)
-            y = factor_diag_plus_lowrank(np.where(active, np.inf, 1.0), Q, W,
-                                         woodbury_split(Q, W, free))(rhs)
+            y = _newton(Q, W, free)(np.where(active, np.inf, 1.0))(rhs)
             keep = ~active
             ref = np.linalg.solve((np.eye(n) + Q @ W)[np.ix_(keep, keep)], rhs[keep])
             assert np.all(y[active] == 0.0)
@@ -621,8 +597,8 @@ class TestSolveIpm:
         assert np.all(resid[:2] >= -1e-8)
 
     def test_mixed_cone_dense_basis_matches_galerkin(self):
-        # Gaussian basis: the free rows' cached share of the Woodbury system
-        # sums in another order than a full formation would
+        # Gaussian basis with free rows: the dense-Q route, whose D is 1 on the
+        # free rows and varies on the orthant ones
         op, basis = generate_instance(40, 8, 1.0, 3.0, seed=56)
         cone = parse_cone_spec("nn:14,free:6,nn:14,free:6")
         plcp = build_projective(op, basis, op.contraction().alpha)
@@ -642,13 +618,18 @@ class TestSolveIpm:
 
     def test_one_woodbury_solve_per_newton_step(self, monkeypatch):
         calls = []
-        inner = projective.factor_diag_plus_lowrank
+        inner = projective._newton
 
         def counted(*args):
-            calls.append(1)
-            return inner(*args)
+            factor = inner(*args)
 
-        monkeypatch.setattr(projective, "factor_diag_plus_lowrank", counted)
+            def counted_factor(D):
+                calls.append(1)
+                return factor(D)
+
+            return counted_factor
+
+        monkeypatch.setattr(projective, "_newton", counted)
         op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
         problems = [(build_projective(op, basis, op.contraction().alpha), orthant(40))]
         # a polyhedral reduction with the identity basis: |B| = 10 orthant
@@ -665,6 +646,29 @@ class TestSolveIpm:
                 rep = solve_ipm(plcp, cone, cfg)
                 assert rep.converged is converged
                 assert len(calls) == rep.iterations - 1 + rep.finish_attempts
+
+    def test_finish_solves_through_its_own_name(self, monkeypatch):
+        # each active-set finish makes exactly one solve_diag_plus_lowrank
+        # call, looked up as a module attribute, which a profiler can wrap
+        calls = []
+        inner = projective.solve_diag_plus_lowrank
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(projective, "solve_diag_plus_lowrank", counted)
+        plcp, cone = polyhedral_problem()
+        rep = solve_ipm(plcp, cone)
+        assert rep.converged and rep.finish_attempts >= 1
+        assert len(calls) == rep.finish_attempts
+
+    def test_empty_lowrank_part_solved(self):
+        # k' = 0: N = I, so CP(x + r) on the orthant has x = max(-r, 0)
+        plcp = ProjectiveLcp(np.zeros((3, 0)), np.zeros((0, 3)), np.array([-1.0, 1.0, 2.0]))
+        rep = solve_ipm(plcp, orthant(3))
+        assert rep.converged
+        np.testing.assert_allclose(rep.x, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_factorization_sizes(self, monkeypatch):
         # the per-step cost rule: a dense Q factors k'xk' systems only, here
