@@ -18,7 +18,11 @@ N = alpha*M and r = alpha*q, which only rescale CP(Mx + q): the original CP
 is stored, Q as None and W as N = M itself, the operator's array, shared and
 not copied. The Newton systems are then formed from N, and the
 positive-definiteness check is beta of N, with no product with Q and no
-n x n copy made at set-up.
+n x n copy made at set-up. A polyhedral reduction (conevi.transforms) is
+such a full span, with k' = 2m + n; its slack pairs are recognised from N's
+entries and eliminated in each Newton step, which then factors the n x n
+M + A^T diag(d) A, d = D - 1 on the slack rows (bordered by any equality
+rows), not a (2m + n)-sized system.
 """
 from __future__ import annotations
 
@@ -183,7 +187,7 @@ def _lu(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """
     lu, piv, info = scipy.linalg.lapack.dgetrf(A.T, overwrite_a=True)
     if info > 0:
-        raise IpmBreakdown(f"singular {A.shape[0]}x{A.shape[0]} Woodbury system")
+        raise IpmBreakdown(f"singular {A.shape[0]}x{A.shape[0]} Newton system")
     return lambda c: scipy.linalg.lapack.dgetrs(lu, piv, c, trans=1)[0]
 
 
@@ -202,6 +206,82 @@ def _over_diagonal(N: np.ndarray, D: np.ndarray) -> np.ndarray:
     return G
 
 
+def _slack_pairs(N: np.ndarray, fixed: np.ndarray) -> np.ndarray | None:
+    """The columns c of N's slack pairs, or None when N lacks the pattern.
+
+    The pattern, checked in O(n |V|) from N's entries for the rows
+    V = ~fixed (at least one): row V[j] of N is e_c[j] and column V[j] is
+    -e_c[j], the c[j] are distinct fixed rows, and N[c, c] = 0. A polyhedral
+    reduction has it, with V the slacks and c their multipliers (see
+    conevi.transforms), also after eliminate_equalities.
+    """
+    V = np.flatnonzero(~fixed)
+    if not V.size:
+        return None
+    j = np.arange(V.size)
+    rows = N[V]
+    c = rows.argmax(axis=1)
+    if (np.count_nonzero(rows) != V.size or not np.all(rows[j, c] == 1.0)
+            or not fixed[c].all() or np.unique(c).size != V.size):
+        return None
+    cols = N[:, V]
+    if np.count_nonzero(cols) != V.size or not np.all(cols[c, j] == -1.0):
+        return None
+    return None if np.any(N[np.ix_(c, c)]) else c
+
+
+def _pair_factor(N: np.ndarray, fixed: np.ndarray,
+                 c: np.ndarray) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """factor(D) for N with the slack pairs (V, c) of _slack_pairs: the solve
+    of (N + diag(D - 1)) y = b, by eliminating each pair exactly.
+
+    With d = D_V - 1, row V[j] reads y_c[j] + d_j y_V[j] = b_V[j] and row c[j]
+    reads -y_V[j] + N[c[j], R] y_R = b_c[j]; no other row meets y_V. On the
+    remaining rows R this leaves K y_R = b_R - N[R, c](b_V + d b_c) with
+    K = N[R, R] - N[R, c] diag(d) N[c, R], M + A^T diag(d) A on a reduction.
+    A pinned row (D = inf) drops out with y_V[j] = 0, and c[j] joins R as an
+    equality row. Both eliminations pivot on +-I, so K is singular exactly
+    when N + diag(D - 1) is; IpmBreakdown then, or when K overflows. The
+    blocks of N with no row pinned, those of every Newton step, are taken
+    once here.
+    """
+    V = np.flatnonzero(~fixed)
+
+    def blocks(pinned: np.ndarray) -> tuple:
+        keep = fixed.copy()
+        keep[c[~pinned]] = False
+        R, cv = np.flatnonzero(keep), c[~pinned]
+        N_R = N[R]  # rows first: a gather of whole rows is the cheap one
+        return R, N_R[:, R], N_R[:, cv], N[cv][:, R]
+
+    unpinned = blocks(np.zeros(V.size, dtype=bool))
+
+    def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        pinned = np.isinf(D[V])
+        R, N_RR, N_Rc, N_cR = blocks(pinned) if pinned.any() else unpinned
+        v, cv = V[~pinned], c[~pinned]
+        d = D[v] - 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = N_RR - (N_Rc * d) @ N_cR
+        if not math.isfinite(_max_abs(K)):
+            raise IpmBreakdown("Newton system is not finite")
+        solve_K = _lu(K)
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            y = np.zeros(b.size)
+            with np.errstate(over="ignore", invalid="ignore"):
+                y[R] = solve_K(b[R] - N_Rc @ (b[v] + d * b[cv]))
+                y[v] = N_cR @ y[R] - b[cv]
+                y[cv] = b[v] - d * y[v]
+            if not math.isfinite(_max_abs(y)):
+                raise IpmBreakdown("Newton solve is not finite")
+            return y
+
+        return solve
+
+    return factor
+
+
 def _newton(Q: np.ndarray | None, W: np.ndarray,
             fixed: np.ndarray) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """factor(D) for the Newton matrices N + diag(D - 1) of one solve, with
@@ -210,25 +290,31 @@ def _newton(Q: np.ndarray | None, W: np.ndarray,
 
     By the Woodbury identity y = u - D^-1 Q G(D)^-1 W u, u = D^-1 b, with
     G(D) = I + W D^-1 Q; for Q = None (N = W, k' = n) the same rule with Q = I
-    and N - I in the place of W gives G(D) = (N + diag(D - 1)) D^-1. Each D
-    factors:
+    and N - I in the place of W gives G(D) = (N + diag(D - 1)) D^-1. The
+    route is chosen here, once per solve; each D then factors:
     - a dense Q: the k'xk' G(D), in O(n k'^2 + k'^3), for any positive D;
     - Q = None with no fixed row: G(D), n x n, formed from N in O(n^2);
-    - Q = None with a fixed row, the |V| side: G_c = G(D_c) (D_c = 1 on the
-      fixed rows and 2 on V), T = G_c^-1 (N - I)[:, V] and Z = T[V] are formed
-      here once, in O(n^3). Then G(D) = G_c + (N - I)[:, V] diag(e) I[V] with
-      e = 1/D_V - 1/2 (|e| <= 1/2), so each D factors only the |V|x|V|
-      I + diag(e) Z, and a solve costs O(n^2). For monotone N, G_c is
-      singular only if every Newton matrix is (N x = 0 with x_V = 0).
+    - Q = None and N with slack pairs (_slack_pairs, a polyhedral reduction):
+      each pair is eliminated exactly, and K on the other rows R is formed
+      and factored in O(|R|^2 |V| + |R|^3) (see _pair_factor);
+    - Q = None with another fixed row, the |V| side: G_c = G(D_c) (D_c = 1 on
+      the fixed rows and 2 on V), T = G_c^-1 (N - I)[:, V] and Z = T[V] are
+      formed here once, in O(n^3). Then G(D) = G_c + (N - I)[:, V] diag(e)
+      I[V] with e = 1/D_V - 1/2 (|e| <= 1/2), so each D factors only the
+      |V|x|V| I + diag(e) Z, and a solve costs O(n^2). For monotone N, G_c
+      is singular only if every Newton matrix is (N x = 0 with x_V = 0).
     IpmBreakdown on a D that is not positive (NaN included) or an exactly
     singular system.
     """
+    pair_factor = None
     if Q is not None and W.shape[0]:
         small = lambda D: _lu(_plus_identity(W @ (Q * (1.0 / D)[:, None])))
     elif Q is not None:  # k' = 0: N = I
         small = lambda D: lambda c: c
     elif not fixed.any():
         small = lambda D: _lu(_over_diagonal(W, D))
+    elif (pairs := _slack_pairs(W, fixed)) is not None:
+        pair_factor = _pair_factor(W, fixed, pairs)
     else:
         varying = ~fixed
         solve_c = _lu(_over_diagonal(W, np.where(fixed, 1.0, 2.0)))
@@ -252,6 +338,8 @@ def _newton(Q: np.ndarray | None, W: np.ndarray,
     def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         if not np.all(D > 0):
             raise IpmBreakdown("diagonal lost positivity")
+        if pair_factor is not None:
+            return pair_factor(D)
         solve_small = small(D)
         if Q is None:
             return lambda b: solve_small(b) / D
@@ -344,9 +432,10 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
     sigma = (mu_aff / mu)^3. The Newton diagonal D = 1 + s/x is 1 on the
     free components F and >= 1 on the orthant ones, so _newton(Q, W, F),
     made once per solve, sets the system each step factors: k'xk' for a
-    dense Q, and on a full span n x n with no free component, else one
-    n x n factorization per solve and |B|x|B| per step (its docstring has
-    the costs). A common primal-dual step length with the
+    dense Q; on a full span n x n with no free component; on a polyhedral
+    reduction, whose slack pairs it eliminates, the system on the rows
+    left; else one n x n factorization per solve and |B|x|B| per step (its
+    docstring has the costs). A common primal-dual step length with the
     fraction-to-boundary rule keeps the linear residual shrinking by
     (1 - step) each iteration.
 

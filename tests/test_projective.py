@@ -1,5 +1,8 @@
+import importlib
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,9 @@ from conevi.projective import (
     verify_pd,
 )
 from conevi.solvers import SolveConfig, solve_galerkin
-from conevi.transforms import PolyhedralVI, polyhedron_to_cone
+from conevi.transforms import PolyhedralVI, eliminate_equalities, polyhedron_to_cone
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def dense_N(op, basis, alpha):
@@ -55,13 +60,13 @@ def no_fixed_row(n):
     return np.zeros(n, dtype=bool)
 
 
-def polyhedral_problem():
-    """A polyhedral VI with n = m = 10 reduced to a separable cone, with the
+def polyhedral_problem(n=10, seed=64):
+    """A polyhedral VI with n = m reduced to a separable cone, with the
     identity basis: the reduced problem, a full span, and its cone."""
-    rng = np.random.default_rng(64)
-    op, _ = generate_instance(10, 2, 1.0, 2.0, seed=64)
-    A = rng.standard_normal((10, 10))
-    b = 0.5 + np.abs(rng.standard_normal(10)) - A @ rng.standard_normal(10)
+    rng = np.random.default_rng(seed)
+    op, _ = generate_instance(n, 2, 1.0, 2.0, seed=seed)
+    A = rng.standard_normal((n, n))
+    b = 0.5 + np.abs(rng.standard_normal(n)) - A @ rng.standard_normal(n)
     layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, A, b))
     return (build_projective(layout.op, orthonormalize(np.eye(layout.cone.dim)), 1.0),
             layout.cone)
@@ -544,6 +549,166 @@ class TestWoodbury:
             assert np.linalg.norm(y[keep] - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+class TestSlackPairs:
+    """The Newton route of a polyhedral reduction: each slack pair is
+    eliminated, and the system on the remaining rows R is factored."""
+
+    @staticmethod
+    def reduction(n, p, seed):
+        """N and the fixed (free) rows of a reduction with n variables,
+        m = n inequality rows and p equality rows, in the order (s, x,
+        lambda, mu); V = the m slack rows, c = the m multipliers lambda."""
+        rng = np.random.default_rng(seed)
+        op, _ = generate_instance(n, 2, 1.0, 2.0, seed=seed)
+        layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, rng.standard_normal((n, n)),
+                                                 rng.standard_normal(n)))
+        op, cone = layout.op, layout.cone
+        if p:
+            E = np.zeros((p, cone.dim))
+            E[:, n:2 * n] = rng.standard_normal((p, n))
+            eq = eliminate_equalities(op, E, np.zeros(p), cone)
+            op, cone = eq.op, eq.cone
+        return op.M, cone.free_mask
+
+    @staticmethod
+    def backward_error(K, y, b):
+        """Normwise backward error of the solve y of K y = b."""
+        return np.abs(K @ y - b).max() / (np.abs(K).sum(1).max() * np.abs(y).max()
+                                          + np.abs(b).max())
+
+    @pytest.mark.parametrize("p", [0, 8])
+    def test_backward_error_over_the_late_ipm_spread(self, monkeypatch, p):
+        # a 180-dimensional reduction (plus p equality rows), D = 1 + s/x over
+        # 24 decades: each factor is one (n + p)x(n + p) system, M + A^T D A
+        # bordered by the equality rows
+        n = 60
+        N, fixed = self.reduction(n, p, seed=73)
+        rng = np.random.default_rng(74)
+        factored = record_factorizations(monkeypatch)
+        factor = _newton(None, N, fixed)
+        assert factored == []
+        for _ in range(10):
+            D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-12, 12, fixed.size))
+            rhs = rng.standard_normal(fixed.size) * D ** rng.uniform(0, 1, fixed.size)
+            y = factor(D)(rhs)
+            assert self.backward_error(N + np.diag(D - 1.0), y, rhs) <= 1e-14
+        assert factored == [(n + p, n + p)] * 10
+
+    @pytest.mark.parametrize("p", [0, 8])
+    def test_infinite_diagonal_pins_rows_to_zero(self, p):
+        # the finish's D: inf on a guessed active set A of slack rows and 1
+        # elsewhere, and the same A with a spread D on the other slack rows
+        n = 30
+        N, fixed = self.reduction(n, p, seed=75)
+        rng = np.random.default_rng(76)
+        factor = _newton(None, N, fixed)
+        for _ in range(5):
+            active = ~fixed & (rng.random(fixed.size) < 0.5)
+            keep = ~active
+            for spread in (0.0, 3.0):
+                D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-spread, spread, fixed.size))
+                D[active] = np.inf
+                rhs = rng.standard_normal(fixed.size)
+                y = factor(D)(rhs)
+                assert np.all(y[active] == 0.0)
+                K = (N + np.diag(np.where(keep, D, 1.0) - 1.0))[np.ix_(keep, keep)]
+                assert self.backward_error(K, y[keep], rhs[keep]) <= 1e-14
+                ref = np.linalg.solve(K, rhs[keep])
+                err = np.linalg.norm(y[keep] - ref)
+                assert err <= 1e-15 * np.linalg.cond(K) * np.linalg.norm(ref)
+
+    @staticmethod
+    def near_misses(N, n):
+        """Copies of the reduction's N (p = 0) that each break the pattern
+        in one place: rows V = 0..n-1, paired with c = 2n..3n-1."""
+        V, c, x = 0, 2 * n, n
+        second_entry, coefficient, coupled, column, repeated = (N.copy() for _ in range(5))
+        second_entry[V, x] = 0.5  # a second nonzero in an orthant row
+        coefficient[V, c] = 2.0  # e_c scaled
+        coupled[c, c + 1] = 0.5  # N[C, C] != 0
+        column[x, V] = 0.5  # a second nonzero in a slack column
+        # rows V and V + 1 both paired with c
+        repeated[V + 1, c + 1] = repeated[c + 1, V + 1] = 0.0
+        repeated[V + 1, c], repeated[c, V + 1] = 1.0, -1.0
+        return second_entry, coefficient, coupled, column, repeated
+
+    def test_near_misses_take_the_v_side(self, monkeypatch):
+        n = 12
+        N, fixed = self.reduction(n, 0, seed=77)
+        rng = np.random.default_rng(78)
+        factored = record_factorizations(monkeypatch)
+        for near in self.near_misses(N, n):
+            factored.clear()
+            factor = _newton(None, near, fixed)
+            D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-3, 3, fixed.size))
+            rhs = rng.standard_normal(fixed.size)
+            y = factor(D)(rhs)
+            assert factored == [(3 * n, 3 * n), (n, n)]  # G_c, then |V|x|V|
+            assert self.backward_error(near + np.diag(D - 1.0), y, rhs) <= 1e-14
+
+    def test_overflowing_system_breaks_without_warning(self):
+        # a D_V so large that M + A^T D A overflows, and one with which only
+        # the right-hand side's d b_c does: a breakdown, not a RuntimeWarning
+        n = 10
+        N, fixed = self.reduction(n, 0, seed=79)
+        factor = _newton(None, N, fixed)
+        D = np.where(fixed, 1.0, 2.0)
+        rhs = np.ones(fixed.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.abs(N[2 * n, n:2 * n]).max() > 1.0  # row 0 of A
+            D[0] = np.finfo(float).max
+            with pytest.raises(IpmBreakdown, match="system is not finite"):
+                factor(D)
+            D[~fixed], rhs[2 * n] = 1e300, 1e10
+            with pytest.raises(IpmBreakdown, match="solve is not finite"):
+                factor(D)(rhs)
+
+    @pytest.mark.parametrize("n, seed", [(10, 64), (10, 3), (20, 4)])
+    def test_unreachable_tolerance_ends_without_warning(self, n, seed):
+        # tol = 1e-30 drives the slack rows' D toward overflow; the solve
+        # ends at max_iter with converged False or raises IpmBreakdown
+        plcp, cone = polyhedral_problem(n, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rep = solve_ipm(plcp, cone, IpmConfig(tol=1e-30))
+            except IpmBreakdown:
+                return
+        assert not rep.converged and rep.iterations == IpmConfig().max_iter
+
+    def test_benchmark_instances_match_the_v_side(self, monkeypatch):
+        # the polyhedral_ipm workload's seed-1 instances, two with equality
+        # rows, against the same solves with the pattern refused
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+        try:
+            poly_instance = importlib.import_module("inputs").poly_instance
+        finally:
+            sys.modules.pop("inputs", None)
+        problems = []
+        for i in range(4):
+            arrays = poly_instance(1, i)
+            layout = polyhedron_to_cone(PolyhedralVI(arrays["M"], arrays["q"], arrays["A"],
+                                                     arrays["b"]))
+            op, cone = layout.op, layout.cone
+            if "E" in arrays:
+                m, n = arrays["A"].shape
+                E = np.zeros((arrays["E"].shape[0], cone.dim))
+                E[:, m:m + n] = arrays["E"]
+                eq = eliminate_equalities(op, E, arrays["e"], cone)
+                op, cone = eq.op, eq.cone
+            problems.append((build_projective(op, orthonormalize(np.eye(cone.dim))), cone))
+        pairs = [solve_ipm(plcp, cone) for plcp, cone in problems]
+        monkeypatch.setattr(projective, "_slack_pairs", lambda N, fixed: None)
+        for (plcp, cone), got in zip(problems, pairs):
+            ref = solve_ipm(plcp, cone)
+            assert got.converged and got.finish_accepted
+            assert ((got.iterations, got.converged, got.finish_attempts, got.finish_accepted)
+                    == (ref.iterations, ref.converged, ref.finish_attempts, ref.finish_accepted))
+            assert np.linalg.norm(got.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
+
+
 class TestSolveIpm:
     def test_plain_lcp_identity(self):
         op = AffineOperator(np.eye(2), [-1.0, 1.0])
@@ -632,8 +797,8 @@ class TestSolveIpm:
         monkeypatch.setattr(projective, "_newton", counted)
         op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
         problems = [(build_projective(op, basis, op.contraction().alpha), orthant(40))]
-        # a polyhedral reduction with the identity basis: |B| = 10 orthant
-        # rows against k' = 30, so each step factors the |B|x|B| system
+        # a polyhedral reduction with the identity basis (k' = 30): each step
+        # eliminates its 10 slack pairs and factors the 10x10 system on x
         plcp, cone = polyhedral_problem()
         assert cone.nonneg_mask.sum() < cone.dim
         problems.append((plcp, cone))
@@ -678,15 +843,34 @@ class TestSolveIpm:
         factored = record_factorizations(monkeypatch)
         assert solve_ipm(plcp, parse_cone_spec("nn:14,free:6,nn:14,free:6")).converged
         assert factored and set(factored) == {(30, 30)}
-        # a full span with fixed rows: one n x n matrix (G_c) per solve, then
-        # only |V|x|V| ones, one per Newton step and per finish attempt
+        # a full span with fixed rows but no slack pairs, the |V| side: one
+        # n x n matrix (G_c) per solve, then only |V|x|V| ones, one per Newton
+        # step and per finish attempt
+        plcp = build_projective(op, orthonormalize(np.eye(40)))
+        factored.clear()
+        rep = solve_ipm(plcp, parse_cone_spec("nn:14,free:6,nn:14,free:6"))
+        assert rep.converged
+        assert factored == [(40, 40)] + [(28, 28)] * (rep.iterations - 1 + rep.finish_attempts)
+        # a polyhedral reduction, whose slack pairs are eliminated: no n x n
+        # matrix, the |R|x|R| system on the rows R = x left by the pairs per
+        # Newton step, and per finish attempt one larger by the guessed
+        # active rows, whose multipliers stay as equality rows
         plcp, cone = polyhedral_problem()
-        n, n_var = cone.dim, int(cone.nonneg_mask.sum())
+        n_rest = int(cone.free_mask.sum() - cone.nonneg_mask.sum())
+        active_sizes = []
+        inner = projective._finish_candidate
+
+        def recorded(plcp, active, B, factor):
+            active_sizes.append(int(active.sum()))
+            return inner(plcp, active, B, factor)
+
+        monkeypatch.setattr(projective, "_finish_candidate", recorded)
         factored.clear()
         rep = solve_ipm(plcp, cone)
-        assert rep.converged
-        assert factored == [(n, n)] + [(n_var, n_var)] * (rep.iterations - 1
-                                                           + rep.finish_attempts)
+        assert rep.converged and len(active_sizes) == rep.finish_attempts >= 1
+        assert min(active_sizes) > 0
+        assert sorted(factored) == sorted([(n_rest, n_rest)] * (rep.iterations - 1)
+                                          + [(n_rest + k, n_rest + k) for k in active_sizes])
 
     def test_nan_iterate_breaks(self, monkeypatch):
         op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
@@ -704,10 +888,13 @@ class TestSolveIpm:
         with pytest.raises(IpmBreakdown, match="orthant iterate"):
             solve_ipm(plcp, orthant(40))
 
-    def test_overflowing_diagonal_breaks_without_warning(self):
+    def test_overflowing_diagonal_breaks_without_warning(self, monkeypatch):
         # tolerances no iterate meets drive x_i toward 0 on the active rows
-        # until s_i / x_i overflows: a breakdown, not a RuntimeWarning
+        # until s_i / x_i overflows: a breakdown, not a RuntimeWarning. The
+        # reduction runs on the |V| side, as it would without slack pairs;
+        # its own route stops at max_iter there (TestSlackPairs)
         plcp, cone = polyhedral_problem()
+        monkeypatch.setattr(projective, "_slack_pairs", lambda N, fixed: None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IpmBreakdown, match="not finite"):
