@@ -53,6 +53,13 @@ def _vector(x, n: int, name: str) -> np.ndarray:
     return x
 
 
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    """a itself; ValueError naming it when an entry is NaN or infinite."""
+    if not math.isfinite(_max_abs(a)):
+        raise ValueError(f"{name} has non-finite entries")
+    return a
+
+
 def _max_abs(a: np.ndarray) -> float:
     """Largest entry magnitude of the float array a (0 when it is empty):
     NaN when an entry is NaN and inf when one is infinite, so one finite

@@ -38,7 +38,7 @@ from scipy.linalg.blas import dsymv, dsyrk
 from scipy.linalg.lapack import dpotrf
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .cones import _max_abs, _vector
+from .cones import _finite, _max_abs, _vector
 
 __all__ = [
     "NotStronglyMonotone",
@@ -330,9 +330,7 @@ class AffineOperator(Operator):
 
     def __init__(self, M, q):
         M, _ = _check_square(M)
-        q = _vector(q, M.shape[0], "q")
-        if not math.isfinite(_max_abs(q)):
-            raise ValueError("q has non-finite entries")
+        q = _finite(_vector(q, M.shape[0], "q"), "q")
         self.M = M
         self.q = q
 

@@ -293,16 +293,12 @@ def _newton(Q: np.ndarray | None, W: np.ndarray,
     and N - I in the place of W gives G(D) = (N + diag(D - 1)) D^-1. The
     route is chosen here, once per solve; each D then factors:
     - a dense Q: the k'xk' G(D), in O(n k'^2 + k'^3), for any positive D;
-    - Q = None with no fixed row: G(D), n x n, formed from N in O(n^2);
+    - Q with k' = 0: nothing, N = I;
     - Q = None and N with slack pairs (_slack_pairs, a polyhedral reduction):
       each pair is eliminated exactly, and K on the other rows R is formed
       and factored in O(|R|^2 |V| + |R|^3) (see _pair_factor);
-    - Q = None with another fixed row, the |V| side: G_c = G(D_c) (D_c = 1 on
-      the fixed rows and 2 on V), T = G_c^-1 (N - I)[:, V] and Z = T[V] are
-      formed here once, in O(n^3). Then G(D) = G_c + (N - I)[:, V] diag(e)
-      I[V] with e = 1/D_V - 1/2 (|e| <= 1/2), so each D factors only the
-      |V|x|V| I + diag(e) Z, and a solve costs O(n^2). For monotone N, G_c
-      is singular only if every Newton matrix is (N x = 0 with x_V = 0).
+    - any other Q = None: G(D), n x n, formed from N in O(n^2) and factored
+      in O(n^3), whichever rows are fixed.
     IpmBreakdown on a D that is not positive (NaN included) or an exactly
     singular system.
     """
@@ -311,29 +307,10 @@ def _newton(Q: np.ndarray | None, W: np.ndarray,
         small = lambda D: _lu(_plus_identity(W @ (Q * (1.0 / D)[:, None])))
     elif Q is not None:  # k' = 0: N = I
         small = lambda D: lambda c: c
-    elif not fixed.any():
-        small = lambda D: _lu(_over_diagonal(W, D))
-    elif (pairs := _slack_pairs(W, fixed)) is not None:
+    elif fixed.any() and (pairs := _slack_pairs(W, fixed)) is not None:
         pair_factor = _pair_factor(W, fixed, pairs)
     else:
-        varying = ~fixed
-        solve_c = _lu(_over_diagonal(W, np.where(fixed, 1.0, 2.0)))
-        W_var = W[:, varying]  # becomes (N - I)[:, V]
-        W_var[np.flatnonzero(varying), np.arange(W_var.shape[1])] -= 1.0
-        T = solve_c(W_var)
-        Z = T[varying]
-
-        def small(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            if not Z.size:  # no varying rows: the system is G_c itself
-                return solve_c
-            e = 1.0 / D[varying] - 0.5
-            solve_var = _lu(_plus_identity(e[:, None] * Z))
-
-            def solve(c):
-                y = solve_c(c)
-                return y - T @ solve_var(e * y[varying])
-
-            return solve
+        small = lambda D: _lu(_over_diagonal(W, D))
 
     def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         if not np.all(D > 0):
@@ -432,9 +409,8 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
     sigma = (mu_aff / mu)^3. The Newton diagonal D = 1 + s/x is 1 on the
     free components F and >= 1 on the orthant ones, so _newton(Q, W, F),
     made once per solve, sets the system each step factors: k'xk' for a
-    dense Q; on a full span n x n with no free component; on a polyhedral
-    reduction, whose slack pairs it eliminates, the system on the rows
-    left; else one n x n factorization per solve and |B|x|B| per step (its
+    dense Q; on a polyhedral reduction, whose slack pairs it eliminates,
+    the system on the rows left; on any other full span n x n (its
     docstring has the costs). A common primal-dual step length with the
     fraction-to-boundary rule keeps the linear residual shrinking by
     (1 - step) each iteration.

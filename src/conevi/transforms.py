@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import SegmentKind, Segment, SeparableCone, _vector
+from .cones import SegmentKind, Segment, SeparableCone, _finite, _vector
 from .operators import AffineOperator
 
 __all__ = [
@@ -40,7 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolyhedralVI:
-    """VI(Mx + q, {x : Ax + b >= 0})."""
+    """VI(Mx + q, {x : Ax + b >= 0}); ValueError naming the input that has
+    the wrong shape or a NaN or infinite entry."""
 
     M: np.ndarray
     q: np.ndarray
@@ -58,7 +59,7 @@ class PolyhedralVI:
             raise ValueError(f"A has shape {A.shape}, expected (m, {n})")
         b = _vector(self.b, A.shape[0], "b")
         for name, val in (("M", M), ("q", q), ("A", A), ("b", b)):
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, _finite(val, name))
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,8 @@ def eliminate_equalities(op: AffineOperator, A, b, cone: SeparableCone) -> Conic
     """Replace the equality constraints Ax = b by Lagrange multipliers.
 
     The output operates on (y, lambda) with matrix [[M, -A^T], [A, 0]] and
-    offset (q, -b), over cone x Free(m).
+    offset (q, -b), over cone x Free(m). ValueError naming A or b when it
+    has the wrong shape or a NaN or infinite entry.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = op.dim
@@ -92,7 +94,8 @@ def eliminate_equalities(op: AffineOperator, A, b, cone: SeparableCone) -> Conic
     m = A.shape[0]
     if A.shape != (m, n):
         raise ValueError(f"A has shape {A.shape}, expected ({m}, {n})")
-    b = _vector(b, m, "b")
+    _finite(A, "A")
+    b = _finite(_vector(b, m, "b"), "b")
 
     if m == 0:
         return ConicProgramLayout(

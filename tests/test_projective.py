@@ -316,8 +316,8 @@ class TestSignedPermutationRoute:
         n = identity.n
         N = materialize(identity)
         rng = np.random.default_rng(69)
-        # no fixed row (the full span's one LU) and 5 fixed rows (its |V|
-        # side); the dense Q factors k'xk' either way
+        # no fixed row and 5 fixed rows: the full span's direct LU either way,
+        # as the dense Q factors k'xk' either way
         for n_var in (n, n - 5):
             fixed = np.ones(n, dtype=bool)
             fixed[rng.permutation(n)[:n_var]] = False
@@ -395,10 +395,11 @@ class TestWoodbury:
         e1 = np.array([[1.0], [0.0]])
         with pytest.raises(IpmBreakdown, match="singular"):
             _newton(e1, -e1.T, no_fixed_row(2))(np.ones(2))
-        # a full span with a fixed row: G_c = N diag(1, 1/2) + diag(0, 1/2) = 0
-        # breaks when the factory is made
+        # a full span with a fixed row: N + diag(D - 1) = diag(0, 0) at D = (1, 2)
+        # breaks when that D is factored
+        factor = _newton(None, np.diag([0.0, -1.0]), np.array([True, False]))
         with pytest.raises(IpmBreakdown, match="singular"):
-            _newton(None, np.diag([0.0, -1.0]), np.array([True, False]))
+            factor(np.array([1.0, 2.0]))
 
     def test_componentwise_backward_error_late_ipm_stage(self):
         # IPM-like Newton matrix near the end: D = 1 + s/x spans 24 decades
@@ -460,25 +461,22 @@ class TestWoodbury:
                     err = np.linalg.norm(y - ref)
                     assert err <= 1e-15 * np.linalg.cond(A) * np.linalg.norm(ref)
 
-    def test_all_free_split_reuses_its_factors(self, monkeypatch):
-        # a full span with |V| = 0: every D is 1, and each call solves with
-        # the factory's G_c = N
+    def test_all_free_full_span_solves_with_n(self):
+        # a full span with |V| = 0: every D is 1, and each call solves with N
         rng = np.random.default_rng(63)
         n = 30
         N = np.eye(n) + rng.standard_normal((n, n)) / (2 * np.sqrt(n))
         factor = _newton(None, N, np.ones(n, dtype=bool))
-        factored = record_factorizations(monkeypatch)
         for _ in range(3):
             rhs = rng.standard_normal(n)
             y = factor(np.ones(n))(rhs)
             ref = np.linalg.solve(N, rhs)
             assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
-        assert factored == []
 
     def test_identity_split_with_no_fixed_row_holds_no_copy(self):
         # Q = None and every row varies (an orthant cone without --basis): each
-        # system is formed from N = W in place, so the factory holds no n x n
-        # array, neither a copy of W[:, V] nor G_c
+        # system is formed from N = W when D is given, so the factory holds no
+        # n x n array
         rng = np.random.default_rng(71)
         n = 600
         W = rng.standard_normal((n, n)) / np.sqrt(n)
@@ -496,27 +494,33 @@ class TestWoodbury:
         assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_small_alpha_identity_form_keeps_accuracy(self):
-        # N = alpha M passed as W itself (ortho None), with every row varying:
-        # each system is formed from N, so no I + (alpha M - I) cancels. On
-        # the finish's diagonals (1 on I, inf on A, the system N_II) a stored
-        # W = alpha M - I lost the low bits of alpha M: 1.7e-11 at 1e-6
+        # N = alpha M passed as W itself (ortho None), with every row varying
+        # and with half the rows fixed: each system is formed from N, so no
+        # I + (alpha M - I) cancels. On the finish's diagonals (1 on I, inf on
+        # A, the system N_II) a stored W = alpha M - I lost the low bits of
+        # alpha M: 1.7e-11 at 1e-6. So did one factorization at D = 2 on the
+        # rows V, reused for every D by adding and cancelling +-1/2 there:
+        # 3.6e-14 at 1e-3 and 2.8e-11 at 1e-6 with half the rows fixed
         n = 60
-        for alpha in (1e-6, 1e-3):
+        for alpha in (1.0, 1e-3, 1e-6):
             for seed in range(20):
                 rng = np.random.default_rng(seed)
                 N = alpha * (np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n))
-                active = rng.random(n) < 0.5
-                rhs = rng.standard_normal(n)
-                for D in (np.ones(n), np.where(active, np.inf, 1.0)):
-                    rows = np.isfinite(D)
-                    K = N[np.ix_(rows, rows)]
-                    y = _newton(None, N, no_fixed_row(n))(D)(rhs)
-                    assert np.all(y[~rows] == 0.0)
-                    b, y = rhs[rows], y[rows]
-                    # normwise backward error of the solve
-                    err = np.abs(K @ y - b).max()
-                    assert err <= 1e-14 * (np.abs(K).sum(1).max() * np.abs(y).max()
-                                           + np.abs(b).max())
+                fixed = rng.permutation(n) < n // 2
+                for fixed_rows in (no_fixed_row(n), fixed):
+                    active = ~fixed_rows & (rng.random(n) < 0.5)
+                    rhs = rng.standard_normal(n)
+                    factor = _newton(None, N, fixed_rows)
+                    for D in (np.ones(n), np.where(active, np.inf, 1.0)):
+                        rows = np.isfinite(D)
+                        K = N[np.ix_(rows, rows)]
+                        y = factor(D)(rhs)
+                        assert np.all(y[~rows] == 0.0)
+                        b, y = rhs[rows], y[rows]
+                        # normwise backward error of the solve
+                        err = np.abs(K @ y - b).max()
+                        assert err <= 1e-14 * (np.abs(K).sum(1).max() * np.abs(y).max()
+                                               + np.abs(b).max())
 
     def test_factors_serve_several_right_hand_sides(self):
         rng = np.random.default_rng(57)
@@ -632,7 +636,7 @@ class TestSlackPairs:
         repeated[V + 1, c], repeated[c, V + 1] = 1.0, -1.0
         return second_entry, coefficient, coupled, column, repeated
 
-    def test_near_misses_take_the_v_side(self, monkeypatch):
+    def test_near_misses_take_the_direct_route(self, monkeypatch):
         n = 12
         N, fixed = self.reduction(n, 0, seed=77)
         rng = np.random.default_rng(78)
@@ -643,7 +647,7 @@ class TestSlackPairs:
             D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-3, 3, fixed.size))
             rhs = rng.standard_normal(fixed.size)
             y = factor(D)(rhs)
-            assert factored == [(3 * n, 3 * n), (n, n)]  # G_c, then |V|x|V|
+            assert factored == [(3 * n, 3 * n)]  # G(D), formed from N
             assert self.backward_error(near + np.diag(D - 1.0), y, rhs) <= 1e-14
 
     def test_overflowing_system_breaks_without_warning(self):
@@ -677,7 +681,7 @@ class TestSlackPairs:
                 return
         assert not rep.converged and rep.iterations == IpmConfig().max_iter
 
-    def test_benchmark_instances_match_the_v_side(self, monkeypatch):
+    def test_benchmark_instances_match_the_direct_route(self, monkeypatch):
         # the polyhedral_ipm workload's seed-1 instances, two with equality
         # rows, against the same solves with the pattern refused
         monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -843,14 +847,13 @@ class TestSolveIpm:
         factored = record_factorizations(monkeypatch)
         assert solve_ipm(plcp, parse_cone_spec("nn:14,free:6,nn:14,free:6")).converged
         assert factored and set(factored) == {(30, 30)}
-        # a full span with fixed rows but no slack pairs, the |V| side: one
-        # n x n matrix (G_c) per solve, then only |V|x|V| ones, one per Newton
-        # step and per finish attempt
+        # a full span with fixed rows but no slack pairs: one n x n system per
+        # Newton step and per finish attempt, none at set-up
         plcp = build_projective(op, orthonormalize(np.eye(40)))
         factored.clear()
         rep = solve_ipm(plcp, parse_cone_spec("nn:14,free:6,nn:14,free:6"))
         assert rep.converged
-        assert factored == [(40, 40)] + [(28, 28)] * (rep.iterations - 1 + rep.finish_attempts)
+        assert factored == [(40, 40)] * (rep.iterations - 1 + rep.finish_attempts)
         # a polyhedral reduction, whose slack pairs are eliminated: no n x n
         # matrix, the |R|x|R| system on the rows R = x left by the pairs per
         # Newton step, and per finish attempt one larger by the guessed
@@ -891,7 +894,7 @@ class TestSolveIpm:
     def test_overflowing_diagonal_breaks_without_warning(self, monkeypatch):
         # tolerances no iterate meets drive x_i toward 0 on the active rows
         # until s_i / x_i overflows: a breakdown, not a RuntimeWarning. The
-        # reduction runs on the |V| side, as it would without slack pairs;
+        # reduction runs on the direct route, as it would without slack pairs;
         # its own route stops at max_iter there (TestSlackPairs)
         plcp, cone = polyhedral_problem()
         monkeypatch.setattr(projective, "_slack_pairs", lambda N, fixed: None)
@@ -976,7 +979,7 @@ class TestSolveIpm:
     def test_full_span_reads_a_read_only_m(self):
         # the reduced problem shares M, so the IPM, its finish and verify_pd
         # must never write it: any in-place write on a read-only M raises.
-        # Both Woodbury sides: every row varies (orthant) and 6 rows fixed
+        # Two cones: every row varying (orthant), and 6 rows fixed
         op, _ = generate_instance(60, 4, 1.0, 3.0, seed=72)
         op.M.setflags(write=False)
         plcp = build_projective(op, orthonormalize(np.eye(60)))

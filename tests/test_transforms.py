@@ -159,6 +159,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             PolyhedralVI(np.eye(2), np.zeros(2), np.ones((1, 3)), np.zeros(1))
 
+    @pytest.mark.parametrize("field", ["M", "q", "A", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_polyhedral_vi_names_a_nonfinite_input(self, field, value):
+        # checked where each input enters, not as the assembled operator
+        arrays = {"M": np.eye(2), "q": np.zeros(2), "A": np.ones((3, 2)), "b": np.zeros(3)}
+        arrays[field].flat[-1] = value
+        with pytest.raises(ValueError, match=f"^{field} has non-finite entries$"):
+            PolyhedralVI(**arrays)
+
+    @pytest.mark.parametrize("field", ["A", "b"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "-inf"])
+    def test_eliminate_equalities_names_a_nonfinite_input(self, field, value):
+        arrays = {"A": np.ones((1, 2)), "b": np.zeros(1)}
+        arrays[field].flat[-1] = value
+        with pytest.raises(ValueError, match=f"^{field} has non-finite entries$"):
+            eliminate_equalities(AffineOperator(np.eye(2), np.zeros(2)), arrays["A"],
+                                 arrays["b"], orthant(2))
+
     def test_contraction_solvers_refuse_transformed_problems(self):
         from conevi.operators import NotStronglyMonotone
         from conevi.solvers import SolveConfig
