@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: solve (exact | bertsekas | galerkin | ipm), bounds, gen,
-certify, and bench. Human output goes to stdout, diagnostics to stderr;
+Subcommands: solve (exact | bertsekas | galerkin | ipm), bounds, gen and
+bench. Human output goes to stdout, diagnostics to stderr;
 exit codes are 0 (success), 1 (solver did not converge or refused the
 problem), and 2 (usage or parse errors).
 """
@@ -82,9 +82,10 @@ def _config(cls, args, **fields):
 
 
 def _cmd_solve(args) -> int:
-    if args.method == "ipm" and args.trace is not None:
-        print("solve --method ipm does not use --trace", file=sys.stderr)
-        return 2
+    for flag, value in (("--trace", args.trace), ("--cert-tol", args.cert_tol)):
+        if args.method == "ipm" and value is not None:
+            print(f"solve --method ipm does not use {flag}", file=sys.stderr)
+            return 2
     if args.method in ("bertsekas", "galerkin") and not args.basis:
         print(f"solve --method {args.method} requires --basis", file=sys.stderr)
         return 2
@@ -94,6 +95,10 @@ def _cmd_solve(args) -> int:
 
     if args.method == "ipm":
         ipm_cfg = _config(IpmConfig, args, tol="tol", max_iter="max_iter")
+        if cone.zero_mask.any():
+            print("solver error: zero-constrained segments are not a feasible set for the IPM",
+                  file=sys.stderr)
+            return 1
         if basis is None:
             basis = orthonormalize(np.eye(cone.dim))
         try:
@@ -103,43 +108,30 @@ def _cmd_solve(args) -> int:
                   file=sys.stderr)
             return 1
         report = solve_ipm(plcp, cone, ipm_cfg)
-        pairs = [
-            ("method", "ipm"),
-            ("converged", report.converged),
-            ("iters", report.iterations),
-            ("mu", report.mu),
-            ("feas", report.feasibility),
-            ("residual", report.final_step_norm),
-            ("finish", report.finish_accepted),
-            ("x", report.x),
-        ]
-        _emit(pairs, args.format)
-        return 0 if report.converged else 1
-
-    cfg = _config(SolveConfig, args, tol="tol", max_iter="max_iter", alpha_override="alpha")
-    cfg.trace = bool(args.trace)
-    if args.method == "exact":
-        report = solve_exact(op, cone, cfg)
-    elif args.method == "bertsekas":
-        report = solve_bertsekas(op, cone, basis, cfg)
+        own = [("mu", report.mu), ("feas", report.feasibility),
+               ("finish", report.finish_accepted)]
     else:
-        report = solve_galerkin(op, cone, basis, cfg)
+        cfg = _config(SolveConfig, args, tol="tol", max_iter="max_iter",
+                      alpha_override="alpha", cert_tol="cert_tol")
+        cfg.trace = bool(args.trace)
+        if args.method == "exact":
+            report = solve_exact(op, cone, cfg)
+        elif args.method == "bertsekas":
+            report = solve_bertsekas(op, cone, basis, cfg)
+        else:
+            report = solve_galerkin(op, cone, basis, cfg)
+        own = [("step", report.final_step_norm), ("gamma", report.gamma)]
+        if report.z is not None:
+            own.append(("z", report.z))
+        cert = report.certificate
+        if cert is not None:
+            own += [("cert_nullspace", cert.null_space_violation),
+                    ("cert_normalcone", cert.normal_cone_ok),
+                    ("cert_gap", cert.complementarity_gap),
+                    ("cert_valid", cert.valid)]
 
-    pairs = [
-        ("method", args.method),
-        ("converged", report.converged),
-        ("iters", report.iterations),
-        ("residual", report.final_step_norm),
-        ("gamma", report.gamma),
-    ]
-    if report.z is not None:
-        pairs.append(("z", report.z))
-    if report.certificate is not None:
-        pairs.append(("cert_nullspace", report.certificate.null_space_violation))
-        pairs.append(("cert_normalcone", report.certificate.normal_cone_ok))
-    pairs.append(("x", report.x))
-    _emit(pairs, args.format)
-
+    _emit([("method", args.method), ("converged", report.converged),
+           ("iters", report.iterations), *own, ("x", report.x)], args.format)
     if args.trace:
         rows = report.trace_rows()
         _write(args.trace, "".join(f"{t}\t{_fmt(step)}\t{_fmt(dist)}\n" for t, step, dist in rows))
@@ -172,24 +164,6 @@ def _cmd_bounds(args) -> int:
     solved = comp.exact_converged and comp.galerkin_converged and (
         comp.bertsekas_skipped or comp.bertsekas_converged)
     return 0 if solved else 1
-
-
-def _cmd_certify(args) -> int:
-    op, cone = _load_problem(args.problem)
-    basis = _load_basis(args.basis)
-    report = solve_galerkin(op, cone, basis,
-                            _config(SolveConfig, args, tol="tol", cert_tol="cert_tol"))
-    cert = report.certificate
-    _emit([
-        ("converged", report.converged),
-        ("iters", report.iterations),
-        ("gamma", report.gamma),
-        ("cert_nullspace", cert.null_space_violation),
-        ("cert_normalcone", cert.normal_cone_ok),
-        ("cert_gap", cert.complementarity_gap),
-        ("cert_valid", cert.valid),
-    ], args.format)
-    return 0 if report.converged else 1
 
 
 def _cmd_gen(args) -> int:
@@ -242,6 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "(ipm on a full-span basis ignores it)")
     p_solve.add_argument("--trace", help="write (t, step_norm, distance_to_final) rows "
                                          "here (not ipm)")
+    p_solve.add_argument("--cert-tol", type=float, dest="cert_tol",
+                         help="tolerance of the galerkin certificate (not ipm)")
     add_format(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -252,14 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--slack", type=float, default=1e-8)
     add_format(p_bounds)
     p_bounds.set_defaults(func=_cmd_bounds)
-
-    p_cert = sub.add_parser("certify", help="solve with the two-projection method and certify")
-    p_cert.add_argument("--problem", required=True)
-    p_cert.add_argument("--basis", required=True)
-    p_cert.add_argument("--tol", type=float)
-    p_cert.add_argument("--cert-tol", type=float, dest="cert_tol")
-    add_format(p_cert)
-    p_cert.set_defaults(func=_cmd_certify)
 
     p_gen = sub.add_parser("gen", help="generate a seeded random instance")
     p_gen.add_argument("--n", type=int, required=True)

@@ -119,7 +119,6 @@ class IpmReport:
     converged: bool
     mu: float
     feasibility: float
-    final_step_norm: float
     finish_attempts: int = 0
     finish_accepted: bool = False
     history: list[tuple[float, float, float, float]] = field(default_factory=list)
@@ -449,7 +448,6 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         scale = 1.0 + _norm(xv) * _norm(sv)
         return (mu_val <= cfg.tol and total <= cfg.tol * scale), mu_val
 
-    step_norm = 0.0
     mu = math.inf
     feas = math.inf
     converged = False
@@ -470,7 +468,6 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
             attempts += 1
             finish = _finish_candidate(plcp, guess, B, factor)
             if finish is not None and finish[1] <= cfg.tol:
-                step_norm = float(np.linalg.norm(finish[0] - x))
                 x, feas = finish
                 mu = 0.0
                 converged = accepted = True
@@ -496,14 +493,12 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         history.append((mu, feas, step, sigma))
         x = x + step * dx
         s = s + step * ds
-        step_norm = step * float(np.linalg.norm(dx))
 
     return IpmReport(
         x=x,
         converged=converged,
         mu=mu,
         feasibility=feas,
-        final_step_norm=step_norm,
         finish_attempts=attempts,
         finish_accepted=accepted,
         history=history,

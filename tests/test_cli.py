@@ -3,11 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
+import conevi.cli
 import conevi.solvers
+from conevi.basis import orthonormalize
 from conevi.cli import main
 from conevi.cones import orthant
-from conevi.fileio import write_problem
+from conevi.fileio import parse_basis, parse_problem, write_problem
 from conevi.generate import generate_instance
+from conevi.solvers import SolveConfig, solve_galerkin
 
 PROBLEM = """\
 VI1 2 nn:2
@@ -56,7 +59,8 @@ class TestSolve:
         assert main(["solve", "--method", "exact", "--problem", problem_file]) == 0
         out = capsys.readouterr().out
         assert "converged: true" in out
-        assert "residual" in out and "x:" in out
+        # the fixed-point methods print the step their stopping rule tests
+        assert "step: " in out and "residual" not in out and "x:" in out
 
     @pytest.mark.parametrize("method", ["exact", "bertsekas", "galerkin", "ipm"])
     def test_all_methods_agree_here(self, method, problem_file, basis_file, capsys):
@@ -100,6 +104,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("method, flag, value", [
         ("ipm", "--trace", None),
+        ("ipm", "--cert-tol", "1e-8"),
     ])
     def test_option_the_method_does_not_use_is_usage_error(
             self, method, flag, value, problem_file, basis_file, tmp_path, capsys):
@@ -207,12 +212,22 @@ class TestBounds:
 
 class TestCertify:
     def test_kv_keys(self, problem_file, basis_file, capsys):
-        assert main(["certify", "--problem", problem_file, "--basis", basis_file,
-                     "--format", "kv"]) == 0
-        kv = kv_lines(capsys.readouterr().out)
-        assert kv["cert_normalcone"] == "true"
-        assert kv["cert_valid"] == "true"
-        assert float(kv["cert_nullspace"]) >= 0.0
+        # the null-space violation here is 2.4e-10: valid at the default
+        # cert_tol 1e-8, not at 1e-12
+        op, cone = parse_problem(PROBLEM)
+        basis = orthonormalize(parse_basis(BASIS_FULL))
+        argv = ["solve", "--method", "galerkin", "--problem", problem_file,
+                "--basis", basis_file, "--format", "kv"]
+        for tol, valid in ((None, "true"), (1e-12, "false")):
+            option = [] if tol is None else ["--cert-tol", repr(tol)]
+            assert main(argv + option) == 0
+            kv = kv_lines(capsys.readouterr().out)
+            cfg = SolveConfig() if tol is None else SolveConfig(cert_tol=tol)
+            cert = solve_galerkin(op, cone, basis, cfg).certificate
+            assert kv["cert_normalcone"] == "true"
+            assert float(kv["cert_nullspace"]) >= 0.0
+            assert kv["cert_gap"] == format(cert.complementarity_gap, ".17g")
+            assert kv["cert_valid"] == valid == ("true" if cert.valid else "false")
 
 
 class TestGenAndPipeline:
@@ -248,7 +263,6 @@ class TestGenAndPipeline:
         assert paths[0] == paths[1]
 
     def test_gen_hits_beta_target(self, tmp_path, capsys):
-        from conevi.fileio import parse_problem
         from conevi.operators import monotone_modulus
 
         out = tmp_path / "f.vi"
@@ -296,8 +310,11 @@ class TestUsageErrors:
         assert main(["solve", "--wat"]) == 2
         assert "usage" in capsys.readouterr().err
 
-    def test_unknown_command_exits_2(self, capsys):
-        assert main(["frobnicate"]) == 2
+    def test_unknown_command_exits_2(self, problem_file, basis_file, capsys):
+        # solve --method galerkin prints the certificate; there is no certify
+        for argv in (["frobnicate"], ["certify", "--problem", problem_file, "--basis", basis_file]):
+            assert main(argv) == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.vi"
@@ -331,6 +348,20 @@ class TestUsageErrors:
                      "--basis", str(axis)]) == 1
         assert "pass --alpha explicitly" in capsys.readouterr().err
 
+    def test_ipm_refuses_zero_segment_as_solver_error(self, tmp_path, monkeypatch, capsys):
+        # the file is well formed, so this is a refusal, found before any set-up
+        path = tmp_path / "z.vi"
+        path.write_text("VI1 3 nn:2,zero:1\n2 1 0\n-1 2 1\n0 -1 2\n-1 1 -2\n")
+
+        def fail(*args):
+            raise AssertionError("build_projective ran")
+
+        monkeypatch.setattr(conevi.cli, "build_projective", fail)
+        assert main(["solve", "--method", "ipm", "--problem", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("solver error: zero-constrained segments")
+        assert captured.out == ""
+
     def test_zero_basis_is_solver_error(self, problem_file, tmp_path, capsys):
         bad = tmp_path / "zero.mat"
         bad.write_text("BASIS1 2 1\n0\n0\n")
@@ -343,11 +374,13 @@ class TestUsageErrors:
         ["--method", "exact", "--alpha", "inf"],
         ["--method", "ipm", "--tol", "inf"],
         ["--method", "ipm", "--alpha", "nan"],
+        ["--method", "galerkin", "--cert-tol", "nan"],
     ])
-    def test_nonfinite_tolerance_is_usage_error(self, options, problem_file, capsys):
+    def test_nonfinite_tolerance_is_usage_error(self, options, problem_file, basis_file,
+                                                capsys):
         # with --tol inf the exact method used to stop after one step at a
         # point that is not the solution (0.5, 1) and report converged: true
-        assert main(["solve", "--problem", problem_file] + options) == 2
+        assert main(["solve", "--problem", problem_file, "--basis", basis_file] + options) == 2
         captured = capsys.readouterr()
         assert "finite" in captured.err
         assert captured.out == ""
