@@ -81,17 +81,22 @@ def _config(cls, args, **fields):
                   if getattr(args, option) is not None})
 
 
+# the options of `solve` (by dest) that each method never reads
+_UNREAD = {"exact": ("basis", "cert_tol"), "bertsekas": ("cert_tol",), "galerkin": (),
+           "ipm": ("trace", "cert_tol")}
+
+
 def _cmd_solve(args) -> int:
-    for flag, value in (("--trace", args.trace), ("--cert-tol", args.cert_tol)):
-        if args.method == "ipm" and value is not None:
-            print(f"solve --method ipm does not use {flag}", file=sys.stderr)
+    for dest in _UNREAD[args.method]:
+        if getattr(args, dest) is not None:
+            print(f"solve --method {args.method} does not use --{dest.replace('_', '-')}",
+                  file=sys.stderr)
             return 2
     if args.method in ("bertsekas", "galerkin") and not args.basis:
         print(f"solve --method {args.method} requires --basis", file=sys.stderr)
         return 2
     op, cone = _load_problem(args.problem)
-    # the exact method never reads a basis, so a bad one cannot fail it
-    basis = _load_basis(args.basis) if args.basis and args.method != "exact" else None
+    basis = _load_basis(args.basis) if args.basis else None
 
     if args.method == "ipm":
         ipm_cfg = _config(IpmConfig, args, tol="tol", max_iter="max_iter")
@@ -120,7 +125,7 @@ def _cmd_solve(args) -> int:
             report = solve_bertsekas(op, cone, basis, cfg)
         else:
             report = solve_galerkin(op, cone, basis, cfg)
-        own = [("step", report.final_step_norm), ("gamma", report.gamma)]
+        own = [("step", report.step_norms[-1]), ("gamma", report.gamma)]
         if report.z is not None:
             own.append(("z", report.z))
         cert = report.certificate
@@ -141,8 +146,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bounds(args) -> int:
     op, cone = _load_problem(args.problem)
     basis = _load_basis(args.basis)
-    comp = bound_report(op, cone, basis, _config(SolveConfig, args, tol="tol"),
-                        slack=args.slack)
+    comp = bound_report(op, cone, basis, _config(SolveConfig, args, tol="tol"))
 
     pairs = [
         ("gamma", comp.gamma),
@@ -208,16 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("exact", "bertsekas", "galerkin", "ipm"))
     p_solve.add_argument("--problem", required=True)
     p_solve.add_argument("--basis", help="basis file (required for bertsekas/galerkin, "
-                                         "not read by exact)")
+                                         "optional for ipm, rejected by exact)")
     p_solve.add_argument("--tol", type=float, help="stopping tolerance (ipm: mu and feasibility)")
     p_solve.add_argument("--max-iter", type=int, dest="max_iter")
     p_solve.add_argument("--alpha", type=float,
                          help="override the step size derived from beta and L "
                               "(ipm on a full-span basis ignores it)")
     p_solve.add_argument("--trace", help="write (t, step_norm, distance_to_final) rows "
-                                         "here (not ipm)")
+                                         "here (rejected by ipm)")
     p_solve.add_argument("--cert-tol", type=float, dest="cert_tol",
-                         help="tolerance of the galerkin certificate (not ipm)")
+                         help="tolerance of the certificate (galerkin only)")
     add_format(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -225,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--problem", required=True)
     p_bounds.add_argument("--basis", required=True)
     p_bounds.add_argument("--tol", type=float)
-    p_bounds.add_argument("--slack", type=float, default=1e-8)
     add_format(p_bounds)
     p_bounds.set_defaults(func=_cmd_bounds)
 

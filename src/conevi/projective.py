@@ -16,13 +16,9 @@ exactly with one more system of the same size.
 When the basis spans all of R^n (k' = n), Q is square and orthogonal, so
 N = alpha*M and r = alpha*q, which only rescale CP(Mx + q): the original CP
 is stored, Q as None and W as N = M itself, the operator's array, shared and
-not copied. The Newton systems are then formed from N, and the
-positive-definiteness check is beta of N, with no product with Q and no
-n x n copy made at set-up. A polyhedral reduction (conevi.transforms) is
-such a full span, with k' = 2m + n; its slack pairs are recognised from N's
-entries and eliminated in each Newton step, which then factors the n x n
-M + A^T diag(d) A, d = D - 1 on the slack rows (bordered by any equality
-rows), not a (2m + n)-sized system.
+not copied. The positive-definiteness check is then beta of N, with no
+product with Q and no n x n copy made at set-up. A polyhedral reduction
+(conevi.transforms) is such a full span, with k' = 2m + n.
 """
 from __future__ import annotations
 
@@ -165,10 +161,13 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
     conevi.operators).
     On a full span (ortho is None) W is N itself, and the result is its
     monotone modulus lambda_min(sym N), with no QR: op.beta when W is op.M.
+    With k' = 0, N = I and the result is 1.
     """
     Q = plcp.ortho
     if Q is None:
         return monotone_modulus(plcp.W)
+    if not plcp.W.shape[0]:
+        return 1.0
     U, _ = np.linalg.qr(np.hstack([Q, plcp.W.T]))
     C = (U.T @ Q) @ (plcp.W @ U)
     smallest = 1.0 + monotone_modulus(C)

@@ -55,7 +55,8 @@ class SolveConfig:
     defaults to 100x the certified iteration bound when a contraction factor
     is available, else 10000. Every method starts from 0 (x = 0 for the exact
     and intersection methods, z = 0 for the two-projection method), which
-    lies in every separable cone. alpha_override, tol and cert_tol must be
+    lies in every separable cone. cert_tol, the certificate's tolerance, is
+    read by solve_galerkin only. alpha_override, tol and cert_tol must be
     positive and finite, max_iter a positive integer.
     """
 
@@ -100,7 +101,7 @@ class SolveReport:
     """Outcome of one solve: iterate(s), convergence data, and certificates.
 
     step_norms holds ||v_t - v_{t-1}|| for every iteration t = 1, 2, ...;
-    iterations and final_step_norm are its length and last entry.
+    iterations is its length.
     """
 
     x: np.ndarray
@@ -115,15 +116,6 @@ class SolveReport:
     @property
     def iterations(self) -> int:
         return len(self.step_norms)
-
-    @property
-    def final_step_norm(self) -> float:
-        return self.step_norms[-1]
-
-    @property
-    def guaranteed(self) -> bool:
-        """True when gamma < 1, so the iteration provably contracts."""
-        return self.gamma < 1.0
 
     def distances_to_final(self) -> np.ndarray:
         """||x_t - x_T|| for every logged iterate; needs trace=True."""
@@ -327,6 +319,10 @@ def certify(op: Operator, cone: SeparableCone, basis: Basis,
     )
 
 
+# bound_report's allowance on each bound, for the solves' stopping tolerance
+_BOUND_SLACK = 1e-8
+
+
 @dataclass
 class BoundComparison:
     """Both a-priori error bounds next to the errors actually achieved."""
@@ -352,17 +348,15 @@ class BoundComparison:
 
 
 def bound_report(op: Operator, cone: SeparableCone, basis: Basis,
-                 cfg: SolveConfig | None = None, slack: float = 1e-8) -> BoundComparison:
+                 cfg: SolveConfig | None = None) -> BoundComparison:
     """Solve with all three methods and compare errors against their bounds.
 
     The intersection method's bound uses ||P_{C&span}(x*) - x*|| / (1-gamma);
     the two-projection method's bound uses ||z* - P_span(z*)|| / (1-gamma)
-    and covers both the z and x errors. Solver failures are reported as
-    flags, not exceptions. slack, the allowance on each comparison, must be
-    nonnegative and finite.
+    and covers both the z and x errors. Each comparison allows _BOUND_SLACK
+    = 1e-8 on top of the bound, for the solves' stopping tolerance. Solver
+    failures are reported as flags, not exceptions.
     """
-    if not 0 <= slack < math.inf:
-        raise ValueError("slack must be nonnegative and finite")
     cfg = cfg or SolveConfig()
     rep_exact = solve_exact(op, cone, cfg)
     if not (rep_exact.gamma < 1.0):
@@ -385,7 +379,7 @@ def bound_report(op: Operator, cone: SeparableCone, basis: Basis,
         bound_new=bound_new,
         err_new_x=err_new_x,
         err_new_z=err_new_z,
-        new_ok=err_new_x <= bound_new + slack and err_new_z <= bound_new + slack,
+        new_ok=err_new_x <= bound_new + _BOUND_SLACK and err_new_z <= bound_new + _BOUND_SLACK,
         exact_iterations=rep_exact.iterations,
         exact_converged=rep_exact.converged,
         galerkin_converged=rep_gal.converged,
@@ -401,6 +395,6 @@ def bound_report(op: Operator, cone: SeparableCone, basis: Basis,
     result.x_hat = rep_b.x
     result.bound_bertsekas = float(np.linalg.norm(proj_star - x_star)) / (1.0 - gamma)
     result.err_bertsekas = float(np.linalg.norm(rep_b.x - x_star))
-    result.bertsekas_ok = result.err_bertsekas <= result.bound_bertsekas + slack
+    result.bertsekas_ok = result.err_bertsekas <= result.bound_bertsekas + _BOUND_SLACK
     result.bertsekas_converged = rep_b.converged
     return result

@@ -15,11 +15,10 @@ over the cone NonNeg(m) x Free(n) x Free(m). The symmetric part of the
 block matrix is diag(0, (M+M^T)/2, 0), so the transform preserves
 monotonicity but never strong monotonicity: layout.op.beta is 0 up to
 rounding, the contraction solvers refuse it, and the interior-point path
-(which only needs monotonicity) applies. Its Newton steps recognise the
-slack pairs (s_i, lambda_i), the I and -I blocks above, from the matrix's
-entries, also after eliminate_equalities appends equality rows, and
-eliminate them: each step factors M + A^T diag(lambda/s) A (bordered by
-the equality rows), not a (2m + n)-sized system (see conevi.projective).
+(which only needs monotonicity) applies. Its Newton steps eliminate the
+slack pairs (s_i, lambda_i), the I and -I blocks above, also after
+eliminate_equalities appends equality rows; projective._newton states the
+system each step then factors.
 """
 from __future__ import annotations
 

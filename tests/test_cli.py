@@ -65,8 +65,9 @@ class TestSolve:
     @pytest.mark.parametrize("method", ["exact", "bertsekas", "galerkin", "ipm"])
     def test_all_methods_agree_here(self, method, problem_file, basis_file, capsys):
         # full basis: all four methods solve the same LCP; x = (0.5, 1)
+        basis = [] if method == "exact" else ["--basis", basis_file]
         code = main(["solve", "--method", method, "--problem", problem_file,
-                     "--basis", basis_file, "--format", "kv"])
+                     "--format", "kv"] + basis)
         assert code == 0
         x = np.array(kv_lines(capsys.readouterr().out)["x"].split(), dtype=float)
         np.testing.assert_allclose(x, [0.5, 1.0], atol=1e-6)
@@ -105,12 +106,18 @@ class TestSolve:
     @pytest.mark.parametrize("method, flag, value", [
         ("ipm", "--trace", None),
         ("ipm", "--cert-tol", "1e-8"),
+        ("exact", "--basis", None),
+        ("exact", "--cert-tol", "1e-3"),
+        ("bertsekas", "--cert-tol", "1e-3"),
     ])
     def test_option_the_method_does_not_use_is_usage_error(
             self, method, flag, value, problem_file, basis_file, tmp_path, capsys):
+        # None stands for a path that does not exist: the check comes before
+        # any file is read or written
         trace = tmp_path / "trace.tsv"
+        basis = [] if method == "exact" else ["--basis", basis_file]
         code = main(["solve", "--method", method, "--problem", problem_file,
-                     "--basis", basis_file, flag, value or str(trace)])
+                     flag, value or str(trace)] + basis)
         assert code == 2
         captured = capsys.readouterr()
         assert f"does not use {flag}" in captured.err
@@ -165,13 +172,15 @@ class TestSolve:
                      "--format", "kv"]) == 0
         assert kv_lines(capsys.readouterr().out)["finish"] == "true"
 
-    def test_exact_does_not_read_basis(self, problem_file, tmp_path, capsys):
-        zero = tmp_path / "zero.mat"
-        zero.write_text("BASIS1 2 1\n0\n0\n")
-        assert main(["solve", "--method", "exact", "--problem", problem_file,
-                     "--basis", str(zero), "--format", "kv"]) == 0
-        x = np.array(kv_lines(capsys.readouterr().out)["x"].split(), dtype=float)
-        np.testing.assert_allclose(x, [0.5, 1.0], atol=1e-6)
+    def test_exact_does_not_read_basis(self, problem_file, basis_file, tmp_path, capsys):
+        # a basis given to the exact method is refused, not silently dropped:
+        # neither a valid one nor a missing file is opened
+        for path in (basis_file, str(tmp_path / "missing.mat")):
+            assert main(["solve", "--method", "exact", "--problem", problem_file,
+                         "--basis", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "solve --method exact does not use --basis\n"
+            assert captured.out == ""
 
     def test_deterministic_output(self, problem_file, basis_file, capsys):
         argv = ["solve", "--method", "galerkin", "--problem", problem_file,
@@ -380,7 +389,8 @@ class TestUsageErrors:
                                                 capsys):
         # with --tol inf the exact method used to stop after one step at a
         # point that is not the solution (0.5, 1) and report converged: true
-        assert main(["solve", "--problem", problem_file, "--basis", basis_file] + options) == 2
+        basis = [] if options[1] == "exact" else ["--basis", basis_file]
+        assert main(["solve", "--problem", problem_file] + basis + options) == 2
         captured = capsys.readouterr()
         assert "finite" in captured.err
         assert captured.out == ""

@@ -13,7 +13,6 @@ from conevi import (
     CallableOperator,
     IpmConfig,
     SolveConfig,
-    bound_report,
     build_projective,
     certify,
     free,
@@ -39,7 +38,6 @@ CASES = {
     "IpmConfig.max_iter": lambda v: IpmConfig(max_iter=v),
     "SolveConfig.max_iter": lambda v: SolveConfig(max_iter=v),
     "build_projective.alpha": lambda v: build_projective(OP, BASIS, v),
-    "bound_report.slack": lambda v: bound_report(OP, orthant(2), BASIS, slack=v),
     "certify.alpha": lambda v: certify(OP, orthant(2), BASIS, [1.0, 0.0], [1.0, 0.0], v),
     "certify.cert_tol": lambda v: certify(OP, orthant(2), BASIS, [1.0, 0.0], [1.0, 0.0],
                                           0.5, v),

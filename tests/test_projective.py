@@ -838,6 +838,7 @@ class TestSolveIpm:
         rep = solve_ipm(plcp, orthant(3))
         assert rep.converged
         np.testing.assert_allclose(rep.x, [1.0, 0.0, 0.0], atol=1e-12)
+        assert verify_pd(plcp) == 1.0  # the smallest eigenvalue of sym(I)
 
     def test_factorization_sizes(self, monkeypatch):
         # the per-step cost rule: a dense Q factors k'xk' systems only, here

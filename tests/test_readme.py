@@ -1,5 +1,6 @@
-"""The README's library quick start runs as written, and its command-line
-block names every subcommand."""
+"""The README's library quick start runs as written, its command-line
+block names every subcommand, and its "Command line" section names every
+option."""
 import argparse
 import re
 from pathlib import Path
@@ -7,6 +8,15 @@ from pathlib import Path
 from conevi.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def command_line_section() -> str:
+    return README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def subcommands() -> dict:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
 
 
 def test_library_quick_start_runs():
@@ -21,8 +31,17 @@ def test_library_quick_start_runs():
 def test_command_line_block_runs_every_subcommand():
     # CI runs this block through the console script, so a subcommand missing
     # from it is never run end to end
-    section = README.read_text().split("\n## Command line\n", 1)[1]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    block = re.search(r"```sh\n(.*?)```", command_line_section(), re.S).group(1)
     listed = {line.split()[1] for line in block.splitlines() if line.startswith("conevi ")}
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert listed == set(sub.choices)
+    assert listed == set(subcommands())
+
+
+def test_command_line_section_names_every_option():
+    # the prose may name an option the block cannot run: a run capped by
+    # --max-iter exits 1, and CI runs the block under bash -e
+    section = command_line_section()
+    options = {opt for parser in subcommands().values() for action in parser._actions
+               for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+    missing = sorted(opt for opt in options
+                     if not re.search(re.escape(opt) + r"(?![\w-])", section))
+    assert missing == []
