@@ -82,15 +82,13 @@ def _config(cls, args, **fields):
 
 
 # the options of `solve` (by dest) that each method never reads
-_UNREAD = {"exact": ("basis", "cert_tol"), "bertsekas": ("cert_tol",), "galerkin": (),
-           "ipm": ("trace", "cert_tol")}
+_UNREAD = {"exact": ("basis",), "bertsekas": (), "galerkin": (), "ipm": ("trace",)}
 
 
 def _cmd_solve(args) -> int:
     for dest in _UNREAD[args.method]:
         if getattr(args, dest) is not None:
-            print(f"solve --method {args.method} does not use --{dest.replace('_', '-')}",
-                  file=sys.stderr)
+            print(f"solve --method {args.method} does not use --{dest}", file=sys.stderr)
             return 2
     if args.method in ("bertsekas", "galerkin") and not args.basis:
         print(f"solve --method {args.method} requires --basis", file=sys.stderr)
@@ -117,7 +115,7 @@ def _cmd_solve(args) -> int:
                ("finish", report.finish_accepted)]
     else:
         cfg = _config(SolveConfig, args, tol="tol", max_iter="max_iter",
-                      alpha_override="alpha", cert_tol="cert_tol")
+                      alpha_override="alpha")
         cfg.trace = bool(args.trace)
         if args.method == "exact":
             report = solve_exact(op, cone, cfg)
@@ -220,15 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "(ipm on a full-span basis ignores it)")
     p_solve.add_argument("--trace", help="write (t, step_norm, distance_to_final) rows "
                                          "here (rejected by ipm)")
-    p_solve.add_argument("--cert-tol", type=float, dest="cert_tol",
-                         help="tolerance of the certificate (galerkin only)")
     add_format(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_bounds = sub.add_parser("bounds", help="compare both error bounds to actual errors")
     p_bounds.add_argument("--problem", required=True)
     p_bounds.add_argument("--basis", required=True)
-    p_bounds.add_argument("--tol", type=float)
+    p_bounds.add_argument("--tol", type=float, help="stopping tolerance of the solves "
+                                                     "measured against their bounds")
     add_format(p_bounds)
     p_bounds.set_defaults(func=_cmd_bounds)
 

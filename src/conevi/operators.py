@@ -71,10 +71,10 @@ class ContractionParams:
 
 def _check_square(M) -> tuple[np.ndarray, float]:
     """(M as a float array, its largest entry magnitude); ValueError unless
-    M is square with finite entries."""
+    M is square, nonempty and with finite entries."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
     amax = _max_abs(M)
     if not math.isfinite(amax):
         raise ValueError("matrix has non-finite entries")

@@ -350,7 +350,8 @@ def _newton_directions(solve, d: np.ndarray, x: np.ndarray, s: np.ndarray,
     adds (sigma mu - dx_aff ds_aff) / x on B, with sigma = (mu_aff / mu)^3 from
     the complementarity the predictor reaches at its longest feasible step.
     Returns (dx_aff, ds_aff, dx, ds, sigma); without orthant components
-    the predictor is the whole step and sigma is 0.
+    the predictor is the whole step and sigma is 0. IpmBreakdown when the
+    corrector's right-hand side is not finite.
     """
     h = -s
     dx_aff = solve(h - g)
@@ -361,7 +362,10 @@ def _newton_directions(solve, d: np.ndarray, x: np.ndarray, s: np.ndarray,
     t = min(1.0, _boundary_step(xb, dxb), _boundary_step(sb, dsb))
     mu_aff = float((xb + t * dxb) @ (sb + t * dsb)) / xb.size
     sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
-    h[B] += (sigma * mu - dxb * dsb) / xb
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the test below
+        h[B] += (sigma * mu - dxb * dsb) / xb
+    if not math.isfinite(_max_abs(h)):
+        raise IpmBreakdown("Newton corrector is not finite")
     dx = solve(h - g)
     return dx_aff, ds_aff, dx, h - d * dx, sigma
 

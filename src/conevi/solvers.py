@@ -17,7 +17,7 @@ squares problem (Lawson & Hanson).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.optimize
@@ -25,6 +25,12 @@ import scipy.optimize
 from .basis import DROP_TOL, Basis
 from .cones import SeparableCone, _norm, _positive_int, _vector
 from .operators import NotStronglyMonotone, Operator, _gamma, iteration_bound
+
+# the tolerance of every optimality certificate, relative to 1 + ||epsilon||
+# in the null-space test and to 1 + ||z_bar - x_bar|| in the normal-cone test
+_CERT_TOL = 1e-8
+# bound_report's allowance on each bound, for the solves' stopping tolerance
+_BOUND_SLACK = 1e-8
 
 __all__ = [
     "IntersectionProjectionFailed",
@@ -55,22 +61,20 @@ class SolveConfig:
     defaults to 100x the certified iteration bound when a contraction factor
     is available, else 10000. Every method starts from 0 (x = 0 for the exact
     and intersection methods, z = 0 for the two-projection method), which
-    lies in every separable cone. cert_tol, the certificate's tolerance, is
-    read by solve_galerkin only. alpha_override, tol and cert_tol must be
-    positive and finite, max_iter a positive integer.
+    lies in every separable cone. alpha_override and tol must be positive
+    and finite, max_iter a positive integer.
     """
 
     alpha_override: float | None = None
     tol: float = 1e-10
     max_iter: int | None = None
-    cert_tol: float = 1e-8
     trace: bool = False
 
     def __post_init__(self) -> None:
         if self.alpha_override is not None and not 0 < self.alpha_override < math.inf:
             raise ValueError("alpha_override must be positive and finite")
-        if not (0 < self.tol < math.inf and 0 < self.cert_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter is not None:
             self.max_iter = _positive_int(self.max_iter, "max_iter")
 
@@ -81,18 +85,18 @@ class OptimalityCertificate:
 
     epsilon is the residual that shifts -F(x_bar) into the normal cone;
     a valid certificate has epsilon (numerically) in null(Phi^T) and the
-    shifted direction passing the normal-cone test.
+    shifted direction passing the normal-cone test, both at the relative
+    tolerance _CERT_TOL.
     """
 
     epsilon: np.ndarray
     normal_cone_ok: bool
     null_space_violation: float
     complementarity_gap: float
-    cert_tol: float
 
     @property
     def valid(self) -> bool:
-        bound = self.cert_tol * (1.0 + _norm(self.epsilon))
+        bound = _CERT_TOL * (1.0 + _norm(self.epsilon))
         return self.normal_cone_ok and self.null_space_violation <= bound
 
 
@@ -282,23 +286,23 @@ def solve_galerkin(op: Operator, cone: SeparableCone, basis: Basis,
     rep = _fixed_point(update, np.zeros(cone.dim), cfg, gamma, alpha, observe=cone.project)
     rep.z = rep.x
     rep.x = cone.project(rep.z)
-    rep.certificate = certify(op, cone, basis, rep.x, rep.z, alpha, cfg.cert_tol)
+    rep.certificate = certify(op, cone, basis, rep.x, rep.z, alpha)
     return rep
 
 
 def certify(op: Operator, cone: SeparableCone, basis: Basis,
-            x_bar: np.ndarray, z_bar: np.ndarray, alpha: float,
-            cert_tol: float = 1e-8) -> OptimalityCertificate:
+            x_bar: np.ndarray, z_bar: np.ndarray, alpha: float) -> OptimalityCertificate:
     """Optimality certificate for an (approximate) Galerkin fixed point.
 
     Computes the residual eps = (z_bar - x_bar + alpha*F(x_bar)) / alpha and
     checks that eps lies in null(Phi^T) and that z_bar - x_bar is in the
-    normal cone at x_bar. Violations are reported, never raised. Norms of
-    eps are taken in units of its largest entry, so none overflows. alpha
-    and cert_tol must be positive and finite, as in SolveConfig.
+    normal cone at x_bar, both at the relative tolerance _CERT_TOL.
+    Violations are reported, never raised. Norms of eps are taken in units
+    of its largest entry, so none overflows. alpha must be positive and
+    finite, as in SolveConfig.
     """
-    if not (0 < alpha < math.inf and 0 < cert_tol < math.inf):
-        raise ValueError("alpha and cert_tol must be positive and finite")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     x_bar = _vector(x_bar, cone.dim, "x_bar")
     z_bar = _vector(z_bar, cone.dim, "z_bar")
     fx = op(x_bar)
@@ -306,7 +310,7 @@ def certify(op: Operator, cone: SeparableCone, basis: Basis,
     eps = eps_prime / alpha
     violation = _norm(basis.ortho.T @ eps)
     try:
-        normal_ok = cone.in_normal_cone(x_bar, z_bar - x_bar, cert_tol)
+        normal_ok = cone.in_normal_cone(x_bar, z_bar - x_bar, _CERT_TOL)
     except ValueError:
         normal_ok = False
     gap = abs(float(x_bar @ (fx - eps)))
@@ -315,12 +319,7 @@ def certify(op: Operator, cone: SeparableCone, basis: Basis,
         normal_cone_ok=normal_ok,
         null_space_violation=violation,
         complementarity_gap=gap,
-        cert_tol=cert_tol,
     )
-
-
-# bound_report's allowance on each bound, for the solves' stopping tolerance
-_BOUND_SLACK = 1e-8
 
 
 @dataclass
@@ -354,16 +353,19 @@ def bound_report(op: Operator, cone: SeparableCone, basis: Basis,
     The intersection method's bound uses ||P_{C&span}(x*) - x*|| / (1-gamma);
     the two-projection method's bound uses ||z* - P_span(z*)|| / (1-gamma)
     and covers both the z and x errors. Each comparison allows _BOUND_SLACK
-    = 1e-8 on top of the bound, for the solves' stopping tolerance. Solver
-    failures are reported as flags, not exceptions.
+    = 1e-8 on top of the bound, for the solves' stopping tolerance. cfg sets
+    the solves being measured; the reference x* is solved at cfg.tol or the
+    default tol, whichever is tighter. NotStronglyMonotone, before any
+    solve, unless gamma < 1. Solver failures are reported as flags, not
+    exceptions.
     """
     cfg = cfg or SolveConfig()
-    rep_exact = solve_exact(op, cone, cfg)
-    if not (rep_exact.gamma < 1.0):
+    alpha, gamma = _step_params(op, cfg)
+    if not gamma < 1.0:
         raise NotStronglyMonotone(op.beta)
-    gamma = rep_exact.gamma
+    rep_exact = solve_exact(op, cone, replace(cfg, tol=min(cfg.tol, SolveConfig.tol)))
     x_star = rep_exact.x
-    z_star = x_star - rep_exact.alpha * op(x_star)
+    z_star = x_star - alpha * op(x_star)
 
     rep_gal = solve_galerkin(op, cone, basis, cfg)
     bound_new = basis.representation_error(z_star) / (1.0 - gamma)

@@ -105,10 +105,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("method, flag, value", [
         ("ipm", "--trace", None),
-        ("ipm", "--cert-tol", "1e-8"),
         ("exact", "--basis", None),
-        ("exact", "--cert-tol", "1e-3"),
-        ("bertsekas", "--cert-tol", "1e-3"),
     ])
     def test_option_the_method_does_not_use_is_usage_error(
             self, method, flag, value, problem_file, basis_file, tmp_path, capsys):
@@ -123,6 +120,16 @@ class TestSolve:
         assert f"does not use {flag}" in captured.err
         assert captured.out == ""
         assert not trace.exists()
+
+    @pytest.mark.parametrize("method", ["exact", "bertsekas", "galerkin", "ipm"])
+    def test_cert_tol_is_not_an_option(self, method, problem_file, basis_file, capsys):
+        # the certificate's tolerance is fixed; argparse rejects the flag
+        code = main(["solve", "--method", method, "--problem", problem_file,
+                     "--basis", basis_file, "--cert-tol", "1e-8"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --cert-tol" in captured.err
+        assert captured.out == ""
 
     def test_ipm_options_reach_the_solver(self, problem_file, capsys):
         argv = ["solve", "--method", "ipm", "--problem", problem_file, "--format", "kv"]
@@ -218,20 +225,36 @@ class TestBounds:
         assert kv["verdict_bertsekas"] == "SKIPPED"
         assert "bound_bertsekas" not in kv
 
+    def test_reference_solve_ignores_a_looser_tol(self, tmp_path, capsys):
+        # --tol sets the solves being measured; x*, and with it bound_new,
+        # is solved at the default tol 1e-10 or tighter. At --tol 1e-2 a
+        # loose x* used to move bound_new from 53.47 to 51.53 here
+        out, bout = str(tmp_path / "f.vi"), str(tmp_path / "b.mat")
+        assert main(["gen", "--n", "40", "--k", "8", "--beta", "1", "--L", "4",
+                     "--seed", "7", "--out", out, "--basis-out", bout]) == 0
+        capsys.readouterr()
+        seen = set()
+        for tol in ("1e-10", "1e-6", "1e-2"):
+            assert main(["bounds", "--problem", out, "--basis", bout, "--format", "kv",
+                         "--tol", tol]) == 0
+            kv = kv_lines(capsys.readouterr().out)
+            seen.add((kv["bound_new"], kv["gamma"], kv["iters"]))
+        assert len(seen) == 1
+
 
 class TestCertify:
     def test_kv_keys(self, problem_file, basis_file, capsys):
-        # the null-space violation here is 2.4e-10: valid at the default
-        # cert_tol 1e-8, not at 1e-12
+        # the null-space violation is 2.4e-10 at the default tol, within the
+        # certificate's tolerance 1e-8, and 1.4e-6 at tol 1e-6, beyond it
         op, cone = parse_problem(PROBLEM)
         basis = orthonormalize(parse_basis(BASIS_FULL))
         argv = ["solve", "--method", "galerkin", "--problem", problem_file,
                 "--basis", basis_file, "--format", "kv"]
-        for tol, valid in ((None, "true"), (1e-12, "false")):
-            option = [] if tol is None else ["--cert-tol", repr(tol)]
+        for tol, valid in ((None, "true"), (1e-6, "false")):
+            option = [] if tol is None else ["--tol", repr(tol)]
             assert main(argv + option) == 0
             kv = kv_lines(capsys.readouterr().out)
-            cfg = SolveConfig() if tol is None else SolveConfig(cert_tol=tol)
+            cfg = SolveConfig() if tol is None else SolveConfig(tol=tol)
             cert = solve_galerkin(op, cone, basis, cfg).certificate
             assert kv["cert_normalcone"] == "true"
             assert float(kv["cert_nullspace"]) >= 0.0
@@ -383,7 +406,7 @@ class TestUsageErrors:
         ["--method", "exact", "--alpha", "inf"],
         ["--method", "ipm", "--tol", "inf"],
         ["--method", "ipm", "--alpha", "nan"],
-        ["--method", "galerkin", "--cert-tol", "nan"],
+        ["--method", "galerkin", "--tol", "nan"],
     ])
     def test_nonfinite_tolerance_is_usage_error(self, options, problem_file, basis_file,
                                                 capsys):

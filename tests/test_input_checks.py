@@ -10,6 +10,7 @@ from conevi import (
     SeparableCone,
     build_projective,
     eliminate_equalities,
+    lipschitz_constant,
     monotone_modulus,
     orthant,
     orthonormalize,
@@ -55,6 +56,14 @@ CASES = {
                                    ValueError, "square"),
     "monotone_modulus.nonsquare": (lambda: monotone_modulus(np.ones((2, 3))),
                                    ValueError, "square"),
+    # monotone_modulus raised IndexError on a 0x0 matrix, and lipschitz_constant
+    # returned 0 for it
+    "monotone_modulus.empty": (lambda: monotone_modulus(np.zeros((0, 0))),
+                               ValueError, "nonempty"),
+    "lipschitz_constant.empty": (lambda: lipschitz_constant(np.zeros((0, 0))),
+                                 ValueError, "nonempty"),
+    "AffineOperator.empty_M": (lambda: AffineOperator(np.zeros((0, 0)), np.zeros(0)),
+                               ValueError, "nonempty"),
     "SeparableCone.no_segments": (lambda: SeparableCone(()), ValueError, "segment"),
     "bench_ipm.repeats": (lambda: bench_ipm([4], 2, repeats=0), ValueError, "repeats"),
     "parse_problem.cone_spec": (lambda: parse_problem("VI1 2 nn:x\n1 0\n0 1\n0 0\n"),

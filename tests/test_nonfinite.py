@@ -29,7 +29,6 @@ BASIS = orthonormalize(np.eye(2))
 CASES = {
     "SolveConfig.alpha_override": lambda v: SolveConfig(alpha_override=v),
     "SolveConfig.tol": lambda v: SolveConfig(tol=v),
-    "SolveConfig.cert_tol": lambda v: SolveConfig(cert_tol=v),
     "IpmConfig.tol": lambda v: IpmConfig(tol=v),
     # tol is also the tolerance of the mu test and of the feasibility test,
     # which had a field each (mu_tol, feas_tol) before they were merged
@@ -39,8 +38,6 @@ CASES = {
     "SolveConfig.max_iter": lambda v: SolveConfig(max_iter=v),
     "build_projective.alpha": lambda v: build_projective(OP, BASIS, v),
     "certify.alpha": lambda v: certify(OP, orthant(2), BASIS, [1.0, 0.0], [1.0, 0.0], v),
-    "certify.cert_tol": lambda v: certify(OP, orthant(2), BASIS, [1.0, 0.0], [1.0, 0.0],
-                                          0.5, v),
     "SeparableCone.contains.tol": lambda v: orthant(2).contains([-5.0, 1.0], v),
     "SeparableCone.is_complementary.tol": lambda v: orthant(2).is_complementary(
         [1.0, 0.0], [0.0, 1.0], v),
@@ -63,10 +60,10 @@ def test_finite_values_still_accepted():
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0])
-@pytest.mark.parametrize("case", ["certify.alpha", "certify.cert_tol"])
+@pytest.mark.parametrize("case", ["certify.alpha"])
 def test_certify_rejects_nonpositive(case, value):
-    # alpha = 0 would divide by zero; a negative alpha or cert_tol would
-    # return a certificate for no step or no tolerance
+    # alpha = 0 would divide by zero; a negative alpha would return a
+    # certificate for no step
     with pytest.raises(ValueError):
         CASES[case](value)
 
@@ -114,7 +111,7 @@ OVERFLOW = {
         [1e200, 0.0], [0.0, 1e200], 1e-8), True),
     "orthant.in_normal_cone.true": (lambda: orthant(2).in_normal_cone(
         [1e200, 0.0], [0.0, -1e200], 1e-8), True),
-    # epsilon = z_bar: its span component 1e200 is far above cert_tol (1 + ||eps||)
+    # epsilon = z_bar: its span component 1e200 is far above 1e-8 (1 + ||eps||)
     "certify.valid": (lambda: certify(
         AffineOperator(np.eye(2), [0.0, 0.0]), zero(2), orthonormalize(np.eye(2)[:, :1]),
         [0.0, 0.0], [1e200, 1e200], 1.0).valid, False),

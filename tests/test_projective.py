@@ -904,6 +904,23 @@ class TestSolveIpm:
             with pytest.raises(IpmBreakdown, match="not finite"):
                 solve_ipm(plcp, cone, IpmConfig(tol=1e-30))
 
+    @pytest.mark.parametrize("form", ["lcp", "polyhedral"])
+    def test_unsolvable_lcp_breaks_without_warning(self, form):
+        # M = [[0, 1], [-1, 0]], q = (-1, -1) is monotone with no solution:
+        # the corrector's (sigma mu - dx ds) / x overflows. A breakdown, not a
+        # RuntimeWarning, solved directly and as the VI over {x : I x + 0 >= 0}
+        M, q = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([-1.0, -1.0])
+        if form == "lcp":
+            plcp, cone = ProjectiveLcp(None, M, q), orthant(2)
+        else:
+            layout = polyhedron_to_cone(PolyhedralVI(M, q, np.eye(2), np.zeros(2)))
+            cone = layout.cone
+            plcp = build_projective(layout.op, orthonormalize(np.eye(cone.dim)), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IpmBreakdown, match="corrector is not finite"):
+                solve_ipm(plcp, cone)
+
     def test_all_free_cone(self):
         # |V| = 0 < k': the Newton matrix is N at every step
         op, basis = generate_instance(30, 30, 1.0, 3.0, seed=65)

@@ -440,3 +440,18 @@ class TestBoundReport:
         with pytest.raises(NotStronglyMonotone):
             bound_report(op, orthant(2), orthonormalize(np.eye(2)),
                          SolveConfig(alpha_override=3.0))
+
+    def test_refused_before_any_solve(self):
+        # alpha = 1 gives gamma = 3.87 here; the exact solve used to run its
+        # 10000-step cap before the refusal
+        op, basis = generate_instance(40, 8, 1.0, 4.0, seed=7)
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return op(x)
+
+        counting = CallableOperator(counted, 40, beta=op.beta, lipschitz=op.lipschitz)
+        with pytest.raises(NotStronglyMonotone):
+            bound_report(counting, orthant(40), basis, SolveConfig(alpha_override=1.0))
+        assert calls == []
