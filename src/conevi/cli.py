@@ -8,6 +8,7 @@ problem), and 2 (usage or parse errors).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -193,8 +194,25 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument such as -1e-3 or -inf as a value, not an option.
+
+    argparse takes an argument that starts with "-" for an option unless it
+    is a plain decimal such as -0.5; here a "-" followed by a digit, ".",
+    "inf" or "nan" also starts a value, so `--alpha -1e-3` and `--tol -inf`
+    reach the same range check as `--alpha -0.5`. No option here starts
+    that way. The pattern replaces argparse's private test for negative
+    numbers; `tests/test_cli.py` runs both spellings. Subparsers are made
+    with the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conevi",
         description="Solvers for monotone variational inequalities and "
                     "complementarity problems over separable cones.",

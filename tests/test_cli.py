@@ -407,6 +407,9 @@ class TestUsageErrors:
         ["--method", "ipm", "--tol", "inf"],
         ["--method", "ipm", "--alpha", "nan"],
         ["--method", "galerkin", "--tol", "nan"],
+        # values that start with "-" and are not plain decimals
+        ["--method", "exact", "--alpha", "-1e-3"],
+        ["--method", "ipm", "--tol", "-inf"],
     ])
     def test_nonfinite_tolerance_is_usage_error(self, options, problem_file, basis_file,
                                                 capsys):

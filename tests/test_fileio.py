@@ -1,3 +1,7 @@
+import contextlib
+import os
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -187,9 +191,39 @@ def _outcome(parse, text):
 def _reference_outcome(parse, text):
     """_outcome on the line-numbered path alone, over text.splitlines()."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fileio, "_read_block", lambda lines, shape: None)
+        mp.setattr(fileio, "_read_block", lambda text, lines, shape: None)
         mp.setattr(fileio, "_content_lines", _splitlines_content_lines)
         return _outcome(parse, text)
+
+
+# where the parts reader forks; elsewhere it reads every part in this process
+FORKS = sys.version_info < (3, 12) and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+forking = pytest.mark.skipif(not FORKS, reason="the parts reader forks only before "
+                             "Python 3.12, where os.fork and os.sched_getaffinity exist")
+
+
+@contextlib.contextmanager
+def _counted_forks(cpus, min_chars=0):
+    """Texts of min_chars or more read in up to `cpus` parts where the parts
+    reader forks; yields the list that gets one entry per os.fork call."""
+    forks = []
+    fork = getattr(os, "fork", None)
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_PARTS_MIN_CHARS", min_chars)
+        if FORKS:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            mp.setattr(os, "fork", counted)
+        yield forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @st.composite
@@ -242,20 +276,40 @@ class TestStreamedReader:
         parse, text = case
         assert _outcome(parse, text) == _reference_outcome(parse, text)
 
+    def test_content_lines_between_bounds(self):
+        text = "a\r\nb\rc\n\n# d\ne"
+        assert list(fileio._content_lines(text, 3, 7)) == [(1, "b"), (2, "c")]
+        assert list(fileio._content_lines(text, 7)) == [(3, "e")]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="ab #\t" + "".join(SEPARATORS), max_size=40), st.data())
+    def test_bounded_content_lines_join_to_the_text(self, text, data):
+        cut = data.draw(st.sampled_from([0, len(text)] + [
+            i + 1 for i, char in enumerate(text) if char == "\n"]))
+        before = len(text[:cut].splitlines())
+        joined = list(fileio._content_lines(text, 0, cut)) + [
+            (lineno + before, line) for lineno, line in fileio._content_lines(text, cut)]
+        assert joined == list(_splitlines_content_lines(text))
+
     def test_peak_memory_below_matrix_plus_half_the_text(self):
-        # the lines are streamed into the C reader: no list of all lines
+        # the lines are streamed into the C reader: no list of all lines. In
+        # parts this process holds the result and its own part's rows; the
+        # child's rows are read from the pipe straight into the result
         rng = np.random.default_rng(74)
         n = 400
         op = AffineOperator(rng.standard_normal((n, n)), rng.standard_normal(n))
         text = write_problem(op, orthant(n))
-        tracemalloc.start()
-        try:
-            parsed, _ = parse_problem(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        np.testing.assert_array_equal(parsed.M, op.M)
-        assert peak < op.M.nbytes + len(text) / 2
+        for cpus in (1, 2):
+            with _counted_forks(cpus) as forks:
+                tracemalloc.start()
+                try:
+                    parsed, _ = parse_problem(text)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert len(forks) == (cpus - 1 if FORKS else 0)
+            np.testing.assert_array_equal(parsed.M, op.M)
+            assert peak < op.M.nbytes + len(text) / 2
 
     def test_well_formed_files_stay_on_the_c_reader(self, monkeypatch):
         # the per-row path is for malformed input; a good file read there
@@ -273,3 +327,144 @@ class TestStreamedReader:
         np.testing.assert_array_equal(parsed.M, op.M)
         np.testing.assert_array_equal(parsed.q, op.q)
         np.testing.assert_array_equal(parse_basis(basis), raw)
+
+
+# (text, its parts when cut in two, whether the per-row reader must run): a
+# cut right after "\r\n"; comment and blank lines on both sides of the cut;
+# no final line end; a child's part with no rows; a token the C reader
+# refuses and float() takes, and a bad token, each only in the child's part
+CUT_CASES = [
+    ("VI1 2 nn:2\r\n1 0\r\n0 1\r\n0 0\r\n",
+     ["VI1 2 nn:2\r\n1 0\r\n", "0 1\r\n0 0\r\n"], False),
+    ("VI1 2 nn:2\n# one\n\n1 0\n  \n# two\n# three\n\n0 1\n# four\n\n0 0\n\n# five\n",
+     ["VI1 2 nn:2\n# one\n\n1 0\n  \n# two\n# three\n",
+      "\n0 1\n# four\n\n0 0\n\n# five\n"], False),
+    ("BASIS1 3 2\n1 2\n3 4\n5 6", ["BASIS1 3 2\n1 2\n", "3 4\n5 6"], False),
+    ("BASIS1 2 1\n1\n2\n# one\n# two\n\n", ["BASIS1 2 1\n1\n2\n", "# one\n# two\n\n"], False),
+    ("VI1 2 nn:2\n1 0\n0 1\n0 1_0\n", ["VI1 2 nn:2\n1 0\n", "0 1\n0 1_0\n"], True),
+    ("VI1 2 nn:2\n1 0\n0 1\n0 x\n", ["VI1 2 nn:2\n1 0\n", "0 1\n0 x\n"], True),
+]
+
+
+@forking
+class TestPartsReader:
+    """Texts cut at "\n" and read by this process and forked children."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_files(), st.integers(2, 3))
+    def test_matches_line_numbered_path(self, case, cpus):
+        parse, text = case
+        with _counted_forks(cpus):
+            outcome = _outcome(parse, text)
+        assert outcome == _reference_outcome(parse, text)
+
+    @pytest.mark.parametrize("text, parts, per_row", CUT_CASES)
+    def test_cut_cases_match_line_numbered_path(self, text, parts, per_row, monkeypatch):
+        parse = parse_problem if text.startswith("VI1") else parse_basis
+        rows_read, parse_row = [], fileio._parse_row
+
+        def counted(*args):
+            rows_read.append(1)
+            return parse_row(*args)
+
+        monkeypatch.setattr(fileio, "_parse_row", counted)
+        with _counted_forks(2) as forks:
+            bounds = fileio._cuts(text)
+            outcome = _outcome(parse, text)
+        assert [text[i:j] for i, j in zip(bounds, bounds[1:])] == parts
+        assert forks == [1]
+        assert bool(rows_read) == per_row
+        assert outcome == _reference_outcome(parse, text)
+        _no_child_left()
+
+    @pytest.mark.parametrize("text, line", [
+        ("BASIS1 4 1\n1\n2\n3\n4\n", None),  # parsed
+        ("BASIS1 4 1\n1\n2\n3\nx\n", 5),  # the child's part is malformed
+        ("BASIS1 4 1\nx\n2\n3\n4\n", 2),  # this process's part is malformed
+    ])
+    def test_no_child_is_left(self, text, line):
+        with _counted_forks(2) as forks:
+            if line is None:
+                np.testing.assert_array_equal(parse_basis(text), [[1], [2], [3], [4]])
+            else:
+                with pytest.raises(ProblemFormatError) as exc:
+                    parse_basis(text)
+                assert exc.value.line == line
+        assert forks == [1]
+        _no_child_left()
+
+    def test_error_in_this_process_kills_the_children(self, monkeypatch):
+        # the children would take 10 s over their parts; they are killed, not
+        # waited for
+        parent, read_rows = os.getpid(), fileio._read_rows
+
+        def interrupted(lines, width):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(10)
+            return read_rows(lines, width)
+
+        monkeypatch.setattr(fileio, "_read_rows", interrupted)
+        start = time.monotonic()
+        with _counted_forks(3) as forks, pytest.raises(KeyboardInterrupt):
+            parse_basis("BASIS1 6 1\n" + "1\n" * 6)
+        assert time.monotonic() - start < 5
+        assert forks == [1, 1]
+        _no_child_left()
+
+    @pytest.mark.parametrize("fault", ["short send", "exit 3 after sending"])
+    def test_child_fault_falls_back_to_per_row_reader(self, fault, monkeypatch):
+        send, rows_read, parse_row = fileio._send, [], fileio._parse_row
+
+        def faulty(fd, array):
+            if array.dtype == np.int64:  # the shape goes first, unharmed
+                send(fd, array)
+            elif fault == "short send":
+                send(fd, array.ravel()[:1])
+            else:
+                send(fd, array)
+                os._exit(3)
+
+        def counted(*args):
+            rows_read.append(1)
+            return parse_row(*args)
+
+        monkeypatch.setattr(fileio, "_send", faulty)
+        monkeypatch.setattr(fileio, "_parse_row", counted)
+        with _counted_forks(2) as forks:
+            parsed = parse_basis("BASIS1 4 2\n1 2\n3 4\n5 6\n7 8\n")
+        np.testing.assert_array_equal(parsed, [[1, 2], [3, 4], [5, 6], [7, 8]])
+        assert forks == [1]
+        assert len(rows_read) == 4
+        _no_child_left()
+
+    def test_failed_fork_reads_every_part_here(self, monkeypatch):
+        def refused():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(fileio, "_parse_row", None)  # the C reader reads it all
+        with _counted_forks(3), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fork", refused)
+            parsed = parse_basis("BASIS1 4 1\n1\n2\n3\n4\n")
+        np.testing.assert_array_equal(parsed, [[1], [2], [3], [4]])
+        _no_child_left()
+
+    def test_long_file_is_read_in_parts(self, monkeypatch):
+        # above _PARTS_MIN_CHARS itself, not a patched bound: a fallback to
+        # one process or to the per-row reader would fail here
+        rows = np.random.default_rng(76).standard_normal((7, 4))
+        lines = "".join(" ".join(map(repr, row)) + "\n" for row in rows.tolist())
+        copies = fileio._PARTS_MIN_CHARS // len(lines) + 1
+        text = f"BASIS1 {7 * copies} 4\n" + lines * copies
+        monkeypatch.setattr(fileio, "_parse_row", None)
+        with _counted_forks(2, fileio._PARTS_MIN_CHARS) as forks:
+            parsed = parse_basis(text)
+        assert forks == [1]
+        assert parsed.tobytes() == np.tile(rows, (copies, 1)).tobytes()
+        _no_child_left()
+
+
+def test_python_3_12_reads_in_one_process(monkeypatch):
+    # there os.fork warns whenever other threads exist, as OpenBLAS's do
+    monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+    assert fileio._cpus() == 1
