@@ -18,7 +18,9 @@ N = alpha*M and r = alpha*q, which only rescale CP(Mx + q): the original CP
 is stored, Q as None and W as N = M itself, the operator's array, shared and
 not copied. The positive-definiteness check is then beta of N, with no
 product with Q and no n x n copy made at set-up. A polyhedral reduction
-(conevi.transforms) is such a full span, with k' = 2m + n.
+(conevi.transforms) on a full span keeps its operator as W instead: N is
+applied from its blocks M, A and E, each Newton step factors an (n + p)^2
+system formed from them, and no (2m + n + p)^2 array is made.
 """
 from __future__ import annotations
 
@@ -28,10 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsyrk
 
 from .basis import Basis
 from .cones import SeparableCone, _max_abs, _norm, _positive_int, _vector
 from .operators import AffineOperator, monotone_modulus
+from .transforms import _PolyhedralOperator
 
 __all__ = [
     "IpmBreakdown",
@@ -59,18 +63,19 @@ class ProjectiveLcp:
 
     ortho is the dense n x k' factor Q, and N = I + ortho @ W is never
     materialized: apply() costs O(n k'). ortho is None for a basis of rank
-    n, where W is N itself (n x n): build_projective stores the operator's
-    M there, shared and never written. Either way every Newton matrix is
+    n, where W is N itself: build_projective stores the operator's M there
+    (n x n, shared and never written), or a polyhedral reduction's operator,
+    which applies N from its blocks. Either way every Newton matrix is
     N + diag(D - 1).
     """
 
     ortho: np.ndarray | None
-    W: np.ndarray
+    W: np.ndarray | _PolyhedralOperator
     r: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.W.shape[1]
+        return self.r.size
 
     def apply(self, x) -> np.ndarray:
         """N @ x in O(n k')."""
@@ -130,16 +135,19 @@ def build_projective(op: AffineOperator, basis: Basis,
 
     A basis of rank n gives N = alpha M and r = alpha q, whose CP has the
     solutions of CP(Mx + q) for every alpha > 0: the original CP is returned
-    (ortho None, W = op.M itself, r = q) in O(n), whatever alpha is. Below rank
-    n, alpha defaults to op.contraction().alpha (NotStronglyMonotone when
-    beta = 0), and forming W = alpha Q^T M - Q^T is the only O(n^2 k') work.
+    (ortho None, W = op.M itself, r = q) in O(n), whatever alpha is; for a
+    polyhedral reduction (conevi.transforms) W is op, and op.M is not read.
+    Below rank n, alpha defaults to op.contraction().alpha
+    (NotStronglyMonotone when beta = 0), and forming W = alpha Q^T M - Q^T is
+    the only O(n^2 k') work.
     """
     if alpha is not None and not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     if basis.n != op.dim:
         raise ValueError(f"basis dimension {basis.n} != operator dimension {op.dim}")
     if basis.rank == basis.n:
-        return ProjectiveLcp(ortho=None, W=op.M, r=np.array(op.q))
+        W = op if isinstance(op, _PolyhedralOperator) else op.M
+        return ProjectiveLcp(ortho=None, W=W, r=np.array(op.q))
     if alpha is None:
         alpha = op.contraction().alpha
     Q = basis.ortho
@@ -160,10 +168,12 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
     eigenvalue of sym C is the monotone modulus of C (see
     conevi.operators).
     On a full span (ortho is None) W is N itself, and the result is its
-    monotone modulus lambda_min(sym N), with no QR: op.beta when W is op.M.
-    With k' = 0, N = I and the result is 1.
+    monotone modulus lambda_min(sym N), with no QR: op.beta when W is op.M
+    or a polyhedral reduction's op. With k' = 0, N = I and the result is 1.
     """
     Q = plcp.ortho
+    if isinstance(plcp.W, _PolyhedralOperator):
+        return plcp.W.beta
     if Q is None:
         return monotone_modulus(plcp.W)
     if not plcp.W.shape[0]:
@@ -204,73 +214,67 @@ def _over_diagonal(N: np.ndarray, D: np.ndarray) -> np.ndarray:
     return G
 
 
-def _slack_pairs(N: np.ndarray, fixed: np.ndarray) -> np.ndarray | None:
-    """The columns c of N's slack pairs, or None when N lacks the pattern.
+def _reduction_factor(
+        op: _PolyhedralOperator) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """factor(D) for a polyhedral reduction's N, D = 1 on every row but the
+    slacks s: the solve of (N + diag(D - 1)) y = b from N's blocks.
 
-    The pattern, checked in O(n |V|) from N's entries for the rows
-    V = ~fixed (at least one): row V[j] of N is e_c[j] and column V[j] is
-    -e_c[j], the c[j] are distinct fixed rows, and N[c, c] = 0. A polyhedral
-    reduction has it, with V the slacks and c their multipliers (see
-    conevi.transforms), also after eliminate_equalities.
+    With d = D_s - 1, the rows of y = (y_s, y_x, y_lambda, y_mu) read
+    y_lambda + d y_s = b_s, M y_x - A^T y_lambda - E^T y_mu = b_x,
+    A y_x - y_s = b_lambda and E y_x = b_mu (see conevi.transforms).
+    Eliminating y_s = A y_x - b_lambda and y_lambda = b_s - d y_s leaves
+    [[K, -E^T], [E, 0]] (y_x, y_mu) = (b_x + A^T (b_s + d b_lambda), b_mu),
+    an (n + p)^2 system with K = M + A^T diag(d) A formed by one SYRK on
+    diag(sqrt(d)) A. A pinned slack (D = inf) has y_s = 0; its row of A
+    borders K next to E, and its y_lambda is solved with y_x. The finish,
+    with d = 0 on every other slack, forms no product: K = M. Both
+    eliminations pivot on +-I, so the system is singular exactly when
+    N + diag(D - 1) is; IpmBreakdown then, or when it or the solve
+    overflows. D must be >= 1 on the slacks.
     """
-    V = np.flatnonzero(~fixed)
-    if not V.size:
-        return None
-    j = np.arange(V.size)
-    rows = N[V]
-    c = rows.argmax(axis=1)
-    if (np.count_nonzero(rows) != V.size or not np.all(rows[j, c] == 1.0)
-            or not fixed[c].all() or np.unique(c).size != V.size):
-        return None
-    cols = N[:, V]
-    if np.count_nonzero(cols) != V.size or not np.all(cols[c, j] == -1.0):
-        return None
-    return None if np.any(N[np.ix_(c, c)]) else c
-
-
-def _pair_factor(N: np.ndarray, fixed: np.ndarray,
-                 c: np.ndarray) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """factor(D) for N with the slack pairs (V, c) of _slack_pairs: the solve
-    of (N + diag(D - 1)) y = b, by eliminating each pair exactly.
-
-    With d = D_V - 1, row V[j] reads y_c[j] + d_j y_V[j] = b_V[j] and row c[j]
-    reads -y_V[j] + N[c[j], R] y_R = b_c[j]; no other row meets y_V. On the
-    remaining rows R this leaves K y_R = b_R - N[R, c](b_V + d b_c) with
-    K = N[R, R] - N[R, c] diag(d) N[c, R], M + A^T diag(d) A on a reduction.
-    A pinned row (D = inf) drops out with y_V[j] = 0, and c[j] joins R as an
-    equality row. Both eliminations pivot on +-I, so K is singular exactly
-    when N + diag(D - 1) is; IpmBreakdown then, or when K overflows. The
-    blocks of N with no row pinned, those of every Newton step, are taken
-    once here.
-    """
-    V = np.flatnonzero(~fixed)
-
-    def blocks(pinned: np.ndarray) -> tuple:
-        keep = fixed.copy()
-        keep[c[~pinned]] = False
-        R, cv = np.flatnonzero(keep), c[~pinned]
-        N_R = N[R]  # rows first: a gather of whole rows is the cheap one
-        return R, N_R[:, R], N_R[:, cv], N[cv][:, R]
-
-    unpinned = blocks(np.zeros(V.size, dtype=bool))
+    M, A, E = op.M_x, op.A, op.E
+    m, n = A.shape
+    x, lam, mu = slice(m, m + n), slice(m + n, 2 * m + n), slice(2 * m + n, None)
+    all_rows = slice(None)
 
     def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        pinned = np.isinf(D[V])
-        R, N_RR, N_Rc, N_cR = blocks(pinned) if pinned.any() else unpinned
-        v, cv = V[~pinned], c[~pinned]
-        d = D[v] - 1.0
+        d = D[:m] - 1.0
+        pinned = np.isinf(d)
+        if pinned.any():
+            kept = ~pinned
+            A_k, d_k, border = A[kept], d[kept], np.vstack([A[pinned], E])
+        else:
+            kept, A_k, d_k, border = all_rows, A, d, E
+        k, n_pin = border.shape[0], border.shape[0] - E.shape[0]
+        K = np.empty((n + k, n + k))
         with np.errstate(over="ignore", invalid="ignore"):
-            K = N_RR - (N_Rc * d) @ N_cR
+            if d_k.any():
+                G = dsyrk(1.0, (A_k * np.sqrt(d_k)[:, None]).T, lower=1)
+                np.add(M, G, out=K[:n, :n])
+                G[np.diag_indices(n)] = 0.0
+                K[:n, :n] += G.T  # G's lower triangle, mirrored
+            else:
+                K[:n, :n] = M
+        K[:n, n:] = -border.T
+        K[n:, :n] = border
+        K[n:, n:] = 0.0
         if not math.isfinite(_max_abs(K)):
             raise IpmBreakdown("Newton system is not finite")
         solve_K = _lu(K)
 
         def solve(b: np.ndarray) -> np.ndarray:
-            y = np.zeros(b.size)
+            b_s, b_lam = b[:m], b[lam]
+            y = np.empty(b.size)
+            y_s, y_lam = y[:m], y[lam]
             with np.errstate(over="ignore", invalid="ignore"):
-                y[R] = solve_K(b[R] - N_Rc @ (b[v] + d * b[cv]))
-                y[v] = N_cR @ y[R] - b[cv]
-                y[cv] = b[v] - d * y[v]
+                z = solve_K(np.concatenate([b[x] + (b_s[kept] + d_k * b_lam[kept]) @ A_k,
+                                            b_lam[pinned], b[mu]]))
+                y[x] = z[:n]
+                y_lam[pinned] = z[n:n + n_pin]
+                y[mu] = z[n + n_pin:]
+                y_s[pinned] = 0.0
+                y_s[kept] = A_k @ z[:n] - b_lam[kept]
+                y_lam[kept] = b_s[kept] - d_k * y_s[kept]
             if not math.isfinite(_max_abs(y)):
                 raise IpmBreakdown("Newton solve is not finite")
             return y
@@ -280,7 +284,7 @@ def _pair_factor(N: np.ndarray, fixed: np.ndarray,
     return factor
 
 
-def _newton(Q: np.ndarray | None, W: np.ndarray,
+def _newton(Q: np.ndarray | None, W: np.ndarray | _PolyhedralOperator,
             fixed: np.ndarray) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """factor(D) for the Newton matrices N + diag(D - 1) of one solve, with
     D = 1 on the rows `fixed` and >= 1 on V = ~fixed: it factors one system
@@ -292,29 +296,33 @@ def _newton(Q: np.ndarray | None, W: np.ndarray,
     route is chosen here, once per solve; each D then factors:
     - a dense Q: the k'xk' G(D), in O(n k'^2 + k'^3), for any positive D;
     - Q with k' = 0: nothing, N = I;
-    - Q = None and N with slack pairs (_slack_pairs, a polyhedral reduction):
-      each pair is eliminated exactly, and K on the other rows R is formed
-      and factored in O(|R|^2 |V| + |R|^3) (see _pair_factor);
-    - any other Q = None: G(D), n x n, formed from N in O(n^2) and factored
-      in O(n^3), whichever rows are fixed.
+    - Q = None and an array N: G(D), n x n, formed from N in O(n^2) and
+      factored in O(n^3), whichever rows are fixed;
+    - Q = None and a polyhedral reduction's operator, with only its slack
+      rows in V: [[M + A^T diag(d) A, -E^T], [E, 0]], (n + p)^2, formed from
+      its blocks in O(n^2 m) and factored in O((n + p)^3) (see
+      _reduction_factor); with other rows in V, the direct route on its
+      dense N.
     IpmBreakdown on a D that is not positive (NaN included) or an exactly
     singular system.
     """
-    pair_factor = None
-    if Q is not None and W.shape[0]:
+    if isinstance(W, _PolyhedralOperator) and not fixed[W.m:].all():
+        W = W.M  # rows besides the slacks vary: the direct route on the dense N
+    reduction_factor = None
+    if isinstance(W, _PolyhedralOperator):
+        reduction_factor = _reduction_factor(W)
+    elif Q is not None and W.shape[0]:
         small = lambda D: _lu(_plus_identity(W @ (Q * (1.0 / D)[:, None])))
     elif Q is not None:  # k' = 0: N = I
         small = lambda D: lambda c: c
-    elif fixed.any() and (pairs := _slack_pairs(W, fixed)) is not None:
-        pair_factor = _pair_factor(W, fixed, pairs)
     else:
         small = lambda D: _lu(_over_diagonal(W, D))
 
     def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         if not np.all(D > 0):
             raise IpmBreakdown("diagonal lost positivity")
-        if pair_factor is not None:
-            return pair_factor(D)
+        if reduction_factor is not None:
+            return reduction_factor(D)
         solve_small = small(D)
         if Q is None:
             return lambda b: solve_small(b) / D
@@ -411,9 +419,9 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
     sigma = (mu_aff / mu)^3. The Newton diagonal D = 1 + s/x is 1 on the
     free components F and >= 1 on the orthant ones, so _newton(Q, W, F),
     made once per solve, sets the system each step factors: k'xk' for a
-    dense Q; on a polyhedral reduction, whose slack pairs it eliminates,
-    the system on the rows left; on any other full span n x n (its
-    docstring has the costs). A common primal-dual step length with the
+    dense Q; (n + p)^2 for a polyhedral reduction's operator, formed from
+    its blocks; n x n for any other full span (its docstring has the
+    costs). A common primal-dual step length with the
     fraction-to-boundary rule keeps the linear residual shrinking by
     (1 - step) each iteration.
 

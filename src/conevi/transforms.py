@@ -5,7 +5,7 @@ variables.
 The polyhedral reduction composes two steps: introduce slacks s >= 0 with
 Ax - s + b = 0 (x free), then eliminate that equality with multipliers
 lambda through eliminate_equalities. In variable order (s, x, lambda) the
-assembled operator is
+operator is
 
     [[0,    0,  I ],        (0,)
      [0,    M, -A^T],  u +  (q,)
@@ -13,21 +13,28 @@ assembled operator is
 
 over the cone NonNeg(m) x Free(n) x Free(m). The symmetric part of the
 block matrix is diag(0, (M+M^T)/2, 0), so the transform preserves
-monotonicity but never strong monotonicity: layout.op.beta is 0 up to
-rounding, the contraction solvers refuse it, and the interior-point path
-(which only needs monotonicity) applies. Its Newton steps eliminate the
-slack pairs (s_i, lambda_i), the I and -I blocks above, also after
-eliminate_equalities appends equality rows; projective._newton states the
-system each step then factors.
+monotonicity but never strong monotonicity: layout.op.beta is 0 or below,
+the contraction solvers refuse it, and the interior-point path (which only
+needs monotonicity) applies.
+
+The reduction's operator keeps M, A, q and b as they are, and so do the
+equality rows E x = e that a later eliminate_equalities puts on the x block
+alone (the variables are then (s, x, lambda, mu)). It applies the block
+matrix and finds beta in O(n^2 + mn + pn) for p equality rows; the dense
+(2m + n + p)^2 array is written only when a caller reads op.M.
+conevi.projective keeps the operator for a full-span basis, and each
+interior-point Newton step factors an (n + p)^2 system formed from the
+blocks (projective._newton states it).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cones import SegmentKind, Segment, SeparableCone, _finite, _vector
-from .operators import AffineOperator
+from .operators import AffineOperator, monotone_modulus
 
 __all__ = [
     "PolyhedralVI",
@@ -77,12 +84,83 @@ class ConicProgramLayout:
         return np.asarray(vector)[lo:hi]
 
 
+class _PolyhedralOperator(AffineOperator):
+    """F(u) = N u + q of a polyhedral reduction, kept as its blocks.
+
+    On u = (s, x, lambda, mu) with sizes (m, n, m, p),
+
+        N u = (lambda, M x - A^T lambda - E^T mu, A x - s, E x),
+
+    E the p x n equality rows on x (p = 0 when there are none). M, A and E
+    are shared, not copied. N u, F(u) and beta cost O(n^2 + mn + pn). The
+    dense N is written on the first read of .M: the blocks in a zero array,
+    and E as eliminate_equalities' dense form writes it, whose -E^T leaves
+    -0.0 in the rows off x. L is computed from it.
+    """
+
+    def __init__(self, M_x: np.ndarray, A: np.ndarray, E: np.ndarray, q: np.ndarray):
+        self.M_x, self.A, self.E, self.q = M_x, A, E, q
+        self.m, self.n = A.shape
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.m + self.n + self.E.shape[0]
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        m, n = self.m, self.n
+        s, x, lam, mu = u[:m], u[m:m + n], u[m + n:2 * m + n], u[2 * m + n:]
+        out = np.empty(self.dim)
+        out[:m] = lam
+        stationary = self.M_x @ x
+        stationary -= lam @ self.A
+        stationary -= mu @ self.E
+        out[m:m + n] = stationary
+        out[m + n:2 * m + n] = self.A @ x - s
+        out[2 * m + n:] = self.E @ x
+        return out
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self @ _vector(x, self.dim, "x") + self.q
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        m, n = self.m, self.n
+        k = 2 * m + n
+        x, lam = slice(m, m + n), slice(m + n, k)
+        big = np.zeros((self.dim, self.dim))
+        big[x, x] = self.M_x
+        big[x, lam] = -self.A.T
+        big[lam, x] = self.A
+        i = np.arange(m)
+        big[i, m + n + i] = 1.0
+        big[m + n + i, i] = -1.0
+        if self.E.shape[0]:
+            big[:k, k:] = -0.0  # eliminate_equalities writes -E^T of E's zeros
+            big[x, k:] = -self.E.T
+            big[k:, x] = self.E
+        return big
+
+    @cached_property
+    def beta(self) -> float:
+        """min(0, beta of M): the symmetric part of N is diag(0, sym M, 0)."""
+        return min(0.0, monotone_modulus(self.M_x))
+
+
+def _positive_zeros(a: np.ndarray) -> bool:
+    """Whether every entry of a is +0.0 (no -0.0 either)."""
+    return not (a.any() or np.signbit(a).any())
+
+
 def eliminate_equalities(op: AffineOperator, A, b, cone: SeparableCone) -> ConicProgramLayout:
     """Replace the equality constraints Ax = b by Lagrange multipliers.
 
     The output operates on (y, lambda) with matrix [[M, -A^T], [A, 0]] and
     offset (q, -b), over cone x Free(m). ValueError naming A or b when it
     has the wrong shape or a NaN or infinite entry.
+
+    On the operator of polyhedron_to_cone, rows that are +0.0 off its x
+    block are kept as the p x n equality rows on x, and no dense matrix is
+    formed; any other op is assembled densely.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = op.dim
@@ -103,17 +181,22 @@ def eliminate_equalities(op: AffineOperator, A, b, cone: SeparableCone) -> Conic
             variable_map={"y": (0, n), "lambda": (n, n)},
         )
 
+    big_q = np.concatenate([op.q, -b])
+    big_cone = SeparableCone(cone.segments + (Segment(SegmentKind.FREE, m),))
+    variable_map = {"y": (0, n), "lambda": (n, n + m)}
+    if isinstance(op, _PolyhedralOperator) and not op.E.shape[0]:
+        x = slice(op.m, op.m + op.n)
+        if _positive_zeros(A[:, :x.start]) and _positive_zeros(A[:, x.stop:]):
+            return ConicProgramLayout(cone=big_cone,
+                                      op=_PolyhedralOperator(op.M_x, op.A, A[:, x].copy(), big_q),
+                                      variable_map=variable_map)
+
     big_M = np.zeros((n + m, n + m))
     big_M[:n, :n] = op.M
     big_M[:n, n:] = -A.T
     big_M[n:, :n] = A
-    big_q = np.concatenate([op.q, -b])
-    big_cone = SeparableCone(cone.segments + (Segment(SegmentKind.FREE, m),))
-    return ConicProgramLayout(
-        cone=big_cone,
-        op=AffineOperator(big_M, big_q),
-        variable_map={"y": (0, n), "lambda": (n, n + m)},
-    )
+    return ConicProgramLayout(cone=big_cone, op=AffineOperator(big_M, big_q),
+                              variable_map=variable_map)
 
 
 def polyhedron_to_cone(p: PolyhedralVI) -> ConicProgramLayout:
@@ -124,8 +207,9 @@ def polyhedron_to_cone(p: PolyhedralVI) -> ConicProgramLayout:
     Mx + q = A^T lambda with lambda >= 0, and s^T lambda = 0.
     The result is that of the slack step, diag(0, M) and (0, q) on (s, x)
     over NonNeg(m) x Free(n), followed by eliminate_equalities on
-    [-I, A] (s, x) = -b; the block matrix is written into one zero array,
-    with no intermediate of size (m + n)^2 and no identity matrix.
+    [-I, A] (s, x) = -b. With m >= 1 op keeps M and A as blocks (see the
+    module docstring), and set-up costs O(m + n); with m = 0 it is the
+    AffineOperator of M and q.
     """
     n = p.M.shape[0]
     m = p.A.shape[0]
@@ -136,18 +220,11 @@ def polyhedron_to_cone(p: PolyhedralVI) -> ConicProgramLayout:
             variable_map={"s": (0, 0), "x": (0, n), "lambda": (n, n)},
         )
 
-    x, lam = slice(m, m + n), slice(m + n, m + n + m)
-    M = np.zeros((2 * m + n, 2 * m + n))
-    M[x, x] = p.M
-    M[x, lam] = -p.A.T
-    M[lam, x] = p.A
-    i = np.arange(m)
-    M[i, m + n + i] = 1.0
-    M[m + n + i, i] = -1.0
     cone = SeparableCone((Segment(SegmentKind.NONNEGATIVE, m), Segment(SegmentKind.FREE, n),
                           Segment(SegmentKind.FREE, m)))
     return ConicProgramLayout(
         cone=cone,
-        op=AffineOperator(M, np.concatenate([np.zeros(m), p.q, p.b])),
+        op=_PolyhedralOperator(p.M, p.A, np.zeros((0, n)),
+                               np.concatenate([np.zeros(m), p.q, p.b])),
         variable_map={"s": (0, m), "x": (m, m + n), "lambda": (m + n, m + n + m)},
     )

@@ -24,7 +24,12 @@ from conevi.projective import (
     verify_pd,
 )
 from conevi.solvers import SolveConfig, solve_galerkin
-from conevi.transforms import PolyhedralVI, eliminate_equalities, polyhedron_to_cone
+from conevi.transforms import (
+    PolyhedralVI,
+    _PolyhedralOperator,
+    eliminate_equalities,
+    polyhedron_to_cone,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -70,6 +75,34 @@ def polyhedral_problem(n=10, seed=64):
     layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, A, b))
     return (build_projective(layout.op, orthonormalize(np.eye(layout.cone.dim)), 1.0),
             layout.cone)
+
+
+@pytest.fixture
+def poly_instance(monkeypatch):
+    """The polyhedral_ipm workload's instance recipe, perfbench/inputs.py's
+    poly_instance(seed, i), imported without writing bytecode there."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        return importlib.import_module("inputs").poly_instance
+    finally:
+        sys.modules.pop("inputs", None)
+
+
+def benchmark_problem(arrays):
+    """The polyhedral_ipm worker's reduced problem and cone for one instance's
+    arrays: polyhedron_to_cone, the equality rows E x = e (when given) on the
+    x block through eliminate_equalities, and the identity basis."""
+    layout = polyhedron_to_cone(PolyhedralVI(arrays["M"], arrays["q"], arrays["A"],
+                                             arrays["b"]))
+    op, cone = layout.op, layout.cone
+    if "E" in arrays:
+        m, n = arrays["A"].shape
+        E = np.zeros((arrays["E"].shape[0], cone.dim))
+        E[:, m:m + n] = arrays["E"]
+        eq = eliminate_equalities(op, E, arrays["e"], cone)
+        op, cone = eq.op, eq.cone
+    return build_projective(op, orthonormalize(np.eye(cone.dim)), 1.0), cone
 
 
 def full_spans(n, rng):
@@ -554,14 +587,15 @@ class TestWoodbury:
 
 
 class TestSlackPairs:
-    """The Newton route of a polyhedral reduction: each slack pair is
-    eliminated, and the system on the remaining rows R is factored."""
+    """The Newton route of a polyhedral reduction's operator: each slack pair
+    (s_i, lambda_i) is eliminated, and the (n + p)^2 system on (x, mu) is
+    formed from the operator's blocks and factored."""
 
     @staticmethod
     def reduction(n, p, seed):
-        """N and the fixed (free) rows of a reduction with n variables,
-        m = n inequality rows and p equality rows, in the order (s, x,
-        lambda, mu); V = the m slack rows, c = the m multipliers lambda."""
+        """The operator and the fixed (free) rows of a reduction with n
+        variables, m = n inequality rows and p equality rows, in the order
+        (s, x, lambda, mu)."""
         rng = np.random.default_rng(seed)
         op, _ = generate_instance(n, 2, 1.0, 2.0, seed=seed)
         layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, rng.standard_normal((n, n)),
@@ -572,7 +606,8 @@ class TestSlackPairs:
             E[:, n:2 * n] = rng.standard_normal((p, n))
             eq = eliminate_equalities(op, E, np.zeros(p), cone)
             op, cone = eq.op, eq.cone
-        return op.M, cone.free_mask
+        assert isinstance(op, _PolyhedralOperator)
+        return op, cone.free_mask
 
     @staticmethod
     def backward_error(K, y, b):
@@ -586,26 +621,29 @@ class TestSlackPairs:
         # 24 decades: each factor is one (n + p)x(n + p) system, M + A^T D A
         # bordered by the equality rows
         n = 60
-        N, fixed = self.reduction(n, p, seed=73)
+        op, fixed = self.reduction(n, p, seed=73)
         rng = np.random.default_rng(74)
         factored = record_factorizations(monkeypatch)
-        factor = _newton(None, N, fixed)
+        factor = _newton(None, op, fixed)
         assert factored == []
         for _ in range(10):
             D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-12, 12, fixed.size))
             rhs = rng.standard_normal(fixed.size) * D ** rng.uniform(0, 1, fixed.size)
             y = factor(D)(rhs)
-            assert self.backward_error(N + np.diag(D - 1.0), y, rhs) <= 1e-14
+            assert self.backward_error(op.M + np.diag(D - 1.0), y, rhs) <= 1e-14
         assert factored == [(n + p, n + p)] * 10
 
     @pytest.mark.parametrize("p", [0, 8])
-    def test_infinite_diagonal_pins_rows_to_zero(self, p):
+    def test_infinite_diagonal_pins_rows_to_zero(self, monkeypatch, p):
         # the finish's D: inf on a guessed active set A of slack rows and 1
-        # elsewhere, and the same A with a spread D on the other slack rows
+        # elsewhere, and the same A with a spread D on the other slack rows;
+        # the pinned rows of A border the system next to the equality rows
         n = 30
-        N, fixed = self.reduction(n, p, seed=75)
+        op, fixed = self.reduction(n, p, seed=75)
+        N = op.M
         rng = np.random.default_rng(76)
-        factor = _newton(None, N, fixed)
+        factored = record_factorizations(monkeypatch)
+        factor = _newton(None, op, fixed)
         for _ in range(5):
             active = ~fixed & (rng.random(fixed.size) < 0.5)
             keep = ~active
@@ -613,7 +651,9 @@ class TestSlackPairs:
                 D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-spread, spread, fixed.size))
                 D[active] = np.inf
                 rhs = rng.standard_normal(fixed.size)
+                factored.clear()
                 y = factor(D)(rhs)
+                assert factored == [(n + p + active.sum(),) * 2]
                 assert np.all(y[active] == 0.0)
                 K = (N + np.diag(np.where(keep, D, 1.0) - 1.0))[np.ix_(keep, keep)]
                 assert self.backward_error(K, y[keep], rhs[keep]) <= 1e-14
@@ -623,8 +663,9 @@ class TestSlackPairs:
 
     @staticmethod
     def near_misses(N, n):
-        """Copies of the reduction's N (p = 0) that each break the pattern
-        in one place: rows V = 0..n-1, paired with c = 2n..3n-1."""
+        """Copies of the reduction's dense N (p = 0) that each break the
+        slack-pair pattern in one place: rows V = 0..n-1, paired with
+        c = 2n..3n-1."""
         V, c, x = 0, 2 * n, n
         second_entry, coefficient, coupled, column, repeated = (N.copy() for _ in range(5))
         second_entry[V, x] = 0.5  # a second nonzero in an orthant row
@@ -637,36 +678,69 @@ class TestSlackPairs:
         return second_entry, coefficient, coupled, column, repeated
 
     def test_near_misses_take_the_direct_route(self, monkeypatch):
+        # an array N is never searched for slack pairs: the reduction's dense
+        # N itself and each near miss factor the n x n G(D)
         n = 12
-        N, fixed = self.reduction(n, 0, seed=77)
+        op, fixed = self.reduction(n, 0, seed=77)
         rng = np.random.default_rng(78)
         factored = record_factorizations(monkeypatch)
-        for near in self.near_misses(N, n):
+        for dense in (op.M, *self.near_misses(op.M, n)):
             factored.clear()
-            factor = _newton(None, near, fixed)
+            factor = _newton(None, dense, fixed)
             D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-3, 3, fixed.size))
             rhs = rng.standard_normal(fixed.size)
             y = factor(D)(rhs)
             assert factored == [(3 * n, 3 * n)]  # G(D), formed from N
-            assert self.backward_error(near + np.diag(D - 1.0), y, rhs) <= 1e-14
+            assert self.backward_error(dense + np.diag(D - 1.0), y, rhs) <= 1e-14
+
+    def test_other_varying_rows_take_the_direct_route(self, monkeypatch):
+        # D varies on an x row as well as on the slacks (the reduction over
+        # another cone): the operator's dense N, factored n x n
+        n = 12
+        op, fixed = self.reduction(n, 0, seed=77)
+        fixed = fixed.copy()
+        fixed[n] = False
+        rng = np.random.default_rng(80)
+        factored = record_factorizations(monkeypatch)
+        D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-3, 3, fixed.size))
+        rhs = rng.standard_normal(fixed.size)
+        y = _newton(None, op, fixed)(D)(rhs)
+        assert factored == [(3 * n, 3 * n)]
+        assert self.backward_error(op.M + np.diag(D - 1.0), y, rhs) <= 1e-14
 
     def test_overflowing_system_breaks_without_warning(self):
         # a D_V so large that M + A^T D A overflows, and one with which only
         # the right-hand side's d b_c does: a breakdown, not a RuntimeWarning
         n = 10
-        N, fixed = self.reduction(n, 0, seed=79)
-        factor = _newton(None, N, fixed)
+        op, fixed = self.reduction(n, 0, seed=79)
+        factor = _newton(None, op, fixed)
         D = np.where(fixed, 1.0, 2.0)
         rhs = np.ones(fixed.size)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.abs(N[2 * n, n:2 * n]).max() > 1.0  # row 0 of A
+            assert np.abs(op.A[0]).max() > 1.0
             D[0] = np.finfo(float).max
             with pytest.raises(IpmBreakdown, match="system is not finite"):
                 factor(D)
             D[~fixed], rhs[2 * n] = 1e300, 1e10
             with pytest.raises(IpmBreakdown, match="solve is not finite"):
                 factor(D)(rhs)
+
+    def test_huge_slack_diagonal_breaks_without_warning(self):
+        # d = 1e300 on one slack row and 1 on the others: M + A^T diag(d) A
+        # loses M's entries to rounding next to d a a^T, and its LU meets an
+        # exact zero pivot though N + diag(D - 1) has full rank (ROADMAP
+        # item 6). A breakdown, not a RuntimeWarning
+        n = 10
+        op, fixed = self.reduction(n, 0, seed=79)
+        D = np.where(fixed, 1.0, 2.0)
+        D[0] = 1e300
+        # full rank: row 0 scaled by 1/D_0 is about e_0
+        assert np.linalg.matrix_rank((op.M + np.diag(D - 1.0)) / D[:, None]) == 3 * n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IpmBreakdown, match="singular 10x10 Newton system"):
+                _newton(None, op, fixed)(D)
 
     @pytest.mark.parametrize("n, seed", [(10, 64), (10, 3), (20, 4)])
     def test_unreachable_tolerance_ends_without_warning(self, n, seed):
@@ -681,36 +755,48 @@ class TestSlackPairs:
                 return
         assert not rep.converged and rep.iterations == IpmConfig().max_iter
 
-    def test_benchmark_instances_match_the_direct_route(self, monkeypatch):
+    def test_benchmark_instances_match_the_direct_route(self, poly_instance):
         # the polyhedral_ipm workload's seed-1 instances, two with equality
-        # rows, against the same solves with the pattern refused
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
-        try:
-            poly_instance = importlib.import_module("inputs").poly_instance
-        finally:
-            sys.modules.pop("inputs", None)
-        problems = []
+        # rows, against the same problems given as their dense N, which the
+        # direct route factors n x n
         for i in range(4):
-            arrays = poly_instance(1, i)
-            layout = polyhedron_to_cone(PolyhedralVI(arrays["M"], arrays["q"], arrays["A"],
-                                                     arrays["b"]))
-            op, cone = layout.op, layout.cone
-            if "E" in arrays:
-                m, n = arrays["A"].shape
-                E = np.zeros((arrays["E"].shape[0], cone.dim))
-                E[:, m:m + n] = arrays["E"]
-                eq = eliminate_equalities(op, E, arrays["e"], cone)
-                op, cone = eq.op, eq.cone
-            problems.append((build_projective(op, orthonormalize(np.eye(cone.dim))), cone))
-        pairs = [solve_ipm(plcp, cone) for plcp, cone in problems]
-        monkeypatch.setattr(projective, "_slack_pairs", lambda N, fixed: None)
-        for (plcp, cone), got in zip(problems, pairs):
-            ref = solve_ipm(plcp, cone)
+            plcp, cone = benchmark_problem(poly_instance(1, i))
+            assert isinstance(plcp.W, _PolyhedralOperator)
+            got = solve_ipm(plcp, cone)
+            ref = solve_ipm(ProjectiveLcp(None, plcp.W.M, plcp.r), cone)
             assert got.converged and got.finish_accepted
             assert ((got.iterations, got.converged, got.finish_attempts, got.finish_accepted)
                     == (ref.iterations, ref.converged, ref.finish_attempts, ref.finish_accepted))
             assert np.linalg.norm(got.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
+
+    def test_benchmark_setup_and_solve_stay_below_the_dense_array(self, poly_instance):
+        # n = m = 200 with p = 20 equality rows: set-up keeps the blocks, and
+        # the solve's largest arrays are its (n + p)^2 systems. Neither comes
+        # near the (2m + n + p)^2 array, which is never formed
+        arrays = poly_instance(1, 1)
+        (m, n), p = arrays["A"].shape, arrays["E"].shape[0]
+        assert (m, n, p) == (200, 200, 20)
+        dense_bytes = 8 * (2 * m + n + p) ** 2
+        basis = orthonormalize(np.eye(2 * m + n + p))
+        E = np.zeros((p, 2 * m + n))
+        E[:, m:m + n] = arrays["E"]
+        tracemalloc.start()
+        try:
+            layout = polyhedron_to_cone(PolyhedralVI(arrays["M"], arrays["q"], arrays["A"],
+                                                     arrays["b"]))
+            eq = eliminate_equalities(layout.op, E, arrays["e"], layout.cone)
+            plcp = build_projective(eq.op, basis, 1.0)
+            setup_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            rep = solve_ipm(plcp, eq.cone)
+            solve_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and rep.finish_accepted
+        assert setup_peak < dense_bytes / 20
+        assert solve_peak < dense_bytes
+        assert plcp.W is eq.op
+        assert "M" not in vars(layout.op) and "M" not in vars(eq.op)
 
 
 class TestSolveIpm:
@@ -895,10 +981,10 @@ class TestSolveIpm:
     def test_overflowing_diagonal_breaks_without_warning(self, monkeypatch):
         # tolerances no iterate meets drive x_i toward 0 on the active rows
         # until s_i / x_i overflows: a breakdown, not a RuntimeWarning. The
-        # reduction runs on the direct route, as it would without slack pairs;
-        # its own route stops at max_iter there (TestSlackPairs)
+        # reduction is given as its dense N, which takes the direct route;
+        # its operator's route stops at max_iter there (TestSlackPairs)
         plcp, cone = polyhedral_problem()
-        monkeypatch.setattr(projective, "_slack_pairs", lambda N, fixed: None)
+        plcp = ProjectiveLcp(None, plcp.W.M, plcp.r)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IpmBreakdown, match="not finite"):

@@ -4,10 +4,30 @@ import pytest
 from conevi.basis import orthonormalize
 from conevi.cones import SegmentKind, Segment, SeparableCone, free, orthant
 from conevi.generate import generate_instance
-from conevi.operators import AffineOperator
-from conevi.projective import IpmConfig, build_projective, solve_ipm
+from conevi.operators import AffineOperator, monotone_modulus
+from conevi.projective import IpmConfig, build_projective, solve_ipm, verify_pd
 from conevi.solvers import solve_exact
-from conevi.transforms import PolyhedralVI, eliminate_equalities, polyhedron_to_cone
+from conevi.transforms import (
+    ConicProgramLayout,
+    PolyhedralVI,
+    _PolyhedralOperator,
+    eliminate_equalities,
+    polyhedron_to_cone,
+)
+
+
+def dense_reduction(p):
+    """The reduction of VI(Mx + q, {Ax + b >= 0}) as one dense operator: the
+    block matrix written into one zero array, on (s, x, lambda)."""
+    m, n = p.A.shape
+    x, lam = slice(m, m + n), slice(m + n, 2 * m + n)
+    M = np.zeros((2 * m + n, 2 * m + n))
+    M[x, x] = p.M
+    M[x, lam] = -p.A.T
+    M[lam, x] = p.A
+    M[np.arange(m), m + n + np.arange(m)] = 1.0
+    M[m + n + np.arange(m), np.arange(m)] = -1.0
+    return AffineOperator(M, np.concatenate([np.zeros(m), p.q, p.b]))
 
 
 class TestEliminateEqualities:
@@ -150,6 +170,70 @@ class TestPolyhedronToCone:
             np.testing.assert_allclose(s, x, atol=1e-8 * scale)  # A = I, b = 0
             assert np.all(s >= -1e-8) and np.all(lam >= -1e-8)
             assert abs(s @ lam) <= 1e-8 * (1 + np.linalg.norm(s) * np.linalg.norm(lam))
+
+
+class TestBlockOperator:
+    """polyhedron_to_cone's operator keeps M, A and equality rows on x as
+    blocks, and writes the dense matrix only when .M is read."""
+
+    @staticmethod
+    def problem(n, m, seed):
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((n, n))
+        return PolyhedralVI(G - 0.5 * G.T, rng.standard_normal(n), rng.standard_normal((m, n)),
+                            rng.standard_normal(m)), rng
+
+    @pytest.mark.parametrize("n, m, p", [(6, 6, 0), (7, 3, 2), (3, 8, 4), (4, 2, 1)])
+    def test_matches_the_dense_operator(self, n, m, p):
+        # the same F and beta from the blocks, the same bits in .M once read,
+        # also after eliminate_equalities with rows on the x block
+        vi, rng = self.problem(n, m, seed=90 + n + m + p)
+        got = polyhedron_to_cone(vi)
+        ref = ConicProgramLayout(got.cone, dense_reduction(vi), got.variable_map)
+        if p:
+            E = np.zeros((p, 2 * m + n))
+            E[:, m:m + n] = rng.standard_normal((p, n))
+            e = rng.standard_normal(p)
+            got = eliminate_equalities(got.op, E, e, got.cone)
+            ref = eliminate_equalities(ref.op, E, e, ref.cone)
+        assert isinstance(got.op, _PolyhedralOperator) and type(ref.op) is AffineOperator
+        assert got.cone == ref.cone and got.op.dim == ref.op.dim == 2 * m + n + p
+        u = rng.standard_normal(got.op.dim)
+        np.testing.assert_allclose(got.op(u), ref.op(u), rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(got.op @ u, ref.op.M @ u, rtol=1e-14, atol=1e-14)
+        assert got.op.beta == ref.op.beta <= 0.0
+        plcp = build_projective(got.op, orthonormalize(np.eye(got.op.dim)))
+        assert plcp.W is got.op and verify_pd(plcp) == got.op.beta
+        assert "M" not in vars(got.op)
+        assert got.op.M.tobytes() == ref.op.M.tobytes()
+        assert got.op.q.tobytes() == ref.op.q.tobytes()
+
+    @pytest.mark.parametrize("diag", [[2.0, 1.0, 3.0], [2.0, -1.5, 3.0]])
+    def test_beta_of_an_uncoupled_m(self, diag):
+        # a diagonal M: its entries and the zeros of s and lambda, exactly
+        vi = PolyhedralVI(np.diag(diag), np.zeros(3), np.ones((2, 3)), np.zeros(2))
+        op = polyhedron_to_cone(vi).op
+        assert op.beta == min(0.0, min(diag)) == monotone_modulus(dense_reduction(vi).M)
+
+    def test_rows_off_the_x_block_are_assembled_densely(self):
+        # a nonzero or a -0.0 in an s or lambda column, or rows added to
+        # rows already kept: the dense assembly, as for any operator
+        vi, rng = self.problem(4, 3, seed=97)
+        layout = polyhedron_to_cone(vi)
+        E = np.zeros((2, 10))
+        E[:, 3:7] = rng.standard_normal((2, 4))
+        kept = eliminate_equalities(layout.op, E, np.zeros(2), layout.cone)
+        assert isinstance(kept.op, _PolyhedralOperator)
+        for col, value, (op, cone) in ((0, 1.0, (layout.op, layout.cone)),
+                                       (8, -0.0, (layout.op, layout.cone)),
+                                       (11, 0.0, (kept.op, kept.cone))):
+            F = np.zeros((1, cone.dim))
+            F[0, 3:7] = 1.0
+            F[0, col] = value
+            got = eliminate_equalities(op, F, [1.0], cone)
+            ref = eliminate_equalities(AffineOperator(op.M, op.q), F, [1.0], cone)
+            assert type(got.op) is AffineOperator
+            assert got.op.M.tobytes() == ref.op.M.tobytes()
 
 
 class TestValidation:
