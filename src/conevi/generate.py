@@ -7,7 +7,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .basis import Basis, orthonormalize
-from .operators import AffineOperator, lipschitz_constant, monotone_modulus
+from .operators import AffineOperator, lipschitz_constant
 
 __all__ = ["GenerationError", "generate_instance"]
 
@@ -56,13 +56,13 @@ def generate_instance(n: int, k: int, beta_target: float, L_target: float,
     except ValueError as exc:
         raise GenerationError(
             f"no bracket for beta={beta_target}, L={L_target}: {exc}") from exc
-    M = beta_target * np.eye(n) + c * A + s_amp * S
-    beta = monotone_modulus(M)
-    lip = lipschitz_constant(M)
+    # the target check reads the returned operator's cached beta and L, so
+    # its callers reuse them; it draws nothing from rng
+    op = AffineOperator(beta_target * np.eye(n) + c * A + s_amp * S, rng.standard_normal(n))
+    beta, lip = op.beta, op.lipschitz
     if not (beta >= beta_target * (1 - 1e-6) and abs(lip - L_target) <= 0.05 * L_target):
         raise GenerationError(
             f"instance for beta={beta_target}, L={L_target} has beta={beta}, L={lip}")
 
-    q = rng.standard_normal(n)
     basis = orthonormalize(rng.standard_normal((n, k)))
-    return AffineOperator(M, q), basis
+    return op, basis

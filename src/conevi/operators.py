@@ -48,7 +48,6 @@ __all__ = [
     "CallableOperator",
     "monotone_modulus",
     "lipschitz_constant",
-    "contraction_params",
     "iteration_bound",
 ]
 
@@ -277,25 +276,6 @@ def _gamma(alpha: float, beta: float, lip: float) -> float:
     return math.sqrt(max(1.0 - 2.0 * alpha * beta + (alpha * lip) ** 2, 0.0))
 
 
-def _params_from(beta: float, lip: float) -> ContractionParams:
-    if beta <= 0.0:
-        raise NotStronglyMonotone(beta)
-    if lip <= 0.0:
-        raise ValueError("Lipschitz constant must be positive")
-    alpha = beta / lip**2
-    return ContractionParams(beta=beta, lipschitz=lip, alpha=alpha, gamma=_gamma(alpha, beta, lip))
-
-
-def contraction_params(M) -> ContractionParams:
-    """(beta, L, alpha, gamma) for a strongly monotone matrix operator.
-
-    Raises NotStronglyMonotone when beta <= 0; callers that only need
-    monotonicity (the interior-point path) should catch it.
-    """
-    M = np.asarray(M, dtype=float)
-    return _params_from(monotone_modulus(M), lipschitz_constant(M))
-
-
 def iteration_bound(gamma: float, eps: float) -> int:
     """Steps guaranteeing ||x_t - x*|| <= eps * ||x_0 - x*|| for a gamma-contraction."""
     if not (0.0 < gamma < 1.0):
@@ -322,7 +302,21 @@ class Operator:
         raise NotImplementedError
 
     def contraction(self) -> ContractionParams:
-        return _params_from(self.beta, self.lipschitz)
+        """(beta, L, alpha, gamma) with alpha = beta/L**2.
+
+        Raises NotStronglyMonotone when beta <= 0, before L is read; callers
+        that only need monotonicity (the interior-point path) should catch
+        it.
+        """
+        beta = self.beta
+        if beta <= 0.0:
+            raise NotStronglyMonotone(beta)
+        lip = self.lipschitz
+        if lip <= 0.0:
+            raise ValueError("Lipschitz constant must be positive")
+        alpha = beta / lip**2
+        return ContractionParams(beta=beta, lipschitz=lip, alpha=alpha,
+                                 gamma=_gamma(alpha, beta, lip))
 
 
 class AffineOperator(Operator):
@@ -338,8 +332,11 @@ class AffineOperator(Operator):
     def dim(self) -> int:
         return self.M.shape[0]
 
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.M @ x
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.M @ _vector(x, self.dim, "x") + self.q
+        return self @ _vector(x, self.dim, "x") + self.q
 
     @cached_property
     def beta(self) -> float:

@@ -15,12 +15,12 @@ exactly with one more system of the same size.
 
 When the basis spans all of R^n (k' = n), Q is square and orthogonal, so
 N = alpha*M and r = alpha*q, which only rescale CP(Mx + q): the original CP
-is stored, Q as None and W as N = M itself, the operator's array, shared and
-not copied. The positive-definiteness check is then beta of N, with no
-product with Q and no n x n copy made at set-up. A polyhedral reduction
-(conevi.transforms) on a full span keeps its operator as W instead: N is
-applied from its blocks M, A and E, each Newton step factors an (n + p)^2
-system formed from them, and no (2m + n + p)^2 array is made.
+is stored, Q as None and W as the operator itself, whose matrix is N. A
+plain operator's M is read in place, never copied; a polyhedral reduction's
+operator (conevi.transforms) applies N from its blocks M, A and E, each
+Newton step factors an (n + p)^2 system formed from them, and no
+(2m + n + p)^2 array is made. The positive-definiteness check is then the
+operator's beta, with no product with Q and no n x n copy made at set-up.
 """
 from __future__ import annotations
 
@@ -50,6 +50,10 @@ __all__ = [
 
 # fraction-to-boundary factor: keeps (x, s) strictly positive on orthant rows
 _STEP_FRACTION = 0.99
+# a slack row whose d = D - 1 reaches 1/u (u the unit roundoff) borders the
+# reduced system of _reduction_factor: in M + A^T diag(d) A, d a a^T would
+# round away entries of M that are no larger than a a^T
+_BORDER_D = 2.0**53
 
 
 class IpmBreakdown(Exception):
@@ -61,17 +65,25 @@ class IpmBreakdown(Exception):
 class ProjectiveLcp:
     """The reduced problem CP(Nx + r, K) in identity-plus-low-rank form.
 
-    ortho is the dense n x k' factor Q, and N = I + ortho @ W is never
-    materialized: apply() costs O(n k'). ortho is None for a basis of rank
-    n, where W is N itself: build_projective stores the operator's M there
-    (n x n, shared and never written), or a polyhedral reduction's operator,
-    which applies N from its blocks. Either way every Newton matrix is
-    N + diag(D - 1).
+    ortho is the dense n x k' factor Q with k' >= 1, and N = I + ortho @ W
+    is never materialized: apply() costs O(n k'). ortho is None for a basis
+    of rank n, where W is an AffineOperator whose matrix is N:
+    build_projective stores the operator itself there, a plain one (its M
+    shared and never written) or a polyhedral reduction's, which applies N
+    from its blocks. Either way every Newton matrix is N + diag(D - 1).
+    ValueError for an ortho with no columns, TypeError for a W of a full
+    span that is not an AffineOperator.
     """
 
     ortho: np.ndarray | None
-    W: np.ndarray | _PolyhedralOperator
+    W: np.ndarray | AffineOperator
     r: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.ortho is None and not isinstance(self.W, AffineOperator):
+            raise TypeError("a full span's W must be an AffineOperator")
+        if self.ortho is not None and not self.ortho.shape[1]:
+            raise ValueError("ortho has no columns; a basis has rank >= 1")
 
     @property
     def n(self) -> int:
@@ -135,9 +147,9 @@ def build_projective(op: AffineOperator, basis: Basis,
 
     A basis of rank n gives N = alpha M and r = alpha q, whose CP has the
     solutions of CP(Mx + q) for every alpha > 0: the original CP is returned
-    (ortho None, W = op.M itself, r = q) in O(n), whatever alpha is; for a
-    polyhedral reduction (conevi.transforms) W is op, and op.M is not read.
-    Below rank n, alpha defaults to op.contraction().alpha
+    (ortho None, W = op itself, r = q) in O(n), whatever alpha is, and op.M
+    is not read, so a polyhedral reduction (conevi.transforms) builds no
+    dense array. Below rank n, alpha defaults to op.contraction().alpha
     (NotStronglyMonotone when beta = 0), and forming W = alpha Q^T M - Q^T is
     the only O(n^2 k') work.
     """
@@ -146,8 +158,7 @@ def build_projective(op: AffineOperator, basis: Basis,
     if basis.n != op.dim:
         raise ValueError(f"basis dimension {basis.n} != operator dimension {op.dim}")
     if basis.rank == basis.n:
-        W = op if isinstance(op, _PolyhedralOperator) else op.M
-        return ProjectiveLcp(ortho=None, W=W, r=np.array(op.q))
+        return ProjectiveLcp(ortho=None, W=op, r=np.array(op.q))
     if alpha is None:
         alpha = op.contraction().alpha
     Q = basis.ortho
@@ -167,17 +178,13 @@ def verify_pd(plcp: ProjectiveLcp) -> float:
     when U has fewer than n columns. Cost O(n k'^2). The smallest
     eigenvalue of sym C is the monotone modulus of C (see
     conevi.operators).
-    On a full span (ortho is None) W is N itself, and the result is its
-    monotone modulus lambda_min(sym N), with no QR: op.beta when W is op.M
-    or a polyhedral reduction's op. With k' = 0, N = I and the result is 1.
+    On a full span (ortho is None) W is the operator with matrix N, and the
+    result is its beta, lambda_min(sym N), which the operator caches: no QR,
+    and no eigensolve once beta is known.
     """
     Q = plcp.ortho
-    if isinstance(plcp.W, _PolyhedralOperator):
-        return plcp.W.beta
     if Q is None:
-        return monotone_modulus(plcp.W)
-    if not plcp.W.shape[0]:
-        return 1.0
+        return plcp.W.beta
     U, _ = np.linalg.qr(np.hstack([Q, plcp.W.T]))
     C = (U.T @ Q) @ (plcp.W @ U)
     smallest = 1.0 + monotone_modulus(C)
@@ -225,12 +232,17 @@ def _reduction_factor(
     Eliminating y_s = A y_x - b_lambda and y_lambda = b_s - d y_s leaves
     [[K, -E^T], [E, 0]] (y_x, y_mu) = (b_x + A^T (b_s + d b_lambda), b_mu),
     an (n + p)^2 system with K = M + A^T diag(d) A formed by one SYRK on
-    diag(sqrt(d)) A. A pinned slack (D = inf) has y_s = 0; its row of A
-    borders K next to E, and its y_lambda is solved with y_x. The finish,
-    with d = 0 on every other slack, forms no product: K = M. Both
-    eliminations pivot on +-I, so the system is singular exactly when
-    N + diag(D - 1) is; IpmBreakdown then, or when it or the solve
-    overflows. D must be >= 1 on the slacks.
+    diag(sqrt(d)) A. The finish, with d = 0 on every slack it does not pin,
+    forms no product: K = M.
+    Border rule: a slack row with d >= _BORDER_D (D = inf included) keeps
+    its y_lambda. Only y_s = (b_s - y_lambda) / d is eliminated, and the
+    row A y_x + y_lambda / d = b_lambda + b_s / d borders K next to E, with
+    1/d on its diagonal; a pinned slack (D = inf, the finish) is the case
+    1/d = 0, where y_s = 0. So a huge d never enters K, where d a a^T would
+    round M's entries away.
+    The eliminations pivot on +-I and on d, so the system is singular
+    exactly when N + diag(D - 1) is; IpmBreakdown then, or when it or the
+    solve overflows. D must be >= 1 on the slacks.
     """
     M, A, E = op.M_x, op.A, op.E
     m, n = A.shape
@@ -239,13 +251,14 @@ def _reduction_factor(
 
     def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         d = D[:m] - 1.0
-        pinned = np.isinf(d)
-        if pinned.any():
-            kept = ~pinned
-            A_k, d_k, border = A[kept], d[kept], np.vstack([A[pinned], E])
+        bordered = d >= _BORDER_D
+        d_b = d[bordered]
+        if d_b.size:
+            kept = ~bordered
+            A_k, d_k, border = A[kept], d[kept], np.vstack([A[bordered], E])
         else:
             kept, A_k, d_k, border = all_rows, A, d, E
-        k, n_pin = border.shape[0], border.shape[0] - E.shape[0]
+        k, n_b = border.shape[0], d_b.size
         K = np.empty((n + k, n + k))
         with np.errstate(over="ignore", invalid="ignore"):
             if d_k.any():
@@ -258,6 +271,7 @@ def _reduction_factor(
         K[:n, n:] = -border.T
         K[n:, :n] = border
         K[n:, n:] = 0.0
+        np.fill_diagonal(K[n:n + n_b, n:n + n_b], 1.0 / d_b)
         if not math.isfinite(_max_abs(K)):
             raise IpmBreakdown("Newton system is not finite")
         solve_K = _lu(K)
@@ -268,11 +282,11 @@ def _reduction_factor(
             y_s, y_lam = y[:m], y[lam]
             with np.errstate(over="ignore", invalid="ignore"):
                 z = solve_K(np.concatenate([b[x] + (b_s[kept] + d_k * b_lam[kept]) @ A_k,
-                                            b_lam[pinned], b[mu]]))
+                                            b_lam[bordered] + b_s[bordered] / d_b, b[mu]]))
                 y[x] = z[:n]
-                y_lam[pinned] = z[n:n + n_pin]
-                y[mu] = z[n + n_pin:]
-                y_s[pinned] = 0.0
+                y_lam[bordered] = z[n:n + n_b]
+                y[mu] = z[n + n_b:]
+                y_s[bordered] = (b_s[bordered] - y_lam[bordered]) / d_b
                 y_s[kept] = A_k @ z[:n] - b_lam[kept]
                 y_lam[kept] = b_s[kept] - d_k * y_s[kept]
             if not math.isfinite(_max_abs(y)):
@@ -284,54 +298,50 @@ def _reduction_factor(
     return factor
 
 
-def _newton(Q: np.ndarray | None, W: np.ndarray | _PolyhedralOperator,
+def _newton(Q: np.ndarray | None, W: np.ndarray | AffineOperator,
             fixed: np.ndarray) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """factor(D) for the Newton matrices N + diag(D - 1) of one solve, with
     D = 1 on the rows `fixed` and >= 1 on V = ~fixed: it factors one system
     and returns the solve of (N + diag(D - 1)) y = b. D_i = inf pins y_i = 0.
 
     By the Woodbury identity y = u - D^-1 Q G(D)^-1 W u, u = D^-1 b, with
-    G(D) = I + W D^-1 Q; for Q = None (N = W, k' = n) the same rule with Q = I
-    and N - I in the place of W gives G(D) = (N + diag(D - 1)) D^-1. The
-    route is chosen here, once per solve; each D then factors:
+    G(D) = I + W D^-1 Q; for Q = None (k' = n, W the operator whose matrix
+    is N) the same rule with Q = I and N - I in the place of W gives
+    G(D) = (N + diag(D - 1)) D^-1. The route is chosen here, once per
+    solve; each D then factors:
     - a dense Q: the k'xk' G(D), in O(n k'^2 + k'^3), for any positive D;
-    - Q with k' = 0: nothing, N = I;
-    - Q = None and an array N: G(D), n x n, formed from N in O(n^2) and
-      factored in O(n^3), whichever rows are fixed;
-    - Q = None and a polyhedral reduction's operator, with only its slack
-      rows in V: [[M + A^T diag(d) A, -E^T], [E, 0]], (n + p)^2, formed from
-      its blocks in O(n^2 m) and factored in O((n + p)^3) (see
-      _reduction_factor); with other rows in V, the direct route on its
-      dense N.
+    - a polyhedral reduction's operator with only its slack rows in V:
+      [[M + A^T diag(d) A, -E^T], [E, 0]], (n + p)^2 plus one border row
+      per slack with a huge or infinite d, formed from its blocks in
+      O(n^2 m) and factored in O((n + p)^3) (see _reduction_factor);
+    - every other full span: G(D), n x n, formed from W.M in O(n^2) and
+      factored in O(n^3), whichever rows are fixed (a polyhedral
+      reduction's dense N is built for it).
     IpmBreakdown on a D that is not positive (NaN included) or an exactly
     singular system.
     """
-    if isinstance(W, _PolyhedralOperator) and not fixed[W.m:].all():
-        W = W.M  # rows besides the slacks vary: the direct route on the dense N
-    reduction_factor = None
-    if isinstance(W, _PolyhedralOperator):
-        reduction_factor = _reduction_factor(W)
-    elif Q is not None and W.shape[0]:
-        small = lambda D: _lu(_plus_identity(W @ (Q * (1.0 / D)[:, None])))
-    elif Q is not None:  # k' = 0: N = I
-        small = lambda D: lambda c: c
+    if Q is not None:
+        def system(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+            solve_small = _lu(_plus_identity(W @ (Q * (1.0 / D)[:, None])))
+
+            def solve(b: np.ndarray) -> np.ndarray:
+                u = b / D
+                return u - Q @ solve_small(W @ u) / D
+
+            return solve
+    elif isinstance(W, _PolyhedralOperator) and fixed[W.m:].all():
+        system = _reduction_factor(W)
     else:
-        small = lambda D: _lu(_over_diagonal(W, D))
+        N = W.M
+
+        def system(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+            solve_small = _lu(_over_diagonal(N, D))
+            return lambda b: solve_small(b) / D
 
     def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         if not np.all(D > 0):
             raise IpmBreakdown("diagonal lost positivity")
-        if reduction_factor is not None:
-            return reduction_factor(D)
-        solve_small = small(D)
-        if Q is None:
-            return lambda b: solve_small(b) / D
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            u = b / D
-            return u - Q @ solve_small(W @ u) / D
-
-        return solve
+        return system(D)
 
     return factor
 

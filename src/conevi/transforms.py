@@ -119,9 +119,6 @@ class _PolyhedralOperator(AffineOperator):
         out[2 * m + n:] = self.E @ x
         return out
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self @ _vector(x, self.dim, "x") + self.q
-
     @cached_property
     def M(self) -> np.ndarray:
         m, n = self.m, self.n

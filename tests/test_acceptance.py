@@ -13,7 +13,7 @@ from conevi.basis import orthonormalize
 from conevi.bench import bench_ipm
 from conevi.cones import orthant
 from conevi.generate import generate_instance
-from conevi.operators import contraction_params, iteration_bound
+from conevi.operators import iteration_bound
 from conevi.projective import IpmConfig, _newton, build_projective, solve_ipm, verify_pd
 from conevi.solvers import SolveConfig, bound_report, solve_bertsekas, solve_exact, solve_galerkin
 from conevi.transforms import PolyhedralVI, polyhedron_to_cone
@@ -60,7 +60,7 @@ def test_c01_contraction_law():
     ok = True
     for seed in range(20):
         op, _ = generate_instance(50, 5, 1.0, 4.0, seed=seed)
-        p = contraction_params(op.M)
+        p = op.contraction()
         T = np.eye(50) - p.alpha * op.M
         for _ in range(100):
             diff = rng.standard_normal(50) - rng.standard_normal(50)

@@ -13,7 +13,7 @@ PUBLIC = [
     "IpmBreakdown", "IpmConfig", "IpmReport", "NotStronglyMonotone", "Operator",
     "OptimalityCertificate", "PolyhedralVI", "ProjectiveLcp", "Segment", "SegmentKind",
     "SeparableCone", "SolveConfig", "SolveReport", "bound_report", "build_projective",
-    "certify", "contraction_params", "eliminate_equalities", "free", "generate_instance",
+    "certify", "eliminate_equalities", "free", "generate_instance",
     "iteration_bound", "lipschitz_constant", "monotone_modulus", "orthant", "orthonormalize",
     "parse_cone_spec", "polyhedron_to_cone", "project_intersection", "solve_bertsekas",
     "solve_exact", "solve_galerkin", "solve_ipm", "verify_pd", "zero",
@@ -22,7 +22,7 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert sorted(conevi.__all__) == sorted(PUBLIC)
-    assert len(set(conevi.__all__)) == len(PUBLIC) == 43
+    assert len(set(conevi.__all__)) == len(PUBLIC) == 42
 
 
 def test_every_public_name_resolves():

@@ -12,11 +12,11 @@ from conevi.operators import (
     AffineOperator,
     CallableOperator,
     NotStronglyMonotone,
-    contraction_params,
     iteration_bound,
     lipschitz_constant,
     monotone_modulus,
 )
+from conevi.transforms import PolyhedralVI, polyhedron_to_cone
 
 
 def sym_eig_2x2(S):
@@ -246,7 +246,7 @@ def test_nonfinite_entries_raise_without_warnings(bad):
     M[1, 2] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for f in (monotone_modulus, lipschitz_constant, contraction_params):
+        for f in (monotone_modulus, lipschitz_constant):
             with pytest.raises(ValueError, match="non-finite"):
                 f(M)
         with pytest.raises(ValueError, match="non-finite"):
@@ -261,9 +261,8 @@ def test_operator_constants_go_through_the_public_functions(monkeypatch):
         monkeypatch.setattr(operators, name,
                             lambda M, real=real, name=name: calls.append(name) or real(M))
     M = random_spd_plus_skew(20, np.random.default_rng(75))
-    params = AffineOperator(M, np.zeros(20)).contraction()
+    AffineOperator(M, np.zeros(20)).contraction()
     assert calls == ["monotone_modulus", "lipschitz_constant"]
-    assert params == contraction_params(M)
 
 
 class TestLipschitzConstant:
@@ -390,16 +389,22 @@ class TestCertifiedLipschitz:
         assert lipschitz_constant(M) >= scipy.linalg.svdvals(M)[0]
 
 
+def contraction_of(M):
+    """Operator.contraction() of F(x) = Mx."""
+    M = np.asarray(M, dtype=float)
+    return AffineOperator(M, np.zeros(M.shape[0])).contraction()
+
+
 class TestContractionParams:
     def test_scaled_identity(self):
-        p = contraction_params(2.0 * np.eye(3))
+        p = contraction_of(2.0 * np.eye(3))
         assert p.beta == pytest.approx(2.0, rel=1e-12)
         assert p.lipschitz == pytest.approx(2.0, rel=1e-12)
         assert p.alpha == pytest.approx(0.5, rel=1e-10)
         assert p.gamma == pytest.approx(0.0, abs=1e-7)
 
     def test_paper_step_rule_on_diag(self):
-        p = contraction_params(np.diag([1.0, 2.0]))
+        p = contraction_of(np.diag([1.0, 2.0]))
         assert p.beta == pytest.approx(1.0, rel=1e-12)
         assert p.lipschitz == pytest.approx(2.0, rel=1e-10)
         assert p.alpha == pytest.approx(0.25, rel=1e-9)
@@ -407,14 +412,30 @@ class TestContractionParams:
 
     def test_skew_rejected(self):
         with pytest.raises(NotStronglyMonotone) as exc:
-            contraction_params([[0.0, -1.0], [1.0, 0.0]])
+            contraction_of([[0.0, -1.0], [1.0, 0.0]])
         assert exc.value.beta == pytest.approx(0.0, abs=1e-12)
+
+    def test_refused_before_lipschitz_is_read(self, monkeypatch):
+        # beta <= 0 is refused before L is computed: a skew operator (beta = 0)
+        # and a polyhedral reduction, whose dense .M is then never built
+        def no_lipschitz(M):
+            raise AssertionError("L computed for a refused operator")
+
+        monkeypatch.setattr(operators, "lipschitz_constant", no_lipschitz)
+        rng = np.random.default_rng(15)
+        skew = AffineOperator([[0.0, -1.0], [1.0, 0.0]], np.zeros(2))
+        reduction = polyhedron_to_cone(PolyhedralVI(np.eye(3), np.zeros(3),
+                                                    rng.standard_normal((4, 3)), np.ones(4))).op
+        for op in (skew, reduction):
+            with pytest.raises(NotStronglyMonotone):
+                op.contraction()
+        assert "M" not in vars(reduction)
 
     def test_contraction_law_holds(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             M = random_spd_plus_skew(50, rng)
-            p = contraction_params(M)
+            p = contraction_of(M)
             T = np.eye(50) - p.alpha * M
             for _ in range(100):
                 x = rng.standard_normal(50)
@@ -424,9 +445,9 @@ class TestContractionParams:
     def test_scale_consistency(self):
         rng = np.random.default_rng(14)
         M = random_spd_plus_skew(20, rng)
-        base = contraction_params(M)
+        base = contraction_of(M)
         for c in (2.0, 0.5, 3.7):
-            scaled = contraction_params(c * M)
+            scaled = contraction_of(c * M)
             assert scaled.beta == pytest.approx(c * base.beta, rel=1e-12)
             assert scaled.lipschitz == pytest.approx(c * base.lipschitz, rel=1e-12)
             assert scaled.alpha == pytest.approx(base.alpha / c, rel=1e-12)

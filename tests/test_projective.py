@@ -125,9 +125,9 @@ class TestBuildProjective:
         np.testing.assert_array_equal(plcp.r, q)
 
     def test_every_full_span_is_the_identity(self):
-        # Q square and orthogonal: the original CP, W = M itself (the
-        # operator's array, not a copy, read as N) and r = q bit for bit,
-        # whatever the basis and alpha
+        # Q square and orthogonal: the original CP, W = the operator itself
+        # (its M, not a copy, read as N) and r = q bit for bit, whatever the
+        # basis and alpha
         rng = np.random.default_rng(48)
         n = 30
         op, _ = generate_instance(n, 4, 1.0, 3.0, seed=48)
@@ -136,7 +136,7 @@ class TestBuildProjective:
             for alpha in (1.0, 0.3, 1e-9):
                 plcp = build_projective(op, orthonormalize(raw), alpha)
                 assert plcp.ortho is None
-                assert plcp.W is op.M
+                assert plcp.W is op and plcp.W.M is op.M
                 assert plcp.r.tobytes() == op.q.tobytes()
         np.testing.assert_allclose(materialize(plcp), op.M, rtol=0, atol=1e-15)
         rep = solve_ipm(plcp, cone)
@@ -157,7 +157,13 @@ class TestBuildProjective:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8
-        assert np.shares_memory(plcp.W, op.M)
+        assert plcp.W is op and plcp.W.M is op.M
+
+    def test_full_span_holds_an_operator(self):
+        # a full span's W is read as an operator (W @ x, W.M, W.beta), so a
+        # bare array there is refused when the problem is made
+        with pytest.raises(TypeError, match="AffineOperator"):
+            ProjectiveLcp(None, np.eye(2), np.zeros(2))
 
     def test_alpha_derived_on_a_proper_span_only(self, monkeypatch):
         op, basis = generate_instance(40, 8, 1.0, 3.0, seed=47)
@@ -296,6 +302,20 @@ class TestVerifyPd:
                                 rng.standard_normal(n))
             assert verify_pd(build_projective(op, orthonormalize(np.eye(n)))) == op.beta
 
+    def test_full_span_reads_the_cached_beta(self, monkeypatch):
+        # a full span's verify_pd is its operator's beta, plain or polyhedral:
+        # once the operator holds it, no eigensolve runs again
+        op, _ = generate_instance(30, 4, 1.0, 3.0, seed=58)
+        plcps = [build_projective(op, orthonormalize(np.eye(30))), polyhedral_problem()[0]]
+        betas = [plcp.W.beta for plcp in plcps]
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("verify_pd ran an eigensolve")
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", no_eigensolve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        assert [verify_pd(plcp) for plcp in plcps] == betas
+
     def test_proper_subspace_keeps_qr_formula(self):
         rng = np.random.default_rng(55)
         for n, k in ((7, 4), (40, 8), (30, 29)):
@@ -382,19 +402,20 @@ class TestSignedPermutationRoute:
         op, _ = generate_instance(40, 4, 1.0, 3.0, seed=70)
         before = [a.tobytes() for a in (op.M, op.q)]
         plcp = build_projective(op, orthonormalize(np.eye(40)[:, :k]), 0.3)
-        stored = [a.tobytes() for a in (plcp.W, plcp.r)]
+        W = plcp.W if k < 40 else plcp.W.M
+        stored = [a.tobytes() for a in (W, plcp.r)]
         assert solve_ipm(plcp, parse_cone_spec(cone)).converged
         verify_pd(plcp)
-        assert [a.tobytes() for a in (plcp.W, plcp.r)] == stored
+        assert [a.tobytes() for a in (W, plcp.r)] == stored
         assert [a.tobytes() for a in (op.M, op.q)] == before
 
 
 class TestWoodbury:
     def test_empty_lowrank_part(self):
-        D = np.array([2.0, 4.0])
-        rhs = np.array([2.0, 8.0])
-        got = _newton(np.zeros((2, 0)), np.zeros((0, 2)), no_fixed_row(2))(D)(rhs)
-        np.testing.assert_allclose(got, [1.0, 2.0], atol=1e-15)
+        # orthonormalize never returns a basis with no columns, and no Newton
+        # route takes k' = 0
+        with pytest.raises(ValueError, match="no columns"):
+            ProjectiveLcp(np.zeros((3, 0)), np.zeros((0, 3)), np.array([-1.0, 1.0, 2.0]))
 
     def test_zero_correction(self):
         rhs = np.array([1.0, -2.0, 3.0])
@@ -430,7 +451,8 @@ class TestWoodbury:
             _newton(e1, -e1.T, no_fixed_row(2))(np.ones(2))
         # a full span with a fixed row: N + diag(D - 1) = diag(0, 0) at D = (1, 2)
         # breaks when that D is factored
-        factor = _newton(None, np.diag([0.0, -1.0]), np.array([True, False]))
+        factor = _newton(None, AffineOperator(np.diag([0.0, -1.0]), np.zeros(2)),
+                         np.array([True, False]))
         with pytest.raises(IpmBreakdown, match="singular"):
             factor(np.array([1.0, 2.0]))
 
@@ -499,7 +521,7 @@ class TestWoodbury:
         rng = np.random.default_rng(63)
         n = 30
         N = np.eye(n) + rng.standard_normal((n, n)) / (2 * np.sqrt(n))
-        factor = _newton(None, N, np.ones(n, dtype=bool))
+        factor = _newton(None, AffineOperator(N, np.zeros(n)), np.ones(n, dtype=bool))
         for _ in range(3):
             rhs = rng.standard_normal(n)
             y = factor(np.ones(n))(rhs)
@@ -508,14 +530,15 @@ class TestWoodbury:
 
     def test_identity_split_with_no_fixed_row_holds_no_copy(self):
         # Q = None and every row varies (an orthant cone without --basis): each
-        # system is formed from N = W when D is given, so the factory holds no
-        # n x n array
+        # system is formed from the operator's N when D is given, so the
+        # factory holds no n x n array
         rng = np.random.default_rng(71)
         n = 600
         W = rng.standard_normal((n, n)) / np.sqrt(n)
+        op = AffineOperator(W, np.zeros(n))
         tracemalloc.start()
         try:
-            factor = _newton(None, W, no_fixed_row(n))
+            factor = _newton(None, op, no_fixed_row(n))
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -527,7 +550,7 @@ class TestWoodbury:
         assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_small_alpha_identity_form_keeps_accuracy(self):
-        # N = alpha M passed as W itself (ortho None), with every row varying
+        # N = alpha M passed as the operator's M (ortho None), with every row varying
         # and with half the rows fixed: each system is formed from N, so no
         # I + (alpha M - I) cancels. On the finish's diagonals (1 on I, inf on
         # A, the system N_II) a stored W = alpha M - I lost the low bits of
@@ -543,7 +566,7 @@ class TestWoodbury:
                 for fixed_rows in (no_fixed_row(n), fixed):
                     active = ~fixed_rows & (rng.random(n) < 0.5)
                     rhs = rng.standard_normal(n)
-                    factor = _newton(None, N, fixed_rows)
+                    factor = _newton(None, AffineOperator(N, np.zeros(n)), fixed_rows)
                     for D in (np.ones(n), np.where(active, np.inf, 1.0)):
                         rows = np.isfinite(D)
                         K = N[np.ix_(rows, rows)]
@@ -678,15 +701,15 @@ class TestSlackPairs:
         return second_entry, coefficient, coupled, column, repeated
 
     def test_near_misses_take_the_direct_route(self, monkeypatch):
-        # an array N is never searched for slack pairs: the reduction's dense
-        # N itself and each near miss factor the n x n G(D)
+        # a plain operator is never searched for slack pairs: the reduction's
+        # dense N itself and each near miss factor the n x n G(D)
         n = 12
         op, fixed = self.reduction(n, 0, seed=77)
         rng = np.random.default_rng(78)
         factored = record_factorizations(monkeypatch)
         for dense in (op.M, *self.near_misses(op.M, n)):
             factored.clear()
-            factor = _newton(None, dense, fixed)
+            factor = _newton(None, AffineOperator(dense, op.q), fixed)
             D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-3, 3, fixed.size))
             rhs = rng.standard_normal(fixed.size)
             y = factor(D)(rhs)
@@ -709,38 +732,43 @@ class TestSlackPairs:
         assert self.backward_error(op.M + np.diag(D - 1.0), y, rhs) <= 1e-14
 
     def test_overflowing_system_breaks_without_warning(self):
-        # a D_V so large that M + A^T D A overflows, and one with which only
-        # the right-hand side's d b_c does: a breakdown, not a RuntimeWarning
+        # d below the border threshold: rows of A near 1e150, with which
+        # M + A^T diag(d) A overflows, and a b_lambda near 1e300, with which
+        # only the right-hand side's d b_lambda does: a breakdown, not a
+        # RuntimeWarning
         n = 10
         op, fixed = self.reduction(n, 0, seed=79)
-        factor = _newton(None, op, fixed)
-        D = np.where(fixed, 1.0, 2.0)
+        huge_rows = _PolyhedralOperator(op.M_x, 1e150 * op.A, op.E, op.q)
+        D = np.where(fixed, 1.0, 1e10)
         rhs = np.ones(fixed.size)
+        rhs[2 * n] = 1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.abs(op.A[0]).max() > 1.0
-            D[0] = np.finfo(float).max
             with pytest.raises(IpmBreakdown, match="system is not finite"):
-                factor(D)
-            D[~fixed], rhs[2 * n] = 1e300, 1e10
+                _newton(None, huge_rows, fixed)(D)
             with pytest.raises(IpmBreakdown, match="solve is not finite"):
-                factor(D)(rhs)
+                _newton(None, op, fixed)(D)(rhs)
 
-    def test_huge_slack_diagonal_breaks_without_warning(self):
-        # d = 1e300 on one slack row and 1 on the others: M + A^T diag(d) A
-        # loses M's entries to rounding next to d a a^T, and its LU meets an
-        # exact zero pivot though N + diag(D - 1) has full rank (ROADMAP
-        # item 6). A breakdown, not a RuntimeWarning
+    @pytest.mark.parametrize("seed", range(79, 84))
+    def test_huge_slack_diagonal_solves(self, seed):
+        # d = 1e300 on slack row 0 and 1 on the others: that row borders the
+        # reduced system with 1/d on its diagonal. Formed into
+        # M + A^T diag(d) A, d a a^T rounded M's entries away: a false
+        # "singular" breakdown on seeds 79-82 and entries near 1e285 on 83,
+        # where the dense route's largest is 1.9
         n = 10
-        op, fixed = self.reduction(n, 0, seed=79)
+        op, fixed = self.reduction(n, 0, seed=seed)
         D = np.where(fixed, 1.0, 2.0)
         D[0] = 1e300
-        # full rank: row 0 scaled by 1/D_0 is about e_0
-        assert np.linalg.matrix_rank((op.M + np.diag(D - 1.0)) / D[:, None]) == 3 * n
+        rhs = np.random.default_rng(seed).standard_normal(fixed.size)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IpmBreakdown, match="singular 10x10 Newton system"):
-                _newton(None, op, fixed)(D)
+            y = _newton(None, op, fixed)(D)(rhs)
+        # rows scaled by 1/D: unscaled, row 0's 1e300 would hide any error
+        K = (op.M + np.diag(D - 1.0)) / D[:, None]
+        assert self.backward_error(K, y, rhs / D) <= 1e-15
+        ref = _newton(None, AffineOperator(op.M, op.q), fixed)(D)(rhs)
+        assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n, seed", [(10, 64), (10, 3), (20, 4)])
     def test_unreachable_tolerance_ends_without_warning(self, n, seed):
@@ -763,7 +791,7 @@ class TestSlackPairs:
             plcp, cone = benchmark_problem(poly_instance(1, i))
             assert isinstance(plcp.W, _PolyhedralOperator)
             got = solve_ipm(plcp, cone)
-            ref = solve_ipm(ProjectiveLcp(None, plcp.W.M, plcp.r), cone)
+            ref = solve_ipm(ProjectiveLcp(None, AffineOperator(plcp.W.M, plcp.r), plcp.r), cone)
             assert got.converged and got.finish_accepted
             assert ((got.iterations, got.converged, got.finish_attempts, got.finish_accepted)
                     == (ref.iterations, ref.converged, ref.finish_attempts, ref.finish_accepted))
@@ -918,14 +946,6 @@ class TestSolveIpm:
         assert rep.converged and rep.finish_attempts >= 1
         assert len(calls) == rep.finish_attempts
 
-    def test_empty_lowrank_part_solved(self):
-        # k' = 0: N = I, so CP(x + r) on the orthant has x = max(-r, 0)
-        plcp = ProjectiveLcp(np.zeros((3, 0)), np.zeros((0, 3)), np.array([-1.0, 1.0, 2.0]))
-        rep = solve_ipm(plcp, orthant(3))
-        assert rep.converged
-        np.testing.assert_allclose(rep.x, [1.0, 0.0, 0.0], atol=1e-12)
-        assert verify_pd(plcp) == 1.0  # the smallest eigenvalue of sym(I)
-
     def test_factorization_sizes(self, monkeypatch):
         # the per-step cost rule: a dense Q factors k'xk' systems only, here
         # with k' = 30 above |V| = 28 orthant rows
@@ -984,7 +1004,7 @@ class TestSolveIpm:
         # reduction is given as its dense N, which takes the direct route;
         # its operator's route stops at max_iter there (TestSlackPairs)
         plcp, cone = polyhedral_problem()
-        plcp = ProjectiveLcp(None, plcp.W.M, plcp.r)
+        plcp = ProjectiveLcp(None, AffineOperator(plcp.W.M, plcp.r), plcp.r)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IpmBreakdown, match="not finite"):
@@ -997,7 +1017,7 @@ class TestSolveIpm:
         # RuntimeWarning, solved directly and as the VI over {x : I x + 0 >= 0}
         M, q = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([-1.0, -1.0])
         if form == "lcp":
-            plcp, cone = ProjectiveLcp(None, M, q), orthant(2)
+            plcp, cone = ProjectiveLcp(None, AffineOperator(M, q), q), orthant(2)
         else:
             layout = polyhedron_to_cone(PolyhedralVI(M, q, np.eye(2), np.zeros(2)))
             cone = layout.cone
@@ -1087,7 +1107,7 @@ class TestSolveIpm:
         op, _ = generate_instance(60, 4, 1.0, 3.0, seed=72)
         op.M.setflags(write=False)
         plcp = build_projective(op, orthonormalize(np.eye(60)))
-        assert plcp.W is op.M
+        assert plcp.W is op and plcp.W.M is op.M
         for cone in (orthant(60), parse_cone_spec("nn:27,free:6,nn:27")):
             rep = solve_ipm(plcp, cone)
             assert rep.converged and rep.finish_accepted
