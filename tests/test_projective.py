@@ -946,6 +946,16 @@ class TestSolveIpm:
         assert rep.converged and rep.finish_attempts >= 1
         assert len(calls) == rep.finish_attempts
 
+    def test_empty_lowrank_part_solved(self):
+        # N = I with no low-rank part: ortho may not be empty, so the problem
+        # is a full span whose W is the identity operator. CP(x + r) on the
+        # orthant has x = max(-r, 0)
+        plcp = ProjectiveLcp(None, AffineOperator(np.eye(3), np.zeros(3)), np.array([-1.0, 1.0, 2.0]))
+        rep = solve_ipm(plcp, orthant(3))
+        assert rep.converged
+        np.testing.assert_allclose(rep.x, [1.0, 0.0, 0.0], atol=1e-12)
+        assert verify_pd(plcp) == 1.0  # the smallest eigenvalue of sym(I)
+
     def test_factorization_sizes(self, monkeypatch):
         # the per-step cost rule: a dense Q factors k'xk' systems only, here
         # with k' = 30 above |V| = 28 orthant rows
