@@ -116,7 +116,10 @@ def _read_block(text: str, lines: Iterator[tuple[int, str]],
                 shape: tuple[int, int]) -> np.ndarray | None:
     """The rest of `lines`, the number block after the header of `text`, read
     by the C reader (in parts when the text is long); None when that fails
-    or the block is not `shape`."""
+    or the block is not `shape`, as when the text has fewer characters than
+    numbers (each takes one), before anything of that shape is made."""
+    if shape[0] * shape[1] > len(text):
+        return None
     bounds = _cuts(text)
     if len(bounds) > 2:
         return _read_parts(text, bounds, shape)

@@ -3,37 +3,43 @@ interior-point solver.
 
 For a linear operator F(x) = Mx + q the two-projection Galerkin fixed point
 solves CP(Nx + r, K) with N = I - P_span + alpha*P_span*M and
-r = alpha*P_span*q. Storing N as I + Q W (Q the orthonormal basis factor,
-W = alpha*Q^T M - Q^T) lets each interior-point Newton step run through a
-Woodbury solve in O(n k'^2) instead of a dense O(n^3) factorization, and
-the positive-definiteness check work on the rank <= 2k' symmetric part of
-Q W in O(n k'^2) as well. Each Newton step factors its system
-N + diag(D - 1) once (_newton states which system and its cost) and solves
-with those factors twice, for Mehrotra's predictor and corrector. Once the
-guessed active set settles, an active-set finish solves the LCP on it
-exactly with one more system of the same size.
+r = alpha*P_span*q, an affine monotone problem like any other: the reduced
+problem is an AffineOperator with matrix N and offset r, and solve_ipm and
+verify_pd take any AffineOperator.
+
+Below rank n it is a ProjectiveLcp, which stores N as I + Q W (Q the
+orthonormal basis factor, W = alpha*Q^T M - Q^T). Each interior-point
+Newton step then runs through a Woodbury solve in O(n k'^2) instead of a
+dense O(n^3) factorization, and the positive-definiteness check works on
+the rank <= 2k' symmetric part of Q W in O(n k'^2) as well. Each Newton
+step factors its system N + diag(D - 1) once (_newton states which system
+and its cost) and solves with those factors twice, for Mehrotra's
+predictor and corrector. Once the guessed active set settles, an
+active-set finish solves the LCP on it exactly with one more system of the
+same size.
 
 When the basis spans all of R^n (k' = n), Q is square and orthogonal, so
-N = alpha*M and r = alpha*q, which only rescale CP(Mx + q): the original CP
-is stored, Q as None and W as the operator itself, whose matrix is N. A
-plain operator's M is read in place, never copied; a polyhedral reduction's
-operator (conevi.transforms) applies N from its blocks M, A and E, each
-Newton step factors an (n + p)^2 system formed from them, and no
-(2m + n + p)^2 array is made. The positive-definiteness check is then the
-operator's beta, with no product with Q and no n x n copy made at set-up.
+N = alpha*M and r = alpha*q, which only rescale CP(Mx + q): build_projective
+returns the operator itself. A plain operator's M is read in place, never
+copied; a polyhedral reduction's operator (conevi.transforms) applies N
+from its blocks M, A and E, each Newton step factors an (n + p)^2 system
+formed from them, and no (2m + n + p)^2 array is made. The
+positive-definiteness check is then the operator's beta, with no product
+with Q and no n x n copy made at set-up.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dsyrk
 
 from .basis import Basis
-from .cones import SeparableCone, _max_abs, _norm, _positive_int, _vector
+from .cones import SeparableCone, _finite, _max_abs, _norm, _positive_int, _vector
 from .operators import AffineOperator, monotone_modulus
 from .transforms import _PolyhedralOperator
 
@@ -61,39 +67,54 @@ class IpmBreakdown(Exception):
     became singular."""
 
 
-@dataclass(frozen=True)
-class ProjectiveLcp:
-    """The reduced problem CP(Nx + r, K) in identity-plus-low-rank form.
+class ProjectiveLcp(AffineOperator):
+    """The reduced problem of a basis below rank n, F(x) = Nx + r with
+    N = I + ortho @ W, in identity-plus-low-rank form.
 
-    ortho is the dense n x k' factor Q with k' >= 1, and N = I + ortho @ W
-    is never materialized: apply() costs O(n k'). ortho is None for a basis
-    of rank n, where W is an AffineOperator whose matrix is N:
-    build_projective stores the operator itself there, a plain one (its M
-    shared and never written) or a polyhedral reduction's, which applies N
-    from its blocks. Either way every Newton matrix is N + diag(D - 1).
-    ValueError for an ortho with no columns, TypeError for a W of a full
-    span that is not an AffineOperator.
+    ortho is the dense n x k' factor Q with k' >= 1, W is k' x n, and r,
+    the operator's q, has shape (n,). N @ x costs O(n k'); the dense N is
+    written on the first read of .M. beta is the smallest eigenvalue of
+    (N + N^T)/2, found in O(n k'^2) and cached: N - I = Q W has its range
+    and row space in range(U), U = qr([Q, W^T]), so the symmetric part is
+    I + U sym(C) U^T with C = U^T Q W U, whose eigenvalues are
+    1 + eig(sym C), plus 1 on the complement of range(U) when U has fewer
+    than n columns. The smallest eigenvalue of sym C is the monotone
+    modulus of C (see conevi.operators).
+    ValueError naming the input that has the wrong shape or a NaN or
+    infinite entry.
     """
 
-    ortho: np.ndarray | None
-    W: np.ndarray | AffineOperator
-    r: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.ortho is None and not isinstance(self.W, AffineOperator):
-            raise TypeError("a full span's W must be an AffineOperator")
-        if self.ortho is not None and not self.ortho.shape[1]:
+    def __init__(self, ortho, W, r):
+        ortho = np.asarray(ortho, dtype=float)
+        if ortho.ndim != 2:
+            raise ValueError(f"ortho must be 2-D, got shape {ortho.shape}")
+        n, k = ortho.shape
+        if not k:
             raise ValueError("ortho has no columns; a basis has rank >= 1")
+        W = np.asarray(W, dtype=float)
+        if W.shape != (k, n):
+            raise ValueError(f"W has shape {W.shape}, expected ({k}, {n})")
+        self.ortho, self.W = _finite(ortho, "ortho"), _finite(W, "W")
+        self.q = _finite(_vector(r, n, "r"), "r")
 
     @property
-    def n(self) -> int:
-        return self.r.size
+    def dim(self) -> int:
+        return self.ortho.shape[0]
 
-    def apply(self, x) -> np.ndarray:
-        """N @ x in O(n k')."""
-        x = _vector(x, self.n, "x")
-        Wx = self.W @ x
-        return Wx if self.ortho is None else x + self.ortho @ Wx
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return x + self.ortho @ (self.W @ x)
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        return _plus_identity(self.ortho @ self.W)
+
+    @cached_property
+    def beta(self) -> float:
+        Q = self.ortho
+        U, _ = np.linalg.qr(np.hstack([Q, self.W.T]))
+        C = (U.T @ Q) @ (self.W @ U)
+        smallest = 1.0 + monotone_modulus(C)
+        return smallest if C.shape[0] == self.dim else min(1.0, smallest)
 
 
 @dataclass
@@ -142,53 +163,43 @@ class IpmReport:
 
 
 def build_projective(op: AffineOperator, basis: Basis,
-                     alpha: float | None = None) -> ProjectiveLcp:
-    """Assemble the reduced problem for F(x) = Mx + q and the given basis.
+                     alpha: float | None = None) -> AffineOperator:
+    """The reduced problem CP(Nx + r) for F(x) = Mx + q and the given basis.
 
     A basis of rank n gives N = alpha M and r = alpha q, whose CP has the
-    solutions of CP(Mx + q) for every alpha > 0: the original CP is returned
-    (ortho None, W = op itself, r = q) in O(n), whatever alpha is, and op.M
-    is not read, so a polyhedral reduction (conevi.transforms) builds no
-    dense array. Below rank n, alpha defaults to op.contraction().alpha
-    (NotStronglyMonotone when beta = 0), and forming W = alpha Q^T M - Q^T is
-    the only O(n^2 k') work.
+    solutions of CP(Mx + q) for every alpha > 0: op itself is returned,
+    whatever alpha is, and op.M is not read, so a polyhedral reduction
+    (conevi.transforms) builds no dense array. Below rank n it returns the
+    ProjectiveLcp of Q = basis.ortho, W = alpha Q^T M - Q^T and
+    r = alpha Q Q^T q; alpha defaults to op.contraction().alpha
+    (NotStronglyMonotone when beta = 0), and forming W is the only
+    O(n^2 k') work. TypeError when op is not an AffineOperator.
     """
+    if not isinstance(op, AffineOperator):
+        raise TypeError(f"build_projective needs an AffineOperator, got {type(op).__name__}")
     if alpha is not None and not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     if basis.n != op.dim:
         raise ValueError(f"basis dimension {basis.n} != operator dimension {op.dim}")
     if basis.rank == basis.n:
-        return ProjectiveLcp(ortho=None, W=op, r=np.array(op.q))
+        return op
     if alpha is None:
         alpha = op.contraction().alpha
     Q = basis.ortho
     W = Q.T @ op.M
     W *= alpha
     W -= Q.T
-    return ProjectiveLcp(ortho=Q, W=W, r=alpha * (Q @ (Q.T @ op.q)))
+    return ProjectiveLcp(Q, W, alpha * (Q @ (Q.T @ op.q)))
 
 
-def verify_pd(plcp: ProjectiveLcp) -> float:
-    """Smallest eigenvalue of (N + N^T)/2; positive when M is PD and, on a
-    proper subspace, alpha comes from the contraction parameters.
-
-    N - I = Q W has its range and row space in range(U), U = qr([Q, W^T]),
-    so the symmetric part is I + U sym(C) U^T with C = U^T Q W U. Its
-    eigenvalues are 1 + eig(sym C), plus 1 on the complement of range(U)
-    when U has fewer than n columns. Cost O(n k'^2). The smallest
-    eigenvalue of sym C is the monotone modulus of C (see
-    conevi.operators).
-    On a full span (ortho is None) W is the operator with matrix N, and the
-    result is its beta, lambda_min(sym N), which the operator caches: no QR,
-    and no eigensolve once beta is known.
+def verify_pd(F: AffineOperator) -> float:
+    """Smallest eigenvalue of (N + N^T)/2 for the reduced problem F with
+    matrix N: its beta, which F caches. Positive when M is PD and, on a
+    proper subspace, alpha comes from the contraction parameters. A
+    ProjectiveLcp finds it in O(n k'^2) with no n x n array; a full span's
+    operator is the original one, whose beta needs no product with Q.
     """
-    Q = plcp.ortho
-    if Q is None:
-        return plcp.W.beta
-    U, _ = np.linalg.qr(np.hstack([Q, plcp.W.T]))
-    C = (U.T @ Q) @ (plcp.W @ U)
-    smallest = 1.0 + monotone_modulus(C)
-    return smallest if C.shape[0] == plcp.n else min(1.0, smallest)
+    return F.beta
 
 
 def _lu(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -298,29 +309,33 @@ def _reduction_factor(
     return factor
 
 
-def _newton(Q: np.ndarray | None, W: np.ndarray | AffineOperator,
+def _newton(F: AffineOperator,
             fixed: np.ndarray) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """factor(D) for the Newton matrices N + diag(D - 1) of one solve, with
-    D = 1 on the rows `fixed` and >= 1 on V = ~fixed: it factors one system
-    and returns the solve of (N + diag(D - 1)) y = b. D_i = inf pins y_i = 0.
+    """factor(D) for the Newton matrices N + diag(D - 1) of one solve on the
+    reduced problem F with matrix N, with D = 1 on the rows `fixed` and
+    >= 1 on V = ~fixed: it factors one system and returns the solve of
+    (N + diag(D - 1)) y = b. D_i = inf pins y_i = 0.
 
     By the Woodbury identity y = u - D^-1 Q G(D)^-1 W u, u = D^-1 b, with
-    G(D) = I + W D^-1 Q; for Q = None (k' = n, W the operator whose matrix
-    is N) the same rule with Q = I and N - I in the place of W gives
-    G(D) = (N + diag(D - 1)) D^-1. The route is chosen here, once per
-    solve; each D then factors:
-    - a dense Q: the k'xk' G(D), in O(n k'^2 + k'^3), for any positive D;
+    G(D) = I + W D^-1 Q for a ProjectiveLcp, N = I + Q W; for any other F
+    the same rule with Q = I and N - I in the place of W gives
+    G(D) = (N + diag(D - 1)) D^-1. The route is chosen here from F's type,
+    once per solve; each D then factors:
+    - a ProjectiveLcp: the k'xk' G(D), in O(n k'^2 + k'^3), for any
+      positive D;
     - a polyhedral reduction's operator with only its slack rows in V:
       [[M + A^T diag(d) A, -E^T], [E, 0]], (n + p)^2 plus one border row
       per slack with a huge or infinite d, formed from its blocks in
       O(n^2 m) and factored in O((n + p)^3) (see _reduction_factor);
-    - every other full span: G(D), n x n, formed from W.M in O(n^2) and
+    - every other operator: G(D), n x n, formed from F.M in O(n^2) and
       factored in O(n^3), whichever rows are fixed (a polyhedral
       reduction's dense N is built for it).
     IpmBreakdown on a D that is not positive (NaN included) or an exactly
     singular system.
     """
-    if Q is not None:
+    if isinstance(F, ProjectiveLcp):
+        Q, W = F.ortho, F.W
+
         def system(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
             solve_small = _lu(_plus_identity(W @ (Q * (1.0 / D)[:, None])))
 
@@ -329,10 +344,10 @@ def _newton(Q: np.ndarray | None, W: np.ndarray | AffineOperator,
                 return u - Q @ solve_small(W @ u) / D
 
             return solve
-    elif isinstance(W, _PolyhedralOperator) and fixed[W.m:].all():
-        system = _reduction_factor(W)
+    elif isinstance(F, _PolyhedralOperator) and fixed[F.m:].all():
+        system = _reduction_factor(F)
     else:
-        N = W.M
+        N = F.M
 
         def system(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
             solve_small = _lu(_over_diagonal(N, D))
@@ -393,47 +408,50 @@ def _active_guess(x: np.ndarray, s: np.ndarray, B: np.ndarray) -> np.ndarray:
     return B & (x < s)
 
 
-def _finish_candidate(plcp: ProjectiveLcp, active: np.ndarray, B: np.ndarray,
+def _finish_candidate(F: AffineOperator, active: np.ndarray, B: np.ndarray,
                       factor: Callable) -> tuple | None:
     """The LCP point for a guessed active set A, or None if its system is
     singular or its signs fail.
 
-    Sets x_A = 0 and solves (Nx + r)_I = 0 on I = ~A: D = inf on A and 1 on
-    I restricts N + diag(D - 1) to N_II. It goes through the solve's
-    factor (see _newton) at the cost of one Newton step.
+    F(x) = Nx + r is the reduced problem. Sets x_A = 0 and solves
+    (Nx + r)_I = 0 on I = ~A: D = inf on A and 1 on I restricts
+    N + diag(D - 1) to N_II. It goes through the solve's factor (see
+    _newton) at the cost of one Newton step.
     Returns (x, feasibility), feasibility the largest |Nx + r| on I, when
     x_B >= 0 and (Nx + r)_A >= 0 for the orthant components B. Its slack
     s = Nx + r on A and 0 elsewhere meets x = 0 on A, so x.s is exactly 0:
     the point is complementary and only its feasibility needs a test.
     """
     try:
-        x = solve_diag_plus_lowrank(factor, np.where(active, np.inf, 1.0), -plcp.r)
+        x = solve_diag_plus_lowrank(factor, np.where(active, np.inf, 1.0), -F.q)
     except IpmBreakdown:
         return None
     x = np.where(active, 0.0, x)  # -r_i / inf leaves -0.0 on A
-    y = plcp.apply(x) + plcp.r
+    y = F @ x + F.q
     if np.any(x[B] < 0.0) or np.any(y[active] < 0.0):
         return None
     return x, float(np.linalg.norm(y[~active], np.inf))
 
 
-def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
+def solve_ipm(F: AffineOperator, cone: SeparableCone,
               cfg: IpmConfig | None = None) -> IpmReport:
-    """Primal-dual path following on CP(Nx + r, K) for a separable K, with an
-    exact active-set finish.
+    """Primal-dual path following on CP(Nx + r, K) for a separable K and the
+    reduced problem F(x) = Nx + r, any AffineOperator, with an exact
+    active-set finish.
 
     Orthant components carry complementarity pairs (x_i, s_i); free
     components are handled as pure equations (Nx + r)_i = 0. Each Newton
     step factors its system N + diag(D - 1) once and solves twice with the
     factors: Mehrotra's affine predictor and the corrector centred by
     sigma = (mu_aff / mu)^3. The Newton diagonal D = 1 + s/x is 1 on the
-    free components F and >= 1 on the orthant ones, so _newton(Q, W, F),
-    made once per solve, sets the system each step factors: k'xk' for a
-    dense Q; (n + p)^2 for a polyhedral reduction's operator, formed from
-    its blocks; n x n for any other full span (its docstring has the
-    costs). A common primal-dual step length with the
-    fraction-to-boundary rule keeps the linear residual shrinking by
-    (1 - step) each iteration.
+    free components and >= 1 on the orthant ones, so _newton, made once
+    per solve, sets the system each step factors from F's type: k'xk' for
+    a ProjectiveLcp; (n + p)^2 for a polyhedral reduction's operator,
+    formed from its blocks; n x n for any other operator (its docstring
+    has the costs). N is applied as F @ x + F.q, so F(x), which a profiler
+    may count as an evaluation of the original operator, is never called.
+    A common primal-dual step length with the fraction-to-boundary rule
+    keeps the linear residual shrinking by (1 - step) each iteration.
 
     When the guessed active set A = {i in B : x_i < s_i} repeats from one
     iteration to the next and differs from the last rejected guess (the
@@ -442,24 +460,25 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
     rest. It ends the solve with mu = 0 if x_B >= 0, (Nx + r)_A >= 0 and its
     feasibility is within tol, and takes precedence over an IPM point
     that passes the stopping test too; otherwise the iteration continues
-    unchanged.
+    unchanged. TypeError when F is not an AffineOperator.
     """
+    if not isinstance(F, AffineOperator):
+        raise TypeError(f"solve_ipm needs an AffineOperator, got {type(F).__name__}")
     cfg = cfg or IpmConfig()
-    if cone.dim != plcp.n:
-        raise ValueError(f"cone dimension {cone.dim} != problem dimension {plcp.n}")
+    if cone.dim != F.dim:
+        raise ValueError(f"cone dimension {cone.dim} != problem dimension {F.dim}")
     if cone.zero_mask.any():
         raise ValueError("zero-constrained segments are not a feasible set for the IPM")
 
     B = cone.nonneg_mask
-    F = cone.free_mask
     n_orth = int(B.sum())
-    r = plcp.r
-    factor = _newton(plcp.ortho, plcp.W, F)
+    r = F.q
+    factor = _newton(F, cone.free_mask)
 
     # s stays 0 on the free rows: their Newton equations read N dx = -(Nx + r)
-    # whatever s is, so a slack there would only track (Nx + r)_F
+    # whatever s is, so a slack there would only track Nx + r there
     x = np.where(B, 1.0, 0.0)
-    s = np.where(B, np.maximum(plcp.apply(x) + r, 1.0), 0.0)
+    s = np.where(B, np.maximum(F @ x + r, 1.0), 0.0)
 
     def gap_ok(xv, sv) -> tuple[bool, float]:
         if not n_orth:
@@ -477,7 +496,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
     accepted = False
     guess = rejected = None
     for it in range(1, cfg.max_iter + 1):
-        g = plcp.apply(x) + r - s
+        g = F @ x + r - s
         feas = float(np.linalg.norm(g, np.inf))
         ok, mu = gap_ok(x, s)
         # tried before the stopping test: an accepted finish is exact where the
@@ -487,7 +506,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
         if (n_orth and np.array_equal(guess, previous)
                 and not np.array_equal(guess, rejected)):
             attempts += 1
-            finish = _finish_candidate(plcp, guess, B, factor)
+            finish = _finish_candidate(F, guess, B, factor)
             if finish is not None and finish[1] <= cfg.tol:
                 x, feas = finish
                 mu = 0.0
@@ -502,7 +521,7 @@ def solve_ipm(plcp: ProjectiveLcp, cone: SeparableCone,
 
         if not np.all(x[B] > 0.0):
             raise IpmBreakdown("orthant iterate lost positivity")
-        d = np.zeros(plcp.n)
+        d = np.zeros(F.dim)
         with np.errstate(over="ignore"):  # an overflow is caught by the test below
             d[B] = s[B] / x[B]
         if not math.isfinite(_max_abs(d)):

@@ -14,7 +14,8 @@ from conevi.bench import bench_ipm
 from conevi.cones import orthant
 from conevi.generate import generate_instance
 from conevi.operators import iteration_bound
-from conevi.projective import IpmConfig, _newton, build_projective, solve_ipm, verify_pd
+from conevi.projective import (IpmConfig, ProjectiveLcp, _newton, build_projective, solve_ipm,
+                               verify_pd)
 from conevi.solvers import SolveConfig, bound_report, solve_bertsekas, solve_exact, solve_galerkin
 from conevi.transforms import PolyhedralVI, polyhedron_to_cone
 
@@ -162,7 +163,7 @@ def test_c09_woodbury_solver():
             continue
         rhs = rng.standard_normal(n)
         ref = np.linalg.solve(A, rhs)
-        got = _newton(Q, W, np.zeros(n, dtype=bool))(D)(rhs)
+        got = _newton(ProjectiveLcp(Q, W, np.zeros(n)), np.zeros(n, dtype=bool))(D)(rhs)
         ok &= np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
         done += 1
     check("09 woodbury-solver", ok)

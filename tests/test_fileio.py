@@ -393,6 +393,21 @@ class TestPartsReader:
         assert forks == [1]
         _no_child_left()
 
+    @pytest.mark.parametrize("parse, text", [
+        (parse_basis, "BASIS1 1000000000000 1\n1\n2\n3\n4\n"),
+        (parse_problem, "VI1 1000000 nn:1000000\n1\n2\n3\n4\n"),
+    ])
+    def test_header_claiming_more_numbers_than_characters(self, parse, text):
+        # the parts reader made the block the header claims (7.28 TiB for the
+        # basis) and raised MemoryError; it now fails as the one-process
+        # reader does, naming the line after the last row, and forks nothing
+        with _counted_forks(2) as forks:
+            outcome = _outcome(parse, text)
+        assert outcome[0] is ProblemFormatError and outcome[2] == 5
+        assert outcome == _reference_outcome(parse, text)
+        assert forks == []
+        _no_child_left()
+
     def test_error_in_this_process_kills_the_children(self, monkeypatch):
         # the children would take 10 s over their parts; they are killed, not
         # waited for

@@ -6,7 +6,9 @@ import pytest
 
 from conevi import (
     AffineOperator,
+    CallableOperator,
     PolyhedralVI,
+    ProjectiveLcp,
     SeparableCone,
     build_projective,
     eliminate_equalities,
@@ -25,6 +27,9 @@ from conevi.fileio import ProblemFormatError, parse_problem, write_basis
 OP = AffineOperator(np.array([[2.0, 1.0], [0.0, 2.0]]), [-2.0, -2.0])
 BASIS = orthonormalize(np.eye(2))
 BASIS3 = orthonormalize(np.eye(3)[:, :2])
+# F(x) = x declared as a plain callable: no matrix or offset to reduce
+CALLABLE = CallableOperator(lambda x: x, 2, beta=1.0, lipschitz=1.0)
+Q3 = np.ones((3, 1)) / np.sqrt(3.0)
 
 # name: (call, exception type, a word of its message)
 CASES = {
@@ -41,6 +46,19 @@ CASES = {
                                            ValueError, "basis dimension"),
     "solve_ipm.cone_vs_problem": (lambda: solve_ipm(build_projective(OP, BASIS), orthant(3)),
                                   ValueError, "cone dimension"),
+    # a CallableOperator raised AttributeError (no 'q' at full rank, no 'M'
+    # below it), and a full-rank build_projective would return it as it is
+    "build_projective.not_affine": (lambda: build_projective(CALLABLE, BASIS),
+                                    TypeError, "AffineOperator"),
+    "solve_ipm.not_affine": (lambda: solve_ipm(CALLABLE, orthant(2)),
+                             TypeError, "AffineOperator"),
+    "ProjectiveLcp.ortho_1d": (lambda: ProjectiveLcp(np.ones(3), np.ones((1, 3)), np.zeros(3)),
+                               ValueError, "ortho must be 2-D"),
+    "ProjectiveLcp.W_shape": (lambda: ProjectiveLcp(Q3, np.ones((1, 4)), np.zeros(3)),
+                              ValueError, "W has shape"),
+    # r of length 4 with a 3x1 Q was accepted and failed later inside matmul
+    "ProjectiveLcp.r_shape": (lambda: ProjectiveLcp(Q3, np.ones((1, 3)), np.zeros(4)),
+                              ValueError, "r has shape"),
     "PolyhedralVI.nonsquare_M": (lambda: PolyhedralVI(np.ones((2, 3)), np.zeros(2),
                                                       np.ones((1, 3)), np.zeros(1)),
                                  ValueError, "square"),

@@ -12,6 +12,7 @@ from conevi import (
     AffineOperator,
     CallableOperator,
     IpmConfig,
+    ProjectiveLcp,
     SolveConfig,
     build_projective,
     certify,
@@ -44,6 +45,11 @@ CASES = {
     "CallableOperator.beta": lambda v: CallableOperator(lambda x: x, 2, beta=v, lipschitz=1.0),
     "CallableOperator.lipschitz": lambda v: CallableOperator(lambda x: x, 2, beta=0.5,
                                                              lipschitz=v),
+    # a NaN in W ended as IpmBreakdown("Newton diagonal D = 1 + s/x is not
+    # finite"), and an infinite r also raised a RuntimeWarning in the solve
+    "ProjectiveLcp.ortho": lambda v: ProjectiveLcp([[v], [0.0]], [[0.0, 0.5]], [1.0, -1.0]),
+    "ProjectiveLcp.W": lambda v: ProjectiveLcp([[1.0], [0.0]], [[v, 0.5]], [1.0, -1.0]),
+    "ProjectiveLcp.r": lambda v: ProjectiveLcp([[1.0], [0.0]], [[0.0, 0.5]], [v, -1.0]),
 }
 
 

@@ -41,11 +41,6 @@ def dense_N(op, basis, alpha):
     return np.eye(n) - P + alpha * (P @ op.M)
 
 
-def materialize(plcp):
-    """N, read column by column through plcp.apply on the identity's columns."""
-    return np.column_stack([plcp.apply(e) for e in np.eye(plcp.n)])
-
-
 def record_factorizations(monkeypatch):
     """The shapes of the matrices LU-factored from now on, in call order."""
     shapes = []
@@ -63,6 +58,11 @@ def no_fixed_row(n):
     """The `fixed` mask with every row varying: a dense Q's route, or a full
     span's direct LU."""
     return np.zeros(n, dtype=bool)
+
+
+def lowrank(Q, W):
+    """The ProjectiveLcp with N = I + Q W and r = 0, for a Newton factory."""
+    return ProjectiveLcp(Q, W, np.zeros(Q.shape[0]))
 
 
 def polyhedral_problem(n=10, seed=64):
@@ -121,13 +121,14 @@ class TestBuildProjective:
         q = rng.standard_normal(5)
         op = AffineOperator(M, q)
         plcp = build_projective(op, orthonormalize(np.eye(5)), 0.3)
-        np.testing.assert_allclose(materialize(plcp), M, atol=1e-12)
-        np.testing.assert_array_equal(plcp.r, q)
+        assert plcp is op
+        np.testing.assert_array_equal(plcp.M, M)
+        np.testing.assert_array_equal(plcp.q, q)
 
     def test_every_full_span_is_the_identity(self):
-        # Q square and orthogonal: the original CP, W = the operator itself
-        # (its M, not a copy, read as N) and r = q bit for bit, whatever the
-        # basis and alpha
+        # Q square and orthogonal: the original CP, the operator itself (its
+        # M, not a copy, read as N, and its q as r), whatever the basis and
+        # alpha
         rng = np.random.default_rng(48)
         n = 30
         op, _ = generate_instance(n, 4, 1.0, 3.0, seed=48)
@@ -135,10 +136,7 @@ class TestBuildProjective:
         for raw in full_spans(n, rng):
             for alpha in (1.0, 0.3, 1e-9):
                 plcp = build_projective(op, orthonormalize(raw), alpha)
-                assert plcp.ortho is None
-                assert plcp.W is op and plcp.W.M is op.M
-                assert plcp.r.tobytes() == op.q.tobytes()
-        np.testing.assert_allclose(materialize(plcp), op.M, rtol=0, atol=1e-15)
+                assert plcp is op
         rep = solve_ipm(plcp, cone)
         assert rep.converged
         assert cone.is_complementary(rep.x, op(rep.x), 1e-10)
@@ -157,28 +155,22 @@ class TestBuildProjective:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8
-        assert plcp.W is op and plcp.W.M is op.M
-
-    def test_full_span_holds_an_operator(self):
-        # a full span's W is read as an operator (W @ x, W.M, W.beta), so a
-        # bare array there is refused when the problem is made
-        with pytest.raises(TypeError, match="AffineOperator"):
-            ProjectiveLcp(None, np.eye(2), np.zeros(2))
+        assert plcp is op
 
     def test_alpha_derived_on_a_proper_span_only(self, monkeypatch):
         op, basis = generate_instance(40, 8, 1.0, 3.0, seed=47)
         derived = build_projective(op, basis)
         given = build_projective(op, basis, op.contraction().alpha)
         assert derived.ortho.tobytes() == given.ortho.tobytes()
-        assert (derived.W.tobytes(), derived.r.tobytes()) == (given.W.tobytes(),
-                                                              given.r.tobytes())
+        assert (derived.W.tobytes(), derived.q.tobytes()) == (given.W.tobytes(),
+                                                              given.q.tobytes())
 
         def no_constants(self):
             raise AssertionError("beta or L computed for a full span")
 
         monkeypatch.setattr(AffineOperator, "contraction", no_constants)
         for raw in full_spans(40, np.random.default_rng(47)):
-            assert build_projective(op, orthonormalize(raw)).ortho is None
+            assert build_projective(op, orthonormalize(raw)) is op
         with pytest.raises(AssertionError, match="full span"):
             build_projective(op, basis)
 
@@ -196,7 +188,7 @@ class TestBuildProjective:
         op = AffineOperator(np.eye(2), [4.0, -7.0])
         plcp = build_projective(op, orthonormalize(np.array([[1.0], [0.0]])), 1.0)
         np.testing.assert_allclose(np.eye(2) + plcp.ortho @ plcp.W, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(plcp.r, [4.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(plcp.q, [4.0, 0.0], atol=1e-14)
 
     def test_alpha_m_equals_identity_collapses_n(self):
         rng = np.random.default_rng(42)
@@ -204,7 +196,7 @@ class TestBuildProjective:
         basis = orthonormalize(rng.standard_normal((6, 2)))
         plcp = build_projective(op, basis, 0.5)
         np.testing.assert_allclose(np.eye(6) + plcp.ortho @ plcp.W, np.eye(6), atol=1e-13)
-        np.testing.assert_allclose(plcp.r, 0.5 * basis.project_span(op.q), atol=1e-13)
+        np.testing.assert_allclose(plcp.q, 0.5 * basis.project_span(op.q), atol=1e-13)
 
     def test_matches_projector_oracle_and_r_in_span(self):
         op, basis = generate_instance(50, 5, 1.0, 3.0, seed=43)
@@ -212,7 +204,7 @@ class TestBuildProjective:
         plcp = build_projective(op, basis, alpha)
         np.testing.assert_allclose(np.eye(50) + plcp.ortho @ plcp.W, dense_N(op, basis, alpha),
                                    atol=1e-12)
-        r = plcp.r
+        r = plcp.q
         near = basis.project_span(r)
         assert np.linalg.norm(r - near) <= 1e-12 * (1 + np.linalg.norm(r))
 
@@ -226,7 +218,7 @@ class TestApplyN:
     def test_zero_maps_to_zero(self):
         op, basis = generate_instance(20, 4, 1.0, 2.0, seed=44)
         plcp = build_projective(op, basis, 0.25)
-        np.testing.assert_array_equal(plcp.apply(np.zeros(20)), np.zeros(20))
+        np.testing.assert_array_equal(plcp @ np.zeros(20), np.zeros(20))
 
     def test_identity_basis_gives_alpha_m_action(self):
         # on the full span alpha only rescales the CP, so N acts as M
@@ -235,7 +227,7 @@ class TestApplyN:
         op = AffineOperator(M, np.zeros(7))
         plcp = build_projective(op, orthonormalize(np.eye(7)), 0.4)
         x = rng.standard_normal(7)
-        np.testing.assert_allclose(plcp.apply(x), M @ x, atol=1e-12)
+        np.testing.assert_allclose(plcp @ x, M @ x, atol=1e-12)
 
     def test_matches_dense_oracle(self):
         op, basis = generate_instance(50, 5, 1.0, 3.0, seed=46)
@@ -246,7 +238,7 @@ class TestApplyN:
             x = rng.standard_normal(50)
             ref = N @ x
             np.testing.assert_allclose(
-                plcp.apply(x), ref, atol=1e-12 * (1 + np.linalg.norm(ref)))
+                plcp @ x, ref, atol=1e-12 * (1 + np.linalg.norm(ref)))
 
 
 class TestVerifyPd:
@@ -273,7 +265,7 @@ class TestVerifyPd:
             M = rng.standard_normal((n, n)) + 0.5 * np.eye(n)
             basis = orthonormalize(rng.standard_normal((n, k)))
             plcp = build_projective(AffineOperator(M, np.zeros(n)), basis, 0.3)
-            N = materialize(plcp)
+            N = plcp.M
             ref = np.linalg.eigvalsh(0.5 * (N + N.T))[0]
             assert verify_pd(plcp) == pytest.approx(ref, abs=1e-12 * (1 + abs(ref)))
 
@@ -307,7 +299,7 @@ class TestVerifyPd:
         # once the operator holds it, no eigensolve runs again
         op, _ = generate_instance(30, 4, 1.0, 3.0, seed=58)
         plcps = [build_projective(op, orthonormalize(np.eye(30))), polyhedral_problem()[0]]
-        betas = [plcp.W.beta for plcp in plcps]
+        betas = [plcp.beta for plcp in plcps]
 
         def no_eigensolve(*args, **kwargs):
             raise AssertionError("verify_pd ran an eigensolve")
@@ -340,7 +332,7 @@ class TestVerifyPd:
 
 class TestSignedPermutationRoute:
     """The route of a signed permutation, and of every other rank-n basis:
-    the identity (ortho = None, W = M), against the same reduced problem
+    the operator itself, against the same reduced problem
     stored with its dense orthogonal Q at alpha = 1, which the identity
     route takes whatever alpha is passed."""
 
@@ -350,24 +342,24 @@ class TestSignedPermutationRoute:
         basis = orthonormalize(raw)
         Q = basis.ortho
         identity = build_projective(op, basis, alpha)
-        dense = ProjectiveLcp(ortho=Q, W=Q.T @ op.M - Q.T, r=Q @ (Q.T @ op.q))
-        assert identity.ortho is None
+        dense = ProjectiveLcp(Q, Q.T @ op.M - Q.T, Q @ (Q.T @ op.q))
+        assert identity is op
         return identity, dense
 
     @pytest.mark.parametrize("raw", full_spans(40, np.random.default_rng(66)))
     def test_reduced_problem_and_verify_pd(self, raw):
         identity, dense = self.both_routes(raw, 0.3)
-        N = materialize(identity)
-        assert np.abs(N - materialize(dense)).max() <= 1e-14 * np.abs(N).max()
-        np.testing.assert_allclose(identity.r, dense.r, rtol=0,
-                                   atol=1e-14 * np.abs(identity.r).max())
+        N = identity.M
+        assert np.abs(N - dense.M).max() <= 1e-14 * np.abs(N).max()
+        np.testing.assert_allclose(identity.q, dense.q, rtol=0,
+                                   atol=1e-14 * np.abs(identity.q).max())
         assert verify_pd(identity) == pytest.approx(verify_pd(dense), rel=1e-12)
 
     @pytest.mark.parametrize("raw", full_spans(40, np.random.default_rng(66)))
     def test_woodbury_sides_and_solve(self, raw):
         identity, dense = self.both_routes(raw, 0.3)
-        n = identity.n
-        N = materialize(identity)
+        n = identity.dim
+        N = identity.M
         rng = np.random.default_rng(69)
         # no fixed row and 5 fixed rows: the full span's direct LU either way,
         # as the dense Q factors k'xk' either way
@@ -378,7 +370,7 @@ class TestSignedPermutationRoute:
             K = N - np.eye(n) + np.diag(D)
             rhs = rng.standard_normal(n)
             for p in (identity, dense):
-                y = _newton(p.ortho, p.W, fixed)(D)(rhs)
+                y = _newton(p, fixed)(D)(rhs)
                 # normwise backward error of the solve
                 err = np.abs(K @ y - rhs).max()
                 assert err <= 1e-14 * (np.abs(K).sum(1).max() * np.abs(y).max()
@@ -402,11 +394,11 @@ class TestSignedPermutationRoute:
         op, _ = generate_instance(40, 4, 1.0, 3.0, seed=70)
         before = [a.tobytes() for a in (op.M, op.q)]
         plcp = build_projective(op, orthonormalize(np.eye(40)[:, :k]), 0.3)
-        W = plcp.W if k < 40 else plcp.W.M
-        stored = [a.tobytes() for a in (W, plcp.r)]
+        W = plcp.W if k < 40 else plcp.M
+        stored = [a.tobytes() for a in (W, plcp.q)]
         assert solve_ipm(plcp, parse_cone_spec(cone)).converged
         verify_pd(plcp)
-        assert [a.tobytes() for a in (W, plcp.r)] == stored
+        assert [a.tobytes() for a in (W, plcp.q)] == stored
         assert [a.tobytes() for a in (op.M, op.q)] == before
 
 
@@ -419,7 +411,8 @@ class TestWoodbury:
 
     def test_zero_correction(self):
         rhs = np.array([1.0, -2.0, 3.0])
-        got = _newton(np.zeros((3, 2)), np.zeros((2, 3)), no_fixed_row(3))(np.ones(3))(rhs)
+        factor = _newton(lowrank(np.zeros((3, 2)), np.zeros((2, 3))), no_fixed_row(3))
+        got = factor(np.ones(3))(rhs)
         np.testing.assert_allclose(got, rhs, atol=1e-15)
 
     def test_matches_dense_solve(self):
@@ -434,13 +427,15 @@ class TestWoodbury:
                 continue
             rhs = rng.standard_normal(n)
             ref = np.linalg.solve(A, rhs)
-            got = _newton(Q, W, no_fixed_row(n))(D)(rhs)
+            got = _newton(lowrank(Q, W), no_fixed_row(n))(D)(rhs)
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_nonpositive_diagonal_breaks(self):
+        # N = I as a plain operator and as a ProjectiveLcp with Q W = 0
         for D in ([1.0, 0.0], [np.nan, 1.0]):
-            for k in (0, 1):
-                factor = _newton(np.zeros((2, k)), np.zeros((k, 2)), no_fixed_row(2))
+            for F in (AffineOperator(np.eye(2), np.zeros(2)),
+                      lowrank(np.zeros((2, 1)), np.zeros((1, 2)))):
+                factor = _newton(F, no_fixed_row(2))
                 with pytest.raises(IpmBreakdown, match="positivity"):
                     factor(np.array(D))(np.ones(2))
 
@@ -448,10 +443,10 @@ class TestWoodbury:
         # I + W D^-1 Q = 1 - 1 = 0 although D > 0
         e1 = np.array([[1.0], [0.0]])
         with pytest.raises(IpmBreakdown, match="singular"):
-            _newton(e1, -e1.T, no_fixed_row(2))(np.ones(2))
+            _newton(lowrank(e1, -e1.T), no_fixed_row(2))(np.ones(2))
         # a full span with a fixed row: N + diag(D - 1) = diag(0, 0) at D = (1, 2)
         # breaks when that D is factored
-        factor = _newton(None, AffineOperator(np.diag([0.0, -1.0]), np.zeros(2)),
+        factor = _newton(AffineOperator(np.diag([0.0, -1.0]), np.zeros(2)),
                          np.array([True, False]))
         with pytest.raises(IpmBreakdown, match="singular"):
             factor(np.array([1.0, 2.0]))
@@ -467,7 +462,7 @@ class TestWoodbury:
                 W = alpha * (Q.T @ M) - Q.T
                 D = 1.0 + 10.0 ** rng.uniform(-12, 12, size=n)
                 rhs = rng.standard_normal(n) * D ** rng.uniform(0, 1, size=n)
-                y = _newton(Q, W, no_fixed_row(n))(D)(rhs)
+                y = _newton(lowrank(Q, W), no_fixed_row(n))(D)(rhs)
                 A = np.diag(D) + Q @ W
                 omega = np.abs(rhs - A @ y) / (np.abs(A) @ np.abs(y) + np.abs(rhs))
                 assert omega.max() <= 1e-14
@@ -484,11 +479,11 @@ class TestWoodbury:
                 fixed = rng.random(n) < 0.6
                 D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-2, 2, size=n))
                 rhs = rng.standard_normal(n)
-                y = _newton(Q, W, fixed)(D)(rhs)
+                y = _newton(lowrank(Q, W), fixed)(D)(rhs)
                 A = np.diag(D) + Q @ W
                 omega = np.abs(rhs - A @ y) / (np.abs(A) @ np.abs(y) + np.abs(rhs))
                 assert omega.max() <= 1e-14
-                ref = _newton(Q, W, no_fixed_row(n))(D)(rhs)
+                ref = _newton(lowrank(Q, W), no_fixed_row(n))(D)(rhs)
                 assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_varying_side_matches_dense_solve(self):
@@ -508,7 +503,7 @@ class TestWoodbury:
                     assert (~fixed).sum() < k
                     D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-12, 12, size=n))
                     rhs = rng.standard_normal(n) * D ** rng.uniform(0, 1, size=n)
-                    y = _newton(Q, W, fixed)(D)(rhs)
+                    y = _newton(lowrank(Q, W), fixed)(D)(rhs)
                     A = np.diag(D) + Q @ W
                     omega = np.abs(rhs - A @ y) / (np.abs(A) @ np.abs(y) + np.abs(rhs))
                     assert omega.max() <= 1e-14
@@ -521,7 +516,7 @@ class TestWoodbury:
         rng = np.random.default_rng(63)
         n = 30
         N = np.eye(n) + rng.standard_normal((n, n)) / (2 * np.sqrt(n))
-        factor = _newton(None, AffineOperator(N, np.zeros(n)), np.ones(n, dtype=bool))
+        factor = _newton(AffineOperator(N, np.zeros(n)), np.ones(n, dtype=bool))
         for _ in range(3):
             rhs = rng.standard_normal(n)
             y = factor(np.ones(n))(rhs)
@@ -529,7 +524,7 @@ class TestWoodbury:
             assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_identity_split_with_no_fixed_row_holds_no_copy(self):
-        # Q = None and every row varies (an orthant cone without --basis): each
+        # a full span and every row varies (an orthant cone without --basis): each
         # system is formed from the operator's N when D is given, so the
         # factory holds no n x n array
         rng = np.random.default_rng(71)
@@ -538,7 +533,7 @@ class TestWoodbury:
         op = AffineOperator(W, np.zeros(n))
         tracemalloc.start()
         try:
-            factor = _newton(None, op, no_fixed_row(n))
+            factor = _newton(op, no_fixed_row(n))
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -550,7 +545,7 @@ class TestWoodbury:
         assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_small_alpha_identity_form_keeps_accuracy(self):
-        # N = alpha M passed as the operator's M (ortho None), with every row varying
+        # N = alpha M passed as a plain operator's M, with every row varying
         # and with half the rows fixed: each system is formed from N, so no
         # I + (alpha M - I) cancels. On the finish's diagonals (1 on I, inf on
         # A, the system N_II) a stored W = alpha M - I lost the low bits of
@@ -566,7 +561,7 @@ class TestWoodbury:
                 for fixed_rows in (no_fixed_row(n), fixed):
                     active = ~fixed_rows & (rng.random(n) < 0.5)
                     rhs = rng.standard_normal(n)
-                    factor = _newton(None, AffineOperator(N, np.zeros(n)), fixed_rows)
+                    factor = _newton(AffineOperator(N, np.zeros(n)), fixed_rows)
                     for D in (np.ones(n), np.where(active, np.inf, 1.0)):
                         rows = np.isfinite(D)
                         K = N[np.ix_(rows, rows)]
@@ -584,7 +579,7 @@ class TestWoodbury:
         Q = rng.standard_normal((n, k)) / (2 * np.sqrt(n))
         W = rng.standard_normal((k, n)) / (2 * np.sqrt(n))
         D = 1.0 + 10.0 ** rng.uniform(-3, 3, size=n)
-        solve = _newton(Q, W, no_fixed_row(n))(D)
+        solve = _newton(lowrank(Q, W), no_fixed_row(n))(D)
         A = np.diag(D) + Q @ W
         for _ in range(3):
             rhs = rng.standard_normal(n)
@@ -602,7 +597,7 @@ class TestWoodbury:
             free = rng.random(n) < free_share
             active = ~free & (rng.random(n) < 0.5)
             rhs = rng.standard_normal(n)
-            y = _newton(Q, W, free)(np.where(active, np.inf, 1.0))(rhs)
+            y = _newton(lowrank(Q, W), free)(np.where(active, np.inf, 1.0))(rhs)
             keep = ~active
             ref = np.linalg.solve((np.eye(n) + Q @ W)[np.ix_(keep, keep)], rhs[keep])
             assert np.all(y[active] == 0.0)
@@ -647,7 +642,7 @@ class TestSlackPairs:
         op, fixed = self.reduction(n, p, seed=73)
         rng = np.random.default_rng(74)
         factored = record_factorizations(monkeypatch)
-        factor = _newton(None, op, fixed)
+        factor = _newton(op, fixed)
         assert factored == []
         for _ in range(10):
             D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-12, 12, fixed.size))
@@ -666,7 +661,7 @@ class TestSlackPairs:
         N = op.M
         rng = np.random.default_rng(76)
         factored = record_factorizations(monkeypatch)
-        factor = _newton(None, op, fixed)
+        factor = _newton(op, fixed)
         for _ in range(5):
             active = ~fixed & (rng.random(fixed.size) < 0.5)
             keep = ~active
@@ -709,7 +704,7 @@ class TestSlackPairs:
         factored = record_factorizations(monkeypatch)
         for dense in (op.M, *self.near_misses(op.M, n)):
             factored.clear()
-            factor = _newton(None, AffineOperator(dense, op.q), fixed)
+            factor = _newton(AffineOperator(dense, op.q), fixed)
             D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-3, 3, fixed.size))
             rhs = rng.standard_normal(fixed.size)
             y = factor(D)(rhs)
@@ -727,7 +722,7 @@ class TestSlackPairs:
         factored = record_factorizations(monkeypatch)
         D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-3, 3, fixed.size))
         rhs = rng.standard_normal(fixed.size)
-        y = _newton(None, op, fixed)(D)(rhs)
+        y = _newton(op, fixed)(D)(rhs)
         assert factored == [(3 * n, 3 * n)]
         assert self.backward_error(op.M + np.diag(D - 1.0), y, rhs) <= 1e-14
 
@@ -745,9 +740,9 @@ class TestSlackPairs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IpmBreakdown, match="system is not finite"):
-                _newton(None, huge_rows, fixed)(D)
+                _newton(huge_rows, fixed)(D)
             with pytest.raises(IpmBreakdown, match="solve is not finite"):
-                _newton(None, op, fixed)(D)(rhs)
+                _newton(op, fixed)(D)(rhs)
 
     @pytest.mark.parametrize("seed", range(79, 84))
     def test_huge_slack_diagonal_solves(self, seed):
@@ -763,11 +758,11 @@ class TestSlackPairs:
         rhs = np.random.default_rng(seed).standard_normal(fixed.size)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y = _newton(None, op, fixed)(D)(rhs)
+            y = _newton(op, fixed)(D)(rhs)
         # rows scaled by 1/D: unscaled, row 0's 1e300 would hide any error
         K = (op.M + np.diag(D - 1.0)) / D[:, None]
         assert self.backward_error(K, y, rhs / D) <= 1e-15
-        ref = _newton(None, AffineOperator(op.M, op.q), fixed)(D)(rhs)
+        ref = _newton(AffineOperator(op.M, op.q), fixed)(D)(rhs)
         assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n, seed", [(10, 64), (10, 3), (20, 4)])
@@ -789,9 +784,9 @@ class TestSlackPairs:
         # direct route factors n x n
         for i in range(4):
             plcp, cone = benchmark_problem(poly_instance(1, i))
-            assert isinstance(plcp.W, _PolyhedralOperator)
+            assert isinstance(plcp, _PolyhedralOperator)
             got = solve_ipm(plcp, cone)
-            ref = solve_ipm(ProjectiveLcp(None, AffineOperator(plcp.W.M, plcp.r), plcp.r), cone)
+            ref = solve_ipm(AffineOperator(plcp.M, plcp.q), cone)
             assert got.converged and got.finish_accepted
             assert ((got.iterations, got.converged, got.finish_attempts, got.finish_accepted)
                     == (ref.iterations, ref.converged, ref.finish_attempts, ref.finish_accepted))
@@ -823,7 +818,7 @@ class TestSlackPairs:
         assert rep.converged and rep.finish_accepted
         assert setup_peak < dense_bytes / 20
         assert solve_peak < dense_bytes
-        assert plcp.W is eq.op
+        assert plcp is eq.op
         assert "M" not in vars(layout.op) and "M" not in vars(eq.op)
 
 
@@ -860,7 +855,7 @@ class TestSolveIpm:
             plcp = build_projective(op, basis, op.contraction().alpha)
             rep = solve_ipm(plcp, cone, cfg)
             assert rep.converged
-            y = plcp.apply(rep.x) + plcp.r
+            y = plcp(rep.x)
             assert cone.is_complementary(rep.x, y, 10 * cfg.tol)
 
     def test_mixed_free_rows_solved_as_equations(self):
@@ -874,7 +869,7 @@ class TestSolveIpm:
         plcp = build_projective(op, orthonormalize(np.eye(3)), 0.2)
         rep = solve_ipm(plcp, cone)
         assert rep.converged
-        resid = plcp.apply(rep.x) + plcp.r
+        resid = plcp(rep.x)
         assert abs(resid[2]) <= 1e-8
         assert np.all(rep.x[:2] >= -1e-10)
         assert np.all(resid[:2] >= -1e-8)
@@ -889,7 +884,7 @@ class TestSolveIpm:
         assert rep.converged
         x_bar = solve_galerkin(op, cone, basis).x
         assert np.linalg.norm(rep.x - x_bar) <= 1e-6 * (1 + np.linalg.norm(x_bar))
-        resid = plcp.apply(rep.x) + plcp.r
+        resid = plcp(rep.x)
         assert np.abs(resid[cone.free_mask]).max() <= 1e-8
         assert cone.is_complementary(rep.x, resid, 10 * IpmConfig().tol)
 
@@ -946,11 +941,31 @@ class TestSolveIpm:
         assert rep.converged and rep.finish_attempts >= 1
         assert len(calls) == rep.finish_attempts
 
+    def test_operator_solved_without_a_basis(self):
+        # the reduced problem of the identity basis is the operator itself, so
+        # solve_ipm and verify_pd take it directly, plain or polyhedral, and
+        # report what the route through build_projective reports, bit for bit
+        op, _ = generate_instance(30, 4, 1.0, 3.0, seed=59)
+        rng = np.random.default_rng(59)
+        layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, rng.standard_normal((10, 30)),
+                                                 1.0 + np.abs(rng.standard_normal(10))))
+        assert isinstance(layout.op, _PolyhedralOperator)
+        for F, cone in ((op, parse_cone_spec("nn:12,free:6,nn:12")), (layout.op, layout.cone)):
+            built = build_projective(F, orthonormalize(np.eye(F.dim)), 0.3)
+            assert built is F
+            got, ref = solve_ipm(F, cone), solve_ipm(built, cone)
+            assert got.converged and got.finish_accepted
+            assert got.x.tobytes() == ref.x.tobytes()
+            assert got.history == ref.history
+            assert ((got.mu, got.feasibility, got.finish_attempts, got.finish_accepted)
+                    == (ref.mu, ref.feasibility, ref.finish_attempts, ref.finish_accepted))
+            assert verify_pd(F) == verify_pd(built) == F.beta
+
     def test_empty_lowrank_part_solved(self):
         # N = I with no low-rank part: ortho may not be empty, so the problem
-        # is a full span whose W is the identity operator. CP(x + r) on the
+        # is the identity operator itself, with r as its q. CP(x + r) on the
         # orthant has x = max(-r, 0)
-        plcp = ProjectiveLcp(None, AffineOperator(np.eye(3), np.zeros(3)), np.array([-1.0, 1.0, 2.0]))
+        plcp = AffineOperator(np.eye(3), [-1.0, 1.0, 2.0])
         rep = solve_ipm(plcp, orthant(3))
         assert rep.converged
         np.testing.assert_allclose(rep.x, [1.0, 0.0, 0.0], atol=1e-12)
@@ -1014,7 +1029,7 @@ class TestSolveIpm:
         # reduction is given as its dense N, which takes the direct route;
         # its operator's route stops at max_iter there (TestSlackPairs)
         plcp, cone = polyhedral_problem()
-        plcp = ProjectiveLcp(None, AffineOperator(plcp.W.M, plcp.r), plcp.r)
+        plcp = AffineOperator(plcp.M, plcp.q)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IpmBreakdown, match="not finite"):
@@ -1027,7 +1042,7 @@ class TestSolveIpm:
         # RuntimeWarning, solved directly and as the VI over {x : I x + 0 >= 0}
         M, q = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([-1.0, -1.0])
         if form == "lcp":
-            plcp, cone = ProjectiveLcp(None, AffineOperator(M, q), q), orthant(2)
+            plcp, cone = AffineOperator(M, q), orthant(2)
         else:
             layout = polyhedron_to_cone(PolyhedralVI(M, q, np.eye(2), np.zeros(2)))
             cone = layout.cone
@@ -1044,7 +1059,7 @@ class TestSolveIpm:
         plcp = build_projective(op, basis, op.contraction().alpha)
         rep = solve_ipm(plcp, cone)
         assert rep.converged and rep.finish_attempts == 0
-        resid = plcp.apply(rep.x) + plcp.r
+        resid = plcp(rep.x)
         assert np.abs(resid).max() <= IpmConfig().tol
 
     def test_directions_match_dense_solve(self, monkeypatch):
@@ -1066,7 +1081,7 @@ class TestSolveIpm:
         rep = solve_ipm(plcp, cone)
         assert rep.converged and not rep.finish_accepted
         assert len(steps) == rep.iterations - 1
-        N = materialize(plcp)
+        N = plcp.M
         for (d, x, s, g, B, mu), (dx_aff, ds_aff, dx, ds, sigma) in (steps[0], steps[-1]):
             K = N + np.diag(d)
 
@@ -1100,7 +1115,7 @@ class TestSolveIpm:
             plcp = build_projective(op, basis, alpha)
             rep = solve_ipm(plcp, cone)
             assert rep.converged and rep.finish_accepted and rep.mu == 0.0
-            y = plcp.apply(rep.x) + plcp.r
+            y = plcp(rep.x)
             active = rep.x == 0.0
             # exact zeros on the active set, the equations on the rest
             assert active.sum() >= n // 3
@@ -1117,7 +1132,7 @@ class TestSolveIpm:
         op, _ = generate_instance(60, 4, 1.0, 3.0, seed=72)
         op.M.setflags(write=False)
         plcp = build_projective(op, orthonormalize(np.eye(60)))
-        assert plcp.W is op and plcp.W.M is op.M
+        assert plcp is op
         for cone in (orthant(60), parse_cone_spec("nn:27,free:6,nn:27")):
             rep = solve_ipm(plcp, cone)
             assert rep.converged and rep.finish_accepted

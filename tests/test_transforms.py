@@ -203,7 +203,7 @@ class TestBlockOperator:
         np.testing.assert_allclose(got.op @ u, ref.op.M @ u, rtol=1e-14, atol=1e-14)
         assert got.op.beta == ref.op.beta <= 0.0
         plcp = build_projective(got.op, orthonormalize(np.eye(got.op.dim)))
-        assert plcp.W is got.op and verify_pd(plcp) == got.op.beta
+        assert plcp is got.op and verify_pd(plcp) == got.op.beta
         assert "M" not in vars(got.op)
         assert got.op.M.tobytes() == ref.op.M.tobytes()
         assert got.op.q.tobytes() == ref.op.q.tobytes()
