@@ -92,10 +92,26 @@ def _rank(squares: np.ndarray) -> int:
     return int(np.sum(residual > DROP_TOL**2 * residual[0]))
 
 
-def _disjoint_support(raw: np.ndarray, amax: float) -> _Support | None:
+def _checked_max_abs(a: np.ndarray) -> float:
+    """Largest entry magnitude of the raw basis entries a: ValueError when
+    one is not finite, EmptyBasis when all are zero."""
+    amax = _max_abs(a)
+    if not math.isfinite(amax):
+        raise ValueError("raw basis has non-finite entries")
+    if amax == 0.0:
+        raise EmptyBasis("raw basis is identically zero")
+    return amax
+
+
+def _disjoint_support(raw: np.ndarray) -> _Support | None:
     """The support map of raw diag(1/||raw_j||) on the columns _rank keeps
-    when every row of raw has at most one nonzero, amax its largest entry
-    magnitude; None otherwise. O(nk).
+    when every row of raw has at most one nonzero; None otherwise. O(nk).
+
+    One elementwise pass, raw != 0 (true for NaN), picks each row's first
+    nonzero; the test passes when no row has a second one. Every other
+    entry is then exactly zero, so the n picked values alone are checked
+    for non-finite entries (ValueError) and for an all-zero basis
+    (EmptyBasis), and their largest magnitude is raw's.
 
     Such columns are orthogonal, so pivoted QR would take them in order of
     descending norm with R diagonal, |R_jj| = ||raw_j||: the same rule keeps
@@ -107,7 +123,7 @@ def _disjoint_support(raw: np.ndarray, amax: float) -> _Support | None:
     v = raw[np.arange(n), col]
     if np.count_nonzero(nonzero) != np.count_nonzero(v):
         return None  # some row has a second nonzero
-    v = v / amax  # scaled so that squares neither overflow nor underflow
+    v = v / _checked_max_abs(v)  # scaled so that squares neither overflow nor underflow
     squares = np.bincount(col, weights=v * v, minlength=k)
     order = np.argsort(-squares, kind="stable")
     keep = np.zeros(k, dtype=bool)
@@ -123,28 +139,26 @@ def orthonormalize(raw) -> Basis:
     Keeps the smallest rank r of the pivoted QR raw P = Q R with
     ||raw - Q_r Q_r^T raw||_F <= DROP_TOL * ||raw||_F, Q_r the first r
     columns of Q; the left side is ||R[r:, :]||_F and the right one
-    DROP_TOL * ||R||_F. Two routes apply this one rule:
+    DROP_TOL * ||R||_F. Two routes apply this one rule, tried in order:
     - when every row of raw has at most one nonzero (the identity, 0/1
       aggregation), the columns are already orthogonal and R is diagonal
       with |R_jj| = ||raw_j||, so the kept columns are scaled to unit norm
       in O(nk) and stay in their input order, kept as a support map until
-      Basis.ortho is first read;
-    - otherwise QR with column pivoting is computed, O(n k min(n, k)).
+      Basis.ortho is first read; the test reads every entry once, and only
+      the n values it picks are then checked, the rest being exactly zero;
+    - otherwise every entry is checked and QR with column pivoting is
+      computed, O(n k min(n, k)).
 
-    Raises EmptyBasis when raw has no nonzero column.
+    Raises ValueError when an entry is not finite, and EmptyBasis when raw
+    has no nonzero column.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[0] < 1 or raw.shape[1] < 1:
         raise ValueError(f"raw basis must be a nonempty 2-D matrix, got shape {raw.shape}")
-    amax = _max_abs(raw)
-    if not math.isfinite(amax):
-        raise ValueError("raw basis has non-finite entries")
-    if amax == 0.0:
-        raise EmptyBasis("raw basis is identically zero")
-
-    support = _disjoint_support(raw, amax)
+    support = _disjoint_support(raw)
     if support is not None:
         return Basis(support=support)
+    _checked_max_abs(raw)
     Q, R, _ = scipy.linalg.qr(raw, mode="economic", pivoting=True)
     # |R[0, 0]| bounds every entry of R under column pivoting, so the
     # scaled squares neither overflow nor lose the residual to underflow

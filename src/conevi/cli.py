@@ -8,6 +8,7 @@ problem), and 2 (usage or parse errors).
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -103,14 +104,15 @@ def _cmd_solve(args) -> int:
             print("solver error: zero-constrained segments are not a feasible set for the IPM",
                   file=sys.stderr)
             return 1
-        if basis is None:
-            basis = orthonormalize(np.eye(cone.dim))
-        try:
-            plcp = build_projective(op, basis, args.alpha)
-        except NotStronglyMonotone:
-            print("operator is not strongly monotone; pass --alpha explicitly",
-                  file=sys.stderr)
-            return 1
+        # without --basis the span is full: its reduced problem is op itself
+        plcp = op
+        if basis is not None:
+            try:
+                plcp = build_projective(op, basis, args.alpha)
+            except NotStronglyMonotone:
+                print("operator is not strongly monotone; pass --alpha explicitly",
+                      file=sys.stderr)
+                return 1
         report = solve_ipm(plcp, cone, ipm_cfg)
         own = [("mu", report.mu), ("feas", report.feasibility),
                ("finish", report.finish_accepted)]
@@ -194,6 +196,18 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _step_size(text: str) -> float:
+    """The value of `solve --alpha`, refused unless positive and finite, so
+    that a full-span IPM, which never reads it, refuses what the others do."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Reads an argument such as -1e-3 or -inf as a value, not an option.
 
@@ -231,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                                          "optional for ipm, rejected by exact)")
     p_solve.add_argument("--tol", type=float, help="stopping tolerance (ipm: mu and feasibility)")
     p_solve.add_argument("--max-iter", type=int, dest="max_iter")
-    p_solve.add_argument("--alpha", type=float,
+    p_solve.add_argument("--alpha", type=_step_size,
                          help="override the step size derived from beta and L "
                               "(ipm on a full-span basis ignores it)")
     p_solve.add_argument("--trace", help="write (t, step_norm, distance_to_final) rows "

@@ -36,7 +36,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dsyrk
 
 from .basis import Basis
 from .cones import SeparableCone, _finite, _max_abs, _norm, _positive_int, _vector
@@ -273,10 +272,8 @@ def _reduction_factor(
         K = np.empty((n + k, n + k))
         with np.errstate(over="ignore", invalid="ignore"):
             if d_k.any():
-                G = dsyrk(1.0, (A_k * np.sqrt(d_k)[:, None]).T, lower=1)
-                np.add(M, G, out=K[:n, :n])
-                G[np.diag_indices(n)] = 0.0
-                K[:n, :n] += G.T  # G's lower triangle, mirrored
+                As = A_k * np.sqrt(d_k)[:, None]
+                np.add(As.T @ As, M, out=K[:n, :n])  # NumPy takes As^T As by SYRK
             else:
                 K[:n, :n] = M
         K[:n, n:] = -border.T

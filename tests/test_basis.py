@@ -174,6 +174,73 @@ class TestDisjointSupport:
             assert not ortho.flags.writeable
             assert b.ortho is ortho
 
+    def test_support_maps_pinned(self):
+        # (shape, rows, cols, vals) of the identity, a signed scaled
+        # permutation and an aggregation with a zero row and a zero column;
+        # -0.0 is a zero, alone in a row or beside its nonzero
+        perm = np.zeros((3, 3))
+        perm[[0, 1, 2], [2, 0, 1]] = [-2.0, 3.0, 0.5]
+        agg = np.zeros((5, 3))
+        agg[[0, 1, 2, 4], [0, 0, 2, 0]] = 1.0
+        lone, beside = np.eye(3), np.eye(3)
+        lone[1, 1] = -0.0
+        beside[1, 0] = beside[2, 0] = -0.0
+        third = 1 / np.sqrt(3.0)
+        cases = [
+            (np.eye(3), (3, 3), [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0]),
+            (perm, (3, 3), [0, 1, 2], [2, 0, 1], [-1.0, 1.0, 1.0]),
+            # a zero row is listed with 0 (its sign kept) when column 0 is kept
+            (agg, (5, 2), [0, 1, 2, 3, 4], [0, 0, 1, 0, 0], [third, third, 1.0, 0.0, third]),
+            (-agg, (5, 2), [0, 1, 2, 3, 4], [0, 0, 1, 0, 0],
+             [-third, -third, -1.0, -0.0, -third]),
+            (lone, (3, 2), [0, 1, 2], [0, 0, 1], [1.0, 0.0, 1.0]),
+            (beside, (3, 3), [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0]),
+        ]
+        for raw, shape, rows, cols, vals in cases:
+            support = orthonormalize(raw)._support
+            assert support.shape == shape
+            assert support.rows.tolist() == rows and support.cols.tolist() == cols
+            assert support.vals.tobytes() == np.array(vals).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_alone_or_beside_a_nonzero(self, bad):
+        # at every position: in place of a row's nonzero or in a zero row it
+        # is alone, passes the one-nonzero test and is caught among the
+        # picked values; beside a nonzero it sends the basis to the QR
+        # route, whose full check catches it: the same error either way
+        perm = np.eye(4)[[2, 0, 3, 1]]
+        agg = np.zeros((5, 2))
+        agg[[0, 1, 3], [0, 1, 0]] = 1.0  # rows 2 and 4 are zero
+        for raw in (np.eye(4), perm, agg):
+            for row, col in np.ndindex(raw.shape):
+                bent = raw.copy()
+                bent[row, col] = bad
+                with pytest.raises(ValueError, match="^raw basis has non-finite entries$"):
+                    orthonormalize(bent)
+
+    def test_max_abs_reads_every_entry_only_on_the_qr_route(self, monkeypatch):
+        # the one-nonzero test is made first; a basis that passes it has its
+        # n picked values checked, and only one that fails it is scanned whole
+        sizes = []
+        max_abs = conevi.basis._max_abs
+
+        def recorded(a):
+            sizes.append(a.size)
+            return max_abs(a)
+
+        monkeypatch.setattr(conevi.basis, "_max_abs", recorded)
+        for raw in disjoint_support_cases():
+            sizes.clear()
+            orthonormalize(raw)
+            assert raw.size not in sizes and sizes
+        dense = np.random.default_rng(30).standard_normal((40, 6))
+        shared = np.eye(5)
+        shared[0, 1] = 0.5
+        for raw in (dense, shared):
+            sizes.clear()
+            orthonormalize(raw)
+            assert sizes.count(raw.size) == 1
+
     def test_basis_takes_exactly_one_factor(self):
         support = orthonormalize(np.eye(3))._support
         with pytest.raises(TypeError):

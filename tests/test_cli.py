@@ -8,7 +8,7 @@ import conevi.solvers
 from conevi.basis import orthonormalize
 from conevi.cli import main
 from conevi.cones import orthant
-from conevi.fileio import parse_basis, parse_problem, write_problem
+from conevi.fileio import parse_basis, parse_problem, write_basis, write_problem
 from conevi.generate import generate_instance
 from conevi.solvers import SolveConfig, solve_galerkin
 
@@ -173,6 +173,38 @@ class TestSolve:
         assert kv["finish"] == "true"
         x = np.array([float(v) for v in kv["x"].split()])
         assert np.linalg.norm(np.minimum(x, op.M @ x + op.q)) <= 1e-10
+
+    def test_full_span_ipm_builds_no_basis(self, tmp_path, monkeypatch, capsys):
+        # README's `solve --method ipm --problem f.vi`: without --basis the
+        # operator is the reduced problem, so no identity is orthonormalized
+        # and the output is that of the identity basis given as a file
+        op, _ = generate_instance(40, 8, 1.0, 4.0, 7)
+        problem = tmp_path / "f.vi"
+        problem.write_text(write_problem(op, orthant(40)))
+        eye = tmp_path / "eye.mat"
+        eye.write_text(write_basis(np.eye(40)))
+        argv = ["solve", "--method", "ipm", "--problem", str(problem), "--format", "kv"]
+        assert main(argv + ["--basis", str(eye)]) == 0
+        with_basis = capsys.readouterr().out
+
+        def fail(raw):
+            raise AssertionError("orthonormalize ran")
+
+        monkeypatch.setattr(conevi.cli, "orthonormalize", fail)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == with_basis
+        assert kv_lines(out)["converged"] == "true"
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-1e-3", "one"])
+    def test_full_span_ipm_refuses_a_bad_alpha(self, alpha, tmp_path, capsys):
+        # --alpha is checked as it is parsed, before any file is read, also
+        # where a full span never reads it
+        assert main(["solve", "--method", "ipm", "--problem", str(tmp_path / "missing.vi"),
+                     "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert "argument --alpha: must be positive and finite" in captured.err
+        assert captured.out == ""
 
     def test_ipm_reports_finish(self, problem_file, capsys):
         assert main(["solve", "--method", "ipm", "--problem", problem_file,
