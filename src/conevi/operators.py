@@ -24,6 +24,11 @@ dense eigensolve runs on all of it.
 Entries with a magnitude outside 2**(+-256) are scaled by a power of two
 for both constants, so neither overflows on entries near the largest
 double.
+
+Each AffineOperator class also chooses the Newton system that
+conevi.projective.solve_ipm factors on it (_newton_factor): this module's
+is the dense n x n one, and IpmBreakdown, the solver's error, lives here
+with the LU factorization that raises it.
 """
 from __future__ import annotations
 
@@ -58,6 +63,11 @@ class NotStronglyMonotone(Exception):
     def __init__(self, beta: float):
         super().__init__(f"operator is not strongly monotone (beta={beta:.6g})")
         self.beta = beta
+
+
+class IpmBreakdown(Exception):
+    """The interior-point Newton system lost positivity or finiteness, or
+    became singular."""
 
 
 @dataclass(frozen=True)
@@ -319,6 +329,21 @@ class Operator:
                                  gamma=_gamma(alpha, beta, lip))
 
 
+def _lu(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """LU-factor the square A once and return its solve; IpmBreakdown when A
+    is exactly singular.
+
+    A is overwritten by the factors: every caller passes a matrix it has
+    just built and never reads again. A C-ordered A is factored as its
+    Fortran-ordered transpose, A^T = P L U, so LAPACK gets it without a
+    copy, and the solve applies the factors transposed.
+    """
+    lu, piv, info = scipy.linalg.lapack.dgetrf(A.T, overwrite_a=True)
+    if info > 0:
+        raise IpmBreakdown(f"singular {A.shape[0]}x{A.shape[0]} Newton system")
+    return lambda c: scipy.linalg.lapack.dgetrs(lu, piv, c, trans=1)[0]
+
+
 class AffineOperator(Operator):
     """F(x) = M x + q with derived monotonicity and Lipschitz parameters."""
 
@@ -345,6 +370,31 @@ class AffineOperator(Operator):
     @cached_property
     def lipschitz(self) -> float:
         return lipschitz_constant(self.M)
+
+    def _newton_factor(
+            self, fixed: np.ndarray) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+        """factor(D) for the interior-point Newton matrices N + diag(D - 1),
+        N = self.M, with D = 1 on the rows `fixed` and >= 1 elsewhere: it
+        factors one system and returns the solve of (N + diag(D - 1)) y = b.
+        D_i = inf pins y_i = 0.
+
+        The system is G(D) = (N + diag(D - 1)) D^-1 = I + (N - I) D^-1, so
+        y = G(D)^-1 b / D: n x n, formed from M in O(n^2) as
+        N diag(1/D) + diag(1 - 1/D), with N - I never formed, and factored in
+        O(n^3), whichever rows are fixed. Subclasses with a smaller system
+        override it (conevi.projective._newton calls it once per solve and
+        checks D > 0 first). IpmBreakdown when G(D) is exactly singular.
+        """
+        N = self.M
+
+        def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+            w = 1.0 / D
+            G = N * w
+            G[np.diag_indices(D.size)] += 1.0 - w
+            solve_small = _lu(G)
+            return lambda b: solve_small(b) / D
+
+        return factor
 
     def __repr__(self) -> str:
         return f"AffineOperator(dim={self.dim})"

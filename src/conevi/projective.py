@@ -8,24 +8,22 @@ problem is an AffineOperator with matrix N and offset r, and solve_ipm and
 verify_pd take any AffineOperator.
 
 Below rank n it is a ProjectiveLcp, which stores N as I + Q W (Q the
-orthonormal basis factor, W = alpha*Q^T M - Q^T). Each interior-point
-Newton step then runs through a Woodbury solve in O(n k'^2) instead of a
-dense O(n^3) factorization, and the positive-definiteness check works on
-the rank <= 2k' symmetric part of Q W in O(n k'^2) as well. Each Newton
-step factors its system N + diag(D - 1) once (_newton states which system
-and its cost) and solves with those factors twice, for Mehrotra's
-predictor and corrector. Once the guessed active set settles, an
-active-set finish solves the LCP on it exactly with one more system of the
-same size.
+orthonormal basis factor, W = alpha*Q^T M - Q^T), and the
+positive-definiteness check works on the rank <= 2k' symmetric part of
+Q W in O(n k'^2). Each interior-point Newton step factors its system
+N + diag(D - 1) once and solves with those factors twice, for Mehrotra's
+predictor and corrector. The reduced problem's class chooses that system:
+its _newton_factor method states which one and its cost. Once the guessed
+active set settles, an active-set finish solves the LCP on it exactly
+with one more system of the same kind.
 
 When the basis spans all of R^n (k' = n), Q is square and orthogonal, so
 N = alpha*M and r = alpha*q, which only rescale CP(Mx + q): build_projective
 returns the operator itself. A plain operator's M is read in place, never
 copied; a polyhedral reduction's operator (conevi.transforms) applies N
-from its blocks M, A and E, each Newton step factors an (n + p)^2 system
-formed from them, and no (2m + n + p)^2 array is made. The
-positive-definiteness check is then the operator's beta, with no product
-with Q and no n x n copy made at set-up.
+and forms its Newton systems from its blocks M, A and E, and no
+(2m + n + p)^2 array is made. The positive-definiteness check is then the
+operator's beta, with no product with Q and no n x n copy made at set-up.
 """
 from __future__ import annotations
 
@@ -35,12 +33,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .basis import Basis
 from .cones import SeparableCone, _finite, _max_abs, _norm, _positive_int, _vector
-from .operators import AffineOperator, monotone_modulus
-from .transforms import _PolyhedralOperator
+from .operators import AffineOperator, IpmBreakdown, _lu, monotone_modulus
 
 __all__ = [
     "IpmBreakdown",
@@ -55,15 +51,12 @@ __all__ = [
 
 # fraction-to-boundary factor: keeps (x, s) strictly positive on orthant rows
 _STEP_FRACTION = 0.99
-# a slack row whose d = D - 1 reaches 1/u (u the unit roundoff) borders the
-# reduced system of _reduction_factor: in M + A^T diag(d) A, d a a^T would
-# round away entries of M that are no larger than a a^T
-_BORDER_D = 2.0**53
 
 
-class IpmBreakdown(Exception):
-    """The interior-point Newton system lost positivity or finiteness, or
-    became singular."""
+def _plus_identity(A: np.ndarray) -> np.ndarray:
+    """A + I for a square A, added in place."""
+    A[np.diag_indices(A.shape[0])] += 1.0
+    return A
 
 
 class ProjectiveLcp(AffineOperator):
@@ -114,6 +107,28 @@ class ProjectiveLcp(AffineOperator):
         C = (U.T @ Q) @ (self.W @ U)
         smallest = 1.0 + monotone_modulus(C)
         return smallest if C.shape[0] == self.dim else min(1.0, smallest)
+
+    def _newton_factor(
+            self, fixed: np.ndarray) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+        """factor(D) for N + diag(D - 1), N = I + Q W, for any positive D,
+        whichever rows are fixed (see AffineOperator._newton_factor).
+
+        By the Woodbury identity y = u - D^-1 Q G(D)^-1 W u, u = D^-1 b, with
+        the k' x k' G(D) = I + W D^-1 Q: formed in O(n k'^2) and factored in
+        O(k'^3), with no n x n array.
+        """
+        Q, W = self.ortho, self.W
+
+        def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+            solve_small = _lu(_plus_identity(W @ (Q * (1.0 / D)[:, None])))
+
+            def solve(b: np.ndarray) -> np.ndarray:
+                u = b / D
+                return u - Q @ solve_small(W @ u) / D
+
+            return solve
+
+        return factor
 
 
 @dataclass
@@ -201,154 +216,17 @@ def verify_pd(F: AffineOperator) -> float:
     return F.beta
 
 
-def _lu(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """LU-factor the square A once and return its solve; IpmBreakdown when A
-    is exactly singular.
-
-    A is overwritten by the factors: every caller passes a matrix it has
-    just built and never reads again. A C-ordered A is factored as its
-    Fortran-ordered transpose, A^T = P L U, so LAPACK gets it without a
-    copy, and the solve applies the factors transposed.
-    """
-    lu, piv, info = scipy.linalg.lapack.dgetrf(A.T, overwrite_a=True)
-    if info > 0:
-        raise IpmBreakdown(f"singular {A.shape[0]}x{A.shape[0]} Newton system")
-    return lambda c: scipy.linalg.lapack.dgetrs(lu, piv, c, trans=1)[0]
-
-
-def _plus_identity(A: np.ndarray) -> np.ndarray:
-    """A + I for a square A, added in place."""
-    A[np.diag_indices(A.shape[0])] += 1.0
-    return A
-
-
-def _over_diagonal(N: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """(N + diag(D - 1)) D^-1 = N diag(1/D) + diag(1 - 1/D) as one new array:
-    I + (N - I) D^-1, with N - I never formed."""
-    w = 1.0 / D
-    G = N * w
-    G[np.diag_indices(D.size)] += 1.0 - w
-    return G
-
-
-def _reduction_factor(
-        op: _PolyhedralOperator) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """factor(D) for a polyhedral reduction's N, D = 1 on every row but the
-    slacks s: the solve of (N + diag(D - 1)) y = b from N's blocks.
-
-    With d = D_s - 1, the rows of y = (y_s, y_x, y_lambda, y_mu) read
-    y_lambda + d y_s = b_s, M y_x - A^T y_lambda - E^T y_mu = b_x,
-    A y_x - y_s = b_lambda and E y_x = b_mu (see conevi.transforms).
-    Eliminating y_s = A y_x - b_lambda and y_lambda = b_s - d y_s leaves
-    [[K, -E^T], [E, 0]] (y_x, y_mu) = (b_x + A^T (b_s + d b_lambda), b_mu),
-    an (n + p)^2 system with K = M + A^T diag(d) A formed by one SYRK on
-    diag(sqrt(d)) A. The finish, with d = 0 on every slack it does not pin,
-    forms no product: K = M.
-    Border rule: a slack row with d >= _BORDER_D (D = inf included) keeps
-    its y_lambda. Only y_s = (b_s - y_lambda) / d is eliminated, and the
-    row A y_x + y_lambda / d = b_lambda + b_s / d borders K next to E, with
-    1/d on its diagonal; a pinned slack (D = inf, the finish) is the case
-    1/d = 0, where y_s = 0. So a huge d never enters K, where d a a^T would
-    round M's entries away.
-    The eliminations pivot on +-I and on d, so the system is singular
-    exactly when N + diag(D - 1) is; IpmBreakdown then, or when it or the
-    solve overflows. D must be >= 1 on the slacks.
-    """
-    M, A, E = op.M_x, op.A, op.E
-    m, n = A.shape
-    x, lam, mu = slice(m, m + n), slice(m + n, 2 * m + n), slice(2 * m + n, None)
-    all_rows = slice(None)
-
-    def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        d = D[:m] - 1.0
-        bordered = d >= _BORDER_D
-        d_b = d[bordered]
-        if d_b.size:
-            kept = ~bordered
-            A_k, d_k, border = A[kept], d[kept], np.vstack([A[bordered], E])
-        else:
-            kept, A_k, d_k, border = all_rows, A, d, E
-        k, n_b = border.shape[0], d_b.size
-        K = np.empty((n + k, n + k))
-        with np.errstate(over="ignore", invalid="ignore"):
-            if d_k.any():
-                As = A_k * np.sqrt(d_k)[:, None]
-                np.add(As.T @ As, M, out=K[:n, :n])  # NumPy takes As^T As by SYRK
-            else:
-                K[:n, :n] = M
-        K[:n, n:] = -border.T
-        K[n:, :n] = border
-        K[n:, n:] = 0.0
-        np.fill_diagonal(K[n:n + n_b, n:n + n_b], 1.0 / d_b)
-        if not math.isfinite(_max_abs(K)):
-            raise IpmBreakdown("Newton system is not finite")
-        solve_K = _lu(K)
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            b_s, b_lam = b[:m], b[lam]
-            y = np.empty(b.size)
-            y_s, y_lam = y[:m], y[lam]
-            with np.errstate(over="ignore", invalid="ignore"):
-                z = solve_K(np.concatenate([b[x] + (b_s[kept] + d_k * b_lam[kept]) @ A_k,
-                                            b_lam[bordered] + b_s[bordered] / d_b, b[mu]]))
-                y[x] = z[:n]
-                y_lam[bordered] = z[n:n + n_b]
-                y[mu] = z[n + n_b:]
-                y_s[bordered] = (b_s[bordered] - y_lam[bordered]) / d_b
-                y_s[kept] = A_k @ z[:n] - b_lam[kept]
-                y_lam[kept] = b_s[kept] - d_k * y_s[kept]
-            if not math.isfinite(_max_abs(y)):
-                raise IpmBreakdown("Newton solve is not finite")
-            return y
-
-        return solve
-
-    return factor
-
-
 def _newton(F: AffineOperator,
             fixed: np.ndarray) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """factor(D) for the Newton matrices N + diag(D - 1) of one solve on the
     reduced problem F with matrix N, with D = 1 on the rows `fixed` and
-    >= 1 on V = ~fixed: it factors one system and returns the solve of
-    (N + diag(D - 1)) y = b. D_i = inf pins y_i = 0.
-
-    By the Woodbury identity y = u - D^-1 Q G(D)^-1 W u, u = D^-1 b, with
-    G(D) = I + W D^-1 Q for a ProjectiveLcp, N = I + Q W; for any other F
-    the same rule with Q = I and N - I in the place of W gives
-    G(D) = (N + diag(D - 1)) D^-1. The route is chosen here from F's type,
-    once per solve; each D then factors:
-    - a ProjectiveLcp: the k'xk' G(D), in O(n k'^2 + k'^3), for any
-      positive D;
-    - a polyhedral reduction's operator with only its slack rows in V:
-      [[M + A^T diag(d) A, -E^T], [E, 0]], (n + p)^2 plus one border row
-      per slack with a huge or infinite d, formed from its blocks in
-      O(n^2 m) and factored in O((n + p)^3) (see _reduction_factor);
-    - every other operator: G(D), n x n, formed from F.M in O(n^2) and
-      factored in O(n^3), whichever rows are fixed (a polyhedral
-      reduction's dense N is built for it).
-    IpmBreakdown on a D that is not positive (NaN included) or an exactly
-    singular system.
+    >= 1 on the rest: F's own system, F._newton_factor(fixed), whose
+    docstring states it and its cost (AffineOperator, ProjectiveLcp and a
+    polyhedral reduction's operator each have one), made once per solve.
+    IpmBreakdown on a D that is not positive (NaN included), before any
+    factorization, or on an exactly singular system.
     """
-    if isinstance(F, ProjectiveLcp):
-        Q, W = F.ortho, F.W
-
-        def system(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            solve_small = _lu(_plus_identity(W @ (Q * (1.0 / D)[:, None])))
-
-            def solve(b: np.ndarray) -> np.ndarray:
-                u = b / D
-                return u - Q @ solve_small(W @ u) / D
-
-            return solve
-    elif isinstance(F, _PolyhedralOperator) and fixed[F.m:].all():
-        system = _reduction_factor(F)
-    else:
-        N = F.M
-
-        def system(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            solve_small = _lu(_over_diagonal(N, D))
-            return lambda b: solve_small(b) / D
+    system = F._newton_factor(fixed)
 
     def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         if not np.all(D > 0):
@@ -441,11 +319,9 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
     step factors its system N + diag(D - 1) once and solves twice with the
     factors: Mehrotra's affine predictor and the corrector centred by
     sigma = (mu_aff / mu)^3. The Newton diagonal D = 1 + s/x is 1 on the
-    free components and >= 1 on the orthant ones, so _newton, made once
-    per solve, sets the system each step factors from F's type: k'xk' for
-    a ProjectiveLcp; (n + p)^2 for a polyhedral reduction's operator,
-    formed from its blocks; n x n for any other operator (its docstring
-    has the costs). N is applied as F @ x + F.q, so F(x), which a profiler
+    free components and >= 1 on the orthant ones; F's _newton_factor,
+    through _newton once per solve, sets the system each step factors and
+    states its cost. N is applied as F @ x + F.q, so F(x), which a profiler
     may count as an evaluation of the original operator, is never called.
     A common primal-dual step length with the fraction-to-boundary rule
     keeps the linear residual shrinking by (1 - step) each iteration.

@@ -23,18 +23,20 @@ alone (the variables are then (s, x, lambda, mu)). It applies the block
 matrix and finds beta in O(n^2 + mn + pn) for p equality rows; the dense
 (2m + n + p)^2 array is written only when a caller reads op.M.
 conevi.projective keeps the operator for a full-span basis, and each
-interior-point Newton step factors an (n + p)^2 system formed from the
-blocks (projective._newton states it).
+interior-point Newton step factors a system formed from the blocks
+(_PolyhedralOperator._newton_factor states it and its cost).
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .cones import SegmentKind, Segment, SeparableCone, _finite, _vector
-from .operators import AffineOperator, monotone_modulus
+from .cones import SegmentKind, Segment, SeparableCone, _finite, _max_abs, _vector
+from .operators import AffineOperator, IpmBreakdown, _lu, monotone_modulus
 
 __all__ = [
     "PolyhedralVI",
@@ -42,6 +44,11 @@ __all__ = [
     "eliminate_equalities",
     "polyhedron_to_cone",
 ]
+
+# a slack row whose d = D - 1 reaches 1/u (u the unit roundoff) borders the
+# Newton system of _PolyhedralOperator._newton_factor: in M + A^T diag(d) A,
+# d a a^T would round away entries of M that are no larger than a a^T
+_BORDER_D = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -141,6 +148,83 @@ class _PolyhedralOperator(AffineOperator):
     def beta(self) -> float:
         """min(0, beta of M): the symmetric part of N is diag(0, sym M, 0)."""
         return min(0.0, monotone_modulus(self.M_x))
+
+    def _newton_factor(
+            self, fixed: np.ndarray) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+        """factor(D) for N + diag(D - 1) from N's blocks, when D = 1 on every
+        row but the slacks s (see AffineOperator._newton_factor); when any
+        other row is not fixed, the parent's n x n route on the dense N.
+
+        With d = D_s - 1, the rows of y = (y_s, y_x, y_lambda, y_mu) read
+        y_lambda + d y_s = b_s, M y_x - A^T y_lambda - E^T y_mu = b_x,
+        A y_x - y_s = b_lambda and E y_x = b_mu. Eliminating
+        y_s = A y_x - b_lambda and y_lambda = b_s - d y_s leaves
+        [[K, -E^T], [E, 0]] (y_x, y_mu) = (b_x + A^T (b_s + d b_lambda), b_mu),
+        an (n + p)^2 system with K = M + A^T diag(d) A formed by one SYRK on
+        diag(sqrt(d)) A in O(n^2 m) and factored in O((n + p)^3). The
+        finish, with d = 0 on every slack it does not pin, forms no product:
+        K = M.
+        Border rule: a slack row with d >= _BORDER_D (D = inf included) keeps
+        its y_lambda. Only y_s = (b_s - y_lambda) / d is eliminated, and the
+        row A y_x + y_lambda / d = b_lambda + b_s / d borders K next to E,
+        with 1/d on its diagonal; a pinned slack (D = inf, the finish) is the
+        case 1/d = 0, where y_s = 0. So a huge d never enters K, where
+        d a a^T would round M's entries away.
+        The eliminations pivot on +-I and on d, so the system is singular
+        exactly when N + diag(D - 1) is; IpmBreakdown then, or when it or the
+        solve overflows. D must be >= 1 on the slacks.
+        """
+        if not fixed[self.m:].all():
+            return super()._newton_factor(fixed)
+        M, A, E = self.M_x, self.A, self.E
+        m, n = A.shape
+        x, lam, mu = slice(m, m + n), slice(m + n, 2 * m + n), slice(2 * m + n, None)
+
+        def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+            d = D[:m] - 1.0
+            bordered = d >= _BORDER_D
+            d_b = d[bordered]
+            if d_b.size:
+                kept = ~bordered
+                A_k, d_k, border = A[kept], d[kept], np.vstack([A[bordered], E])
+            else:
+                kept, A_k, d_k, border = slice(None), A, d, E
+            k, n_b = border.shape[0], d_b.size
+            K = np.empty((n + k, n + k))
+            with np.errstate(over="ignore", invalid="ignore"):
+                if d_k.any():
+                    As = A_k * np.sqrt(d_k)[:, None]
+                    np.add(As.T @ As, M, out=K[:n, :n])  # NumPy takes As^T As by SYRK
+                else:
+                    K[:n, :n] = M
+            K[:n, n:] = -border.T
+            K[n:, :n] = border
+            K[n:, n:] = 0.0
+            np.fill_diagonal(K[n:n + n_b, n:n + n_b], 1.0 / d_b)
+            if not math.isfinite(_max_abs(K)):
+                raise IpmBreakdown("Newton system is not finite")
+            solve_K = _lu(K)
+
+            def solve(b: np.ndarray) -> np.ndarray:
+                b_s, b_lam = b[:m], b[lam]
+                y = np.empty(b.size)
+                y_s, y_lam = y[:m], y[lam]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    z = solve_K(np.concatenate([b[x] + (b_s[kept] + d_k * b_lam[kept]) @ A_k,
+                                                b_lam[bordered] + b_s[bordered] / d_b, b[mu]]))
+                    y[x] = z[:n]
+                    y_lam[bordered] = z[n:n + n_b]
+                    y[mu] = z[n + n_b:]
+                    y_s[bordered] = (b_s[bordered] - y_lam[bordered]) / d_b
+                    y_s[kept] = A_k @ z[:n] - b_lam[kept]
+                    y_lam[kept] = b_s[kept] - d_k * y_s[kept]
+                if not math.isfinite(_max_abs(y)):
+                    raise IpmBreakdown("Newton solve is not finite")
+                return y
+
+            return solve
+
+        return factor
 
 
 def _positive_zeros(a: np.ndarray) -> bool:

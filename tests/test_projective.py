@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conevi import projective
+import conevi
+from conevi import operators, projective
 from conevi.basis import orthonormalize
 from conevi.cones import SegmentKind, Segment, SeparableCone, orthant, parse_cone_spec, zero
 from conevi.generate import generate_instance
@@ -820,6 +821,70 @@ class TestSlackPairs:
         assert solve_peak < dense_bytes
         assert plcp is eq.op
         assert "M" not in vars(layout.op) and "M" not in vars(eq.op)
+
+
+class TestNewtonSystemOwner:
+    """Each reduced-problem class chooses its own Newton system in its
+    _newton_factor method; projective._newton checks D and calls it."""
+
+    def test_projective_holds_nothing_from_transforms(self):
+        from_transforms = [name for name, value in vars(projective).items()
+                           if getattr(value, "__module__", None) == "conevi.transforms"]
+        assert from_transforms == []
+
+    def test_solve_ipm_factors_through_the_operator_method(self):
+        # a subclass that records each D its own method factors: solve_ipm
+        # goes through it, and a D with a zero is refused before it runs
+        factored = []
+
+        class Recorded(AffineOperator):
+            def _newton_factor(self, fixed):
+                system = super()._newton_factor(fixed)
+
+                def factor(D):
+                    factored.append(D)
+                    return system(D)
+
+                return factor
+
+        op, _ = generate_instance(20, 2, 1.0, 3.0, seed=50)
+        rep = solve_ipm(Recorded(op.M, op.q), orthant(20))
+        assert rep.converged
+        assert len(factored) == rep.iterations - 1 + rep.finish_attempts
+        np.testing.assert_array_equal(rep.x, solve_ipm(op, orthant(20)).x)
+        factored.clear()
+        factor = _newton(Recorded(op.M, op.q), no_fixed_row(20))
+        D = np.ones(20)
+        D[3] = 0.0
+        with pytest.raises(IpmBreakdown, match="positivity"):
+            factor(D)
+        assert factored == []
+
+    def test_one_breakdown_class_for_every_route(self):
+        assert conevi.IpmBreakdown is projective.IpmBreakdown is operators.IpmBreakdown
+        modules = ("basis", "cones", "generate", "operators", "projective", "solvers",
+                   "transforms")
+        assert [name for name in modules
+                if "IpmBreakdown" in importlib.import_module(f"conevi.{name}").__all__] == [
+                    "projective"]
+        # a singular system on the n x n and the k'xk' routes, and a block
+        # system whose M + A^T diag(d) A overflows, each caught by the clause
+        # that cli.main and the benchmark worker use
+        e1 = np.array([[1.0], [0.0]])
+        poly, all_but_slacks = TestSlackPairs.reduction(10, 0, seed=79)
+        cases = [
+            (AffineOperator(np.diag([0.0, -1.0]), np.zeros(2)), no_fixed_row(2), np.ones(2)),
+            (lowrank(e1, -e1.T), no_fixed_row(2), np.ones(2)),
+            (_PolyhedralOperator(poly.M_x, 1e150 * poly.A, poly.E, poly.q), all_but_slacks,
+             np.where(all_but_slacks, 1.0, 1e10)),
+        ]
+        for F, fixed, D in cases:
+            try:
+                _newton(F, fixed)(D)
+            except projective.IpmBreakdown as exc:
+                assert type(exc) is operators.IpmBreakdown
+            else:
+                pytest.fail(f"{type(F).__name__}: no breakdown")
 
 
 class TestSolveIpm:
