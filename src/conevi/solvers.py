@@ -1,13 +1,16 @@
 """Fixed-point solvers: exact projection, intersection-Galerkin, and
 two-projection Galerkin, plus error bounds and optimality certificates.
 
-All three iterations share the update direction x - alpha*F(x) and differ
-only in where a projection is inserted, so one driver runs them all:
+All three methods are one update x <- P(x - G(x)) from x = 0, run by one
+driver, for one pair (G, P) each:
 
-  exact:      x <- P_C(x - alpha F(x))
-  Bertsekas:  x <- P_{C & span}(x - alpha F(x))
-  Galerkin:   x <- P_C(z);  z <- P_span(x - alpha F(x))
+  exact:      (alpha F, P_C)
+  Galerkin:   (G_S, P_C), reporting z_bar = x_T - G_S(x_T), x_bar = P_C(z_bar)
+  Bertsekas:  (G_S, P_{C & span}), valid since P_{C & S} = P_{C & S} o P_S
 
+where x - G_S(x) = P_span(x - alpha F(x)). For an AffineOperator below
+rank n, G_S is the reduced operator build_projective(op, basis, alpha),
+applied in O(n k') per step; otherwise it is x - P_span(x - alpha F(x)).
 For strongly monotone F with alpha = beta/L**2 every update contracts with
 factor gamma = sqrt(1 - beta**2/L**2), which yields the a-priori error
 bounds reported by bound_report. The projection onto C & span(Phi) is
@@ -22,9 +25,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.optimize
 
+from . import projective
 from .basis import DROP_TOL, Basis
 from .cones import SeparableCone, _norm, _positive_int, _vector
-from .operators import NotStronglyMonotone, Operator, _gamma, iteration_bound
+from .operators import AffineOperator, NotStronglyMonotone, Operator, _gamma, iteration_bound
 
 # the tolerance of every optimality certificate, relative to 1 + ||epsilon||
 # in the null-space test and to 1 + ||z_bar - x_bar|| in the normal-cone test
@@ -59,10 +63,9 @@ class SolveConfig:
     alpha_override runs an explicit step size without the strong-monotonicity
     guarantee; tol is the fixed-point step-norm stopping threshold. max_iter
     defaults to 100x the certified iteration bound when a contraction factor
-    is available, else 10000. Every method starts from 0 (x = 0 for the exact
-    and intersection methods, z = 0 for the two-projection method), which
-    lies in every separable cone. alpha_override and tol must be positive
-    and finite, max_iter a positive integer.
+    is available, else 10000. Every method starts from x = 0, which lies in
+    every separable cone. alpha_override and tol must be positive and
+    finite, max_iter a positive integer.
     """
 
     alpha_override: float | None = None
@@ -104,8 +107,10 @@ class OptimalityCertificate:
 class SolveReport:
     """Outcome of one solve: iterate(s), convergence data, and certificates.
 
-    step_norms holds ||v_t - v_{t-1}|| for every iteration t = 1, 2, ...;
-    iterations is its length.
+    step_norms holds the x steps ||x_t - x_{t-1}|| for every iteration
+    t = 1, 2, ...; iterations is its length, and iterates (with cfg.trace)
+    are x_0, ..., x_T. A Galerkin solve reports z = x_T - G_S(x_T) and
+    x = P_C(z), one update past x_T, with the certificate of that pair.
     """
 
     x: np.ndarray
@@ -161,28 +166,40 @@ def _check_dims(op: Operator, cone: SeparableCone, basis: Basis | None = None) -
         raise ValueError(f"basis dimension {basis.n} != cone dimension {cone.dim}")
 
 
-def _fixed_point(update, v0: np.ndarray, cfg: SolveConfig, gamma: float, alpha: float,
-                 observe=None) -> SolveReport:
-    """Iterate v <- update(v) from v0 until the step norm drops to cfg.tol.
+def _fixed_point(G, P, n: int, cfg: SolveConfig, gamma: float, alpha: float) -> SolveReport:
+    """Iterate x <- P(x - G(x)) from x = 0 in R^n until the x step norm
+    drops to cfg.tol.
 
-    The report's x is the last v. With cfg.trace, observe(v) is logged for
-    every iterate (v itself by default). Non-convergence is reported
+    With cfg.trace every iterate x_t is logged. Non-convergence is reported
     (converged=False), not raised.
     """
-    observe = observe or (lambda v: v)
-    v = v0
+    x = np.zeros(n)
     step_norms: list[float] = []
-    iterates = [observe(v)] if cfg.trace else None
+    iterates = [x] if cfg.trace else None
     for _ in range(_max_iter(cfg, gamma)):
-        v_new = update(v)
-        step_norms.append(float(np.linalg.norm(v_new - v)))
-        v = v_new
+        x_new = P(x - G(x))
+        step_norms.append(float(np.linalg.norm(x_new - x)))
+        x = x_new
         if iterates is not None:
-            iterates.append(observe(v))
+            iterates.append(x)
         if step_norms[-1] <= cfg.tol:
             break
-    return SolveReport(x=v, gamma=gamma, alpha=alpha, converged=step_norms[-1] <= cfg.tol,
+    return SolveReport(x=x, gamma=gamma, alpha=alpha, converged=step_norms[-1] <= cfg.tol,
                        step_norms=step_norms, iterates=iterates)
+
+
+def _span_step(op: Operator, basis: Basis, alpha: float):
+    """G_S with x - G_S(x) = P_span(x - alpha F(x)).
+
+    For an AffineOperator below rank n this is the reduced operator
+    F = build_projective(op, basis, alpha), applied as F @ x + F.q in
+    O(n k') with no call of op; otherwise (a CallableOperator, or a basis of
+    rank n, where build_projective drops alpha) x - P_span(x - alpha F(x)).
+    """
+    if isinstance(op, AffineOperator) and basis.rank < basis.n:
+        F = projective.build_projective(op, basis, alpha)
+        return lambda x: F @ x + F.q
+    return lambda x: x - basis.project_span(x - alpha * op(x))
 
 
 def solve_exact(op: Operator, cone: SeparableCone, cfg: SolveConfig | None = None) -> SolveReport:
@@ -194,8 +211,7 @@ def solve_exact(op: Operator, cone: SeparableCone, cfg: SolveConfig | None = Non
     cfg = cfg or SolveConfig()
     _check_dims(op, cone)
     alpha, gamma = _step_params(op, cfg)
-    return _fixed_point(lambda x: cone.project(x - alpha * op(x)), np.zeros(cone.dim),
-                        cfg, gamma, alpha)
+    return _fixed_point(lambda x: alpha * op(x), cone.project, cone.dim, cfg, gamma, alpha)
 
 
 def project_intersection(cone: SeparableCone, basis: Basis, z) -> np.ndarray:
@@ -255,7 +271,8 @@ def project_intersection(cone: SeparableCone, basis: Basis, z) -> np.ndarray:
 
 def solve_bertsekas(op: Operator, cone: SeparableCone, basis: Basis,
                     cfg: SolveConfig | None = None) -> SolveReport:
-    """Intersection-Galerkin method: project onto C & span(Phi) each step.
+    """Intersection-Galerkin method: x <- P_{C&span}(x - G_S(x)), that is
+    P_{C&span}(x - alpha F(x)), since P_{C&span} = P_{C&span} o P_span.
 
     Its a-priori bound ||P_{C&span}(x*) - x*|| / (1 - gamma) needs the exact
     solution x*; bound_report computes it as bound_bertsekas.
@@ -263,28 +280,25 @@ def solve_bertsekas(op: Operator, cone: SeparableCone, basis: Basis,
     cfg = cfg or SolveConfig()
     _check_dims(op, cone, basis)
     alpha, gamma = _step_params(op, cfg)
-    return _fixed_point(lambda x: project_intersection(cone, basis, x - alpha * op(x)),
-                        np.zeros(cone.dim), cfg, gamma, alpha)
+    return _fixed_point(_span_step(op, basis, alpha),
+                        lambda y: project_intersection(cone, basis, y), cone.dim, cfg, gamma, alpha)
 
 
 def solve_galerkin(op: Operator, cone: SeparableCone, basis: Basis,
                    cfg: SolveConfig | None = None) -> SolveReport:
     """Two-projection Galerkin method.
 
-    Iterates x <- P_C(z), z <- P_span(x - alpha F(x)) from z = 0, stopping on
-    the z step norm. Returns both the feasible solution x_bar = P_C(z_bar)
-    and z_bar, with an optimality certificate attached.
+    Iterates x <- P_C(x - G_S(x)) = P_C(P_span(x - alpha F(x))) from x = 0,
+    stopping on the x step norm. Returns z_bar = x_T - G_S(x_T) and the
+    feasible solution x_bar = P_C(z_bar), with the optimality certificate
+    of that pair attached.
     """
     cfg = cfg or SolveConfig()
     _check_dims(op, cone, basis)
     alpha, gamma = _step_params(op, cfg)
-
-    def update(z: np.ndarray) -> np.ndarray:
-        x = cone.project(z)
-        return basis.project_span(x - alpha * op(x))
-
-    rep = _fixed_point(update, np.zeros(cone.dim), cfg, gamma, alpha, observe=cone.project)
-    rep.z = rep.x
+    G = _span_step(op, basis, alpha)
+    rep = _fixed_point(G, cone.project, cone.dim, cfg, gamma, alpha)
+    rep.z = rep.x - G(rep.x)
     rep.x = cone.project(rep.z)
     rep.certificate = certify(op, cone, basis, rep.x, rep.z, alpha)
     return rep

@@ -24,7 +24,7 @@ from conevi.projective import (
     solve_ipm,
     verify_pd,
 )
-from conevi.solvers import SolveConfig, solve_galerkin
+from conevi.solvers import SolveConfig, certify, solve_galerkin
 from conevi.transforms import (
     PolyhedralVI,
     _PolyhedralOperator,
@@ -1189,6 +1189,8 @@ class TestSolveIpm:
             x_bar = solve_galerkin(op, cone, basis,
                                    SolveConfig(tol=1e-13, alpha_override=alpha)).x
             assert np.linalg.norm(rep.x - x_bar) <= 1e-12 * (1 + np.linalg.norm(x_bar))
+            # the Galerkin certificate at z_bar = x - (Nx + r), the IPM's x
+            assert certify(op, cone, basis, rep.x, rep.x - plcp(rep.x), alpha).valid
 
     def test_full_span_reads_a_read_only_m(self):
         # the reduced problem shares M, so the IPM, its finish and verify_pd

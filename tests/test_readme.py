@@ -1,6 +1,6 @@
 """The README's library quick start runs as written, its command-line
-block names every subcommand, and its "Command line" section names every
-option."""
+block names every subcommand and every `solve --method`, and its "Command
+line" section names every option."""
 import argparse
 import re
 from pathlib import Path
@@ -29,11 +29,14 @@ def test_library_quick_start_runs():
 
 
 def test_command_line_block_runs_every_subcommand():
-    # CI runs this block through the console script, so a subcommand missing
-    # from it is never run end to end
+    # CI runs this block through the console script, so a subcommand or a
+    # solve method missing from it is never run end to end
     block = re.search(r"```sh\n(.*?)```", command_line_section(), re.S).group(1)
-    listed = {line.split()[1] for line in block.splitlines() if line.startswith("conevi ")}
-    assert listed == set(subcommands())
+    lines = [line.split() for line in block.splitlines() if line.startswith("conevi ")]
+    assert {words[1] for words in lines} == set(subcommands())
+    (method,) = [a for a in subcommands()["solve"]._actions if "--method" in a.option_strings]
+    methods = {words[words.index("--method") + 1] for words in lines if "--method" in words}
+    assert methods == set(method.choices)
 
 
 def test_command_line_section_names_every_option():

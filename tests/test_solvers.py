@@ -340,6 +340,58 @@ class TestSolveGalerkin:
             assert np.all(it >= 0.0)
 
 
+class TestSpanStep:
+    """Galerkin and Bertsekas step with G_S, x - G_S(x) = P_span(x - alpha F(x))."""
+
+    @staticmethod
+    def nonneg_basis(n, k, seed):
+        # on an orthant, C & span of a Gaussian basis is {0} and Bertsekas
+        # stops after one step; a nonnegative basis gives it a real solution
+        return orthonormalize(np.abs(np.random.default_rng(seed).standard_normal((n, k))))
+
+    def test_affine_step_below_rank_n_applies_no_span_projection_or_operator(self, monkeypatch):
+        op, _ = generate_instance(30, 6, 1.0, 4.0, seed=2)
+        basis = self.nonneg_basis(30, 6, 2)
+        counts = {"project_span": 0, "op": 0}
+        project_span = Basis.project_span
+        call, matmul = AffineOperator.__call__, AffineOperator.__matmul__
+
+        def counted_project_span(self, z):
+            counts["project_span"] += 1
+            return project_span(self, z)
+
+        def counted(method):
+            def wrapper(self, x):
+                counts["op"] += self is op
+                return method(self, x)
+            return wrapper
+
+        monkeypatch.setattr(Basis, "project_span", counted_project_span)
+        monkeypatch.setattr(AffineOperator, "__call__", counted(call))
+        monkeypatch.setattr(AffineOperator, "__matmul__", counted(matmul))
+        for solve in (solve_galerkin, solve_bertsekas):
+            iterations, op_calls = [], []
+            for tol in (1e-4, 1e-10):
+                counts.update(project_span=0, op=0)
+                rep = solve(op, orthant(30), basis, SolveConfig(tol=tol))
+                assert rep.converged and counts["project_span"] == 0
+                iterations.append(rep.iterations)
+                op_calls.append(counts["op"])
+            assert iterations[0] < iterations[1]
+            assert op_calls[0] == op_calls[1]
+
+    def test_callable_operator_matches_affine_solve(self):
+        for seed in range(5):
+            op, gaussian = generate_instance(30, 6, 1.0, 4.0, seed)
+            wrapped = CallableOperator(op, op.dim, op.beta, op.lipschitz)
+            for solve, basis in ((solve_galerkin, gaussian),
+                                 (solve_bertsekas, self.nonneg_basis(30, 6, seed))):
+                affine = solve(op, orthant(30), basis)
+                generic = solve(wrapped, orthant(30), basis)
+                assert generic.iterations == affine.iterations
+                np.testing.assert_allclose(generic.x, affine.x, rtol=1e-12, atol=1e-15)
+
+
 class TestCertify:
     def test_exact_solution_identity_basis_zero_residual(self):
         op = AffineOperator(np.eye(2), [-1.0, 1.0])
