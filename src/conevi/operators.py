@@ -371,30 +371,23 @@ class AffineOperator(Operator):
     def lipschitz(self) -> float:
         return lipschitz_constant(self.M)
 
-    def _newton_factor(
-            self, fixed: np.ndarray) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-        """factor(D) for the interior-point Newton matrices N + diag(D - 1),
-        N = self.M, with D = 1 on the rows `fixed` and >= 1 elsewhere: it
-        factors one system and returns the solve of (N + diag(D - 1)) y = b.
-        D_i = inf pins y_i = 0.
+    def _newton_factor(self, D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The solve of the interior-point Newton system (N + diag(D - 1)) y = b,
+        N = self.M, for a positive D, factored once. D_i = inf pins y_i = 0.
 
         The system is G(D) = (N + diag(D - 1)) D^-1 = I + (N - I) D^-1, so
         y = G(D)^-1 b / D: n x n, formed from M in O(n^2) as
         N diag(1/D) + diag(1 - 1/D), with N - I never formed, and factored in
-        O(n^3), whichever rows are fixed. Subclasses with a smaller system
-        override it (conevi.projective._newton calls it once per solve and
-        checks D > 0 first). IpmBreakdown when G(D) is exactly singular.
+        O(n^3). Subclasses with a smaller system override it
+        (conevi.projective._newton checks D > 0 and calls it once per Newton
+        step and per finish attempt). IpmBreakdown when G(D) is exactly
+        singular.
         """
-        N = self.M
-
-        def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            w = 1.0 / D
-            G = N * w
-            G[np.diag_indices(D.size)] += 1.0 - w
-            solve_small = _lu(G)
-            return lambda b: solve_small(b) / D
-
-        return factor
+        w = 1.0 / D
+        G = self.M * w
+        G[np.diag_indices(D.size)] += 1.0 - w
+        solve_small = _lu(G)
+        return lambda b: solve_small(b) / D
 
     def __repr__(self) -> str:
         return f"AffineOperator(dim={self.dim})"

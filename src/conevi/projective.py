@@ -12,10 +12,11 @@ orthonormal basis factor, W = alpha*Q^T M - Q^T), and the
 positive-definiteness check works on the rank <= 2k' symmetric part of
 Q W in O(n k'^2). Each interior-point Newton step factors its system
 N + diag(D - 1) once and solves with those factors twice, for Mehrotra's
-predictor and corrector. The reduced problem's class chooses that system:
-its _newton_factor method states which one and its cost. Once the guessed
-active set settles, an active-set finish solves the LCP on it exactly
-with one more system of the same kind.
+predictor and corrector. The system is a function of D alone, and the
+reduced problem's class chooses how to factor it: its _newton_factor(D)
+returns the solve and states its route and cost. Once the guessed active
+set settles, an active-set finish solves the LCP on it exactly with one
+more system of the same kind.
 
 When the basis spans all of R^n (k' = n), Q is square and orthogonal, so
 N = alpha*M and r = alpha*q, which only rescale CP(Mx + q): build_projective
@@ -108,27 +109,22 @@ class ProjectiveLcp(AffineOperator):
         smallest = 1.0 + monotone_modulus(C)
         return smallest if C.shape[0] == self.dim else min(1.0, smallest)
 
-    def _newton_factor(
-            self, fixed: np.ndarray) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-        """factor(D) for N + diag(D - 1), N = I + Q W, for any positive D,
-        whichever rows are fixed (see AffineOperator._newton_factor).
+    def _newton_factor(self, D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The solve of (N + diag(D - 1)) y = b, N = I + Q W, for any positive
+        D (see AffineOperator._newton_factor).
 
         By the Woodbury identity y = u - D^-1 Q G(D)^-1 W u, u = D^-1 b, with
         the k' x k' G(D) = I + W D^-1 Q: formed in O(n k'^2) and factored in
         O(k'^3), with no n x n array.
         """
         Q, W = self.ortho, self.W
+        solve_small = _lu(_plus_identity(W @ (Q * (1.0 / D)[:, None])))
 
-        def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            solve_small = _lu(_plus_identity(W @ (Q * (1.0 / D)[:, None])))
+        def solve(b: np.ndarray) -> np.ndarray:
+            u = b / D
+            return u - Q @ solve_small(W @ u) / D
 
-            def solve(b: np.ndarray) -> np.ndarray:
-                u = b / D
-                return u - Q @ solve_small(W @ u) / D
-
-            return solve
-
-        return factor
+        return solve
 
 
 @dataclass
@@ -216,30 +212,24 @@ def verify_pd(F: AffineOperator) -> float:
     return F.beta
 
 
-def _newton(F: AffineOperator,
-            fixed: np.ndarray) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """factor(D) for the Newton matrices N + diag(D - 1) of one solve on the
-    reduced problem F with matrix N, with D = 1 on the rows `fixed` and
-    >= 1 on the rest: F's own system, F._newton_factor(fixed), whose
-    docstring states it and its cost (AffineOperator, ProjectiveLcp and a
-    polyhedral reduction's operator each have one), made once per solve.
+def _newton(F: AffineOperator, D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The solve of the Newton system (N + diag(D - 1)) y = b on the reduced
+    problem F with matrix N, factored once: F's own system,
+    F._newton_factor(D), whose docstring states it and its cost
+    (AffineOperator, ProjectiveLcp and a polyhedral reduction's operator
+    each have one, and each reads its route from D alone).
     IpmBreakdown on a D that is not positive (NaN included), before any
     factorization, or on an exactly singular system.
     """
-    system = F._newton_factor(fixed)
-
-    def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        if not np.all(D > 0):
-            raise IpmBreakdown("diagonal lost positivity")
-        return system(D)
-
-    return factor
+    if not np.all(D > 0):
+        raise IpmBreakdown("diagonal lost positivity")
+    return F._newton_factor(D)
 
 
-def solve_diag_plus_lowrank(factor: Callable, D: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """factor(D)(rhs), one system factored for one solve: the active-set
+def solve_diag_plus_lowrank(F: AffineOperator, D: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """_newton(F, D)(rhs), one system factored for one solve: the active-set
     finish's call, under its own name so that a profiler can time it."""
-    return factor(D)(rhs)
+    return _newton(F, D)(rhs)
 
 
 def _boundary_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -283,22 +273,21 @@ def _active_guess(x: np.ndarray, s: np.ndarray, B: np.ndarray) -> np.ndarray:
     return B & (x < s)
 
 
-def _finish_candidate(F: AffineOperator, active: np.ndarray, B: np.ndarray,
-                      factor: Callable) -> tuple | None:
+def _finish_candidate(F: AffineOperator, active: np.ndarray, B: np.ndarray) -> tuple | None:
     """The LCP point for a guessed active set A, or None if its system is
     singular or its signs fail.
 
     F(x) = Nx + r is the reduced problem. Sets x_A = 0 and solves
     (Nx + r)_I = 0 on I = ~A: D = inf on A and 1 on I restricts
-    N + diag(D - 1) to N_II. It goes through the solve's factor (see
-    _newton) at the cost of one Newton step.
+    N + diag(D - 1) to N_II. It goes through _newton at the cost of one
+    Newton step.
     Returns (x, feasibility), feasibility the largest |Nx + r| on I, when
     x_B >= 0 and (Nx + r)_A >= 0 for the orthant components B. Its slack
     s = Nx + r on A and 0 elsewhere meets x = 0 on A, so x.s is exactly 0:
     the point is complementary and only its feasibility needs a test.
     """
     try:
-        x = solve_diag_plus_lowrank(factor, np.where(active, np.inf, 1.0), -F.q)
+        x = solve_diag_plus_lowrank(F, np.where(active, np.inf, 1.0), -F.q)
     except IpmBreakdown:
         return None
     x = np.where(active, 0.0, x)  # -r_i / inf leaves -0.0 on A
@@ -319,10 +308,11 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
     step factors its system N + diag(D - 1) once and solves twice with the
     factors: Mehrotra's affine predictor and the corrector centred by
     sigma = (mu_aff / mu)^3. The Newton diagonal D = 1 + s/x is 1 on the
-    free components and >= 1 on the orthant ones; F's _newton_factor,
-    through _newton once per solve, sets the system each step factors and
-    states its cost. N is applied as F @ x + F.q, so F(x), which a profiler
-    may count as an evaluation of the original operator, is never called.
+    free components and >= 1 on the orthant ones; F's _newton_factor(D),
+    through _newton once per Newton step and per finish attempt, factors
+    the system and states its cost. N is applied as F @ x + F.q, so F(x),
+    which a profiler may count as an evaluation of the original operator,
+    is never called.
     A common primal-dual step length with the fraction-to-boundary rule
     keeps the linear residual shrinking by (1 - step) each iteration.
 
@@ -346,7 +336,6 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
     B = cone.nonneg_mask
     n_orth = int(B.sum())
     r = F.q
-    factor = _newton(F, cone.free_mask)
 
     # s stays 0 on the free rows: their Newton equations read N dx = -(Nx + r)
     # whatever s is, so a slack there would only track Nx + r there
@@ -379,7 +368,7 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
         if (n_orth and np.array_equal(guess, previous)
                 and not np.array_equal(guess, rejected)):
             attempts += 1
-            finish = _finish_candidate(F, guess, B, factor)
+            finish = _finish_candidate(F, guess, B)
             if finish is not None and finish[1] <= cfg.tol:
                 x, feas = finish
                 mu = 0.0
@@ -399,7 +388,7 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
             d[B] = s[B] / x[B]
         if not math.isfinite(_max_abs(d)):
             raise IpmBreakdown("Newton diagonal D = 1 + s/x is not finite")
-        _, _, dx, ds, sigma = _newton_directions(factor(1.0 + d), d, x, s, g, B, mu)
+        _, _, dx, ds, sigma = _newton_directions(_newton(F, 1.0 + d), d, x, s, g, B, mu)
 
         bound = min(_boundary_step(x[B], dx[B]), _boundary_step(s[B], ds[B]))
         step = min(1.0, _STEP_FRACTION * bound)

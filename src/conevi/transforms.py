@@ -149,11 +149,13 @@ class _PolyhedralOperator(AffineOperator):
         """min(0, beta of M): the symmetric part of N is diag(0, sym M, 0)."""
         return min(0.0, monotone_modulus(self.M_x))
 
-    def _newton_factor(
-            self, fixed: np.ndarray) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-        """factor(D) for N + diag(D - 1) from N's blocks, when D = 1 on every
-        row but the slacks s (see AffineOperator._newton_factor); when any
-        other row is not fixed, the parent's n x n route on the dense N.
+    def _newton_factor(self, D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The solve of (N + diag(D - 1)) y = b from N's blocks, when D = 1 on
+        every row but the slacks s and D >= 1 on those (see
+        AffineOperator._newton_factor): every D the IPM makes on the
+        reduction's own cone, its finish's included. Any other positive D,
+        one that varies on an x row say, takes the parent's n x n route on
+        the dense N.
 
         With d = D_s - 1, the rows of y = (y_s, y_x, y_lambda, y_mu) read
         y_lambda + d y_s = b_s, M y_x - A^T y_lambda - E^T y_mu = b_x,
@@ -172,59 +174,55 @@ class _PolyhedralOperator(AffineOperator):
         d a a^T would round M's entries away.
         The eliminations pivot on +-I and on d, so the system is singular
         exactly when N + diag(D - 1) is; IpmBreakdown then, or when it or the
-        solve overflows. D must be >= 1 on the slacks.
+        solve overflows.
         """
-        if not fixed[self.m:].all():
-            return super()._newton_factor(fixed)
         M, A, E = self.M_x, self.A, self.E
         m, n = A.shape
+        if not (np.all(D[m:] == 1.0) and np.all(D[:m] >= 1.0)):
+            return super()._newton_factor(D)
         x, lam, mu = slice(m, m + n), slice(m + n, 2 * m + n), slice(2 * m + n, None)
-
-        def factor(D: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            d = D[:m] - 1.0
-            bordered = d >= _BORDER_D
-            d_b = d[bordered]
-            if d_b.size:
-                kept = ~bordered
-                A_k, d_k, border = A[kept], d[kept], np.vstack([A[bordered], E])
+        d = D[:m] - 1.0
+        bordered = d >= _BORDER_D
+        d_b = d[bordered]
+        if d_b.size:
+            kept = ~bordered
+            A_k, d_k, border = A[kept], d[kept], np.vstack([A[bordered], E])
+        else:
+            kept, A_k, d_k, border = slice(None), A, d, E
+        k, n_b = border.shape[0], d_b.size
+        K = np.empty((n + k, n + k))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if d_k.any():
+                As = A_k * np.sqrt(d_k)[:, None]
+                np.add(As.T @ As, M, out=K[:n, :n])  # NumPy takes As^T As by SYRK
             else:
-                kept, A_k, d_k, border = slice(None), A, d, E
-            k, n_b = border.shape[0], d_b.size
-            K = np.empty((n + k, n + k))
+                K[:n, :n] = M
+        K[:n, n:] = -border.T
+        K[n:, :n] = border
+        K[n:, n:] = 0.0
+        np.fill_diagonal(K[n:n + n_b, n:n + n_b], 1.0 / d_b)
+        if not math.isfinite(_max_abs(K)):
+            raise IpmBreakdown("Newton system is not finite")
+        solve_K = _lu(K)
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            b_s, b_lam = b[:m], b[lam]
+            y = np.empty(b.size)
+            y_s, y_lam = y[:m], y[lam]
             with np.errstate(over="ignore", invalid="ignore"):
-                if d_k.any():
-                    As = A_k * np.sqrt(d_k)[:, None]
-                    np.add(As.T @ As, M, out=K[:n, :n])  # NumPy takes As^T As by SYRK
-                else:
-                    K[:n, :n] = M
-            K[:n, n:] = -border.T
-            K[n:, :n] = border
-            K[n:, n:] = 0.0
-            np.fill_diagonal(K[n:n + n_b, n:n + n_b], 1.0 / d_b)
-            if not math.isfinite(_max_abs(K)):
-                raise IpmBreakdown("Newton system is not finite")
-            solve_K = _lu(K)
+                z = solve_K(np.concatenate([b[x] + (b_s[kept] + d_k * b_lam[kept]) @ A_k,
+                                            b_lam[bordered] + b_s[bordered] / d_b, b[mu]]))
+                y[x] = z[:n]
+                y_lam[bordered] = z[n:n + n_b]
+                y[mu] = z[n + n_b:]
+                y_s[bordered] = (b_s[bordered] - y_lam[bordered]) / d_b
+                y_s[kept] = A_k @ z[:n] - b_lam[kept]
+                y_lam[kept] = b_s[kept] - d_k * y_s[kept]
+            if not math.isfinite(_max_abs(y)):
+                raise IpmBreakdown("Newton solve is not finite")
+            return y
 
-            def solve(b: np.ndarray) -> np.ndarray:
-                b_s, b_lam = b[:m], b[lam]
-                y = np.empty(b.size)
-                y_s, y_lam = y[:m], y[lam]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    z = solve_K(np.concatenate([b[x] + (b_s[kept] + d_k * b_lam[kept]) @ A_k,
-                                                b_lam[bordered] + b_s[bordered] / d_b, b[mu]]))
-                    y[x] = z[:n]
-                    y_lam[bordered] = z[n:n + n_b]
-                    y[mu] = z[n + n_b:]
-                    y_s[bordered] = (b_s[bordered] - y_lam[bordered]) / d_b
-                    y_s[kept] = A_k @ z[:n] - b_lam[kept]
-                    y_lam[kept] = b_s[kept] - d_k * y_s[kept]
-                if not math.isfinite(_max_abs(y)):
-                    raise IpmBreakdown("Newton solve is not finite")
-                return y
-
-            return solve
-
-        return factor
+        return solve
 
 
 def _positive_zeros(a: np.ndarray) -> bool:

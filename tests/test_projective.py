@@ -55,14 +55,8 @@ def record_factorizations(monkeypatch):
     return shapes
 
 
-def no_fixed_row(n):
-    """The `fixed` mask with every row varying: a dense Q's route, or a full
-    span's direct LU."""
-    return np.zeros(n, dtype=bool)
-
-
 def lowrank(Q, W):
-    """The ProjectiveLcp with N = I + Q W and r = 0, for a Newton factory."""
+    """The ProjectiveLcp with N = I + Q W and r = 0, for a Newton solve."""
     return ProjectiveLcp(Q, W, np.zeros(Q.shape[0]))
 
 
@@ -362,8 +356,8 @@ class TestSignedPermutationRoute:
         n = identity.dim
         N = identity.M
         rng = np.random.default_rng(69)
-        # no fixed row and 5 fixed rows: the full span's direct LU either way,
-        # as the dense Q factors k'xk' either way
+        # D varying on every row and D = 1 on 5 rows: the full span's direct LU
+        # either way, as the dense Q factors k'xk' either way
         for n_var in (n, n - 5):
             fixed = np.ones(n, dtype=bool)
             fixed[rng.permutation(n)[:n_var]] = False
@@ -371,7 +365,7 @@ class TestSignedPermutationRoute:
             K = N - np.eye(n) + np.diag(D)
             rhs = rng.standard_normal(n)
             for p in (identity, dense):
-                y = _newton(p, fixed)(D)(rhs)
+                y = _newton(p, D)(rhs)
                 # normwise backward error of the solve
                 err = np.abs(K @ y - rhs).max()
                 assert err <= 1e-14 * (np.abs(K).sum(1).max() * np.abs(y).max()
@@ -390,8 +384,8 @@ class TestSignedPermutationRoute:
     @pytest.mark.parametrize("cone", ["nn:14,free:6,nn:14,free:6", "nn:40"])
     def test_inputs_left_untouched(self, k, cone):
         # the LU factorizations overwrite only matrices they built, on every
-        # route: a dense Q (k' = 30) and a full span (k' = 40), with 12 fixed
-        # rows and with none
+        # route: a dense Q (k' = 30) and a full span (k' = 40), with 12 free
+        # rows, where D = 1, and with none
         op, _ = generate_instance(40, 4, 1.0, 3.0, seed=70)
         before = [a.tobytes() for a in (op.M, op.q)]
         plcp = build_projective(op, orthonormalize(np.eye(40)[:, :k]), 0.3)
@@ -412,8 +406,7 @@ class TestWoodbury:
 
     def test_zero_correction(self):
         rhs = np.array([1.0, -2.0, 3.0])
-        factor = _newton(lowrank(np.zeros((3, 2)), np.zeros((2, 3))), no_fixed_row(3))
-        got = factor(np.ones(3))(rhs)
+        got = _newton(lowrank(np.zeros((3, 2)), np.zeros((2, 3))), np.ones(3))(rhs)
         np.testing.assert_allclose(got, rhs, atol=1e-15)
 
     def test_matches_dense_solve(self):
@@ -428,7 +421,7 @@ class TestWoodbury:
                 continue
             rhs = rng.standard_normal(n)
             ref = np.linalg.solve(A, rhs)
-            got = _newton(lowrank(Q, W), no_fixed_row(n))(D)(rhs)
+            got = _newton(lowrank(Q, W), D)(rhs)
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_nonpositive_diagonal_breaks(self):
@@ -436,21 +429,18 @@ class TestWoodbury:
         for D in ([1.0, 0.0], [np.nan, 1.0]):
             for F in (AffineOperator(np.eye(2), np.zeros(2)),
                       lowrank(np.zeros((2, 1)), np.zeros((1, 2)))):
-                factor = _newton(F, no_fixed_row(2))
                 with pytest.raises(IpmBreakdown, match="positivity"):
-                    factor(np.array(D))(np.ones(2))
+                    _newton(F, np.array(D))
 
     def test_singular_small_system_breaks(self):
         # I + W D^-1 Q = 1 - 1 = 0 although D > 0
         e1 = np.array([[1.0], [0.0]])
         with pytest.raises(IpmBreakdown, match="singular"):
-            _newton(lowrank(e1, -e1.T), no_fixed_row(2))(np.ones(2))
-        # a full span with a fixed row: N + diag(D - 1) = diag(0, 0) at D = (1, 2)
-        # breaks when that D is factored
-        factor = _newton(AffineOperator(np.diag([0.0, -1.0]), np.zeros(2)),
-                         np.array([True, False]))
+            _newton(lowrank(e1, -e1.T), np.ones(2))
+        # a full span with D = 1 on a row: N + diag(D - 1) = diag(0, 0) at
+        # D = (1, 2)
         with pytest.raises(IpmBreakdown, match="singular"):
-            factor(np.array([1.0, 2.0]))
+            _newton(AffineOperator(np.diag([0.0, -1.0]), np.zeros(2)), np.array([1.0, 2.0]))
 
     def test_componentwise_backward_error_late_ipm_stage(self):
         # IPM-like Newton matrix near the end: D = 1 + s/x spans 24 decades
@@ -463,14 +453,14 @@ class TestWoodbury:
                 W = alpha * (Q.T @ M) - Q.T
                 D = 1.0 + 10.0 ** rng.uniform(-12, 12, size=n)
                 rhs = rng.standard_normal(n) * D ** rng.uniform(0, 1, size=n)
-                y = _newton(lowrank(Q, W), no_fixed_row(n))(D)(rhs)
+                y = _newton(lowrank(Q, W), D)(rhs)
                 A = np.diag(D) + Q @ W
                 omega = np.abs(rhs - A @ y) / (np.abs(A) @ np.abs(y) + np.abs(rhs))
                 assert omega.max() <= 1e-14
 
     def test_cached_split_matches_unsplit_solve(self):
-        # dense Gaussian factors; the fixed rows leave a dense Q's system as
-        # it is, so the solve matches the one with no fixed row
+        # dense Gaussian factors; the rows where D = 1 leave a dense Q's
+        # system as it is, so the solve matches the dense one
         rng = np.random.default_rng(54)
         n = 60
         for k in (20, n):
@@ -480,11 +470,11 @@ class TestWoodbury:
                 fixed = rng.random(n) < 0.6
                 D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-2, 2, size=n))
                 rhs = rng.standard_normal(n)
-                y = _newton(lowrank(Q, W), fixed)(D)(rhs)
+                y = _newton(lowrank(Q, W), D)(rhs)
                 A = np.diag(D) + Q @ W
                 omega = np.abs(rhs - A @ y) / (np.abs(A) @ np.abs(y) + np.abs(rhs))
                 assert omega.max() <= 1e-14
-                ref = _newton(lowrank(Q, W), no_fixed_row(n))(D)(rhs)
+                ref = np.linalg.solve(A, rhs)
                 assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_varying_side_matches_dense_solve(self):
@@ -504,7 +494,7 @@ class TestWoodbury:
                     assert (~fixed).sum() < k
                     D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-12, 12, size=n))
                     rhs = rng.standard_normal(n) * D ** rng.uniform(0, 1, size=n)
-                    y = _newton(lowrank(Q, W), fixed)(D)(rhs)
+                    y = _newton(lowrank(Q, W), D)(rhs)
                     A = np.diag(D) + Q @ W
                     omega = np.abs(rhs - A @ y) / (np.abs(A) @ np.abs(y) + np.abs(rhs))
                     assert omega.max() <= 1e-14
@@ -517,37 +507,37 @@ class TestWoodbury:
         rng = np.random.default_rng(63)
         n = 30
         N = np.eye(n) + rng.standard_normal((n, n)) / (2 * np.sqrt(n))
-        factor = _newton(AffineOperator(N, np.zeros(n)), np.ones(n, dtype=bool))
         for _ in range(3):
             rhs = rng.standard_normal(n)
-            y = factor(np.ones(n))(rhs)
+            y = _newton(AffineOperator(N, np.zeros(n)), np.ones(n))(rhs)
             ref = np.linalg.solve(N, rhs)
             assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
 
-    def test_identity_split_with_no_fixed_row_holds_no_copy(self):
-        # a full span and every row varies (an orthant cone without --basis): each
-        # system is formed from the operator's N when D is given, so the
-        # factory holds no n x n array
+    def test_full_span_solve_holds_only_its_factors(self):
+        # a full span and every row varies (an orthant cone without --basis): the
+        # system is formed from the operator's N when D is given and factored
+        # in place, so the solve holds its one n x n array of LU factors and
+        # no copy of N
         rng = np.random.default_rng(71)
         n = 600
         W = rng.standard_normal((n, n)) / np.sqrt(n)
         op = AffineOperator(W, np.zeros(n))
+        D = 1.0 + 10.0 ** rng.uniform(-3, 3, n)
         tracemalloc.start()
         try:
-            factor = _newton(op, no_fixed_row(n))
+            solve = _newton(op, D)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held <= 2**16
-        D = 1.0 + 10.0 ** rng.uniform(-3, 3, n)
+        assert held <= 8 * n * n + 2**16
         rhs = rng.standard_normal(n)
-        y = factor(D)(rhs)
+        y = solve(rhs)
         ref = np.linalg.solve(np.diag(D - 1.0) + W, rhs)
         assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_small_alpha_identity_form_keeps_accuracy(self):
         # N = alpha M passed as a plain operator's M, with every row varying
-        # and with half the rows fixed: each system is formed from N, so no
+        # and with D = 1 on half the rows: each system is formed from N, so no
         # I + (alpha M - I) cancels. On the finish's diagonals (1 on I, inf on
         # A, the system N_II) a stored W = alpha M - I lost the low bits of
         # alpha M: 1.7e-11 at 1e-6. So did one factorization at D = 2 on the
@@ -559,14 +549,13 @@ class TestWoodbury:
                 rng = np.random.default_rng(seed)
                 N = alpha * (np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n))
                 fixed = rng.permutation(n) < n // 2
-                for fixed_rows in (no_fixed_row(n), fixed):
+                for fixed_rows in (np.zeros(n, dtype=bool), fixed):
                     active = ~fixed_rows & (rng.random(n) < 0.5)
                     rhs = rng.standard_normal(n)
-                    factor = _newton(AffineOperator(N, np.zeros(n)), fixed_rows)
                     for D in (np.ones(n), np.where(active, np.inf, 1.0)):
                         rows = np.isfinite(D)
                         K = N[np.ix_(rows, rows)]
-                        y = factor(D)(rhs)
+                        y = _newton(AffineOperator(N, np.zeros(n)), D)(rhs)
                         assert np.all(y[~rows] == 0.0)
                         b, y = rhs[rows], y[rows]
                         # normwise backward error of the solve
@@ -580,7 +569,7 @@ class TestWoodbury:
         Q = rng.standard_normal((n, k)) / (2 * np.sqrt(n))
         W = rng.standard_normal((k, n)) / (2 * np.sqrt(n))
         D = 1.0 + 10.0 ** rng.uniform(-3, 3, size=n)
-        solve = _newton(lowrank(Q, W), no_fixed_row(n))(D)
+        solve = _newton(lowrank(Q, W), D)
         A = np.diag(D) + Q @ W
         for _ in range(3):
             rhs = rng.standard_normal(n)
@@ -598,7 +587,7 @@ class TestWoodbury:
             free = rng.random(n) < free_share
             active = ~free & (rng.random(n) < 0.5)
             rhs = rng.standard_normal(n)
-            y = _newton(lowrank(Q, W), free)(np.where(active, np.inf, 1.0))(rhs)
+            y = _newton(lowrank(Q, W), np.where(active, np.inf, 1.0))(rhs)
             keep = ~active
             ref = np.linalg.solve((np.eye(n) + Q @ W)[np.ix_(keep, keep)], rhs[keep])
             assert np.all(y[active] == 0.0)
@@ -612,9 +601,9 @@ class TestSlackPairs:
 
     @staticmethod
     def reduction(n, p, seed):
-        """The operator and the fixed (free) rows of a reduction with n
-        variables, m = n inequality rows and p equality rows, in the order
-        (s, x, lambda, mu)."""
+        """The operator and the free rows, where the IPM's D is 1, of a
+        reduction with n variables, m = n inequality rows and p equality
+        rows, in the order (s, x, lambda, mu)."""
         rng = np.random.default_rng(seed)
         op, _ = generate_instance(n, 2, 1.0, 2.0, seed=seed)
         layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, rng.standard_normal((n, n)),
@@ -640,15 +629,13 @@ class TestSlackPairs:
         # 24 decades: each factor is one (n + p)x(n + p) system, M + A^T D A
         # bordered by the equality rows
         n = 60
-        op, fixed = self.reduction(n, p, seed=73)
+        op, free = self.reduction(n, p, seed=73)
         rng = np.random.default_rng(74)
         factored = record_factorizations(monkeypatch)
-        factor = _newton(op, fixed)
-        assert factored == []
         for _ in range(10):
-            D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-12, 12, fixed.size))
-            rhs = rng.standard_normal(fixed.size) * D ** rng.uniform(0, 1, fixed.size)
-            y = factor(D)(rhs)
+            D = np.where(free, 1.0, 1.0 + 10.0 ** rng.uniform(-12, 12, free.size))
+            rhs = rng.standard_normal(free.size) * D ** rng.uniform(0, 1, free.size)
+            y = _newton(op, D)(rhs)
             assert self.backward_error(op.M + np.diag(D - 1.0), y, rhs) <= 1e-14
         assert factored == [(n + p, n + p)] * 10
 
@@ -658,20 +645,19 @@ class TestSlackPairs:
         # elsewhere, and the same A with a spread D on the other slack rows;
         # the pinned rows of A border the system next to the equality rows
         n = 30
-        op, fixed = self.reduction(n, p, seed=75)
+        op, free = self.reduction(n, p, seed=75)
         N = op.M
         rng = np.random.default_rng(76)
         factored = record_factorizations(monkeypatch)
-        factor = _newton(op, fixed)
         for _ in range(5):
-            active = ~fixed & (rng.random(fixed.size) < 0.5)
+            active = ~free & (rng.random(free.size) < 0.5)
             keep = ~active
             for spread in (0.0, 3.0):
-                D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-spread, spread, fixed.size))
+                D = np.where(free, 1.0, 1.0 + 10.0 ** rng.uniform(-spread, spread, free.size))
                 D[active] = np.inf
-                rhs = rng.standard_normal(fixed.size)
+                rhs = rng.standard_normal(free.size)
                 factored.clear()
-                y = factor(D)(rhs)
+                y = _newton(op, D)(rhs)
                 assert factored == [(n + p + active.sum(),) * 2]
                 assert np.all(y[active] == 0.0)
                 K = (N + np.diag(np.where(keep, D, 1.0) - 1.0))[np.ix_(keep, keep)]
@@ -700,15 +686,14 @@ class TestSlackPairs:
         # a plain operator is never searched for slack pairs: the reduction's
         # dense N itself and each near miss factor the n x n G(D)
         n = 12
-        op, fixed = self.reduction(n, 0, seed=77)
+        op, free = self.reduction(n, 0, seed=77)
         rng = np.random.default_rng(78)
         factored = record_factorizations(monkeypatch)
         for dense in (op.M, *self.near_misses(op.M, n)):
             factored.clear()
-            factor = _newton(AffineOperator(dense, op.q), fixed)
-            D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-3, 3, fixed.size))
-            rhs = rng.standard_normal(fixed.size)
-            y = factor(D)(rhs)
+            D = np.where(free, 1.0, 1.0 + 10.0 ** rng.uniform(-3, 3, free.size))
+            rhs = rng.standard_normal(free.size)
+            y = _newton(AffineOperator(dense, op.q), D)(rhs)
             assert factored == [(3 * n, 3 * n)]  # G(D), formed from N
             assert self.backward_error(dense + np.diag(D - 1.0), y, rhs) <= 1e-14
 
@@ -716,16 +701,49 @@ class TestSlackPairs:
         # D varies on an x row as well as on the slacks (the reduction over
         # another cone): the operator's dense N, factored n x n
         n = 12
-        op, fixed = self.reduction(n, 0, seed=77)
-        fixed = fixed.copy()
-        fixed[n] = False
+        op, free = self.reduction(n, 0, seed=77)
+        free = free.copy()
+        free[n] = False
         rng = np.random.default_rng(80)
         factored = record_factorizations(monkeypatch)
-        D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-3, 3, fixed.size))
-        rhs = rng.standard_normal(fixed.size)
-        y = _newton(op, fixed)(D)(rhs)
+        D = np.where(free, 1.0, 1.0 + 10.0 ** rng.uniform(-3, 3, free.size))
+        rhs = rng.standard_normal(free.size)
+        y = _newton(op, D)(rhs)
         assert factored == [(3 * n, 3 * n)]
         assert self.backward_error(op.M + np.diag(D - 1.0), y, rhs) <= 1e-14
+
+    @pytest.mark.parametrize("p", [0, 8])
+    def test_route_read_from_d_alone(self, monkeypatch, p):
+        # the route depends on D, not on the cone the D came from: D = 1 off
+        # the slacks, spread or pinned on them, takes the block route and
+        # never reads .M; D varying on an x row, or below 1 on a slack, takes
+        # the dense n x n route. Each agrees with the dense solve
+        n = 12
+        op, _ = self.reduction(n, p, seed=81)
+        dim = op.dim
+        rng = np.random.default_rng(82)
+        spread = np.ones(dim)
+        spread[:n] = 1.0 + 10.0 ** rng.uniform(-3, 3, n)
+        pinned = np.ones(dim)
+        pinned[:3] = np.inf
+        x_row, low_slack = spread.copy(), spread.copy()
+        x_row[n + 1] = 5.0
+        low_slack[2] = 0.5
+        factored = record_factorizations(monkeypatch)
+        solves = []
+        for D, size in ((spread, n + p), (pinned, n + p + 3), (x_row, dim), (low_slack, dim)):
+            rhs = rng.standard_normal(dim)
+            factored.clear()
+            solves.append((D, rhs, _newton(op, D)(rhs)))
+            assert factored == [(size, size)]
+            if size < dim:
+                assert "M" not in vars(op)
+        for D, rhs, y in solves:
+            keep = np.isfinite(D)
+            K = (op.M + np.diag(np.where(keep, D, 1.0) - 1.0))[np.ix_(keep, keep)]
+            assert np.all(y[~keep] == 0.0)
+            ref = np.linalg.solve(K, rhs[keep])
+            assert np.linalg.norm(y[keep] - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_overflowing_system_breaks_without_warning(self):
         # d below the border threshold: rows of A near 1e150, with which
@@ -733,17 +751,17 @@ class TestSlackPairs:
         # only the right-hand side's d b_lambda does: a breakdown, not a
         # RuntimeWarning
         n = 10
-        op, fixed = self.reduction(n, 0, seed=79)
+        op, free = self.reduction(n, 0, seed=79)
         huge_rows = _PolyhedralOperator(op.M_x, 1e150 * op.A, op.E, op.q)
-        D = np.where(fixed, 1.0, 1e10)
-        rhs = np.ones(fixed.size)
+        D = np.where(free, 1.0, 1e10)
+        rhs = np.ones(free.size)
         rhs[2 * n] = 1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IpmBreakdown, match="system is not finite"):
-                _newton(huge_rows, fixed)(D)
+                _newton(huge_rows, D)
             with pytest.raises(IpmBreakdown, match="solve is not finite"):
-                _newton(op, fixed)(D)(rhs)
+                _newton(op, D)(rhs)
 
     @pytest.mark.parametrize("seed", range(79, 84))
     def test_huge_slack_diagonal_solves(self, seed):
@@ -753,17 +771,17 @@ class TestSlackPairs:
         # "singular" breakdown on seeds 79-82 and entries near 1e285 on 83,
         # where the dense route's largest is 1.9
         n = 10
-        op, fixed = self.reduction(n, 0, seed=seed)
-        D = np.where(fixed, 1.0, 2.0)
+        op, free = self.reduction(n, 0, seed=seed)
+        D = np.where(free, 1.0, 2.0)
         D[0] = 1e300
-        rhs = np.random.default_rng(seed).standard_normal(fixed.size)
+        rhs = np.random.default_rng(seed).standard_normal(free.size)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y = _newton(op, fixed)(D)(rhs)
+            y = _newton(op, D)(rhs)
         # rows scaled by 1/D: unscaled, row 0's 1e300 would hide any error
         K = (op.M + np.diag(D - 1.0)) / D[:, None]
         assert self.backward_error(K, y, rhs / D) <= 1e-15
-        ref = _newton(AffineOperator(op.M, op.q), fixed)(D)(rhs)
+        ref = _newton(AffineOperator(op.M, op.q), D)(rhs)
         assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n, seed", [(10, 64), (10, 3), (20, 4)])
@@ -825,7 +843,8 @@ class TestSlackPairs:
 
 class TestNewtonSystemOwner:
     """Each reduced-problem class chooses its own Newton system in its
-    _newton_factor method; projective._newton checks D and calls it."""
+    _newton_factor(D) method, which returns the solve for that D alone;
+    projective._newton checks D > 0 and calls it."""
 
     def test_projective_holds_nothing_from_transforms(self):
         from_transforms = [name for name, value in vars(projective).items()
@@ -838,14 +857,9 @@ class TestNewtonSystemOwner:
         factored = []
 
         class Recorded(AffineOperator):
-            def _newton_factor(self, fixed):
-                system = super()._newton_factor(fixed)
-
-                def factor(D):
-                    factored.append(D)
-                    return system(D)
-
-                return factor
+            def _newton_factor(self, D):
+                factored.append(D)
+                return super()._newton_factor(D)
 
         op, _ = generate_instance(20, 2, 1.0, 3.0, seed=50)
         rep = solve_ipm(Recorded(op.M, op.q), orthant(20))
@@ -853,11 +867,10 @@ class TestNewtonSystemOwner:
         assert len(factored) == rep.iterations - 1 + rep.finish_attempts
         np.testing.assert_array_equal(rep.x, solve_ipm(op, orthant(20)).x)
         factored.clear()
-        factor = _newton(Recorded(op.M, op.q), no_fixed_row(20))
         D = np.ones(20)
         D[3] = 0.0
         with pytest.raises(IpmBreakdown, match="positivity"):
-            factor(D)
+            _newton(Recorded(op.M, op.q), D)
         assert factored == []
 
     def test_one_breakdown_class_for_every_route(self):
@@ -873,14 +886,14 @@ class TestNewtonSystemOwner:
         e1 = np.array([[1.0], [0.0]])
         poly, all_but_slacks = TestSlackPairs.reduction(10, 0, seed=79)
         cases = [
-            (AffineOperator(np.diag([0.0, -1.0]), np.zeros(2)), no_fixed_row(2), np.ones(2)),
-            (lowrank(e1, -e1.T), no_fixed_row(2), np.ones(2)),
-            (_PolyhedralOperator(poly.M_x, 1e150 * poly.A, poly.E, poly.q), all_but_slacks,
+            (AffineOperator(np.diag([0.0, -1.0]), np.zeros(2)), np.ones(2)),
+            (lowrank(e1, -e1.T), np.ones(2)),
+            (_PolyhedralOperator(poly.M_x, 1e150 * poly.A, poly.E, poly.q),
              np.where(all_but_slacks, 1.0, 1e10)),
         ]
-        for F, fixed, D in cases:
+        for F, D in cases:
             try:
-                _newton(F, fixed)(D)
+                _newton(F, D)
             except projective.IpmBreakdown as exc:
                 assert type(exc) is operators.IpmBreakdown
             else:
@@ -964,13 +977,8 @@ class TestSolveIpm:
         inner = projective._newton
 
         def counted(*args):
-            factor = inner(*args)
-
-            def counted_factor(D):
-                calls.append(1)
-                return factor(D)
-
-            return counted_factor
+            calls.append(1)
+            return inner(*args)
 
         monkeypatch.setattr(projective, "_newton", counted)
         op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
@@ -1044,7 +1052,7 @@ class TestSolveIpm:
         factored = record_factorizations(monkeypatch)
         assert solve_ipm(plcp, parse_cone_spec("nn:14,free:6,nn:14,free:6")).converged
         assert factored and set(factored) == {(30, 30)}
-        # a full span with fixed rows but no slack pairs: one n x n system per
+        # a full span with free rows but no slack pairs: one n x n system per
         # Newton step and per finish attempt, none at set-up
         plcp = build_projective(op, orthonormalize(np.eye(40)))
         factored.clear()
@@ -1060,9 +1068,9 @@ class TestSolveIpm:
         active_sizes = []
         inner = projective._finish_candidate
 
-        def recorded(plcp, active, B, factor):
+        def recorded(plcp, active, B):
             active_sizes.append(int(active.sum()))
-            return inner(plcp, active, B, factor)
+            return inner(plcp, active, B)
 
         monkeypatch.setattr(projective, "_finish_candidate", recorded)
         factored.clear()
@@ -1195,7 +1203,7 @@ class TestSolveIpm:
     def test_full_span_reads_a_read_only_m(self):
         # the reduced problem shares M, so the IPM, its finish and verify_pd
         # must never write it: any in-place write on a read-only M raises.
-        # Two cones: every row varying (orthant), and 6 rows fixed
+        # Two cones: every row varying (orthant), and 6 free rows, where D = 1
         op, _ = generate_instance(60, 4, 1.0, 3.0, seed=72)
         op.M.setflags(write=False)
         plcp = build_projective(op, orthonormalize(np.eye(60)))
