@@ -397,7 +397,8 @@ class CallableOperator(Operator):
     """Nonlinear operator with caller-declared (beta, lipschitz).
 
     The library does not estimate parameters for nonlinear maps; the caller
-    vouches for 0 <= beta <= lipschitz.
+    vouches for 0 <= beta <= lipschitz. ValueError when F(x) does not have
+    shape (dim,).
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], dim: int,
@@ -412,7 +413,7 @@ class CallableOperator(Operator):
         self._lipschitz = float(lipschitz)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._fn(_vector(x, self.dim, "x")), dtype=float)
+        return _vector(self._fn(_vector(x, self.dim, "x")), self.dim, "F(x)")
 
     @property
     def beta(self) -> float:

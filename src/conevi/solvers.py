@@ -61,9 +61,10 @@ class SolveConfig:
     """Knobs shared by the fixed-point solvers.
 
     alpha_override runs an explicit step size without the strong-monotonicity
-    guarantee; tol is the fixed-point step-norm stopping threshold. max_iter
-    defaults to 100x the certified iteration bound when a contraction factor
-    is available, else 10000. Every method starts from x = 0, which lies in
+    guarantee; tol is the fixed-point step-norm stopping threshold, and a
+    NaN step norm also stops the run, unconverged. max_iter defaults to
+    100x the certified iteration bound when a contraction factor is
+    available, else 10000. Every method starts from x = 0, which lies in
     every separable cone. alpha_override and tol must be positive and
     finite, max_iter a positive integer.
     """
@@ -168,10 +169,11 @@ def _check_dims(op: Operator, cone: SeparableCone, basis: Basis | None = None) -
 
 def _fixed_point(G, P, n: int, cfg: SolveConfig, gamma: float, alpha: float) -> SolveReport:
     """Iterate x <- P(x - G(x)) from x = 0 in R^n until the x step norm
-    drops to cfg.tol.
+    drops to cfg.tol, or is NaN: a NaN step never shrinks, so the run stops
+    there rather than at its cap.
 
-    With cfg.trace every iterate x_t is logged. Non-convergence is reported
-    (converged=False), not raised.
+    With cfg.trace every iterate x_t is logged. Non-convergence, a NaN step
+    included, is reported (converged=False), not raised.
     """
     x = np.zeros(n)
     step_norms: list[float] = []
@@ -182,7 +184,7 @@ def _fixed_point(G, P, n: int, cfg: SolveConfig, gamma: float, alpha: float) -> 
         x = x_new
         if iterates is not None:
             iterates.append(x)
-        if step_norms[-1] <= cfg.tol:
+        if not step_norms[-1] > cfg.tol:
             break
     return SolveReport(x=x, gamma=gamma, alpha=alpha, converged=step_norms[-1] <= cfg.tol,
                        step_norms=step_norms, iterates=iterates)

@@ -82,6 +82,10 @@ CASES = {
                                  ValueError, "nonempty"),
     "AffineOperator.empty_M": (lambda: AffineOperator(np.zeros((0, 0)), np.zeros(0)),
                                ValueError, "nonempty"),
+    # a scalar F(x) was broadcast, and solve_exact ran to its cap with no error
+    "CallableOperator.F_shape": (
+        lambda: solve_exact(CallableOperator(lambda x: -1.0, 3, beta=1.0, lipschitz=2.0),
+                            orthant(3)), ValueError, r"F\(x\) has shape"),
     "SeparableCone.no_segments": (lambda: SeparableCone(()), ValueError, "segment"),
     "bench_ipm.repeats": (lambda: bench_ipm([4], 2, repeats=0), ValueError, "repeats"),
     "parse_problem.cone_spec": (lambda: parse_problem("VI1 2 nn:x\n1 0\n0 1\n0 0\n"),

@@ -1,14 +1,13 @@
 import importlib
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import conevi
+from conftest import perfbench_module
 from conevi import operators, projective
 from conevi.basis import orthonormalize
 from conevi.cones import SegmentKind, Segment, SeparableCone, orthant, parse_cone_spec, zero
@@ -31,9 +30,6 @@ from conevi.transforms import (
     eliminate_equalities,
     polyhedron_to_cone,
 )
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
 
 def dense_N(op, basis, alpha):
     """Oracle: materialize N = I - P + alpha*P*M with the explicit projector."""
@@ -70,34 +66,6 @@ def polyhedral_problem(n=10, seed=64):
     layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, A, b))
     return (build_projective(layout.op, orthonormalize(np.eye(layout.cone.dim)), 1.0),
             layout.cone)
-
-
-@pytest.fixture
-def poly_instance(monkeypatch):
-    """The polyhedral_ipm workload's instance recipe, perfbench/inputs.py's
-    poly_instance(seed, i), imported without writing bytecode there."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    try:
-        return importlib.import_module("inputs").poly_instance
-    finally:
-        sys.modules.pop("inputs", None)
-
-
-def benchmark_problem(arrays):
-    """The polyhedral_ipm worker's reduced problem and cone for one instance's
-    arrays: polyhedron_to_cone, the equality rows E x = e (when given) on the
-    x block through eliminate_equalities, and the identity basis."""
-    layout = polyhedron_to_cone(PolyhedralVI(arrays["M"], arrays["q"], arrays["A"],
-                                             arrays["b"]))
-    op, cone = layout.op, layout.cone
-    if "E" in arrays:
-        m, n = arrays["A"].shape
-        E = np.zeros((arrays["E"].shape[0], cone.dim))
-        E[:, m:m + n] = arrays["E"]
-        eq = eliminate_equalities(op, E, arrays["e"], cone)
-        op, cone = eq.op, eq.cone
-    return build_projective(op, orthonormalize(np.eye(cone.dim)), 1.0), cone
 
 
 def full_spans(n, rng):
@@ -209,33 +177,6 @@ class TestBuildProjective:
             build_projective(op, orthonormalize(np.eye(2)), 0.0)
 
 
-class TestApplyN:
-    def test_zero_maps_to_zero(self):
-        op, basis = generate_instance(20, 4, 1.0, 2.0, seed=44)
-        plcp = build_projective(op, basis, 0.25)
-        np.testing.assert_array_equal(plcp @ np.zeros(20), np.zeros(20))
-
-    def test_identity_basis_gives_alpha_m_action(self):
-        # on the full span alpha only rescales the CP, so N acts as M
-        rng = np.random.default_rng(45)
-        M = rng.standard_normal((7, 7))
-        op = AffineOperator(M, np.zeros(7))
-        plcp = build_projective(op, orthonormalize(np.eye(7)), 0.4)
-        x = rng.standard_normal(7)
-        np.testing.assert_allclose(plcp @ x, M @ x, atol=1e-12)
-
-    def test_matches_dense_oracle(self):
-        op, basis = generate_instance(50, 5, 1.0, 3.0, seed=46)
-        plcp = build_projective(op, basis, 0.2)
-        N = np.eye(50) + plcp.ortho @ plcp.W
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x = rng.standard_normal(50)
-            ref = N @ x
-            np.testing.assert_allclose(
-                plcp @ x, ref, atol=1e-12 * (1 + np.linalg.norm(ref)))
-
-
 class TestVerifyPd:
     def test_identity_case(self):
         op = AffineOperator(2.0 * np.eye(4), np.zeros(4))
@@ -253,16 +194,6 @@ class TestVerifyPd:
         op = AffineOperator(S, np.zeros(2))
         plcp = build_projective(op, orthonormalize(np.array([[1.0], [0.0]])), 0.1)
         assert np.isfinite(verify_pd(plcp))
-
-    def test_matches_dense_eigvalsh(self):
-        rng = np.random.default_rng(52)
-        for n, k in ((3, 1), (7, 4), (40, 8), (60, 60), (200, 10)):
-            M = rng.standard_normal((n, n)) + 0.5 * np.eye(n)
-            basis = orthonormalize(rng.standard_normal((n, k)))
-            plcp = build_projective(AffineOperator(M, np.zeros(n)), basis, 0.3)
-            N = plcp.M
-            ref = np.linalg.eigvalsh(0.5 * (N + N.T))[0]
-            assert verify_pd(plcp) == pytest.approx(ref, abs=1e-12 * (1 + abs(ref)))
 
     def test_full_span_without_qr(self, monkeypatch):
         # k' = n: lambda_min(sym M) for the identity, a signed and scaled
@@ -351,27 +282,6 @@ class TestSignedPermutationRoute:
         assert verify_pd(identity) == pytest.approx(verify_pd(dense), rel=1e-12)
 
     @pytest.mark.parametrize("raw", full_spans(40, np.random.default_rng(66)))
-    def test_woodbury_sides_and_solve(self, raw):
-        identity, dense = self.both_routes(raw, 0.3)
-        n = identity.dim
-        N = identity.M
-        rng = np.random.default_rng(69)
-        # D varying on every row and D = 1 on 5 rows: the full span's direct LU
-        # either way, as the dense Q factors k'xk' either way
-        for n_var in (n, n - 5):
-            fixed = np.ones(n, dtype=bool)
-            fixed[rng.permutation(n)[:n_var]] = False
-            D = np.where(fixed, 1.0, 1.0 + 10.0 ** rng.uniform(-6, 6, n))
-            K = N - np.eye(n) + np.diag(D)
-            rhs = rng.standard_normal(n)
-            for p in (identity, dense):
-                y = _newton(p, D)(rhs)
-                # normwise backward error of the solve
-                err = np.abs(K @ y - rhs).max()
-                assert err <= 1e-14 * (np.abs(K).sum(1).max() * np.abs(y).max()
-                                       + np.abs(rhs).max())
-
-    @pytest.mark.parametrize("raw", full_spans(40, np.random.default_rng(66)))
     def test_solve_ipm(self, raw):
         cone = parse_cone_spec("nn:14,free:6,nn:14,free:6")
         identity, dense = self.both_routes(raw, 0.3)
@@ -423,24 +333,6 @@ class TestWoodbury:
             ref = np.linalg.solve(A, rhs)
             got = _newton(lowrank(Q, W), D)(rhs)
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
-
-    def test_nonpositive_diagonal_breaks(self):
-        # N = I as a plain operator and as a ProjectiveLcp with Q W = 0
-        for D in ([1.0, 0.0], [np.nan, 1.0]):
-            for F in (AffineOperator(np.eye(2), np.zeros(2)),
-                      lowrank(np.zeros((2, 1)), np.zeros((1, 2)))):
-                with pytest.raises(IpmBreakdown, match="positivity"):
-                    _newton(F, np.array(D))
-
-    def test_singular_small_system_breaks(self):
-        # I + W D^-1 Q = 1 - 1 = 0 although D > 0
-        e1 = np.array([[1.0], [0.0]])
-        with pytest.raises(IpmBreakdown, match="singular"):
-            _newton(lowrank(e1, -e1.T), np.ones(2))
-        # a full span with D = 1 on a row: N + diag(D - 1) = diag(0, 0) at
-        # D = (1, 2)
-        with pytest.raises(IpmBreakdown, match="singular"):
-            _newton(AffineOperator(np.diag([0.0, -1.0]), np.zeros(2)), np.array([1.0, 2.0]))
 
     def test_componentwise_backward_error_late_ipm_stage(self):
         # IPM-like Newton matrix near the end: D = 1 + s/x spans 24 decades
@@ -502,17 +394,6 @@ class TestWoodbury:
                     err = np.linalg.norm(y - ref)
                     assert err <= 1e-15 * np.linalg.cond(A) * np.linalg.norm(ref)
 
-    def test_all_free_full_span_solves_with_n(self):
-        # a full span with |V| = 0: every D is 1, and each call solves with N
-        rng = np.random.default_rng(63)
-        n = 30
-        N = np.eye(n) + rng.standard_normal((n, n)) / (2 * np.sqrt(n))
-        for _ in range(3):
-            rhs = rng.standard_normal(n)
-            y = _newton(AffineOperator(N, np.zeros(n)), np.ones(n))(rhs)
-            ref = np.linalg.solve(N, rhs)
-            assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
-
     def test_full_span_solve_holds_only_its_factors(self):
         # a full span and every row varies (an orthant cone without --basis): the
         # system is formed from the operator's N when D is given and factored
@@ -562,37 +443,6 @@ class TestWoodbury:
                         err = np.abs(K @ y - b).max()
                         assert err <= 1e-14 * (np.abs(K).sum(1).max() * np.abs(y).max()
                                                + np.abs(b).max())
-
-    def test_factors_serve_several_right_hand_sides(self):
-        rng = np.random.default_rng(57)
-        n, k = 50, 7
-        Q = rng.standard_normal((n, k)) / (2 * np.sqrt(n))
-        W = rng.standard_normal((k, n)) / (2 * np.sqrt(n))
-        D = 1.0 + 10.0 ** rng.uniform(-3, 3, size=n)
-        solve = _newton(lowrank(Q, W), D)
-        A = np.diag(D) + Q @ W
-        for _ in range(3):
-            rhs = rng.standard_normal(n)
-            ref = np.linalg.solve(A, rhs)
-            assert np.linalg.norm(solve(rhs) - ref) <= 1e-13 * np.linalg.norm(ref)
-
-    def test_infinite_diagonal_pins_rows_to_zero(self):
-        # D = inf on A and 1 elsewhere solves (I + Q W)_II y_I = b_I with y_A = 0;
-        # a dense Q factors the k'xk' system whatever share of rows is free
-        rng = np.random.default_rng(58)
-        n = 40
-        for k, free_share in ((9, 0.3), (20, 0.8), (n, 0.8)):
-            Q = rng.standard_normal((n, k)) / (2 * np.sqrt(n))
-            W = rng.standard_normal((k, n)) / (2 * np.sqrt(n))
-            free = rng.random(n) < free_share
-            active = ~free & (rng.random(n) < 0.5)
-            rhs = rng.standard_normal(n)
-            y = _newton(lowrank(Q, W), np.where(active, np.inf, 1.0))(rhs)
-            keep = ~active
-            ref = np.linalg.solve((np.eye(n) + Q @ W)[np.ix_(keep, keep)], rhs[keep])
-            assert np.all(y[active] == 0.0)
-            assert np.linalg.norm(y[keep] - ref) <= 1e-13 * np.linalg.norm(ref)
-
 
 class TestSlackPairs:
     """The Newton route of a polyhedral reduction's operator: each slack pair
@@ -797,25 +647,12 @@ class TestSlackPairs:
                 return
         assert not rep.converged and rep.iterations == IpmConfig().max_iter
 
-    def test_benchmark_instances_match_the_direct_route(self, poly_instance):
-        # the polyhedral_ipm workload's seed-1 instances, two with equality
-        # rows, against the same problems given as their dense N, which the
-        # direct route factors n x n
-        for i in range(4):
-            plcp, cone = benchmark_problem(poly_instance(1, i))
-            assert isinstance(plcp, _PolyhedralOperator)
-            got = solve_ipm(plcp, cone)
-            ref = solve_ipm(AffineOperator(plcp.M, plcp.q), cone)
-            assert got.converged and got.finish_accepted
-            assert ((got.iterations, got.converged, got.finish_attempts, got.finish_accepted)
-                    == (ref.iterations, ref.converged, ref.finish_attempts, ref.finish_accepted))
-            assert np.linalg.norm(got.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
-
-    def test_benchmark_setup_and_solve_stay_below_the_dense_array(self, poly_instance):
-        # n = m = 200 with p = 20 equality rows: set-up keeps the blocks, and
-        # the solve's largest arrays are its (n + p)^2 systems. Neither comes
-        # near the (2m + n + p)^2 array, which is never formed
-        arrays = poly_instance(1, 1)
+    def test_benchmark_setup_and_solve_stay_below_the_dense_array(self, monkeypatch):
+        # the polyhedral_ipm workload's instance recipe: n = m = 200 with p = 20
+        # equality rows. Set-up keeps the blocks, and the solve's largest
+        # arrays are its (n + p)^2 systems. Neither comes near the
+        # (2m + n + p)^2 array, which is never formed
+        arrays = perfbench_module(monkeypatch, "inputs").poly_instance(1, 1)
         (m, n), p = arrays["A"].shape, arrays["E"].shape[0]
         assert (m, n, p) == (200, 200, 20)
         dense_bytes = 8 * (2 * m + n + p) ** 2
@@ -880,24 +717,6 @@ class TestNewtonSystemOwner:
         assert [name for name in modules
                 if "IpmBreakdown" in importlib.import_module(f"conevi.{name}").__all__] == [
                     "projective"]
-        # a singular system on the n x n and the k'xk' routes, and a block
-        # system whose M + A^T diag(d) A overflows, each caught by the clause
-        # that cli.main and the benchmark worker use
-        e1 = np.array([[1.0], [0.0]])
-        poly, all_but_slacks = TestSlackPairs.reduction(10, 0, seed=79)
-        cases = [
-            (AffineOperator(np.diag([0.0, -1.0]), np.zeros(2)), np.ones(2)),
-            (lowrank(e1, -e1.T), np.ones(2)),
-            (_PolyhedralOperator(poly.M_x, 1e150 * poly.A, poly.E, poly.q),
-             np.where(all_but_slacks, 1.0, 1e10)),
-        ]
-        for F, D in cases:
-            try:
-                _newton(F, D)
-            except projective.IpmBreakdown as exc:
-                assert type(exc) is operators.IpmBreakdown
-            else:
-                pytest.fail(f"{type(F).__name__}: no breakdown")
 
 
 class TestSolveIpm:

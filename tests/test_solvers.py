@@ -109,6 +109,13 @@ class TestSolveExact:
         assert not rep.converged and rep.iterations == 10000
         assert np.isfinite(rep.x).all()
 
+    def test_nan_step_stops_at_once(self):
+        # gamma = sqrt(1 - 1e-6) sets a default cap of 4.6e9 steps; the run
+        # went to max_iter and returned x = NaN
+        op = CallableOperator(lambda x: np.full(3, np.nan), dim=3, beta=1e-3, lipschitz=1.0)
+        rep = solve_exact(op, orthant(3))
+        assert not rep.converged and rep.iterations == 1
+
     def test_iterates_stay_feasible(self):
         op, _ = generate_instance(20, 4, 1.0, 2.0, seed=1)
         rep = solve_exact(op, orthant(20), SolveConfig(trace=True))
