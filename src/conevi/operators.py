@@ -43,7 +43,7 @@ from scipy.linalg.blas import dsymv, dsyrk
 from scipy.linalg.lapack import dpotrf
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .cones import _finite, _max_abs, _vector
+from .cones import _finite, _max_abs, _positive_int, _vector
 
 __all__ = [
     "NotStronglyMonotone",
@@ -397,8 +397,8 @@ class CallableOperator(Operator):
     """Nonlinear operator with caller-declared (beta, lipschitz).
 
     The library does not estimate parameters for nonlinear maps; the caller
-    vouches for 0 <= beta <= lipschitz. ValueError when F(x) does not have
-    shape (dim,).
+    vouches for 0 <= beta <= lipschitz. ValueError when dim is not a
+    positive integer, or when F(x) does not have shape (dim,).
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], dim: int,
@@ -408,7 +408,7 @@ class CallableOperator(Operator):
         if not 0 < lipschitz < math.inf or lipschitz < beta:
             raise ValueError("declared lipschitz must be finite, positive and >= beta")
         self._fn = fn
-        self.dim = int(dim)
+        self.dim = _positive_int(dim, "dim")
         self._beta = float(beta)
         self._lipschitz = float(lipschitz)
 

@@ -20,6 +20,7 @@ squares problem (Lawson & Hanson).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +28,7 @@ import scipy.optimize
 
 from . import projective
 from .basis import DROP_TOL, Basis
-from .cones import SeparableCone, _norm, _positive_int, _vector
+from .cones import SeparableCone, _finite, _max_abs, _norm, _positive_int, _vector
 from .operators import AffineOperator, NotStronglyMonotone, Operator, _gamma, iteration_bound
 
 # the tolerance of every optimality certificate, relative to 1 + ||epsilon||
@@ -61,8 +62,9 @@ class SolveConfig:
     """Knobs shared by the fixed-point solvers.
 
     alpha_override runs an explicit step size without the strong-monotonicity
-    guarantee; tol is the fixed-point step-norm stopping threshold, and a
-    NaN step norm also stops the run, unconverged. max_iter defaults to
+    guarantee; tol is the fixed-point step-norm stopping threshold. A step
+    to a point x - G(x) with a NaN or infinite entry stops every method at
+    once, unconverged, with a NaN step norm. max_iter defaults to
     100x the certified iteration bound when a contraction factor is
     available, else 10000. Every method starts from x = 0, which lies in
     every separable cone. alpha_override and tol must be positive and
@@ -110,7 +112,8 @@ class SolveReport:
 
     step_norms holds the x steps ||x_t - x_{t-1}|| for every iteration
     t = 1, 2, ...; iterations is its length, and iterates (with cfg.trace)
-    are x_0, ..., x_T. A Galerkin solve reports z = x_T - G_S(x_T) and
+    are x_0, ..., x_T. A non-finite step is logged as NaN and adds no
+    iterate. A Galerkin solve reports z = x_T - G_S(x_T) and
     x = P_C(z), one update past x_T, with the certificate of that pair.
     """
 
@@ -135,9 +138,9 @@ class SolveReport:
         return np.array([float(np.linalg.norm(it - last)) for it in self.iterates])
 
     def trace_rows(self) -> list[tuple[int, float, float]]:
-        """(t, step_norm, distance_to_final) per iteration, for t >= 1."""
+        """(t, step_norm, distance_to_final) for each logged iterate x_t, t >= 1."""
         dists = self.distances_to_final()
-        return [(t + 1, self.step_norms[t], float(dists[t + 1])) for t in range(len(self.step_norms))]
+        return [(t + 1, self.step_norms[t], float(dists[t + 1])) for t in range(len(dists) - 1)]
 
 
 def _step_params(op: Operator, cfg: SolveConfig) -> tuple[float, float]:
@@ -167,19 +170,32 @@ def _check_dims(op: Operator, cone: SeparableCone, basis: Basis | None = None) -
         raise ValueError(f"basis dimension {basis.n} != cone dimension {cone.dim}")
 
 
-def _fixed_point(G, P, n: int, cfg: SolveConfig, gamma: float, alpha: float) -> SolveReport:
-    """Iterate x <- P(x - G(x)) from x = 0 in R^n until the x step norm
-    drops to cfg.tol, or is NaN: a NaN step never shrinks, so the run stops
-    there rather than at its cap.
+def _fixed_point(op: Operator, cone: SeparableCone, basis: Basis | None, P,
+                 cfg: SolveConfig | None) -> tuple[SolveReport, Callable[[np.ndarray], np.ndarray]]:
+    """Iterate x <- P(x - G(x)) from x = 0 until the x step norm drops to
+    cfg.tol; returns the report and G.
 
-    With cfg.trace every iterate x_t is logged. Non-convergence, a NaN step
-    included, is reported (converged=False), not raised.
+    The one set-up of the three methods: cfg defaults to SolveConfig(), the
+    dimensions are checked, (alpha, gamma) come from _step_params, and G is
+    alpha F with no basis and _span_step's G_S with one. A point
+    v = x - G(x) with a NaN or infinite entry ends the run before P sees
+    it, whatever P is: the step is logged as NaN, x stays the last iterate,
+    and the run is reported unconverged, not raised. With cfg.trace every
+    iterate x_t is logged.
     """
-    x = np.zeros(n)
+    cfg = cfg or SolveConfig()
+    _check_dims(op, cone, basis)
+    alpha, gamma = _step_params(op, cfg)
+    G = (lambda x: alpha * op(x)) if basis is None else _span_step(op, basis, alpha)
+    x = np.zeros(cone.dim)
     step_norms: list[float] = []
     iterates = [x] if cfg.trace else None
     for _ in range(_max_iter(cfg, gamma)):
-        x_new = P(x - G(x))
+        v = x - G(x)
+        if not math.isfinite(_max_abs(v)):
+            step_norms.append(math.nan)
+            break
+        x_new = P(v)
         step_norms.append(float(np.linalg.norm(x_new - x)))
         x = x_new
         if iterates is not None:
@@ -187,7 +203,7 @@ def _fixed_point(G, P, n: int, cfg: SolveConfig, gamma: float, alpha: float) -> 
         if not step_norms[-1] > cfg.tol:
             break
     return SolveReport(x=x, gamma=gamma, alpha=alpha, converged=step_norms[-1] <= cfg.tol,
-                       step_norms=step_norms, iterates=iterates)
+                       step_norms=step_norms, iterates=iterates), G
 
 
 def _span_step(op: Operator, basis: Basis, alpha: float):
@@ -208,12 +224,11 @@ def solve_exact(op: Operator, cone: SeparableCone, cfg: SolveConfig | None = Non
     """Projection method: iterate x <- P_C(x - alpha F(x)) to the unique solution.
 
     Starts from 0 and stops when the fixed-point step norm falls below
-    cfg.tol. Non-convergence is reported (converged=False), not raised.
+    cfg.tol. Non-convergence is reported (converged=False), not raised; so
+    is a step to a point with a NaN or infinite entry, which ends the run at
+    once with x the last finite iterate.
     """
-    cfg = cfg or SolveConfig()
-    _check_dims(op, cone)
-    alpha, gamma = _step_params(op, cfg)
-    return _fixed_point(lambda x: alpha * op(x), cone.project, cone.dim, cfg, gamma, alpha)
+    return _fixed_point(op, cone, None, cone.project, cfg)[0]
 
 
 def project_intersection(cone: SeparableCone, basis: Basis, z) -> np.ndarray:
@@ -237,7 +252,7 @@ def project_intersection(cone: SeparableCone, basis: Basis, z) -> np.ndarray:
     IntersectionProjectionFailed when NNLS reaches its iteration cap or
     Q V u misses C by more than that.
     """
-    z = _vector(z, cone.dim, "z")
+    z = _finite(_vector(z, cone.dim, "z"), "z")
     if basis.n != cone.dim:
         raise ValueError(f"basis dimension {basis.n} != cone dimension {cone.dim}")
     Q, tol = basis.ortho, DROP_TOL
@@ -279,11 +294,7 @@ def solve_bertsekas(op: Operator, cone: SeparableCone, basis: Basis,
     Its a-priori bound ||P_{C&span}(x*) - x*|| / (1 - gamma) needs the exact
     solution x*; bound_report computes it as bound_bertsekas.
     """
-    cfg = cfg or SolveConfig()
-    _check_dims(op, cone, basis)
-    alpha, gamma = _step_params(op, cfg)
-    return _fixed_point(_span_step(op, basis, alpha),
-                        lambda y: project_intersection(cone, basis, y), cone.dim, cfg, gamma, alpha)
+    return _fixed_point(op, cone, basis, lambda v: project_intersection(cone, basis, v), cfg)[0]
 
 
 def solve_galerkin(op: Operator, cone: SeparableCone, basis: Basis,
@@ -295,14 +306,10 @@ def solve_galerkin(op: Operator, cone: SeparableCone, basis: Basis,
     feasible solution x_bar = P_C(z_bar), with the optimality certificate
     of that pair attached.
     """
-    cfg = cfg or SolveConfig()
-    _check_dims(op, cone, basis)
-    alpha, gamma = _step_params(op, cfg)
-    G = _span_step(op, basis, alpha)
-    rep = _fixed_point(G, cone.project, cone.dim, cfg, gamma, alpha)
+    rep, G = _fixed_point(op, cone, basis, cone.project, cfg)
     rep.z = rep.x - G(rep.x)
     rep.x = cone.project(rep.z)
-    rep.certificate = certify(op, cone, basis, rep.x, rep.z, alpha)
+    rep.certificate = certify(op, cone, basis, rep.x, rep.z, rep.alpha)
     return rep
 
 

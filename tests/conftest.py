@@ -2,6 +2,12 @@ import importlib
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
+# every run, in CI or not, draws the same examples and replays none
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 

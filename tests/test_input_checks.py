@@ -86,6 +86,10 @@ CASES = {
     "CallableOperator.F_shape": (
         lambda: solve_exact(CallableOperator(lambda x: -1.0, 3, beta=1.0, lipschitz=2.0),
                             orthant(3)), ValueError, r"F\(x\) has shape"),
+    # dim = 0 and dim = -1 were accepted, and dim = 2.5 was stored as 2
+    "CallableOperator.dim=0": (lambda: CallableOperator(abs, 0, 1.0, 1.0), ValueError, "dim"),
+    "CallableOperator.dim=-1": (lambda: CallableOperator(abs, -1, 1.0, 1.0), ValueError, "dim"),
+    "CallableOperator.dim=2.5": (lambda: CallableOperator(abs, 2.5, 1.0, 1.0), ValueError, "dim"),
     "SeparableCone.no_segments": (lambda: SeparableCone(()), ValueError, "segment"),
     "bench_ipm.repeats": (lambda: bench_ipm([4], 2, repeats=0), ValueError, "repeats"),
     "parse_problem.cone_spec": (lambda: parse_problem("VI1 2 nn:x\n1 0\n0 1\n0 0\n"),

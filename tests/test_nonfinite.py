@@ -19,6 +19,7 @@ from conevi import (
     free,
     orthant,
     orthonormalize,
+    project_intersection,
     zero,
 )
 
@@ -42,6 +43,8 @@ CASES = {
     "SeparableCone.contains.tol": lambda v: orthant(2).contains([-5.0, 1.0], v),
     "SeparableCone.is_complementary.tol": lambda v: orthant(2).is_complementary(
         [1.0, 0.0], [0.0, 1.0], v),
+    # NaN leaked SciPy's "must not contain infs or NaNs"; inf warned inside matmul
+    "project_intersection.z": lambda v: project_intersection(orthant(2), BASIS, [v, 0.0]),
     "CallableOperator.beta": lambda v: CallableOperator(lambda x: x, 2, beta=v, lipschitz=1.0),
     "CallableOperator.lipschitz": lambda v: CallableOperator(lambda x: x, 2, beta=0.5,
                                                              lipschitz=v),
