@@ -95,15 +95,13 @@ def _cmd_solve(args) -> int:
     if args.method in ("bertsekas", "galerkin") and not args.basis:
         print(f"solve --method {args.method} requires --basis", file=sys.stderr)
         return 2
+    # a bad option value is reported before any file is read
+    cfg = (_config(IpmConfig, args, tol="tol", max_iter="max_iter") if args.method == "ipm"
+           else _config(SolveConfig, args, tol="tol", max_iter="max_iter", alpha_override="alpha"))
     op, cone = _load_problem(args.problem)
     basis = _load_basis(args.basis) if args.basis else None
 
     if args.method == "ipm":
-        ipm_cfg = _config(IpmConfig, args, tol="tol", max_iter="max_iter")
-        if cone.zero_mask.any():
-            print("solver error: zero-constrained segments are not a feasible set for the IPM",
-                  file=sys.stderr)
-            return 1
         # without --basis the span is full: its reduced problem is op itself
         plcp = op
         if basis is not None:
@@ -113,12 +111,10 @@ def _cmd_solve(args) -> int:
                 print("operator is not strongly monotone; pass --alpha explicitly",
                       file=sys.stderr)
                 return 1
-        report = solve_ipm(plcp, cone, ipm_cfg)
+        report = solve_ipm(plcp, cone, cfg)
         own = [("mu", report.mu), ("feas", report.feasibility),
                ("finish", report.finish_accepted)]
     else:
-        cfg = _config(SolveConfig, args, tol="tol", max_iter="max_iter",
-                      alpha_override="alpha")
         cfg.trace = bool(args.trace)
         if args.method == "exact":
             report = solve_exact(op, cone, cfg)
@@ -145,9 +141,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    cfg = _config(SolveConfig, args, tol="tol")  # checked before any file is read
     op, cone = _load_problem(args.problem)
     basis = _load_basis(args.basis)
-    comp = bound_report(op, cone, basis, _config(SolveConfig, args, tol="tol"))
+    comp = bound_report(op, cone, basis, cfg)
 
     pairs = [
         ("gamma", comp.gamma),

@@ -149,9 +149,10 @@ class IpmReport:
 
     mu is the mean complementarity product x_i s_i over the orthant
     components and feasibility the largest residual of Nx + r = s (s is 0
-    on free components), both at the returned x, also when the solve stops
-    at max_iter; after an accepted active-set finish they are those of the
-    finish point, so mu is 0.
+    on free components; zero-segment rows, where x is pinned at 0 and
+    Nx + r is free, are left out), both at the returned x, also when the
+    solve stops at max_iter; after an accepted active-set finish they are
+    those of the finish point, so mu is 0.
     history holds one (mu, feasibility, step, sigma) row per Newton step:
     the first two at the iterate the step starts from, then its step length
     and centring weight. iterations counts the iterates measured, one more
@@ -274,17 +275,19 @@ def _active_guess(x: np.ndarray, s: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _finish_candidate(F: AffineOperator, active: np.ndarray, B: np.ndarray) -> tuple | None:
-    """The LCP point for a guessed active set A, or None if its system is
+    """The CP point for a guessed active set A, or None if its system is
     singular or its signs fail.
 
-    F(x) = Nx + r is the reduced problem. Sets x_A = 0 and solves
+    F(x) = Nx + r is the reduced problem and A holds the orthant components
+    guessed at 0 and every zero-segment row. Sets x_A = 0 and solves
     (Nx + r)_I = 0 on I = ~A: D = inf on A and 1 on I restricts
     N + diag(D - 1) to N_II. It goes through _newton at the cost of one
     Newton step.
     Returns (x, feasibility), feasibility the largest |Nx + r| on I, when
-    x_B >= 0 and (Nx + r)_A >= 0 for the orthant components B. Its slack
-    s = Nx + r on A and 0 elsewhere meets x = 0 on A, so x.s is exactly 0:
-    the point is complementary and only its feasibility needs a test.
+    x_B >= 0 and (Nx + r)_i >= 0 on A's orthant components i in B; a zero
+    row's (Nx + r)_i has no sign to test. Its slack s = Nx + r on A and 0
+    elsewhere meets x = 0 on A, so x.s is exactly 0: the point is
+    complementary and only its feasibility needs a test.
     """
     try:
         x = solve_diag_plus_lowrank(F, np.where(active, np.inf, 1.0), -F.q)
@@ -292,7 +295,7 @@ def _finish_candidate(F: AffineOperator, active: np.ndarray, B: np.ndarray) -> t
         return None
     x = np.where(active, 0.0, x)  # -r_i / inf leaves -0.0 on A
     y = F @ x + F.q
-    if np.any(x[B] < 0.0) or np.any(y[active] < 0.0):
+    if np.any(x[B] < 0.0) or np.any(y[active & B] < 0.0):
         return None
     return x, float(np.linalg.norm(y[~active], np.inf))
 
@@ -304,9 +307,13 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
     active-set finish.
 
     Orthant components carry complementarity pairs (x_i, s_i); free
-    components are handled as pure equations (Nx + r)_i = 0. Each Newton
-    step factors its system N + diag(D - 1) once and solves twice with the
-    factors: Mehrotra's affine predictor and the corrector centred by
+    components are handled as pure equations (Nx + r)_i = 0. A zero-segment
+    row is a row pinned at x_i = 0, as the finish pins its active set: D is
+    inf there in every Newton step, so x_i never moves from 0, its
+    (Nx + r)_i is left out of the residual and the feasibility, and it joins
+    every finish's active set with no sign test. Each Newton step factors
+    its system N + diag(D - 1) once and solves twice with the factors:
+    Mehrotra's affine predictor and the corrector centred by
     sigma = (mu_aff / mu)^3. The Newton diagonal D = 1 + s/x is 1 on the
     free components and >= 1 on the orthant ones; F's _newton_factor(D),
     through _newton once per Newton step and per finish attempt, factors
@@ -319,21 +326,19 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
     When the guessed active set A = {i in B : x_i < s_i} repeats from one
     iteration to the next and differs from the last rejected guess (the
     candidate depends on A alone, so retrying one would repeat it), one
-    more factorization tries the finish: x_A = 0 and (Nx + r)_I = 0 on the
-    rest. It ends the solve with mu = 0 if x_B >= 0, (Nx + r)_A >= 0 and its
-    feasibility is within tol, and takes precedence over an IPM point
-    that passes the stopping test too; otherwise the iteration continues
-    unchanged. TypeError when F is not an AffineOperator.
+    more factorization tries the finish: x = 0 on A and the zero rows, and
+    (Nx + r)_I = 0 on the rest I. It ends the solve with mu = 0 if x_B >= 0,
+    (Nx + r)_A >= 0 and its feasibility is within tol, and takes precedence
+    over an IPM point that passes the stopping test too; otherwise the
+    iteration continues unchanged. TypeError when F is not an AffineOperator.
     """
     if not isinstance(F, AffineOperator):
         raise TypeError(f"solve_ipm needs an AffineOperator, got {type(F).__name__}")
     cfg = cfg or IpmConfig()
     if cone.dim != F.dim:
         raise ValueError(f"cone dimension {cone.dim} != problem dimension {F.dim}")
-    if cone.zero_mask.any():
-        raise ValueError("zero-constrained segments are not a feasible set for the IPM")
 
-    B = cone.nonneg_mask
+    B, Z = cone.nonneg_mask, cone.zero_mask
     n_orth = int(B.sum())
     r = F.q
 
@@ -359,6 +364,7 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
     guess = rejected = None
     for it in range(1, cfg.max_iter + 1):
         g = F @ x + r - s
+        g[Z] = 0.0  # a zero row's equation is free: its (Nx + r)_i is never a slack
         feas = float(np.linalg.norm(g, np.inf))
         ok, mu = gap_ok(x, s)
         # tried before the stopping test: an accepted finish is exact where the
@@ -368,7 +374,7 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
         if (n_orth and np.array_equal(guess, previous)
                 and not np.array_equal(guess, rejected)):
             attempts += 1
-            finish = _finish_candidate(F, guess, B)
+            finish = _finish_candidate(F, guess | Z, B)
             if finish is not None and finish[1] <= cfg.tol:
                 x, feas = finish
                 mu = 0.0
@@ -388,7 +394,10 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
             d[B] = s[B] / x[B]
         if not math.isfinite(_max_abs(d)):
             raise IpmBreakdown("Newton diagonal D = 1 + s/x is not finite")
-        _, _, dx, ds, sigma = _newton_directions(_newton(F, 1.0 + d), d, x, s, g, B, mu)
+        # D = inf pins a zero row, where d, h and g are 0: dx = ds = 0 there, so
+        # x and s stay exactly 0 and no inf * 0 is formed
+        _, _, dx, ds, sigma = _newton_directions(_newton(F, np.where(Z, np.inf, 1.0 + d)),
+                                                 d, x, s, g, B, mu)
 
         bound = min(_boundary_step(x[B], dx[B]), _boundary_step(s[B], ds[B]))
         step = min(1.0, _STEP_FRACTION * bound)

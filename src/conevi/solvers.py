@@ -217,7 +217,14 @@ def _span_step(op: Operator, basis: Basis, alpha: float):
     if isinstance(op, AffineOperator) and basis.rank < basis.n:
         F = projective.build_projective(op, basis, alpha)
         return lambda x: F @ x + F.q
-    return lambda x: x - basis.project_span(x - alpha * op(x))
+
+    def G(x):
+        # an infinite alpha F(x) meets a zero of Q as inf * 0: the NaN that
+        # _fixed_point stops on (and an overflow the inf it stops on)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return x - basis.project_span(x - alpha * op(x))
+
+    return G
 
 
 def solve_exact(op: Operator, cone: SeparableCone, cfg: SolveConfig | None = None) -> SolveReport:

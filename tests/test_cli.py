@@ -211,6 +211,15 @@ class TestSolve:
                      "--format", "kv"]) == 0
         assert kv_lines(capsys.readouterr().out)["finish"] == "true"
 
+    def test_ipm_pins_a_zero_segment(self, tmp_path, capsys):
+        # README's zero.vi: x_3 is pinned at 0, and the orthant rows then solve
+        # to x = (0.5, 0) with Mx + q = (0, 0.5)
+        path = tmp_path / "zero.vi"
+        path.write_text("VI1 3 nn:2,zero:1\n2 1 0\n-1 2 1\n0 -1 2\n-1 1 -2\n")
+        assert main(["solve", "--method", "ipm", "--problem", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("\nx: 0.5 0 0\n") and captured.err == ""
+
     def test_exact_does_not_read_basis(self, problem_file, basis_file, tmp_path, capsys):
         # a basis given to the exact method is refused, not silently dropped:
         # neither a valid one nor a missing file is opened
@@ -412,20 +421,6 @@ class TestUsageErrors:
                      "--basis", str(axis)]) == 1
         assert "pass --alpha explicitly" in capsys.readouterr().err
 
-    def test_ipm_refuses_zero_segment_as_solver_error(self, tmp_path, monkeypatch, capsys):
-        # the file is well formed, so this is a refusal, found before any set-up
-        path = tmp_path / "z.vi"
-        path.write_text("VI1 3 nn:2,zero:1\n2 1 0\n-1 2 1\n0 -1 2\n-1 1 -2\n")
-
-        def fail(*args):
-            raise AssertionError("build_projective ran")
-
-        monkeypatch.setattr(conevi.cli, "build_projective", fail)
-        assert main(["solve", "--method", "ipm", "--problem", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("solver error: zero-constrained segments")
-        assert captured.out == ""
-
     def test_zero_basis_is_solver_error(self, problem_file, tmp_path, capsys):
         bad = tmp_path / "zero.mat"
         bad.write_text("BASIS1 2 1\n0\n0\n")
@@ -433,22 +428,30 @@ class TestUsageErrors:
                      "--basis", str(bad)]) == 1
 
     @pytest.mark.parametrize("options", [
-        ["--method", "exact", "--tol", "inf"],
-        ["--method", "exact", "--tol", "nan"],
-        ["--method", "exact", "--alpha", "inf"],
-        ["--method", "ipm", "--tol", "inf"],
-        ["--method", "ipm", "--alpha", "nan"],
-        ["--method", "galerkin", "--tol", "nan"],
+        ["solve", "--method", "exact", "--tol", "inf"],
+        ["solve", "--method", "exact", "--tol", "nan"],
+        ["solve", "--method", "exact", "--alpha", "inf"],
+        ["solve", "--method", "ipm", "--tol", "inf"],
+        ["solve", "--method", "ipm", "--alpha", "nan"],
+        ["solve", "--method", "galerkin", "--tol", "nan"],
         # values that start with "-" and are not plain decimals
-        ["--method", "exact", "--alpha", "-1e-3"],
-        ["--method", "ipm", "--tol", "-inf"],
+        ["solve", "--method", "exact", "--alpha", "-1e-3"],
+        ["solve", "--method", "ipm", "--tol", "-inf"],
+        ["solve", "--method", "exact", "--tol", "-1"],
+        ["solve", "--method", "ipm", "--max-iter", "0"],
+        ["bounds", "--tol", "nan"],
     ])
     def test_nonfinite_tolerance_is_usage_error(self, options, problem_file, basis_file,
-                                                capsys):
+                                                tmp_path, capsys):
         # with --tol inf the exact method used to stop after one step at a
-        # point that is not the solution (0.5, 1) and report converged: true
-        basis = [] if options[1] == "exact" else ["--basis", basis_file]
-        assert main(["solve", "--problem", problem_file] + basis + options) == 2
-        captured = capsys.readouterr()
-        assert "finite" in captured.err
-        assert captured.out == ""
+        # point that is not the solution (0.5, 1) and report converged: true.
+        # Every value is refused before a file is read, so missing files give
+        # the same message
+        missing = str(tmp_path / "missing")
+        for problem, basis_path in ((problem_file, basis_file),
+                                    (missing + ".vi", missing + ".mat")):
+            basis = [] if "exact" in options else ["--basis", basis_path]
+            assert main(options[:1] + ["--problem", problem] + basis + options[1:]) == 2
+            captured = capsys.readouterr()
+            assert "finite" in captured.err or "max_iter must be a positive integer" in captured.err
+            assert "cannot read" not in captured.err and captured.out == ""

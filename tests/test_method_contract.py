@@ -3,9 +3,10 @@ x = 0 with a pair (G, P) each: every property holds for every method on every ca
 import numpy as np
 import pytest
 
-from conevi import (CallableOperator, SolveConfig, bound_report, generate_instance, orthant,
-                    orthonormalize, parse_cone_spec, project_intersection, solve_bertsekas,
-                    solve_exact, solve_galerkin)
+from conevi import (AffineOperator, CallableOperator, SolveConfig, bound_report,
+                    build_projective, generate_instance, orthant, orthonormalize,
+                    parse_cone_spec, project_intersection, solve_bertsekas, solve_exact,
+                    solve_galerkin, solve_ipm)
 
 N, TOL = 30, SolveConfig.tol
 CASES = ["orthant_abs_gaussian", "mixed_gaussian", "aggregation", "full_span", "nonlinear"]
@@ -85,9 +86,9 @@ def test_twin(case, method):
 
 
 def test_failure(case, method):
-    # in G_S's span projection +inf meets a zero and warns; NaN covers G_S alone
+    # in G_S's span projection +inf meets a zero of Q: a NaN, with no warning
     op, cone, basis = case
-    for value in (np.nan, np.inf) if method == "exact" else (np.nan,):
+    for value in (np.nan, np.inf):
         bad = CallableOperator(lambda x: np.full(N, value), N, op.beta, op.lipschitz)
         rep = METHODS[method](bad, cone, basis, SolveConfig(trace=True))
         assert not rep.converged and rep.iterations == 1 and np.isnan(rep.step_norms[0])
@@ -95,3 +96,17 @@ def test_failure(case, method):
         assert method == "galerkin" or not rep.x.any()
     rep = METHODS[method](op, cone, basis, SolveConfig(max_iter=2, tol=1e-300))
     assert not rep.converged and rep.iterations == 2
+
+
+def test_ipm_agrees(case, method):
+    # the IPM with an accepted finish solves the same CP as the fixed point:
+    # the operator itself for exact, the reduced problem at the same alpha
+    # for galerkin
+    op, cone, basis = case
+    if method == "bertsekas" or not isinstance(op, AffineOperator):
+        pytest.skip("the Bertsekas point needs the block route; the IPM needs an affine F")
+    ref = METHODS[method](op, cone, basis, SolveConfig(tol=1e-13))
+    F = op if method == "exact" else build_projective(op, basis, ref.alpha)
+    rep = solve_ipm(F, cone)
+    assert ref.converged and rep.finish_accepted
+    assert np.linalg.norm(rep.x - ref.x) <= 1e-10 * (1.0 + np.linalg.norm(ref.x))

@@ -18,7 +18,7 @@ from conevi.operators import AffineOperator, monotone_modulus
 from conevi.projective import ProjectiveLcp, _newton, build_projective, solve_ipm
 from conevi.transforms import PolyhedralVI, eliminate_equalities, polyhedron_to_cone
 
-MIXED = parse_cone_spec("nn:14,free:6,nn:14,free:6")
+MIXED = parse_cone_spec("nn:14,free:6,zero:4,nn:10,free:6")
 E1 = np.eye(2)[:, :1]
 HALF = np.full((4, 1), 0.5)  # I + W Q = 1 - 4/4 = 0 with W = -HALF^T
 ZERO = np.zeros((1, 1))

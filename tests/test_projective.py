@@ -23,7 +23,7 @@ from conevi.projective import (
     solve_ipm,
     verify_pd,
 )
-from conevi.solvers import SolveConfig, certify, solve_galerkin
+from conevi.solvers import SolveConfig, certify, solve_exact, solve_galerkin
 from conevi.transforms import (
     PolyhedralVI,
     _PolyhedralOperator,
@@ -785,11 +785,18 @@ class TestSolveIpm:
         assert np.abs(resid[cone.free_mask]).max() <= 1e-8
         assert cone.is_complementary(rep.x, resid, 10 * IpmConfig().tol)
 
-    def test_zero_segments_rejected(self):
-        op = AffineOperator(np.eye(2), [0.0, 0.0])
-        plcp = build_projective(op, orthonormalize(np.eye(2)), 1.0)
-        with pytest.raises(ValueError):
-            solve_ipm(plcp, zero(2))
+    def test_zero_segments_are_pinned_rows(self):
+        # a zero row is pinned at 0 (D = inf), as the finish pins its active
+        # set: its residual is free and x stays exactly 0 there
+        op = AffineOperator(np.eye(2), [1.0, -1.0])
+        rep = solve_ipm(build_projective(op, orthonormalize(np.eye(2)), 1.0), zero(2))
+        assert rep.converged and np.array_equal(rep.x, np.zeros(2))
+        op, _ = generate_instance(30, 6, 1.0, 5.0, seed=3)
+        cone = parse_cone_spec("nn:10,zero:10,nn:10")
+        rep = solve_ipm(op, cone)
+        assert rep.finish_accepted and not rep.x[cone.zero_mask].any()
+        ref = solve_exact(op, cone, SolveConfig(tol=1e-13)).x
+        assert np.linalg.norm(rep.x - ref) <= 1e-10 * (1 + np.linalg.norm(ref))
 
     def test_one_woodbury_solve_per_newton_step(self, monkeypatch):
         calls = []
