@@ -55,6 +55,10 @@ def bench_ipm(sizes: list[int], k: int, repeats: int, seed: int = 0) -> list[Ben
         raise ValueError("repeats must be >= 1")
     if any(n < 1 for n in sizes):
         raise ValueError(f"sizes must be >= 1, got {sizes}")
+    # at k >= n orthonormalize keeps rank n and build_projective returns the
+    # operator itself, whose dense n x n Newton route is not the one timed here
+    if any(not 1 <= k < n for n in sizes):
+        raise ValueError(f"need 1 <= k < n for every size, got k={k}, sizes {sizes}")
     results = []
     for n in sizes:
         op, basis, alpha = _bench_instance(n, k, seed)

@@ -11,12 +11,13 @@ NumPy's C reader (`np.loadtxt`) reads the number block after the header
 from it in one pass, so no second copy of the file is made. The C reader
 holds the GIL while it converts numbers, so threads cannot share that work;
 processes can. A text of at least `_PARTS_MIN_CHARS` (16 MiB) is cut at
-"\n" into one part per usable CPU. This process reads the first part while
-a forked child reads each other part and sends its rows back through a
-pipe, straight into the result array. Forking needs `os.fork`,
-`os.sched_getaffinity` with two or more CPUs, and Python before 3.12, where
-`os.fork` warns whenever other threads exist (OpenBLAS's always do); without
-them, or where a fork fails, this process reads the remaining parts itself.
+"\n" into one part per usable CPU, a shorter one is one part. A forked
+child reads each part but the first and writes its row count and rows to a
+pipe, read back straight into the result array; this process reads the
+first part. Forking needs `os.fork`, `os.sched_getaffinity` with two or
+more CPUs, and Python before 3.12, where `os.fork` warns whenever other
+threads exist (OpenBLAS's always do); without them the text is one part,
+and where a fork fails, this process reads the remaining parts itself.
 
 When the C reader fails on any part, a child exits non-zero or sends too
 little, or the block has the wrong shape, the rows are split again and read
@@ -32,6 +33,7 @@ import os
 import signal
 import sys
 from collections.abc import Callable, Iterator
+from typing import BinaryIO
 
 import numpy as np
 
@@ -112,19 +114,45 @@ def _read_rows(lines: Iterator[tuple[int, str]], width: int) -> np.ndarray | Non
     return block if block.shape[1] == width else None
 
 
-def _read_block(text: str, lines: Iterator[tuple[int, str]],
-                shape: tuple[int, int]) -> np.ndarray | None:
-    """The rest of `lines`, the number block after the header of `text`, read
-    by the C reader (in parts when the text is long); None when that fails
-    or the block is not `shape`, as when the text has fewer characters than
-    numbers (each takes one), before anything of that shape is made."""
+def _read_block(text: str, shape: tuple[int, int]) -> np.ndarray | None:
+    """The number block after the header of `text`, read by the C reader:
+    the rows of each part of `text` but the first by a forked child, last
+    part first, and the rest here. None when a part fails, a child sends
+    too little or exits non-zero, or the block is not `shape`, as when the
+    text has fewer characters than numbers (each takes one), before
+    anything of that shape is made."""
     if shape[0] * shape[1] > len(text):
         return None
     bounds = _cuts(text)
-    if len(bounds) > 2:
-        return _read_parts(text, bounds, shape)
-    block = _read_rows(lines, shape[1])
-    return block if block is not None and block.shape == shape else None
+    children = []  # (pid, read end of its pipe), last part first
+    block = None
+    try:
+        for start, stop in reversed(list(itertools.pairwise(bounds[1:]))):
+            try:
+                children.append(_fork_part(text, start, stop, shape[1]))
+            except OSError:  # no process or pipe to spare: read the rest here
+                break
+        here = bounds[len(bounds) - 1 - len(children)]
+        # the header is the first content line of the text
+        rows = _read_rows(itertools.islice(_content_lines(text, 0, here), 1, None), shape[1])
+        if rows is None or len(rows) > shape[0]:
+            return None
+        full, filled = rows, len(rows)
+        if filled < shape[0]:
+            full = np.empty(shape)
+            full[:filled] = rows
+        count = np.empty(1, dtype=np.int64)
+        for _, pipe in reversed(children):
+            if pipe.readinto(count) < count.nbytes or not 0 <= count[0] <= shape[0] - filled:
+                return None
+            part = full[filled:filled + count[0]]
+            if pipe.readinto(part) < part.nbytes:
+                return None
+            filled += len(part)
+        block = full if filled == shape[0] else None
+    finally:
+        exited = _reap(children, kill=block is None)
+    return block if exited else None
 
 
 def _cpus() -> int:
@@ -149,46 +177,9 @@ def _cuts(text: str) -> list[int]:
     return bounds + [len(text)]
 
 
-def _read_parts(text: str, bounds: list[int], shape: tuple[int, int]) -> np.ndarray | None:
-    """The number block read in the parts text[bounds[i]:bounds[i + 1]]:
-    each part but the first by a forked child, the first here. None as for
-    _read_block, or when a child fails."""
-    children = []  # (pid, read end of its pipe), last part first
-    block = None
-    try:
-        for start, stop in reversed(list(itertools.pairwise(bounds[1:]))):
-            try:
-                children.append(_fork_part(text, start, stop, shape[1]))
-            except OSError:  # no process or pipe to spare: read the rest here
-                break
-        here = bounds[len(bounds) - 1 - len(children)]
-        block = _gather(text, here, children[::-1], shape)
-    finally:
-        exited = _reap(children, kill=block is None)
-    return block if exited else None
-
-
-def _gather(text: str, here: int, children: list[tuple[int, int]],
-            shape: tuple[int, int]) -> np.ndarray | None:
-    """The rows of text[:here] after the header, then each child's rows, in
-    one array; None when a part fails or the rows are not `shape`."""
-    # the header is the first content line of the text
-    rows = _read_rows(itertools.islice(_content_lines(text, 0, here), 1, None), shape[1])
-    if rows is None or len(rows) > shape[0]:
-        return None
-    block = np.empty(shape)
-    block[:len(rows)] = rows
-    filled = len(rows)
-    for _, read_end in children:
-        filled = _receive(read_end, block, filled)
-        if filled is None:
-            return None
-    return block if filled == shape[0] else None
-
-
-def _fork_part(text: str, start: int, stop: int, width: int) -> tuple[int, int]:
+def _fork_part(text: str, start: int, stop: int, width: int) -> tuple[int, BinaryIO]:
     """(pid, read end of its pipe) of a child that reads the rows of
-    text[start:stop] and sends their shape and values through the pipe."""
+    text[start:stop] and writes their count and values to the pipe."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -201,64 +192,30 @@ def _fork_part(text: str, start: int, stop: int, width: int) -> tuple[int, int]:
         # this process. It calls no BLAS routine, so it takes no lock that a
         # BLAS thread (not copied into the child) could have held at the fork.
         # os._exit skips the atexit handlers and stream flushes that belong
-        # to this process.
+        # to this process, so the child closes its pipe, flushing it, first.
         code = 1
         try:
             os.close(read_end)
             rows = _read_rows(_content_lines(text, start, stop), width)
             if rows is not None:
-                _send(write_end, np.array(rows.shape, dtype=np.int64))
-                _send(write_end, rows)
+                with open(write_end, "wb") as pipe:
+                    pipe.write(np.int64(len(rows)).tobytes())
+                    pipe.write(np.ascontiguousarray(rows))
                 code = 0
         finally:
             os._exit(code)
     os.close(write_end)
-    return pid, read_end
+    return pid, open(read_end, "rb")
 
 
-def _raw(array: np.ndarray) -> memoryview:
-    """The bytes of a C-contiguous array, a view (writable where it is)."""
-    return memoryview(array.reshape(-1).view(np.uint8))
-
-
-def _send(fd: int, array: np.ndarray) -> None:
-    view = _raw(np.ascontiguousarray(array))
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _fill(fd: int, view: memoryview) -> bool:
-    """Read from fd until `view` is full; False if the data end first."""
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            return False
-        view = view[got:]
-    return True
-
-
-def _receive(fd: int, block: np.ndarray, filled: int) -> int | None:
-    """Read one child's rows into `block` after its first `filled` rows: the
-    rows filled then, or None when the child sent too little or a bad shape."""
-    sent = np.empty(2, dtype=np.int64)
-    if not _fill(fd, _raw(sent)):
-        return None
-    rows, width = (int(v) for v in sent)
-    if width != block.shape[1] or not 0 <= rows <= len(block) - filled:
-        return None
-    if not _fill(fd, _raw(block[filled:filled + rows])):
-        return None
-    return filled + rows
-
-
-def _reap(children: list[tuple[int, int]], kill: bool) -> bool:
+def _reap(children: list[tuple[int, BinaryIO]], kill: bool) -> bool:
     """Wait for every child, killing it first when its rows are not needed;
     True when every child exited with status 0."""
     exited = True
-    for pid, read_end in children:
+    for pid, pipe in children:
         if kill:
             os.kill(pid, signal.SIGKILL)
-        os.close(read_end)
+        pipe.close()
         exited = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 and exited
     return exited
 
@@ -284,12 +241,12 @@ def _dimension(token: str, lineno: int) -> int:
     return n
 
 
-def _numbers(text: str, lines: Iterator[tuple[int, str]], lineno: int,
-             shape: tuple[int, int], row_name: Callable[[int], str]) -> np.ndarray:
-    """The number block after the header on line `lineno`: `lines` through
-    the C reader, else every row of `text` again, one by one with float(),
-    so that an error names its line and the row row_name(i)."""
-    block = _read_block(text, lines, shape)
+def _numbers(text: str, lineno: int, shape: tuple[int, int],
+             row_name: Callable[[int], str]) -> np.ndarray:
+    """The number block after the header on line `lineno`: read by the C
+    reader, else row by row with float(), so that an error names its line
+    and the row row_name(i)."""
+    block = _read_block(text, shape)
     if block is None:
         body = list(_content_lines(text))[1:]
         if len(body) != shape[0]:
@@ -303,8 +260,7 @@ def _numbers(text: str, lines: Iterator[tuple[int, str]], lineno: int,
 
 def parse_problem(text: str) -> tuple[AffineOperator, SeparableCone]:
     """Parse a `VI1` problem file into an operator and its cone."""
-    lines = _content_lines(text)
-    lineno, (size, spec) = _header(lines, "VI1", "<n> <cone-spec>")
+    lineno, (size, spec) = _header(_content_lines(text), "VI1", "<n> <cone-spec>")
     n = _dimension(size, lineno)
     try:
         cone = parse_cone_spec(spec)
@@ -313,17 +269,16 @@ def parse_problem(text: str) -> tuple[AffineOperator, SeparableCone]:
     if cone.dim != n:
         raise ProblemFormatError(
             f"cone spec covers {cone.dim} components, header says {n}", lineno)
-    block = _numbers(text, lines, lineno, (n + 1, n),
+    block = _numbers(text, lineno, (n + 1, n),
                      lambda i: "q" if i == n else f"matrix row {i + 1}")
     return AffineOperator(block[:n], block[n]), cone
 
 
 def parse_basis(text: str) -> np.ndarray:
     """Parse a `BASIS1` file into the raw (not yet orthonormalized) matrix."""
-    lines = _content_lines(text)
-    lineno, fields = _header(lines, "BASIS1", "<n> <k>")
+    lineno, fields = _header(_content_lines(text), "BASIS1", "<n> <k>")
     n, k = (_dimension(token, lineno) for token in fields)
-    return _numbers(text, lines, lineno, (n, k), lambda i: f"basis row {i + 1}")
+    return _numbers(text, lineno, (n, k), lambda i: f"basis row {i + 1}")
 
 
 def _write(header: str, rows) -> str:

@@ -370,6 +370,12 @@ class TestBench:
             assert main(["bench", "--sizes", sizes]) == 2
             assert "sizes must be >= 1" in capsys.readouterr().err
 
+    def test_k_outside_one_to_n_is_usage_error(self, capsys):
+        # k = 80 at n = 50 exited 0, timing the dense n x n route
+        for k in ("80", "50", "0", "-3"):
+            assert main(["bench", "--sizes", "60,50", "--k", k]) == 2
+            assert f"k={k}" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_help_exits_zero(self, capsys):

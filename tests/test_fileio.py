@@ -191,7 +191,7 @@ def _outcome(parse, text):
 def _reference_outcome(parse, text):
     """_outcome on the line-numbered path alone, over text.splitlines()."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fileio, "_read_block", lambda text, lines, shape: None)
+        mp.setattr(fileio, "_read_block", lambda text, shape: None)
         mp.setattr(fileio, "_content_lines", _splitlines_content_lines)
         return _outcome(parse, text)
 
@@ -399,8 +399,8 @@ class TestPartsReader:
     ])
     def test_header_claiming_more_numbers_than_characters(self, parse, text):
         # the parts reader made the block the header claims (7.28 TiB for the
-        # basis) and raised MemoryError; it now fails as the one-process
-        # reader does, naming the line after the last row, and forks nothing
+        # basis) and raised MemoryError; it now fails as a text of one part
+        # does, naming the line after the last row, and forks nothing
         with _counted_forks(2) as forks:
             outcome = _outcome(parse, text)
         assert outcome[0] is ProblemFormatError and outcome[2] == 5
@@ -429,22 +429,25 @@ class TestPartsReader:
 
     @pytest.mark.parametrize("fault", ["short send", "exit 3 after sending"])
     def test_child_fault_falls_back_to_per_row_reader(self, fault, monkeypatch):
-        send, rows_read, parse_row = fileio._send, [], fileio._parse_row
+        rows_read, parse_row, exit_ = [], fileio._parse_row, os._exit
 
-        def faulty(fd, array):
-            if array.dtype == np.int64:  # the shape goes first, unharmed
-                send(fd, array)
-            elif fault == "short send":
-                send(fd, array.ravel()[:1])
-            else:
-                send(fd, array)
-                os._exit(3)
+        def short_open(fd, mode):
+            # the child's pipe takes the first 8 bytes of each write: its row
+            # count whole, then one number of its two rows
+            pipe = open(fd, mode)
+            if mode == "wb":
+                write = pipe.write
+                pipe.write = lambda data: write(memoryview(data).cast("B")[:8])
+            return pipe
 
         def counted(*args):
             rows_read.append(1)
             return parse_row(*args)
 
-        monkeypatch.setattr(fileio, "_send", faulty)
+        if fault == "short send":
+            monkeypatch.setattr(fileio, "open", short_open, raising=False)
+        else:  # the child writes everything, closes its pipe and exits 3
+            monkeypatch.setattr(os, "_exit", lambda code: exit_(3))
         monkeypatch.setattr(fileio, "_parse_row", counted)
         with _counted_forks(2) as forks:
             parsed = parse_basis("BASIS1 4 2\n1 2\n3 4\n5 6\n7 8\n")

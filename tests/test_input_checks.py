@@ -92,6 +92,8 @@ CASES = {
     "CallableOperator.dim=2.5": (lambda: CallableOperator(abs, 2.5, 1.0, 1.0), ValueError, "dim"),
     "SeparableCone.no_segments": (lambda: SeparableCone(()), ValueError, "segment"),
     "bench_ipm.repeats": (lambda: bench_ipm([4], 2, repeats=0), ValueError, "repeats"),
+    # k = 80 at n = 50 timed the dense n x n route; k = 0 failed in orthonormalize
+    "bench_ipm.k": (lambda: bench_ipm([60, 50], 50, repeats=1), ValueError, "k=50"),
     "parse_problem.cone_spec": (lambda: parse_problem("VI1 2 nn:x\n1 0\n0 1\n0 0\n"),
                                 ProblemFormatError, "line 1: bad segment length"),
 }

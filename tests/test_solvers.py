@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conevi.basis import Basis, orthonormalize
+from conevi.basis import DROP_TOL, Basis, orthonormalize
 from conevi.cones import free, orthant, parse_cone_spec
 from conevi.generate import generate_instance
 from conevi.operators import AffineOperator, CallableOperator, NotStronglyMonotone, iteration_bound
@@ -196,6 +196,27 @@ class TestProjectIntersection:
             z = 3.0 * rng.standard_normal(20)
             np.testing.assert_allclose(project_intersection(cone, b, z),
                                        projection_bruteforce(cone, b, z), atol=1e-9)
+
+    def test_bases_with_rows_scaled_by_1e_9_to_1e_4(self):
+        # Phi's rows scaled by 10^U(-9, -4), where a projection once raised on
+        # 1 of 3,000 draws. The oracle accepts B w >= -1e-12, which rows of Q
+        # near 1e-3 turn into up to 2e-9 in its answer; the last cone is
+        # there so that the oracle, exponential in the orthant rows, runs
+        specs = ["nn:20", "nn:10,free:6,zero:4", "zero:3,nn:17", "nn:8,zero:2,nn:6,free:4",
+                 "free:10,nn:6,zero:4"]
+        rng = np.random.default_rng(37)
+        for i in range(300):
+            cone = parse_cone_spec(specs[i % len(specs)])
+            raw = rng.standard_normal((20, rng.integers(2, 9)))
+            if i % 3 == 2:
+                raw = np.abs(raw)
+            b = orthonormalize(raw * 10.0 ** rng.uniform(-9.0, -4.0, (20, 1)))
+            z = 3.0 * rng.standard_normal(20)
+            y = project_intersection(cone, b, z)
+            assert cone.contains(y, 0.0)
+            assert b.representation_error(y) <= DROP_TOL * (1.0 + np.linalg.norm(z))
+            if cone.nonneg_mask.sum() <= 6:
+                np.testing.assert_allclose(y, projection_bruteforce(cone, b, z), atol=1e-8)
 
     def test_nnls_iteration_cap_is_typed_error(self, monkeypatch):
         def capped(*args, **kwargs):
