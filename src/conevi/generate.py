@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .basis import Basis, orthonormalize
 from .operators import AffineOperator, lipschitz_constant
@@ -30,6 +29,8 @@ def generate_instance(n: int, k: int, beta_target: float, L_target: float,
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     if not (0.0 < beta_target < L_target < math.inf):
         raise ValueError(f"need 0 < beta_target < L_target < inf, got {beta_target}, {L_target}")
+    # imported here, so that importing conevi does not load scipy.optimize
+    from scipy.optimize import brentq
 
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))

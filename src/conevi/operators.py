@@ -41,7 +41,6 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dsymv, dsyrk
 from scipy.linalg.lapack import dpotrf
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .cones import _finite, _max_abs, _positive_int, _vector
 
@@ -199,11 +198,15 @@ def _top_eigenvalue(N: np.ndarray) -> float:
     """Estimate of the top eigenvalue of -N, reading the lower triangle.
 
     Lanczos (ARPACK) from a fixed start vector; below _LANCZOS_MIN_N the
-    dense eigensolver is faster than ARPACK's per-step overhead.
+    dense eigensolver is faster than ARPACK's per-step overhead. ARPACK's
+    module is imported at the first Lanczos estimate, so a process that
+    never needs one does not load it.
     """
     n = N.shape[0]
     if n < _LANCZOS_MIN_N:
         return -float(scipy.linalg.eigvalsh(N, lower=True, subset_by_index=[0, 0])[0])
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     op = LinearOperator((n, n), matvec=lambda x: dsymv(-1.0, N, x, lower=1), dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)  # fixed, so equal M give equal L
     try:

@@ -15,7 +15,7 @@ For strongly monotone F with alpha = beta/L**2 every update contracts with
 factor gamma = sqrt(1 - beta**2/L**2), which yields the a-priori error
 bounds reported by bound_report. The projection onto C & span(Phi) is
 exact: a k'-variable quadratic program whose dual is a nonnegative least
-squares problem (Lawson & Hanson).
+squares problem, solved by Lawson and Hanson's active-set method (_nnls).
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
+from scipy.linalg.lapack import dgelsy
 
 from . import projective
 from .basis import DROP_TOL, Basis
@@ -36,6 +36,7 @@ from .operators import AffineOperator, NotStronglyMonotone, Operator, _gamma, it
 _CERT_TOL = 1e-8
 # bound_report's allowance on each bound, for the solves' stopping tolerance
 _BOUND_SLACK = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "IntersectionProjectionFailed",
@@ -238,17 +239,84 @@ def solve_exact(op: Operator, cone: SeparableCone, cfg: SolveConfig | None = Non
     return _fixed_point(op, cone, None, cone.project, cfg)[0]
 
 
+def _passive_solution(C: np.ndarray, d: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """s with s_P the minimum-norm least-squares solution of C_P s_P = d and
+    0 off P, by LAPACK's complete orthogonal factorization (dgelsy, QR with
+    column pivoting), which also takes more passive columns than rows."""
+    s = np.zeros(C.shape[1])
+    m, p = C.shape[0], int(np.count_nonzero(P))
+    if p:
+        b = np.zeros((max(m, p), 1))
+        b[:m, 0] = d
+        lwork = max(min(m, p) + 3 * p + 1, 2 * min(m, p) + 1)
+        s[P] = dgelsy(C[:, P], b, np.zeros(p, np.int32), _EPS * max(m, p), lwork)[1][:p, 0]
+    return s
+
+
+def _nnls(C: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """argmin over lam >= 0 of ||C lam - d||, by Lawson and Hanson's active set.
+
+    Every passive subproblem is a least-squares solve on the passive columns
+    C_P (_passive_solution), never the normal equations, which square the
+    condition number of nearly parallel columns. lam is optimal when it
+    passes the method's stopping test: lam > 0 on the passive set P and the
+    gradient w = C^T (d - C lam) at most tol off it, with
+    tol = 10 max(C.shape) eps ||C||_F ||d||. The guessed start
+    P = {j : (C^T d)_j > tol} is kept when its least-squares solution passes
+    that test, which on the projections of bound_report is the usual case;
+    otherwise the loop runs from P = {}. A column whose passive solution is
+    not positive as it joins P adds nothing measurable and is set aside
+    until lam next moves. Raises RuntimeError after 3 * C.shape[1] inner
+    steps (each one moves lam back to the boundary and drops a column).
+    """
+    n = C.shape[1]
+    tol = 10 * max(C.shape) * _EPS * np.linalg.norm(C) * np.linalg.norm(d)
+    w = C.T @ d
+    P = w > tol
+    lam = _passive_solution(C, d, P)
+    if (lam[P] > 0).all() and not (C.T @ (d - C @ lam))[~P].max(initial=-np.inf) > tol:
+        return lam
+    lam, P = np.zeros(n), np.zeros(n, dtype=bool)
+    steps = 0
+    while True:
+        j = int(np.argmax(w))
+        if not w[j] > tol:
+            return lam
+        P[j] = True
+        s = _passive_solution(C, d, P)
+        if not s[j] > 0:
+            P[j], w[j] = False, -np.inf
+            continue
+        while not (s[P] > 0).all():
+            steps += 1
+            if steps > 3 * n:
+                raise RuntimeError(f"NNLS reached its cap of {3 * n} inner steps")
+            neg = np.flatnonzero(P & (s <= 0))
+            ratios = lam[neg] / (lam[neg] - s[neg])
+            lam = lam + ratios.min() * (s - lam)
+            lam[neg[np.argmin(ratios)]] = 0.0
+            P &= lam > 0
+            lam[~P] = 0.0
+            s = _passive_solution(C, d, P)
+        lam = s
+        w = C.T @ (d - C @ lam)
+        w[P] = -np.inf
+
+
 def project_intersection(cone: SeparableCone, basis: Basis, z) -> np.ndarray:
     """Exact Euclidean projection onto C & span(Phi).
 
     With x = Q w (Q = basis.ortho) this is the k'-variable problem
     min ||w - Q^T z||^2 subject to Q_B w >= 0 on the nonnegative rows and
     Q_H w = 0 on the held rows, at first the zero segments. w is restricted
-    to null(Q_H) = range(V), and A u >= 0 with A = Q_B V is solved through
-    its dual, the NNLS problem min_{lam >= 0} ||A^T lam + d|| with
-    d = V^T Q^T z, as u = d + A^T lam. The rank of Q_H and the vanishing
-    rows of A are judged against basis.DROP_TOL, the tolerance that defines
-    span(Phi); the kept rows are normalised.
+    to null(Q_H) = range(V), with V = I while no row is held, and A u >= 0
+    with A = Q_B V is solved through its dual, the NNLS problem
+    min_{lam >= 0} ||A^T lam + d|| with d = V^T Q^T z, as u = d + A^T lam.
+    _nnls solves it by Lawson and Hanson's active set, from the guess that
+    lam is positive exactly where A d < 0, and falls back to the method's
+    own loop when that guess fails its stopping test. The rank of Q_H and
+    the vanishing rows of A are judged against basis.DROP_TOL, the
+    tolerance that defines span(Phi); the kept rows are normalised.
 
     u = d + A^T lam loses about eps * lam to cancellation. Rows whose
     multipliers would push that past DROP_TOL * (1 + ||d||) are active at
@@ -265,9 +333,12 @@ def project_intersection(cone: SeparableCone, basis: Basis, z) -> np.ndarray:
     Q, tol = basis.ortho, DROP_TOL
     held = cone.zero_mask.copy()
     while True:
-        Q_H = Q[held]
-        _, sv, vt = np.linalg.svd(Q_H, full_matrices=Q_H.shape[0] < Q_H.shape[1])
-        V = vt[int(np.sum(sv > tol)):].T
+        if held.any():
+            Q_H = Q[held]
+            _, sv, vt = np.linalg.svd(Q_H, full_matrices=Q_H.shape[0] < Q_H.shape[1])
+            V = vt[int(np.sum(sv > tol)):].T
+        else:
+            V = np.eye(Q.shape[1])  # what the SVD of an empty Q_H returns, exactly
         u = V.T @ (Q.T @ z)
         rows = np.flatnonzero(cone.nonneg_mask & ~held)
         A = Q[rows] @ V
@@ -277,10 +348,10 @@ def project_intersection(cone: SeparableCone, basis: Basis, z) -> np.ndarray:
         if not A.size:
             break
         try:
-            lam, _ = scipy.optimize.nnls(A.T, -u)
+            lam = _nnls(A.T, -u)
         except RuntimeError as exc:
             raise IntersectionProjectionFailed(f"NNLS dual of the projection: {exc}") from exc
-        huge = lam * np.finfo(float).eps > tol * (1.0 + np.linalg.norm(u))
+        huge = lam * _EPS > tol * (1.0 + np.linalg.norm(u))
         if not huge.any():
             u = u + A.T @ lam
             break

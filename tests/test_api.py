@@ -1,5 +1,9 @@
 """The top-level API is the union of the submodules' __all__ lists."""
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +39,31 @@ def test_module_all_names_exist(name):
     module = importlib.import_module(f"conevi.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing
+
+
+def test_import_and_bertsekas_load_no_optimize_or_arpack():
+    # in a fresh interpreter, since the test modules import scipy.optimize
+    # themselves: the library, its CLI and a bound_report that runs all three
+    # methods (Bertsekas's projection included) load neither
+    # scipy.optimize (generate_instance's root finder) nor ARPACK's
+    # scipy.sparse.linalg (L's Lanczos estimate at n >= 300)
+    code = """
+import sys
+import numpy as np
+import conevi
+import conevi.cli
+rng = np.random.default_rng(0)
+n = 12
+M = 2.0 * np.eye(n) + 0.1 * rng.standard_normal((n, n))
+op = conevi.AffineOperator(M, rng.standard_normal(n))
+basis = conevi.orthonormalize(np.abs(rng.standard_normal((n, 3))))
+comp = conevi.bound_report(op, conevi.orthant(n), basis)
+assert not comp.bertsekas_skipped and comp.bertsekas_converged
+print(sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse.linalg"))))
+"""
+    path = [str(Path(conevi.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

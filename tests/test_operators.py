@@ -384,7 +384,7 @@ class TestCertifiedLipschitz:
         def stalled(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([]), None)
 
-        monkeypatch.setattr(operators, "eigsh", stalled)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
         M = np.random.default_rng(21).standard_normal((300, 300))
         assert lipschitz_constant(M) >= scipy.linalg.svdvals(M)[0]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from conevi import solvers
 from conevi.basis import DROP_TOL, Basis, orthonormalize
 from conevi.cones import free, orthant, parse_cone_spec
 from conevi.generate import generate_instance
@@ -222,12 +223,54 @@ class TestProjectIntersection:
         def capped(*args, **kwargs):
             raise RuntimeError("Maximum number of iterations reached.")
 
-        monkeypatch.setattr(scipy.optimize, "nnls", capped)
+        monkeypatch.setattr(solvers, "_nnls", capped)
         with pytest.raises(IntersectionProjectionFailed):
             project_intersection(orthant(2), basis_from_columns([1.0, 1.0]), [2.0, 0.0])
         op, basis = generate_instance(12, 3, 1.0, 2.0, seed=13)
         comp = bound_report(op, orthant(12), basis)
         assert comp.bertsekas_skipped and comp.new_ok
+
+    def test_nnls_matches_scipy_and_passes_its_stopping_test(self, monkeypatch):
+        # the dual solver against scipy.optimize.nnls on seeded unit-column
+        # draws: a third rank-deficient, a third with columns that repeat
+        # others with either sign, exactly or turned by 1e-2..1e-1 (closer
+        # angles grow the optimal multipliers past what a residual resolves).
+        # Residuals and gradients are evaluated from the multipliers (the
+        # oracle's own rnorm can read 0.0 on a rank-deficient C where its
+        # solution's residual is not), so the bound adds the rounding of
+        # that evaluation to 1e-12 (1 + ||d||). One passive solve means the
+        # guessed start was kept, more that the Lawson-Hanson loop ran.
+        passive, solves = solvers._passive_solution, []
+        monkeypatch.setattr(solvers, "_passive_solution",
+                            lambda *args: solves.append(1) or passive(*args))
+        rng = np.random.default_rng(38)
+        paths = set()
+        for i in range(600):
+            k, m = int(rng.integers(2, 9)), int(rng.integers(1, 25))
+            C = rng.standard_normal((k, m))
+            if i % 3 == 1:
+                r = int(rng.integers(1, k))
+                C = rng.standard_normal((k, r)) @ rng.standard_normal((r, m))
+            elif i % 3 == 2:
+                src, dst = rng.integers(0, m, (2, m // 2))
+                C /= np.linalg.norm(C, axis=0)
+                turn = 10.0 ** rng.uniform(-2.0, -1.0, len(dst)) * (rng.random(len(dst)) < 0.7)
+                C[:, dst] = (rng.choice([-1.0, 1.0], len(dst)) * C[:, src]
+                             + turn * rng.standard_normal((k, len(dst))))
+            C /= np.linalg.norm(C, axis=0)
+            d = rng.standard_normal(k) * 10.0 ** rng.uniform(-3.0, 3.0)
+            solves.clear()
+            lam = solvers._nnls(C, d)
+            paths.add(len(solves) > 1)
+            oracle = scipy.optimize.nnls(C, d)[0]
+            rounding = 10 * max(k, m) * np.finfo(float).eps  # per unit of the multipliers' sum
+            bound = 1e-12 * (1.0 + np.linalg.norm(d)) + rounding * lam.sum()
+            assert (abs(np.linalg.norm(C @ lam - d) - np.linalg.norm(C @ oracle - d))
+                    <= bound + rounding * oracle.sum())
+            assert np.all(lam >= 0.0)
+            w = C.T @ (d - C @ lam)
+            assert np.all(w[lam == 0.0] <= bound) and np.all(np.abs(w[lam > 0.0]) <= bound)
+        assert paths == {False, True}
 
     def test_matches_slsqp_on_mixed_cone(self):
         # oracle: the same k-variable QP handed to SLSQP, on a basis whose
