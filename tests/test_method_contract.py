@@ -1,10 +1,14 @@
 """One contract for the three projection methods, one update x <- P(x - G(x)) from
-x = 0 with a pair (G, P) each: every property holds for every method on every case."""
+x = 0 with a pair (G, P) each: every property holds for every method on every case.
+test_ipm_agrees also solves each affine case's problem with the interior-point
+method, solve_ipm, and checks its point against each method's; the IPM's own
+properties are in test_operator_contract.py."""
 import numpy as np
 import pytest
 
+from conftest import reduction
 from conevi import (AffineOperator, CallableOperator, SolveConfig, bound_report,
-                    build_projective, generate_instance, orthant, orthonormalize,
+                    build_projective, certify, generate_instance, orthant, orthonormalize,
                     parse_cone_spec, project_intersection, solve_bertsekas, solve_exact,
                     solve_galerkin, solve_ipm)
 
@@ -99,14 +103,28 @@ def test_failure(case, method):
 
 
 def test_ipm_agrees(case, method):
-    # the IPM with an accepted finish solves the same CP as the fixed point:
-    # the operator itself for exact, the reduced problem at the same alpha
-    # for galerkin
+    # the IPM solves the same VI as the fixed point: for exact, CP(F) itself;
+    # for galerkin, the reduced problem at the same alpha, where its accepted
+    # finish carries the paper's certificate; for bertsekas, VI(F, C & span),
+    # which is VI(Q^T F(Q w), {Q_B w >= 0, Q_Z w = 0}) on x = Q w, solved by
+    # the block route of its polyhedral reduction (w is its x block)
     op, cone, basis = case
-    if method == "bertsekas" or not isinstance(op, AffineOperator):
-        pytest.skip("the Bertsekas point needs the block route; the IPM needs an affine F")
+    if not isinstance(op, AffineOperator):
+        pytest.skip("the IPM needs an affine F")
     ref = METHODS[method](op, cone, basis, SolveConfig(tol=1e-13))
-    F = op if method == "exact" else build_projective(op, basis, ref.alpha)
-    rep = solve_ipm(F, cone)
-    assert ref.converged and rep.finish_accepted
-    assert np.linalg.norm(rep.x - ref.x) <= 1e-10 * (1.0 + np.linalg.norm(ref.x))
+    if method == "bertsekas":
+        Q, B, Z = basis.ortho, cone.nonneg_mask, cone.zero_mask
+        m = int(B.sum())
+        rep = solve_ipm(*reduction(Q.T @ op.M @ Q, Q.T @ op.q, Q[B], np.zeros(m),
+                                   Q[Z], np.zeros(int(Z.sum()))))
+        x, tol = Q @ rep.x[m:m + basis.rank], 1e-10
+    else:
+        rep = solve_ipm(op if method == "exact" else build_projective(op, basis, ref.alpha),
+                        cone)
+        x, tol = rep.x, 1e-12
+        assert rep.finish_accepted
+    assert ref.converged and rep.converged
+    assert np.linalg.norm(x - ref.x) <= tol * (1.0 + np.linalg.norm(ref.x))
+    if method == "galerkin":
+        z = basis.project_span(x - ref.alpha * op(x))
+        assert certify(op, cone, basis, x, z, ref.alpha).valid

@@ -10,10 +10,9 @@ import conevi
 from conftest import perfbench_module
 from conevi import operators, projective
 from conevi.basis import orthonormalize
-from conevi.cones import SegmentKind, Segment, SeparableCone, orthant, parse_cone_spec, zero
+from conevi.cones import orthant, parse_cone_spec
 from conevi.generate import generate_instance
 from conevi.operators import AffineOperator
-from conevi.bench import _bench_instance
 from conevi.projective import (
     IpmBreakdown,
     IpmConfig,
@@ -23,7 +22,6 @@ from conevi.projective import (
     solve_ipm,
     verify_pd,
 )
-from conevi.solvers import SolveConfig, certify, solve_exact, solve_galerkin
 from conevi.transforms import (
     PolyhedralVI,
     _PolyhedralOperator,
@@ -720,85 +718,14 @@ class TestNewtonSystemOwner:
 
 
 class TestSolveIpm:
-    def test_plain_lcp_identity(self):
-        op = AffineOperator(np.eye(2), [-1.0, 1.0])
-        plcp = build_projective(op, orthonormalize(np.eye(2)), 1.0)
-        rep = solve_ipm(plcp, orthant(2))
-        assert rep.converged
-        np.testing.assert_allclose(rep.x, [1.0, 0.0], atol=1e-8)
-
-    def test_matches_galerkin_fixed_point(self):
-        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
-        cone = orthant(40)
-        alpha = op.contraction().alpha
-        x_bar = solve_galerkin(op, cone, basis).x
-        rep = solve_ipm(build_projective(op, basis, alpha), cone)
-        assert rep.converged
-        assert np.linalg.norm(rep.x - x_bar) <= 1e-6 * (1 + np.linalg.norm(x_bar))
-
-    def test_trivial_lcp_r_zero(self):
-        # fully degenerate path x = s = sqrt(mu): needs a deep mu target
-        op = AffineOperator(2.0 * np.eye(4), np.zeros(4))
-        plcp = build_projective(op, orthonormalize(np.eye(4)), 0.5)
-        rep = solve_ipm(plcp, orthant(4), IpmConfig(tol=1e-17))
-        assert rep.converged
-        assert np.linalg.norm(rep.x) <= 1e-8
-
-    def test_complementarity_at_exit(self):
-        cfg = IpmConfig()
-        for seed in range(5):
-            op, basis = generate_instance(40, 8, 1.0, 3.0, seed=seed)
-            cone = orthant(40)
-            plcp = build_projective(op, basis, op.contraction().alpha)
-            rep = solve_ipm(plcp, cone, cfg)
-            assert rep.converged
-            y = plcp(rep.x)
-            assert cone.is_complementary(rep.x, y, 10 * cfg.tol)
-
-    def test_mixed_free_rows_solved_as_equations(self):
-        # free block forces (Nx + r)_free = 0
-        rng = np.random.default_rng(50)
-        M = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
-        M = 0.5 * (M + M.T) + 1.5 * np.eye(3)
-        q = rng.standard_normal(3)
-        op = AffineOperator(M, q)
-        cone = SeparableCone((Segment(SegmentKind.NONNEGATIVE, 2), Segment(SegmentKind.FREE, 1)))
-        plcp = build_projective(op, orthonormalize(np.eye(3)), 0.2)
-        rep = solve_ipm(plcp, cone)
-        assert rep.converged
-        resid = plcp(rep.x)
-        assert abs(resid[2]) <= 1e-8
-        assert np.all(rep.x[:2] >= -1e-10)
-        assert np.all(resid[:2] >= -1e-8)
-
-    def test_mixed_cone_dense_basis_matches_galerkin(self):
-        # Gaussian basis with free rows: the dense-Q route, whose D is 1 on the
-        # free rows and varies on the orthant ones
-        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=56)
-        cone = parse_cone_spec("nn:14,free:6,nn:14,free:6")
-        plcp = build_projective(op, basis, op.contraction().alpha)
-        rep = solve_ipm(plcp, cone)
-        assert rep.converged
-        x_bar = solve_galerkin(op, cone, basis).x
-        assert np.linalg.norm(rep.x - x_bar) <= 1e-6 * (1 + np.linalg.norm(x_bar))
-        resid = plcp(rep.x)
-        assert np.abs(resid[cone.free_mask]).max() <= 1e-8
-        assert cone.is_complementary(rep.x, resid, 10 * IpmConfig().tol)
-
-    def test_zero_segments_are_pinned_rows(self):
-        # a zero row is pinned at 0 (D = inf), as the finish pins its active
-        # set: its residual is free and x stays exactly 0 there
-        op = AffineOperator(np.eye(2), [1.0, -1.0])
-        rep = solve_ipm(build_projective(op, orthonormalize(np.eye(2)), 1.0), zero(2))
-        assert rep.converged and np.array_equal(rep.x, np.zeros(2))
-        op, _ = generate_instance(30, 6, 1.0, 5.0, seed=3)
-        cone = parse_cone_spec("nn:10,zero:10,nn:10")
-        rep = solve_ipm(op, cone)
-        assert rep.finish_accepted and not rep.x[cone.zero_mask].any()
-        ref = solve_exact(op, cone, SolveConfig(tol=1e-13)).x
-        assert np.linalg.norm(rep.x - ref) <= 1e-10 * (1 + np.linalg.norm(ref))
+    """Mechanism pins of solve_ipm that no property sees: each checks how a
+    step is computed, not what the solve returns. Its behaviour (report,
+    exit, finish, cap, breakdowns) is asserted on every operator case by
+    the test_ipm_* properties of test_operator_contract.py, and its point
+    against the projection methods' by test_method_contract.py."""
 
     def test_one_woodbury_solve_per_newton_step(self, monkeypatch):
+        # pin: the factorization count, which a right answer cannot show
         calls = []
         inner = projective._newton
 
@@ -825,7 +752,7 @@ class TestSolveIpm:
                 assert len(calls) == rep.iterations - 1 + rep.finish_attempts
 
     def test_finish_solves_through_its_own_name(self, monkeypatch):
-        # each active-set finish makes exactly one solve_diag_plus_lowrank
+        # pin: perfbench wraps this name by its string. Each active-set finish makes exactly one solve_diag_plus_lowrank
         # call, looked up as a module attribute, which a profiler can wrap
         calls = []
         inner = projective.solve_diag_plus_lowrank
@@ -840,38 +767,9 @@ class TestSolveIpm:
         assert rep.converged and rep.finish_attempts >= 1
         assert len(calls) == rep.finish_attempts
 
-    def test_operator_solved_without_a_basis(self):
-        # the reduced problem of the identity basis is the operator itself, so
-        # solve_ipm and verify_pd take it directly, plain or polyhedral, and
-        # report what the route through build_projective reports, bit for bit
-        op, _ = generate_instance(30, 4, 1.0, 3.0, seed=59)
-        rng = np.random.default_rng(59)
-        layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, rng.standard_normal((10, 30)),
-                                                 1.0 + np.abs(rng.standard_normal(10))))
-        assert isinstance(layout.op, _PolyhedralOperator)
-        for F, cone in ((op, parse_cone_spec("nn:12,free:6,nn:12")), (layout.op, layout.cone)):
-            built = build_projective(F, orthonormalize(np.eye(F.dim)), 0.3)
-            assert built is F
-            got, ref = solve_ipm(F, cone), solve_ipm(built, cone)
-            assert got.converged and got.finish_accepted
-            assert got.x.tobytes() == ref.x.tobytes()
-            assert got.history == ref.history
-            assert ((got.mu, got.feasibility, got.finish_attempts, got.finish_accepted)
-                    == (ref.mu, ref.feasibility, ref.finish_attempts, ref.finish_accepted))
-            assert verify_pd(F) == verify_pd(built) == F.beta
-
-    def test_empty_lowrank_part_solved(self):
-        # N = I with no low-rank part: ortho may not be empty, so the problem
-        # is the identity operator itself, with r as its q. CP(x + r) on the
-        # orthant has x = max(-r, 0)
-        plcp = AffineOperator(np.eye(3), [-1.0, 1.0, 2.0])
-        rep = solve_ipm(plcp, orthant(3))
-        assert rep.converged
-        np.testing.assert_allclose(rep.x, [1.0, 0.0, 0.0], atol=1e-12)
-        assert verify_pd(plcp) == 1.0  # the smallest eigenvalue of sym(I)
-
     def test_factorization_sizes(self, monkeypatch):
-        # the per-step cost rule: a dense Q factors k'xk' systems only, here
+        # pin: the system each route factors, which sets its cost. The per-step
+        # cost rule: a dense Q factors k'xk' systems only, here
         # with k' = 30 above |V| = 28 orthant rows
         op, _ = generate_instance(40, 4, 1.0, 3.0, seed=70)
         plcp = build_projective(op, orthonormalize(np.eye(40)[:, :30]), 0.3)
@@ -906,63 +804,8 @@ class TestSolveIpm:
         assert sorted(factored) == sorted([(n_rest, n_rest)] * (rep.iterations - 1)
                                           + [(n_rest + k, n_rest + k) for k in active_sizes])
 
-    def test_nan_iterate_breaks(self, monkeypatch):
-        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
-        plcp = build_projective(op, basis, op.contraction().alpha)
-        inner = projective._newton_directions
-
-        def poisoned(*args):
-            dx_aff, ds_aff, dx, ds, sigma = inner(*args)
-            dx = dx.copy()
-            dx[0] = np.nan
-            return dx_aff, ds_aff, dx, ds, sigma
-
-        monkeypatch.setattr(projective, "_newton_directions", poisoned)
-        monkeypatch.setattr(projective, "_finish_candidate", lambda *args: None)
-        with pytest.raises(IpmBreakdown, match="orthant iterate"):
-            solve_ipm(plcp, orthant(40))
-
-    def test_overflowing_diagonal_breaks_without_warning(self, monkeypatch):
-        # tolerances no iterate meets drive x_i toward 0 on the active rows
-        # until s_i / x_i overflows: a breakdown, not a RuntimeWarning. The
-        # reduction is given as its dense N, which takes the direct route;
-        # its operator's route stops at max_iter there (TestSlackPairs)
-        plcp, cone = polyhedral_problem()
-        plcp = AffineOperator(plcp.M, plcp.q)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(IpmBreakdown, match="not finite"):
-                solve_ipm(plcp, cone, IpmConfig(tol=1e-30))
-
-    @pytest.mark.parametrize("form", ["lcp", "polyhedral"])
-    def test_unsolvable_lcp_breaks_without_warning(self, form):
-        # M = [[0, 1], [-1, 0]], q = (-1, -1) is monotone with no solution:
-        # the corrector's (sigma mu - dx ds) / x overflows. A breakdown, not a
-        # RuntimeWarning, solved directly and as the VI over {x : I x + 0 >= 0}
-        M, q = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([-1.0, -1.0])
-        if form == "lcp":
-            plcp, cone = AffineOperator(M, q), orthant(2)
-        else:
-            layout = polyhedron_to_cone(PolyhedralVI(M, q, np.eye(2), np.zeros(2)))
-            cone = layout.cone
-            plcp = build_projective(layout.op, orthonormalize(np.eye(cone.dim)), 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(IpmBreakdown, match="corrector is not finite"):
-                solve_ipm(plcp, cone)
-
-    def test_all_free_cone(self):
-        # |V| = 0 < k': the Newton matrix is N at every step
-        op, basis = generate_instance(30, 30, 1.0, 3.0, seed=65)
-        cone = parse_cone_spec("free:30")
-        plcp = build_projective(op, basis, op.contraction().alpha)
-        rep = solve_ipm(plcp, cone)
-        assert rep.converged and rep.finish_attempts == 0
-        resid = plcp(rep.x)
-        assert np.abs(resid).max() <= IpmConfig().tol
-
     def test_directions_match_dense_solve(self, monkeypatch):
-        # the IPM absorbs an inexact direction, so check the directions themselves
+        # pin: the IPM absorbs an inexact direction, so check the directions themselves
         op, basis = generate_instance(40, 8, 1.0, 3.0, seed=56)
         cone = parse_cone_spec("nn:14,free:6,nn:14,free:6")
         plcp = build_projective(op, basis, op.contraction().alpha)
@@ -1007,27 +850,9 @@ class TestSolveIpm:
         # early and late: the Newton diagonal spread grows like 1/mu
         assert steps[0][0][5] >= 0.1 and steps[-1][0][5] <= 1e-8
 
-    def test_finish_exact_on_active_set_and_matches_galerkin(self):
-        for n in (300, 1000):
-            op, basis, alpha = _bench_instance(n, 10, 0)
-            cone = orthant(n)
-            plcp = build_projective(op, basis, alpha)
-            rep = solve_ipm(plcp, cone)
-            assert rep.converged and rep.finish_accepted and rep.mu == 0.0
-            y = plcp(rep.x)
-            active = rep.x == 0.0
-            # exact zeros on the active set, the equations on the rest
-            assert active.sum() >= n // 3
-            assert np.all(rep.x >= 0.0) and np.all(y[active] >= 0.0)
-            assert np.abs(y[~active]).max() <= IpmConfig().tol
-            x_bar = solve_galerkin(op, cone, basis,
-                                   SolveConfig(tol=1e-13, alpha_override=alpha)).x
-            assert np.linalg.norm(rep.x - x_bar) <= 1e-12 * (1 + np.linalg.norm(x_bar))
-            # the Galerkin certificate at z_bar = x - (Nx + r), the IPM's x
-            assert certify(op, cone, basis, rep.x, rep.x - plcp(rep.x), alpha).valid
-
     def test_full_span_reads_a_read_only_m(self):
-        # the reduced problem shares M, so the IPM, its finish and verify_pd
+        # pin: a write to a shared input leaves no trace in the answer. The
+        # reduced problem shares M, so the IPM, its finish and verify_pd
         # must never write it: any in-place write on a read-only M raises.
         # Two cones: every row varying (orthant), and 6 free rows, where D = 1
         op, _ = generate_instance(60, 4, 1.0, 3.0, seed=72)
@@ -1039,80 +864,3 @@ class TestSolveIpm:
             assert rep.converged and rep.finish_accepted
             assert cone.is_complementary(rep.x, op(rep.x), 1e-10)
         assert verify_pd(plcp) == op.beta
-
-    def test_finish_tried_on_the_iteration_that_meets_the_stopping_test(self):
-        # a near-degenerate component (x = 0, Nx + r = 4e-6) makes the first
-        # guess wrong; the right one settles only as mu reaches tol
-        op, basis = generate_instance(40, 8, 1.0, 2.0, seed=101)
-        cone = orthant(40)
-        plcp = build_projective(op, basis, op.contraction().alpha)
-        rep = solve_ipm(plcp, cone, IpmConfig(tol=1e-11))
-        assert rep.converged and rep.finish_accepted and rep.finish_attempts == 2
-        assert rep.history[-1][0] <= 1e-10
-        x_bar = solve_galerkin(op, cone, basis, SolveConfig(tol=1e-12)).x
-        assert np.linalg.norm(rep.x - x_bar) <= 1e-10 * (1 + np.linalg.norm(x_bar))
-
-    def test_wrong_guess_rejected_and_ipm_point_kept(self, monkeypatch):
-        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
-        plcp = build_projective(op, basis, op.contraction().alpha)
-        monkeypatch.setattr(projective, "_finish_candidate", lambda *args: None)
-        plain = solve_ipm(plcp, orthant(40))
-        monkeypatch.undo()
-        # every orthant component guessed active: x = 0 is not this LCP's solution
-        monkeypatch.setattr(projective, "_active_guess", lambda x, s, B: B.copy())
-        rep = solve_ipm(plcp, orthant(40))
-        assert rep.finish_attempts == 1 and not rep.finish_accepted
-        assert rep.converged and rep.mu <= IpmConfig().tol
-        assert rep.iterations == plain.iterations
-        np.testing.assert_array_equal(rep.x, plain.x)
-        assert np.all(rep.x > 0.0)
-
-    def test_singular_finish_system_is_a_rejected_guess(self, monkeypatch):
-        # N = [[0, 1], [-1, 0]] is monotone, but its principal block on I = {1} is 0
-        op = AffineOperator(np.array([[0.0, 1.0], [-1.0, 0.0]]), [-1.0, 1.0])
-        plcp = build_projective(op, orthonormalize(np.eye(2)), 1.0)
-        monkeypatch.setattr(projective, "_active_guess",
-                            lambda x, s, B: np.array([True, False]))
-        rep = solve_ipm(plcp, orthant(2))
-        assert rep.converged and rep.finish_attempts == 1 and not rep.finish_accepted
-        np.testing.assert_allclose(rep.x, [1.0, 1.0], atol=1e-8)
-
-    def test_history_rows(self):
-        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
-        plcp = build_projective(op, basis, op.contraction().alpha)
-        rep = solve_ipm(plcp, orthant(40))
-        assert rep.converged and rep.finish_accepted
-        assert len(rep.history) == rep.iterations - 1
-        mus = [row[0] for row in rep.history]
-        assert all(b < a for a, b in zip(mus, mus[1:]))
-        for mu, feas, step, sigma in rep.history:
-            assert mu > 0.0 and feas >= 0.0
-            assert 0.0 < step <= 1.0 and 0.0 <= sigma <= 1.0
-
-    def test_nonconvergence_reported(self):
-        op, basis = generate_instance(30, 6, 1.0, 3.0, seed=51)
-        plcp = build_projective(op, basis, op.contraction().alpha)
-        rep = solve_ipm(plcp, orthant(30), IpmConfig(max_iter=2))
-        assert not rep.converged
-        assert rep.iterations == 2
-
-    def test_iteration_cap_reports_the_returned_iterate(self, monkeypatch):
-        op, basis = generate_instance(30, 6, 1.0, 3.0, seed=51)
-        plcp = build_projective(op, basis, op.contraction().alpha)
-        starts = []
-        inner = projective._newton_directions
-
-        def recorded(solve, d, x, s, g, B, mu):
-            starts.append(x)
-            return inner(solve, d, x, s, g, B, mu)
-
-        monkeypatch.setattr(projective, "_newton_directions", recorded)
-        longer = solve_ipm(plcp, orthant(30), IpmConfig(max_iter=3))
-        starts_longer = list(starts)
-        rep = solve_ipm(plcp, orthant(30), IpmConfig(max_iter=2))
-        # the capped run stops at the iterate the longer run takes its second
-        # step from, and reports that iterate's mu and feasibility
-        assert not rep.converged and len(rep.history) == rep.iterations - 1 == 1
-        np.testing.assert_array_equal(rep.x, starts_longer[1])
-        assert (rep.mu, rep.feasibility) == longer.history[1][:2]
-        assert rep.mu == pytest.approx(0.13379605657490962, rel=1e-9)
