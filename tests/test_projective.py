@@ -13,6 +13,7 @@ from conevi.basis import orthonormalize
 from conevi.cones import orthant, parse_cone_spec
 from conevi.generate import generate_instance
 from conevi.operators import AffineOperator
+from conevi.bench import _bench_instance
 from conevi.projective import (
     IpmBreakdown,
     IpmConfig,
@@ -22,6 +23,7 @@ from conevi.projective import (
     solve_ipm,
     verify_pd,
 )
+from conevi.solvers import SolveConfig, certify, solve_galerkin
 from conevi.transforms import (
     PolyhedralVI,
     _PolyhedralOperator,
@@ -722,7 +724,59 @@ class TestSolveIpm:
     step is computed, not what the solve returns. Its behaviour (report,
     exit, finish, cap, breakdowns) is asserted on every operator case by
     the test_ipm_* properties of test_operator_contract.py, and its point
-    against the projection methods' by test_method_contract.py."""
+    against the projection methods' by test_method_contract.py. Four
+    reference points stay beside the pins: a closed-form LCP, and the
+    Galerkin fixed point on an orthant, on a mixed cone with a dense basis,
+    and on the benchmark's instances at n = 300 and 1000."""
+
+    def test_plain_lcp_identity(self):
+        op = AffineOperator(np.eye(2), [-1.0, 1.0])
+        plcp = build_projective(op, orthonormalize(np.eye(2)), 1.0)
+        rep = solve_ipm(plcp, orthant(2))
+        assert rep.converged
+        np.testing.assert_allclose(rep.x, [1.0, 0.0], atol=1e-8)
+
+    def test_matches_galerkin_fixed_point(self):
+        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
+        cone = orthant(40)
+        alpha = op.contraction().alpha
+        x_bar = solve_galerkin(op, cone, basis).x
+        rep = solve_ipm(build_projective(op, basis, alpha), cone)
+        assert rep.converged
+        assert np.linalg.norm(rep.x - x_bar) <= 1e-6 * (1 + np.linalg.norm(x_bar))
+
+    def test_mixed_cone_dense_basis_matches_galerkin(self):
+        # Gaussian basis with free rows: the dense-Q route, whose D is 1 on the
+        # free rows and varies on the orthant ones
+        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=56)
+        cone = parse_cone_spec("nn:14,free:6,nn:14,free:6")
+        plcp = build_projective(op, basis, op.contraction().alpha)
+        rep = solve_ipm(plcp, cone)
+        assert rep.converged
+        x_bar = solve_galerkin(op, cone, basis).x
+        assert np.linalg.norm(rep.x - x_bar) <= 1e-6 * (1 + np.linalg.norm(x_bar))
+        resid = plcp(rep.x)
+        assert np.abs(resid[cone.free_mask]).max() <= 1e-8
+        assert cone.is_complementary(rep.x, resid, 10 * IpmConfig().tol)
+
+    def test_finish_exact_on_active_set_and_matches_galerkin(self):
+        for n in (300, 1000):
+            op, basis, alpha = _bench_instance(n, 10, 0)
+            cone = orthant(n)
+            plcp = build_projective(op, basis, alpha)
+            rep = solve_ipm(plcp, cone)
+            assert rep.converged and rep.finish_accepted and rep.mu == 0.0
+            y = plcp(rep.x)
+            active = rep.x == 0.0
+            # exact zeros on the active set, the equations on the rest
+            assert active.sum() >= n // 3
+            assert np.all(rep.x >= 0.0) and np.all(y[active] >= 0.0)
+            assert np.abs(y[~active]).max() <= IpmConfig().tol
+            x_bar = solve_galerkin(op, cone, basis,
+                                   SolveConfig(tol=1e-13, alpha_override=alpha)).x
+            assert np.linalg.norm(rep.x - x_bar) <= 1e-12 * (1 + np.linalg.norm(x_bar))
+            # the Galerkin certificate at z_bar = x - (Nx + r), the IPM's x
+            assert certify(op, cone, basis, rep.x, rep.x - plcp(rep.x), alpha).valid
 
     def test_one_woodbury_solve_per_newton_step(self, monkeypatch):
         # pin: the factorization count, which a right answer cannot show
