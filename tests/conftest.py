@@ -36,3 +36,10 @@ def reduction(M, q, A, b, E=None, e=None):
     rows[:, A.shape[0]:A.shape[0] + A.shape[1]] = E
     eq = eliminate_equalities(layout.op, rows, e, layout.cone)
     return eq.op, eq.cone
+
+
+def full_spans(n, rng):
+    """Raw bases of rank n: the identity, a signed and scaled permutation,
+    and a dense Gaussian matrix (a dense orthogonal factor)."""
+    signed = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
+    return np.eye(n), np.diag(signed)[rng.permutation(n)], rng.standard_normal((n, n))

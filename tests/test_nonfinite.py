@@ -69,10 +69,11 @@ def test_finite_values_still_accepted():
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0])
-@pytest.mark.parametrize("case", ["certify.alpha"])
-def test_certify_rejects_nonpositive(case, value):
-    # alpha = 0 would divide by zero; a negative alpha would return a
-    # certificate for no step
+@pytest.mark.parametrize("case", ["build_projective.alpha", "certify.alpha"])
+def test_nonpositive_step_size_rejected(case, value):
+    # alpha = 0 would divide by zero in certify; a negative alpha would
+    # return a certificate, or a reduced problem, for no step. build_projective
+    # checks alpha on a full span too, where it returns the operator unread
     with pytest.raises(ValueError):
         CASES[case](value)
 

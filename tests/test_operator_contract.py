@@ -2,9 +2,21 @@
 
 solve_ipm, verify_pd and the Galerkin step reach a reduced problem only
 through F @ x, F.q, F.beta and F._newton_factor(D). Every property below
-holds on every case in CASES: an operator, its cone, and an exactly
-singular Newton system (an operator and its D) of the same class and
-route. A new operator class or Newton route adds one case and nothing else.
+holds on every case in CASES: an operator, its cone, an exactly singular
+Newton system (an operator and its D) of the same class and route, and the
+(op, basis) that build_projective made the operator from below rank n
+(None for the rest). A new operator class or Newton route adds one case
+and nothing else.
+
+Three properties state how the reduced problem is built and read:
+test_full_span_is_the_operator (build_projective returns the operator
+itself for every basis of rank n and every alpha, computing no beta or L,
+and verify_pd is its beta), test_reduced_problem_is_the_papers (below rank
+n, on the cases that carry their (op, basis): N = I - P + alpha P M and
+r = alpha P q, at the contraction's alpha by default, with verify_pd > 0
+there) and test_no_input_is_written (solve_ipm, verify_pd and a Newton
+solve leave every array of the operator, D and the right-hand side as they
+were).
 
 The interior-point method, solve_ipm, has its own properties (test_ipm_*):
 its report, its exit, its active-set finish, its iteration cap and its
@@ -18,13 +30,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import perfbench_module, reduction
+from conftest import full_spans, perfbench_module, reduction
 from conevi import IpmBreakdown, projective
 from conevi.basis import orthonormalize
 from conevi.cones import free, orthant, parse_cone_spec, zero
 from conevi.generate import generate_instance
 from conevi.operators import AffineOperator, monotone_modulus
-from conevi.projective import IpmConfig, ProjectiveLcp, _newton, build_projective, solve_ipm
+from conevi.projective import (IpmConfig, ProjectiveLcp, _newton, build_projective, solve_ipm,
+                               verify_pd)
 from conevi.transforms import eliminate_equalities
 
 MIXED = parse_cone_spec("nn:14,free:6,zero:4,nn:10,free:6")
@@ -42,27 +55,30 @@ def dense_twin(F):
 
 def dense():
     op, _ = generate_instance(40, 4, 1.0, 3.0, seed=1)
-    return op, MIXED, (AffineOperator(np.diag([0.0, -1.0]), np.zeros(2)), np.array([1.0, 2.0]))
+    return (op, MIXED, (AffineOperator(np.diag([0.0, -1.0]), np.zeros(2)), np.array([1.0, 2.0])),
+            None)
 
 
 def gaussian_basis():
     op, basis = generate_instance(40, 8, 1.0, 3.0, seed=2)
-    return build_projective(op, basis), MIXED, (ProjectiveLcp(HALF, -HALF.T, np.zeros(4)),
-                                                np.ones(4))
+    return (build_projective(op, basis), MIXED,
+            (ProjectiveLcp(HALF, -HALF.T, np.zeros(4)), np.ones(4)), (op, basis))
 
 
 def aggregation_basis():
     op, _ = generate_instance(40, 4, 1.0, 3.0, seed=3)
     groups = np.random.default_rng(3).permutation(40) % 8
     basis = orthonormalize((groups[:, None] == np.arange(8)).astype(float))
-    return build_projective(op, basis), MIXED, (ProjectiveLcp(E1, -E1.T, np.zeros(2)), np.ones(2))
+    return (build_projective(op, basis), MIXED,
+            (ProjectiveLcp(E1, -E1.T, np.zeros(2)), np.ones(2)), (op, basis))
 
 
 def square_q():
     # k' = n, stored with a dense orthogonal Q at alpha = 1
     op, _ = generate_instance(40, 4, 1.0, 3.0, seed=4)
     Q = orthonormalize(np.random.default_rng(4).standard_normal((40, 40))).ortho
-    return ProjectiveLcp(Q, Q.T @ op.M - Q.T, Q @ (Q.T @ op.q)), MIXED, gaussian_basis()[2]
+    return (ProjectiveLcp(Q, Q.T @ op.M - Q.T, Q @ (Q.T @ op.q)), MIXED, gaussian_basis()[2],
+            None)
 
 
 def benchmark(i):
@@ -73,11 +89,12 @@ def benchmark(i):
 
 
 def benchmark_slacks():
-    return (*benchmark(0), (reduction(ZERO, [0.0], ZERO, [0.0])[0], np.ones(3)))
+    return (*benchmark(0), (reduction(ZERO, [0.0], ZERO, [0.0])[0], np.ones(3)), None)
 
 
 def benchmark_equalities():
-    return (*benchmark(1), (reduction(ZERO, [0.0], ZERO, [0.0], ZERO, [0.0])[0], np.ones(4)))
+    return (*benchmark(1), (reduction(ZERO, [0.0], ZERO, [0.0], ZERO, [0.0])[0], np.ones(4)),
+            None)
 
 
 def eliminated():
@@ -86,11 +103,12 @@ def eliminated():
     A = rng.standard_normal((4, 20))
     eq = eliminate_equalities(op, A, A @ np.abs(rng.standard_normal(20)), orthant(20))
     singular = eliminate_equalities(AffineOperator(np.eye(1), [0.0]), ZERO, [0.0], orthant(1))
-    return eq.op, eq.cone, (singular.op, np.ones(2))
+    return eq.op, eq.cone, (singular.op, np.ones(2)), None
 
 
 CASES = [dense, gaussian_basis, aggregation_basis, square_q, benchmark_slacks,
          benchmark_equalities, eliminated]
+BELOW_RANK_N = [gaussian_basis, aggregation_basis]  # the cases that carry their (op, basis)
 
 
 @pytest.fixture(scope="module", params=CASES, ids=lambda make: make.__name__)
@@ -101,7 +119,7 @@ def case(request):
 # -- the properties --------------------------------------------------------------
 
 def test_apply(case):
-    F, _, _ = case
+    F, *_ = case
     x = np.random.default_rng(0).standard_normal(F.dim)
     Fx = F @ x
     np.testing.assert_array_equal(F(x), Fx + F.q)
@@ -111,21 +129,26 @@ def test_apply(case):
 
 def test_beta_is_the_monotone_modulus(case):
     # monotone_modulus's stated error: a small multiple of n eps ||N|| <= n eps L
-    F, _, _ = case
+    F, *_ = case
     bound = 10 * F.dim * np.finfo(float).eps * F.lipschitz
     assert abs(F.beta - monotone_modulus(F.M)) <= bound
 
 
+def newton_diagonal(cone, kind, rng):
+    """D as the IPM makes it: 1 on the free rows, and on the orthant rows 1,
+    1 + s/x over 24 decades, or inf (the finish's active set), with 1 or the
+    spread on the rest."""
+    B, dim = cone.nonneg_mask, cone.dim
+    D = np.where(B & ("spread" in kind), 1.0 + 10.0 ** rng.uniform(-12, 12, dim), 1.0)
+    D[B & ("pins" in kind) & (rng.random(dim) < 0.3)] = np.inf
+    return D
+
+
 @pytest.mark.parametrize("kind", ["ones", "spread", "pins", "pins_and_spread"])
 def test_newton_backward_error(case, kind):
-    # D as the IPM makes it: 1 on the free rows, and on the orthant rows 1,
-    # 1 + s/x over 24 decades, or inf (the finish's active set), with 1 or
-    # the spread on the rest
-    F, cone, _ = case
+    F, cone, *_ = case
     rng = np.random.default_rng(7)
-    B = cone.nonneg_mask
-    D = np.where(B & ("spread" in kind), 1.0 + 10.0 ** rng.uniform(-12, 12, F.dim), 1.0)
-    D[B & ("pins" in kind) & (rng.random(F.dim) < 0.3)] = np.inf
+    D = newton_diagonal(cone, kind, rng)
     keep = np.isfinite(D)
     K = (F.M + np.diag(np.where(keep, D, 1.0) - 1.0))[np.ix_(keep, keep)]
     solve = _newton(F, D)
@@ -139,7 +162,7 @@ def test_newton_backward_error(case, kind):
 
 
 def test_breakdowns(case):
-    F, _, (singular, D) = case
+    F, _, (singular, D), _ = case
     for bad in (0.0, -1.0, np.nan):
         D_bad = np.ones(F.dim)
         D_bad[F.dim // 2] = bad
@@ -150,11 +173,63 @@ def test_breakdowns(case):
 
 
 def test_solve_ipm_matches_the_dense_route(case):
-    F, cone, _ = case
+    F, cone, *_ = case
     got, ref = solve_ipm(F, cone), solve_ipm(dense_twin(F), cone)
     assert got.finish_accepted and ref.finish_accepted
     assert (got.iterations, got.finish_attempts) == (ref.iterations, ref.finish_attempts)
     assert np.linalg.norm(got.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
+
+
+def test_full_span_is_the_operator(case, monkeypatch):
+    # a basis of rank n gives N = alpha M and r = alpha q, which only rescale
+    # CP(F): the reduced problem is F itself for every such basis and alpha,
+    # with no beta or L computed for it, and its verify_pd is F's beta
+    F, *_ = case
+
+    def no_constants(self):
+        raise AssertionError("beta or L computed for a full span")
+
+    monkeypatch.setattr(AffineOperator, "contraction", no_constants)
+    for raw in full_spans(F.dim, np.random.default_rng(8)):
+        basis = orthonormalize(raw)
+        for alpha in (None, 1.0, 0.3, 1e-9):
+            assert build_projective(F, basis, alpha) is F
+    assert verify_pd(F) == F.beta
+
+
+@pytest.mark.parametrize("case", BELOW_RANK_N, indirect=True, ids=lambda make: make.__name__)
+def test_reduced_problem_is_the_papers(case):
+    # below rank n, with P = Q Q^T: N = I + Q W is I - P + alpha P M and r is
+    # alpha P q, in span(Q), at alpha = op.contraction().alpha when none is
+    # given, where N is positive definite
+    F, _, _, (op, basis) = case
+    alpha = op.contraction().alpha
+    P = basis.ortho @ basis.ortho.T
+    N = np.eye(F.dim) - P + alpha * (P @ op.M)
+    assert np.abs(F.M - N).max() <= 1e-14 * np.abs(N).max()
+    r = F.q
+    assert np.linalg.norm(r - alpha * (P @ op.q)) <= 1e-14 * np.linalg.norm(r)
+    assert np.linalg.norm(r - basis.project_span(r)) <= 1e-14 * np.linalg.norm(r)
+    given = build_projective(op, basis, alpha)
+    assert [a.tobytes() for a in (F.ortho, F.W, F.q)] == [
+        a.tobytes() for a in (given.ortho, given.W, given.q)]
+    assert verify_pd(F) > 0.0
+
+
+def test_no_input_is_written(case):
+    # the LU factorizations overwrite only the matrices they build: solve_ipm,
+    # verify_pd and a Newton solve at a spread and pinned D leave every array
+    # of F, D and the right-hand side byte for byte as they were
+    F, cone, *_ = case
+    rng = np.random.default_rng(9)
+    D = newton_diagonal(cone, "pins_and_spread", rng)
+    inputs = {"D": D, "b": rng.standard_normal(F.dim)}
+    inputs.update((name, a) for name, a in vars(F).items() if isinstance(a, np.ndarray))
+    before = {name: a.tobytes() for name, a in inputs.items()}
+    solve_ipm(F, cone)
+    verify_pd(F)
+    _newton(F, D)(inputs["b"])
+    assert {name: a.tobytes() for name, a in inputs.items()} == before
 
 
 # -- the interior-point method on every case ----------------------------------------
@@ -172,7 +247,7 @@ def ipm(request):
     attempt (iterate, pinned rows, accepted); and the same solve with every
     finish candidate refused, the path alone."""
     make, kind = request.param
-    F, cone, _ = make()
+    F, cone, *_ = make()
     cone = {"own": cone, "orthant": orthant(F.dim), "free": free(F.dim)}[kind]
     run = SimpleNamespace(F=F, cone=cone, iterates=[], attempts=[])
     guess, finish = projective._active_guess, projective._finish_candidate

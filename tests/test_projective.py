@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import conevi
-from conftest import perfbench_module
+from conftest import full_spans, perfbench_module, reduction
 from conevi import operators, projective
 from conevi.basis import orthonormalize
 from conevi.cones import orthant, parse_cone_spec
@@ -31,13 +31,6 @@ from conevi.transforms import (
     polyhedron_to_cone,
 )
 
-def dense_N(op, basis, alpha):
-    """Oracle: materialize N = I - P + alpha*P*M with the explicit projector."""
-    P = basis.ortho @ basis.ortho.T
-    n = op.dim
-    return np.eye(n) - P + alpha * (P @ op.M)
-
-
 def record_factorizations(monkeypatch):
     """The shapes of the matrices LU-factored from now on, in call order."""
     shapes = []
@@ -56,57 +49,22 @@ def lowrank(Q, W):
     return ProjectiveLcp(Q, W, np.zeros(Q.shape[0]))
 
 
-def polyhedral_problem(n=10, seed=64):
-    """A polyhedral VI with n = m reduced to a separable cone, with the
-    identity basis: the reduced problem, a full span, and its cone."""
-    rng = np.random.default_rng(seed)
-    op, _ = generate_instance(n, 2, 1.0, 2.0, seed=seed)
-    A = rng.standard_normal((n, n))
-    b = 0.5 + np.abs(rng.standard_normal(n)) - A @ rng.standard_normal(n)
-    layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, A, b))
-    return (build_projective(layout.op, orthonormalize(np.eye(layout.cone.dim)), 1.0),
-            layout.cone)
-
-
-def full_spans(n, rng):
-    """Raw bases of rank n: the identity, a signed and scaled permutation,
-    and a dense Gaussian matrix (a dense orthogonal factor)."""
-    signed = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
-    return np.eye(n), np.diag(signed)[rng.permutation(n)], rng.standard_normal((n, n))
+def polyhedral_problem():
+    """A polyhedral VI with n = m = 10 reduced to a separable cone: the
+    operator, which is the reduced problem of every full span, and its
+    cone."""
+    rng = np.random.default_rng(64)
+    op, _ = generate_instance(10, 2, 1.0, 2.0, seed=64)
+    A = rng.standard_normal((10, 10))
+    b = 0.5 + np.abs(rng.standard_normal(10)) - A @ rng.standard_normal(10)
+    return reduction(op.M, op.q, A, b)
 
 
 class TestBuildProjective:
-    def test_identity_basis_collapses_to_alpha_m(self):
-        # N = alpha M and r = alpha q only rescale CP(Mx + q): the reduced
-        # problem is M and q themselves, whatever alpha is passed
-        rng = np.random.default_rng(41)
-        M = rng.standard_normal((5, 5))
-        q = rng.standard_normal(5)
-        op = AffineOperator(M, q)
-        plcp = build_projective(op, orthonormalize(np.eye(5)), 0.3)
-        assert plcp is op
-        np.testing.assert_array_equal(plcp.M, M)
-        np.testing.assert_array_equal(plcp.q, q)
-
-    def test_every_full_span_is_the_identity(self):
-        # Q square and orthogonal: the original CP, the operator itself (its
-        # M, not a copy, read as N, and its q as r), whatever the basis and
-        # alpha
-        rng = np.random.default_rng(48)
-        n = 30
-        op, _ = generate_instance(n, 4, 1.0, 3.0, seed=48)
-        cone = parse_cone_spec("nn:12,free:6,nn:12")
-        for raw in full_spans(n, rng):
-            for alpha in (1.0, 0.3, 1e-9):
-                plcp = build_projective(op, orthonormalize(raw), alpha)
-                assert plcp is op
-        rep = solve_ipm(plcp, cone)
-        assert rep.converged
-        assert cone.is_complementary(rep.x, op(rep.x), 1e-10)
-
     def test_full_span_setup_copies_no_matrix(self):
-        # the identity basis keeps its O(n) support map and the reduced
-        # problem holds M itself: together they peak below one n x n array
+        # pin: set-up memory, which no property measures. The identity basis
+        # keeps its O(n) support map and the reduced problem holds M itself:
+        # together they peak below one n x n array
         n = 600
         rng = np.random.default_rng(49)
         op = AffineOperator(rng.standard_normal((n, n)), rng.standard_normal(n))
@@ -120,82 +78,20 @@ class TestBuildProjective:
         assert peak < n * n * 8
         assert plcp is op
 
-    def test_alpha_derived_on_a_proper_span_only(self, monkeypatch):
-        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=47)
-        derived = build_projective(op, basis)
-        given = build_projective(op, basis, op.contraction().alpha)
-        assert derived.ortho.tobytes() == given.ortho.tobytes()
-        assert (derived.W.tobytes(), derived.q.tobytes()) == (given.W.tobytes(),
-                                                              given.q.tobytes())
-
-        def no_constants(self):
-            raise AssertionError("beta or L computed for a full span")
-
-        monkeypatch.setattr(AffineOperator, "contraction", no_constants)
-        for raw in full_spans(40, np.random.default_rng(47)):
-            assert build_projective(op, orthonormalize(raw)) is op
-        with pytest.raises(AssertionError, match="full span"):
-            build_projective(op, basis)
-
     def test_contraction_alpha_on_identity_solves_the_cp(self):
-        # build_projective(op, basis, op.contraction().alpha) at alpha =
-        # beta/L^2 = 1e-5: scaled by alpha, the full span meets the IPM's
-        # absolute tolerances at ||min(x, Mx + q)|| = 1.3e-3
+        # pin: a reference point at n = 300 and L/beta = 1e4, which no case
+        # reaches. At alpha = beta/L^2 = 1e-5 the full span's reduced problem
+        # is the CP itself, solved to ||min(x, Mx + q)|| <= 1e-10
         op, _ = generate_instance(300, 8, 1e-3, 10.0, 3)
         basis = orthonormalize(np.eye(300))
         rep = solve_ipm(build_projective(op, basis, op.contraction().alpha), orthant(300))
         assert rep.converged
         assert np.linalg.norm(np.minimum(rep.x, op(rep.x))) <= 1e-10
 
-    def test_single_axis_identity_m(self):
-        op = AffineOperator(np.eye(2), [4.0, -7.0])
-        plcp = build_projective(op, orthonormalize(np.array([[1.0], [0.0]])), 1.0)
-        np.testing.assert_allclose(np.eye(2) + plcp.ortho @ plcp.W, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(plcp.q, [4.0, 0.0], atol=1e-14)
-
-    def test_alpha_m_equals_identity_collapses_n(self):
-        rng = np.random.default_rng(42)
-        op = AffineOperator(2.0 * np.eye(6), rng.standard_normal(6))
-        basis = orthonormalize(rng.standard_normal((6, 2)))
-        plcp = build_projective(op, basis, 0.5)
-        np.testing.assert_allclose(np.eye(6) + plcp.ortho @ plcp.W, np.eye(6), atol=1e-13)
-        np.testing.assert_allclose(plcp.q, 0.5 * basis.project_span(op.q), atol=1e-13)
-
-    def test_matches_projector_oracle_and_r_in_span(self):
-        op, basis = generate_instance(50, 5, 1.0, 3.0, seed=43)
-        alpha = op.contraction().alpha
-        plcp = build_projective(op, basis, alpha)
-        np.testing.assert_allclose(np.eye(50) + plcp.ortho @ plcp.W, dense_N(op, basis, alpha),
-                                   atol=1e-12)
-        r = plcp.q
-        near = basis.project_span(r)
-        assert np.linalg.norm(r - near) <= 1e-12 * (1 + np.linalg.norm(r))
-
-    def test_rejects_bad_alpha(self):
-        op = AffineOperator(np.eye(2), [0.0, 0.0])
-        with pytest.raises(ValueError):
-            build_projective(op, orthonormalize(np.eye(2)), 0.0)
-
 
 class TestVerifyPd:
-    def test_identity_case(self):
-        op = AffineOperator(2.0 * np.eye(4), np.zeros(4))
-        plcp = build_projective(op, orthonormalize(np.eye(4)), 0.5)
-        # N = M on the full span: lambda_min(sym M), whatever alpha
-        assert verify_pd(plcp) == pytest.approx(2.0, abs=1e-12)
-
-    def test_pd_with_contraction_step(self):
-        op, basis = generate_instance(50, 5, 1.0, 3.0, seed=47)
-        plcp = build_projective(op, basis, op.contraction().alpha)
-        assert verify_pd(plcp) > 0.0
-
-    def test_skew_case_reports_value_without_assertion(self):
-        S = np.array([[0.0, -1.0], [1.0, 0.0]])
-        op = AffineOperator(S, np.zeros(2))
-        plcp = build_projective(op, orthonormalize(np.array([[1.0], [0.0]])), 0.1)
-        assert np.isfinite(verify_pd(plcp))
-
     def test_full_span_without_qr(self, monkeypatch):
+        # pin: a full span's cost, no QR, which a right beta cannot show.
         # k' = n: lambda_min(sym M) for the identity, a signed and scaled
         # permutation and a dense orthogonal factor
         rng = np.random.default_rng(54)
@@ -212,17 +108,10 @@ class TestVerifyPd:
         for plcp in plcps:
             assert verify_pd(plcp) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    def test_full_span_is_beta_of_the_original_cp(self):
-        # N = M on a full span, so verify_pd is beta itself, bit for bit
-        for seed, n in ((56, 40), (57, 300)):
-            rng = np.random.default_rng(seed)
-            op = AffineOperator(rng.standard_normal((n, n)) + 0.5 * np.eye(n),
-                                rng.standard_normal(n))
-            assert verify_pd(build_projective(op, orthonormalize(np.eye(n)))) == op.beta
-
     def test_full_span_reads_the_cached_beta(self, monkeypatch):
-        # a full span's verify_pd is its operator's beta, plain or polyhedral:
-        # once the operator holds it, no eigensolve runs again
+        # pin: no second eigensolve, which a right beta cannot show. A full
+        # span's verify_pd is its operator's beta, plain or polyhedral: once
+        # the operator holds it, no eigensolve runs again
         op, _ = generate_instance(30, 4, 1.0, 3.0, seed=58)
         plcps = [build_projective(op, orthonormalize(np.eye(30))), polyhedral_problem()[0]]
         betas = [plcp.beta for plcp in plcps]
@@ -235,6 +124,8 @@ class TestVerifyPd:
         assert [verify_pd(plcp) for plcp in plcps] == betas
 
     def test_proper_subspace_keeps_qr_formula(self):
+        # pin: ProjectiveLcp.beta's QR formula bit for bit, with U square and
+        # not; test_beta_is_the_monotone_modulus bounds the value only
         rng = np.random.default_rng(55)
         for n, k in ((7, 4), (40, 8), (30, 29)):
             M = rng.standard_normal((n, n)) + 0.5 * np.eye(n)
@@ -246,7 +137,8 @@ class TestVerifyPd:
             assert verify_pd(plcp) == (ref if U.shape[1] == n else min(1.0, ref))
 
     def test_large_n_without_dense_matrix(self):
-        # only O(n k) data is formed; a dense N would take 50 MB here
+        # pin: a closed-form beta at n = 2500, beyond every case's size. Only
+        # O(n k) data is formed; a dense N would take 50 MB here
         n = 2500
         rng = np.random.default_rng(53)
         op = AffineOperator(1.5 * np.eye(n), rng.standard_normal(n))
@@ -254,57 +146,6 @@ class TestVerifyPd:
         plcp = build_projective(op, basis, 0.4)
         # N = I - P + 0.6 P: eigenvalue 0.6 on the span, 1 on its complement
         assert verify_pd(plcp) == pytest.approx(0.6, abs=1e-12)
-
-
-class TestSignedPermutationRoute:
-    """The route of a signed permutation, and of every other rank-n basis:
-    the operator itself, against the same reduced problem
-    stored with its dense orthogonal Q at alpha = 1, which the identity
-    route takes whatever alpha is passed."""
-
-    @staticmethod
-    def both_routes(raw, alpha):
-        op, _ = generate_instance(raw.shape[0], 4, 1.0, 3.0, seed=67)
-        basis = orthonormalize(raw)
-        Q = basis.ortho
-        identity = build_projective(op, basis, alpha)
-        dense = ProjectiveLcp(Q, Q.T @ op.M - Q.T, Q @ (Q.T @ op.q))
-        assert identity is op
-        return identity, dense
-
-    @pytest.mark.parametrize("raw", full_spans(40, np.random.default_rng(66)))
-    def test_reduced_problem_and_verify_pd(self, raw):
-        identity, dense = self.both_routes(raw, 0.3)
-        N = identity.M
-        assert np.abs(N - dense.M).max() <= 1e-14 * np.abs(N).max()
-        np.testing.assert_allclose(identity.q, dense.q, rtol=0,
-                                   atol=1e-14 * np.abs(identity.q).max())
-        assert verify_pd(identity) == pytest.approx(verify_pd(dense), rel=1e-12)
-
-    @pytest.mark.parametrize("raw", full_spans(40, np.random.default_rng(66)))
-    def test_solve_ipm(self, raw):
-        cone = parse_cone_spec("nn:14,free:6,nn:14,free:6")
-        identity, dense = self.both_routes(raw, 0.3)
-        got, ref = solve_ipm(identity, cone), solve_ipm(dense, cone)
-        assert got.converged and ref.converged
-        assert (got.iterations, got.finish_accepted) == (ref.iterations, ref.finish_accepted)
-        assert np.linalg.norm(got.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
-
-    @pytest.mark.parametrize("k", [40, 30])
-    @pytest.mark.parametrize("cone", ["nn:14,free:6,nn:14,free:6", "nn:40"])
-    def test_inputs_left_untouched(self, k, cone):
-        # the LU factorizations overwrite only matrices they built, on every
-        # route: a dense Q (k' = 30) and a full span (k' = 40), with 12 free
-        # rows, where D = 1, and with none
-        op, _ = generate_instance(40, 4, 1.0, 3.0, seed=70)
-        before = [a.tobytes() for a in (op.M, op.q)]
-        plcp = build_projective(op, orthonormalize(np.eye(40)[:, :k]), 0.3)
-        W = plcp.W if k < 40 else plcp.M
-        stored = [a.tobytes() for a in (W, plcp.q)]
-        assert solve_ipm(plcp, parse_cone_spec(cone)).converged
-        verify_pd(plcp)
-        assert [a.tobytes() for a in (W, plcp.q)] == stored
-        assert [a.tobytes() for a in (op.M, op.q)] == before
 
 
 class TestWoodbury:
@@ -456,14 +297,9 @@ class TestSlackPairs:
         rows, in the order (s, x, lambda, mu)."""
         rng = np.random.default_rng(seed)
         op, _ = generate_instance(n, 2, 1.0, 2.0, seed=seed)
-        layout = polyhedron_to_cone(PolyhedralVI(op.M, op.q, rng.standard_normal((n, n)),
-                                                 rng.standard_normal(n)))
-        op, cone = layout.op, layout.cone
-        if p:
-            E = np.zeros((p, cone.dim))
-            E[:, n:2 * n] = rng.standard_normal((p, n))
-            eq = eliminate_equalities(op, E, np.zeros(p), cone)
-            op, cone = eq.op, eq.cone
+        A, b = rng.standard_normal((n, n)), rng.standard_normal(n)
+        E = rng.standard_normal((p, n)) if p else None
+        op, cone = reduction(op.M, op.q, A, b, E, np.zeros(p))
         assert isinstance(op, _PolyhedralOperator)
         return op, cone.free_mask
 
@@ -633,19 +469,6 @@ class TestSlackPairs:
         assert self.backward_error(K, y, rhs / D) <= 1e-15
         ref = _newton(AffineOperator(op.M, op.q), D)(rhs)
         assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
-
-    @pytest.mark.parametrize("n, seed", [(10, 64), (10, 3), (20, 4)])
-    def test_unreachable_tolerance_ends_without_warning(self, n, seed):
-        # tol = 1e-30 drives the slack rows' D toward overflow; the solve
-        # ends at max_iter with converged False or raises IpmBreakdown
-        plcp, cone = polyhedral_problem(n, seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                rep = solve_ipm(plcp, cone, IpmConfig(tol=1e-30))
-            except IpmBreakdown:
-                return
-        assert not rep.converged and rep.iterations == IpmConfig().max_iter
 
     def test_benchmark_setup_and_solve_stay_below_the_dense_array(self, monkeypatch):
         # the polyhedral_ipm workload's instance recipe: n = m = 200 with p = 20
