@@ -398,10 +398,12 @@ def certify(op: Operator, cone: SeparableCone, basis: Basis,
     Computes the residual eps = (z_bar - x_bar + alpha*F(x_bar)) / alpha and
     checks that eps lies in null(Phi^T) and that z_bar - x_bar is in the
     normal cone at x_bar, both at the relative tolerance _CERT_TOL.
-    Violations are reported, never raised. Norms of eps are taken in units
-    of its largest entry, so none overflows. alpha must be positive and
-    finite, as in SolveConfig.
+    Violations are reported, never raised; an operator or a basis whose
+    dimension is not the cone's is a ValueError. Norms of eps are taken in
+    units of its largest entry, so none overflows. alpha must be positive
+    and finite, as in SolveConfig.
     """
+    _check_dims(op, cone, basis)
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     x_bar = _vector(x_bar, cone.dim, "x_bar")

@@ -88,7 +88,7 @@ class ConicProgramLayout:
 
     def extract(self, name: str, vector: np.ndarray) -> np.ndarray:
         lo, hi = self.variable_map[name]
-        return np.asarray(vector)[lo:hi]
+        return _vector(vector, self.cone.dim, "vector")[lo:hi]
 
 
 class _PolyhedralOperator(AffineOperator):

@@ -19,42 +19,6 @@ def mixed(*pairs):
     return SeparableCone(tuple(Segment(kinds[k], n) for k, n in pairs))
 
 
-class TestProject:
-    def test_orthant_thresholds(self):
-        np.testing.assert_array_equal(orthant(3).project([-1.0, 2.0, 0.0]), [0.0, 2.0, 0.0])
-
-    def test_free_passes_through(self):
-        np.testing.assert_array_equal(free(2).project([-5.0, 7.0]), [-5.0, 7.0])
-
-    def test_mixed_product(self):
-        cone = mixed(("nn", 1), ("free", 1))
-        np.testing.assert_array_equal(cone.project([-3.0, -3.0]), [0.0, -3.0])
-
-    def test_zero_segment_annihilates(self):
-        np.testing.assert_array_equal(zero(2).project([3.0, -4.0]), [0.0, 0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            orthant(3).project([1.0, 2.0])
-
-    def test_idempotent_exactly(self):
-        rng = np.random.default_rng(3)
-        cone = mixed(("nn", 4), ("free", 3), ("nn", 2))
-        for _ in range(50):
-            x = 10.0 * rng.standard_normal(cone.dim)
-            once = cone.project(x)
-            np.testing.assert_array_equal(cone.project(once), once)
-
-    def test_nonexpansive(self):
-        rng = np.random.default_rng(4)
-        cone = mixed(("nn", 5), ("free", 2))
-        for _ in range(200):
-            x = rng.standard_normal(cone.dim) * rng.uniform(0.1, 100)
-            y = rng.standard_normal(cone.dim) * rng.uniform(0.1, 100)
-            lhs = np.linalg.norm(cone.project(x) - cone.project(y))
-            assert lhs <= np.linalg.norm(x - y) * (1 + 1e-15)
-
-
 class TestDual:
     def test_orthant_self_dual(self):
         assert orthant(4).dual() == orthant(4)

@@ -11,11 +11,13 @@ from conevi import (
     ProjectiveLcp,
     SeparableCone,
     build_projective,
+    certify,
     eliminate_equalities,
     lipschitz_constant,
     monotone_modulus,
     orthant,
     orthonormalize,
+    polyhedron_to_cone,
     project_intersection,
     solve_exact,
     solve_galerkin,
@@ -30,6 +32,7 @@ BASIS3 = orthonormalize(np.eye(3)[:, :2])
 # F(x) = x declared as a plain callable: no matrix or offset to reduce
 CALLABLE = CallableOperator(lambda x: x, 2, beta=1.0, lipschitz=1.0)
 Q3 = np.ones((3, 1)) / np.sqrt(3.0)
+LAYOUT = polyhedron_to_cone(PolyhedralVI(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2)))  # dim 6
 
 # name: (call, exception type, a word of its message)
 CASES = {
@@ -40,6 +43,16 @@ CASES = {
     "project_intersection.basis_vs_cone": (
         lambda: project_intersection(orthant(2), BASIS3, [1.0, 0.0]),
         ValueError, "basis dimension"),
+    # certify named no input: NumPy's matmul mismatch, or an internal x
+    "certify.basis_vs_cone": (lambda: certify(OP, orthant(2), BASIS3, [0.0] * 2, [0.0] * 2, 1.0),
+                              ValueError, "basis dimension"),
+    "certify.operator_vs_cone": (lambda: certify(OP, orthant(3), BASIS3, [0.0] * 3, [0.0] * 3, 1.0),
+                                 ValueError, "operator dimension"),
+    "SeparableCone.project": (lambda: orthant(3).project([1.0, 2.0]), ValueError, "x has shape"),
+    "Basis.project_span": (lambda: BASIS3.project_span([1.0, 2.0]), ValueError, "z has shape"),
+    # a vector of the wrong length was sliced: [] for lambda here
+    "ConicProgramLayout.extract": (lambda: LAYOUT.extract("lambda", np.arange(3.0)),
+                                   ValueError, "vector has shape"),
     "SolveReport.distances_to_final.untraced": (
         lambda: solve_exact(OP, orthant(2)).distances_to_final(), ValueError, "trace"),
     "build_projective.basis_vs_operator": (lambda: build_projective(OP, BASIS3, 0.5),

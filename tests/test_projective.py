@@ -191,7 +191,7 @@ class TestWoodbury:
                 omega = np.abs(rhs - A @ y) / (np.abs(A) @ np.abs(y) + np.abs(rhs))
                 assert omega.max() <= 1e-14
 
-    def test_cached_split_matches_unsplit_solve(self):
+    def test_fixed_rows_match_dense_solve(self):
         # dense Gaussian factors; the rows where D = 1 leave a dense Q's
         # system as it is, so the solve matches the dense one
         rng = np.random.default_rng(54)

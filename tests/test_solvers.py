@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 from conevi import solvers
-from conevi.basis import DROP_TOL, Basis, orthonormalize
+from conevi.basis import Basis, orthonormalize
 from conevi.cones import free, orthant, parse_cone_spec
 from conevi.generate import generate_instance
 from conevi.operators import AffineOperator, CallableOperator, NotStronglyMonotone, iteration_bound
@@ -38,21 +38,6 @@ def lcp_bruteforce(M, q):
         if np.all(x >= -1e-12) and np.all(s >= -1e-10):
             return x
     raise AssertionError("enumeration found no solution")
-
-
-def projection_bruteforce(cone, basis, z):
-    """Oracle: P_{C & span}(z) by enumerating which nonnegative rows are active."""
-    Q = basis.ortho
-    c = Q.T @ z
-    B = Q[cone.nonneg_mask]
-    best = None
-    for active in itertools.product([False, True], repeat=len(B)):
-        E = np.vstack([Q[cone.zero_mask], B[list(active)]])
-        w = c - np.linalg.pinv(E) @ (E @ c)
-        feasible = np.all(B @ w >= -1e-12)
-        if feasible and (best is None or np.linalg.norm(w - c) < np.linalg.norm(best - c)):
-            best = w
-    return cone.project(Q @ best)
 
 
 def basis_from_columns(*cols):
@@ -118,106 +103,7 @@ class TestSolveExact:
 
 
 class TestProjectIntersection:
-    def test_point_already_inside(self):
-        cone = orthant(2)
-        b = basis_from_columns([1.0, 1.0])
-        z = np.array([2.0, 2.0])
-        np.testing.assert_allclose(project_intersection(cone, b, z), z, atol=1e-12)
-
-    def test_diagonal_ray(self):
-        # hand calculus: min over t>=0 of ||(t,t)-(2,0)||^2 is stationary at t=1
-        got = project_intersection(orthant(2), basis_from_columns([1.0, 1.0]), [2.0, 0.0])
-        np.testing.assert_allclose(got, [1.0, 1.0], atol=1e-9)
-
-    def test_intersection_is_origin_only(self):
-        got = project_intersection(orthant(2), basis_from_columns([1.0, -1.0]), [0.0, -3.0])
-        np.testing.assert_allclose(got, [0.0, 0.0], atol=1e-9)
-
-    def test_result_feasible_and_near_span(self):
-        rng = np.random.default_rng(31)
-        cone = orthant(10)
-        b = orthonormalize(rng.standard_normal((10, 3)))
-        z = rng.standard_normal(10) * 2.0
-        y = project_intersection(cone, b, z)
-        assert np.all(y >= 0.0)
-        assert b.representation_error(y) <= 1e-9
-
-    def test_zero_row_at_rounding_level_keeps_direction(self):
-        # Phi vanishes on the zero coordinate, so the zero constraint is void
-        # and the answer is P_span(z); QR leaves ~1e-16 in that row of Q,
-        # which a relative rank test would count as a real constraint
-        rng = np.random.default_rng(32)
-        cone = parse_cone_spec("zero:1,free:11")
-        for _ in range(5):
-            raw = rng.standard_normal((12, 3))
-            raw[0] = 0.0
-            b = orthonormalize(raw)
-            z = rng.standard_normal(12)
-            np.testing.assert_allclose(project_intersection(cone, b, z), b.project_span(z),
-                                       atol=1e-12)
-
-    def test_aggregation_basis_mixed_cone_closed_form(self):
-        # 0/1 aggregation: coefficient j is free, sign-constrained or zero by
-        # what its group touches, so the projection separates per group;
-        # restricting to null(Q_Z) leaves rows of Q_B at ~1e-33 here
-        cone = parse_cone_spec("nn:30,free:6,zero:4")
-        rng = np.random.default_rng(33)
-        for k in (4, 8, 16) * 4:
-            groups = np.concatenate([np.arange(k), rng.integers(0, k, 40 - k)])
-            rng.shuffle(groups)
-            raw = np.zeros((40, k))
-            raw[np.arange(40), groups] = 1.0
-            b = orthonormalize(raw)
-            z = 5.0 * rng.standard_normal(40)
-            Q = b.ortho
-            w = Q.T @ z
-            for j in range(k):
-                touched = np.abs(Q[:, j]) > 1e-12
-                if touched[cone.zero_mask].any():
-                    w[j] = 0.0
-                elif touched[cone.nonneg_mask].any():
-                    sign = np.sign(Q[touched & cone.nonneg_mask, j][0])
-                    w[j] = sign * max(sign * w[j], 0.0)
-            np.testing.assert_allclose(project_intersection(cone, b, z), cone.project(Q @ w),
-                                       atol=1e-12)
-
-    def test_rows_that_force_each_other_to_zero(self):
-        # rows of opposite sign on two nonnegative coordinates force both to
-        # zero; with rounding noise, NNLS meets such an implicit equality with
-        # multipliers near 1e15 and a point far outside span(Phi) unless the
-        # rows are held at zero
-        cone = parse_cone_spec("zero:4,free:9,nn:3,zero:1,nn:1,zero:2")
-        nn = np.flatnonzero(cone.nonneg_mask)
-        rng = np.random.default_rng(36)
-        for _ in range(200):
-            raw = rng.standard_normal((20, 8)) * (rng.random((20, 8)) < 0.3)
-            raw[nn[1]] = -rng.uniform(0.5, 2.0) * raw[nn[0]]
-            raw[0, 0] += 1.0
-            b = orthonormalize(raw)
-            z = 3.0 * rng.standard_normal(20)
-            np.testing.assert_allclose(project_intersection(cone, b, z),
-                                       projection_bruteforce(cone, b, z), atol=1e-9)
-
-    def test_bases_with_rows_scaled_by_1e_9_to_1e_4(self):
-        # Phi's rows scaled by 10^U(-9, -4), where a projection once raised on
-        # 1 of 3,000 draws. The oracle accepts B w >= -1e-12, which rows of Q
-        # near 1e-3 turn into up to 2e-9 in its answer; the last cone is
-        # there so that the oracle, exponential in the orthant rows, runs
-        specs = ["nn:20", "nn:10,free:6,zero:4", "zero:3,nn:17", "nn:8,zero:2,nn:6,free:4",
-                 "free:10,nn:6,zero:4"]
-        rng = np.random.default_rng(37)
-        for i in range(300):
-            cone = parse_cone_spec(specs[i % len(specs)])
-            raw = rng.standard_normal((20, rng.integers(2, 9)))
-            if i % 3 == 2:
-                raw = np.abs(raw)
-            b = orthonormalize(raw * 10.0 ** rng.uniform(-9.0, -4.0, (20, 1)))
-            z = 3.0 * rng.standard_normal(20)
-            y = project_intersection(cone, b, z)
-            assert cone.contains(y, 0.0)
-            assert b.representation_error(y) <= DROP_TOL * (1.0 + np.linalg.norm(z))
-            if cone.nonneg_mask.sum() <= 6:
-                np.testing.assert_allclose(y, projection_bruteforce(cone, b, z), atol=1e-8)
+    """NNLS's cap and two SciPy references; the rest is test_projection_contract.py."""
 
     def test_nnls_iteration_cap_is_typed_error(self, monkeypatch):
         def capped(*args, **kwargs):
