@@ -133,7 +133,8 @@ def _cmd_solve(args) -> int:
                     ("cert_valid", cert.valid)]
 
     _emit([("method", args.method), ("converged", report.converged),
-           ("iters", report.iterations), *own, ("x", report.x)], args.format)
+           ("iters", report.iterations), ("residual", report.residual), *own,
+           ("x", report.x)], args.format)
     if args.trace:
         rows = report.trace_rows()
         _write(args.trace, "".join(f"{t}\t{_fmt(step)}\t{_fmt(dist)}\n" for t, step, dist in rows))

@@ -83,6 +83,9 @@ class Segment:
     length: int
 
     def __post_init__(self) -> None:
+        # stored as the member: a kind given by its value, "nn", would match no
+        # mask, so the rows would be left unclipped
+        object.__setattr__(self, "kind", SegmentKind(self.kind))
         # stored as int: 2.0 or np.int64(2) would otherwise leak into slicing and spec()
         object.__setattr__(self, "length", _positive_int(self.length, "segment length"))
 

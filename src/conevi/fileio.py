@@ -298,4 +298,6 @@ def write_basis(raw: np.ndarray) -> str:
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2:
         raise ValueError(f"basis must be 2-D, got shape {raw.shape}")
+    if not raw.size:  # parse_basis rejects a zero dimension
+        raise ValueError(f"basis dimension must be >= 1, got shape {raw.shape}")
     return _write(f"BASIS1 {raw.shape[0]} {raw.shape[1]}", raw)

@@ -158,6 +158,10 @@ class IpmReport:
     and centring weight. iterations counts the iterates measured, one more
     than the Newton steps taken. finish_attempts counts the active-set
     finishes tried and finish_accepted says whether one ended the solve.
+    residual is the natural residual of the returned x in CP(F, K) (see
+    _residual), with y = F @ x + F.q: ||min(x_B, y_B), y_F||_inf over
+    1 + ||F.q||_inf, 0 on the zero rows. It is in the units of F, so of the
+    reduced problem when F is one.
     """
 
     x: np.ndarray
@@ -167,10 +171,26 @@ class IpmReport:
     finish_attempts: int = 0
     finish_accepted: bool = False
     history: list[tuple[float, float, float, float]] = field(default_factory=list)
+    residual: float = math.nan
 
     @property
     def iterations(self) -> int:
         return len(self.history) + 1
+
+
+def _residual(x: np.ndarray, y: np.ndarray, y0: np.ndarray,
+              project: Callable[[np.ndarray], np.ndarray]) -> float:
+    """The natural residual rho = ||x - project(x - y)||_inf / (1 + ||y0||_inf)
+    of x in VI(F, K), where y = F(x), y0 = F(0) and project is P_K: 0 exactly
+    at a solution, and in F's units relative to its value at the start x = 0.
+    The one measure of how well a report's x solves its problem, for all four
+    methods. NaN when x - y has a NaN or infinite entry, with no projection
+    run: project_intersection raises ValueError on such a point.
+    """
+    v = x - y
+    if not math.isfinite(_max_abs(v)):
+        return math.nan
+    return _max_abs(x - project(v)) / (1.0 + _max_abs(y0))
 
 
 def build_projective(op: AffineOperator, basis: Basis,
@@ -413,4 +433,5 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
         finish_attempts=attempts,
         finish_accepted=accepted,
         history=history,
+        residual=_residual(x, F @ x + r, r, cone.project),
     )

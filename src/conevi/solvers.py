@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg.lapack import dgelsy
@@ -116,6 +117,11 @@ class SolveReport:
     are x_0, ..., x_T. A non-finite step is logged as NaN and adds no
     iterate. A Galerkin solve reports z = x_T - G_S(x_T) and
     x = P_C(z), one update past x_T, with the certificate of that pair.
+    residual is the natural residual of the returned x (see
+    projective._residual) on the problem the method solves: VI(F, C) for
+    exact, VI(G_S, C) for Galerkin, in the reduced problem's units, and
+    VI(F, C & span) for Bertsekas. It is NaN when F (or G_S) is not finite
+    at x, and for Bertsekas when its projection at x fails.
     """
 
     x: np.ndarray
@@ -126,6 +132,7 @@ class SolveReport:
     certificate: OptimalityCertificate | None = None
     step_norms: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] | None = None
+    residual: float = math.nan
 
     @property
     def iterations(self) -> int:
@@ -207,6 +214,14 @@ def _fixed_point(op: Operator, cone: SeparableCone, basis: Basis | None, P,
                        step_norms=step_norms, iterates=iterates), G
 
 
+def _residual_in(F, x: np.ndarray, project) -> float:
+    """projective._residual of x in the VI of F over the set that project
+    maps onto, with F(0) read as F.q for an AffineOperator and evaluated
+    otherwise."""
+    y0 = F.q if isinstance(F, AffineOperator) else F(np.zeros(x.size))
+    return projective._residual(x, F(x), y0, project)
+
+
 def _span_step(op: Operator, basis: Basis, alpha: float):
     """G_S with x - G_S(x) = P_span(x - alpha F(x)).
 
@@ -236,7 +251,9 @@ def solve_exact(op: Operator, cone: SeparableCone, cfg: SolveConfig | None = Non
     is a step to a point with a NaN or infinite entry, which ends the run at
     once with x the last finite iterate.
     """
-    return _fixed_point(op, cone, None, cone.project, cfg)[0]
+    rep = _fixed_point(op, cone, None, cone.project, cfg)[0]
+    rep.residual = _residual_in(op, rep.x, cone.project)
+    return rep
 
 
 def _passive_solution(C: np.ndarray, d: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -372,7 +389,13 @@ def solve_bertsekas(op: Operator, cone: SeparableCone, basis: Basis,
     Its a-priori bound ||P_{C&span}(x*) - x*|| / (1 - gamma) needs the exact
     solution x*; bound_report computes it as bound_bertsekas.
     """
-    return _fixed_point(op, cone, basis, lambda v: project_intersection(cone, basis, v), cfg)[0]
+    P = partial(project_intersection, cone, basis)
+    rep = _fixed_point(op, cone, basis, P, cfg)[0]
+    try:
+        rep.residual = _residual_in(op, rep.x, P)
+    except IntersectionProjectionFailed:
+        pass  # at a point no step visited: the residual stays NaN
+    return rep
 
 
 def solve_galerkin(op: Operator, cone: SeparableCone, basis: Basis,
@@ -388,6 +411,7 @@ def solve_galerkin(op: Operator, cone: SeparableCone, basis: Basis,
     rep.z = rep.x - G(rep.x)
     rep.x = cone.project(rep.z)
     rep.certificate = certify(op, cone, basis, rep.x, rep.z, rep.alpha)
+    rep.residual = _residual_in(G, rep.x, cone.project)
     return rep
 
 

@@ -10,7 +10,8 @@ from conevi.cli import main
 from conevi.cones import orthant
 from conevi.fileio import parse_basis, parse_problem, write_basis, write_problem
 from conevi.generate import generate_instance
-from conevi.solvers import SolveConfig, solve_galerkin
+from conevi.projective import build_projective, solve_ipm
+from conevi.solvers import SolveConfig, solve_bertsekas, solve_exact, solve_galerkin
 
 PROBLEM = """\
 VI1 2 nn:2
@@ -59,8 +60,9 @@ class TestSolve:
         assert main(["solve", "--method", "exact", "--problem", problem_file]) == 0
         out = capsys.readouterr().out
         assert "converged: true" in out
-        # the fixed-point methods print the step their stopping rule tests
-        assert "step: " in out and "residual" not in out and "x:" in out
+        # the fixed-point methods print the step their stopping rule tests,
+        # apart from the residual
+        assert "step: " in out and "residual: " in out and "x:" in out
 
     @pytest.mark.parametrize("method", ["exact", "bertsekas", "galerkin", "ipm"])
     def test_all_methods_agree_here(self, method, problem_file, basis_file, capsys):
@@ -283,7 +285,7 @@ class TestBounds:
         assert len(seen) == 1
 
 
-class TestCertify:
+class TestKvKeys:
     def test_kv_keys(self, problem_file, basis_file, capsys):
         # the null-space violation is 2.4e-10 at the default tol, within the
         # certificate's tolerance 1e-8, and 1.4e-6 at tol 1e-6, beyond it
@@ -301,6 +303,23 @@ class TestCertify:
             assert float(kv["cert_nullspace"]) >= 0.0
             assert kv["cert_gap"] == format(cert.complementarity_gap, ".17g")
             assert kv["cert_valid"] == valid == ("true" if cert.valid else "false")
+
+    @pytest.mark.parametrize("method", ["exact", "bertsekas", "galerkin", "ipm"])
+    def test_residual_follows_iters(self, method, problem_file, basis_file, capsys):
+        # every method prints its report's natural residual right after iters
+        op, cone = parse_problem(PROBLEM)
+        basis = orthonormalize(parse_basis(BASIS_FULL))
+        option = [] if method == "exact" else ["--basis", basis_file]
+        assert main(["solve", "--method", method, "--problem", problem_file,
+                     "--format", "kv"] + option) == 0
+        kv = kv_lines(capsys.readouterr().out)
+        keys = list(kv)
+        assert keys[keys.index("iters") + 1] == "residual"
+        rep = {"exact": lambda: solve_exact(op, cone),
+               "bertsekas": lambda: solve_bertsekas(op, cone, basis),
+               "galerkin": lambda: solve_galerkin(op, cone, basis),
+               "ipm": lambda: solve_ipm(build_projective(op, basis), cone)}[method]()
+        assert kv["residual"] == format(rep.residual, ".17g")
 
 
 class TestGenAndPipeline:

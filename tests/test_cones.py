@@ -109,6 +109,12 @@ class TestSpecText:
             assert cone_back == cone
             np.testing.assert_array_equal(op_back.M, op.M)
 
+    def test_kind_given_by_value_is_stored_as_member(self):
+        # "nn" matched no mask: project left [-1, 2] unclipped
+        assert Segment("nn", 2) == Segment(SegmentKind.NONNEGATIVE, 2)
+        np.testing.assert_array_equal(SeparableCone((Segment("nn", 2),)).project([-1.0, 2.0]),
+                                      [0.0, 2.0])
+
     def test_parse_rejects_garbage(self):
         for bad in ("nn", "nn:0", "nn:x", "box:3", "", "nn:2,,free:1"):
             with pytest.raises(ValueError):

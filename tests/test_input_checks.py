@@ -9,6 +9,7 @@ from conevi import (
     CallableOperator,
     PolyhedralVI,
     ProjectiveLcp,
+    Segment,
     SeparableCone,
     build_projective,
     certify,
@@ -83,6 +84,9 @@ CASES = {
         ValueError, "A has shape"),
     "orthonormalize.1d": (lambda: orthonormalize(np.ones(3)), ValueError, "2-D"),
     "write_basis.1d": (lambda: write_basis(np.ones(3)), ValueError, "2-D"),
+    # both wrote a header that parse_basis rejects
+    "write_basis.no_rows": (lambda: write_basis(np.zeros((0, 3))), ValueError, "dimension"),
+    "write_basis.no_columns": (lambda: write_basis(np.zeros((3, 0))), ValueError, "dimension"),
     "AffineOperator.nonsquare_M": (lambda: AffineOperator(np.ones((2, 3)), np.zeros(2)),
                                    ValueError, "square"),
     "monotone_modulus.nonsquare": (lambda: monotone_modulus(np.ones((2, 3))),
@@ -104,6 +108,9 @@ CASES = {
     "CallableOperator.dim=-1": (lambda: CallableOperator(abs, -1, 1.0, 1.0), ValueError, "dim"),
     "CallableOperator.dim=2.5": (lambda: CallableOperator(abs, 2.5, 1.0, 1.0), ValueError, "dim"),
     "SeparableCone.no_segments": (lambda: SeparableCone(()), ValueError, "segment"),
+    # a kind outside SegmentKind matched no mask: its rows were free to the IPM
+    # and unclipped by project, and spec() raised AttributeError
+    "Segment.kind": (lambda: Segment("box", 2), ValueError, "SegmentKind"),
     "bench_ipm.repeats": (lambda: bench_ipm([4], 2, repeats=0), ValueError, "repeats"),
     # k = 80 at n = 50 timed the dense n x n route; k = 0 failed in orthonormalize
     "bench_ipm.k": (lambda: bench_ipm([60, 50], 50, repeats=1), ValueError, "k=50"),

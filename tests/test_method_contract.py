@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import reduction
-from conevi import (AffineOperator, CallableOperator, SolveConfig, bound_report,
-                    build_projective, certify, generate_instance, orthant, orthonormalize,
-                    parse_cone_spec, project_intersection, solve_bertsekas, solve_exact,
-                    solve_galerkin, solve_ipm)
+from conevi import (AffineOperator, CallableOperator, IntersectionProjectionFailed, SolveConfig,
+                    bound_report, build_projective, certify, generate_instance, orthant,
+                    orthonormalize, parse_cone_spec, project_intersection, solve_bertsekas,
+                    solve_exact, solve_galerkin, solve_ipm, solvers)
 
 N, TOL = 30, SolveConfig.tol
 CASES = ["orthant_abs_gaussian", "mixed_gaussian", "aggregation", "full_span", "nonlinear"]
@@ -45,6 +45,16 @@ def update(method, op, cone, basis, alpha, x):
     return project_intersection(cone, basis, v) if method == "bertsekas" else cone.project(v)
 
 
+def residual(method, op, cone, basis, alpha, x):
+    """The natural residual of x on the problem the method solves, written
+    from its definition: ||x - P(x - F(x))||_inf / (1 + ||F(0)||_inf) for
+    (F, P) = (op, P_C), (G_S, P_C) or (op, P_{C & span})."""
+    F = (lambda v: v - basis.project_span(v - alpha * op(v))) if method == "galerkin" else op
+    P = cone.project if method != "bertsekas" else (
+        lambda v: project_intersection(cone, basis, v))
+    return np.abs(x - P(x - F(x))).max() / (1.0 + np.abs(F(np.zeros(N))).max())
+
+
 def test_report_and_feasibility(case, method):
     # every case contracts, so each run stops at its first step <= tol; step t
     # is the pair's update of x_{t-1}, in C, and x_T is a fixed point within tol
@@ -64,6 +74,15 @@ def test_report_and_feasibility(case, method):
         assert np.array_equal(rep.x, case[1].project(rep.z)) and rep.certificate.valid
     else:
         assert np.array_equal(rep.x, its[-1])
+
+
+def test_residual(case, method):
+    # the residual of the x the method returns, on its own problem, where it
+    # is about 1e-10 here; below rank n the library's G_S is the reduced
+    # operator and the test's the generic step, so they agree to rounding
+    rep = METHODS[method](*case)
+    ref = residual(method, *case, rep.alpha, rep.x)
+    assert abs(rep.residual - ref) <= 1e-15 and rep.residual <= 1e-8
 
 
 def test_bounds(case, method):
@@ -89,17 +108,33 @@ def test_twin(case, method):
     np.testing.assert_allclose(got.x, ref.x, rtol=1e-12, atol=1e-15)
 
 
-def test_failure(case, method):
+def test_failure(case, method, monkeypatch):
     # in G_S's span projection +inf meets a zero of Q: a NaN, with no warning
     op, cone, basis = case
     for value in (np.nan, np.inf):
         bad = CallableOperator(lambda x: np.full(N, value), N, op.beta, op.lipschitz)
         rep = METHODS[method](bad, cone, basis, SolveConfig(trace=True))
         assert not rep.converged and rep.iterations == 1 and np.isnan(rep.step_norms[0])
-        assert len(rep.iterates) == 1 and rep.trace_rows() == []
+        assert len(rep.iterates) == 1 and rep.trace_rows() == [] and np.isnan(rep.residual)
         assert method == "galerkin" or not rep.x.any()
     rep = METHODS[method](op, cone, basis, SolveConfig(max_iter=2, tol=1e-300))
     assert not rep.converged and rep.iterations == 2
+    assert abs(rep.residual - residual(method, *case, rep.alpha, rep.x)) <= 1e-15
+    if method == "bertsekas":
+        # P_{C & span} fails only at the residual's point, which no step
+        # visited: the same report, with a NaN residual and nothing raised
+        calls = []
+
+        def fails_last(*args):
+            calls.append(args)
+            if len(calls) > rep.iterations:
+                raise IntersectionProjectionFailed("at the residual's point")
+            return project_intersection(*args)
+
+        monkeypatch.setattr(solvers, "project_intersection", fails_last)
+        failed = solve_bertsekas(op, cone, basis, SolveConfig(max_iter=2, tol=1e-300))
+        assert np.isnan(failed.residual) and len(calls) == rep.iterations + 1
+        assert np.array_equal(failed.x, rep.x) and failed.step_norms == rep.step_norms
 
 
 def test_ipm_agrees(case, method):

@@ -20,8 +20,9 @@ were).
 
 The interior-point method, solve_ipm, has its own properties (test_ipm_*):
 its report, its exit, its active-set finish, its iteration cap and its
-breakdowns. They run on every case with the case's cone and, where any cone
-fits, with an orthant and an all-free cone, so a new case gets them all.
+breakdowns, and the natural residual each run reports. They run on every
+case with the case's cone and, where any cone fits, with an orthant and an
+all-free cone, so a new case gets them all.
 """
 import copy
 import warnings
@@ -279,6 +280,18 @@ def measured(F, cone, x, s):
     return (float(x[B] @ s[B]) / B.sum() if B.any() else 0.0), float(np.abs(g).max())
 
 
+def assert_residual(F, cone, run):
+    """The run reports ||min(x_B, y_B), y_F||_inf / (1 + ||F.q||_inf) at its x,
+    y = F @ x + F.q, 0 on the zero rows. x_i - P(x_i - y_i) is min(x_i, y_i)
+    or y_i to the two roundings of x_i - y_i and of that subtraction."""
+    x, B = run.x, cone.nonneg_mask
+    y = F @ x + F.q
+    rows = np.where(B, np.minimum(x, y), np.where(cone.free_mask, y, 0.0))
+    scale = 1.0 + np.abs(F.q).max()
+    slack = 2 * np.finfo(float).eps * (np.abs(x).max() + np.abs(y).max()) / scale
+    assert abs(run.residual - np.abs(rows).max() / scale) <= slack
+
+
 def test_ipm_report(ipm):
     # one history row per Newton step: the mu and feasibility of the iterate it
     # steps from, then its step and sigma; x > 0 and s > 0 on the orthant rows,
@@ -306,6 +319,7 @@ def test_ipm_exit(ipm):
     F, cone, rep = ipm.F, ipm.cone, ipm.rep
     B, Z = cone.nonneg_mask, cone.zero_mask
     for run in (rep, ipm.plain):
+        assert_residual(F, cone, run)
         y = F @ run.x + F.q
         assert run.converged and not run.x[Z].any() and np.all(run.x[B] >= 0.0)
         assert np.abs(y[cone.free_mask]).max(initial=0.0) <= run.feasibility <= TOL
@@ -400,6 +414,7 @@ def test_ipm_cap(ipm):
     assert capped.history == rep.history[:cap - 1]
     assert np.array_equal(capped.x, x) and (capped.mu, capped.feasibility) == measured(F, cone, x, s)
     assert capped.finish_attempts == sum(t <= cap for t, _, _ in ipm.attempts)
+    assert_residual(F, cone, capped)
 
 
 def test_ipm_breakdowns(ipm, monkeypatch):
