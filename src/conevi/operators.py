@@ -285,7 +285,10 @@ def lipschitz_constant(M) -> float:
 
 def _gamma(alpha: float, beta: float, lip: float) -> float:
     """Lipschitz constant of I - alpha*F, sqrt(1 - 2*alpha*beta + alpha**2 * L**2);
-    with alpha = beta/L**2 it is sqrt(1 - beta**2/L**2)."""
+    with alpha = beta/L**2 it is sqrt(1 - beta**2/L**2). inf, never NaN,
+    once alpha*L reaches 2**511, where (alpha*L)**2 nears the largest double."""
+    if alpha * lip >= 2.0**511:  # 1 - 2*alpha*beta + inf could be inf - inf
+        return math.inf
     return math.sqrt(max(1.0 - 2.0 * alpha * beta + (alpha * lip) ** 2, 0.0))
 
 
@@ -319,7 +322,10 @@ class Operator:
 
         Raises NotStronglyMonotone when beta <= 0, before L is read; callers
         that only need monotonicity (the interior-point path) should catch
-        it.
+        it. Where L lies outside [2**-511, 2**511), where L**2 could
+        overflow or turn subnormal, beta and L are first scaled by the one
+        power of two that brings L into [1/2, 1), and alpha is scaled back;
+        inside, alpha is beta/L**2 bit for bit.
         """
         beta = self.beta
         if beta <= 0.0:
@@ -327,7 +333,9 @@ class Operator:
         lip = self.lipschitz
         if lip <= 0.0:
             raise ValueError("Lipschitz constant must be positive")
-        alpha = beta / lip**2
+        _, e = math.frexp(lip)
+        shift = 0 if -510 <= e <= 511 else e
+        alpha = math.ldexp(math.ldexp(beta, -shift) / math.ldexp(lip, -shift) ** 2, -shift)
         return ContractionParams(beta=beta, lipschitz=lip, alpha=alpha,
                                  gamma=_gamma(alpha, beta, lip))
 

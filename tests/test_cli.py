@@ -96,6 +96,18 @@ class TestSolve:
                      "--max-iter", "1", "--tol", "1e-14"])
         assert code == 1
 
+    # at --alpha 1e300 gamma is inf, and the run stops on its first non-finite
+    # step; the steps warn, since F is evaluated outside np.errstate
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["exact", "galerkin"])
+    def test_step_whose_gamma_overflows_ends_unconverged(self, method, problem_file, basis_file,
+                                                         capsys):
+        basis = [] if method == "exact" else ["--basis", basis_file]
+        assert main(["solve", "--method", method, "--problem", problem_file,
+                     "--alpha", "1e300"] + basis) == 1
+        out = capsys.readouterr().out
+        assert "converged: false" in out and "gamma: inf" in out
+
     def test_trace_file_rows(self, problem_file, tmp_path, capsys):
         trace = tmp_path / "trace.tsv"
         assert main(["solve", "--method", "exact", "--problem", problem_file,

@@ -1,5 +1,25 @@
+"""One contract for the constants every step size and error bound rests on:
+beta (monotone_modulus), L (lipschitz_constant) and contraction()'s alpha
+and gamma. MATRICES is the only place that builds a matrix. With
+S = (M + M^T)/2, each property holds on every case it takes:
+- test_lipschitz_is_certified: ||M||_2 <= L, exactly (tests/exact.py) where
+  n <= 12, else against svdvals or an svds witness; L <= sigma_max
+  (1 + 1e-12) where n <= 70; L is inf only above the largest double.
+- test_beta_route: eigvalsh sees only the coupled block, and beta is bit for
+  bit the least uncoupled diagonal entry or eigvalsh on that block.
+- n <= 600: test_beta_is_within_delta (the bottom eigenvalue of S is within
+  delta = 10 n eps L of beta, the operator contract's bound, exactly where
+  n <= 12; above 600, S is diagonal and test_beta_route makes beta its least
+  entry); test_scale_free (beta and L of cM are c beta and c L bit for
+  bit, c = 1 included, contraction() keeps gamma and c alpha, nothing
+  warns, and M is left as it was); test_contraction_law (alpha = beta/L^2,
+  gamma^2 = 1 - beta^2/L^2, ||(I - alpha M) v|| <= gamma ||v||, and
+  NotStronglyMonotone exactly when beta <= 0, before L is read).
+"""
 import math
 import warnings
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,31 +28,279 @@ import scipy.sparse.linalg
 
 from conevi import operators
 from conevi.bench import _bench_instance
-from conevi.operators import (
-    AffineOperator,
-    CallableOperator,
-    NotStronglyMonotone,
-    iteration_bound,
-    lipschitz_constant,
-    monotone_modulus,
-)
+from conevi.operators import (AffineOperator, CallableOperator, NotStronglyMonotone,
+                              iteration_bound, lipschitz_constant, monotone_modulus)
 from conevi.transforms import PolyhedralVI, polyhedron_to_cone
+from exact import gram, is_psd, shifted
+
+EPS, BIG = np.finfo(float).eps, np.finfo(float).max
+EXACT_N, TIGHT_N, DENSE_N = 12, 70, 600
+SCALES = (2.0**-600, 2.0**-300, 1.0, 2.0**300, 2.0**600)
 
 
-def sym_eig_2x2(S):
-    """Oracle: eigenvalues of a symmetric 2x2 via the quadratic formula."""
-    tr = S[0][0] + S[1][1]
-    det = S[0][0] * S[1][1] - S[0][1] * S[1][0]
-    disc = math.sqrt(tr * tr - 4 * det)
-    return (tr - disc) / 2, (tr + disc) / 2
+# -- the cases: the only place that builds a matrix -----------------------------
+
+def gaussian(seed, *shape):
+    return np.random.default_rng(seed).standard_normal(shape)
 
 
-def random_spd_plus_skew(n, rng, beta=1.0, skew=1.0):
-    G = rng.standard_normal((n, n))
-    A = G.T @ G / n
-    S = rng.standard_normal((n, n))
-    return beta * np.eye(n) + A + skew * 0.5 * (S - S.T)
+def spd_plus_skew(n, seed):
+    G, K = gaussian(seed, 2, n, n)
+    return np.eye(n) + G.T @ G / n + 0.5 * (K - K.T)
 
+
+def diagonal_plus_skew(d, seed, skew=1.0):
+    """diag(d) plus an exactly skew part, fl(a - b) = -fl(b - a): S is diag(d)."""
+    K = gaussian(seed, d.size, d.size)
+    return np.diag(d) + skew * (K - K.T)
+
+
+def scattered_blocks(lowest):
+    """S is exactly blocks of orders 1, 3, 5 and 40 on permuted coordinates; the
+    one of order (1, 3, 5, 40)[lowest] holds beta, the others are moved up by 8."""
+    rng = np.random.default_rng(72 + lowest)
+    sizes = [1, 3, 5, 40]
+    sizes.insert(0, sizes.pop(lowest))
+    perm, S = rng.permutation(49), np.zeros((49, 49))
+    for b, (start, size) in enumerate(zip(np.cumsum([0] + sizes), sizes)):
+        G, idx = rng.standard_normal((size, size)), perm[start:start + size]
+        S[np.ix_(idx, idx)] = 0.5 * (G + G.T) + (8.0 if b else 0.0) * np.eye(size)
+    K = rng.standard_normal((49, 49))
+    skew = np.where(S != 0.0, 0.0, K - K.T)  # so fl(s + k) + fl(s - k) never rounds
+    np.fill_diagonal(skew, 0.0)
+    return S + skew
+
+
+def symmetric_pair():
+    """S couples only coordinates 2 and 9."""
+    M = diagonal_plus_skew(np.random.default_rng(73).uniform(1.0, 2.0, 12), 173)
+    M[2, 9] = M[9, 2] = 0.75
+    return M
+
+
+def polyhedral(shift):
+    """The dense N of polyhedron_to_cone, whose S is diag(0, sym M, 0)."""
+    rng = np.random.default_rng(74)
+    G = rng.standard_normal((12, 12))
+    M = shift * np.eye(12) + 0.1 * (G + G.T) + (G - G.T)
+    return polyhedron_to_cone(PolyhedralVI(M, rng.standard_normal(12), rng.standard_normal((7, 12)),
+                                           np.zeros(7))).op.M
+
+
+def crowded_bottom_edge():
+    """S = diag(d), crowded just above min d = 0.5, where iterations stall."""
+    rng = np.random.default_rng(16)
+    d = 0.5 + rng.uniform(0.0, 1.0, 2500) ** 3
+    d[rng.integers(2500)] = 0.5
+    return diagonal_plus_skew(d, 116, skew=0.1)
+
+
+def draw(i):
+    n = 1 + i % 12
+    rng = np.random.default_rng(100 + i)
+    return rng.standard_normal((n, n)) + rng.uniform(0.0, 3.0) * np.eye(n)
+
+
+# name: (order n, order of the block of coordinates that S couples, build)
+MATRICES = {
+    "diagonal": (2, 0, lambda: np.diag([1.0, 3.0])),
+    "step_rule": (2, 0, lambda: np.diag([1.0, 2.0])),
+    "skew": (2, 0, lambda: np.array([[0.0, -1.0], [1.0, 0.0]])),
+    # non-normal: S = [[1, 1], [1, 1]], and ||M||_2 = 1 + sqrt(2)
+    "shear": (2, 2, lambda: np.array([[1.0, 2.0], [0.0, 1.0]])),
+    "upper": (2, 2, lambda: np.array([[2.0, 1.0], [0.0, 2.0]])),
+    "identity": (4, 0, lambda: np.eye(4)),
+    "scaled_identity": (3, 0, lambda: 2.0 * np.eye(3)),
+    "zero": (4, 0, lambda: np.zeros((4, 4))),
+    "spd_skew_30": (30, 30, lambda: spd_plus_skew(30, 11)),
+    "diagonal_skew_200": (200, 0, lambda: diagonal_plus_skew(
+        np.random.default_rng(71).uniform(-2.0, 3.0, 200), 171)),
+    **{f"blocks_{lowest}": (49, 48, lambda lowest=lowest: scattered_blocks(lowest))
+       for lowest in range(4)},
+    "symmetric_pair": (12, 2, symmetric_pair),
+    # a path couples every coordinate though most pairs are zero
+    "path": (30, 30, lambda: np.diag(np.linspace(1.0, 2.0, 30)) + np.diag(np.full(29, 0.4), k=1)),
+    "polyhedral_+1": (26, 12, lambda: polyhedral(1.0)),
+    "polyhedral_-1": (26, 12, lambda: polyhedral(-1.0)),
+    "jordan": (40, 40, lambda: 2.0 * np.eye(40) + np.eye(40, k=1)),
+    "rank_deficient": (70, 70, lambda: gaussian(18, 70, 3) @ gaussian(118, 3, 70)),
+    "psd_gram": (50, 50, lambda: gaussian(19, 50, 50).T @ gaussian(19, 50, 50)),
+    "random_60": (60, 60, lambda: gaussian(20, 60, 60)),
+    # entries near the largest double; max_rotation's norm is above it
+    "max_diagonal": (2, 0, lambda: 1e308 * np.diag([1.5, 1.0])),
+    "max_rotation": (2, 0, lambda: np.array([[1e308, 1.7e308], [-1.7e308, 1e308]])),
+    **{f"coupled_{c:g}": (2, 2, lambda c=c: c * np.array([[1.5, 0.6], [0.2, -0.25]]))
+       for c in (1e308, 1e200, 1e-300)},
+    "max_fill": (2, 2, lambda: np.full((2, 2), -1.5e308)),  # beta below minus the largest double
+    "crowded_2500": (2500, 0, crowded_bottom_edge),
+    # I + c K, K skew: singular values crowd at the top, where an iterative
+    # estimate of ||M||_2 stalls below it
+    "saddle_400": (400, 0, lambda: _bench_instance(400, 10, 0)[0].M),
+    "saddle_3000": (3000, 0, lambda: _bench_instance(3000, 10, 0)[0].M),
+    **{f"draw_{i:02d}": (1 + i % 12, 1 + i % 12 if i % 12 else 0, lambda i=i: draw(i))
+       for i in range(30)},
+}
+BETA_ONLY = "crowded_2500"  # L has no reference here, and would cost 0.5 s
+# BETA_ONLY last: each subset a property takes is a prefix, so a case keeps its
+# param index in every test and pytest builds its module-scoped fixture once
+CASES = sorted(MATRICES, key=lambda name: (name == BETA_ONLY, MATRICES[name][0], name))
+DENSE = [name for name in CASES if MATRICES[name][0] <= DENSE_N]
+
+
+def symmetric_part(M):
+    """(S, k): S = (A + A^T)/2 for A = M 2**k, k as monotone_modulus documents:
+    0 inside 2**(+-256), else the power of two bringing max |m_ij| into [1/2, 1)."""
+    _, e = math.frexp(np.abs(M).max())
+    k = -e if abs(e) > 256 else 0
+    A = np.ldexp(M, k) if k else M
+    return (A + A.T) * 0.5, k
+
+
+def unscaled(x, k):
+    """x 2**-k, as monotone_modulus scales beta back: -inf below -BIG."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(x, -k))
+
+
+def norm_at_most(G, t, strict=False):
+    """Whether ||M||_2 <= t (< t with strict), decided exactly from G = M^T M."""
+    return is_psd(shifted([[-g for g in row] for row in G], -Fraction(t) ** 2), strict)
+
+
+@pytest.fixture(scope="module", params=CASES)
+def case(request):
+    """M, beta with the orders handed to eigvalsh, L (inf on OverflowError),
+    S with its scale k, and the references, each computed once."""
+    n, coupled, build = MATRICES[request.param]
+    M = build()
+    assert M.shape == (n, n)
+    sizes, real = [], scipy.linalg.eigvalsh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg, "eigvalsh",
+                   lambda a, *args, **kw: sizes.append(len(a)) or real(a, *args, **kw))
+        beta = monotone_modulus(M)
+    S, k = symmetric_part(M)
+    c = SimpleNamespace(n=n, coupled=coupled, M=M, before=M.copy() if n <= DENSE_N else None,
+                        beta=beta, sizes=sizes, S=S, k=k, lip=math.inf, exact=None)
+    if request.param == BETA_ONLY:
+        return c
+    try:
+        c.lip = lipschitz_constant(M)
+    except OverflowError:  # ||M||_2 may exceed the largest double
+        pass
+    if n <= EXACT_N:
+        R = [[Fraction(float(v)) for v in row] for row in M]
+        c.exact = [[(a + b) / 2 for a, b in zip(row, col)] for row, col in zip(R, zip(*R))], gram(M)
+    elif n <= DENSE_N:
+        c.sigma = scipy.linalg.svdvals(M)[0]
+        c.bottom = unscaled(scipy.linalg.eigvalsh(S, subset_by_index=[0, 0])[0], k)
+    else:
+        _, _, vt = scipy.sparse.linalg.svds(M, k=1, random_state=0)
+        c.sigma = np.linalg.norm(M @ vt[0]) / np.linalg.norm(vt[0])
+    return c
+
+
+def contraction_of(M):
+    return AffineOperator(M, np.zeros(M.shape[0])).contraction()
+
+
+# -- the properties --------------------------------------------------------------
+
+@pytest.mark.parametrize("case", CASES[:-1], indirect=True)
+def test_lipschitz_is_certified(case):
+    if case.exact and case.lip == math.inf:
+        assert not norm_at_most(case.exact[1], BIG)
+    elif case.exact:  # 1/(1 - 2**-40) < 1 + 1e-12, and a dyadic keeps the arithmetic small
+        G = case.exact[1]
+        assert norm_at_most(G, case.lip)
+        assert not norm_at_most(G, Fraction(case.lip) * (1 - Fraction(1, 2**40)), strict=True)
+    elif case.n <= DENSE_N:
+        assert case.sigma <= case.lip
+        if case.n <= TIGHT_N:
+            assert case.lip <= case.sigma * (1 + 1e-12)
+    else:
+        assert case.lip >= case.sigma * (1 - case.n * EPS)  # the witness's own rounding
+
+
+@pytest.mark.parametrize("case", DENSE, indirect=True)
+def test_beta_is_within_delta(case):
+    # the largest double stands in for an L that is inf
+    delta = 10 * case.n * EPS * min(case.lip, BIG)
+    if not case.exact:
+        assert abs(case.beta - case.bottom) <= delta
+    elif case.beta == -math.inf:
+        assert not is_psd(shifted(case.exact[0], -BIG))
+    else:
+        beta, d, S = Fraction(case.beta), Fraction(delta), case.exact[0]
+        assert is_psd(shifted(S, beta - d)) and not is_psd(shifted(S, beta + d), strict=True)
+
+
+def test_beta_route(case):
+    S = case.S
+    pattern = S != 0.0
+    np.fill_diagonal(pattern, False)
+    coupled = pattern.any(axis=1)
+    assert coupled.sum() == case.coupled
+    assert case.sizes == ([case.coupled] if case.coupled else [])
+    parts = [S.diagonal()[~coupled].min()] if case.coupled < case.n else []
+    if case.coupled:
+        parts.append(scipy.linalg.eigvalsh(S[np.ix_(coupled, coupled)], subset_by_index=[0, 0])[0])
+    assert case.beta == unscaled(min(parts), case.k)
+
+
+@pytest.mark.parametrize("case", DENSE, indirect=True)
+def test_scale_free(case):
+    A = np.ldexp(case.M, case.k)  # what monotone_modulus adds to its transpose
+    assert operators._transpose_sum(A).tobytes() == (A + A.T).tobytes()
+    base = contraction_of(case.M) if case.beta > 0.0 and case.lip < math.inf else None
+    for c in SCALES if 2.0**-300 <= np.abs(case.M).max() <= 2.0**300 else (1.0,):
+        op = AffineOperator(c * case.M, np.zeros(case.n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert op.beta == c * case.beta
+            if case.lip < math.inf:
+                assert op.lipschitz == c * case.lip
+            if base is None:
+                continue
+            p = op.contraction()
+        assert p.gamma == pytest.approx(base.gamma, rel=1e-12)
+        assert c * p.alpha == pytest.approx(base.alpha, rel=1e-12)
+    np.testing.assert_array_equal(case.M, case.before)
+
+
+@pytest.mark.parametrize("beta, lip", [(1e-200, 2e-200), (1e200, 2e200)])
+def test_declared_constants_are_scale_free(beta, lip):
+    base = CallableOperator(lambda x: x, 2, 1.0, 2.0).contraction()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = CallableOperator(lambda x: x, 2, beta, lip).contraction()
+    assert p.gamma == pytest.approx(base.gamma, rel=1e-12)
+    assert beta * p.alpha == pytest.approx(base.alpha, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", DENSE, indirect=True)
+def test_contraction_law(case, monkeypatch):
+    if case.beta <= 0.0:
+        monkeypatch.setattr(operators, "lipschitz_constant", None)  # reading L raises TypeError
+        with pytest.raises(NotStronglyMonotone) as exc:
+            contraction_of(case.M)
+        assert exc.value.beta == case.beta
+        return
+    if case.lip == math.inf:
+        with pytest.raises(OverflowError):  # as lipschitz_constant documents
+            contraction_of(case.M)
+        return
+    p = contraction_of(case.M)
+    assert (p.beta, p.lipschitz) == (case.beta, case.lip)
+    ratio = Fraction(p.beta) / Fraction(p.lipschitz)
+    assert abs(Fraction(p.alpha) * Fraction(p.lipschitz) / ratio - 1) <= 2 * EPS
+    assert abs(Fraction(p.gamma) ** 2 - (1 - ratio**2)) <= 8 * EPS
+    V = np.random.default_rng(13).standard_normal((case.n, 20))
+    T = np.eye(case.n) - p.alpha * case.M
+    assert (np.linalg.norm(T @ V, axis=0) <= p.gamma * np.linalg.norm(V, axis=0) + 1e-12).all()
+
+
+# -- pins kept by name -------------------------------------------------------------
 
 class TestApply:
     def test_identity_shift(self):
@@ -57,189 +325,6 @@ class TestApply:
             AffineOperator([[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0])
 
 
-class TestMonotoneModulus:
-    def test_diagonal(self):
-        assert monotone_modulus(np.diag([1.0, 3.0])) == pytest.approx(1.0, abs=1e-12)
-
-    def test_skew_has_zero_modulus(self):
-        assert monotone_modulus([[0.0, -1.0], [1.0, 0.0]]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_nonnormal_matches_2x2_oracle(self):
-        # symmetric part of [[1,2],[0,1]] is [[1,1],[1,1]]: eigenvalues {0, 2}
-        lo, hi = sym_eig_2x2([[1.0, 1.0], [1.0, 1.0]])
-        assert (lo, hi) == pytest.approx((0.0, 2.0), abs=1e-14)
-        assert monotone_modulus([[1.0, 2.0], [0.0, 1.0]]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_definition_inequality(self):
-        rng = np.random.default_rng(11)
-        M = random_spd_plus_skew(30, rng)
-        beta = monotone_modulus(M)
-        for _ in range(100):
-            x = rng.standard_normal(30)
-            y = rng.standard_normal(30)
-            lhs = (x - y) @ (M @ (x - y))
-            assert lhs >= beta * np.linalg.norm(x - y) ** 2 - 1e-10
-
-    def test_crowded_bottom_edge_at_large_n(self):
-        # the symmetric part is exactly diag(d) with min d = 0.5 and many
-        # eigenvalues just above it, where iterative estimators stall short
-        n = 2500
-        rng = np.random.default_rng(16)
-        d = 0.5 + rng.uniform(0.0, 1.0, n) ** 3
-        d[rng.integers(n)] = 0.5
-        K = rng.standard_normal((n, n))
-        M = np.diag(d) + 0.1 * (K - K.T)
-        assert monotone_modulus(M) == pytest.approx(0.5, abs=n * np.finfo(float).eps)
-
-    def test_bit_identical_to_symmetric_part_and_m_untouched(self):
-        rng = np.random.default_rng(17)
-        # 257 and 600 are not multiples of the tile of the transposed add
-        for n in (1, 2, 7, 60, 257, 600):
-            M = rng.standard_normal((n, n))
-            op = AffineOperator(M, np.zeros(n))
-            before = op.M.copy()
-            assert operators._transpose_sum(M).tobytes() == (M + M.T).tobytes()
-            oracle = scipy.linalg.eigvalsh(0.5 * (M + M.T), subset_by_index=[0, 0])[0]
-            assert op.beta == oracle
-            np.testing.assert_array_equal(op.M, before)
-
-
-@pytest.fixture
-def eigvalsh_sizes(monkeypatch):
-    """The order of every matrix handed to scipy.linalg.eigvalsh."""
-    sizes = []
-    real = scipy.linalg.eigvalsh
-
-    def counted(a, *args, **kwargs):
-        sizes.append(np.shape(a)[0])
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", counted)
-    return sizes
-
-
-def scattered_blocks(sizes, rng, gap=0.0):
-    """M whose symmetric part is exactly symmetric blocks of the given sizes,
-    scattered by a random permutation, plus a skew part off the blocks.
-
-    Returns M and, per block, its coordinates in increasing order. gap is
-    added to the diagonal of every block but the first.
-    """
-    n = sum(sizes)
-    perm = rng.permutation(n)
-    S = np.zeros((n, n))
-    blocks, start = [], 0
-    for b, size in enumerate(sizes):
-        G = rng.standard_normal((size, size))
-        idx = perm[start:start + size]
-        S[np.ix_(idx, idx)] = 0.5 * (G + G.T) + (gap if b else 0.0) * np.eye(size)
-        blocks.append(np.sort(idx))
-        start += size
-    K = rng.standard_normal((n, n))
-    skew = K - K.T  # exactly skew: fl(a - b) = -fl(b - a)
-    skew[S != 0.0] = 0.0  # so fl(s + k) + fl(s - k) never rounds
-    np.fill_diagonal(skew, 0.0)
-    return S + skew, blocks
-
-
-class TestBlockModulus:
-    def test_diagonal_plus_skew_needs_no_eigensolve(self, monkeypatch):
-        def refused(*args, **kwargs):
-            raise AssertionError("dense eigensolve on an uncoupled symmetric part")
-
-        monkeypatch.setattr(scipy.linalg, "eigvalsh", refused)
-        rng = np.random.default_rng(71)
-        d = rng.uniform(-2.0, 3.0, 200)
-        K = rng.standard_normal((200, 200))
-        assert monotone_modulus(np.diag(d) + (K - K.T)) == d.min()
-
-    @pytest.mark.parametrize("lowest", range(4))
-    def test_scattered_blocks_one_eigensolve(self, lowest, eigvalsh_sizes):
-        sizes = [1, 3, 5, 40]
-        sizes.insert(0, sizes.pop(lowest))  # the first block holds beta
-        M, blocks = scattered_blocks(sizes, np.random.default_rng(72 + lowest), gap=8.0)
-        S = 0.5 * (M + M.T)
-        coupled = np.sort(np.concatenate([b for b in blocks if b.size > 1]))
-        (single,) = [b for b in blocks if b.size == 1]
-        expected = min(S[single[0], single[0]],
-                       scipy.linalg.eigvalsh(S[np.ix_(coupled, coupled)], subset_by_index=[0, 0])[0])
-        del eigvalsh_sizes[:]
-        beta = monotone_modulus(M)
-        assert beta == expected
-        assert eigvalsh_sizes == [coupled.size]
-        assert beta == pytest.approx(scipy.linalg.eigvalsh(S)[0], abs=1e-12)
-
-    def test_one_symmetric_pair_couples_two_coordinates(self, eigvalsh_sizes):
-        rng = np.random.default_rng(73)
-        n = 12
-        d = rng.uniform(1.0, 2.0, n)
-        K = rng.standard_normal((n, n))
-        M = np.diag(d) + (K - K.T)
-        i, j = 2, 9
-        M[i, j] = M[j, i] = 0.75  # symmetric, so the skew part there is gone
-        pair = [i, j]
-        S = 0.5 * (M + M.T)
-        expected = scipy.linalg.eigvalsh(S[np.ix_(pair, pair)], subset_by_index=[0, 0])[0]
-        del eigvalsh_sizes[:]
-        beta = monotone_modulus(M)
-        assert beta == min(expected, np.delete(d, pair).min())
-        assert eigvalsh_sizes == [2]
-        assert beta == pytest.approx(scipy.linalg.eigvalsh(S)[0], abs=1e-12)
-
-    @pytest.mark.parametrize("shift", [1.0, -1.0])
-    def test_polyhedral_reduction(self, shift, eigvalsh_sizes):
-        from conevi.transforms import PolyhedralVI, polyhedron_to_cone
-
-        rng = np.random.default_rng(74)
-        n, m = 12, 7
-        G = rng.standard_normal((n, n))
-        M = shift * np.eye(n) + 0.1 * (G + G.T) + (G - G.T)
-        layout = polyhedron_to_cone(PolyhedralVI(M, rng.standard_normal(n),
-                                                 rng.standard_normal((m, n)), np.zeros(m)))
-        sym = scipy.linalg.eigvalsh(0.5 * (M + M.T), subset_by_index=[0, 0])[0]
-        del eigvalsh_sizes[:]
-        assert layout.op.beta == min(0.0, sym)
-        assert eigvalsh_sizes == [n]
-
-    def test_zero_matrix(self):
-        assert monotone_modulus(np.zeros((5, 5))) == 0.0
-
-    def test_connected_pattern_keeps_the_dense_eigensolve(self, eigvalsh_sizes):
-        # a path couples every coordinate though most pairs are zero
-        n = 30
-        M = np.diag(np.linspace(1.0, 2.0, n)) + np.diag(np.full(n - 1, 0.4), k=1)
-        S = 0.5 * (M + M.T)
-        expected = scipy.linalg.eigvalsh(S, subset_by_index=[0, 0])[0]
-        del eigvalsh_sizes[:]
-        assert monotone_modulus(M) == expected
-        assert eigvalsh_sizes == [n]
-
-
-class TestExtremeModulus:
-    @pytest.mark.parametrize("M", [1e308 * np.diag([1.5, 1.0]),
-                                   [[1e308, 1.7e308], [-1.7e308, 1e308]]])
-    def test_entries_near_the_largest_double(self, M):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert monotone_modulus(M) == 1e308
-
-    @pytest.mark.parametrize("scale", [1e308, 1e200, 1e-300])
-    def test_coupled_extremes_match_the_scaled_matrix(self, scale):
-        M = scale * np.array([[1.5, 0.6], [0.2, -0.25]])
-        shift = -math.frexp(1.5 * scale)[1]  # brings the largest entry into [1/2, 1)
-        A = np.ldexp(M, shift)
-        S = 0.5 * (A + A.T)
-        expected = math.ldexp(scipy.linalg.eigvalsh(S, subset_by_index=[0, 0])[0], -shift)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert monotone_modulus(M) == expected
-
-    def test_below_the_largest_double_is_minus_inf(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert monotone_modulus(np.full((2, 2), -1.5e308)) == -math.inf
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_entries_raise_without_warnings(bad):
     M = np.eye(3)
@@ -260,61 +345,8 @@ def test_operator_constants_go_through_the_public_functions(monkeypatch):
         real = getattr(operators, name)
         monkeypatch.setattr(operators, name,
                             lambda M, real=real, name=name: calls.append(name) or real(M))
-    M = random_spd_plus_skew(20, np.random.default_rng(75))
-    AffineOperator(M, np.zeros(20)).contraction()
+    AffineOperator(spd_plus_skew(20, 75), np.zeros(20)).contraction()
     assert calls == ["monotone_modulus", "lipschitz_constant"]
-
-
-class TestLipschitzConstant:
-    def test_diagonal(self):
-        assert lipschitz_constant(np.diag([1.0, 3.0])) == pytest.approx(3.0, rel=1e-10)
-
-    def test_identity(self):
-        assert lipschitz_constant(np.eye(4)) == pytest.approx(1.0, rel=1e-10)
-
-    def test_shear_matches_svd_oracle(self):
-        # M^T M = [[1,2],[2,5]]: eigenvalues 3 +- 2*sqrt(2), so the top
-        # singular value is sqrt(3 + 2*sqrt(2)) = 1 + sqrt(2)
-        M = [[1.0, 2.0], [0.0, 1.0]]
-        _, hi = sym_eig_2x2([[1.0, 2.0], [2.0, 5.0]])
-        oracle = math.sqrt(hi)
-        assert oracle == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
-        assert oracle == pytest.approx(np.linalg.svd(np.asarray(M), compute_uv=False)[0], rel=1e-13)
-        got = lipschitz_constant(M)
-        assert got == pytest.approx(2.414213562373095, rel=1e-10)
-        assert got >= oracle * (1 - 1e-12)
-
-    def test_upper_bounds_random_directions(self):
-        rng = np.random.default_rng(12)
-        M = rng.standard_normal((40, 40))
-        L = lipschitz_constant(M)
-        for _ in range(1000):
-            x = rng.standard_normal(40)
-            x /= np.linalg.norm(x)
-            assert np.linalg.norm(M @ x) <= L * (1 + 1e-10)
-
-    def test_upper_bounds_svds_witness_on_bench_instance(self):
-        # I + c*S with S skew: the singular values of M crowd at the top, where
-        # an iterative estimate of ||M|| stalls below it
-        op, _, _ = _bench_instance(3000, 10, 0)
-        n = op.dim
-        _, _, vt = scipy.sparse.linalg.svds(op.M, k=1, random_state=0)
-        v = vt[0]
-        witness = np.linalg.norm(op.M @ v) / np.linalg.norm(v)
-        assert lipschitz_constant(op.M) >= witness * (1 - n * np.finfo(float).eps)
-
-
-def _certificate_cases():
-    rng = np.random.default_rng(18)
-    G = rng.standard_normal((50, 50))
-    jordan = 2.0 * np.eye(40) + np.eye(40, k=1)
-    return {
-        "random": rng.standard_normal((60, 60)),
-        "rank_deficient": rng.standard_normal((70, 3)) @ rng.standard_normal((3, 70)),
-        "psd": G.T @ G,
-        "jordan_block": jordan,
-        "skew_saddle": _bench_instance(400, 10, 0)[0].M,
-    }
 
 
 @pytest.fixture
@@ -333,35 +365,6 @@ def potrf_infos(monkeypatch):
 
 
 class TestCertifiedLipschitz:
-    @pytest.mark.parametrize("name", sorted(_certificate_cases()))
-    def test_upper_bounds_top_singular_value(self, name):
-        M = _certificate_cases()[name]
-        assert lipschitz_constant(M) >= scipy.linalg.svdvals(M)[0]
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
-    def test_within_1e12_of_svd_for_small_n(self, n):
-        rng = np.random.default_rng(19 + n)
-        for M in (rng.standard_normal((n, n)), random_spd_plus_skew(n, rng)):
-            sigma = np.linalg.svd(M, compute_uv=False)[0]
-            L = lipschitz_constant(M)
-            assert sigma <= L <= sigma * (1 + 1e-12)
-
-    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
-    def test_extreme_scales_match_svd(self, scale):
-        M = scale * np.array([[2.0, 1.0], [0.0, 2.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            L = lipschitz_constant(M)
-        sigma = np.linalg.svd(M, compute_uv=False)[0]
-        assert sigma <= L <= sigma * (1 + 1e-12)
-
-    def test_zero_matrix(self):
-        assert lipschitz_constant(np.zeros((4, 4))) == 0.0
-
-    def test_deterministic(self):
-        M = _bench_instance(300, 10, 1)[0].M
-        assert lipschitz_constant(M) == lipschitz_constant(M)
-
     @pytest.mark.parametrize("fraction", [0.0, 0.5])
     def test_low_estimate_is_moved_up_until_it_certifies(self, fraction, potrf_infos):
         rng = np.random.default_rng(20)
@@ -387,71 +390,6 @@ class TestCertifiedLipschitz:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
         M = np.random.default_rng(21).standard_normal((300, 300))
         assert lipschitz_constant(M) >= scipy.linalg.svdvals(M)[0]
-
-
-def contraction_of(M):
-    """Operator.contraction() of F(x) = Mx."""
-    M = np.asarray(M, dtype=float)
-    return AffineOperator(M, np.zeros(M.shape[0])).contraction()
-
-
-class TestContractionParams:
-    def test_scaled_identity(self):
-        p = contraction_of(2.0 * np.eye(3))
-        assert p.beta == pytest.approx(2.0, rel=1e-12)
-        assert p.lipschitz == pytest.approx(2.0, rel=1e-12)
-        assert p.alpha == pytest.approx(0.5, rel=1e-10)
-        assert p.gamma == pytest.approx(0.0, abs=1e-7)
-
-    def test_paper_step_rule_on_diag(self):
-        p = contraction_of(np.diag([1.0, 2.0]))
-        assert p.beta == pytest.approx(1.0, rel=1e-12)
-        assert p.lipschitz == pytest.approx(2.0, rel=1e-10)
-        assert p.alpha == pytest.approx(0.25, rel=1e-9)
-        assert p.gamma == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-9)
-
-    def test_skew_rejected(self):
-        with pytest.raises(NotStronglyMonotone) as exc:
-            contraction_of([[0.0, -1.0], [1.0, 0.0]])
-        assert exc.value.beta == pytest.approx(0.0, abs=1e-12)
-
-    def test_refused_before_lipschitz_is_read(self, monkeypatch):
-        # beta <= 0 is refused before L is computed: a skew operator (beta = 0)
-        # and a polyhedral reduction, whose dense .M is then never built
-        def no_lipschitz(M):
-            raise AssertionError("L computed for a refused operator")
-
-        monkeypatch.setattr(operators, "lipschitz_constant", no_lipschitz)
-        rng = np.random.default_rng(15)
-        skew = AffineOperator([[0.0, -1.0], [1.0, 0.0]], np.zeros(2))
-        reduction = polyhedron_to_cone(PolyhedralVI(np.eye(3), np.zeros(3),
-                                                    rng.standard_normal((4, 3)), np.ones(4))).op
-        for op in (skew, reduction):
-            with pytest.raises(NotStronglyMonotone):
-                op.contraction()
-        assert "M" not in vars(reduction)
-
-    def test_contraction_law_holds(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            M = random_spd_plus_skew(50, rng)
-            p = contraction_of(M)
-            T = np.eye(50) - p.alpha * M
-            for _ in range(100):
-                x = rng.standard_normal(50)
-                y = rng.standard_normal(50)
-                assert np.linalg.norm(T @ (x - y)) <= p.gamma * np.linalg.norm(x - y) + 1e-12
-
-    def test_scale_consistency(self):
-        rng = np.random.default_rng(14)
-        M = random_spd_plus_skew(20, rng)
-        base = contraction_of(M)
-        for c in (2.0, 0.5, 3.7):
-            scaled = contraction_of(c * M)
-            assert scaled.beta == pytest.approx(c * base.beta, rel=1e-12)
-            assert scaled.lipschitz == pytest.approx(c * base.lipschitz, rel=1e-12)
-            assert scaled.alpha == pytest.approx(base.alpha / c, rel=1e-12)
-            assert scaled.gamma == pytest.approx(base.gamma, rel=1e-12)
 
 
 class TestIterationBound:

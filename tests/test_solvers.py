@@ -348,6 +348,13 @@ class TestBoundReport:
             bound_report(op, orthant(2), orthonormalize(np.eye(2)),
                          SolveConfig(alpha_override=3.0))
 
+    def test_override_step_whose_gamma_overflows_refused(self):
+        # (alpha L)**2 overflows at alpha = 1e300: gamma is inf, not an OverflowError
+        op = AffineOperator(np.eye(2), np.zeros(2))
+        with pytest.raises(NotStronglyMonotone):
+            bound_report(op, orthant(2), orthonormalize(np.eye(2)),
+                         SolveConfig(alpha_override=1e300))
+
     def test_refused_before_any_solve(self):
         # alpha = 1 gives gamma = 3.87 here; the exact solve used to run its
         # 10000-step cap before the refusal
