@@ -325,7 +325,8 @@ class Operator:
         it. Where L lies outside [2**-511, 2**511), where L**2 could
         overflow or turn subnormal, beta and L are first scaled by the one
         power of two that brings L into [1/2, 1), and alpha is scaled back;
-        inside, alpha is beta/L**2 bit for bit.
+        inside, alpha is beta/L**2 bit for bit. ValueError naming beta and L
+        when alpha exceeds the largest double.
         """
         beta = self.beta
         if beta <= 0.0:
@@ -335,7 +336,11 @@ class Operator:
             raise ValueError("Lipschitz constant must be positive")
         _, e = math.frexp(lip)
         shift = 0 if -510 <= e <= 511 else e
-        alpha = math.ldexp(math.ldexp(beta, -shift) / math.ldexp(lip, -shift) ** 2, -shift)
+        try:
+            alpha = math.ldexp(math.ldexp(beta, -shift) / math.ldexp(lip, -shift) ** 2, -shift)
+        except OverflowError:
+            raise ValueError(f"step size alpha = beta/L**2 overflows a double: beta = {beta!r}, "
+                             f"L = {lip!r}") from None
         return ContractionParams(beta=beta, lipschitz=lip, alpha=alpha,
                                  gamma=_gamma(alpha, beta, lip))
 

@@ -188,8 +188,8 @@ def _fixed_point(op: Operator, cone: SeparableCone, basis: Basis | None, P,
     alpha F with no basis and _span_step's G_S with one. A point
     v = x - G(x) with a NaN or infinite entry ends the run before P sees
     it, whatever P is: the step is logged as NaN, x stays the last iterate,
-    and the run is reported unconverged, not raised. With cfg.trace every
-    iterate x_t is logged.
+    and the run is reported unconverged, not raised; the overflow or NaN on
+    the way there does not warn. With cfg.trace every iterate x_t is logged.
     """
     cfg = cfg or SolveConfig()
     _check_dims(op, cone, basis)
@@ -198,18 +198,19 @@ def _fixed_point(op: Operator, cone: SeparableCone, basis: Basis | None, P,
     x = np.zeros(cone.dim)
     step_norms: list[float] = []
     iterates = [x] if cfg.trace else None
-    for _ in range(_max_iter(cfg, gamma)):
-        v = x - G(x)
-        if not math.isfinite(_max_abs(v)):
-            step_norms.append(math.nan)
-            break
-        x_new = P(v)
-        step_norms.append(float(np.linalg.norm(x_new - x)))
-        x = x_new
-        if iterates is not None:
-            iterates.append(x)
-        if not step_norms[-1] > cfg.tol:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_max_iter(cfg, gamma)):
+            v = x - G(x)
+            if not math.isfinite(_max_abs(v)):
+                step_norms.append(math.nan)
+                break
+            x_new = P(v)
+            step_norms.append(float(np.linalg.norm(x_new - x)))
+            x = x_new
+            if iterates is not None:
+                iterates.append(x)
+            if not step_norms[-1] > cfg.tol:
+                break
     return SolveReport(x=x, gamma=gamma, alpha=alpha, converged=step_norms[-1] <= cfg.tol,
                        step_norms=step_norms, iterates=iterates), G
 
@@ -217,9 +218,10 @@ def _fixed_point(op: Operator, cone: SeparableCone, basis: Basis | None, P,
 def _residual_in(F, x: np.ndarray, project) -> float:
     """projective._residual of x in the VI of F over the set that project
     maps onto, with F(0) read as F.q for an AffineOperator and evaluated
-    otherwise."""
-    y0 = F.q if isinstance(F, AffineOperator) else F(np.zeros(x.size))
-    return projective._residual(x, F(x), y0, project)
+    otherwise; NaN, with no warning, where F(x) overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y0 = F.q if isinstance(F, AffineOperator) else F(np.zeros(x.size))
+        return projective._residual(x, F(x), y0, project)
 
 
 def _span_step(op: Operator, basis: Basis, alpha: float):
@@ -234,13 +236,9 @@ def _span_step(op: Operator, basis: Basis, alpha: float):
         F = projective.build_projective(op, basis, alpha)
         return lambda x: F @ x + F.q
 
-    def G(x):
-        # an infinite alpha F(x) meets a zero of Q as inf * 0: the NaN that
-        # _fixed_point stops on (and an overflow the inf it stops on)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return x - basis.project_span(x - alpha * op(x))
-
-    return G
+    # an infinite alpha F(x) meets a zero of Q as inf * 0: the NaN that
+    # _fixed_point stops on (and an overflow the inf it stops on)
+    return lambda x: x - basis.project_span(x - alpha * op(x))
 
 
 def solve_exact(op: Operator, cone: SeparableCone, cfg: SolveConfig | None = None) -> SolveReport:
@@ -408,7 +406,8 @@ def solve_galerkin(op: Operator, cone: SeparableCone, basis: Basis,
     of that pair attached.
     """
     rep, G = _fixed_point(op, cone, basis, cone.project, cfg)
-    rep.z = rep.x - G(rep.x)
+    with np.errstate(over="ignore", invalid="ignore"):  # G(x) may overflow, as in the steps
+        rep.z = rep.x - G(rep.x)
     rep.x = cone.project(rep.z)
     rep.certificate = certify(op, cone, basis, rep.x, rep.z, rep.alpha)
     rep.residual = _residual_in(G, rep.x, cone.project)

@@ -18,8 +18,8 @@ the contraction solvers refuse it, and the interior-point path (which only
 needs monotonicity) applies.
 
 The reduction's operator keeps M, A, q and b as they are, and so do the
-equality rows E x = e that a later eliminate_equalities puts on the x block
-alone (the variables are then (s, x, lambda, mu)). It applies the block
+equality rows E x = e that later eliminate_equalities calls put on the x
+block alone (the variables are then (s, x, lambda, mu)). It applies the block
 matrix and finds beta in O(n^2 + mn + pn) for p equality rows; the dense
 (2m + n + p)^2 array is written only when a caller reads op.M.
 conevi.projective keeps the operator for a full-span basis, and each
@@ -98,11 +98,12 @@ class _PolyhedralOperator(AffineOperator):
 
         N u = (lambda, M x - A^T lambda - E^T mu, A x - s, E x),
 
-    E the p x n equality rows on x (p = 0 when there are none). M, A and E
-    are shared, not copied. N u, F(u) and beta cost O(n^2 + mn + pn). The
-    dense N is written on the first read of .M: the blocks in a zero array,
-    and E as eliminate_equalities' dense form writes it, whose -E^T leaves
-    -0.0 in the rows off x. L is computed from it.
+    E the p x n equality rows on x (p = 0 when there are none): the rows of
+    every eliminate_equalities call, each zero off x. M, A and E are
+    shared, not copied. N u, F(u) and beta cost O(n^2 + mn + pn). The dense
+    N is written on the first read of .M, the blocks in a zero array: in
+    value the matrix eliminate_equalities' dense assembly writes. L is
+    computed from it.
     """
 
     def __init__(self, M_x: np.ndarray, A: np.ndarray, E: np.ndarray, q: np.ndarray):
@@ -138,10 +139,8 @@ class _PolyhedralOperator(AffineOperator):
         i = np.arange(m)
         big[i, m + n + i] = 1.0
         big[m + n + i, i] = -1.0
-        if self.E.shape[0]:
-            big[:k, k:] = -0.0  # eliminate_equalities writes -E^T of E's zeros
-            big[x, k:] = -self.E.T
-            big[k:, x] = self.E
+        big[x, k:] = -self.E.T
+        big[k:, x] = self.E
         return big
 
     @cached_property
@@ -225,11 +224,6 @@ class _PolyhedralOperator(AffineOperator):
         return solve
 
 
-def _positive_zeros(a: np.ndarray) -> bool:
-    """Whether every entry of a is +0.0 (no -0.0 either)."""
-    return not (a.any() or np.signbit(a).any())
-
-
 def eliminate_equalities(op: AffineOperator, A, b, cone: SeparableCone) -> ConicProgramLayout:
     """Replace the equality constraints Ax = b by Lagrange multipliers.
 
@@ -237,9 +231,10 @@ def eliminate_equalities(op: AffineOperator, A, b, cone: SeparableCone) -> Conic
     offset (q, -b), over cone x Free(m). ValueError naming A or b when it
     has the wrong shape or a NaN or infinite entry.
 
-    On the operator of polyhedron_to_cone, rows that are +0.0 off its x
-    block are kept as the p x n equality rows on x, and no dense matrix is
-    formed; any other op is assembled densely.
+    On a polyhedral reduction's operator (polyhedron_to_cone's, or one this
+    function returned for it), rows that are zero, of either sign, off the
+    x block are appended to its equality rows on x, and no dense matrix is
+    formed; any other input is assembled densely.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = op.dim
@@ -263,11 +258,11 @@ def eliminate_equalities(op: AffineOperator, A, b, cone: SeparableCone) -> Conic
     big_q = np.concatenate([op.q, -b])
     big_cone = SeparableCone(cone.segments + (Segment(SegmentKind.FREE, m),))
     variable_map = {"y": (0, n), "lambda": (n, n + m)}
-    if isinstance(op, _PolyhedralOperator) and not op.E.shape[0]:
+    if isinstance(op, _PolyhedralOperator):
         x = slice(op.m, op.m + op.n)
-        if _positive_zeros(A[:, :x.start]) and _positive_zeros(A[:, x.stop:]):
-            return ConicProgramLayout(cone=big_cone,
-                                      op=_PolyhedralOperator(op.M_x, op.A, A[:, x].copy(), big_q),
+        if not (A[:, :x.start].any() or A[:, x.stop:].any()):
+            E = np.vstack([op.E, A[:, x]])
+            return ConicProgramLayout(cone=big_cone, op=_PolyhedralOperator(op.M_x, op.A, E, big_q),
                                       variable_map=variable_map)
 
     big_M = np.zeros((n + m, n + m))

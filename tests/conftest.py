@@ -25,17 +25,28 @@ def perfbench_module(monkeypatch, name: str):
         sys.modules.pop(name, None)
 
 
-def reduction(M, q, A, b, E=None, e=None):
+def equality_rows(op, cone, m, E, e, sign=1.0, calls=1):
+    """op and cone after eliminate_equalities with the rows E x = e on the
+    block x = [m, m + n) of the variables, zero elsewhere, split over
+    `calls` calls, and each call's rows and right-hand side multiplied by
+    sign (so sign = -1 writes -0.0 off the x block)."""
+    e = np.asarray(e, dtype=float)
+    for i in np.array_split(np.arange(e.size), calls):
+        rows = np.zeros((i.size, cone.dim))
+        rows[:, m:m + E.shape[1]] = E[i]
+        eq = eliminate_equalities(op, sign * rows, sign * e[i], cone)
+        op, cone = eq.op, eq.cone
+    return op, cone
+
+
+def reduction(M, q, A, b, E=None, e=None, sign=1.0, calls=1):
     """The operator and cone of polyhedron_to_cone on VI(Mx + q, {Ax + b >= 0}),
-    with the equality rows E x = e on x through eliminate_equalities. x is
-    the block [m, m + n) of the reduced variables, m = len(b)."""
+    with the equality rows E x = e on x as equality_rows gives them. x is the
+    block [m, m + n) of the reduced variables, m = len(b)."""
     layout = polyhedron_to_cone(PolyhedralVI(M, q, A, b))
     if E is None:
         return layout.op, layout.cone
-    rows = np.zeros((E.shape[0], layout.cone.dim))
-    rows[:, A.shape[0]:A.shape[0] + A.shape[1]] = E
-    eq = eliminate_equalities(layout.op, rows, e, layout.cone)
-    return eq.op, eq.cone
+    return equality_rows(layout.op, layout.cone, len(b), E, e, sign, calls)
 
 
 def full_spans(n, rng):

@@ -97,8 +97,7 @@ class TestSolve:
         assert code == 1
 
     # at --alpha 1e300 gamma is inf, and the run stops on its first non-finite
-    # step; the steps warn, since F is evaluated outside np.errstate
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # step, with no warning on the way
     @pytest.mark.parametrize("method", ["exact", "galerkin"])
     def test_step_whose_gamma_overflows_ends_unconverged(self, method, problem_file, basis_file,
                                                          capsys):

@@ -98,6 +98,15 @@ def benchmark_equalities():
             None)
 
 
+def benchmark_later_elimination():
+    """benchmark(1) with its 20 equality rows given as -E x = -e over two
+    eliminations: a block operator that a later elimination built."""
+    with pytest.MonkeyPatch.context() as mp:
+        vi = perfbench_module(mp, "inputs").poly_instance(1, 1)
+    singular = reduction(ZERO, [0.0], ZERO, [0.0], np.zeros((2, 1)), [0.0, 0.0], -1.0, 2)[0]
+    return (*reduction(**vi, sign=-1.0, calls=2), (singular, np.ones(5)), None)
+
+
 def eliminated():
     op, _ = generate_instance(20, 2, 1.0, 2.0, seed=6)
     rng = np.random.default_rng(6)
@@ -108,7 +117,7 @@ def eliminated():
 
 
 CASES = [dense, gaussian_basis, aggregation_basis, square_q, benchmark_slacks,
-         benchmark_equalities, eliminated]
+         benchmark_equalities, benchmark_later_elimination, eliminated]
 BELOW_RANK_N = [gaussian_basis, aggregation_basis]  # the cases that carry their (op, basis)
 
 

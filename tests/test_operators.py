@@ -13,10 +13,12 @@ S = (M + M^T)/2, each property holds on every case it takes:
   entry); test_scale_free (beta and L of cM are c beta and c L bit for
   bit, c = 1 included, contraction() keeps gamma and c alpha, nothing
   warns, and M is left as it was); test_contraction_law (alpha = beta/L^2,
-  gamma^2 = 1 - beta^2/L^2, ||(I - alpha M) v|| <= gamma ||v||, and
-  NotStronglyMonotone exactly when beta <= 0, before L is read).
+  gamma^2 = 1 - beta^2/L^2, ||(I - alpha M) v|| <= gamma ||v||,
+  NotStronglyMonotone exactly when beta <= 0, before L is read, and a
+  ValueError naming beta and L where alpha exceeds the largest double).
 """
 import math
+import re
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -132,6 +134,8 @@ MATRICES = {
     **{f"coupled_{c:g}": (2, 2, lambda c=c: c * np.array([[1.5, 0.6], [0.2, -0.25]]))
        for c in (1e308, 1e200, 1e-300)},
     "max_fill": (2, 2, lambda: np.full((2, 2), -1.5e308)),  # beta below minus the largest double
+    # subnormal: alpha = beta/L**2 is about 1e310, above the largest double
+    "subnormal_identity": (2, 0, lambda: 1e-310 * np.eye(2)),
     "crowded_2500": (2500, 0, crowded_bottom_edge),
     # I + c K, K skew: singular values crowd at the top, where an iterative
     # estimate of ||M||_2 stalls below it
@@ -204,6 +208,17 @@ def contraction_of(M):
     return AffineOperator(M, np.zeros(M.shape[0])).contraction()
 
 
+def alpha_overflows(beta, lip):
+    """Whether beta/L**2 exceeds the largest double, exactly."""
+    return Fraction(beta) / Fraction(lip) ** 2 > BIG
+
+
+def refused_for_overflow(op, beta, lip):
+    message = f"overflows a double: beta = {beta!r}, L = {lip!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        op.contraction()
+
+
 # -- the properties --------------------------------------------------------------
 
 @pytest.mark.parametrize("case", CASES[:-1], indirect=True)
@@ -252,7 +267,9 @@ def test_beta_route(case):
 def test_scale_free(case):
     A = np.ldexp(case.M, case.k)  # what monotone_modulus adds to its transpose
     assert operators._transpose_sum(A).tobytes() == (A + A.T).tobytes()
-    base = contraction_of(case.M) if case.beta > 0.0 and case.lip < math.inf else None
+    base = None
+    if case.beta > 0.0 and case.lip < math.inf and not alpha_overflows(case.beta, case.lip):
+        base = contraction_of(case.M)
     for c in SCALES if 2.0**-300 <= np.abs(case.M).max() <= 2.0**300 else (1.0,):
         op = AffineOperator(c * case.M, np.zeros(case.n))
         with warnings.catch_warnings():
@@ -268,12 +285,17 @@ def test_scale_free(case):
     np.testing.assert_array_equal(case.M, case.before)
 
 
-@pytest.mark.parametrize("beta, lip", [(1e-200, 2e-200), (1e200, 2e200)])
+@pytest.mark.parametrize("beta, lip", [(1e-200, 2e-200), (1e200, 2e200), (5e-324, 5e-324)])
 def test_declared_constants_are_scale_free(beta, lip):
+    # until alpha = beta/L**2 exceeds the largest double, where it is refused
     base = CallableOperator(lambda x: x, 2, 1.0, 2.0).contraction()
+    op = CallableOperator(lambda x: x, 2, beta, lip)
+    if alpha_overflows(beta, lip):
+        refused_for_overflow(op, beta, lip)
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p = CallableOperator(lambda x: x, 2, beta, lip).contraction()
+        p = op.contraction()
     assert p.gamma == pytest.approx(base.gamma, rel=1e-12)
     assert beta * p.alpha == pytest.approx(base.alpha, rel=1e-12)
 
@@ -289,6 +311,9 @@ def test_contraction_law(case, monkeypatch):
     if case.lip == math.inf:
         with pytest.raises(OverflowError):  # as lipschitz_constant documents
             contraction_of(case.M)
+        return
+    if alpha_overflows(case.beta, case.lip):
+        refused_for_overflow(AffineOperator(case.M, np.zeros(case.n)), case.beta, case.lip)
         return
     p = contraction_of(case.M)
     assert (p.beta, p.lipschitz) == (case.beta, case.lip)

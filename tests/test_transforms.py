@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import equality_rows, reduction
 from conevi.basis import orthonormalize
 from conevi.cones import SegmentKind, Segment, SeparableCone, free, orthant
 from conevi.generate import generate_instance
@@ -8,7 +9,6 @@ from conevi.operators import AffineOperator, monotone_modulus
 from conevi.projective import IpmConfig, build_projective, solve_ipm, verify_pd
 from conevi.solvers import solve_exact
 from conevi.transforms import (
-    ConicProgramLayout,
     PolyhedralVI,
     _PolyhedralOperator,
     eliminate_equalities,
@@ -183,30 +183,59 @@ class TestBlockOperator:
         return PolyhedralVI(G - 0.5 * G.T, rng.standard_normal(n), rng.standard_normal((m, n)),
                             rng.standard_normal(m)), rng
 
-    @pytest.mark.parametrize("n, m, p", [(6, 6, 0), (7, 3, 2), (3, 8, 4), (4, 2, 1)])
-    def test_matches_the_dense_operator(self, n, m, p):
-        # the same F and beta from the blocks, the same bits in .M once read,
-        # also after eliminate_equalities with rows on the x block
+    @staticmethod
+    def solvable(vi, E, rng):
+        """A VI with vi's A and the rows E x = e whose solution solve_ipm
+        finds and which is unique for these shapes: M = I plus vi.M's skew
+        part, and a planted KKT point with about half of A's rows active."""
+        m, n = vi.A.shape
+        M = np.eye(n) + (vi.M - vi.M.T)
+        x, nu = rng.standard_normal(n), rng.standard_normal(len(E))
+        active = rng.random(m) < 0.5
+        lam = np.where(active, rng.uniform(0.1, 1.0, m), 0.0)
+        b = np.where(active, 0.0, rng.uniform(0.1, 1.0, m)) - vi.A @ x
+        return PolyhedralVI(M, vi.A.T @ lam + E.T @ nu - M @ x, vi.A, b), E @ x
+
+    @pytest.mark.parametrize("n, m, p, form", [
+        *(pytest.param(n, m, p, "one_call", id=f"{n}-{m}-{p}")
+          for n, m, p in ((6, 6, 0), (7, 3, 2), (3, 8, 4), (4, 2, 1))),
+        *((n, m, p, form) for n, m, p in ((7, 3, 2), (8, 5, 3)) for form in ("negated", "split")),
+    ])
+    def test_matches_the_dense_operator(self, n, m, p, form):
+        # the same F, beta and .M (in value: the dense assembly writes -0.0
+        # where -E^T has a +0.0) from the blocks, also after eliminate_equalities
+        # with rows on the x block, in one call, negated or over two calls
         vi, rng = self.problem(n, m, seed=90 + n + m + p)
-        got = polyhedron_to_cone(vi)
-        ref = ConicProgramLayout(got.cone, dense_reduction(vi), got.variable_map)
+        layout = polyhedron_to_cone(vi)
+        got, ref, cone = layout.op, dense_reduction(vi), layout.cone
+        rows = {"one_call": (1.0, 1), "negated": (-1.0, 1), "split": (1.0, 2)}[form]
         if p:
-            E = np.zeros((p, 2 * m + n))
-            E[:, m:m + n] = rng.standard_normal((p, n))
-            e = rng.standard_normal(p)
-            got = eliminate_equalities(got.op, E, e, got.cone)
-            ref = eliminate_equalities(ref.op, E, e, ref.cone)
-        assert isinstance(got.op, _PolyhedralOperator) and type(ref.op) is AffineOperator
-        assert got.cone == ref.cone and got.op.dim == ref.op.dim == 2 * m + n + p
-        u = rng.standard_normal(got.op.dim)
-        np.testing.assert_allclose(got.op(u), ref.op(u), rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(got.op @ u, ref.op.M @ u, rtol=1e-14, atol=1e-14)
-        assert got.op.beta == ref.op.beta <= 0.0
-        plcp = build_projective(got.op, orthonormalize(np.eye(got.op.dim)))
-        assert plcp is got.op and verify_pd(plcp) == got.op.beta
-        assert "M" not in vars(got.op)
-        assert got.op.M.tobytes() == ref.op.M.tobytes()
-        assert got.op.q.tobytes() == ref.op.q.tobytes()
+            E, e = rng.standard_normal((p, n)), rng.standard_normal(p)
+            (got, cone), (ref, ref_cone) = (equality_rows(op, cone, m, E, e, *rows)
+                                            for op in (got, ref))
+            assert cone == ref_cone
+        assert isinstance(got, _PolyhedralOperator) and type(ref) is AffineOperator
+        assert got.dim == ref.dim == 2 * m + n + p
+        u = rng.standard_normal(got.dim)
+        np.testing.assert_allclose(got(u), ref(u), rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(got @ u, ref.M @ u, rtol=1e-14, atol=1e-14)
+        assert got.beta == ref.beta <= 0.0
+        plcp = build_projective(got, orthonormalize(np.eye(got.dim)))
+        assert plcp is got and verify_pd(plcp) == got.beta
+        assert "M" not in vars(got)
+        np.testing.assert_array_equal(got.M, ref.M)
+        if not p:
+            assert got.M.tobytes() == ref.M.tobytes()
+        assert got.q.tobytes() == ref.q.tobytes()
+        if form != "one_call":
+            # the same solution as the rows E x = e in one call, up to the
+            # sign of the multipliers of negated rows
+            vi, e = self.solvable(vi, E, rng)
+            one = solve_ipm(*reduction(vi.M, vi.q, vi.A, vi.b, E, e))
+            rep = solve_ipm(*reduction(vi.M, vi.q, vi.A, vi.b, E, e, *rows))
+            assert one.converged and rep.converged
+            rep.x[2 * m + n:] *= rows[0]
+            assert np.abs(rep.x - one.x).max() <= 1e-10
 
     @pytest.mark.parametrize("diag", [[2.0, 1.0, 3.0], [2.0, -1.5, 3.0]])
     def test_beta_of_an_uncoupled_m(self, diag):
@@ -216,24 +245,26 @@ class TestBlockOperator:
         assert op.beta == min(0.0, min(diag)) == monotone_modulus(dense_reduction(vi).M)
 
     def test_rows_off_the_x_block_are_assembled_densely(self):
-        # a nonzero or a -0.0 in an s or lambda column, or rows added to
-        # rows already kept: the dense assembly, as for any operator
+        # a nonzero in an s or mu column: the dense assembly, as for any
+        # operator; a zero of either sign there, also in rows added to rows
+        # already kept, keeps the blocks. .M is the dense one in value
         vi, rng = self.problem(4, 3, seed=97)
         layout = polyhedron_to_cone(vi)
         E = np.zeros((2, 10))
         E[:, 3:7] = rng.standard_normal((2, 4))
         kept = eliminate_equalities(layout.op, E, np.zeros(2), layout.cone)
         assert isinstance(kept.op, _PolyhedralOperator)
-        for col, value, (op, cone) in ((0, 1.0, (layout.op, layout.cone)),
-                                       (8, -0.0, (layout.op, layout.cone)),
-                                       (11, 0.0, (kept.op, kept.cone))):
-            F = np.zeros((1, cone.dim))
+        for col, value, base, route in ((0, 1.0, layout, AffineOperator),
+                                        (11, 1.0, kept, AffineOperator),
+                                        (8, -0.0, layout, _PolyhedralOperator),
+                                        (11, 0.0, kept, _PolyhedralOperator)):
+            F = np.zeros((1, base.cone.dim))
             F[0, 3:7] = 1.0
             F[0, col] = value
-            got = eliminate_equalities(op, F, [1.0], cone)
-            ref = eliminate_equalities(AffineOperator(op.M, op.q), F, [1.0], cone)
-            assert type(got.op) is AffineOperator
-            assert got.op.M.tobytes() == ref.op.M.tobytes()
+            got = eliminate_equalities(base.op, F, [1.0], base.cone)
+            ref = eliminate_equalities(AffineOperator(base.op.M, base.op.q), F, [1.0], base.cone)
+            assert type(got.op) is route
+            np.testing.assert_array_equal(got.op.M, ref.op.M)
 
 
 class TestValidation:
