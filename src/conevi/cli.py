@@ -122,7 +122,7 @@ def _cmd_solve(args) -> int:
             report = solve_bertsekas(op, cone, basis, cfg)
         else:
             report = solve_galerkin(op, cone, basis, cfg)
-        own = [("step", report.step_norms[-1]), ("gamma", report.gamma)]
+        own = [("gamma", report.gamma)]
         if report.z is not None:
             own.append(("z", report.z))
         cert = report.certificate
@@ -137,7 +137,7 @@ def _cmd_solve(args) -> int:
            ("x", report.x)], args.format)
     if args.trace:
         rows = report.trace_rows()
-        _write(args.trace, "".join(f"{t}\t{_fmt(step)}\t{_fmt(dist)}\n" for t, step, dist in rows))
+        _write(args.trace, "".join(f"{t}\t{_fmt(rho)}\t{_fmt(dist)}\n" for t, rho, dist in rows))
     return 0 if report.converged else 1
 
 
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--alpha", type=_step_size,
                          help="override the step size derived from beta and L "
                               "(ipm on a full-span basis ignores it)")
-    p_solve.add_argument("--trace", help="write (t, step_norm, distance_to_final) rows "
+    p_solve.add_argument("--trace", help="write (t, residual, distance_to_final) rows "
                                          "here (rejected by ipm)")
     add_format(p_solve)
     p_solve.set_defaults(func=_cmd_solve)

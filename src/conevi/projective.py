@@ -160,8 +160,8 @@ class IpmReport:
     finishes tried and finish_accepted says whether one ended the solve.
     residual is the natural residual of the returned x in CP(F, K) (see
     _residual), with y = F @ x + F.q: ||min(x_B, y_B), y_F||_inf over
-    1 + ||F.q||_inf, 0 on the zero rows. It is in the units of F, so of the
-    reduced problem when F is one.
+    ||x||_inf + ||F.q||_inf, 0 on the zero rows. It is unchanged when F is
+    multiplied by c > 0, and when x and F.q scale together.
     """
 
     x: np.ndarray
@@ -178,19 +178,16 @@ class IpmReport:
         return len(self.history) + 1
 
 
-def _residual(x: np.ndarray, y: np.ndarray, y0: np.ndarray,
-              project: Callable[[np.ndarray], np.ndarray]) -> float:
-    """The natural residual rho = ||x - project(x - y)||_inf / (1 + ||y0||_inf)
-    of x in VI(F, K), where y = F(x), y0 = F(0) and project is P_K: 0 exactly
-    at a solution, and in F's units relative to its value at the start x = 0.
-    The one measure of how well a report's x solves its problem, for all four
-    methods. NaN when x - y has a NaN or infinite entry, with no projection
-    run: project_intersection raises ValueError on such a point.
+def _residual(x: np.ndarray, x_next: np.ndarray, g0: float) -> float:
+    """The natural residual rho = ||x - x_next||_inf / (||x||_inf + g0) of x
+    in VI(G, K), where x_next = P_K(x - G(x)) and g0 = ||G(0)||_inf: 0 exactly
+    at a solution, 0 for a zero step (which a zero denominator forces), and
+    unchanged when G is multiplied by c > 0 or x and G(0) scale together.
+    The one measure of how well a report's x solves its problem, and the
+    stopping test of the projection methods, for all four methods.
     """
-    v = x - y
-    if not math.isfinite(_max_abs(v)):
-        return math.nan
-    return _max_abs(x - project(v)) / (1.0 + _max_abs(y0))
+    step = _max_abs(x - x_next)
+    return step / (_max_abs(x) + g0) if step else 0.0
 
 
 def build_projective(op: AffineOperator, basis: Basis,
@@ -433,5 +430,5 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
         finish_attempts=attempts,
         finish_accepted=accepted,
         history=history,
-        residual=_residual(x, F @ x + r, r, cone.project),
+        residual=_residual(x, cone.project(x - (F @ x + r)), _max_abs(r)),
     )

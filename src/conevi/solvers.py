@@ -11,6 +11,11 @@ driver, for one pair (G, P) each:
 where x - G_S(x) = P_span(x - alpha F(x)). For an AffineOperator below
 rank n, G_S is the reduced operator build_projective(op, basis, alpha),
 applied in O(n k') per step; otherwise it is x - P_span(x - alpha F(x)).
+The driver stops at the first iterate x_t whose natural residual
+||x_t - P(x_t - G(x_t))||_inf / (||x_t||_inf + ||G(0)||_inf), the step it
+takes anyway, is at most tol (Facchinei & Pang 2003, ch. 1.5 and 6), and
+reports it: the same answer when F is multiplied by c > 0, and c times it
+when q alone is.
 For strongly monotone F with alpha = beta/L**2 every update contracts with
 factor gamma = sqrt(1 - beta**2/L**2), which yields the a-priori error
 bounds reported by bound_report. The projection onto C & span(Phi) is
@@ -20,7 +25,6 @@ squares problem, solved by Lawson and Hanson's active-set method (_nnls).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -35,7 +39,8 @@ from .operators import AffineOperator, NotStronglyMonotone, Operator, _gamma, it
 # the tolerance of every optimality certificate, relative to 1 + ||epsilon||
 # in the null-space test and to 1 + ||z_bar - x_bar|| in the normal-cone test
 _CERT_TOL = 1e-8
-# bound_report's allowance on each bound, for the solves' stopping tolerance
+# bound_report's allowance on each bound, for the solves' stopping tolerance,
+# in the stop's units ||x*||_inf + alpha ||F(0)||_inf
 _BOUND_SLACK = 1e-8
 _EPS = float(np.finfo(float).eps)
 
@@ -64,13 +69,15 @@ class SolveConfig:
     """Knobs shared by the fixed-point solvers.
 
     alpha_override runs an explicit step size without the strong-monotonicity
-    guarantee; tol is the fixed-point step-norm stopping threshold. A step
-    to a point x - G(x) with a NaN or infinite entry stops every method at
-    once, unconverged, with a NaN step norm. max_iter defaults to
-    100x the certified iteration bound when a contraction factor is
-    available, else 10000. Every method starts from x = 0, which lies in
-    every separable cone. alpha_override and tol must be positive and
-    finite, max_iter a positive integer.
+    guarantee; tol is the threshold on the scale-free residual
+    rho_t = ||x_t - P(x_t - G(x_t))||_inf / (||x_t||_inf + ||G(0)||_inf)
+    that every method stops on (see _fixed_point). A step to a point
+    x - G(x) with a NaN or infinite entry stops every method at once,
+    unconverged, with a NaN residual. max_iter caps the evaluations of G
+    and defaults to 100x the certified iteration bound when a contraction
+    factor is available, else 10000. Every method starts from x = 0, which
+    lies in every separable cone. alpha_override and tol must be positive
+    and finite, max_iter a positive integer.
     """
 
     alpha_override: float | None = None
@@ -112,16 +119,16 @@ class OptimalityCertificate:
 class SolveReport:
     """Outcome of one solve: iterate(s), convergence data, and certificates.
 
-    step_norms holds the x steps ||x_t - x_{t-1}|| for every iteration
-    t = 1, 2, ...; iterations is its length, and iterates (with cfg.trace)
-    are x_0, ..., x_T. A non-finite step is logged as NaN and adds no
-    iterate. A Galerkin solve reports z = x_T - G_S(x_T) and
-    x = P_C(z), one update past x_T, with the certificate of that pair.
-    residual is the natural residual of the returned x (see
-    projective._residual) on the problem the method solves: VI(F, C) for
-    exact, VI(G_S, C) for Galerkin, in the reduced problem's units, and
-    VI(F, C & span) for Bertsekas. It is NaN when F (or G_S) is not finite
-    at x, and for Bertsekas when its projection at x fails.
+    residuals holds the residual rho_t of every iterate x_t the solve
+    measured, one per evaluation of G (see _fixed_point); iterations is its
+    length, and iterates (with cfg.trace) are those x_0, ..., x_T. residual
+    is rho_T, NaN when x_T - G(x_T) is not finite, and converged is
+    residual <= tol. For exact and Bertsekas x is x_T. A Galerkin solve
+    reports z = x_T - G_S(x_T) and x = P_C(z), one update past x_T, with
+    the certificate of that pair; its residual is still that of x_T. rho is
+    that of the step the method takes: of alpha F over C for exact, of G_S
+    over C for Galerkin, and of alpha F over C & span for Bertsekas, since
+    P_{C & span} o P_span = P_{C & span}.
     """
 
     x: np.ndarray
@@ -130,13 +137,16 @@ class SolveReport:
     converged: bool
     z: np.ndarray | None = None
     certificate: OptimalityCertificate | None = None
-    step_norms: list[float] = field(default_factory=list)
+    residuals: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] | None = None
-    residual: float = math.nan
 
     @property
     def iterations(self) -> int:
-        return len(self.step_norms)
+        return len(self.residuals)
+
+    @property
+    def residual(self) -> float:
+        return self.residuals[-1] if self.residuals else math.nan
 
     def distances_to_final(self) -> np.ndarray:
         """||x_t - x_T|| for every logged iterate; needs trace=True."""
@@ -146,9 +156,10 @@ class SolveReport:
         return np.array([float(np.linalg.norm(it - last)) for it in self.iterates])
 
     def trace_rows(self) -> list[tuple[int, float, float]]:
-        """(t, step_norm, distance_to_final) for each logged iterate x_t, t >= 1."""
-        dists = self.distances_to_final()
-        return [(t + 1, self.step_norms[t], float(dists[t + 1])) for t in range(len(dists) - 1)]
+        """(t, residual, distance_to_final) for evaluation t = 1, ..., T, of
+        the iterate that evaluation measured."""
+        return [(t, rho, float(d)) for t, (rho, d)
+                in enumerate(zip(self.residuals, self.distances_to_final()), 1)]
 
 
 def _step_params(op: Operator, cfg: SolveConfig) -> tuple[float, float]:
@@ -179,49 +190,53 @@ def _check_dims(op: Operator, cone: SeparableCone, basis: Basis | None = None) -
 
 
 def _fixed_point(op: Operator, cone: SeparableCone, basis: Basis | None, P,
-                 cfg: SolveConfig | None) -> tuple[SolveReport, Callable[[np.ndarray], np.ndarray]]:
-    """Iterate x <- P(x - G(x)) from x = 0 until the x step norm drops to
-    cfg.tol; returns the report and G.
+                 cfg: SolveConfig | None) -> tuple[SolveReport, np.ndarray | None, np.ndarray]:
+    """Iterate x <- P(x - G(x)) from x_0 = 0 and stop at the first iterate
+    x_T whose residual rho_T is at most cfg.tol, or at the cap; returns the
+    report, whose x is x_T, and the v_T = x_T - G(x_T) and P(v_T) of that
+    last evaluation (v_T None when it is not finite).
+
+    rho_t = projective._residual(x_t, P(v_t), ||G(0)||_inf): the step the
+    loop takes anyway, over ||x_t||_inf + ||G(0)||_inf, with G(0) = -v_0.
+    It is unchanged when F is multiplied by c > 0, and when x and G(0)
+    scale together, as they do when q alone is. Whatever ends the run, the
+    report's residual is the rho of its x.
 
     The one set-up of the three methods: cfg defaults to SolveConfig(), the
     dimensions are checked, (alpha, gamma) come from _step_params, and G is
     alpha F with no basis and _span_step's G_S with one. A point
     v = x - G(x) with a NaN or infinite entry ends the run before P sees
-    it, whatever P is: the step is logged as NaN, x stays the last iterate,
-    and the run is reported unconverged, not raised; the overflow or NaN on
-    the way there does not warn. With cfg.trace every iterate x_t is logged.
+    it, whatever P is: its residual is logged as NaN, x stays the iterate
+    it came from, and the run is reported unconverged, not raised; the
+    overflow or NaN on the way there does not warn. With cfg.trace every
+    iterate measured is logged.
     """
     cfg = cfg or SolveConfig()
     _check_dims(op, cone, basis)
     alpha, gamma = _step_params(op, cfg)
     G = (lambda x: alpha * op(x)) if basis is None else _span_step(op, basis, alpha)
-    x = np.zeros(cone.dim)
-    step_norms: list[float] = []
-    iterates = [x] if cfg.trace else None
+    x_next = np.zeros(cone.dim)
+    residuals: list[float] = []
+    iterates = [] if cfg.trace else None
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_max_iter(cfg, gamma)):
-            v = x - G(x)
-            if not math.isfinite(_max_abs(v)):
-                step_norms.append(math.nan)
-                break
-            x_new = P(v)
-            step_norms.append(float(np.linalg.norm(x_new - x)))
-            x = x_new
+            x = x_next
             if iterates is not None:
                 iterates.append(x)
-            if not step_norms[-1] > cfg.tol:
+            v = x - G(x)
+            if not math.isfinite(_max_abs(v)):
+                residuals.append(math.nan)
+                v = None
                 break
-    return SolveReport(x=x, gamma=gamma, alpha=alpha, converged=step_norms[-1] <= cfg.tol,
-                       step_norms=step_norms, iterates=iterates), G
-
-
-def _residual_in(F, x: np.ndarray, project) -> float:
-    """projective._residual of x in the VI of F over the set that project
-    maps onto, with F(0) read as F.q for an AffineOperator and evaluated
-    otherwise; NaN, with no warning, where F(x) overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        y0 = F.q if isinstance(F, AffineOperator) else F(np.zeros(x.size))
-        return projective._residual(x, F(x), y0, project)
+            if not residuals:
+                g0 = _max_abs(v)  # x_0 = 0, so v_0 = -G(0)
+            x_next = P(v)
+            residuals.append(projective._residual(x, x_next, g0))
+            if residuals[-1] <= cfg.tol:
+                break
+    rep = SolveReport(x=x, gamma=gamma, alpha=alpha, converged=residuals[-1] <= cfg.tol,
+                      residuals=residuals, iterates=iterates)
+    return rep, v, x_next
 
 
 def _span_step(op: Operator, basis: Basis, alpha: float):
@@ -244,14 +259,13 @@ def _span_step(op: Operator, basis: Basis, alpha: float):
 def solve_exact(op: Operator, cone: SeparableCone, cfg: SolveConfig | None = None) -> SolveReport:
     """Projection method: iterate x <- P_C(x - alpha F(x)) to the unique solution.
 
-    Starts from 0 and stops when the fixed-point step norm falls below
-    cfg.tol. Non-convergence is reported (converged=False), not raised; so
-    is a step to a point with a NaN or infinite entry, which ends the run at
-    once with x the last finite iterate.
+    Starts from 0 and stops at the first iterate whose residual (see
+    _fixed_point) is at most cfg.tol. Non-convergence is reported
+    (converged=False), not raised; so is a step to a point with a NaN or
+    infinite entry, which ends the run at once with x the last finite
+    iterate.
     """
-    rep = _fixed_point(op, cone, None, cone.project, cfg)[0]
-    rep.residual = _residual_in(op, rep.x, cone.project)
-    return rep
+    return _fixed_point(op, cone, None, cone.project, cfg)[0]
 
 
 def _passive_solution(C: np.ndarray, d: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -387,13 +401,7 @@ def solve_bertsekas(op: Operator, cone: SeparableCone, basis: Basis,
     Its a-priori bound ||P_{C&span}(x*) - x*|| / (1 - gamma) needs the exact
     solution x*; bound_report computes it as bound_bertsekas.
     """
-    P = partial(project_intersection, cone, basis)
-    rep = _fixed_point(op, cone, basis, P, cfg)[0]
-    try:
-        rep.residual = _residual_in(op, rep.x, P)
-    except IntersectionProjectionFailed:
-        pass  # at a point no step visited: the residual stays NaN
-    return rep
+    return _fixed_point(op, cone, basis, partial(project_intersection, cone, basis), cfg)[0]
 
 
 def solve_galerkin(op: Operator, cone: SeparableCone, basis: Basis,
@@ -401,16 +409,16 @@ def solve_galerkin(op: Operator, cone: SeparableCone, basis: Basis,
     """Two-projection Galerkin method.
 
     Iterates x <- P_C(x - G_S(x)) = P_C(P_span(x - alpha F(x))) from x = 0,
-    stopping on the x step norm. Returns z_bar = x_T - G_S(x_T) and the
-    feasible solution x_bar = P_C(z_bar), with the optimality certificate
-    of that pair attached.
+    stopping on the residual of x_T (see _fixed_point), which the report's
+    residual is. Returns z_bar = x_T - G_S(x_T) and the feasible solution
+    x_bar = P_C(z_bar), the point and the step of that last evaluation,
+    with the optimality certificate of the pair attached. When that step is
+    not finite, x is x_T and z and the certificate stay None.
     """
-    rep, G = _fixed_point(op, cone, basis, cone.project, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):  # G(x) may overflow, as in the steps
-        rep.z = rep.x - G(rep.x)
-    rep.x = cone.project(rep.z)
-    rep.certificate = certify(op, cone, basis, rep.x, rep.z, rep.alpha)
-    rep.residual = _residual_in(G, rep.x, cone.project)
+    rep, z, x_bar = _fixed_point(op, cone, basis, cone.project, cfg)
+    if z is not None:
+        rep.z, rep.x = z, x_bar
+        rep.certificate = certify(op, cone, basis, x_bar, z, rep.alpha)
     return rep
 
 
@@ -478,8 +486,9 @@ def bound_report(op: Operator, cone: SeparableCone, basis: Basis,
 
     The intersection method's bound uses ||P_{C&span}(x*) - x*|| / (1-gamma);
     the two-projection method's bound uses ||z* - P_span(z*)|| / (1-gamma)
-    and covers both the z and x errors. Each comparison allows _BOUND_SLACK
-    = 1e-8 on top of the bound, for the solves' stopping tolerance. cfg sets
+    and covers both the z and x errors. Each comparison allows
+    _BOUND_SLACK = 1e-8 times ||x*||_inf + alpha ||F(0)||_inf, the units of
+    the solves' relative stop, on top of the bound. cfg sets
     the solves being measured; the reference x* is solved at cfg.tol or the
     default tol, whichever is tighter. NotStronglyMonotone, before any
     solve, unless gamma < 1. Solver failures are reported as flags, not
@@ -492,6 +501,7 @@ def bound_report(op: Operator, cone: SeparableCone, basis: Basis,
     rep_exact = solve_exact(op, cone, replace(cfg, tol=min(cfg.tol, SolveConfig.tol)))
     x_star = rep_exact.x
     z_star = x_star - alpha * op(x_star)
+    slack = _BOUND_SLACK * (_max_abs(x_star) + alpha * _max_abs(op(np.zeros(cone.dim))))
 
     rep_gal = solve_galerkin(op, cone, basis, cfg)
     bound_new = basis.representation_error(z_star) / (1.0 - gamma)
@@ -507,7 +517,7 @@ def bound_report(op: Operator, cone: SeparableCone, basis: Basis,
         bound_new=bound_new,
         err_new_x=err_new_x,
         err_new_z=err_new_z,
-        new_ok=err_new_x <= bound_new + _BOUND_SLACK and err_new_z <= bound_new + _BOUND_SLACK,
+        new_ok=err_new_x <= bound_new + slack and err_new_z <= bound_new + slack,
         exact_iterations=rep_exact.iterations,
         exact_converged=rep_exact.converged,
         galerkin_converged=rep_gal.converged,
@@ -523,6 +533,6 @@ def bound_report(op: Operator, cone: SeparableCone, basis: Basis,
     result.x_hat = rep_b.x
     result.bound_bertsekas = float(np.linalg.norm(proj_star - x_star)) / (1.0 - gamma)
     result.err_bertsekas = float(np.linalg.norm(rep_b.x - x_star))
-    result.bertsekas_ok = result.err_bertsekas <= result.bound_bertsekas + _BOUND_SLACK
+    result.bertsekas_ok = result.err_bertsekas <= result.bound_bertsekas + slack
     result.bertsekas_converged = rep_b.converged
     return result

@@ -60,9 +60,9 @@ class TestSolve:
         assert main(["solve", "--method", "exact", "--problem", problem_file]) == 0
         out = capsys.readouterr().out
         assert "converged: true" in out
-        # the fixed-point methods print the step their stopping rule tests,
-        # apart from the residual
-        assert "step: " in out and "residual: " in out and "x:" in out
+        # the fixed-point methods stop on the residual they print, and print
+        # no step apart from it
+        assert "step: " not in out and "residual: " in out and "x:" in out
 
     @pytest.mark.parametrize("method", ["exact", "bertsekas", "galerkin", "ipm"])
     def test_all_methods_agree_here(self, method, problem_file, basis_file, capsys):
@@ -97,15 +97,16 @@ class TestSolve:
         assert code == 1
 
     # at --alpha 1e300 gamma is inf, and the run stops on its first non-finite
-    # step, with no warning on the way
+    # step, with no warning on the way, and prints the finite x it stepped from
     @pytest.mark.parametrize("method", ["exact", "galerkin"])
     def test_step_whose_gamma_overflows_ends_unconverged(self, method, problem_file, basis_file,
                                                          capsys):
         basis = [] if method == "exact" else ["--basis", basis_file]
         assert main(["solve", "--method", method, "--problem", problem_file,
-                     "--alpha", "1e300"] + basis) == 1
-        out = capsys.readouterr().out
-        assert "converged: false" in out and "gamma: inf" in out
+                     "--alpha", "1e300", "--format", "kv"] + basis) == 1
+        kv = kv_lines(capsys.readouterr().out)
+        assert kv["converged"] == "false" and kv["gamma"] == "inf"
+        assert np.isfinite(np.array(kv["x"].split(), dtype=float)).all()
 
     def test_trace_file_rows(self, problem_file, tmp_path, capsys):
         trace = tmp_path / "trace.tsv"
@@ -299,7 +300,7 @@ class TestBounds:
 class TestKvKeys:
     def test_kv_keys(self, problem_file, basis_file, capsys):
         # the null-space violation is 2.4e-10 at the default tol, within the
-        # certificate's tolerance 1e-8, and 1.4e-6 at tol 1e-6, beyond it
+        # certificate's tolerance 1e-8, and 2.5e-6 at tol 1e-6, beyond it
         op, cone = parse_problem(PROBLEM)
         basis = orthonormalize(parse_basis(BASIS_FULL))
         argv = ["solve", "--method", "galerkin", "--problem", problem_file,

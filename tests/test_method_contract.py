@@ -1,5 +1,6 @@
 """One contract for the three projection methods, one update x <- P(x - G(x)) from
-x = 0 with a pair (G, P) each: every property holds for every method on every case.
+x = 0 with a pair (G, P) each, stopped on the scale-free residual of that step: every
+property holds for every method on every case.
 test_ipm_agrees also solves each affine case's problem with the interior-point
 method, solve_ipm, and checks its point against each method's; the IPM's own
 properties are in test_operator_contract.py."""
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import reduction
-from conevi import (AffineOperator, CallableOperator, IntersectionProjectionFailed, SolveConfig,
-                    bound_report, build_projective, certify, generate_instance, orthant,
-                    orthonormalize, parse_cone_spec, project_intersection, solve_bertsekas,
-                    solve_exact, solve_galerkin, solve_ipm, solvers)
+from conevi import (AffineOperator, CallableOperator, SolveConfig, bound_report,
+                    build_projective, certify, generate_instance, orthant, orthonormalize,
+                    parse_cone_spec, project_intersection, solve_bertsekas, solve_exact,
+                    solve_galerkin, solve_ipm)
 
 N, TOL = 30, SolveConfig.tol
 CASES = ["orthant_abs_gaussian", "mixed_gaussian", "aggregation", "full_span", "nonlinear"]
@@ -39,37 +40,42 @@ def case(request):
     }[request.param]
 
 
+def pre_image(method, op, basis, alpha, x):
+    """v = x - G(x) of the method's pair, written from its definition."""
+    return x - alpha * op(x) if method == "exact" else basis.project_span(x - alpha * op(x))
+
+
 def update(method, op, cone, basis, alpha, x):
-    """One step of the method's pair (G, P), written from its definition."""
-    v = x - alpha * op(x) if method == "exact" else basis.project_span(x - alpha * op(x))
+    """One step P(x - G(x)) of the method's pair (G, P), written from its definition."""
+    v = pre_image(method, op, basis, alpha, x)
     return project_intersection(cone, basis, v) if method == "bertsekas" else cone.project(v)
 
 
 def residual(method, op, cone, basis, alpha, x):
-    """The natural residual of x on the problem the method solves, written
-    from its definition: ||x - P(x - F(x))||_inf / (1 + ||F(0)||_inf) for
-    (F, P) = (op, P_C), (G_S, P_C) or (op, P_{C & span})."""
-    F = (lambda v: v - basis.project_span(v - alpha * op(v))) if method == "galerkin" else op
-    P = cone.project if method != "bertsekas" else (
-        lambda v: project_intersection(cone, basis, v))
-    return np.abs(x - P(x - F(x))).max() / (1.0 + np.abs(F(np.zeros(N))).max())
+    """The residual of x on the method's step, written from its definition:
+    ||x - P(x - G(x))||_inf / (||x||_inf + ||G(0)||_inf), and 0 for a zero
+    step, for (G, P) = (alpha F, P_C), (G_S, P_C) or (G_S, P_{C & span})."""
+    step = np.abs(x - update(method, op, cone, basis, alpha, x)).max()
+    g0 = np.abs(pre_image(method, op, basis, alpha, np.zeros(N))).max()
+    return step / (np.abs(x).max() + g0) if step else 0.0
 
 
 def test_report_and_feasibility(case, method):
-    # every case contracts, so each run stops at its first step <= tol; step t
-    # is the pair's update of x_{t-1}, in C, and x_T is a fixed point within tol
+    # every case contracts, so each run stops at its first iterate x_t with
+    # residual <= tol and returns it; x_t is the pair's update of x_{t-1}, in
+    # C, and each logged residual is its iterate's, from the definition
     rep = METHODS[method](*case, SolveConfig(trace=True))
-    steps, its = rep.step_norms, rep.iterates
-    assert rep.iterations == len(steps) == len(its) - 1 and not its[0].any()
-    assert rep.converged and steps[-1] <= TOL and all(s > TOL for s in steps[:-1])
+    rhos, its = rep.residuals, rep.iterates
+    assert rep.iterations == len(rhos) == len(its) and not its[0].any()
+    assert rep.converged and rhos[-1] <= TOL and all(r > TOL for r in rhos[:-1])
     for t in range(1, len(its)):
-        assert steps[t - 1] == float(np.linalg.norm(its[t] - its[t - 1]))
         ref = update(method, *case, rep.alpha, its[t - 1])
         assert np.linalg.norm(its[t] - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
         assert case[1].contains(its[t], 0.0)
         if method == "bertsekas":  # also in span(Phi)
             assert case[2].representation_error(its[t]) <= 1e-11 * (1 + np.linalg.norm(its[t]))
-    assert np.linalg.norm(update(method, *case, rep.alpha, its[-1]) - its[-1]) <= TOL
+    for rho, x in zip(rhos, its):
+        assert abs(rho - residual(method, *case, rep.alpha, x)) <= 1e-15
     if method == "galerkin":
         assert np.array_equal(rep.x, case[1].project(rep.z)) and rep.certificate.valid
     else:
@@ -77,12 +83,21 @@ def test_report_and_feasibility(case, method):
 
 
 def test_residual(case, method):
-    # the residual of the x the method returns, on its own problem, where it
-    # is about 1e-10 here; below rank n the library's G_S is the reduced
-    # operator and the test's the generic step, so they agree to rounding
-    rep = METHODS[method](*case)
-    ref = residual(method, *case, rep.alpha, rep.x)
-    assert abs(rep.residual - ref) <= 1e-15 and rep.residual <= 1e-8
+    # a run reports the residual of the iterate x_T it stopped on, and is
+    # converged exactly when that is <= tol; a trace changes nothing. For
+    # galerkin x is x_T's update, P_C(z) with z = x_T - G_S(x_T). Below rank
+    # n the library's G_S is the reduced operator and the test's the generic
+    # step, so they agree to rounding
+    rep, traced = METHODS[method](*case), METHODS[method](*case, SolveConfig(trace=True))
+    x_T = traced.iterates[-1]
+    assert rep.residuals == traced.residuals and np.array_equal(rep.x, traced.x)
+    assert rep.residual == rep.residuals[-1] and rep.converged == (rep.residual <= TOL)
+    assert abs(rep.residual - residual(method, *case, rep.alpha, x_T)) <= 1e-15
+    if method == "galerkin":
+        ref = update(method, *case, rep.alpha, x_T)
+        assert np.linalg.norm(rep.x - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
+    else:
+        assert np.array_equal(rep.x, x_T)
 
 
 def test_bounds(case, method):
@@ -99,6 +114,35 @@ def test_bounds(case, method):
             np.testing.assert_allclose(got, ref, rtol=1e-8, atol=1e-10)
 
 
+def scaled(op, c, q_only):
+    """c F, or F with q multiplied by c when q_only; q_only needs an affine F."""
+    if q_only:
+        return AffineOperator(op.M, c * op.q)
+    if isinstance(op, AffineOperator):
+        return AffineOperator(c * op.M, c * op.q)
+    return CallableOperator(lambda x: c * op(x), N, c * op.beta, c * op.lipschitz)
+
+
+def test_scale_free(case, method):
+    # a VI's solutions do not change when F is multiplied by c > 0, and are c
+    # times as large when q alone is. For c a power of two every step, every
+    # residual and the stop are the c = 1 ones, so each method returns the
+    # c = 1 report, scaled, bit for bit, and bound_report the c = 1 verdicts
+    op, cone, basis = case
+    ref, bounds = METHODS[method](op, cone, basis), bound_report(op, cone, basis)
+    affine = isinstance(op, AffineOperator)
+    for c in (2.0**-40, 2.0**-20, 2.0**20, 2.0**40):
+        for q_only in (False, True)[:1 + affine]:
+            F, unit = scaled(op, c, q_only), (c if q_only else 1.0)
+            rep = METHODS[method](F, cone, basis)
+            assert (rep.iterations, rep.converged, rep.residual) == (
+                ref.iterations, ref.converged, ref.residual)
+            assert np.array_equal(rep.x, unit * ref.x)
+            assert rep.z is ref.z is None or np.array_equal(rep.z, unit * ref.z)
+            got = bound_report(F, cone, basis)
+            assert (got.new_ok, got.bertsekas_ok) == (bounds.new_ok, bounds.bertsekas_ok)
+
+
 def test_twin(case, method):
     # the generic step x - P_span(x - alpha F(x)) against an AffineOperator's reduced one
     op, cone, basis = case
@@ -108,33 +152,29 @@ def test_twin(case, method):
     np.testing.assert_allclose(got.x, ref.x, rtol=1e-12, atol=1e-15)
 
 
-def test_failure(case, method, monkeypatch):
-    # in G_S's span projection +inf meets a zero of Q: a NaN, with no warning
+def test_failure(case, method):
+    # the cap ends the run on the last iterate it measured, whose residual it
+    # reports
     op, cone, basis = case
+    capped = METHODS[method](op, cone, basis, SolveConfig(max_iter=2, tol=1e-300, trace=True))
+    x_1 = capped.iterates[1]
+    assert not capped.converged and capped.iterations == len(capped.iterates) == 2
+    assert abs(capped.residual - residual(method, *case, capped.alpha, x_1)) <= 1e-15
+    assert method == "galerkin" or np.array_equal(capped.x, x_1)
+    # in G_S's span projection +inf meets a zero of Q: a NaN, with no warning.
+    # A step that is not finite at the first or the second iterate ends the
+    # run there, unconverged, with a NaN residual; galerkin keeps that
+    # iterate too, with no z and no certificate
     for value in (np.nan, np.inf):
-        bad = CallableOperator(lambda x: np.full(N, value), N, op.beta, op.lipschitz)
-        rep = METHODS[method](bad, cone, basis, SolveConfig(trace=True))
-        assert not rep.converged and rep.iterations == 1 and np.isnan(rep.step_norms[0])
-        assert len(rep.iterates) == 1 and rep.trace_rows() == [] and np.isnan(rep.residual)
-        assert method == "galerkin" or not rep.x.any()
-    rep = METHODS[method](op, cone, basis, SolveConfig(max_iter=2, tol=1e-300))
-    assert not rep.converged and rep.iterations == 2
-    assert abs(rep.residual - residual(method, *case, rep.alpha, rep.x)) <= 1e-15
-    if method == "bertsekas":
-        # P_{C & span} fails only at the residual's point, which no step
-        # visited: the same report, with a NaN residual and nothing raised
-        calls = []
-
-        def fails_last(*args):
-            calls.append(args)
-            if len(calls) > rep.iterations:
-                raise IntersectionProjectionFailed("at the residual's point")
-            return project_intersection(*args)
-
-        monkeypatch.setattr(solvers, "project_intersection", fails_last)
-        failed = solve_bertsekas(op, cone, basis, SolveConfig(max_iter=2, tol=1e-300))
-        assert np.isnan(failed.residual) and len(calls) == rep.iterations + 1
-        assert np.array_equal(failed.x, rep.x) and failed.step_norms == rep.step_norms
+        for T, x_T in enumerate((np.zeros(N), x_1), 1):
+            bad = CallableOperator(lambda x: np.full(N, value) if T == 1 or x.any() else op(x),
+                                   N, op.beta, op.lipschitz)
+            rep = METHODS[method](bad, cone, basis, SolveConfig(trace=True))
+            assert not rep.converged and np.isnan(rep.residual)
+            assert rep.iterations == len(rep.iterates) == T and np.isfinite(rep.residuals[:-1]).all()
+            assert np.array_equal(rep.x, rep.iterates[-1]) and rep.z is None and rep.certificate is None
+            np.testing.assert_allclose(rep.x, x_T, rtol=1e-12, atol=1e-15)
+            assert [row[0] for row in rep.trace_rows()] == list(range(1, T + 1))
 
 
 def test_ipm_agrees(case, method):

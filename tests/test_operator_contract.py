@@ -290,13 +290,14 @@ def measured(F, cone, x, s):
 
 
 def assert_residual(F, cone, run):
-    """The run reports ||min(x_B, y_B), y_F||_inf / (1 + ||F.q||_inf) at its x,
-    y = F @ x + F.q, 0 on the zero rows. x_i - P(x_i - y_i) is min(x_i, y_i)
-    or y_i to the two roundings of x_i - y_i and of that subtraction."""
+    """The run reports ||min(x_B, y_B), y_F||_inf / (||x||_inf + ||F.q||_inf)
+    at its x, y = F @ x + F.q, 0 on the zero rows. x_i - P(x_i - y_i) is
+    min(x_i, y_i) or y_i to the two roundings of x_i - y_i and of that
+    subtraction."""
     x, B = run.x, cone.nonneg_mask
     y = F @ x + F.q
     rows = np.where(B, np.minimum(x, y), np.where(cone.free_mask, y, 0.0))
-    scale = 1.0 + np.abs(F.q).max()
+    scale = np.abs(x).max() + np.abs(F.q).max()
     slack = 2 * np.finfo(float).eps * (np.abs(x).max() + np.abs(y).max()) / scale
     assert abs(run.residual - np.abs(rows).max() / scale) <= slack
 
