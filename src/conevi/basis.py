@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .cones import _max_abs, _vector
+from .cones import _max_abs, _norm, _vector
 
 __all__ = ["EmptyBasis", "Basis", "orthonormalize"]
 
@@ -81,8 +81,8 @@ class Basis:
         return v - self.project_span(v)
 
     def representation_error(self, z) -> float:
-        """Distance from z to span(ortho)."""
-        return float(np.linalg.norm(self.null_residual(z)))
+        """Distance from z to span(ortho), by a norm that does not overflow."""
+        return _norm(self.null_residual(z))
 
 
 def _rank(squares: np.ndarray) -> int:

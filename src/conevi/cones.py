@@ -191,28 +191,6 @@ class SeparableCone:
         return gap <= (tol / a / b
                        + tol * float(np.linalg.norm(x)) * float(np.linalg.norm(y)))
 
-    def in_normal_cone(self, x, d, tol: float) -> bool:
-        """Test d in N_C(x) through the projection characterization.
-
-        d is normal at x exactly when x = project(x + d); the test allows
-        relative slack tol*(1 + ||d||), in units of the largest entry of x
-        and d, so no norm overflows. Requires x feasible within tol; a d
-        with a NaN or infinite entry is normal nowhere.
-        """
-        x = _vector(x, self.dim, "x")
-        d = _vector(d, self.dim, "d")
-        if not self.contains(x, tol):
-            raise ValueError("x is not in the cone within tol")
-        scale = _max_abs(d)
-        if not math.isfinite(scale):
-            return False
-        scale = max(scale, _max_abs(x))
-        if not scale:
-            return True
-        x, d = x / scale, d / scale
-        moved = float(np.linalg.norm(self.project(x + d) - x))
-        return moved <= tol / scale + tol * float(np.linalg.norm(d))
-
     # -- text form --------------------------------------------------------
 
     def spec(self) -> str:

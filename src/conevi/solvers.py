@@ -18,9 +18,13 @@ reports it: the same answer when F is multiplied by c > 0, and c times it
 when q alone is.
 For strongly monotone F with alpha = beta/L**2 every update contracts with
 factor gamma = sqrt(1 - beta**2/L**2), which yields the a-priori error
-bounds reported by bound_report. The projection onto C & span(Phi) is
-exact: a k'-variable quadratic program whose dual is a nonnegative least
-squares problem, solved by Lawson and Hanson's active-set method (_nnls).
+bounds reported by bound_report. bound_report and the optimality
+certificate of certify check within one allowance in the units of that
+stop, _allowance = 1e-8 (||x||_inf + alpha ||F(0)||_inf), so their
+verdicts do not change with the problem's scale either. The projection
+onto C & span(Phi) is exact: a k'-variable quadratic program whose dual
+is a nonnegative least squares problem, solved by Lawson and Hanson's
+active-set method (_nnls).
 """
 from __future__ import annotations
 
@@ -36,12 +40,9 @@ from .basis import DROP_TOL, Basis
 from .cones import SeparableCone, _finite, _max_abs, _norm, _positive_int, _vector
 from .operators import AffineOperator, NotStronglyMonotone, Operator, _gamma, iteration_bound
 
-# the tolerance of every optimality certificate, relative to 1 + ||epsilon||
-# in the null-space test and to 1 + ||z_bar - x_bar|| in the normal-cone test
-_CERT_TOL = 1e-8
-# bound_report's allowance on each bound, for the solves' stopping tolerance,
-# in the stop's units ||x*||_inf + alpha ||F(0)||_inf
-_BOUND_SLACK = 1e-8
+# the one relative tolerance of the optimality certificate and of
+# bound_report's bound checks; see _allowance
+_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
 
 __all__ = [
@@ -98,21 +99,22 @@ class SolveConfig:
 class OptimalityCertificate:
     """Residual-based certificate for a two-projection Galerkin fixed point.
 
-    epsilon is the residual that shifts -F(x_bar) into the normal cone;
-    a valid certificate has epsilon (numerically) in null(Phi^T) and the
-    shifted direction passing the normal-cone test, both at the relative
-    tolerance _CERT_TOL.
+    epsilon is the residual that shifts -F(x_bar) into the normal cone at
+    x_bar = P_C(z_bar); normal_cone_ok says that x_bar is P_C(z_bar) within
+    the allowance of certify, and allowance is that allowance over alpha,
+    the one bound on null_space_violation = ||Phi^T epsilon||. A valid
+    certificate passes both.
     """
 
     epsilon: np.ndarray
     normal_cone_ok: bool
     null_space_violation: float
     complementarity_gap: float
+    allowance: float
 
     @property
     def valid(self) -> bool:
-        bound = _CERT_TOL * (1.0 + _norm(self.epsilon))
-        return self.normal_cone_ok and self.null_space_violation <= bound
+        return self.normal_cone_ok and self.null_space_violation <= self.allowance
 
 
 @dataclass
@@ -170,6 +172,14 @@ def _step_params(op: Operator, cfg: SolveConfig) -> tuple[float, float]:
         return params.alpha, params.gamma
     alpha = float(cfg.alpha_override)
     return alpha, _gamma(alpha, float(op.beta), float(op.lipschitz))
+
+
+def _allowance(op: Operator, x: np.ndarray, alpha: float) -> float:
+    """_TOL * (||x||_inf + alpha ||F(0)||_inf): the allowance at x of the
+    certificate and of bound_report, in the units of the solves' relative
+    stop. It is unchanged when F is multiplied by c > 0, and c times as
+    large when x and q are."""
+    return _TOL * (_max_abs(x) + alpha * _max_abs(op(np.zeros(op.dim))))
 
 
 def _max_iter(cfg: SolveConfig, gamma: float) -> int:
@@ -351,14 +361,19 @@ def project_intersection(cone: SeparableCone, basis: Basis, z) -> np.ndarray:
     multipliers would push that past DROP_TOL * (1 + ||d||) are active at
     the optimum (typically rows that force each other to zero, which NNLS
     meets with multipliers near 1/eps), so they join the held rows and the
-    problem is solved again in fewer variables. Returns P_C(Q V u): in C
-    exactly and in span(Phi) within DROP_TOL * (1 + ||z||). Raises
+    problem is solved again in fewer variables. All of this runs on z
+    divided by the power of two 2**e that brings its largest entry into
+    [1/2, 1), an exact scaling, so the answer is c times the answer at z
+    when z is multiplied by a power of two c. Returns 2**e P_C(Q V u): in C
+    exactly and in span(Phi) within DROP_TOL * (2**e + ||z||). Raises
     IntersectionProjectionFailed when NNLS reaches its iteration cap or
     Q V u misses C by more than that.
     """
     z = _finite(_vector(z, cone.dim, "z"), "z")
     if basis.n != cone.dim:
         raise ValueError(f"basis dimension {basis.n} != cone dimension {cone.dim}")
+    _, shift = math.frexp(_max_abs(z))
+    z = np.ldexp(z, -shift)
     Q, tol = basis.ortho, DROP_TOL
     held = cone.zero_mask.copy()
     while True:
@@ -390,7 +405,7 @@ def project_intersection(cone: SeparableCone, basis: Basis, z) -> np.ndarray:
     miss = float(np.linalg.norm(x - y))
     if miss > tol * (1.0 + float(np.linalg.norm(z))):
         raise IntersectionProjectionFailed(f"projection misses the cone by {miss:.3g}")
-    return y
+    return np.ldexp(y, shift)
 
 
 def solve_bertsekas(op: Operator, cone: SeparableCone, basis: Basis,
@@ -426,13 +441,15 @@ def certify(op: Operator, cone: SeparableCone, basis: Basis,
             x_bar: np.ndarray, z_bar: np.ndarray, alpha: float) -> OptimalityCertificate:
     """Optimality certificate for an (approximate) Galerkin fixed point.
 
-    Computes the residual eps = (z_bar - x_bar + alpha*F(x_bar)) / alpha and
-    checks that eps lies in null(Phi^T) and that z_bar - x_bar is in the
-    normal cone at x_bar, both at the relative tolerance _CERT_TOL.
-    Violations are reported, never raised; an operator or a basis whose
-    dimension is not the cone's is a ValueError. Norms of eps are taken in
-    units of its largest entry, so none overflows. alpha must be positive
-    and finite, as in SolveConfig.
+    Computes the residual eps = (z_bar - x_bar + alpha*F(x_bar)) / alpha,
+    for which x_bar = P_C(z_bar) solves the VI with F replaced by F - eps,
+    and passes when ||x_bar - P_C(z_bar)||_inf and alpha ||Phi^T eps|| are
+    both within _allowance at x_bar, so the verdict is the same when F, or
+    x_bar, z_bar and q together, are multiplied by c > 0. The gap
+    |x_bar . (F(x_bar) - eps)| and the norm of Phi^T eps are taken in units
+    of the largest entries, so none overflows. Violations are reported,
+    never raised; an operator or a basis whose dimension is not the cone's
+    is a ValueError. alpha must be positive and finite, as in SolveConfig.
     """
     _check_dims(op, cone, basis)
     if not 0 < alpha < math.inf:
@@ -440,19 +457,16 @@ def certify(op: Operator, cone: SeparableCone, basis: Basis,
     x_bar = _vector(x_bar, cone.dim, "x_bar")
     z_bar = _vector(z_bar, cone.dim, "z_bar")
     fx = op(x_bar)
-    eps_prime = z_bar - (x_bar - alpha * fx)
-    eps = eps_prime / alpha
-    violation = _norm(basis.ortho.T @ eps)
-    try:
-        normal_ok = cone.in_normal_cone(x_bar, z_bar - x_bar, _CERT_TOL)
-    except ValueError:
-        normal_ok = False
-    gap = abs(float(x_bar @ (fx - eps)))
+    eps = (z_bar - (x_bar - alpha * fx)) / alpha
+    y = fx - eps
+    a, b = _max_abs(x_bar), _max_abs(y)
+    allowance = _allowance(op, x_bar, alpha)
     return OptimalityCertificate(
         epsilon=eps,
-        normal_cone_ok=normal_ok,
-        null_space_violation=violation,
-        complementarity_gap=gap,
+        normal_cone_ok=_max_abs(x_bar - cone.project(z_bar)) <= allowance,
+        null_space_violation=_norm(basis.ortho.T @ eps),
+        complementarity_gap=abs(float((x_bar / a) @ (y / b))) * a * b if a and b else 0.0,
+        allowance=allowance / alpha,
     )
 
 
@@ -486,9 +500,9 @@ def bound_report(op: Operator, cone: SeparableCone, basis: Basis,
 
     The intersection method's bound uses ||P_{C&span}(x*) - x*|| / (1-gamma);
     the two-projection method's bound uses ||z* - P_span(z*)|| / (1-gamma)
-    and covers both the z and x errors. Each comparison allows
-    _BOUND_SLACK = 1e-8 times ||x*||_inf + alpha ||F(0)||_inf, the units of
-    the solves' relative stop, on top of the bound. cfg sets
+    and covers both the z and x errors. Each comparison allows _allowance at
+    x* on top of the bound, for the solves' relative stop; the norms are
+    taken in units of the largest entry, so none overflows. cfg sets
     the solves being measured; the reference x* is solved at cfg.tol or the
     default tol, whichever is tighter. NotStronglyMonotone, before any
     solve, unless gamma < 1. Solver failures are reported as flags, not
@@ -501,12 +515,12 @@ def bound_report(op: Operator, cone: SeparableCone, basis: Basis,
     rep_exact = solve_exact(op, cone, replace(cfg, tol=min(cfg.tol, SolveConfig.tol)))
     x_star = rep_exact.x
     z_star = x_star - alpha * op(x_star)
-    slack = _BOUND_SLACK * (_max_abs(x_star) + alpha * _max_abs(op(np.zeros(cone.dim))))
+    slack = _allowance(op, x_star, alpha)
 
     rep_gal = solve_galerkin(op, cone, basis, cfg)
     bound_new = basis.representation_error(z_star) / (1.0 - gamma)
-    err_new_x = float(np.linalg.norm(rep_gal.x - x_star))
-    err_new_z = float(np.linalg.norm(rep_gal.z - z_star))
+    err_new_x = _norm(rep_gal.x - x_star)
+    err_new_z = _norm(rep_gal.z - z_star)
 
     result = BoundComparison(
         gamma=gamma,
@@ -531,8 +545,8 @@ def bound_report(op: Operator, cone: SeparableCone, basis: Basis,
         return result
 
     result.x_hat = rep_b.x
-    result.bound_bertsekas = float(np.linalg.norm(proj_star - x_star)) / (1.0 - gamma)
-    result.err_bertsekas = float(np.linalg.norm(rep_b.x - x_star))
+    result.bound_bertsekas = _norm(proj_star - x_star) / (1.0 - gamma)
+    result.err_bertsekas = _norm(rep_b.x - x_star)
     result.bertsekas_ok = result.err_bertsekas <= result.bound_bertsekas + slack
     result.bertsekas_converged = rep_b.converged
     return result

@@ -58,38 +58,6 @@ class TestIsComplementary:
             assert cone.is_complementary(x, y, 1e-12) == cone.is_complementary(y, x, 1e-12)
 
 
-class TestInNormalCone:
-    def test_inward_normal_at_boundary(self):
-        assert orthant(1).in_normal_cone([0.0], [-2.0], 1e-12)
-
-    def test_interior_point_has_trivial_normals(self):
-        assert not orthant(1).in_normal_cone([1.0], [-2.0], 1e-12)
-
-    def test_normal_on_active_coordinate_only(self):
-        assert orthant(2).in_normal_cone([0.0, 3.0], [-1.0, 0.0], 1e-12)
-
-    def test_infeasible_point_rejected(self):
-        with pytest.raises(ValueError):
-            orthant(2).in_normal_cone([-1.0, 0.0], [0.0, 0.0], 1e-12)
-
-    def test_definition_on_random_memberships(self):
-        # d in N_C(x) must satisfy d.(y - x) <= 0 for all feasible y
-        rng = np.random.default_rng(6)
-        cone = mixed(("nn", 4), ("free", 2))
-        tol = 1e-12
-        for _ in range(20):
-            x = np.abs(rng.standard_normal(cone.dim))
-            active = rng.random(4) > 0.5
-            x[:4][active] = 0.0
-            d = np.zeros(cone.dim)
-            d[:4][active] = -np.abs(rng.standard_normal(int(active.sum())))
-            assert cone.in_normal_cone(x, d, tol)
-            for _ in range(100):
-                y = rng.standard_normal(cone.dim)
-                y[:4] = np.abs(y[:4])
-                assert d @ (y - x) <= tol
-
-
 class TestSpecText:
     def test_parse_roundtrip(self):
         cone = parse_cone_spec("nn:5,free:2,nn:3")

@@ -127,11 +127,14 @@ def test_scale_free(case, method):
     # a VI's solutions do not change when F is multiplied by c > 0, and are c
     # times as large when q alone is. For c a power of two every step, every
     # residual and the stop are the c = 1 ones, so each method returns the
-    # c = 1 report, scaled, bit for bit, and bound_report the c = 1 verdicts
+    # c = 1 report, scaled, bit for bit, with the c = 1 certificate verdict
+    # and c times its null-space violation, and bound_report the c = 1
+    # verdicts; 2**+-540 puts entries beyond the square root of the largest
+    # and the smallest double, where a plain norm or dot product overflows
     op, cone, basis = case
     ref, bounds = METHODS[method](op, cone, basis), bound_report(op, cone, basis)
     affine = isinstance(op, AffineOperator)
-    for c in (2.0**-40, 2.0**-20, 2.0**20, 2.0**40):
+    for c in (2.0**-540, 2.0**-40, 2.0**-20, 2.0**20, 2.0**40, 2.0**540):
         for q_only in (False, True)[:1 + affine]:
             F, unit = scaled(op, c, q_only), (c if q_only else 1.0)
             rep = METHODS[method](F, cone, basis)
@@ -139,6 +142,10 @@ def test_scale_free(case, method):
                 ref.iterations, ref.converged, ref.residual)
             assert np.array_equal(rep.x, unit * ref.x)
             assert rep.z is ref.z is None or np.array_equal(rep.z, unit * ref.z)
+            if method == "galerkin":
+                assert rep.certificate.valid == ref.certificate.valid
+                assert rep.certificate.null_space_violation == (
+                    c * ref.certificate.null_space_violation)
             got = bound_report(F, cone, basis)
             assert (got.new_ok, got.bertsekas_ok) == (bounds.new_ok, bounds.bertsekas_ok)
 

@@ -14,18 +14,22 @@ from conevi import (
     IpmConfig,
     ProjectiveLcp,
     SolveConfig,
+    bound_report,
     build_projective,
     certify,
     free,
+    generate_instance,
     orthant,
     orthonormalize,
     project_intersection,
+    solve_galerkin,
     zero,
 )
 
 BAD = [np.inf, -np.inf, np.nan]
 OP = AffineOperator(np.array([[2.0, 1.0], [0.0, 2.0]]), [-2.0, -2.0])
 BASIS = orthonormalize(np.eye(2))
+INSTANCE = generate_instance(8, 3, 1.0, 3.0, 2)
 
 
 CASES = {
@@ -91,7 +95,6 @@ MEMBERSHIP = {
     "orthant.contains": lambda v: orthant(1).contains([v], 1e-8),
     "zero.contains": lambda v: zero(1).contains([v], 1e-8),
     "free.contains": lambda v: free(2).contains([v, 0.0], 0.0),
-    "orthant.in_normal_cone.d": lambda v: orthant(1).in_normal_cone([0.0], [v], 1e-8),
     "orthant.is_complementary.x": lambda v: orthant(2).is_complementary(
         [v, 0.0], [0.0, 1.0], 1e-8),
     "orthant.is_complementary.y": lambda v: orthant(2).is_complementary(
@@ -114,20 +117,32 @@ OVERFLOW = {
     "zero.contains": (lambda: zero(2).contains([1e200, 1e200], 1e-8), False),
     "orthant.is_complementary": (lambda: orthant(2).is_complementary(
         [1e200, 1e200], [1e200, 1e200], 1e-8), False),
-    "orthant.in_normal_cone": (lambda: orthant(2).in_normal_cone(
-        [0.0, 0.0], [1e200, -1e200], 1e-8), False),
     "orthant.contains.true": (lambda: orthant(2).contains([1e200, 1e200], 1e-8), True),
     "orthant.is_complementary.true": (lambda: orthant(2).is_complementary(
         [1e200, 0.0], [0.0, 1e200], 1e-8), True),
-    "orthant.in_normal_cone.true": (lambda: orthant(2).in_normal_cone(
-        [1e200, 0.0], [0.0, -1e200], 1e-8), True),
-    # epsilon = z_bar: its span component 1e200 is far above 1e-8 (1 + ||eps||)
+    # epsilon = z_bar: its span component 1e200 is far above the allowance,
+    # 1e-8 (||x_bar||_inf + alpha ||F(0)||_inf) = 0
     "certify.valid": (lambda: certify(
         AffineOperator(np.eye(2), [0.0, 0.0]), zero(2), orthonormalize(np.eye(2)[:, :1]),
         [0.0, 0.0], [1e200, 1e200], 1.0).valid, False),
     "certify.valid.true": (lambda: certify(
         AffineOperator(np.eye(2), [0.0, 0.0]), zero(2), orthonormalize(np.eye(2)[:, :1]),
         [0.0, 0.0], [0.0, 1e200], 1.0).valid, True),
+    # problems the Galerkin method solves, with entries near 1e162 and 1e307:
+    # the complementarity gap overflowed in a plain dot product, and raised
+    "solve_galerkin.q_times_2**540": (lambda: solve_galerkin(
+        AffineOperator(INSTANCE[0].M, 2.0**540 * INSTANCE[0].q), orthant(8),
+        INSTANCE[1]).certificate.valid, True),
+    "solve_galerkin.q_near_1e307": (lambda: solve_galerkin(
+        AffineOperator([[1.0, 1.0], [-1.0, 1.0]], [-1e307, -1e307]), orthant(2),
+        orthonormalize([[1.0], [1.0]])).certificate.valid, True),
+    # then the error and bound norms overflowed, and project_intersection
+    "bound_report.new_ok.q_times_2**540": (lambda: bound_report(
+        AffineOperator(INSTANCE[0].M, 2.0**540 * INSTANCE[0].q), orthant(8),
+        INSTANCE[1]).new_ok, True),
+    "bound_report.bertsekas_ok.q_times_2**540": (lambda: bound_report(
+        AffineOperator(INSTANCE[0].M, 2.0**540 * INSTANCE[0].q), orthant(8),
+        INSTANCE[1]).bertsekas_ok, True),
 }
 
 

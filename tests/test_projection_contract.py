@@ -167,11 +167,26 @@ def test_variational_inequality(case, projection):
         assert all((z - pz) @ (v - pz) <= bound for v in (0.0 * pz, 2.0 * pz, py))
 
 
+@pytest.mark.parametrize("projection", PROJECTIONS)
+def test_scale_equivariant(case, projection):
+    # each projection is onto a cone, so P(c z) = c P(z) for c > 0; for c a
+    # power of two every step is the c = 1 one, scaled, bit for bit, also at
+    # 2**+-540, where a plain norm of c z overflows (a RuntimeWarning, which
+    # the suite makes an error) or underflows
+    for cone, basis, z, _, proj in case[0]:
+        for c in (2.0**-540, 2.0**540):
+            got = PROJECTIONS[projection](cone, basis, c * z)
+            assert np.array_equal(got, c * proj[projection][0])
+
+
 def test_span_identities(case):
-    # span(Phi) contains C & span(Phi), so projecting onto it moves z no farther
+    # span(Phi) contains C & span(Phi), so projecting onto it moves z no farther.
+    # representation_error is the residual's norm, taken in units of its
+    # largest entry so that it cannot overflow: the plain norm up to rounding
     for _, basis, z, _, proj in case[0]:
         residual, error = basis.null_residual(z), basis.representation_error(z)
-        assert np.array_equal(residual, z - proj["span"][0]) and error == np.linalg.norm(residual)
+        assert np.array_equal(residual, z - proj["span"][0])
+        assert abs(error - np.linalg.norm(residual)) <= 4 * EPS * error
         distance = np.linalg.norm(z - proj["cone_and_span"][0])
         assert error <= distance + 1e-13 * (1.0 + np.linalg.norm(z))
 
