@@ -2,7 +2,8 @@
 
 Feasible sets are products of nonnegative, free, and zero segments, so
 Euclidean projection is componentwise thresholding, dual cones are taken
-segment by segment, and every operation is O(dim).
+segment by segment, membership in a cone and in its dual is read from the
+projection, and every operation is O(dim).
 """
 from __future__ import annotations
 
@@ -53,6 +54,19 @@ def _vector(x, n: int, name: str) -> np.ndarray:
     return x
 
 
+def _same_dim(a: str, m: int, b: str, n: int) -> None:
+    """ValueError "<a> dimension m != <b> dimension n" unless m == n."""
+    if m != n:
+        raise ValueError(f"{a} dimension {m} != {b} dimension {n}")
+
+
+def _positive(value, name: str) -> None:
+    """ValueError "<name> must be positive and finite" unless 0 < value < inf,
+    which NaN fails too."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
     """a itself; ValueError naming it when an entry is NaN or infinite."""
     if not math.isfinite(_max_abs(a)):
@@ -64,8 +78,9 @@ def _max_abs(a: np.ndarray) -> float:
     """Largest entry magnitude of the float array a (0 when it is empty):
     NaN when an entry is NaN and inf when one is infinite, so one finite
     test checks every entry. max and min propagate NaN, so the two
-    reductions need no temporary the size of a."""
-    return float(max(a.max(), -a.min())) if a.size else 0.0
+    reductions need no temporary the size of a. abs makes it +0.0, as
+    np.linalg.norm is, when every entry is a zero of either sign."""
+    return abs(float(max(a.max(), -a.min()))) if a.size else 0.0
 
 
 def _norm(a: np.ndarray) -> float:
@@ -75,6 +90,22 @@ def _norm(a: np.ndarray) -> float:
     if not 0 < scale < math.inf:
         return scale
     return scale * float(np.linalg.norm(a / scale))
+
+
+def _within(v: np.ndarray, miss, tol: float) -> bool:
+    """||miss(v)||_inf <= tol*(1 + ||v||) for a positively homogeneous miss,
+    tested in units of the largest entry of v, so no norm overflows; False
+    when v has a NaN or infinite entry. The one membership test of the
+    cones: miss is v - P_K(v) for v in K, and P_K(-v) for v in K*."""
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be finite and >= 0")
+    scale = _max_abs(v)
+    if not math.isfinite(scale):
+        return False
+    if not scale:
+        return True
+    v = v / scale
+    return _max_abs(miss(v)) <= tol / scale + tol * float(np.linalg.norm(v))
 
 
 @dataclass(frozen=True)
@@ -150,38 +181,19 @@ class SeparableCone:
         return SeparableCone(tuple(Segment(_DUAL_KIND[s.kind], s.length) for s in self.segments))
 
     def contains(self, x, tol: float) -> bool:
-        """Membership within relative tolerance tol*(1 + ||x||); a vector
-        with a NaN or infinite entry is in no cone. The test runs in units
-        of the largest entry, so no norm overflows."""
-        x = _vector(x, self.dim, "x")
-        if not 0 <= tol < math.inf:
-            raise ValueError("tol must be finite and >= 0")
-        scale = _max_abs(x)
-        if not math.isfinite(scale):
-            return False
-        if not scale:
-            return True
-        x = x / scale
-        slack = tol / scale + tol * float(np.linalg.norm(x))
-        nn = self.nonneg_mask
-        if nn.any() and float(np.min(x[nn], initial=np.inf)) < -slack:
-            return False
-        z = self.zero_mask
-        if z.any() and float(np.max(np.abs(x[z]), initial=0.0)) > slack:
-            return False
-        return True
+        """Membership within relative tolerance tol*(1 + ||x||): the miss
+        x - P_K(x) is at most that (see _within). A vector with a NaN or
+        infinite entry is in no cone."""
+        return _within(_vector(x, self.dim, "x"), lambda u: u - self.project(u), tol)
 
     def is_complementary(self, x, y, tol: float) -> bool:
         """True iff x in K, y in K* (both within tol) and
         |x.y| <= tol*(1+||x||*||y||), tested with x and y each in units of
-        its largest entry, so no product overflows."""
+        its largest entry, so no product overflows. y in K* is read from the
+        projection, as P_K(-y) = 0 (Moreau), with no dual cone built."""
         x = _vector(x, self.dim, "x")
         y = _vector(y, self.dim, "y")
-        if not 0 <= tol < math.inf:
-            raise ValueError("tol must be finite and >= 0")
-        if not self.contains(x, tol):
-            return False
-        if not self.dual().contains(y, tol):
+        if not (self.contains(x, tol) and _within(y, lambda u: self.project(-u), tol)):
             return False
         a, b = _max_abs(x), _max_abs(y)
         if not a or not b:

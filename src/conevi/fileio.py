@@ -37,7 +37,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .cones import SeparableCone, parse_cone_spec
+from .cones import SeparableCone, _same_dim, parse_cone_spec
 from .operators import AffineOperator
 
 __all__ = [
@@ -289,8 +289,7 @@ def _write(header: str, rows) -> str:
 
 
 def write_problem(op: AffineOperator, cone: SeparableCone) -> str:
-    if op.dim != cone.dim:
-        raise ValueError(f"operator dimension {op.dim} != cone dimension {cone.dim}")
+    _same_dim("operator", op.dim, "cone", cone.dim)
     return _write(f"VI1 {op.dim} {cone.spec()}", itertools.chain(op.M, [op.q]))
 
 

@@ -36,7 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .basis import Basis
-from .cones import SeparableCone, _finite, _max_abs, _norm, _positive_int, _vector
+from .cones import (SeparableCone, _finite, _max_abs, _norm, _positive, _positive_int,
+                    _same_dim, _vector)
 from .operators import AffineOperator, IpmBreakdown, _lu, monotone_modulus
 
 __all__ = [
@@ -138,8 +139,7 @@ class IpmConfig:
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
+        _positive(self.tol, "tol")
         self.max_iter = _positive_int(self.max_iter, "max_iter")
 
 
@@ -160,8 +160,9 @@ class IpmReport:
     finishes tried and finish_accepted says whether one ended the solve.
     residual is the natural residual of the returned x in CP(F, K) (see
     _residual), with y = F @ x + F.q: ||min(x_B, y_B), y_F||_inf over
-    ||x||_inf + ||F.q||_inf, 0 on the zero rows. It is unchanged when F is
-    multiplied by c > 0, and when x and F.q scale together.
+    ||x||_inf + ||F.q||_inf, 0 on the zero rows. It is unchanged when x and
+    F.q scale together with N fixed, but not when F is multiplied by c > 0 at
+    a fixed x.
     """
 
     x: np.ndarray
@@ -182,9 +183,13 @@ def _residual(x: np.ndarray, x_next: np.ndarray, g0: float) -> float:
     """The natural residual rho = ||x - x_next||_inf / (||x||_inf + g0) of x
     in VI(G, K), where x_next = P_K(x - G(x)) and g0 = ||G(0)||_inf: 0 exactly
     at a solution, 0 for a zero step (which a zero denominator forces), and
-    unchanged when G is multiplied by c > 0 or x and G(0) scale together.
-    The one measure of how well a report's x solves its problem, and the
-    stopping test of the projection methods, for all four methods.
+    unchanged when x, x_next and g0 scale together. At a fixed x it changes
+    when G is multiplied by c > 0: on orthant(1) at x = 1 it is 1/3 for
+    G = 0.5 and 1/2 for G = 1. The projection methods' reports are unchanged
+    under F -> cF only because alpha = beta/L**2 absorbs c, so that
+    G = alpha F does not change. The one measure of how well a report's x
+    solves its problem, and the stopping test of the projection methods,
+    for all four methods.
     """
     step = _max_abs(x - x_next)
     return step / (_max_abs(x) + g0) if step else 0.0
@@ -205,10 +210,9 @@ def build_projective(op: AffineOperator, basis: Basis,
     """
     if not isinstance(op, AffineOperator):
         raise TypeError(f"build_projective needs an AffineOperator, got {type(op).__name__}")
-    if alpha is not None and not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
-    if basis.n != op.dim:
-        raise ValueError(f"basis dimension {basis.n} != operator dimension {op.dim}")
+    if alpha is not None:
+        _positive(alpha, "alpha")
+    _same_dim("basis", basis.n, "operator", op.dim)
     if basis.rank == basis.n:
         return op
     if alpha is None:
@@ -314,7 +318,7 @@ def _finish_candidate(F: AffineOperator, active: np.ndarray, B: np.ndarray) -> t
     y = F @ x + F.q
     if np.any(x[B] < 0.0) or np.any(y[active & B] < 0.0):
         return None
-    return x, float(np.linalg.norm(y[~active], np.inf))
+    return x, _max_abs(y[~active])
 
 
 def solve_ipm(F: AffineOperator, cone: SeparableCone,
@@ -352,8 +356,7 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
     if not isinstance(F, AffineOperator):
         raise TypeError(f"solve_ipm needs an AffineOperator, got {type(F).__name__}")
     cfg = cfg or IpmConfig()
-    if cone.dim != F.dim:
-        raise ValueError(f"cone dimension {cone.dim} != problem dimension {F.dim}")
+    _same_dim("cone", cone.dim, "problem", F.dim)
 
     B, Z = cone.nonneg_mask, cone.zero_mask
     n_orth = int(B.sum())
@@ -382,7 +385,7 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
     for it in range(1, cfg.max_iter + 1):
         g = F @ x + r - s
         g[Z] = 0.0  # a zero row's equation is free: its (Nx + r)_i is never a slack
-        feas = float(np.linalg.norm(g, np.inf))
+        feas = _max_abs(g)
         ok, mu = gap_ok(x, s)
         # tried before the stopping test: an accepted finish is exact where the
         # path stops about sqrt(mu) from degenerate components (an all-free

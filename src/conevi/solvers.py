@@ -37,7 +37,8 @@ from scipy.linalg.lapack import dgelsy
 
 from . import projective
 from .basis import DROP_TOL, Basis
-from .cones import SeparableCone, _finite, _max_abs, _norm, _positive_int, _vector
+from .cones import (SeparableCone, _finite, _max_abs, _norm, _positive, _positive_int,
+                    _same_dim, _vector)
 from .operators import AffineOperator, NotStronglyMonotone, Operator, _gamma, iteration_bound
 
 # the one relative tolerance of the optimality certificate and of
@@ -70,7 +71,11 @@ class SolveConfig:
     """Knobs shared by the fixed-point solvers.
 
     alpha_override runs an explicit step size without the strong-monotonicity
-    guarantee; tol is the threshold on the scale-free residual
+    guarantee: there converged means only rho_t <= tol, which a diverging
+    run can meet, since rho's denominator grows with ||x_t||_inf while the
+    step stays alpha (on F(x) = 0x - 1 over orthant(1), which has no
+    solution, alpha_override=1 and tol=1e-3 report converged after 1000
+    evaluations at x = 999). tol is the threshold on the scale-free residual
     rho_t = ||x_t - P(x_t - G(x_t))||_inf / (||x_t||_inf + ||G(0)||_inf)
     that every method stops on (see _fixed_point). A step to a point
     x - G(x) with a NaN or infinite entry stops every method at once,
@@ -87,10 +92,9 @@ class SolveConfig:
     trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.alpha_override is not None and not 0 < self.alpha_override < math.inf:
-            raise ValueError("alpha_override must be positive and finite")
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
+        if self.alpha_override is not None:
+            _positive(self.alpha_override, "alpha_override")
+        _positive(self.tol, "tol")
         if self.max_iter is not None:
             self.max_iter = _positive_int(self.max_iter, "max_iter")
 
@@ -155,7 +159,7 @@ class SolveReport:
         if not self.iterates:
             raise ValueError("no iterates were logged; solve with trace=True")
         last = self.iterates[-1]
-        return np.array([float(np.linalg.norm(it - last)) for it in self.iterates])
+        return np.array([_norm(it - last) for it in self.iterates])
 
     def trace_rows(self) -> list[tuple[int, float, float]]:
         """(t, residual, distance_to_final) for evaluation t = 1, ..., T, of
@@ -193,10 +197,9 @@ def _max_iter(cfg: SolveConfig, gamma: float) -> int:
 
 
 def _check_dims(op: Operator, cone: SeparableCone, basis: Basis | None = None) -> None:
-    if op.dim != cone.dim:
-        raise ValueError(f"operator dimension {op.dim} != cone dimension {cone.dim}")
-    if basis is not None and basis.n != cone.dim:
-        raise ValueError(f"basis dimension {basis.n} != cone dimension {cone.dim}")
+    _same_dim("operator", op.dim, "cone", cone.dim)
+    if basis is not None:
+        _same_dim("basis", basis.n, "cone", cone.dim)
 
 
 def _fixed_point(op: Operator, cone: SeparableCone, basis: Basis | None, P,
@@ -208,9 +211,10 @@ def _fixed_point(op: Operator, cone: SeparableCone, basis: Basis | None, P,
 
     rho_t = projective._residual(x_t, P(v_t), ||G(0)||_inf): the step the
     loop takes anyway, over ||x_t||_inf + ||G(0)||_inf, with G(0) = -v_0.
-    It is unchanged when F is multiplied by c > 0, and when x and G(0)
-    scale together, as they do when q alone is. Whatever ends the run, the
-    report's residual is the rho of its x.
+    It is unchanged when x_t, x_{t+1} and G(0) scale together, as they do
+    when q alone is; the run is unchanged when F is multiplied by c > 0
+    because alpha = beta/L**2 absorbs c, so G = alpha F does not change.
+    Whatever ends the run, the report's residual is the rho of its x.
 
     The one set-up of the three methods: cfg defaults to SolveConfig(), the
     dimensions are checked, (alpha, gamma) come from _step_params, and G is
@@ -370,8 +374,7 @@ def project_intersection(cone: SeparableCone, basis: Basis, z) -> np.ndarray:
     Q V u misses C by more than that.
     """
     z = _finite(_vector(z, cone.dim, "z"), "z")
-    if basis.n != cone.dim:
-        raise ValueError(f"basis dimension {basis.n} != cone dimension {cone.dim}")
+    _same_dim("basis", basis.n, "cone", cone.dim)
     _, shift = math.frexp(_max_abs(z))
     z = np.ldexp(z, -shift)
     Q, tol = basis.ortho, DROP_TOL
@@ -452,8 +455,7 @@ def certify(op: Operator, cone: SeparableCone, basis: Basis,
     is a ValueError. alpha must be positive and finite, as in SolveConfig.
     """
     _check_dims(op, cone, basis)
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
+    _positive(alpha, "alpha")
     x_bar = _vector(x_bar, cone.dim, "x_bar")
     z_bar = _vector(z_bar, cone.dim, "z_bar")
     fx = op(x_bar)

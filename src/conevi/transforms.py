@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cones import SegmentKind, Segment, SeparableCone, _finite, _max_abs, _vector
+from .cones import SegmentKind, Segment, SeparableCone, _finite, _max_abs, _same_dim, _vector
 from .operators import AffineOperator, IpmBreakdown, _lu, monotone_modulus
 
 __all__ = [
@@ -238,8 +238,7 @@ def eliminate_equalities(op: AffineOperator, A, b, cone: SeparableCone) -> Conic
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = op.dim
-    if cone.dim != n:
-        raise ValueError(f"cone dimension {cone.dim} != operator dimension {n}")
+    _same_dim("cone", cone.dim, "operator", n)
     if A.size == 0:
         A = A.reshape(0, n)
     m = A.shape[0]

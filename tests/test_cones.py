@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conevi.cones import (
     Segment,
@@ -56,6 +60,68 @@ class TestIsComplementary:
             x = np.abs(rng.standard_normal(6)) * (rng.random(6) > 0.5)
             y = np.abs(rng.standard_normal(6)) * (x == 0)
             assert cone.is_complementary(x, y, 1e-12) == cone.is_complementary(y, x, 1e-12)
+
+
+# entries that test the units of the slack: NaN, infinities, zeros of both
+# signs, the extremes of the double range, and values near the slack
+ENTRIES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1.7e308,
+                     -1.7e308, 1e-300, -1e-300, 5e-324, -5e-324, 1e-9, -1e-9, 1e-13, -1e-13]),
+    st.floats(-10.0, 10.0),
+    st.floats())
+
+
+def _slack(v, tol):
+    """(v in units of its largest entry, tol*(1 + ||v||) in those units), or
+    None when an entry is NaN or infinite."""
+    scale = float(np.max(np.abs(v)))
+    if not math.isfinite(scale):
+        return None
+    if not scale:
+        return v, tol
+    u = v / scale
+    return u, tol / scale + tol * float(np.linalg.norm(u))
+
+
+def _in_cone(cone, v, tol, dual):
+    """Membership written per segment kind: a nonnegative row >= -slack in K
+    and in K*, a zero row of K and a free row of K* within slack."""
+    scaled = _slack(v, tol)
+    if scaled is None:
+        return False
+    u, slack = scaled
+    pinned = cone.free_mask if dual else cone.zero_mask
+    return bool(np.all(u[cone.nonneg_mask] >= -slack) and np.all(np.abs(u[pinned]) <= slack))
+
+
+@st.composite
+def cone_pairs(draw):
+    segments = draw(st.lists(st.tuples(st.sampled_from(["nn", "free", "zero"]),
+                                       st.integers(1, 3)), min_size=1, max_size=4))
+    cone = mixed(*segments)
+    x = np.array(draw(st.lists(ENTRIES, min_size=cone.dim, max_size=cone.dim)))
+    y = np.array(draw(st.lists(ENTRIES, min_size=cone.dim, max_size=cone.dim)))
+    with np.errstate(invalid="ignore"):
+        if draw(st.booleans()):  # x in K, y in K*, and complementary when x is finite
+            x = cone.project(x)
+            y = -cone.project(-y) * (x == 0)
+    return cone, x, y, draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-3]))
+
+
+@given(cone_pairs())
+def test_membership_matches_the_per_kind_definition(case):
+    # contains and is_complementary read both memberships from the
+    # projection; this states them row by row, with the slack in units of
+    # each vector's largest entry, and the gap test as written in the docstring
+    cone, x, y, tol = case
+    assert cone.contains(x, tol) is _in_cone(cone, x, tol, dual=False)
+    expected = _in_cone(cone, x, tol, dual=False) and _in_cone(cone, y, tol, dual=True)
+    a, b = float(np.max(np.abs(x))), float(np.max(np.abs(y)))
+    if expected and a and b:
+        gap = abs(float((x / a) @ (y / b)))
+        expected = gap <= tol / a / b + tol * float(np.linalg.norm(x / a)) * float(
+            np.linalg.norm(y / b))
+    assert cone.is_complementary(x, y, tol) is expected
 
 
 class TestSpecText:

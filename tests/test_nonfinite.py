@@ -22,6 +22,7 @@ from conevi import (
     orthant,
     orthonormalize,
     project_intersection,
+    solve_exact,
     solve_galerkin,
     zero,
 )
@@ -143,6 +144,11 @@ OVERFLOW = {
     "bound_report.bertsekas_ok.q_times_2**540": (lambda: bound_report(
         AffineOperator(INSTANCE[0].M, 2.0**540 * INSTANCE[0].q), orthant(8),
         INSTANCE[1]).bertsekas_ok, True),
+    # the same problem solved exactly: the trace's distances to the last
+    # iterate, plain norms of differences near 1e162, overflowed
+    "SolveReport.trace_rows.q_times_2**540": (lambda: all(np.isfinite(d) for _, _, d in (
+        solve_exact(AffineOperator(INSTANCE[0].M, 2.0**540 * INSTANCE[0].q), orthant(8),
+                    SolveConfig(trace=True)).trace_rows())), True),
 }
 
 
