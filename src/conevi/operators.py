@@ -65,8 +65,9 @@ class NotStronglyMonotone(Exception):
 
 
 class IpmBreakdown(Exception):
-    """The interior-point Newton system lost positivity or finiteness, or
-    became singular."""
+    """An interior-point Newton system is exactly singular, or its diagonal
+    D is not positive. A Newton step that is not finite raises nothing: it
+    ends solve_ipm unconverged, as the cap does."""
 
 
 @dataclass(frozen=True)

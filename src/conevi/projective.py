@@ -131,7 +131,9 @@ class ProjectiveLcp(AffineOperator):
 @dataclass
 class IpmConfig:
     """Stopping rule: mu <= tol with x.s <= tol (1 + ||x|| ||s||), and
-    feasibility <= tol (both as in IpmReport); or max_iter iterations. An
+    feasibility <= tol (both as in IpmReport); or max_iter iterations; or
+    a Newton step with a NaN or infinite entry, which ends the solve
+    unconverged as the cap would at the iterate it starts from. An
     active-set finish is accepted when its feasibility is within tol.
     tol must be positive and finite, max_iter a positive integer."""
 
@@ -162,7 +164,10 @@ class IpmReport:
     _residual), with y = F @ x + F.q: ||min(x_B, y_B), y_F||_inf over
     ||x||_inf + ||F.q||_inf, 0 on the zero rows. It is unchanged when x and
     F.q scale together with N fixed, but not when F is multiplied by c > 0 at
-    a fixed x.
+    a fixed x. Being relative to ||x||_inf, it can be tiny on a diverging
+    iterate: on LCP([[0, 1], [-1, 0]], (-1, -1)), which has no solution, the
+    solve ends at x ~ (1.9e-97, 2.2e119) with residual 8.8e-217; converged
+    is the verdict.
     """
 
     x: np.ndarray
@@ -270,8 +275,9 @@ def _newton_directions(solve, d: np.ndarray, x: np.ndarray, s: np.ndarray,
     adds (sigma mu - dx_aff ds_aff) / x on B, with sigma = (mu_aff / mu)^3 from
     the complementarity the predictor reaches at its longest feasible step.
     Returns (dx_aff, ds_aff, dx, ds, sigma); without orthant components
-    the predictor is the whole step and sigma is 0. IpmBreakdown when the
-    corrector's right-hand side is not finite.
+    the predictor is the whole step and sigma is 0. Nothing here tests
+    finiteness: an overflow or a NaN on the way leaves a NaN or an infinite
+    entry in (dx, ds), which ends solve_ipm, under whose np.errstate it runs.
     """
     h = -s
     dx_aff = solve(h - g)
@@ -282,10 +288,7 @@ def _newton_directions(solve, d: np.ndarray, x: np.ndarray, s: np.ndarray,
     t = min(1.0, _boundary_step(xb, dxb), _boundary_step(sb, dsb))
     mu_aff = float((xb + t * dxb) @ (sb + t * dsb)) / xb.size
     sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
-    with np.errstate(over="ignore", invalid="ignore"):  # caught by the test below
-        h[B] += (sigma * mu - dxb * dsb) / xb
-    if not math.isfinite(_max_abs(h)):
-        raise IpmBreakdown("Newton corrector is not finite")
+    h[B] += (sigma * mu - dxb * dsb) / xb
     dx = solve(h - g)
     return dx_aff, ds_aff, dx, h - d * dx, sigma
 
@@ -344,6 +347,19 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
     A common primal-dual step length with the fraction-to-boundary rule
     keeps the linear residual shrinking by (1 - step) each iteration.
 
+    A Newton step whose next iterate has a NaN or infinite entry (as it has
+    whenever the direction dx, ds has one) ends the solve at once,
+    unconverged, with the report the cap would give at the iterate it
+    starts from: the rule of the projection methods, which stop on a point
+    x - G(x) that is not finite. It is the only finiteness test; no Newton
+    route makes one. An s_i / x_i that overflows pins row i (D_i = inf),
+    and ds_i = h_i - d_i dx_i is then inf * 0 = NaN. The solve, its start
+    and its residual included, runs under one
+    np.errstate(over="ignore", invalid="ignore"), so nothing on the way
+    warns. IpmBreakdown comes only from _newton: an exactly singular Newton
+    system, or a D that is not positive, which no finite iterate with
+    x_B > 0 makes.
+
     When the guessed active set A = {i in B : x_i < s_i} repeats from one
     iteration to the next and differs from the last rejected guess (the
     candidate depends on A alone, so retrying one would repeat it), one
@@ -362,76 +378,76 @@ def solve_ipm(F: AffineOperator, cone: SeparableCone,
     n_orth = int(B.sum())
     r = F.q
 
-    # s stays 0 on the free rows: their Newton equations read N dx = -(Nx + r)
-    # whatever s is, so a slack there would only track Nx + r there
-    x = np.where(B, 1.0, 0.0)
-    s = np.where(B, np.maximum(F @ x + r, 1.0), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # see the test of x_next
+        # s stays 0 on the free rows: their Newton equations read N dx = -(Nx + r)
+        # whatever s is, so a slack there would only track Nx + r there
+        x = np.where(B, 1.0, 0.0)
+        s = np.where(B, np.maximum(F @ x + r, 1.0), 0.0)
 
-    def gap_ok(xv, sv) -> tuple[bool, float]:
-        if not n_orth:
-            return True, 0.0
-        total = float(xv[B] @ sv[B])
-        mu_val = total / n_orth
-        scale = 1.0 + _norm(xv) * _norm(sv)
-        return (mu_val <= cfg.tol and total <= cfg.tol * scale), mu_val
+        def gap_ok(xv, sv) -> tuple[bool, float]:
+            if not n_orth:
+                return True, 0.0
+            total = float(xv[B] @ sv[B])
+            mu_val = total / n_orth
+            scale = 1.0 + _norm(xv) * _norm(sv)
+            return (mu_val <= cfg.tol and total <= cfg.tol * scale), mu_val
 
-    mu = math.inf
-    feas = math.inf
-    converged = False
-    history: list[tuple[float, float, float, float]] = []
-    attempts = 0
-    accepted = False
-    guess = rejected = None
-    for it in range(1, cfg.max_iter + 1):
-        g = F @ x + r - s
-        g[Z] = 0.0  # a zero row's equation is free: its (Nx + r)_i is never a slack
-        feas = _max_abs(g)
-        ok, mu = gap_ok(x, s)
-        # tried before the stopping test: an accepted finish is exact where the
-        # path stops about sqrt(mu) from degenerate components (an all-free
-        # cone has no active set, and its finish would repeat a Newton step)
-        previous, guess = guess, _active_guess(x, s, B)
-        if (n_orth and np.array_equal(guess, previous)
-                and not np.array_equal(guess, rejected)):
-            attempts += 1
-            finish = _finish_candidate(F, guess | Z, B)
-            if finish is not None and finish[1] <= cfg.tol:
-                x, feas = finish
-                mu = 0.0
-                converged = accepted = True
+        mu = math.inf
+        feas = math.inf
+        converged = False
+        history: list[tuple[float, float, float, float]] = []
+        attempts = 0
+        accepted = False
+        guess = rejected = None
+        for it in range(1, cfg.max_iter + 1):
+            g = F @ x + r - s
+            g[Z] = 0.0  # a zero row's equation is free: its (Nx + r)_i is never a slack
+            feas = _max_abs(g)
+            ok, mu = gap_ok(x, s)
+            # tried before the stopping test: an accepted finish is exact where the
+            # path stops about sqrt(mu) from degenerate components (an all-free
+            # cone has no active set, and its finish would repeat a Newton step)
+            previous, guess = guess, _active_guess(x, s, B)
+            if (n_orth and np.array_equal(guess, previous)
+                    and not np.array_equal(guess, rejected)):
+                attempts += 1
+                finish = _finish_candidate(F, guess | Z, B)
+                if finish is not None and finish[1] <= cfg.tol:
+                    x, feas = finish
+                    mu = 0.0
+                    converged = accepted = True
+                    break
+                rejected = guess
+            if ok and feas <= cfg.tol:
+                converged = True
                 break
-            rejected = guess
-        if ok and feas <= cfg.tol:
-            converged = True
-            break
-        if it == cfg.max_iter:
-            break  # no step past the cap: x, mu and feas stay one iterate
+            if it == cfg.max_iter:
+                break  # no step past the cap: x, mu and feas stay one iterate
 
-        if not np.all(x[B] > 0.0):
-            raise IpmBreakdown("orthant iterate lost positivity")
-        d = np.zeros(F.dim)
-        with np.errstate(over="ignore"):  # an overflow is caught by the test below
+            d = np.zeros(F.dim)
             d[B] = s[B] / x[B]
-        if not math.isfinite(_max_abs(d)):
-            raise IpmBreakdown("Newton diagonal D = 1 + s/x is not finite")
-        # D = inf pins a zero row, where d, h and g are 0: dx = ds = 0 there, so
-        # x and s stay exactly 0 and no inf * 0 is formed
-        _, _, dx, ds, sigma = _newton_directions(_newton(F, np.where(Z, np.inf, 1.0 + d)),
-                                                 d, x, s, g, B, mu)
+            # D = inf pins a zero row, where d, h and g are 0: dx = ds = 0 there, so
+            # x and s stay exactly 0 and no inf * 0 is formed. An s/x that
+            # overflows pins its orthant row too, and then ds = h - d dx holds
+            # inf * 0 = NaN there, which the test of x_next and s_next catches
+            _, _, dx, ds, sigma = _newton_directions(_newton(F, np.where(Z, np.inf, 1.0 + d)),
+                                                     d, x, s, g, B, mu)
 
-        bound = min(_boundary_step(x[B], dx[B]), _boundary_step(s[B], ds[B]))
-        step = min(1.0, _STEP_FRACTION * bound)
-        history.append((mu, feas, step, sigma))
-        x = x + step * dx
-        s = s + step * ds
+            bound = min(_boundary_step(x[B], dx[B]), _boundary_step(s[B], ds[B]))
+            step = min(1.0, _STEP_FRACTION * bound)
+            x_next, s_next = x + step * dx, s + step * ds
+            if not (math.isfinite(_max_abs(x_next)) and math.isfinite(_max_abs(s_next))):
+                break  # as at the cap: x, mu and feas stay the last finite iterate
+            history.append((mu, feas, step, sigma))
+            x, s = x_next, s_next
 
-    return IpmReport(
-        x=x,
-        converged=converged,
-        mu=mu,
-        feasibility=feas,
-        finish_attempts=attempts,
-        finish_accepted=accepted,
-        history=history,
-        residual=_residual(x, cone.project(x - (F @ x + r)), _max_abs(r)),
-    )
+        return IpmReport(
+            x=x,
+            converged=converged,
+            mu=mu,
+            feasibility=feas,
+            finish_attempts=attempts,
+            finish_accepted=accepted,
+            history=history,
+            residual=_residual(x, cone.project(x - (F @ x + r)), _max_abs(r)),
+        )

@@ -28,15 +28,14 @@ interior-point Newton step factors a system formed from the blocks
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .cones import SegmentKind, Segment, SeparableCone, _finite, _max_abs, _same_dim, _vector
-from .operators import AffineOperator, IpmBreakdown, _lu, monotone_modulus
+from .cones import SegmentKind, Segment, SeparableCone, _finite, _same_dim, _vector
+from .operators import AffineOperator, _lu, monotone_modulus
 
 __all__ = [
     "PolyhedralVI",
@@ -172,8 +171,10 @@ class _PolyhedralOperator(AffineOperator):
         case 1/d = 0, where y_s = 0. So a huge d never enters K, where
         d a a^T would round M's entries away.
         The eliminations pivot on +-I and on d, so the system is singular
-        exactly when N + diag(D - 1) is; IpmBreakdown then, or when it or the
-        solve overflows.
+        exactly when N + diag(D - 1) is; IpmBreakdown then. Like every Newton
+        route it tests no finiteness: a system or a solve that overflows
+        gives a solve that is not finite, which ends solve_ipm (under whose
+        np.errstate it runs) unconverged.
         """
         M, A, E = self.M_x, self.A, self.E
         m, n = A.shape
@@ -190,35 +191,29 @@ class _PolyhedralOperator(AffineOperator):
             kept, A_k, d_k, border = slice(None), A, d, E
         k, n_b = border.shape[0], d_b.size
         K = np.empty((n + k, n + k))
-        with np.errstate(over="ignore", invalid="ignore"):
-            if d_k.any():
-                As = A_k * np.sqrt(d_k)[:, None]
-                np.add(As.T @ As, M, out=K[:n, :n])  # NumPy takes As^T As by SYRK
-            else:
-                K[:n, :n] = M
+        if d_k.any():
+            As = A_k * np.sqrt(d_k)[:, None]
+            np.add(As.T @ As, M, out=K[:n, :n])  # NumPy takes As^T As by SYRK
+        else:
+            K[:n, :n] = M
         K[:n, n:] = -border.T
         K[n:, :n] = border
         K[n:, n:] = 0.0
         np.fill_diagonal(K[n:n + n_b, n:n + n_b], 1.0 / d_b)
-        if not math.isfinite(_max_abs(K)):
-            raise IpmBreakdown("Newton system is not finite")
         solve_K = _lu(K)
 
         def solve(b: np.ndarray) -> np.ndarray:
             b_s, b_lam = b[:m], b[lam]
             y = np.empty(b.size)
             y_s, y_lam = y[:m], y[lam]
-            with np.errstate(over="ignore", invalid="ignore"):
-                z = solve_K(np.concatenate([b[x] + (b_s[kept] + d_k * b_lam[kept]) @ A_k,
-                                            b_lam[bordered] + b_s[bordered] / d_b, b[mu]]))
-                y[x] = z[:n]
-                y_lam[bordered] = z[n:n + n_b]
-                y[mu] = z[n + n_b:]
-                y_s[bordered] = (b_s[bordered] - y_lam[bordered]) / d_b
-                y_s[kept] = A_k @ z[:n] - b_lam[kept]
-                y_lam[kept] = b_s[kept] - d_k * y_s[kept]
-            if not math.isfinite(_max_abs(y)):
-                raise IpmBreakdown("Newton solve is not finite")
+            z = solve_K(np.concatenate([b[x] + (b_s[kept] + d_k * b_lam[kept]) @ A_k,
+                                        b_lam[bordered] + b_s[bordered] / d_b, b[mu]]))
+            y[x] = z[:n]
+            y_lam[bordered] = z[n:n + n_b]
+            y[mu] = z[n + n_b:]
+            y_s[bordered] = (b_s[bordered] - y_lam[bordered]) / d_b
+            y_s[kept] = A_k @ z[:n] - b_lam[kept]
+            y_lam[kept] = b_s[kept] - d_k * y_s[kept]
             return y
 
         return solve

@@ -108,6 +108,17 @@ class TestSolve:
         assert kv["converged"] == "false" and kv["gamma"] == "inf"
         assert np.isfinite(np.array(kv["x"].split(), dtype=float)).all()
 
+    # M = [[0, 1], [-1, 0]], q = (-1, -1) is monotone with no solution: the
+    # IPM's Newton step stops being finite before the cap, and the solve ends
+    # there unconverged, with no warning (an error under tier-1's filters) and
+    # nothing on stderr
+    def test_ipm_without_a_solution_ends_unconverged(self, tmp_path, capsys):
+        path = tmp_path / "none.vi"
+        path.write_text("VI1 2 nn:2\n0 1\n-1 0\n-1 -1\n")
+        assert main(["solve", "--method", "ipm", "--problem", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert "converged: false" in out.splitlines() and not err
+
     def test_trace_file_rows(self, problem_file, tmp_path, capsys):
         trace = tmp_path / "trace.tsv"
         assert main(["solve", "--method", "exact", "--problem", problem_file,

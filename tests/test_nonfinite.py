@@ -24,6 +24,7 @@ from conevi import (
     project_intersection,
     solve_exact,
     solve_galerkin,
+    solve_ipm,
     zero,
 )
 
@@ -53,8 +54,8 @@ CASES = {
     "CallableOperator.beta": lambda v: CallableOperator(lambda x: x, 2, beta=v, lipschitz=1.0),
     "CallableOperator.lipschitz": lambda v: CallableOperator(lambda x: x, 2, beta=0.5,
                                                              lipschitz=v),
-    # a NaN in W ended as IpmBreakdown("Newton diagonal D = 1 + s/x is not
-    # finite"), and an infinite r also raised a RuntimeWarning in the solve
+    # a NaN in W reached solve_ipm, where it ended as a breakdown, and an
+    # infinite r also raised a RuntimeWarning in the solve
     "ProjectiveLcp.ortho": lambda v: ProjectiveLcp([[v], [0.0]], [[0.0, 0.5]], [1.0, -1.0]),
     "ProjectiveLcp.W": lambda v: ProjectiveLcp([[1.0], [0.0]], [[v, 0.5]], [1.0, -1.0]),
     "ProjectiveLcp.r": lambda v: ProjectiveLcp([[1.0], [0.0]], [[0.0, 0.5]], [v, -1.0]),
@@ -149,6 +150,12 @@ OVERFLOW = {
     "SolveReport.trace_rows.q_times_2**540": (lambda: all(np.isfinite(d) for _, _, d in (
         solve_exact(AffineOperator(INSTANCE[0].M, 2.0**540 * INSTANCE[0].q), orthant(8),
                     SolveConfig(trace=True)).trace_rows())), True),
+    # an IPM start s = max(Nx + r, 1) that overflows makes the first Newton
+    # step not finite, which ends the solve unconverged; the start and the
+    # residual overflowed outside the loop's np.errstate, and warned
+    "solve_ipm.converged.M_near_1e308": (lambda: solve_ipm(
+        AffineOperator([[1e308, 1e308], [-1e308, 1e308]], [-1.0, -1.0]), orthant(2)).converged,
+        False),
 }
 
 

@@ -19,8 +19,9 @@ solve leave every array of the operator, D and the right-hand side as they
 were).
 
 The interior-point method, solve_ipm, has its own properties (test_ipm_*):
-its report, its exit, its active-set finish, its iteration cap and its
-breakdowns, and the natural residual each run reports. They run on every
+its report, its exit, its active-set finish, its iteration cap, a Newton
+step that is not finite (which ends a solve as the cap does, with no
+warning) and the natural residual each run reports. They run on every
 case with the case's cone and, where any cone fits, with an orthant and an
 all-free cone, so a new case gets them all.
 """
@@ -427,43 +428,49 @@ def test_ipm_cap(ipm):
     assert_residual(F, cone, capped)
 
 
-def test_ipm_breakdowns(ipm, monkeypatch):
-    # a tolerance no iterate meets drives s_i / x_i to overflow on the active
-    # rows, and a NaN direction leaves the orthant: each is a typed breakdown
-    # with no warning. With no orthant row the first solve runs to the cap
-    F, cone = ipm.F, ipm.cone
-    B = cone.nonneg_mask
+def assert_ends_as_capped(F, cone, cfg=IpmConfig()):
+    """solve_ipm(F, cone, cfg), unconverged and with no warning, its report
+    field by field the one of the same solve capped at its own iteration
+    count: a Newton step that is not finite ends the solve at the iterate it
+    starts from, as the cap does. Returns the report."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if not B.any():
-            rep = solve_ipm(F, cone, IpmConfig(tol=1e-30))
-            assert not rep.converged and rep.iterations == IpmConfig().max_iter
-        else:
-            with pytest.raises(IpmBreakdown, match="not finite"):
-                solve_ipm(F, cone, IpmConfig(tol=1e-30))
-            directions = projective._newton_directions
+        rep = solve_ipm(F, cone, cfg)
+        capped = solve_ipm(F, cone, IpmConfig(tol=cfg.tol, max_iter=rep.iterations))
+    assert not rep.converged
+    assert {**vars(rep), "x": rep.x.tobytes()} == {**vars(capped), "x": capped.x.tobytes()}
+    return rep
 
-            def poisoned(*args):
-                dx_aff, ds_aff, dx, ds, sigma = directions(*args)
-                dx = dx.copy()
-                dx[np.flatnonzero(B)[0]] = np.nan
-                return dx_aff, ds_aff, dx, ds, sigma
 
-            monkeypatch.setattr(projective, "_newton_directions", poisoned)
-            monkeypatch.setattr(projective, "_finish_candidate", lambda *args: None)
-            with pytest.raises(IpmBreakdown, match="orthant iterate"):
-                solve_ipm(F, cone)
+def test_ipm_breakdowns(ipm, monkeypatch):
+    # a Newton step that is not finite ends the solve as the cap would, forced
+    # two ways. A tolerance no iterate meets drives s_i / x_i to overflow on the
+    # active rows, and the step is not finite before the cap; with no orthant
+    # row the solve runs to the cap instead. A NaN poisoned into dx on the last
+    # step the solve takes ends it one iterate early
+    F, cone, B = ipm.F, ipm.cone, ipm.cone.nonneg_mask
+    rep = assert_ends_as_capped(F, cone, IpmConfig(tol=1e-30))
+    assert (rep.iterations < IpmConfig().max_iter) == B.any()
+    directions, last = projective._newton_directions, ipm.iterates[-2][0]
+
+    def poisoned(solve, d, x, *args):
+        dx_aff, ds_aff, dx, ds, sigma = directions(solve, d, x, *args)
+        if np.array_equal(x, last):
+            dx = dx.copy()
+            dx[np.flatnonzero(B)[0] if B.any() else 0] = np.nan
+        return dx_aff, ds_aff, dx, ds, sigma
+
+    monkeypatch.setattr(projective, "_newton_directions", poisoned)
+    assert assert_ends_as_capped(F, cone).iterations == ipm.rep.iterations - 1
 
 
 @pytest.mark.parametrize("form", ["lcp", "polyhedral"])
 def test_ipm_without_a_solution_breaks_down(form):
-    # M = [[0, 1], [-1, 0]], q = (-1, -1) is monotone with no solution: the
-    # corrector's (sigma mu - dx ds) / x overflows. A typed breakdown with no
-    # warning, solved directly and as the VI over {x : I x + 0 >= 0}
+    # M = [[0, 1], [-1, 0]], q = (-1, -1) is monotone with no solution: x_2
+    # grows until the corrector's (sigma mu - dx ds) / x overflows, and the
+    # Newton step is not finite before the cap. Solved directly and as the VI
+    # over {x : I x + 0 >= 0}, the solve ends there as the cap would
     M, q = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([-1.0, -1.0])
     F, cone = (AffineOperator(M, q), orthant(2)) if form == "lcp" else reduction(
         M, q, np.eye(2), np.zeros(2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(IpmBreakdown, match="corrector is not finite"):
-            solve_ipm(F, cone)
+    assert assert_ends_as_capped(F, cone).iterations < IpmConfig().max_iter
