@@ -25,6 +25,21 @@ def perfbench_module(monkeypatch, name: str):
         sys.modules.pop(name, None)
 
 
+def calls(monkeypatch, owner, name):
+    """The positional arguments of each call of owner.name from now on, one
+    tuple per call in call order; each call runs as before. On a class, the
+    first argument of a method call is the instance."""
+    recorded = []
+    inner = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        recorded.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return recorded
+
+
 def equality_rows(op, cone, m, E, e, sign=1.0, calls=1):
     """op and cone after eliminate_equalities with the rows E x = e on the
     block x = [m, m + n) of the variables, zero elsewhere, split over

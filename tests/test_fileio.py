@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import calls
 from conevi import fileio
 from conevi.cones import orthant, parse_cone_spec
 from conevi.fileio import (
@@ -264,17 +265,23 @@ def small_files(draw):
     return (parse_problem if problem else parse_basis), text
 
 
+# one part is the streamed reader alone; 2 or 3 are cut at "\n" and read by
+# this process and forked children where the parts reader forks, and in
+# this process alone elsewhere. 311 of the 580 examples take 2 or 3 parts
+@settings(max_examples=580, deadline=None)
+@given(small_files(), st.integers(1, 3))
+def test_matches_line_numbered_path(case, cpus):
+    parse, text = case
+    with _counted_forks(cpus):
+        outcome = _outcome(parse, text)
+    assert outcome == _reference_outcome(parse, text)
+
+
 class TestStreamedReader:
     @settings(max_examples=400, deadline=None)
     @given(st.text(alphabet="ab #\t" + "".join(SEPARATORS), max_size=40))
     def test_content_lines_follow_splitlines(self, text):
         assert list(fileio._content_lines(text)) == list(_splitlines_content_lines(text))
-
-    @settings(max_examples=400, deadline=None)
-    @given(small_files())
-    def test_matches_line_numbered_path(self, case):
-        parse, text = case
-        assert _outcome(parse, text) == _reference_outcome(parse, text)
 
     def test_content_lines_between_bounds(self):
         text = "a\r\nb\rc\n\n# d\ne"
@@ -350,24 +357,10 @@ CUT_CASES = [
 class TestPartsReader:
     """Texts cut at "\n" and read by this process and forked children."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(small_files(), st.integers(2, 3))
-    def test_matches_line_numbered_path(self, case, cpus):
-        parse, text = case
-        with _counted_forks(cpus):
-            outcome = _outcome(parse, text)
-        assert outcome == _reference_outcome(parse, text)
-
     @pytest.mark.parametrize("text, parts, per_row", CUT_CASES)
     def test_cut_cases_match_line_numbered_path(self, text, parts, per_row, monkeypatch):
         parse = parse_problem if text.startswith("VI1") else parse_basis
-        rows_read, parse_row = [], fileio._parse_row
-
-        def counted(*args):
-            rows_read.append(1)
-            return parse_row(*args)
-
-        monkeypatch.setattr(fileio, "_parse_row", counted)
+        rows_read = calls(monkeypatch, fileio, "_parse_row")
         with _counted_forks(2) as forks:
             bounds = fileio._cuts(text)
             outcome = _outcome(parse, text)
@@ -429,7 +422,7 @@ class TestPartsReader:
 
     @pytest.mark.parametrize("fault", ["short send", "exit 3 after sending"])
     def test_child_fault_falls_back_to_per_row_reader(self, fault, monkeypatch):
-        rows_read, parse_row, exit_ = [], fileio._parse_row, os._exit
+        exit_ = os._exit
 
         def short_open(fd, mode):
             # the child's pipe takes the first 8 bytes of each write: its row
@@ -440,15 +433,11 @@ class TestPartsReader:
                 pipe.write = lambda data: write(memoryview(data).cast("B")[:8])
             return pipe
 
-        def counted(*args):
-            rows_read.append(1)
-            return parse_row(*args)
-
         if fault == "short send":
             monkeypatch.setattr(fileio, "open", short_open, raising=False)
         else:  # the child writes everything, closes its pipe and exits 3
             monkeypatch.setattr(os, "_exit", lambda code: exit_(3))
-        monkeypatch.setattr(fileio, "_parse_row", counted)
+        rows_read = calls(monkeypatch, fileio, "_parse_row")
         with _counted_forks(2) as forks:
             parsed = parse_basis("BASIS1 4 2\n1 2\n3 4\n5 6\n7 8\n")
         np.testing.assert_array_equal(parsed, [[1, 2], [3, 4], [5, 6], [7, 8]])

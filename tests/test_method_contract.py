@@ -7,11 +7,13 @@ properties are in test_operator_contract.py."""
 import numpy as np
 import pytest
 
-from conftest import reduction
+from conftest import calls, reduction
 from conevi import (AffineOperator, CallableOperator, SolveConfig, bound_report,
                     build_projective, certify, generate_instance, orthant, orthonormalize,
                     parse_cone_spec, project_intersection, solve_bertsekas, solve_exact,
-                    solve_galerkin, solve_ipm)
+                    solve_galerkin, solve_ipm, solvers)
+from conevi.basis import Basis
+from conevi.cones import SeparableCone
 
 N, TOL = 30, SolveConfig.tol
 CASES = ["orthant_abs_gaussian", "mixed_gaussian", "aggregation", "full_span", "nonlinear"]
@@ -112,6 +114,34 @@ def test_bounds(case, method):
         assert max(c.bound_new, c.bound_bertsekas, c.err_new_x, c.err_new_z, c.err_bertsekas) <= 1e-8
         for got, ref in pairs:
             np.testing.assert_allclose(got, ref, rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("cfg", [SolveConfig(), SolveConfig(max_iter=3)], ids=["stop", "cap"])
+def test_step_counts(case, method, cfg, monkeypatch):
+    # the cost of a run of T steps: each step applies F once and projects
+    # once, onto C or C & span (which projects onto C once); G_S adds one
+    # P_span, and below rank n an AffineOperator's reduced G_S neither
+    # applies F nor projects onto the span. Galerkin's certificate adds
+    # F(x_bar), F(0) for its allowance, and P_C(z_bar)
+    op, cone, basis = case
+    applied = calls(monkeypatch, type(op), "__call__")
+    onto_c = calls(monkeypatch, SeparableCone, "project")
+    onto_span = calls(monkeypatch, Basis, "project_span")
+    onto_both = calls(monkeypatch, solvers, "project_intersection")
+    T = METHODS[method](op, cone, basis, cfg).iterations
+    S = 0 if isinstance(op, AffineOperator) and basis.rank < N else T  # G_S's F and P_span
+    expected = {"exact": (T, T, 0, 0), "galerkin": (S + 2, T + 1, S, 0),
+                "bertsekas": (S, T, S, T)}[method]
+    F = sum(args[0] is op for args in applied)
+    assert (F, len(onto_c), len(onto_span), len(onto_both)) == expected
+
+
+def test_contraction(case, method):
+    # every step contracts towards the fixed point by the reported gamma,
+    # sqrt(1 - beta^2 / L^2) at alpha = beta / L^2
+    rep = METHODS[method](*case, SolveConfig(trace=True, tol=1e-12))
+    d = rep.distances_to_final()
+    assert rep.converged and np.all(d[1:] <= rep.gamma * d[:-1] + 1e-10)
 
 
 def scaled(op, c, q_only):

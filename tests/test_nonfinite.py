@@ -38,10 +38,6 @@ CASES = {
     "SolveConfig.alpha_override": lambda v: SolveConfig(alpha_override=v),
     "SolveConfig.tol": lambda v: SolveConfig(tol=v),
     "IpmConfig.tol": lambda v: IpmConfig(tol=v),
-    # tol is also the tolerance of the mu test and of the feasibility test,
-    # which had a field each (mu_tol, feas_tol) before they were merged
-    "IpmConfig.mu_tol": lambda v: IpmConfig(tol=v),
-    "IpmConfig.feas_tol": lambda v: IpmConfig(tol=v),
     "IpmConfig.max_iter": lambda v: IpmConfig(max_iter=v),
     "SolveConfig.max_iter": lambda v: SolveConfig(max_iter=v),
     "build_projective.alpha": lambda v: build_projective(OP, BASIS, v),

@@ -19,11 +19,12 @@ solve leave every array of the operator, D and the right-hand side as they
 were).
 
 The interior-point method, solve_ipm, has its own properties (test_ipm_*):
-its report, its exit, its active-set finish, its iteration cap, a Newton
-step that is not finite (which ends a solve as the cap does, with no
-warning) and the natural residual each run reports. They run on every
-case with the case's cone and, where any cone fits, with an orthant and an
-all-free cone, so a new case gets them all.
+its report, its exit, its active-set finish, its iteration cap, its cost
+(one factorization per Newton step and per finish attempt, capped or
+not), a Newton step that is not finite (which ends a solve as the cap
+does, with no warning) and the natural residual each run reports. They
+run on every case with the case's cone and, where any cone fits, with an
+orthant and an all-free cone, so a new case gets them all.
 """
 import copy
 import warnings
@@ -32,7 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import full_spans, perfbench_module, reduction
+from conftest import calls, full_spans, perfbench_module, reduction
 from conevi import IpmBreakdown, projective
 from conevi.basis import orthonormalize
 from conevi.cones import free, orthant, parse_cone_spec, zero
@@ -172,13 +173,16 @@ def test_newton_backward_error(case, kind):
         assert err <= 1e-14 * (np.abs(K).sum(1).max() * np.abs(y).max() + np.abs(b).max())
 
 
-def test_breakdowns(case):
+def test_breakdowns(case, monkeypatch):
+    # a D that is not positive is refused before the route factors anything
     F, _, (singular, D), _ = case
+    factored = calls(monkeypatch, type(F), "_newton_factor")
     for bad in (0.0, -1.0, np.nan):
         D_bad = np.ones(F.dim)
         D_bad[F.dim // 2] = bad
         with pytest.raises(IpmBreakdown, match="positivity"):
             _newton(F, D_bad)
+    assert factored == []
     with pytest.raises(IpmBreakdown, match="singular"):
         _newton(singular, D)
 
@@ -254,29 +258,28 @@ IPM_CASES = [(make, "own") for make in CASES] + [
 @pytest.fixture(scope="module", params=IPM_CASES, ids=lambda p: f"{p[0].__name__}-{p[1]}")
 def ipm(request):
     """solve_ipm on a case's operator with its own cone, an orthant or an
-    all-free one, recording each measured iterate (x, s) and each finish
-    attempt (iterate, pinned rows, accepted); and the same solve with every
+    all-free one, recording each measured iterate (x, s), each finish
+    attempt (iterate, pinned rows, accepted) and the arguments of each
+    factorization of its Newton system; and the same solve with every
     finish candidate refused, the path alone."""
     make, kind = request.param
     F, cone, *_ = make()
     cone = {"own": cone, "orthant": orthant(F.dim), "free": free(F.dim)}[kind]
-    run = SimpleNamespace(F=F, cone=cone, iterates=[], attempts=[])
-    guess, finish = projective._active_guess, projective._finish_candidate
-
-    def recorded_guess(x, s, B):  # called once at every measured iterate
-        run.iterates.append((x, s))
-        return guess(x, s, B)
+    run = SimpleNamespace(F=F, cone=cone, attempts=[])
+    finish = projective._finish_candidate
 
     def recorded_finish(F, active, B):
         out = finish(F, active, B)
-        run.attempts.append((len(run.iterates), active, out is not None and out[1] <= TOL))
+        run.attempts.append((len(guesses), active, out is not None and out[1] <= TOL))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(projective, "_active_guess", recorded_guess)
+        guesses = calls(mp, projective, "_active_guess")  # once at every measured iterate
         mp.setattr(projective, "_finish_candidate", recorded_finish)
+        run.factored = calls(mp, type(F), "_newton_factor")
         run.rep = solve_ipm(F, cone)
         mp.undo()
+        run.iterates = [(x, s) for x, s, _ in guesses]
         mp.setattr(projective, "_finish_candidate", lambda *args: None)
         run.plain = solve_ipm(F, cone)
     return run
@@ -426,6 +429,16 @@ def test_ipm_cap(ipm):
     assert np.array_equal(capped.x, x) and (capped.mu, capped.feasibility) == measured(F, cone, x, s)
     assert capped.finish_attempts == sum(t <= cap for t, _, _ in ipm.attempts)
     assert_residual(F, cone, capped)
+
+
+def test_ipm_factorizations(ipm, monkeypatch):
+    # the method's cost: one factorization of the Newton system per Newton
+    # step and per finish attempt. The last iterate only tests the stop or
+    # tries the finish, also when it is the last one the cap allows
+    factored = calls(monkeypatch, type(ipm.F), "_newton_factor")
+    capped = solve_ipm(ipm.F, ipm.cone, IpmConfig(max_iter=ipm.rep.iterations - 1))
+    for rep, n in ((ipm.rep, len(ipm.factored)), (capped, len(factored))):
+        assert n == len(rep.history) + rep.finish_attempts
 
 
 def assert_ends_as_capped(F, cone, cfg=IpmConfig()):

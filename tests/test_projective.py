@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import conevi
-from conftest import full_spans, perfbench_module, reduction
+from conftest import calls, full_spans, perfbench_module, reduction
 from conevi import operators, projective
 from conevi.basis import orthonormalize
 from conevi.cones import orthant, parse_cone_spec
@@ -15,7 +15,6 @@ from conevi.generate import generate_instance
 from conevi.operators import AffineOperator
 from conevi.bench import _bench_instance
 from conevi.projective import (
-    IpmBreakdown,
     IpmConfig,
     ProjectiveLcp,
     _newton,
@@ -30,19 +29,6 @@ from conevi.transforms import (
     eliminate_equalities,
     polyhedron_to_cone,
 )
-
-def record_factorizations(monkeypatch):
-    """The shapes of the matrices LU-factored from now on, in call order."""
-    shapes = []
-    dgetrf = scipy.linalg.lapack.dgetrf
-
-    def recorded(a, **kwargs):
-        shapes.append(a.shape)
-        return dgetrf(a, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", recorded)
-    return shapes
-
 
 def lowrank(Q, W):
     """The ProjectiveLcp with N = I + Q W and r = 0, for a Newton solve."""
@@ -159,21 +145,6 @@ class TestWoodbury:
         rhs = np.array([1.0, -2.0, 3.0])
         got = _newton(lowrank(np.zeros((3, 2)), np.zeros((2, 3))), np.ones(3))(rhs)
         np.testing.assert_allclose(got, rhs, atol=1e-15)
-
-    def test_matches_dense_solve(self):
-        rng = np.random.default_rng(48)
-        n, k = 60, 6
-        for _ in range(30):
-            D = rng.uniform(0.5, 2.0, size=n)
-            Q = rng.standard_normal((n, k)) / np.sqrt(n)
-            W = rng.standard_normal((k, n)) / np.sqrt(n)
-            A = np.diag(D) + Q @ W
-            if np.linalg.cond(A) > 1e6:
-                continue
-            rhs = rng.standard_normal(n)
-            ref = np.linalg.solve(A, rhs)
-            got = _newton(lowrank(Q, W), D)(rhs)
-            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_componentwise_backward_error_late_ipm_stage(self):
         # IPM-like Newton matrix near the end: D = 1 + s/x spans 24 decades
@@ -317,13 +288,13 @@ class TestSlackPairs:
         n = 60
         op, free = self.reduction(n, p, seed=73)
         rng = np.random.default_rng(74)
-        factored = record_factorizations(monkeypatch)
+        factored = calls(monkeypatch, scipy.linalg.lapack, "dgetrf")
         for _ in range(10):
             D = np.where(free, 1.0, 1.0 + 10.0 ** rng.uniform(-12, 12, free.size))
             rhs = rng.standard_normal(free.size) * D ** rng.uniform(0, 1, free.size)
             y = _newton(op, D)(rhs)
             assert self.backward_error(op.M + np.diag(D - 1.0), y, rhs) <= 1e-14
-        assert factored == [(n + p, n + p)] * 10
+        assert [a.shape for a, in factored] == [(n + p, n + p)] * 10
 
     @pytest.mark.parametrize("p", [0, 8])
     def test_infinite_diagonal_pins_rows_to_zero(self, monkeypatch, p):
@@ -334,7 +305,7 @@ class TestSlackPairs:
         op, free = self.reduction(n, p, seed=75)
         N = op.M
         rng = np.random.default_rng(76)
-        factored = record_factorizations(monkeypatch)
+        factored = calls(monkeypatch, scipy.linalg.lapack, "dgetrf")
         for _ in range(5):
             active = ~free & (rng.random(free.size) < 0.5)
             keep = ~active
@@ -344,7 +315,7 @@ class TestSlackPairs:
                 rhs = rng.standard_normal(free.size)
                 factored.clear()
                 y = _newton(op, D)(rhs)
-                assert factored == [(n + p + active.sum(),) * 2]
+                assert [a.shape for a, in factored] == [(n + p + active.sum(),) * 2]
                 assert np.all(y[active] == 0.0)
                 K = (N + np.diag(np.where(keep, D, 1.0) - 1.0))[np.ix_(keep, keep)]
                 assert self.backward_error(K, y[keep], rhs[keep]) <= 1e-14
@@ -374,13 +345,13 @@ class TestSlackPairs:
         n = 12
         op, free = self.reduction(n, 0, seed=77)
         rng = np.random.default_rng(78)
-        factored = record_factorizations(monkeypatch)
+        factored = calls(monkeypatch, scipy.linalg.lapack, "dgetrf")
         for dense in (op.M, *self.near_misses(op.M, n)):
             factored.clear()
             D = np.where(free, 1.0, 1.0 + 10.0 ** rng.uniform(-3, 3, free.size))
             rhs = rng.standard_normal(free.size)
             y = _newton(AffineOperator(dense, op.q), D)(rhs)
-            assert factored == [(3 * n, 3 * n)]  # G(D), formed from N
+            assert [a.shape for a, in factored] == [(3 * n, 3 * n)]  # G(D), formed from N
             assert self.backward_error(dense + np.diag(D - 1.0), y, rhs) <= 1e-14
 
     def test_other_varying_rows_take_the_direct_route(self, monkeypatch):
@@ -391,11 +362,11 @@ class TestSlackPairs:
         free = free.copy()
         free[n] = False
         rng = np.random.default_rng(80)
-        factored = record_factorizations(monkeypatch)
+        factored = calls(monkeypatch, scipy.linalg.lapack, "dgetrf")
         D = np.where(free, 1.0, 1.0 + 10.0 ** rng.uniform(-3, 3, free.size))
         rhs = rng.standard_normal(free.size)
         y = _newton(op, D)(rhs)
-        assert factored == [(3 * n, 3 * n)]
+        assert [a.shape for a, in factored] == [(3 * n, 3 * n)]
         assert self.backward_error(op.M + np.diag(D - 1.0), y, rhs) <= 1e-14
 
     @pytest.mark.parametrize("p", [0, 8])
@@ -415,13 +386,13 @@ class TestSlackPairs:
         x_row, low_slack = spread.copy(), spread.copy()
         x_row[n + 1] = 5.0
         low_slack[2] = 0.5
-        factored = record_factorizations(monkeypatch)
+        factored = calls(monkeypatch, scipy.linalg.lapack, "dgetrf")
         solves = []
         for D, size in ((spread, n + p), (pinned, n + p + 3), (x_row, dim), (low_slack, dim)):
             rhs = rng.standard_normal(dim)
             factored.clear()
             solves.append((D, rhs, _newton(op, D)(rhs)))
-            assert factored == [(size, size)]
+            assert [a.shape for a, in factored] == [(size, size)]
             if size < dim:
                 assert "M" not in vars(op)
         for D, rhs, y in solves:
@@ -493,28 +464,6 @@ class TestNewtonSystemOwner:
                            if getattr(value, "__module__", None) == "conevi.transforms"]
         assert from_transforms == []
 
-    def test_solve_ipm_factors_through_the_operator_method(self):
-        # a subclass that records each D its own method factors: solve_ipm
-        # goes through it, and a D with a zero is refused before it runs
-        factored = []
-
-        class Recorded(AffineOperator):
-            def _newton_factor(self, D):
-                factored.append(D)
-                return super()._newton_factor(D)
-
-        op, _ = generate_instance(20, 2, 1.0, 3.0, seed=50)
-        rep = solve_ipm(Recorded(op.M, op.q), orthant(20))
-        assert rep.converged
-        assert len(factored) == rep.iterations - 1 + rep.finish_attempts
-        np.testing.assert_array_equal(rep.x, solve_ipm(op, orthant(20)).x)
-        factored.clear()
-        D = np.ones(20)
-        D[3] = 0.0
-        with pytest.raises(IpmBreakdown, match="positivity"):
-            _newton(Recorded(op.M, op.q), D)
-        assert factored == []
-
     def test_one_breakdown_class_for_every_route(self):
         assert conevi.IpmBreakdown is projective.IpmBreakdown is operators.IpmBreakdown
         modules = ("basis", "cones", "generate", "operators", "projective", "solvers",
@@ -527,10 +476,10 @@ class TestNewtonSystemOwner:
 class TestSolveIpm:
     """Mechanism pins of solve_ipm that no property sees: each checks how a
     step is computed, not what the solve returns. Its behaviour (report,
-    exit, finish, cap, breakdowns) is asserted on every operator case by
-    the test_ipm_* properties of test_operator_contract.py, and its point
-    against the projection methods' by test_method_contract.py. Four
-    reference points stay beside the pins: a closed-form LCP, and the
+    exit, finish, cap, factorization count, breakdowns) is asserted on every
+    operator case by the test_ipm_* properties of test_operator_contract.py,
+    and its point against the projection methods' by test_method_contract.py.
+    Four reference points stay beside the pins: a closed-form LCP, and the
     Galerkin fixed point on an orthant, on a mixed cone with a dense basis,
     and on the benchmark's instances at n = 300 and 1000."""
 
@@ -583,48 +532,15 @@ class TestSolveIpm:
             # the Galerkin certificate at z_bar = x - (Nx + r), the IPM's x
             assert certify(op, cone, basis, rep.x, rep.x - plcp(rep.x), alpha).valid
 
-    def test_one_woodbury_solve_per_newton_step(self, monkeypatch):
-        # pin: the factorization count, which a right answer cannot show
-        calls = []
-        inner = projective._newton
-
-        def counted(*args):
-            calls.append(1)
-            return inner(*args)
-
-        monkeypatch.setattr(projective, "_newton", counted)
-        op, basis = generate_instance(40, 8, 1.0, 3.0, seed=49)
-        problems = [(build_projective(op, basis, op.contraction().alpha), orthant(40))]
-        # a polyhedral reduction with the identity basis (k' = 30): each step
-        # eliminates its 10 slack pairs and factors the 10x10 system on x
-        plcp, cone = polyhedral_problem()
-        assert cone.nonneg_mask.sum() < cone.dim
-        problems.append((plcp, cone))
-        # one factorization per Newton step and per finish attempt; the last
-        # iteration only checks convergence or tries the finish, also when it
-        # is the last one max_iter allows
-        for plcp, cone in problems:
-            for cfg, converged in ((IpmConfig(), True), (IpmConfig(max_iter=3), False)):
-                calls.clear()
-                rep = solve_ipm(plcp, cone, cfg)
-                assert rep.converged is converged
-                assert len(calls) == rep.iterations - 1 + rep.finish_attempts
-
     def test_finish_solves_through_its_own_name(self, monkeypatch):
-        # pin: perfbench wraps this name by its string. Each active-set finish makes exactly one solve_diag_plus_lowrank
-        # call, looked up as a module attribute, which a profiler can wrap
-        calls = []
-        inner = projective.solve_diag_plus_lowrank
-
-        def counted(*args):
-            calls.append(1)
-            return inner(*args)
-
-        monkeypatch.setattr(projective, "solve_diag_plus_lowrank", counted)
+        # pin: perfbench wraps this name by its string. Each active-set finish
+        # makes exactly one solve_diag_plus_lowrank call, looked up as a
+        # module attribute, which a profiler can wrap
+        solved = calls(monkeypatch, projective, "solve_diag_plus_lowrank")
         plcp, cone = polyhedral_problem()
         rep = solve_ipm(plcp, cone)
         assert rep.converged and rep.finish_attempts >= 1
-        assert len(calls) == rep.finish_attempts
+        assert len(solved) == rep.finish_attempts
 
     def test_factorization_sizes(self, monkeypatch):
         # pin: the system each route factors, which sets its cost. The per-step
@@ -632,36 +548,32 @@ class TestSolveIpm:
         # with k' = 30 above |V| = 28 orthant rows
         op, _ = generate_instance(40, 4, 1.0, 3.0, seed=70)
         plcp = build_projective(op, orthonormalize(np.eye(40)[:, :30]), 0.3)
-        factored = record_factorizations(monkeypatch)
+        factored = calls(monkeypatch, scipy.linalg.lapack, "dgetrf")
         assert solve_ipm(plcp, parse_cone_spec("nn:14,free:6,nn:14,free:6")).converged
-        assert factored and set(factored) == {(30, 30)}
+        assert factored and {a.shape for a, in factored} == {(30, 30)}
         # a full span with free rows but no slack pairs: one n x n system per
         # Newton step and per finish attempt, none at set-up
         plcp = build_projective(op, orthonormalize(np.eye(40)))
         factored.clear()
         rep = solve_ipm(plcp, parse_cone_spec("nn:14,free:6,nn:14,free:6"))
         assert rep.converged
-        assert factored == [(40, 40)] * (rep.iterations - 1 + rep.finish_attempts)
+        steps = rep.iterations - 1 + rep.finish_attempts
+        assert [a.shape for a, in factored] == [(40, 40)] * steps
         # a polyhedral reduction, whose slack pairs are eliminated: no n x n
         # matrix, the |R|x|R| system on the rows R = x left by the pairs per
         # Newton step, and per finish attempt one larger by the guessed
         # active rows, whose multipliers stay as equality rows
         plcp, cone = polyhedral_problem()
         n_rest = int(cone.free_mask.sum() - cone.nonneg_mask.sum())
-        active_sizes = []
-        inner = projective._finish_candidate
-
-        def recorded(plcp, active, B):
-            active_sizes.append(int(active.sum()))
-            return inner(plcp, active, B)
-
-        monkeypatch.setattr(projective, "_finish_candidate", recorded)
+        tried = calls(monkeypatch, projective, "_finish_candidate")
         factored.clear()
         rep = solve_ipm(plcp, cone)
+        active_sizes = [int(active.sum()) for _, active, _ in tried]
         assert rep.converged and len(active_sizes) == rep.finish_attempts >= 1
         assert min(active_sizes) > 0
-        assert sorted(factored) == sorted([(n_rest, n_rest)] * (rep.iterations - 1)
-                                          + [(n_rest + k, n_rest + k) for k in active_sizes])
+        assert sorted(a.shape for a, in factored) == sorted(
+            [(n_rest, n_rest)] * (rep.iterations - 1)
+            + [(n_rest + k, n_rest + k) for k in active_sizes])
 
     def test_directions_match_dense_solve(self, monkeypatch):
         # pin: the IPM absorbs an inexact direction, so check the directions themselves

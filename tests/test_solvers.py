@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from conftest import calls
 from conevi import solvers
 from conevi.basis import Basis, orthonormalize
 from conevi.cones import free, orthant, parse_cone_spec
 from conevi.generate import generate_instance
-from conevi.operators import AffineOperator, CallableOperator, NotStronglyMonotone, iteration_bound
+from conevi.operators import AffineOperator, CallableOperator, NotStronglyMonotone
 from conevi.solvers import (
     IntersectionProjectionFailed,
     SolveConfig,
@@ -126,9 +127,7 @@ class TestProjectIntersection:
         # solution's residual is not), so the bound adds the rounding of
         # that evaluation to 1e-12 (1 + ||d||). One passive solve means the
         # guessed start was kept, more that the Lawson-Hanson loop ran.
-        passive, solves = solvers._passive_solution, []
-        monkeypatch.setattr(solvers, "_passive_solution",
-                            lambda *args: solves.append(1) or passive(*args))
+        solves = calls(monkeypatch, solvers, "_passive_solution")
         rng = np.random.default_rng(38)
         paths = set()
         for i in range(600):
@@ -229,47 +228,6 @@ class TestSolveGalerkin:
         np.testing.assert_allclose(rep.x, [2.0, 0.0], atol=1e-9)
 
 
-class TestSpanStep:
-    """Galerkin and Bertsekas step with G_S, x - G_S(x) = P_span(x - alpha F(x))."""
-
-    @staticmethod
-    def nonneg_basis(n, k, seed):
-        # on an orthant, C & span of a Gaussian basis is {0} and Bertsekas
-        # stops after one step; a nonnegative basis gives it a real solution
-        return orthonormalize(np.abs(np.random.default_rng(seed).standard_normal((n, k))))
-
-    def test_affine_step_below_rank_n_applies_no_span_projection_or_operator(self, monkeypatch):
-        op, _ = generate_instance(30, 6, 1.0, 4.0, seed=2)
-        basis = self.nonneg_basis(30, 6, 2)
-        counts = {"project_span": 0, "op": 0}
-        project_span = Basis.project_span
-        call, matmul = AffineOperator.__call__, AffineOperator.__matmul__
-
-        def counted_project_span(self, z):
-            counts["project_span"] += 1
-            return project_span(self, z)
-
-        def counted(method):
-            def wrapper(self, x):
-                counts["op"] += self is op
-                return method(self, x)
-            return wrapper
-
-        monkeypatch.setattr(Basis, "project_span", counted_project_span)
-        monkeypatch.setattr(AffineOperator, "__call__", counted(call))
-        monkeypatch.setattr(AffineOperator, "__matmul__", counted(matmul))
-        for solve in (solve_galerkin, solve_bertsekas):
-            iterations, op_calls = [], []
-            for tol in (1e-4, 1e-10):
-                counts.update(project_span=0, op=0)
-                rep = solve(op, orthant(30), basis, SolveConfig(tol=tol))
-                assert rep.converged and counts["project_span"] == 0
-                iterations.append(rep.iterations)
-                op_calls.append(counts["op"])
-            assert iterations[0] < iterations[1]
-            assert op_calls[0] == op_calls[1]
-
-
 class TestCertify:
     def test_exact_solution_identity_basis_zero_residual(self):
         op = AffineOperator(np.eye(2), [-1.0, 1.0])
@@ -297,34 +255,6 @@ class TestCertify:
         x_bar = np.array([-1.0, 0.0])
         cert = certify(op, orthant(2), orthonormalize(np.eye(2)), x_bar, x_bar, 1.0)
         assert not cert.normal_cone_ok and not cert.valid
-
-
-class TestContractionBehavior:
-    def test_distances_contract_and_bound_holds(self):
-        for seed in range(5):
-            op, basis = generate_instance(30, 6, 1.0, 2.0, seed=seed)
-            cone = orthant(30)
-            cfg = SolveConfig(trace=True, tol=1e-12)
-            for rep in (
-                solve_exact(op, cone, cfg),
-                solve_bertsekas(op, cone, basis, cfg),
-                solve_galerkin(op, cone, basis, cfg),
-            ):
-                assert rep.converged
-                d = rep.distances_to_final()
-                for t in range(len(d) - 1):
-                    assert d[t + 1] <= rep.gamma * d[t] + 1e-10
-
-    def test_iteration_count_within_certified_bound(self):
-        eps = 1e-8
-        for seed in range(5):
-            op, _ = generate_instance(30, 6, 1.0, 2.0, seed=seed)
-            rep = solve_exact(op, orthant(30), SolveConfig(trace=True, tol=1e-13))
-            d = rep.distances_to_final()
-            if d[0] == 0.0:
-                continue
-            reached = int(np.argmax(d <= eps * d[0]))
-            assert reached <= iteration_bound(rep.gamma, eps)
 
 
 class TestBoundReport:
