@@ -265,12 +265,9 @@ def small_files(draw):
     return (parse_problem if problem else parse_basis), text
 
 
-# one part is the streamed reader alone; 2 or 3 are cut at "\n" and read by
-# this process and forked children where the parts reader forks, and in
-# this process alone elsewhere. 311 of the 580 examples take 2 or 3 parts
-@settings(max_examples=580, deadline=None)
-@given(small_files(), st.integers(1, 3))
-def test_matches_line_numbered_path(case, cpus):
+def _matches_line_numbered_path(case, cpus):
+    """One part is the streamed reader alone; 2 or 3 are cut at "\n" and read
+    by this process and forked children."""
     parse, text = case
     with _counted_forks(cpus):
         outcome = _outcome(parse, text)
@@ -282,6 +279,11 @@ class TestStreamedReader:
     @given(st.text(alphabet="ab #\t" + "".join(SEPARATORS), max_size=40))
     def test_content_lines_follow_splitlines(self, text):
         assert list(fileio._content_lines(text)) == list(_splitlines_content_lines(text))
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_files())
+    def test_matches_line_numbered_path(self, case):
+        _matches_line_numbered_path(case, 1)
 
     def test_content_lines_between_bounds(self):
         text = "a\r\nb\rc\n\n# d\ne"
@@ -356,6 +358,11 @@ CUT_CASES = [
 @forking
 class TestPartsReader:
     """Texts cut at "\n" and read by this process and forked children."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_files(), st.integers(2, 3))
+    def test_matches_line_numbered_path(self, case, cpus):
+        _matches_line_numbered_path(case, cpus)
 
     @pytest.mark.parametrize("text, parts, per_row", CUT_CASES)
     def test_cut_cases_match_line_numbered_path(self, text, parts, per_row, monkeypatch):
